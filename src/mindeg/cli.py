@@ -18,7 +18,9 @@ from .cascade import (
     max_cascade_forces_point_degree, mmsos_size, mmsos_unique_up_to_weyl,
 )
 from .curve_nbhd import borel, minimal_degree_records, point_class_degree
-from .exceptions import MindegError, NotApplicableError
+from .exceptions import (
+    InvalidDegreeError, InvalidParabolicError, MindegError, NotApplicableError,
+)
 from .parabolic import Parabolic
 from .report import (
     SweepConfig, all_parabolic_subsets, case_reports, default_types, emit,
@@ -32,16 +34,23 @@ from .weyl import center_elements, word_str
 WORKERS_ENV = "MINDEG_WORKERS"
 
 
+def _parse_ints(text: str, error, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise error(f"{what} must be comma-separated integers, got {text!r}") from None
+
+
 def _parse_indices(text: str | None) -> tuple[int, ...]:
     if not text:
         return ()
-    return tuple(sorted(int(x) for x in text.split(",") if x.strip()))
+    return tuple(sorted(_parse_ints(text, InvalidParabolicError, "--delta-p")))
 
 
 def _parse_coeffs(text: str | None):
     if text is None:
         return None
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    return _parse_ints(text, InvalidDegreeError, "degree coordinates")
 
 
 def _print_json(obj) -> None:

@@ -3,6 +3,12 @@
 The search for minimal degrees runs over the componentwise box below the
 degree joining two general points, plus a one-step frontier scan that turns
 the box bound into a checked assumption (BoundViolationError on escape).
+
+Minimality is decided on unit edges only: d is minimal iff z_{d-e_i} != z_d
+for every i with d_i > 0. That is equivalent to the definition because z_d
+is monotone in d (Buch-Mihalcea, Curve neighborhoods of Schubert varieties,
+J. Differential Geom. 99 (2015)); the monotonicity is not assumed but checked
+with bruhat_leq on every unit edge of the box below d, once per parabolic.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from .exceptions import (
     BoundViolationError, ConsistencyError, LiftingNotFoundError,
     LiftingNotUniqueError, NotMinimalDegreeError, UniquenessViolationError,
 )
-from .parabolic import Degree, Parabolic, degree_leq, is_effective, project_coroot
+from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem, root_leq
 from .weyl import (
     WeylElement, bruhat_leq, compose, hecke_product, identity, is_negative,
@@ -36,9 +42,27 @@ def borel(rs: RootSystem) -> Parabolic:
     return Parabolic(rs, frozenset())
 
 
-def _check_effective(d: Degree) -> None:
-    if not is_effective(d):
-        raise ValueError(f"degree {d} is not effective")
+@lru_cache(maxsize=None)
+def _root_table(p: Parabolic):
+    """The roots of R+ \\ R_P+ as bitmask data for maximal_roots.
+
+    Returns (roots, fits, above). roots is sorted with the lexicographically
+    largest coefficient vector first, and bit j of a mask stands for roots[j].
+    fits[i][c] masks the roots whose projected coroot has i-th coordinate
+    <= c (the last entry, the largest such coordinate, masks them all), and
+    above[j] masks the roots strictly above roots[j] in the root order.
+    """
+    roots = sorted((a for a in p.system.positive_roots if p.outside_levi(a)),
+                   key=lambda r: r.coeffs, reverse=True)
+    coroots = [project_coroot(p, a) for a in roots]
+    fits = []
+    for i in range(len(p.quotient_positions)):
+        top = max((c[i] for c in coroots), default=0)
+        fits.append(tuple(sum(1 << j for j, c in enumerate(coroots) if c[i] <= v)
+                          for v in range(top + 1)))
+    above = tuple(sum(1 << k for k, b in enumerate(roots) if b is not a and root_leq(a, b))
+                  for a in roots)
+    return tuple(roots), tuple(fits), above
 
 
 @lru_cache(maxsize=None)
@@ -48,27 +72,30 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     Sorted with the lexicographically largest coefficient vector first, which
     is the deterministic greedy tie-break.
     """
-    _check_effective(d)
-    cands = [a for a in p.system.positive_roots
-             if p.outside_levi(a) and degree_leq(project_coroot(p, a), d)]
-    maxima = [a for a in cands
-              if not any(b is not a and root_leq(a, b) for b in cands)]
-    return tuple(sorted(maxima, key=lambda r: r.coeffs, reverse=True))
+    p.check_degree(d)
+    roots, fits, above = _root_table(p)
+    cands = (1 << len(roots)) - 1
+    for fit, c in zip(fits, d):
+        cands &= fit[min(c, len(fit) - 1)]
+    return tuple(a for j, a in enumerate(roots)
+                 if cands >> j & 1 and not above[j] & cands)
 
 
 @lru_cache(maxsize=None)
 def greedy_decomposition(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Peel maximal roots off d until nothing is left."""
-    _check_effective(d)
+    p.check_degree(d)
     out = []
     cur = d
     while any(cur):
         tops = maximal_roots(p, cur)
-        assert tops, "a nonzero effective degree always has a maximal root"
+        if not tops:
+            raise ConsistencyError(f"nonzero effective degree {cur} has no maximal root")
         first = tops[0]
         out.append(first)
         cur = tuple(x - y for x, y in zip(cur, project_coroot(p, first)))
-        assert is_effective(cur)
+        if min(cur) < 0:
+            raise ConsistencyError(f"peeling {first} off a degree left {cur}")
     return tuple(out)
 
 
@@ -100,7 +127,7 @@ def minimal_coset_representative(w: WeylElement, p: Parabolic) -> WeylElement:
 @lru_cache(maxsize=None)
 def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     """The Weyl element attached to the degree-d curve neighborhood of 1P."""
-    _check_effective(d)
+    p.check_degree(d)
     rs = p.system
     acc = identity(rs)
     for alpha in greedy_decomposition(p, d):
@@ -112,18 +139,55 @@ def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     return z
 
 
+def _unit_steps_down(d: Degree):
+    """The degrees d - e_i, over the coordinates i with d_i > 0."""
+    for i, c in enumerate(d):
+        if c:
+            yield d[:i] + (c - 1,) + d[i + 1:]
+
+
+@lru_cache(maxsize=None)
+def _monotone_certified(p: Parabolic) -> set[Degree]:
+    """Degrees of p below which z is checked monotone on every unit edge."""
+    return set()
+
+
+def _certify_monotone(p: Parabolic, d: Degree) -> None:
+    """Check bruhat_leq(z_{c-e_i}, z_c) on every unit edge of the box below d.
+
+    Walks the box iteratively (its depth is sum(d)) and skips degrees whose
+    box is already certified, so each edge is checked once per parabolic.
+    Monotonicity on the unit edges gives it on the whole box by transitivity.
+    """
+    certified = _monotone_certified(p)
+    if d in certified:
+        return
+    seen = {d}
+    stack = [d]
+    while stack:
+        c = stack.pop()
+        z = curve_neighborhood_element(p, c)
+        for below in _unit_steps_down(c):
+            if not bruhat_leq(curve_neighborhood_element(p, below), z):
+                raise ConsistencyError(
+                    f"z is not monotone on {p}: z_{below} is not below z_{c}")
+            if below not in certified and below not in seen:
+                seen.add(below)
+                stack.append(below)
+    certified |= seen
+
+
 @lru_cache(maxsize=None)
 def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
-    """No strictly smaller effective degree reaches a Bruhat-larger element."""
-    _check_effective(d)
+    """No strictly smaller effective degree reaches a Bruhat-larger element.
+
+    With z certified monotone on the box below d, a smaller degree can only
+    reach z_d itself, and if one does, so does some d - e_i.
+    """
+    p.check_degree(d)
+    _certify_monotone(p, d)
     z = curve_neighborhood_element(p, d)
-    for smaller in itertools.product(*(range(c + 1) for c in d)):
-        if smaller == d:
-            continue
-        zs = curve_neighborhood_element(p, smaller)
-        if zs.length >= z.length and bruhat_leq(z, zs):
-            return False
-    return True
+    return all(curve_neighborhood_element(p, below) != z for below in _unit_steps_down(d))
 
 
 @lru_cache(maxsize=None)
@@ -185,15 +249,22 @@ def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     return tuple(sorted(found))
 
 
+@lru_cache(maxsize=None)
+def _liftings(rs: RootSystem) -> dict[WeylElement, list[Degree]]:
+    """The full-flag minimal degrees of rs, grouped by their z."""
+    b = borel(rs)
+    out = {}
+    for e in minimal_degrees(b):
+        out.setdefault(curve_neighborhood_element(b, e), []).append(e)
+    return out
+
+
 def lifting(p: Parabolic, d: Degree) -> Degree:
     """The full-flag minimal degree e with z_e = z_d * w_P."""
     if not is_minimal_degree(p, d):
         raise NotMinimalDegreeError(f"{d} is not a minimal degree for {p}")
-    rs = p.system
-    b = borel(rs)
     want = compose(curve_neighborhood_element(p, d), p.w_p)
-    matches = [e for e in minimal_degrees(b)
-               if curve_neighborhood_element(b, e) == want]
+    matches = _liftings(p.system).get(want, [])
     if not matches:
         raise LiftingNotFoundError(f"no full-flag minimal degree lifts {d}")
     if len(matches) > 1:

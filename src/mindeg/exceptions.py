@@ -13,6 +13,14 @@ class MixedRootSystemError(MindegError, ValueError):
     """Operands belong to different root systems."""
 
 
+class InvalidParabolicError(MindegError, ValueError):
+    """Delta_P names a simple-root index outside 1..rank, or is malformed."""
+
+
+class InvalidDegreeError(MindegError, ValueError):
+    """A degree has the wrong number of coordinates, a non-integer, or a negative one."""
+
+
 class NotApplicableError(MindegError):
     """A check's precondition does not hold for this input."""
 

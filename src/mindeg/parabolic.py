@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .exceptions import NotApplicableError
+from .exceptions import InvalidDegreeError, InvalidParabolicError, NotApplicableError
 from .root_system import Root, RootSystem, coroot_coefficients, coroot_pairing
 from .weyl import WeylElement, longest_element
 
@@ -35,7 +35,8 @@ class Parabolic:
         object.__setattr__(self, "delta_p", frozenset(self.delta_p))
         bad = [i for i in self.delta_p if not 1 <= i <= self.system.rank]
         if bad:
-            raise ValueError(f"simple-root indices out of range: {sorted(bad)}")
+            raise InvalidParabolicError(
+                f"simple-root indices out of range 1..{self.system.rank}: {sorted(bad)}")
 
     @cached_property
     def positions(self) -> tuple[int, ...]:
@@ -76,6 +77,22 @@ class Parabolic:
     def zero_degree(self) -> Degree:
         return (0,) * len(self.quotient_positions)
 
+    def check_degree(self, d: Degree) -> None:
+        """Raise InvalidDegreeError unless d is an effective degree on this G/P.
+
+        An effective degree has one nonnegative integer coordinate per simple
+        root outside Delta_P.
+        """
+        k = len(self.quotient_positions)
+        if len(d) != k:
+            raise InvalidDegreeError(
+                f"degree {d} has {len(d)} coordinates, {self} needs {k}")
+        for c in d:
+            if not isinstance(c, int):
+                raise InvalidDegreeError(f"degree {d} has a non-integer coordinate {c!r}")
+            if c < 0:
+                raise InvalidDegreeError(f"degree {d} is not effective")
+
     def outside_levi(self, alpha: Root) -> bool:
         """True when alpha lies in R+ \\ R_P+ (for positive alpha)."""
         return alpha.is_positive and alpha not in self.levi_positive_set
@@ -89,7 +106,7 @@ def is_effective(d: Degree) -> bool:
 
 
 def degree_leq(d: Degree, e: Degree) -> bool:
-    return all(x <= y for x, y in zip(d, e))
+    return all(x <= y for x, y in zip(d, e, strict=True))
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exceptions import InadmissibleRankError, MixedRootSystemError
+from .exceptions import ConsistencyError, InadmissibleRankError, MixedRootSystemError
 
 __all__ = [
     "SimpleType", "Root", "RootSystem", "build_root_system",
@@ -107,12 +107,14 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
             if i != j and cartan[i][j] != 0 and d[j] is None:
                 d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
                 stack.append(j)
-    assert all(x is not None for x in d), "Dynkin diagram must be connected"
+    if any(x is None for x in d):
+        raise ConsistencyError("Dynkin diagram must be connected")
     scale = math.lcm(*(x.denominator for x in d))
     ints = [int(x * scale) for x in d]
     g = math.gcd(*ints)
     ints = [x // g for x in ints]
-    assert min(ints) == 1, "short roots are normalized to squared length 2"
+    if min(ints) != 1:
+        raise ConsistencyError("short roots are normalized to squared length 2")
     return tuple(ints)
 
 
@@ -162,11 +164,12 @@ class RootSystem:
         )
         expected = _ROOT_COUNTS[simple_type.family](simple_type.rank)
         if len(roots) != expected or 2 * len(self.positive_roots) != expected:
-            raise AssertionError(f"{simple_type}: got {len(roots)} roots, expected {expected}")
+            raise ConsistencyError(f"{simple_type}: got {len(roots)} roots, expected {expected}")
         lengths = {bilinear(r, r) for r in roots}
         self._min_norm = min(lengths)
         self._max_norm = max(lengths)
-        assert self._min_norm == 2
+        if self._min_norm != 2:
+            raise ConsistencyError(f"{simple_type}: short roots must have squared length 2")
 
     def _generate_coeffs(self) -> set[tuple[int, ...]]:
         l = self.rank
@@ -190,7 +193,7 @@ class RootSystem:
             frontier = fresh
         for v in seen:
             if not (all(c >= 0 for c in v) or all(c <= 0 for c in v)):
-                raise AssertionError(f"root {v} is not sign-homogeneous")
+                raise ConsistencyError(f"root {v} is not sign-homogeneous")
         return seen
 
     def root(self, coeffs) -> Root:
@@ -203,7 +206,8 @@ class RootSystem:
     def highest_root(self) -> Root:
         top = [p for p in self.positive_roots
                if all(root_leq(q, p) for q in self.positive_roots)]
-        assert len(top) == 1
+        if len(top) != 1:
+            raise ConsistencyError(f"{self.simple_type}: expected one highest root, got {top}")
         return top[0]
 
     def __repr__(self) -> str:
@@ -256,7 +260,8 @@ def bilinear(x, y) -> int:
 def coroot_pairing(x, y: Root) -> int:
     """The pairing (x, y^vee) = 2 (x, y) / (y, y); an integer on the root lattice."""
     val = Fraction(2 * bilinear(x, y), bilinear(y, y))
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise ConsistencyError(f"coroot pairing of {x} with {y} is not an integer")
     return int(val)
 
 
@@ -282,7 +287,8 @@ def coroot_coefficients(alpha: Root) -> tuple[int, ...]:
     out = []
     for a, d in zip(alpha.coeffs, rs.symmetrizer):
         c = Fraction(2 * a * d, norm)
-        assert c.denominator == 1
+        if c.denominator != 1:
+            raise ConsistencyError(f"coroot of {alpha} is not integral")
         out.append(int(c))
     return tuple(out)
 

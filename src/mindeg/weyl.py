@@ -1,18 +1,21 @@
 """Weyl group elements acting on the root lattice.
 
 An element is stored by the images of the simple roots, which is canonical:
-two words represent the same element iff these images agree. Lengths come
-from inversion counting, reduced words from descent stripping (smallest
-Bourbaki index first, so all derived products are reproducible).
+two words represent the same element iff these images agree. mul_gen carries
+the length along (w * s_i is one longer iff w(alpha_i) > 0); elements built
+otherwise count inversions on first use. Reduced words come from descent
+stripping (smallest Bourbaki index first, so all derived products are
+reproducible).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import mul
 
-from .exceptions import MixedRootSystemError
+from .exceptions import ConsistencyError, MixedRootSystemError
 from .root_system import Root, RootSystem, reflect
 
 __all__ = [
@@ -26,13 +29,15 @@ __all__ = [
 
 def is_negative(vec: tuple[int, ...]) -> bool:
     # valid for sign-homogeneous nonzero vectors (roots)
-    return any(c < 0 for c in vec)
+    return min(vec) < 0
 
 
 @dataclass(frozen=True)
 class WeylElement:
     system: RootSystem
     images: tuple[tuple[int, ...], ...]
+    # l(w) when the constructor knows it; otherwise counted on first use
+    _length: int | None = field(default=None, compare=False, repr=False)
 
     def apply(self, v):
         """Apply to a Root or to a coefficient vector over the simple roots."""
@@ -48,10 +53,11 @@ class WeylElement:
                     out[k] += c * img[k]
         return tuple(out)
 
-    @cached_property
+    @property
     def length(self) -> int:
-        return sum(1 for a in self.system.positive_roots
-                   if is_negative(self.apply(a.coeffs)))
+        if self._length is None:
+            object.__setattr__(self, "_length", len(inversion_set(self)))
+        return self._length
 
     @property
     def is_identity(self) -> bool:
@@ -72,18 +78,20 @@ def _same_group(u: WeylElement, v: WeylElement) -> RootSystem:
 def identity(rs: RootSystem) -> WeylElement:
     l = rs.rank
     return WeylElement(rs, tuple(tuple(1 if k == i else 0 for k in range(l))
-                                 for i in range(l)))
+                                 for i in range(l)), 0)
 
 
 def mul_gen(w: WeylElement, i: int) -> WeylElement:
     """Right multiplication w * s_i (i is a 0-based simple index)."""
-    row = w.system.cartan[i]
     base = w.images[i]
-    images = tuple(
-        img if row[j] == 0 else tuple(x - row[j] * b for x, b in zip(img, base))
-        for j, img in enumerate(w.images)
-    )
-    return WeylElement(w.system, images)
+    images = tuple([
+        img if c == 0 else tuple([x - c * b for x, b in zip(img, base)])
+        for img, c in zip(w.images, w.system.cartan[i])
+    ])
+    length = w._length
+    if length is not None:
+        length += -1 if is_negative(base) else 1
+    return WeylElement(w.system, images, length)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -154,19 +162,33 @@ def hecke_product(u: WeylElement, v: WeylElement) -> WeylElement:
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
-    """Bruhat order, via the lifting property along right descents of v."""
-    rank = _same_group(u, v).rank
-    if u.length > v.length:
-        return False
-    while True:
-        if u.images == v.images:
-            return True
-        i = next((k for k in range(rank) if is_negative(v.images[k])), None)
-        if i is None:
-            return False
-        v = mul_gen(v, i)
-        if is_negative(u.images[i]):
-            u = mul_gen(u, i)
+    """Bruhat order, via the lifting property along right descents of v.
+
+    For a right descent s of v: u <= v iff min(u, us) <= vs. Each step
+    shortens v by one and u by at most one, so the walk stops once the
+    lengths meet, where u <= v iff u == v.
+    """
+    cartan = _same_group(u, v).cartan
+    lu, lv = u.length, v.length
+    if lu >= lv:
+        return lu == lv and u.images == v.images
+    # The walk runs on each image root packed as the integer sum_k c_k 16**k.
+    # Root coefficients lie in -6..6, so the packing is one-to-one on roots;
+    # roots are sign-homogeneous, so the integer has the sign of the root; and
+    # it is linear, so mul_gen's update applies to it unchanged.
+    weights = [16 ** k for k in range(len(cartan))]
+    pu = [sum(map(mul, img, weights)) for img in u.images]
+    pv = [sum(map(mul, img, weights)) for img in v.images]
+    while lu < lv:
+        i = next(k for k, x in enumerate(pv) if x < 0)
+        b = pv[i]
+        pv = [x - c * b for x, c in zip(pv, cartan[i])]
+        lv -= 1
+        b = pu[i]
+        if b < 0:
+            pu = [x - c * b for x, c in zip(pu, cartan[i])]
+            lu -= 1
+    return pu == pv
 
 
 def inversion_set(w: WeylElement) -> tuple[Root, ...]:
@@ -186,7 +208,7 @@ def center_elements(rs: RootSystem) -> frozenset[WeylElement]:
         for i in range(rs.rank):
             s = simple_reflection(rs, i)
             if compose(w, s) != compose(s, w):
-                raise AssertionError("claimed central element does not commute")
+                raise ConsistencyError("claimed central element does not commute")
     return frozenset(center)
 
 

@@ -2,16 +2,21 @@
 
 These deliberately avoid the code paths they check: root sets come from
 explicit epsilon-coordinate models, Bruhat order from the subword property,
-and centers from commutation against every generator.
+centers from commutation against every generator, maximal roots from a
+pairwise comparison, minimality from a scan of the whole box below a degree,
+and liftings from a linear scan.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from mindeg.root_system import RootSystem
+from mindeg.curve_nbhd import borel, curve_neighborhood_element, point_class_degree
+from mindeg.exceptions import LiftingNotFoundError, LiftingNotUniqueError
+from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
+from mindeg.root_system import Root, RootSystem, root_leq
 from mindeg.weyl import (
-    WeylElement, all_elements, compose, identity, reduced_word,
+    WeylElement, all_elements, bruhat_leq, compose, identity, reduced_word,
     simple_reflection,
 )
 
@@ -67,3 +72,45 @@ def gram_matrix(rs: RootSystem) -> list[list[int]]:
 def gram_bilinear(rs: RootSystem, u, v):
     g = gram_matrix(rs)
     return sum(u[i] * g[i][j] * v[j] for i in range(rs.rank) for j in range(rs.rank))
+
+
+def pairwise_maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
+    """Maximal roots of R+ \\ R_P+ with coroot class <= d, by comparing every pair;
+    the lexicographically largest coefficient vector first."""
+    cands = [a for a in p.system.positive_roots
+             if p.outside_levi(a) and degree_leq(project_coroot(p, a), d)]
+    maxima = [a for a in cands
+              if not any(b is not a and root_leq(a, b) for b in cands)]
+    return tuple(sorted(maxima, key=lambda r: r.coeffs, reverse=True))
+
+
+def box_scan_is_minimal_degree(p: Parabolic, d: Degree) -> bool:
+    """The definition: no strictly smaller effective degree reaches a
+    Bruhat-larger element, checked against every degree in the box below d."""
+    z = curve_neighborhood_element(p, d)
+    for smaller in itertools.product(*(range(c + 1) for c in d)):
+        if smaller == d:
+            continue
+        zs = curve_neighborhood_element(p, smaller)
+        if zs.length >= z.length and bruhat_leq(z, zs):
+            return False
+    return True
+
+
+def box_scan_minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
+    """The degrees in the box below the point-class degree that pass the box scan."""
+    return tuple(d for d in itertools.product(*(range(c + 1) for c in point_class_degree(p)))
+                 if box_scan_is_minimal_degree(p, d))
+
+
+def linear_scan_lifting(p: Parabolic, d: Degree) -> Degree:
+    """The full-flag minimal degree e with z_e = z_d * w_P, by trying every e."""
+    b = borel(p.system)
+    want = compose(curve_neighborhood_element(p, d), p.w_p)
+    matches = [e for e in box_scan_minimal_degrees(b)
+               if curve_neighborhood_element(b, e) == want]
+    if not matches:
+        raise LiftingNotFoundError(f"no full-flag minimal degree lifts {d}")
+    if len(matches) > 1:
+        raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
+    return matches[0]

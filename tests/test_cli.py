@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,33 @@ def test_appendix_verify_command(capsys):
 def test_invalid_type_is_a_clean_error(capsys):
     code = main(["roots", "Q7"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cascade", "G2", "--e", "1"],
+    ["cascade", "A2", "--e", "1,1,1"],
+    ["cascade", "G2", "--e", "1,x"],
+    ["verdict", "G2", "--delta-p", "2", "--degree", "2,7"],
+    ["verdict", "G2", "--delta-p", "x"],
+    ["minimal-degrees", "G2", "--delta-p", "3"],
+])
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_bad_input_exits_2_under_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mindeg", "verdict", "G2", "--delta-p", "2",
+         "--degree", "2,7"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_sweep_command_exit_code_and_md(capsys):

@@ -2,15 +2,26 @@ import itertools
 
 import pytest
 
+from mindeg import curve_nbhd
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
     is_maximal_coset_representative, is_p_cosmall, lifting, maximal_roots,
     minimal_degree_records, minimal_degrees, point_class_degree,
 )
-from mindeg.exceptions import NotMinimalDegreeError
+from mindeg.exceptions import (
+    ConsistencyError, InvalidDegreeError, NotMinimalDegreeError,
+)
 from mindeg.parabolic import Parabolic, degree_leq, project_coroot
 from mindeg.root_system import build_root_system
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element
+
+from oracles import (
+    box_scan_is_minimal_degree, box_scan_minimal_degrees, linear_scan_lifting,
+    pairwise_maximal_roots,
+)
+
+ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                "D3", "D4", "G2"]
 
 
 def all_parabolics(rs):
@@ -219,3 +230,60 @@ def test_records_tie_degree_z_lifting_together(label):
             want = compose(rec.z, p.w_p)
             assert curve_neighborhood_element(borel(rs), rec.lifting) == want
             assert set(rec.cascade) == set(greedy_decomposition(borel(rs), rec.lifting))
+
+
+@pytest.mark.parametrize("d", [(1,), (1, 1, 1), (1, -1), (1, 0.5), (1, "1")])
+@pytest.mark.parametrize("entry", [maximal_roots, greedy_decomposition,
+                                   curve_neighborhood_element, is_minimal_degree,
+                                   lifting])
+def test_entry_points_reject_malformed_degrees(g2, entry, d):
+    with pytest.raises(InvalidDegreeError):
+        entry(borel(g2), d)
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_maximal_roots_match_pairwise_scan(label):
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        top = point_class_degree(p)
+        for d in itertools.product(*(range(c + 2) for c in top)):
+            assert maximal_roots(p, d) == pairwise_maximal_roots(p, d), (p, d)
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES)
+def test_unit_edge_minimality_matches_box_scan(label):
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        found = minimal_degrees(p)
+        assert found == box_scan_minimal_degrees(p), p
+        top = point_class_degree(p)
+        for d in itertools.product(*(range(c + 2) for c in top)):
+            assert is_minimal_degree(p, d) == box_scan_is_minimal_degree(p, d), (p, d)
+        for d in found:
+            assert lifting(p, d) == linear_scan_lifting(p, d), (p, d)
+
+
+@pytest.fixture
+def cold_curve_nbhd():
+    """Empty every curve_nbhd cache before and after the test."""
+    def clear():
+        for value in vars(curve_nbhd).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2):
+    p = borel(a2)
+    top = point_class_degree(p)
+    real = curve_nbhd.curve_neighborhood_element
+
+    def reversed_z(q, d):
+        # z read backwards along the box: z_0 becomes w_o, z_top the identity
+        return real(q, tuple(t - c for t, c in zip(top, d)))
+
+    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element", reversed_z)
+    with pytest.raises(ConsistencyError, match="not monotone"):
+        is_minimal_degree(p, top)

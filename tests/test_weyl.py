@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from mindeg.root_system import build_root_system
 from mindeg.weyl import (
     all_elements, bruhat_leq, center_elements, compose, hecke_product,
-    identity, inversion_set, longest_element, reduced_word, simple_reflection,
-    weyl_group_order, word_str,
+    identity, inversion_set, longest_element, mul_gen, reduced_word,
+    simple_reflection, weyl_group_order, word_str,
 )
 
 from oracles import brute_force_center, subword_bruhat_down_set
@@ -163,3 +163,43 @@ def test_center_matches_brute_force(label):
 def test_group_enumeration_has_classical_order(label):
     rs = build_root_system(label)
     assert len(all_elements(rs)) == weyl_group_order(rs)
+
+
+RANK_LE_3 = ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "D3", "G2"]
+
+
+def _draw_element(data, rs):
+    """An element built by mul_gen from the identity, so its length is carried."""
+    w = identity(rs)
+    for i in data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=12)):
+        w = mul_gen(w, i)
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_carried_length_equals_inversion_count(data):
+    rs = build_root_system(data.draw(st.sampled_from(RANK_LE_3 + ["F4"])))
+    w = _draw_element(data, rs)
+    assert w._length is not None
+    assert w.length == len(inversion_set(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_pruned_bruhat_matches_subword_oracle(data):
+    rs = build_root_system(data.draw(st.sampled_from(RANK_LE_3)))
+    v = _draw_element(data, rs)
+    below = subword_bruhat_down_set(v)
+    for u in all_elements(rs):
+        assert bruhat_leq(u, v) == (u in below), (u, v)
+
+
+def test_bruhat_uses_every_coordinate_past_rank_8():
+    rs = build_root_system("A10")
+    v = _word_element(rs, [9, 8, 9, 0])
+    below = subword_bruhat_down_set(v)
+    others = [simple_reflection(rs, i) for i in range(rs.rank)]
+    others += [_word_element(rs, w) for w in ([9, 8], [8, 9], [8, 9, 8], [9, 0], [8, 0])]
+    for u in list(below) + others:
+        assert bruhat_leq(u, v) == (u in below), u
