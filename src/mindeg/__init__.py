@@ -1,6 +1,6 @@
 """Exact combinatorics of minimal degrees on G/P and the so7 model of G2.
 
-Everything is integer or Gaussian-rational arithmetic: root systems built
+Everything is integer or Gaussian-integer arithmetic: root systems built
 from Cartan data, Weyl group elements with Hecke products and Bruhat order,
 greedy decompositions and minimal degrees, cascades of strongly orthogonal
 roots, tangent-direction sets with the key inequality and quasi-homogeneity

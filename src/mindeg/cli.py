@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from .cascade import (
@@ -30,8 +31,6 @@ from .root_system import SimpleType, build_root_system
 from .so7 import run_appendix_checks
 from .tangent_directions import quasi_homogeneity_verdict
 from .weyl import center_elements, word_str
-
-WORKERS_ENV = "MINDEG_WORKERS"
 
 
 def _parse_ints(text: str, error, what: str) -> tuple[int, ...]:
@@ -128,32 +127,15 @@ def cmd_minimal_degrees(args) -> int:
     return 0
 
 
-def _emit_case_rows(type_label: str, subsets) -> tuple[int, list]:
-    rows = []
-    for dp in subsets:
-        rows.extend(case_reports(type_label, dp))
-    for r in rows:
-        _print_json({
-            "delta_p": list(r.delta_p),
-            "degree": list(r.degree),
-            "lhs": r.lhs,
-            "rhs": r.rhs,
-            "holds": r.holds,
-            "exception": r.exception,
-            "td": [list(c) for c in r.td],
-            "td_tilde": [list(c) for c in r.td_tilde],
-        })
-    return (0 if predictions_confirmed(rows) else 1), rows
-
-
 def cmd_key_inequality(args) -> int:
     rs = build_root_system(args.type)
     if args.all_parabolics:
         subsets = all_parabolic_subsets(rs.rank)
     else:
         subsets = [_parse_indices(args.delta_p)]
-    code, _ = _emit_case_rows(args.type, subsets)
-    return code
+    rows = [r for dp in subsets for r in case_reports(args.type, dp)]
+    sys.stdout.write(emit(rows, "json"))
+    return 0 if predictions_confirmed(rows) else 1
 
 
 def cmd_verdict(args) -> int:
@@ -188,9 +170,7 @@ def cmd_sweep(args) -> int:
         types = tuple(SimpleType.parse(t) for t in args.types.split(","))
     else:
         types = default_types(args.max_rank, include_e6=args.include_e6)
-    workers = args.workers or int(os.environ.get(WORKERS_ENV, "1"))
-    cfg = SweepConfig(types=types, parabolics="all", max_rank=args.max_rank,
-                      output=args.format, workers=workers)
+    cfg = SweepConfig(types=types, max_rank=args.max_rank, workers=args.workers)
     reports = run_sweep(cfg)
     sys.stdout.write(emit(reports, args.format))
     return 0 if predictions_confirmed(reports) else 1
@@ -200,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mindeg",
         description="Exact combinatorics of minimal degrees on G/P.")
-    parser.add_argument("--seedless", action="store_true",
-                        help="reserved; nothing here uses randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("roots", help="root system summary")
@@ -241,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--types", help="comma-separated, e.g. A2,B3,G2")
     sp.add_argument("--max-rank", type=int, default=5)
     sp.add_argument("--format", choices=("json", "csv", "md"), default="json")
-    sp.add_argument("--workers", type=int, default=0,
-                    help=f"0 means read {WORKERS_ENV} (default 1)")
+    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--include-e6", action="store_true")
     sp.set_defaults(func=cmd_sweep)
     return parser
@@ -251,10 +228,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit-time flush
+        return code
     except MindegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`). Point stdout at devnull so the
+        # interpreter's own flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 128 + signal.SIGPIPE
 
 
 if __name__ == "__main__":

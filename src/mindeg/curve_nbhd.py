@@ -33,7 +33,7 @@ __all__ = [
     "curve_neighborhood_element", "is_minimal_degree", "point_class_degree",
     "minimal_degrees", "lifting", "MinimalDegreeRecord",
     "minimal_degree_records", "minimal_coset_representative",
-    "is_minimal_coset_representative", "is_maximal_coset_representative",
+    "is_maximal_coset_representative",
 ]
 
 
@@ -104,10 +104,6 @@ def is_p_cosmall(p: Parabolic, alpha: Root) -> bool:
     if not p.outside_levi(alpha):
         return False
     return alpha in maximal_roots(p, project_coroot(p, alpha))
-
-
-def is_minimal_coset_representative(w: WeylElement, p: Parabolic) -> bool:
-    return not any(is_negative(w.images[i]) for i in p.positions)
 
 
 def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:

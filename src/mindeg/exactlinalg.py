@@ -1,134 +1,74 @@
-"""Exact Gaussian-rational scalars and small dense linear algebra over them.
+"""Exact spans of Gaussian-integer vectors, by fraction-free integer elimination.
 
-Everything is built on Fraction; no floating point enters anywhere, so span
-and intersection computations are bit-exact and deterministic.
+A vector over Z[i] is a pair (re, im) of integer tuples. Its Q(i)-span is
+realified as span{v, iv} inside Q^(2n), with v -> (re|im) and iv -> (-im|re),
+so rank over Q is twice the rank over Q(i). One integer echelon serves every
+function here: a row w is reduced against a stored row with pivot p by
+w <- row[p]*w - w[p]*row and then divided by the gcd of its entries (the
+fraction-free elimination of Bareiss, Math. Comp. 22, 1968). No rational
+number and no floating point enters, so every result is exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 
-__all__ = ["GaussianRational", "GQ_ZERO", "GQ_ONE", "GQ_I", "SpanBuilder",
-           "span_rank", "span_contains", "spans_equal", "intersect_spans"]
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+__all__ = ["SpanBuilder", "span_rank", "span_contains", "spans_equal",
+           "intersect_spans"]
 
 
-@dataclass(frozen=True)
-class GaussianRational:
-    """An element of Q(i) with exact rational real and imaginary parts."""
-
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    @classmethod
-    def of(cls, re=0, im=0) -> "GaussianRational":
-        return cls(_frac(re), _frac(im))
-
-    @staticmethod
-    def _coerce(x) -> "GaussianRational":
-        if isinstance(x, GaussianRational):
-            return x
-        return GaussianRational(_frac(x), Fraction(0))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return GaussianRational(self.re * o.re - self.im * o.im,
-                                self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return self * GaussianRational(o.re / n, -o.im / n)
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        if not self.re:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-GQ_ZERO = GaussianRational()
-GQ_ONE = GaussianRational.of(1)
-GQ_I = GaussianRational.of(0, 1)
+def _realify(vec) -> tuple[list[int], list[int]]:
+    """The integer rows (re|im) and (-im|re) of v and iv."""
+    re, im = vec
+    return [*re, *im], [-x for x in im] + list(re)
 
 
 class SpanBuilder:
-    """Incremental reduced row echelon form over Q(i).
-
-    Rows are kept fully reduced against each other, so two spans are equal
-    iff their row dictionaries coincide.
-    """
+    """Incremental integer row echelon form of a realified Q(i)-span."""
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.rows: dict[int, tuple[GaussianRational, ...]] = {}
+        # pivot column -> row, in insertion order. Each row was reduced against
+        # the rows before it, so it is zero at their pivots, and one pass in
+        # this order leaves a reduced row zero at every pivot.
+        self.rows: dict[int, list[int]] = {}
 
-    def _reduce(self, vec) -> list[GaussianRational]:
-        work = [GaussianRational._coerce(x) for x in vec]
-        for pivot, row in self.rows.items():
-            c = work[pivot]
+    def _reduce(self, w: list[int]) -> list[int]:
+        for p, row in self.rows.items():
+            c = w[p]
             if c:
-                for k in range(pivot, self.dim):
-                    work[k] = work[k] - c * row[k]
-        return work
+                a = row[p]
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                w = [a * x - c * y for x, y in zip(w, row)]
+                g = gcd(*w)
+                if g > 1:
+                    w = [x // g for x in w]
+        return w
+
+    def _insert(self, w: list[int]) -> bool:
+        """Add one integer row; returns True iff it enlarged the row space."""
+        w = self._reduce(w)
+        pivot = next((k for k, x in enumerate(w) if x), None)
+        if pivot is None:
+            return False
+        self.rows[pivot] = w
+        return True
 
     def add(self, vec) -> bool:
         """Add a vector; returns True iff it enlarged the span."""
-        work = self._reduce(vec)
-        pivot = next((k for k, x in enumerate(work) if x), None)
-        if pivot is None:
+        v, iv = _realify(vec)
+        if not self._insert(v):
             return False
-        lead = work[pivot]
-        new_row = tuple(x / lead for x in work)
-        for pk in list(self.rows):
-            row = self.rows[pk]
-            c = row[pivot]
-            if c:
-                self.rows[pk] = tuple(x - c * y for x, y in zip(row, new_row))
-        self.rows[pivot] = new_row
+        self._insert(iv)  # never in span + Qv: the span is closed under i
         return True
 
     def contains(self, vec) -> bool:
-        return all(not x for x in self._reduce(vec))
+        return not any(self._reduce(_realify(vec)[0]))
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
-
-    def canonical_rows(self) -> tuple[tuple[GaussianRational, ...], ...]:
-        return tuple(self.rows[k] for k in sorted(self.rows))
+        return len(self.rows) // 2
 
 
 def _builder(vectors, dim: int) -> SpanBuilder:
@@ -147,36 +87,30 @@ def span_contains(vectors, vec, dim: int) -> bool:
 
 
 def spans_equal(a, b, dim: int) -> bool:
-    return _builder(a, dim).canonical_rows() == _builder(b, dim).canonical_rows()
+    a, b = tuple(a), tuple(b)
+    return span_rank(a, dim) == span_rank(b, dim) == span_rank(a + b, dim)
 
 
-def intersect_spans(a, b, dim: int) -> tuple[tuple[GaussianRational, ...], ...]:
-    """Basis of span(a) & span(b) by echelonizing [u|u] against [v|0]."""
-    rows = []
+def intersect_spans(a, b, dim: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """A Q(i)-basis of span(a) & span(b), by Zassenhaus elimination.
+
+    The realified rows [u|u] for u in a and [v|0] for v in b go into one
+    echelon; the rows whose left half is zero, those with a pivot past it,
+    carry a basis of the realified intersection in their right half.
+    """
+    zassenhaus = SpanBuilder(2 * dim)
+    zero = [0] * (2 * dim)
     for u in a:
-        cu = [GaussianRational._coerce(x) for x in u]
-        rows.append(cu + cu)
+        for row in _realify(u):
+            zassenhaus._insert(row + row)
     for v in b:
-        cv = [GaussianRational._coerce(x) for x in v]
-        rows.append(cv + [GQ_ZERO] * dim)
-    width = 2 * dim
-    pivot_row = 0
-    for col in range(dim):
-        hit = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if hit is None:
-            continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        rows[pivot_row] = [x / lead for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
+        for row in _realify(v):
+            zassenhaus._insert(row + zero)
     out = SpanBuilder(dim)
     basis = []
-    for r in range(pivot_row, len(rows)):
-        tail = tuple(rows[r][dim:width])
-        if any(tail) and out.add(tail):
-            basis.append(tail)
+    for p, row in zassenhaus.rows.items():
+        if p >= 2 * dim:
+            vec = (tuple(row[2 * dim:3 * dim]), tuple(row[3 * dim:]))
+            if out.add(vec):
+                basis.append(vec)
     return tuple(basis)

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .curve_nbhd import minimal_degree_records
-from .exceptions import ResourceGuardError
+from .exceptions import MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, build_root_system
 from .tangent_directions import (
@@ -54,9 +54,7 @@ class CaseReport:
 @dataclass(frozen=True)
 class SweepConfig:
     types: tuple[SimpleType, ...]
-    parabolics: tuple[tuple[int, ...], ...] | str = "all"  # "all" or explicit index tuples
     max_rank: int = _MAX_SWEEP_RANK
-    output: str = "json"
     workers: int = 1
 
 
@@ -112,7 +110,13 @@ def case_reports(type_label: str, delta_p: tuple[int, ...]) -> list[CaseReport]:
 
 
 def _case_worker(task: tuple[str, tuple[int, ...]]) -> list[CaseReport]:
-    return case_reports(*task)
+    """case_reports of one case; a MindegError is re-raised naming the case."""
+    type_label, delta_p = task
+    try:
+        return case_reports(type_label, delta_p)
+    except MindegError as exc:
+        exc.args = (f"case ({type_label}, Delta_P={{{', '.join(map(str, delta_p))}}}): {exc}",)
+        raise
 
 
 def _sort_key(r: CaseReport):
@@ -127,11 +131,7 @@ def run_sweep(cfg: SweepConfig) -> list[CaseReport]:
     for t in cfg.types:
         if t.rank > cfg.max_rank:
             raise ResourceGuardError(f"{t} exceeds the sweep rank cap {cfg.max_rank}")
-        if cfg.parabolics == "all":
-            subsets = all_parabolic_subsets(t.rank)
-        else:
-            subsets = tuple(tuple(sorted(dp)) for dp in cfg.parabolics)
-        for dp in subsets:
+        for dp in all_parabolic_subsets(t.rank):
             tasks.append((str(t), dp))
     tasks.sort()
     if cfg.workers > 1:

@@ -3,8 +3,8 @@
 The ambient algebra is the complex skew-symmetric 7x7 matrices with basis
 E_[i,j] = E_ij - E_ji. Root vectors for the B3 root system are written down
 explicitly; six combinations of them generate a 14-dimensional subalgebra of
-type G2. All arithmetic is over the Gaussian rationals, so every check below
-is exact and deterministic.
+type G2. Every matrix entry is a Gaussian integer and all arithmetic is over
+the integers, so every check below is exact and deterministic.
 """
 
 from __future__ import annotations
@@ -13,13 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlinalg import (
-    GQ_I, GQ_ONE, GQ_ZERO, GaussianRational, SpanBuilder, intersect_spans,
-    span_rank, spans_equal,
-)
+from .exactlinalg import SpanBuilder, intersect_spans, span_rank, spans_equal
 
 __all__ = [
-    "Matrix7", "e_matrix", "epsilon", "RootVectorTable", "build_tables",
+    "I", "Matrix7", "e_matrix", "epsilon", "RootVectorTable", "build_tables",
     "B3_POSITIVE", "B3_LEVI_POSITIVE", "G2_POSITIVE", "G2_LEVI_POSITIVE",
     "g2_closure_basis", "CheckResult", "run_appendix_checks",
     "verify_bracket_rules", "verify_root_space_decomposition",
@@ -28,90 +25,89 @@ __all__ = [
 ]
 
 _N = 7
+I = (0, 1)  # the imaginary unit as a Gaussian integer (re, im)
 
 
 @dataclass(frozen=True)
 class Matrix7:
-    rows: tuple[tuple[GaussianRational, ...], ...]
+    """A 7x7 Gaussian-integer matrix: row-major integer real and imaginary parts."""
 
-    @classmethod
-    def from_lists(cls, rows) -> "Matrix7":
-        return cls(tuple(tuple(GaussianRational._coerce(x) for x in r) for r in rows))
+    re: tuple[int, ...]
+    im: tuple[int, ...]
 
     @classmethod
     def zero(cls) -> "Matrix7":
-        return cls(tuple((GQ_ZERO,) * _N for _ in range(_N)))
+        return cls((0,) * _N * _N, (0,) * _N * _N)
 
     def __add__(self, other: "Matrix7") -> "Matrix7":
-        return Matrix7(tuple(tuple(a + b for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.rows, other.rows)))
+        return Matrix7(tuple(a + b for a, b in zip(self.re, other.re)),
+                       tuple(a + b for a, b in zip(self.im, other.im)))
 
     def __sub__(self, other: "Matrix7") -> "Matrix7":
-        return Matrix7(tuple(tuple(a - b for a, b in zip(ra, rb))
-                             for ra, rb in zip(self.rows, other.rows)))
+        return Matrix7(tuple(a - b for a, b in zip(self.re, other.re)),
+                       tuple(a - b for a, b in zip(self.im, other.im)))
 
     def __neg__(self) -> "Matrix7":
-        return Matrix7(tuple(tuple(-a for a in r) for r in self.rows))
+        return Matrix7(tuple(-a for a in self.re), tuple(-a for a in self.im))
 
     def scale(self, c) -> "Matrix7":
-        c = GaussianRational._coerce(c)
-        return Matrix7(tuple(tuple(c * a for a in r) for r in self.rows))
+        """c times the matrix, for an int c or a Gaussian integer c = (re, im)."""
+        a, b = (c, 0) if isinstance(c, int) else c
+        return Matrix7(tuple(a * x - b * y for x, y in zip(self.re, self.im)),
+                       tuple(a * y + b * x for x, y in zip(self.re, self.im)))
 
     def __matmul__(self, other: "Matrix7") -> "Matrix7":
-        out = [[GQ_ZERO] * _N for _ in range(_N)]
-        for i in range(_N):
-            row = self.rows[i]
+        re, im = [0] * (_N * _N), [0] * (_N * _N)
+        for i in range(0, _N * _N, _N):
             for k in range(_N):
-                a = row[k]
-                if not a:
+                ar, ai = self.re[i + k], self.im[i + k]
+                if not (ar or ai):
                     continue
-                orow = other.rows[k]
-                oi = out[i]
                 for j in range(_N):
-                    b = orow[j]
-                    if b:
-                        oi[j] = oi[j] + a * b
-        return Matrix7(tuple(tuple(r) for r in out))
+                    br, bi = other.re[_N * k + j], other.im[_N * k + j]
+                    if br or bi:
+                        re[i + j] += ar * br - ai * bi
+                        im[i + j] += ar * bi + ai * br
+        return Matrix7(tuple(re), tuple(im))
 
     def bracket(self, other: "Matrix7") -> "Matrix7":
         return self @ other - other @ self
 
     def conjugate(self) -> "Matrix7":
-        return Matrix7(tuple(tuple(a.conjugate() for a in r) for r in self.rows))
+        return Matrix7(self.re, tuple(-a for a in self.im))
 
     def transpose(self) -> "Matrix7":
-        return Matrix7(tuple(tuple(self.rows[j][i] for j in range(_N))
-                             for i in range(_N)))
+        order = [_N * j + i for i in range(_N) for j in range(_N)]
+        return Matrix7(tuple(self.re[k] for k in order), tuple(self.im[k] for k in order))
 
     @property
     def is_skew(self) -> bool:
-        return all(not (self.rows[i][j] + self.rows[j][i])
-                   for i in range(_N) for j in range(i, _N))
+        return (self + self.transpose()).is_zero
 
     @property
     def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
+        return not (any(self.re) or any(self.im))
 
-    def vec(self) -> tuple[GaussianRational, ...]:
-        return tuple(a for r in self.rows for a in r)
+    def vec(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self.re, self.im
 
 
 def e_matrix(i: int, j: int) -> Matrix7:
     """E_[i,j] = E_ij - E_ji, 1-based indices."""
     if not (1 <= i <= _N and 1 <= j <= _N):
         raise IndexError(f"indices must lie in 1..7, got ({i}, {j})")
-    rows = [[GQ_ZERO] * _N for _ in range(_N)]
+    re = [0] * (_N * _N)
     if i != j:
-        rows[i - 1][j - 1] = GQ_ONE
-        rows[j - 1][i - 1] = -GQ_ONE
-    return Matrix7(tuple(tuple(r) for r in rows))
+        re[_N * (i - 1) + j - 1] = 1
+        re[_N * (j - 1) + i - 1] = -1
+    return Matrix7(tuple(re), (0,) * (_N * _N))
 
 
 def epsilon(k: int) -> Matrix7:
     """The Cartan element eps_k = i * E_[2k, 2k+1], k in 1..3."""
     if k not in (1, 2, 3):
         raise IndexError(f"epsilon index must be 1..3, got {k}")
-    return e_matrix(2 * k, 2 * k + 1).scale(GQ_I)
+    return e_matrix(2 * k, 2 * k + 1).scale(I)
 
 
 B3_POSITIVE = (
@@ -164,27 +160,26 @@ def _combo(*terms) -> Matrix7:
 def build_tables() -> RootVectorTable:
     """All 18 B3 and 12 G2 root vectors; negatives are entrywise conjugates."""
     E = e_matrix
-    one, i_ = GQ_ONE, GQ_I
+    one, i_, mi = 1, I, (0, -1)
     b3 = {
-        (1, 0, 0): _combo((one, E(2, 4)), (one, E(3, 5)), (i_, E(2, 5)), (-i_, E(3, 4))),
-        (0, 1, 0): _combo((one, E(4, 6)), (one, E(5, 7)), (i_, E(4, 7)), (-i_, E(5, 6))),
-        (0, 0, 1): _combo((one, E(1, 6)), (-i_, E(1, 7))),
-        (1, 1, 0): _combo((one, E(2, 6)), (one, E(3, 7)), (i_, E(2, 7)), (-i_, E(3, 6))),
-        (0, 1, 1): _combo((one, E(1, 4)), (-i_, E(1, 5))),
-        (1, 1, 1): _combo((one, E(1, 2)), (-i_, E(1, 3))),
-        (0, 1, 2): _combo((one, E(4, 6)), (-one, E(5, 7)), (-i_, E(4, 7)), (-i_, E(5, 6))),
-        (1, 1, 2): _combo((one, E(2, 6)), (-one, E(3, 7)), (-i_, E(2, 7)), (-i_, E(3, 6))),
-        (1, 2, 2): _combo((one, E(2, 4)), (-one, E(3, 5)), (-i_, E(2, 5)), (-i_, E(3, 4))),
+        (1, 0, 0): _combo((one, E(2, 4)), (one, E(3, 5)), (i_, E(2, 5)), (mi, E(3, 4))),
+        (0, 1, 0): _combo((one, E(4, 6)), (one, E(5, 7)), (i_, E(4, 7)), (mi, E(5, 6))),
+        (0, 0, 1): _combo((one, E(1, 6)), (mi, E(1, 7))),
+        (1, 1, 0): _combo((one, E(2, 6)), (one, E(3, 7)), (i_, E(2, 7)), (mi, E(3, 6))),
+        (0, 1, 1): _combo((one, E(1, 4)), (mi, E(1, 5))),
+        (1, 1, 1): _combo((one, E(1, 2)), (mi, E(1, 3))),
+        (0, 1, 2): _combo((one, E(4, 6)), (-one, E(5, 7)), (mi, E(4, 7)), (mi, E(5, 6))),
+        (1, 1, 2): _combo((one, E(2, 6)), (-one, E(3, 7)), (mi, E(2, 7)), (mi, E(3, 6))),
+        (1, 2, 2): _combo((one, E(2, 4)), (-one, E(3, 5)), (mi, E(2, 5)), (mi, E(3, 4))),
     }
     for coeffs in list(b3):
         neg = tuple(-c for c in coeffs)
         b3[neg] = b3[coeffs].conjugate()
-    two_i = GaussianRational.of(0, 2)
     g2 = {
-        (1, 0): _combo((two_i, b3[(0, 1, 1)]), (one, b3[(1, 1, 2)])),
+        (1, 0): _combo(((0, 2), b3[(0, 1, 1)]), (one, b3[(1, 1, 2)])),
         (0, 1): b3[(0, -1, -2)],
-        (1, 1): _combo((GaussianRational.of(2), b3[(0, 0, -1)]), (i_, b3[(1, 0, 0)])),
-        (2, 1): _combo((i_, b3[(0, 1, 0)]), (GaussianRational.of(-2), b3[(1, 1, 1)])),
+        (1, 1): _combo((2, b3[(0, 0, -1)]), (i_, b3[(1, 0, 0)])),
+        (2, 1): _combo((i_, b3[(0, 1, 0)]), (-2, b3[(1, 1, 1)])),
         (3, 1): b3[(1, 2, 2)],
         (3, 2): b3[(1, 1, 0)],
     }
@@ -194,13 +189,21 @@ def build_tables() -> RootVectorTable:
     return RootVectorTable(b3, g2, (epsilon(1), epsilon(2), epsilon(3)))
 
 
-def _proportionality(x: Matrix7, y: Matrix7):
-    """The scalar c with y == c*x, or None if y is not a multiple of x."""
-    pivot = next(((i, j) for i in range(_N) for j in range(_N) if x.rows[i][j]), None)
-    if pivot is None:
+def _proportionality(x: Matrix7, y: Matrix7) -> tuple[Fraction, Fraction] | None:
+    """The scalar c with y == c*x as (re, im), or None if y is not a multiple of x.
+
+    At the first nonzero entry x_k, c = y_k*conj(x_k) / |x_k|^2 = num/den, and
+    y == c*x is checked over the integers as den*y == num*x.
+    """
+    k = next((k for k in range(_N * _N) if x.re[k] or x.im[k]), None)
+    if k is None:
         return None
-    c = y.rows[pivot[0]][pivot[1]] / x.rows[pivot[0]][pivot[1]]
-    return c if (x.scale(c) - y).is_zero else None
+    xr, xi, yr, yi = x.re[k], x.im[k], y.re[k], y.im[k]
+    num = (yr * xr + yi * xi, yi * xr - yr * xi)
+    den = xr * xr + xi * xi
+    if not (x.scale(num) - y.scale(den)).is_zero:
+        return None
+    return Fraction(num[0], den), Fraction(num[1], den)
 
 
 # subspace bases, as tuples of Matrix7
@@ -351,10 +354,10 @@ def verify_root_space_decomposition() -> CheckResult:
                     bad.append((coeffs, k))
                 continue
             c = _proportionality(x, br)
-            if c is None or c.im:
+            if c is None or c[1]:
                 bad.append((coeffs, k))
                 continue
-            consts.add(c.re / eps_coords[k])
+            consts.add(c[0] / eps_coords[k])
     rank = span_rank(_vectors(cartan_b3_basis() + tuple(t.b3.values())), _N * _N)
     ok = not bad and len(consts) == 1 and rank == 21
     return _result(
@@ -378,7 +381,7 @@ def verify_g2_eigenvectors() -> CheckResult:
                     bad.append(coeffs)
                 continue
             c = _proportionality(x, br)
-            if c is None or c.im or c.re != expected:
+            if c is None or c[1] or c[0] != expected:
                 bad.append(coeffs)
     return _result("g2-root-vectors-eigen", not bad,
                    f"12 root vectors against 2 Cartan elements; failures: {bad}")
@@ -407,7 +410,7 @@ def verify_g2_structure_constants() -> CheckResult:
             if s not in keys:
                 continue
             c = _proportionality(t.g2[s], t.g2[a].bracket(t.g2[g]))
-            if c is None or not c:
+            if c is None or not any(c):
                 bad.append((a, g))
     return _result("g2-structure-constants-nonzero", not bad,
                    f"root-sum pairs checked; failures: {bad}")

@@ -4,12 +4,14 @@ These deliberately avoid the code paths they check: root sets come from
 explicit epsilon-coordinate models, Bruhat order from the subword property,
 centers from commutation against every generator, maximal roots from a
 pairwise comparison, minimality from a scan of the whole box below a degree,
-and liftings from a linear scan.
+liftings from a linear scan, and Q(i)-spans from Gauss-Jordan elimination
+over pairs of Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from mindeg.curve_nbhd import borel, curve_neighborhood_element, point_class_degree
 from mindeg.exceptions import LiftingNotFoundError, LiftingNotUniqueError
@@ -114,3 +116,44 @@ def linear_scan_lifting(p: Parabolic, d: Degree) -> Degree:
     if len(matches) > 1:
         raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
     return matches[0]
+
+
+def _qi_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _qi_div(a, b):
+    n = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n, (a[1] * b[0] - a[0] * b[1]) / n)
+
+
+def qi_rref(vectors) -> tuple[tuple[tuple[Fraction, Fraction], ...], ...]:
+    """Nonzero rows of the reduced row echelon form over Q(i).
+
+    Vectors are (re, im) pairs of integer tuples; scalars are pairs of
+    Fractions. The form is canonical, so two spans are equal iff their forms are.
+    """
+    rows = [[(Fraction(r), Fraction(i)) for r, i in zip(re, im)] for re, im in vectors]
+    out = []
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((r for r in rows if any(r[col])), None)
+        if hit is None:
+            continue
+        rows.remove(hit)
+        lead = hit[col]
+        hit = [_qi_div(x, lead) for x in hit]
+        def clear(row):
+            c = row[col]
+            return [(x[0] - y[0], x[1] - y[1]) for x, y in
+                    zip(row, (_qi_mul(c, z) for z in hit))]
+        rows = [clear(r) for r in rows]
+        out = [clear(r) for r in out] + [hit]
+    return tuple(tuple(r) for r in out)
+
+
+def qi_rank(vectors) -> int:
+    return len(qi_rref(vectors))
+
+
+def qi_contains(vectors, vec) -> bool:
+    return qi_rank(list(vectors) + [vec]) == qi_rank(vectors)

@@ -1,12 +1,15 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from mindeg import report
 from mindeg.cli import main
+from mindeg.exceptions import InvalidDegreeError
 from mindeg.report import (
     SweepConfig, default_types, emit, predictions_confirmed, run_sweep,
 )
@@ -64,7 +67,7 @@ def test_minimal_degrees_command(capsys):
 
 def test_key_inequality_command_single_case(capsys):
     code, out = run_cli(capsys, "key-inequality", "G2", "--delta-p", "2")
-    rows = [json.loads(line) for line in out.splitlines()]
+    rows = json.loads(out)
     assert code == 0
     exceptional = [r for r in rows if r["exception"]]
     assert len(exceptional) == 1
@@ -76,7 +79,7 @@ def test_key_inequality_command_single_case(capsys):
 
 def test_key_inequality_all_parabolics(capsys):
     code, out = run_cli(capsys, "key-inequality", "A2", "--all-parabolics")
-    rows = [json.loads(line) for line in out.splitlines()]
+    rows = json.loads(out)
     assert code == 0
     assert all(r["holds"] for r in rows)
 
@@ -118,16 +121,50 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
-def test_bad_input_exits_2_under_python_O():
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_bad_input_exits_2_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "mindeg", "verdict", "G2", "--delta-p", "2",
          "--degree", "2,7"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["roots", "A1"], ["sweep", "--types", "A2"]])
+def test_closed_stdout_exits_without_a_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first byte is written
+    try:
+        proc = subprocess.run([sys.executable, "-m", "mindeg", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=_src_env(),
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 128 + signal.SIGPIPE
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_case_error_names_its_case(monkeypatch, capsys, workers):
+    real = report.case_reports
+
+    def failing(type_label, delta_p):
+        if (type_label, delta_p) == ("B2", (1,)):
+            raise InvalidDegreeError("injected failure")
+        return real(type_label, delta_p)
+
+    # Pool workers are forked after this point, so they see the patch too.
+    monkeypatch.setattr(report, "case_reports", failing)
+    assert main(["sweep", "--types", "A2,B2", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: case (B2, Delta_P={1}): injected failure\n"
 
 
 def test_sweep_command_exit_code_and_md(capsys):

@@ -4,37 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg.exactlinalg import (
-    GQ_I, GQ_ONE, GaussianRational, SpanBuilder, intersect_spans, span_rank,
-    spans_equal,
-)
+from mindeg.exactlinalg import SpanBuilder, intersect_spans, span_rank, spans_equal
 from mindeg.so7 import (
-    b3_eps_coords, build_tables, e_matrix, epsilon, g2_closure_basis,
-    g2_eps_coords, run_appendix_checks,
+    I, Matrix7, _proportionality, b3_eps_coords, build_tables, e_matrix, epsilon,
+    g2_closure_basis, g2_eps_coords, run_appendix_checks,
 )
-
-
-def test_gaussian_rational_field_ops():
-    a = GaussianRational.of(1, 2)
-    b = GaussianRational.of(3, -1)
-    assert a + b == GaussianRational.of(4, 1)
-    assert a * b == GaussianRational.of(5, 5)
-    assert (a / b) * b == a
-    assert a - a == GaussianRational.of(0)
-    assert not (a - a)
-    assert a.conjugate() == GaussianRational.of(1, -2)
-    assert GQ_I * GQ_I == GaussianRational.of(-1)
-    with pytest.raises(ZeroDivisionError):
-        a / GaussianRational.of(0)
 
 
 def test_span_builder_and_intersection():
     dim = 3
-    zero = GaussianRational.of(0)
-    e1 = (GQ_ONE, zero, zero)
-    e2 = (zero, GQ_ONE, zero)
-    e3 = (zero, zero, GQ_ONE)
-    plus = tuple(a + b for a, b in zip(e1, e2))
+    zero = (0, 0, 0)
+    e1 = ((1, 0, 0), zero)
+    e2 = ((0, 1, 0), zero)
+    e3 = ((0, 0, 1), zero)
+    plus = ((1, 1, 0), zero)
     sb = SpanBuilder(dim)
     assert sb.add(e1) and sb.add(e2) and not sb.add(plus)
     assert sb.rank == 2
@@ -77,15 +60,24 @@ def test_highest_g2_vector_is_a_b3_vector():
 def test_negative_vectors_are_conjugates():
     t = build_tables()
     minus = t.b3[(0, 0, -1)]
-    plus = e_matrix(1, 6) - e_matrix(1, 7).scale(GQ_I)
+    plus = e_matrix(1, 6) - e_matrix(1, 7).scale(I)
     assert (plus.conjugate() - minus).is_zero
-    assert (plus - e_matrix(1, 6) + e_matrix(1, 7).scale(GQ_I)).is_zero
+    assert (plus - e_matrix(1, 6) + e_matrix(1, 7).scale(I)).is_zero
 
 
 def test_short_simple_g2_vector_formula():
     t = build_tables()
-    want = t.b3[(0, 1, 1)].scale(GaussianRational.of(0, 2)) + t.b3[(1, 1, 2)]
+    want = t.b3[(0, 1, 1)].scale((0, 2)) + t.b3[(1, 1, 2)]
     assert (t.g2[(1, 0)] - want).is_zero
+
+
+def test_proportionality_scalar_is_exact():
+    x = build_tables().b3[(1, 0, 0)]
+    assert _proportionality(x, x.scale((0, 2))) == (Fraction(0), Fraction(2))
+    # 3 / (1 + i) = 3/2 - 3/2 i
+    assert _proportionality(x.scale((1, 1)), x.scale(3)) == (Fraction(3, 2), Fraction(-3, 2))
+    assert _proportionality(x, x.scale(I) + e_matrix(1, 2)) is None
+    assert _proportionality(Matrix7.zero(), x) is None
 
 
 def test_eps_coordinate_maps():
