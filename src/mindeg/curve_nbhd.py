@@ -4,6 +4,11 @@ The search for minimal degrees runs over the componentwise box below the
 degree joining two general points, plus a one-step frontier scan that turns
 the box bound into a checked assumption (BoundViolationError on escape).
 
+z_d is built from z_{d - alpha^vee} by one left Hecke step with s_alpha,
+alpha the first greedy root of d, and memoized per degree, so a box costs
+one short step per degree instead of a whole Hecke product each. A box of
+more than a million degrees is refused (ResourceGuardError) before a scan.
+
 Minimality is decided on unit edges only: d is minimal iff z_{d-e_i} != z_d
 for every i with d_i > 0. That is equivalent to the definition because z_d
 is monotone in d (Buch-Mihalcea, Curve neighborhoods of Schubert varieties,
@@ -14,18 +19,20 @@ with bruhat_leq on every unit edge of the box below d, once per parabolic.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .exceptions import (
     BoundViolationError, ConsistencyError, LiftingNotFoundError,
-    LiftingNotUniqueError, NotMinimalDegreeError, UniquenessViolationError,
+    LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
+    UniquenessViolationError,
 )
 from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem, root_leq
 from .weyl import (
-    WeylElement, bruhat_leq, compose, hecke_product, identity, is_negative,
-    longest_element, mul_gen, reflection,
+    WeylElement, bruhat_leq, compose, hecke_reflection_on_coset, identity,
+    is_descent, longest_element, mul_gen,
 )
 
 __all__ = [
@@ -35,6 +42,11 @@ __all__ = [
     "minimal_degree_records", "minimal_coset_representative",
     "is_maximal_coset_representative",
 ]
+
+
+# The most degrees one box below a degree may hold before a scan is refused.
+# E7/B's point-class box holds 181,440 degrees, E8/B's 18,243,225.
+_MAX_BOX_DEGREES = 10 ** 6
 
 
 @lru_cache(maxsize=None)
@@ -81,21 +93,26 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
                  if cands >> j & 1 and not above[j] & cands)
 
 
+def _greedy_step(p: Parabolic, d: Degree) -> tuple[Root, Degree]:
+    """The first greedy root alpha of a nonzero degree d, and d - alpha^vee."""
+    tops = maximal_roots(p, d)
+    if not tops:
+        raise ConsistencyError(f"nonzero effective degree {d} has no maximal root")
+    alpha = tops[0]
+    rest = tuple(x - y for x, y in zip(d, project_coroot(p, alpha)))
+    if min(rest) < 0:
+        raise ConsistencyError(f"peeling {alpha} off a degree left {rest}")
+    return alpha, rest
+
+
 @lru_cache(maxsize=None)
 def greedy_decomposition(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Peel maximal roots off d until nothing is left."""
     p.check_degree(d)
     out = []
-    cur = d
-    while any(cur):
-        tops = maximal_roots(p, cur)
-        if not tops:
-            raise ConsistencyError(f"nonzero effective degree {cur} has no maximal root")
-        first = tops[0]
-        out.append(first)
-        cur = tuple(x - y for x, y in zip(cur, project_coroot(p, first)))
-        if min(cur) < 0:
-            raise ConsistencyError(f"peeling {first} off a degree left {cur}")
+    while any(d):
+        alpha, d = _greedy_step(p, d)
+        out.append(alpha)
     return tuple(out)
 
 
@@ -107,32 +124,68 @@ def is_p_cosmall(p: Parabolic, alpha: Root) -> bool:
 
 
 def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:
-    return all(is_negative(w.images[i]) for i in p.positions)
+    return all(is_descent(w, i) for i in p.positions)
 
 
 def minimal_coset_representative(w: WeylElement, p: Parabolic) -> WeylElement:
     """Strip right descents in Delta_P, landing on the shortest element of wW_P."""
     out = w
     while True:
-        i = next((k for k in p.positions if is_negative(out.images[k])), None)
+        i = next((k for k in p.positions if is_descent(out, k)), None)
         if i is None:
             return out
         out = mul_gen(out, i)
 
 
 @lru_cache(maxsize=None)
+def _z_pairs(p: Parabolic) -> dict[Degree, tuple[WeylElement, WeylElement]]:
+    """(z_d, z_d^-1) for each degree d of p computed so far."""
+    e = identity(p.system)
+    return {p.zero_degree: (e, e)}
+
+
+def _z_pair(p: Parabolic, d: Degree) -> tuple[WeylElement, WeylElement]:
+    """(z_d, z_d^-1), one greedy step from z_{d - alpha^vee} at a time.
+
+    The greedy rule is deterministic, so greedy(d) is its first root alpha
+    followed by greedy(d - alpha^vee), and the Hecke product is associative:
+    z_d W_P = s_alpha * z_{d - alpha^vee} W_P. The walk goes down the greedy
+    chain to the first degree already known and back up, without recursion,
+    so a long chain cannot exhaust the stack.
+    """
+    pairs = _z_pairs(p)
+    chain = []
+    while d not in pairs:
+        alpha, rest = _greedy_step(p, d)
+        chain.append((d, alpha))
+        d = rest
+    pair = pairs[d]
+    for d, alpha in reversed(chain):
+        pair = hecke_reflection_on_coset(*pair, alpha, p.positions)
+        if any(is_descent(pair[0], j) for j in p.positions):
+            raise ConsistencyError(f"curve-neighborhood element of {d} is not in W^P")
+        pairs[d] = pair
+    return pair
+
+
+@lru_cache(maxsize=None)
 def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
-    """The Weyl element attached to the degree-d curve neighborhood of 1P."""
+    """The Weyl element attached to the degree-d curve neighborhood of 1P.
+
+    The minimal representative of the coset of s_{a_1} * ... * s_{a_k} * w_P,
+    a Hecke product over the greedy decomposition (a_1, ..., a_k) of d.
+    """
     p.check_degree(d)
-    rs = p.system
-    acc = identity(rs)
-    for alpha in greedy_decomposition(p, d):
-        acc = hecke_product(acc, reflection(rs, alpha))
-    acc = hecke_product(acc, p.w_p)
-    z = minimal_coset_representative(acc, p)
-    if compose(z, p.w_p) != acc:
-        raise ConsistencyError(f"curve-neighborhood element of {d} does not split as z * w_P")
-    return z
+    return _z_pair(p, d)[0]
+
+
+def _check_box_size(p: Parabolic, d: Degree) -> None:
+    """Refuse, before any scan, a box below d of more than _MAX_BOX_DEGREES degrees."""
+    size = math.prod(c + 1 for c in d)
+    if size > _MAX_BOX_DEGREES:
+        raise ResourceGuardError(
+            f"the box below {d} on {p} holds {size} degrees, "
+            f"more than the guard's {_MAX_BOX_DEGREES}")
 
 
 def _unit_steps_down(d: Degree):
@@ -158,6 +211,7 @@ def _certify_monotone(p: Parabolic, d: Degree) -> None:
     certified = _monotone_certified(p)
     if d in certified:
         return
+    _check_box_size(p, d)
     seen = {d}
     stack = [d]
     while stack:
@@ -227,6 +281,9 @@ def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     """All minimal degrees, searched over the box below point_class_degree."""
     rs = p.system
     d_top = point_class_degree(p)
+    _check_box_size(p, d_top)
+    for i, c in enumerate(d_top):  # the frontier scan certifies these larger boxes
+        _check_box_size(p, d_top[:i] + (c + 1,) + d_top[i + 1:])
     target = compose(longest_element(rs), p.w_p)
     found = []
     for d in itertools.product(*(range(c + 1) for c in d_top)):

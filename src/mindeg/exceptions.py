@@ -58,7 +58,11 @@ class ExceptionalCaseError(MindegError):
 
 
 class ResourceGuardError(MindegError, ValueError):
-    """Sweep configuration exceeds the resource guard."""
+    """A request exceeds a resource guard: the sweep rank cap or the box-size bound."""
+
+
+class InvalidConfigError(MindegError, ValueError):
+    """A run setting is out of range, e.g. a worker count below 1."""
 
 
 class ConsistencyError(MindegError, RuntimeError):

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .curve_nbhd import minimal_degree_records
-from .exceptions import MindegError, ResourceGuardError
+from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, build_root_system
 from .tangent_directions import (
@@ -127,8 +127,10 @@ def _sort_key(r: CaseReport):
 def run_sweep(cfg: SweepConfig) -> list[CaseReport]:
     if cfg.max_rank > _MAX_SWEEP_RANK:
         raise ResourceGuardError(f"sweeps are capped at rank {_MAX_SWEEP_RANK}")
+    if cfg.workers < 1:
+        raise InvalidConfigError(f"the worker count must be at least 1, got {cfg.workers}")
     tasks = []
-    for t in cfg.types:
+    for t in dict.fromkeys(cfg.types):  # each type once, first occurrence kept
         if t.rank > cfg.max_rank:
             raise ResourceGuardError(f"{t} exceeds the sweep rank cap {cfg.max_rank}")
         for dp in all_parabolic_subsets(t.rank):

@@ -1,11 +1,17 @@
 """Weyl group elements acting on the root lattice.
 
 An element is stored by the images of the simple roots, which is canonical:
-two words represent the same element iff these images agree. mul_gen carries
-the length along (w * s_i is one longer iff w(alpha_i) > 0); elements built
-otherwise count inversions on first use. Reduced words come from descent
-stripping (smallest Bourbaki index first, so all derived products are
-reproducible).
+two words represent the same element iff these images agree. Each image is
+a root packed as the integer sum_k c_k 16**k of its coefficients c_k over the
+simple roots. Root coefficients lie in -6..6, so the packing is one-to-one on
+roots; roots are sign-homogeneous, so the integer has the sign of the root;
+and it is linear, so a Weyl group action on roots is an action on the packed
+integers. The packed format never leaves this module.
+
+mul_gen carries the length along (w * s_i is one longer iff w(alpha_i) > 0);
+elements built otherwise count inversions on first use. Reduced words come
+from descent stripping (smallest Bourbaki index first, so all derived
+products are reproducible).
 """
 
 from __future__ import annotations
@@ -13,29 +19,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import mul
 
 from .exceptions import ConsistencyError, MixedRootSystemError
-from .root_system import Root, RootSystem, reflect
+from .root_system import Root, RootSystem, coroot_pairing, reflect
 
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
-    "mul_gen", "is_negative",
+    "mul_gen", "is_descent", "hecke_reflection_on_coset",
     "reduced_word", "word_str", "longest_element", "hecke_product",
     "bruhat_leq", "inversion_set", "center_elements", "all_elements",
     "weyl_group_order",
 ]
 
 
-def is_negative(vec: tuple[int, ...]) -> bool:
-    # valid for sign-homogeneous nonzero vectors (roots)
-    return min(vec) < 0
+def _pack(coeffs) -> int:
+    return sum(c << 4 * k for k, c in enumerate(coeffs))
 
 
-@dataclass(frozen=True)
+def _unpack(x: int, rank: int) -> tuple[int, ...]:
+    """The coefficients of the root packed as x."""
+    if x < 0:
+        return tuple(-c for c in _unpack(-x, rank))
+    return tuple(x >> 4 * k & 15 for k in range(rank))
+
+
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     system: RootSystem
-    images: tuple[tuple[int, ...], ...]
+    images: tuple[int, ...]  # the packed roots w(alpha_j)
     # l(w) when the constructor knows it; otherwise counted on first use
     _length: int | None = field(default=None, compare=False, repr=False)
 
@@ -45,12 +56,12 @@ class WeylElement:
             if v.system is not self.system:
                 raise MixedRootSystemError("element and root live in different systems")
             return self.system.root(self.apply(v.coeffs))
-        out = [0] * self.system.rank
-        for j, c in enumerate(v):
+        rank = self.system.rank
+        out = [0] * rank
+        for c, img in zip(v, self.images):
             if c:
-                img = self.images[j]
-                for k in range(len(out)):
-                    out[k] += c * img[k]
+                for k, x in enumerate(_unpack(img, rank)):
+                    out[k] += c * x
         return tuple(out)
 
     @property
@@ -76,22 +87,22 @@ def _same_group(u: WeylElement, v: WeylElement) -> RootSystem:
 
 @lru_cache(maxsize=None)
 def identity(rs: RootSystem) -> WeylElement:
-    l = rs.rank
-    return WeylElement(rs, tuple(tuple(1 if k == i else 0 for k in range(l))
-                                 for i in range(l)), 0)
+    return WeylElement(rs, tuple(1 << 4 * i for i in range(rs.rank)), 0)
 
 
 def mul_gen(w: WeylElement, i: int) -> WeylElement:
     """Right multiplication w * s_i (i is a 0-based simple index)."""
     base = w.images[i]
-    images = tuple([
-        img if c == 0 else tuple([x - c * b for x, b in zip(img, base)])
-        for img, c in zip(w.images, w.system.cartan[i])
-    ])
+    images = tuple([x - c * base for x, c in zip(w.images, w.system.cartan[i])])
     length = w._length
     if length is not None:
-        length += -1 if is_negative(base) else 1
+        length += -1 if base < 0 else 1
     return WeylElement(w.system, images, length)
+
+
+def is_descent(w: WeylElement, i: int) -> bool:
+    """True iff s_i is a right descent of w, i.e. w(alpha_i) < 0."""
+    return w.images[i] < 0
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -101,13 +112,14 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
 @lru_cache(maxsize=None)
 def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     """The reflection s_alpha as a Weyl group element."""
-    return WeylElement(rs, tuple(reflect(alpha, b).coeffs for b in rs.simple_roots))
+    return WeylElement(rs, tuple(_pack(reflect(alpha, b).coeffs) for b in rs.simple_roots))
 
 
 def compose(u: WeylElement, v: WeylElement) -> WeylElement:
     """(u o v)(x) = u(v(x))."""
     rs = _same_group(u, v)
-    return WeylElement(rs, tuple(u.apply(img) for img in v.images))
+    return WeylElement(rs, tuple(sum(c * x for c, x in zip(_unpack(img, rs.rank), u.images))
+                                 for img in v.images))
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +129,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     cur = w
     ident = identity(w.system).images
     while cur.images != ident:
-        i = next(k for k, img in enumerate(cur.images) if is_negative(img))
+        i = next(k for k, x in enumerate(cur.images) if x < 0)
         word.append(i)
         cur = mul_gen(cur, i)
     return tuple(reversed(word))
@@ -134,7 +146,7 @@ def _longest(rs: RootSystem, indices: frozenset[int]) -> WeylElement:
     w = identity(rs)
     while True:
         for i in order:
-            if not is_negative(w.images[i]):
+            if w.images[i] > 0:
                 w = mul_gen(w, i)
                 break
         else:
@@ -156,9 +168,45 @@ def hecke_product(u: WeylElement, v: WeylElement) -> WeylElement:
     _same_group(u, v)
     w = u
     for i in reduced_word(v):
-        if not is_negative(w.images[i]):
+        if w.images[i] > 0:
             w = mul_gen(w, i)
     return w
+
+
+@lru_cache(maxsize=None)
+def _coroot_pairings(rs: RootSystem) -> dict[int, tuple[int, ...]]:
+    """Packed positive root beta -> the pairings (alpha_j, beta^vee) over all j."""
+    return {_pack(b.coeffs): tuple(coroot_pairing(a, b) for a in rs.simple_roots)
+            for b in rs.positive_roots}
+
+
+def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
+                              positions: tuple[int, ...]) -> tuple[WeylElement, WeylElement]:
+    """(y, y^-1) with y W_P = s_alpha * z W_P, the left Hecke product on cosets.
+
+    z must be the minimal representative of its coset z W_P, with W_P the
+    parabolic subgroup of the 0-based simple positions; so is y. The letters
+    s_i of the reduced word of s_alpha act from the right end. With
+    beta = z^-1(alpha_i), s_i lengthens z w_P iff beta > 0 and beta is not a
+    simple root of W_P (if it is, s_i z = z s_beta lies in the same coset).
+    When s_i acts, z^-1 becomes z^-1 s_i and z(alpha_j) drops by
+    (alpha_j, beta^vee) alpha_i, since (z(alpha_j), alpha_i^vee) = (alpha_j, beta^vee).
+    """
+    rs = _same_group(z, z_inv)
+    pairings = _coroot_pairings(rs)
+    simple = identity(rs).images
+    levi = {simple[j] for j in positions}
+    images = z.images
+    length = z.length
+    for i in reversed(reduced_word(reflection(rs, alpha))):
+        beta = z_inv.images[i]
+        if beta < 0 or beta in levi:
+            continue
+        z_inv = mul_gen(z_inv, i)
+        step = simple[i]
+        images = tuple([x - c * step for x, c in zip(images, pairings[beta])])
+        length += 1
+    return WeylElement(rs, images, length), z_inv
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
@@ -172,13 +220,7 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     lu, lv = u.length, v.length
     if lu >= lv:
         return lu == lv and u.images == v.images
-    # The walk runs on each image root packed as the integer sum_k c_k 16**k.
-    # Root coefficients lie in -6..6, so the packing is one-to-one on roots;
-    # roots are sign-homogeneous, so the integer has the sign of the root; and
-    # it is linear, so mul_gen's update applies to it unchanged.
-    weights = [16 ** k for k in range(len(cartan))]
-    pu = [sum(map(mul, img, weights)) for img in u.images]
-    pv = [sum(map(mul, img, weights)) for img in v.images]
+    pu, pv = list(u.images), list(v.images)
     while lu < lv:
         i = next(k for k, x in enumerate(pv) if x < 0)
         b = pv[i]
@@ -194,15 +236,14 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
 def inversion_set(w: WeylElement) -> tuple[Root, ...]:
     """All positive roots sent negative by w; its size is the length."""
     return tuple(a for a in w.system.positive_roots
-                 if is_negative(w.apply(a.coeffs)))
+                 if sum(c * x for c, x in zip(a.coeffs, w.images)) < 0)
 
 
 def center_elements(rs: RootSystem) -> frozenset[WeylElement]:
     """The center of the Weyl group: {e}, joined by w_o exactly when w_o = -1."""
     e = identity(rs)
     w0 = longest_element(rs)
-    minus_one = all(img == tuple(-c for c in b.coeffs)
-                    for img, b in zip(w0.images, rs.simple_roots))
+    minus_one = w0.images == tuple(-x for x in e.images)
     center = {e, w0} if minus_one else {e}
     for w in center:
         for i in range(rs.rank):

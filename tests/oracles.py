@@ -4,8 +4,10 @@ These deliberately avoid the code paths they check: root sets come from
 explicit epsilon-coordinate models, Bruhat order from the subword property,
 centers from commutation against every generator, maximal roots from a
 pairwise comparison, minimality from a scan of the whole box below a degree,
-liftings from a linear scan, and Q(i)-spans from Gauss-Jordan elimination
-over pairs of Fractions.
+liftings from a linear scan, curve-neighborhood elements from the Hecke
+product of a whole greedy decomposition, the Weyl action from simple
+reflections on unpacked coefficient vectors, and Q(i)-spans from
+Gauss-Jordan elimination over pairs of Fractions.
 """
 
 from __future__ import annotations
@@ -13,13 +15,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from mindeg.curve_nbhd import borel, curve_neighborhood_element, point_class_degree
-from mindeg.exceptions import LiftingNotFoundError, LiftingNotUniqueError
+from mindeg.curve_nbhd import (
+    borel, curve_neighborhood_element, greedy_decomposition,
+    minimal_coset_representative, point_class_degree,
+)
+from mindeg.exceptions import ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError
 from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
-from mindeg.root_system import Root, RootSystem, root_leq
+from mindeg.root_system import Root, RootSystem, reflect, root_leq
 from mindeg.weyl import (
-    WeylElement, all_elements, bruhat_leq, compose, identity, reduced_word,
-    simple_reflection,
+    WeylElement, all_elements, bruhat_leq, compose, hecke_product, identity,
+    reduced_word, reflection, simple_reflection,
 )
 
 
@@ -57,6 +62,14 @@ def subword_bruhat_down_set(v: WeylElement) -> set[WeylElement]:
         s = simple_reflection(v.system, i)
         reachable |= {compose(u, s) for u in reachable}
     return reachable
+
+
+def word_apply(rs: RootSystem, word, v: tuple[int, ...]) -> tuple[int, ...]:
+    """s_{i_1} ... s_{i_k} (v) for word (i_1, ..., i_k), one simple reflection
+    at a time on the coefficient vector."""
+    for i in reversed(word):
+        v = reflect(rs.simple_roots[i], v)
+    return v
 
 
 def brute_force_center(rs: RootSystem) -> frozenset[WeylElement]:
@@ -103,6 +116,21 @@ def box_scan_minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     """The degrees in the box below the point-class degree that pass the box scan."""
     return tuple(d for d in itertools.product(*(range(c + 1) for c in point_class_degree(p)))
                  if box_scan_is_minimal_degree(p, d))
+
+
+def hecke_curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
+    """z_d from scratch: the Hecke product of the reflections of the whole
+    greedy decomposition and w_P, stripped to its minimal coset representative,
+    which must split it as z * w_P."""
+    rs = p.system
+    acc = identity(rs)
+    for alpha in greedy_decomposition(p, d):
+        acc = hecke_product(acc, reflection(rs, alpha))
+    acc = hecke_product(acc, p.w_p)
+    z = minimal_coset_representative(acc, p)
+    if compose(z, p.w_p) != acc:
+        raise ConsistencyError(f"curve-neighborhood element of {d} does not split as z * w_P")
+    return z
 
 
 def linear_scan_lifting(p: Parabolic, d: Degree) -> Degree:

@@ -212,3 +212,35 @@ def test_resource_guard():
         run_sweep(SweepConfig(types=(SimpleType("E", 7),), max_rank=7))
     with pytest.raises(ResourceGuardError):
         run_sweep(SweepConfig(types=(SimpleType("E", 7),), max_rank=6))
+
+
+def test_sweep_runs_a_repeated_type_once(capsys):
+    code, once = run_cli(capsys, "sweep", "--types", "G2")
+    assert code == 0
+    code, twice = run_cli(capsys, "sweep", "--types", "G2,G2")
+    assert code == 0
+    assert twice == once
+    code, mixed = run_cli(capsys, "sweep", "--types", "G2,A1,G2")
+    assert mixed == run_cli(capsys, "sweep", "--types", "A1,G2")[1]
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_rejects_non_positive_worker_counts(capsys, workers):
+    assert main(["sweep", "--types", "A1", "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: the worker count must be at least 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["msos", "E8"],
+    ["cascade", "E8"],
+    ["key-inequality", "E8", "--delta-p", "1,2,3,4,5,6,7"],
+])
+def test_e8_single_case_commands_are_refused_within_seconds(argv):
+    proc = subprocess.run([sys.executable, "-m", "mindeg", *argv], capture_output=True,
+                          text=True, env=_src_env(), timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the box below ")
+    assert len(proc.stderr.splitlines()) == 1

@@ -1,23 +1,24 @@
 import itertools
+import math
 
 import pytest
 
-from mindeg import curve_nbhd
+from mindeg import curve_nbhd, weyl
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
     is_maximal_coset_representative, is_p_cosmall, lifting, maximal_roots,
     minimal_degree_records, minimal_degrees, point_class_degree,
 )
 from mindeg.exceptions import (
-    ConsistencyError, InvalidDegreeError, NotMinimalDegreeError,
+    ConsistencyError, InvalidDegreeError, NotMinimalDegreeError, ResourceGuardError,
 )
 from mindeg.parabolic import Parabolic, degree_leq, project_coroot
 from mindeg.root_system import build_root_system
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element
 
 from oracles import (
-    box_scan_is_minimal_degree, box_scan_minimal_degrees, linear_scan_lifting,
-    pairwise_maximal_roots,
+    box_scan_is_minimal_degree, box_scan_minimal_degrees,
+    hecke_curve_neighborhood_element, linear_scan_lifting, pairwise_maximal_roots,
 )
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -287,3 +288,63 @@ def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2)
     monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element", reversed_z)
     with pytest.raises(ConsistencyError, match="not monotone"):
         is_minimal_degree(p, top)
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES + ["F4"])
+def test_recursion_matches_whole_hecke_product(label):
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        top = point_class_degree(p)
+        for d in itertools.product(*(range(c + 2) for c in top)):
+            assert curve_neighborhood_element(p, d) == hecke_curve_neighborhood_element(p, d), (p, d)
+
+
+def test_z_is_computed_without_whole_products(monkeypatch, cold_curve_nbhd, b3):
+    def forbidden(*args):
+        raise AssertionError("called")
+
+    for name in ("greedy_decomposition", "minimal_coset_representative", "compose"):
+        monkeypatch.setattr(curve_nbhd, name, forbidden)
+    monkeypatch.setattr(weyl, "hecke_product", forbidden)
+    for p in all_parabolics(b3):
+        for d in itertools.product(*(range(3) for _ in p.quotient_positions)):
+            curve_neighborhood_element(p, d)
+
+
+def test_action_ignoring_delta_p_is_a_consistency_error(monkeypatch, cold_curve_nbhd, b3):
+    real = curve_nbhd.hecke_reflection_on_coset
+
+    def without_levi(z, z_inv, alpha, positions):
+        return real(z, z_inv, alpha, ())
+
+    monkeypatch.setattr(curve_nbhd, "hecke_reflection_on_coset", without_levi)
+    with pytest.raises(ConsistencyError, match="not in W\\^P"):
+        minimal_degrees(Parabolic(b3, frozenset({2})))
+
+
+def test_box_guard_counts_the_degrees_of_each_box(monkeypatch, cold_curve_nbhd, b3):
+    p = borel(b3)
+    assert point_class_degree(p) == (2, 2, 2)  # a box of 27, frontier boxes of 36
+    monkeypatch.setattr(curve_nbhd, "_MAX_BOX_DEGREES", 35)
+    with pytest.raises(ResourceGuardError, match="below \\(3, 2, 2\\) .* holds 36 degrees"):
+        minimal_degrees(p)
+    assert curve_nbhd._monotone_certified(p) == set()  # refused before any scan
+    monkeypatch.setattr(curve_nbhd, "_MAX_BOX_DEGREES", 26)
+    with pytest.raises(ResourceGuardError, match="holds 27 degrees"):
+        is_minimal_degree(p, (2, 2, 2))
+    assert is_minimal_degree(p, (2, 2, 1))  # 18 degrees
+    monkeypatch.setattr(curve_nbhd, "_MAX_BOX_DEGREES", 36)
+    assert minimal_degrees(p) == box_scan_minimal_degrees(p)
+
+
+def test_box_guard_sits_between_e7_and_e8(cold_curve_nbhd):
+    sizes = {label: math.prod(c + 1 for c in point_class_degree(borel(build_root_system(label))))
+             for label in ("E7", "E8")}
+    assert sizes == {"E7": 181_440, "E8": 18_243_225}
+    assert sizes["E7"] <= curve_nbhd._MAX_BOX_DEGREES < sizes["E8"]
+
+
+def test_long_greedy_chain_does_not_exhaust_the_stack(cold_curve_nbhd):
+    # greedy((5000,)) on A1 is 5000 copies of the simple root
+    p = borel(build_root_system("A1"))
+    assert curve_neighborhood_element(p, (5000,)).length == 1

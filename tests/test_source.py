@@ -14,3 +14,18 @@ def test_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(list(PACKAGE.glob("*.py"))) >= 13
     assert found == []
+
+
+def test_packed_weyl_format_stays_in_weyl():
+    """Only weyl.py reads WeylElement.images or the packing helpers."""
+    helpers = {"_pack", "_unpack"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            attr = getattr(node, "attr", None)
+            name = getattr(node, "id", None) or getattr(node, "name", None)
+            if attr == "images" or attr in helpers or name in helpers:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert found == []

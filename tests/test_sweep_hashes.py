@@ -18,14 +18,19 @@ SWEEP_SHA256 = {
     "A2": "886be4fee3845bfda627dfdf29c388e06a65cd56c755f78c2bdbc4fd775917a8",
     "A3": "4ebf0123b541aacbefeb94df63b54cbdbb80ba66933da494a97551e764a35a37",
     "A4": "2a06610561891d8e6bb6c8297685512c8bf22dd30fb074f797523faca331f40b",
+    "A5": "c0d57353229f4af0223b59099340ec28f185617e90161b8842e01fe56575feea",
     "B2": "10e18a1584441d24bf2a12b9ec98ae8ff7b15aff0a43c97eed05269d61c08009",
     "B3": "c4f2dac0362e51f79ae03e9fba71750e0c6e359cca5abe8980c28e3da1c21f38",
     "B4": "cad1a20977fcd51cf363b41fc2c618192080991d29b4efce9098c82a900f1a55",
+    "B5": "73f4083c722a937e66b65c025dceabce2535afd20c11e6e2180e4ae066bb300b",
     "C2": "902727a9ce106ea51555831fb53c27173d9e325ba64ef2f7395f3737abbd2cc6",
     "C3": "e74bf59828a5a575353861ebd40ea8118b08f49673e9f61e3a3b92164955de32",
     "C4": "1e5b4a9860f1af3620f113abae7aa00cdb0a8c13512283fc6dee09d4278b8ecd",
+    "C5": "d48f7c51bd1ddc5a5fb075e3ad688e7dacc6a5736f532f0d5ab38f55c6afa59e",
     "D3": "799c1f4ddbaef63715fa42e01b3ef1be5bb230b6c8a0c288999b92f0ac3fdf7a",
     "D4": "f5ace7e5bc264b066f6f1475df3c6c9c5995cfc96f47ef1e6d9e8b93ce16a6a6",
+    "D5": "f1027754d9343639ad5ae7746e2e8a19ac984fe5dace0d585050a6d89f1fb527",
+    "F4": "860f67249e10bed964034f507d7a33b0c6513173230334c43cfda3a8172343b2",
     "G2": "ee664a3fa9d9054b689e0b9355f926d5990e160d7c025f4f8bae48b2a5c3bab3",
 }
 

@@ -9,7 +9,7 @@ from mindeg.weyl import (
     simple_reflection, weyl_group_order, word_str,
 )
 
-from oracles import brute_force_center, subword_bruhat_down_set
+from oracles import brute_force_center, subword_bruhat_down_set, word_apply
 
 
 def _word_element(rs, word):
@@ -203,3 +203,35 @@ def test_bruhat_uses_every_coordinate_past_rank_8():
     others += [_word_element(rs, w) for w in ([9, 8], [8, 9], [8, 9, 8], [9, 0], [8, 0])]
     for u in list(below) + others:
         assert bruhat_leq(u, v) == (u in below), u
+
+
+@pytest.mark.parametrize("label", ["E8", "A10"])
+def test_packing_round_trips_on_every_root(label):
+    from mindeg.weyl import _pack, _unpack
+    rs = build_root_system(label)
+    packed = [_pack(r.coeffs) for r in rs.roots]
+    assert len(set(packed)) == len(rs.roots)
+    for r, x in zip(rs.roots, packed):
+        assert _unpack(x, rs.rank) == r.coeffs
+        assert (x > 0) == r.is_positive
+
+
+def _draw_word(data, rs):
+    return data.draw(st.lists(st.integers(0, rs.rank - 1), max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_action_matches_unpacked_reference(data):
+    rs = build_root_system(data.draw(st.sampled_from(RANK_LE_3 + ["F4", "E6"])))
+    word_u, word_v = _draw_word(data, rs), _draw_word(data, rs)
+    u, v = _word_element(rs, word_u), _word_element(rs, word_v)
+    root = data.draw(st.sampled_from(rs.roots))
+    assert u.apply(root).coeffs == word_apply(rs, word_u, root.coeffs)
+    vec = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=rs.rank, max_size=rs.rank)))
+    assert u.apply(vec) == word_apply(rs, word_u, vec)
+    uv = compose(u, v)
+    for b in rs.simple_roots:
+        assert uv.apply(b.coeffs) == word_apply(rs, word_u + word_v, b.coeffs)
+    assert inversion_set(u) == tuple(a for a in rs.positive_roots
+                                     if min(word_apply(rs, word_u, a.coeffs)) < 0)
