@@ -13,7 +13,9 @@ Minimality is decided on unit edges only: d is minimal iff z_{d-e_i} != z_d
 for every i with d_i > 0. That is equivalent to the definition because z_d
 is monotone in d (Buch-Mihalcea, Curve neighborhoods of Schubert varieties,
 J. Differential Geom. 99 (2015)); the monotonicity is not assumed but checked
-with bruhat_leq on every unit edge of the box below d, once per parabolic.
+on every unit edge of the box below d: an edge with z_{d-e_i} == z_d holds
+trivially, and bruhat_leq runs once per distinct pair (z_{d-e_i}, z_d) of
+each parabolic.
 """
 
 from __future__ import annotations
@@ -32,15 +34,14 @@ from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem, root_leq
 from .weyl import (
     WeylElement, bruhat_leq, compose, hecke_reflection_on_coset, identity,
-    is_descent, longest_element, mul_gen,
+    is_descent, longest_element,
 )
 
 __all__ = [
     "borel", "maximal_roots", "greedy_decomposition", "is_p_cosmall",
     "curve_neighborhood_element", "is_minimal_degree", "point_class_degree",
     "minimal_degrees", "lifting", "MinimalDegreeRecord",
-    "minimal_degree_records", "minimal_coset_representative",
-    "is_maximal_coset_representative",
+    "minimal_degree_records",
 ]
 
 
@@ -123,20 +124,6 @@ def is_p_cosmall(p: Parabolic, alpha: Root) -> bool:
     return alpha in maximal_roots(p, project_coroot(p, alpha))
 
 
-def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:
-    return all(is_descent(w, i) for i in p.positions)
-
-
-def minimal_coset_representative(w: WeylElement, p: Parabolic) -> WeylElement:
-    """Strip right descents in Delta_P, landing on the shortest element of wW_P."""
-    out = w
-    while True:
-        i = next((k for k in p.positions if is_descent(out, k)), None)
-        if i is None:
-            return out
-        out = mul_gen(out, i)
-
-
 @lru_cache(maxsize=None)
 def _z_pairs(p: Parabolic) -> dict[Degree, tuple[WeylElement, WeylElement]]:
     """(z_d, z_d^-1) for each degree d of p computed so far."""
@@ -201,26 +188,39 @@ def _monotone_certified(p: Parabolic) -> set[Degree]:
     return set()
 
 
+@lru_cache(maxsize=None)
+def _monotone_pairs(p: Parabolic) -> set[tuple[WeylElement, WeylElement]]:
+    """Unequal pairs (u, z) of elements of p for which bruhat_leq(u, z) held."""
+    return set()
+
+
 def _certify_monotone(p: Parabolic, d: Degree) -> None:
-    """Check bruhat_leq(z_{c-e_i}, z_c) on every unit edge of the box below d.
+    """Check z_{c-e_i} <= z_c in Bruhat order on every unit edge of the box below d.
 
     Walks the box iteratively (its depth is sum(d)) and skips degrees whose
-    box is already certified, so each edge is checked once per parabolic.
-    Monotonicity on the unit edges gives it on the whole box by transitivity.
+    box is already certified, so each edge is visited once per parabolic.
+    Bruhat order depends only on the two elements, so an edge with
+    z_{c-e_i} == z_c needs no walk and bruhat_leq runs once per distinct pair
+    per parabolic; a pair is remembered only after it passes. Monotonicity on
+    the unit edges gives it on the whole box by transitivity.
     """
     certified = _monotone_certified(p)
     if d in certified:
         return
     _check_box_size(p, d)
+    verified = _monotone_pairs(p)
     seen = {d}
     stack = [d]
     while stack:
         c = stack.pop()
         z = curve_neighborhood_element(p, c)
         for below in _unit_steps_down(c):
-            if not bruhat_leq(curve_neighborhood_element(p, below), z):
-                raise ConsistencyError(
-                    f"z is not monotone on {p}: z_{below} is not below z_{c}")
+            u = curve_neighborhood_element(p, below)
+            if u != z and (u, z) not in verified:
+                if not bruhat_leq(u, z):
+                    raise ConsistencyError(
+                        f"z is not monotone on {p}: z_{below} is not below z_{c}")
+                verified.add((u, z))
             if below not in certified and below not in seen:
                 seen.add(below)
                 stack.append(below)

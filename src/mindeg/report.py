@@ -13,7 +13,7 @@ import io
 import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
 from .curve_nbhd import minimal_degree_records
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
@@ -161,16 +161,21 @@ def _inequality_cell(r: CaseReport) -> str:
     return f"{r.lhs} <= {r.rhs}" if r.holds else f"{r.lhs} > {r.rhs}"
 
 
+def _fields(r: CaseReport) -> dict:
+    """The fields of r by name, in declaration order, without copying them."""
+    return {f.name: getattr(r, f.name) for f in fields(r)}
+
+
 def emit(reports, fmt: str) -> str:
     """Render reports as json, csv, or md with a stable field order."""
     if fmt == "json":
-        return json.dumps([asdict(r) for r in reports], indent=2) + "\n"
+        return json.dumps([_fields(r) for r in reports], indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in reports:
-            d = asdict(r)
+            d = _fields(r)
             writer.writerow([json.dumps(d[k]) if isinstance(d[k], tuple) else d[k]
                              for k in CSV_HEADER])
         return buf.getvalue()

@@ -145,7 +145,8 @@ class RootSystem:
     """All roots of one simple type; immutable after construction.
 
     Instances are memoized by type (see build_root_system), so identity
-    comparison is the right notion of equality.
+    comparison is the right notion of equality; unpickling returns the
+    memoized instance, so copies of roots and Weyl elements stay comparable.
     """
 
     def __init__(self, simple_type: SimpleType):
@@ -209,6 +210,9 @@ class RootSystem:
         if len(top) != 1:
             raise ConsistencyError(f"{self.simple_type}: expected one highest root, got {top}")
         return top[0]
+
+    def __reduce__(self):
+        return build_root_system, (self.simple_type,)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.simple_type})"

@@ -5,9 +5,10 @@ explicit epsilon-coordinate models, Bruhat order from the subword property,
 centers from commutation against every generator, maximal roots from a
 pairwise comparison, minimality from a scan of the whole box below a degree,
 liftings from a linear scan, curve-neighborhood elements from the Hecke
-product of a whole greedy decomposition, the Weyl action from simple
-reflections on unpacked coefficient vectors, and Q(i)-spans from
-Gauss-Jordan elimination over pairs of Fractions.
+product of a whole greedy decomposition, coset representatives by stripping
+right descents one at a time, the Weyl action from simple reflections on
+unpacked coefficient vectors, and Q(i)-spans from Gauss-Jordan elimination
+over pairs of Fractions.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ import itertools
 from fractions import Fraction
 
 from mindeg.curve_nbhd import (
-    borel, curve_neighborhood_element, greedy_decomposition,
-    minimal_coset_representative, point_class_degree,
+    borel, curve_neighborhood_element, greedy_decomposition, point_class_degree,
 )
 from mindeg.exceptions import ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError
 from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
 from mindeg.root_system import Root, RootSystem, reflect, root_leq
 from mindeg.weyl import (
     WeylElement, all_elements, bruhat_leq, compose, hecke_product, identity,
-    reduced_word, reflection, simple_reflection,
+    is_descent, mul_gen, reduced_word, reflection, simple_reflection,
 )
 
 
@@ -116,6 +116,20 @@ def box_scan_minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     """The degrees in the box below the point-class degree that pass the box scan."""
     return tuple(d for d in itertools.product(*(range(c + 1) for c in point_class_degree(p)))
                  if box_scan_is_minimal_degree(p, d))
+
+
+def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:
+    return all(is_descent(w, i) for i in p.positions)
+
+
+def minimal_coset_representative(w: WeylElement, p: Parabolic) -> WeylElement:
+    """Strip right descents in Delta_P, landing on the shortest element of wW_P."""
+    out = w
+    while True:
+        i = next((k for k in p.positions if is_descent(out, k)), None)
+        if i is None:
+            return out
+        out = mul_gen(out, i)
 
 
 def hecke_curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:

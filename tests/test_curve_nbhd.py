@@ -6,8 +6,8 @@ import pytest
 from mindeg import curve_nbhd, weyl
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
-    is_maximal_coset_representative, is_p_cosmall, lifting, maximal_roots,
-    minimal_degree_records, minimal_degrees, point_class_degree,
+    is_p_cosmall, lifting, maximal_roots, minimal_degree_records, minimal_degrees,
+    point_class_degree,
 )
 from mindeg.exceptions import (
     ConsistencyError, InvalidDegreeError, NotMinimalDegreeError, ResourceGuardError,
@@ -18,7 +18,8 @@ from mindeg.weyl import bruhat_leq, compose, identity, longest_element
 
 from oracles import (
     box_scan_is_minimal_degree, box_scan_minimal_degrees,
-    hecke_curve_neighborhood_element, linear_scan_lifting, pairwise_maximal_roots,
+    hecke_curve_neighborhood_element, is_maximal_coset_representative,
+    linear_scan_lifting, minimal_coset_representative, pairwise_maximal_roots,
 )
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -86,7 +87,6 @@ def _greedy_sequences(p, d):
 @pytest.mark.parametrize("label", ["A2", "A3", "B2", "B3", "G2"])
 def test_z_independent_of_greedy_ordering(label):
     from mindeg.weyl import hecke_product, reflection
-    from mindeg.curve_nbhd import minimal_coset_representative
     rs = build_root_system(label)
     for p in all_parabolics(rs):
         top = point_class_degree(p)
@@ -290,6 +290,59 @@ def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2)
         is_minimal_degree(p, top)
 
 
+def test_certificate_walks_each_distinct_pair_once(monkeypatch, cold_curve_nbhd, b3):
+    calls = []
+    real = curve_nbhd.bruhat_leq
+
+    def counted(u, v):
+        calls.append((u, v))
+        return real(u, v)
+
+    monkeypatch.setattr(curve_nbhd, "bruhat_leq", counted)
+    edges = walks = 0
+    for p in all_parabolics(b3):
+        minimal_degrees(p)
+        # minimal_degrees tests every degree below the frontier degrees top + e_i
+        top = point_class_degree(p)
+        tops = [top[:i] + (c + 1,) + top[i + 1:] for i, c in enumerate(top)] or [top]
+        box = {d for t in tops for d in itertools.product(*(range(c + 1) for c in t))}
+        z = {d: hecke_curve_neighborhood_element(p, d) for d in box}
+        pairs = set()
+        for c in box:
+            for i in range(len(c)):
+                if c[i]:
+                    edges += 1
+                    pairs.add((z[c[:i] + (c[i] - 1,) + c[i + 1:]], z[c]))
+        walks += sum(u != v for u, v in pairs)
+    assert len(calls) == walks < edges
+
+
+def _reversed(real, top):
+    def reversed_z(q, d):
+        return real(q, tuple(t - c for t, c in zip(top, d)))
+    return reversed_z
+
+
+def _equal_length_swap(real, top):
+    def swapped_z(q, d):
+        # z_(1,1) read as z_(1,0) = s1: the edge up from z_(0,1) = s2 then
+        # joins two unequal elements of one length
+        return real(q, (1, 0) if d == top else d)
+    return swapped_z
+
+
+@pytest.mark.parametrize("fake", [_reversed, _equal_length_swap])
+def test_a_failed_pair_is_never_remembered(monkeypatch, cold_curve_nbhd, a2, fake):
+    p = borel(a2)
+    top = point_class_degree(p)
+    assert top == (1, 1)
+    real = curve_nbhd.curve_neighborhood_element
+    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element", fake(real, top))
+    for _ in range(5):  # one call more than the box below top has unit edges
+        with pytest.raises(ConsistencyError, match="not monotone"):
+            is_minimal_degree(p, top)
+
+
 @pytest.mark.parametrize("label", ORACLE_TYPES + ["F4"])
 def test_recursion_matches_whole_hecke_product(label):
     rs = build_root_system(label)
@@ -303,7 +356,7 @@ def test_z_is_computed_without_whole_products(monkeypatch, cold_curve_nbhd, b3):
     def forbidden(*args):
         raise AssertionError("called")
 
-    for name in ("greedy_decomposition", "minimal_coset_representative", "compose"):
+    for name in ("greedy_decomposition", "compose"):
         monkeypatch.setattr(curve_nbhd, name, forbidden)
     monkeypatch.setattr(weyl, "hecke_product", forbidden)
     for p in all_parabolics(b3):

@@ -164,3 +164,19 @@ def test_simple_type_parsing():
     assert str(SimpleType.parse("B10")) == "B10"
     with pytest.raises(InadmissibleRankError):
         SimpleType.parse("X5")
+
+
+def test_pickling_keeps_root_system_identity(b3):
+    import pickle
+
+    from mindeg.parabolic import Parabolic
+    from mindeg.weyl import bruhat_leq, longest_element
+
+    assert pickle.loads(pickle.dumps(b3)) is b3
+    p = Parabolic(b3, frozenset({2}))
+    p.w_p  # a cached property travels in the pickled state too
+    for original in (longest_element(b3), b3.highest_root, p):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and copy.system is b3
+    w = longest_element(b3)
+    assert bruhat_leq(pickle.loads(pickle.dumps(w)), w)

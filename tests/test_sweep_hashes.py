@@ -30,6 +30,7 @@ SWEEP_SHA256 = {
     "D3": "799c1f4ddbaef63715fa42e01b3ef1be5bb230b6c8a0c288999b92f0ac3fdf7a",
     "D4": "f5ace7e5bc264b066f6f1475df3c6c9c5995cfc96f47ef1e6d9e8b93ce16a6a6",
     "D5": "f1027754d9343639ad5ae7746e2e8a19ac984fe5dace0d585050a6d89f1fb527",
+    "E6": "a66949e1c456feef164a49fefc8a8386412c97015bc469f8f50e56666b0f40ce",
     "F4": "860f67249e10bed964034f507d7a33b0c6513173230334c43cfda3a8172343b2",
     "G2": "ee664a3fa9d9054b689e0b9355f926d5990e160d7c025f4f8bae48b2a5c3bab3",
 }
