@@ -1,40 +1,60 @@
 """Greedy decompositions, curve-neighborhood Weyl elements, minimal degrees.
 
-The search for minimal degrees runs over the componentwise box below the
-degree joining two general points, plus a one-step frontier scan that turns
-the box bound into a checked assumption (BoundViolationError on escape).
-
 z_d is built from z_{d - alpha^vee} by one left Hecke step with s_alpha,
-alpha the first greedy root of d, and memoized per degree, so a box costs
-one short step per degree instead of a whole Hecke product each. A box of
-more than a million degrees is refused (ResourceGuardError) before a scan.
+alpha the first greedy root of d, and memoized per degree:
+z_d W_P = s_alpha * z_{d - alpha^vee} W_P.
 
-Minimality is decided on unit edges only: d is minimal iff z_{d-e_i} != z_d
-for every i with d_i > 0. That is equivalent to the definition because z_d
-is monotone in d (Buch-Mihalcea, Curve neighborhoods of Schubert varieties,
-J. Differential Geom. 99 (2015)); the monotonicity is not assumed but checked
-on every unit edge of the box below d: an edge with z_{d-e_i} == z_d holds
-trivially, and bruhat_leq runs once per distinct pair (z_{d-e_i}, z_d) of
-each parabolic.
+A degree d is minimal when no strictly smaller effective degree reaches a
+Bruhat-larger z. The minimal degrees are generated from 0; why that is sound:
+
+- Unit edges. z is monotone in d (Buch-Mihalcea, Curve neighborhoods of
+  Schubert varieties, J. Differential Geom. 99 (2015)), so d is minimal iff
+  z_{d-e_i} != z_d for every i with d_i > 0.
+- Completeness on G/B. Neighborhoods compose, X(w) having the degree-d
+  neighborhood X(w * z_d) (ibid.), so z_{a+b} >= z_a * z_b, and
+  z_{alpha^vee} >= s_alpha. Let e be minimal with first greedy root alpha
+  and tail d = e - alpha^vee, so z_e = s_alpha * z_d. If some d' < d had
+  z_{d'} >= z_d, then z_{d'+alpha^vee} >= s_alpha * z_{d'} >= z_e with
+  d' + alpha^vee < e. So the tail is minimal, and a search from 0 over the
+  children d + alpha^vee whose first greedy root is alpha meets every
+  minimal degree, each once: a child's first greedy root fixes its parent.
+- The length criterion on G/B. Such a child e of a minimal d is minimal iff
+  l(z_e) = l(z_d) + l(s_alpha), i.e. s_alpha * z_d is a reduced product: the
+  minimal-degree/shortest-path correspondence of the quantum Bruhat graph
+  (Fulton-Woodward, J. Algebraic Geom. 13 (2004); Postnikov, Quantum Bruhat
+  graph and Schubert polynomials, Proc. AMS 133 (2005)).
+- G/P by projection. A curve through 1P lifts to a curve through 1B whose
+  degree e projects onto its own, and the degree-d neighborhood of 1P is
+  irreducible, so z_d W_P = z_e W_P for such an e. A minimal e_0 <= e with
+  z_{e_0} = z_e projects to a degree <= d that still reaches z_d, which for
+  minimal d is d. So the unit-edge test on the projections of the full-flag
+  minimal degrees finds every minimal degree of G/P. The lifting of d (the
+  full-flag e with z_e = z_d w_P) is looked up by z in the full-flag set.
+
+Each accepted degree is checked locally, raising ConsistencyError: on G/B
+the unit-edge test must agree with the length criterion, z_{d-e_i} <= z_d
+on each unit edge, and exactly one minimal degree, the point-class degree,
+reaches the longest coset. The full-flag search is refused
+(ResourceGuardError) once it accepts more than _MAX_BOREL_DEGREES degrees,
+and at once when 2^rank does: each degree sum_{i in S} alpha_i^vee is
+minimal, as a smaller degree is supported on some S' < S, so its z lies in
+W_{S'}, while z_d >= s_i for every i in S.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .exceptions import (
-    BoundViolationError, ConsistencyError, LiftingNotFoundError,
-    LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
-    UniquenessViolationError,
+    ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError,
+    NotMinimalDegreeError, ResourceGuardError,
 )
 from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem, root_leq
 from .weyl import (
     WeylElement, bruhat_leq, compose, hecke_reflection_on_coset, identity,
-    is_descent, longest_element,
+    is_descent, longest_element, reflection,
 )
 
 __all__ = [
@@ -45,9 +65,10 @@ __all__ = [
 ]
 
 
-# The most degrees one box below a degree may hold before a scan is refused.
-# E7/B's point-class box holds 181,440 degrees, E8/B's 18,243,225.
-_MAX_BOX_DEGREES = 10 ** 6
+# The most full-flag minimal degrees the enumeration may accept before it is
+# refused. E8/B has 4,474, A10/B 5,798 (the largest G/B the box scan answered),
+# C9/B 6,046 and A11/B 15,511.
+_MAX_BOREL_DEGREES = 6_000
 
 
 @lru_cache(maxsize=None)
@@ -87,11 +108,16 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """
     p.check_degree(d)
     roots, fits, above = _root_table(p)
-    cands = (1 << len(roots)) - 1
-    for fit, c in zip(fits, d):
-        cands &= fit[min(c, len(fit) - 1)]
+    cands = _fitting(fits, d, (1 << len(roots)) - 1)
     return tuple(a for j, a in enumerate(roots)
                  if cands >> j & 1 and not above[j] & cands)
+
+
+def _fitting(fits, d: Degree, cands: int) -> int:
+    """The roots of the mask cands whose projected coroot is <= d (see _root_table)."""
+    for fit, c in zip(fits, d):
+        cands &= fit[min(c, len(fit) - 1)]
+    return cands
 
 
 def _greedy_step(p: Parabolic, d: Degree) -> tuple[Root, Degree]:
@@ -166,15 +192,6 @@ def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     return _z_pair(p, d)[0]
 
 
-def _check_box_size(p: Parabolic, d: Degree) -> None:
-    """Refuse, before any scan, a box below d of more than _MAX_BOX_DEGREES degrees."""
-    size = math.prod(c + 1 for c in d)
-    if size > _MAX_BOX_DEGREES:
-        raise ResourceGuardError(
-            f"the box below {d} on {p} holds {size} degrees, "
-            f"more than the guard's {_MAX_BOX_DEGREES}")
-
-
 def _unit_steps_down(d: Degree):
     """The degrees d - e_i, over the coordinates i with d_i > 0."""
     for i, c in enumerate(d):
@@ -182,133 +199,113 @@ def _unit_steps_down(d: Degree):
             yield d[:i] + (c - 1,) + d[i + 1:]
 
 
-@lru_cache(maxsize=None)
-def _monotone_certified(p: Parabolic) -> set[Degree]:
-    """Degrees of p below which z is checked monotone on every unit edge."""
-    return set()
+def _passes_unit_edges(p: Parabolic, d: Degree, z: WeylElement) -> bool:
+    """The unit-edge test: z_{d-e_i} != z_d for every i with d_i > 0.
 
-
-@lru_cache(maxsize=None)
-def _monotone_pairs(p: Parabolic) -> set[tuple[WeylElement, WeylElement]]:
-    """Unequal pairs (u, z) of elements of p for which bruhat_leq(u, z) held."""
-    return set()
-
-
-def _certify_monotone(p: Parabolic, d: Degree) -> None:
-    """Check z_{c-e_i} <= z_c in Bruhat order on every unit edge of the box below d.
-
-    Walks the box iteratively (its depth is sum(d)) and skips degrees whose
-    box is already certified, so each edge is visited once per parabolic.
-    Bruhat order depends only on the two elements, so an edge with
-    z_{c-e_i} == z_c needs no walk and bruhat_leq runs once per distinct pair
-    per parabolic; a pair is remembered only after it passes. Monotonicity on
-    the unit edges gives it on the whole box by transitivity.
+    A degree that passes also has each z_{d-e_i} checked below z_d in Bruhat
+    order, which is the monotonicity the test rests on.
     """
-    certified = _monotone_certified(p)
-    if d in certified:
-        return
-    _check_box_size(p, d)
-    verified = _monotone_pairs(p)
-    seen = {d}
-    stack = [d]
-    while stack:
-        c = stack.pop()
-        z = curve_neighborhood_element(p, c)
-        for below in _unit_steps_down(c):
-            u = curve_neighborhood_element(p, below)
-            if u != z and (u, z) not in verified:
-                if not bruhat_leq(u, z):
-                    raise ConsistencyError(
-                        f"z is not monotone on {p}: z_{below} is not below z_{c}")
-                verified.add((u, z))
-            if below not in certified and below not in seen:
-                seen.add(below)
-                stack.append(below)
-    certified |= seen
+    below = []
+    for c in _unit_steps_down(d):
+        u = curve_neighborhood_element(p, c)
+        if u == z:
+            return False
+        below.append((c, u))
+    for c, u in below:
+        if not bruhat_leq(u, z):
+            raise ConsistencyError(f"z is not monotone on {p}: z_{c} is not below z_{d}")
+    return True
+
+
+def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
+    """The minimal degrees of G/B with their z, by a breadth-first search from 0."""
+    rs = b.system
+    if 2 ** rs.rank > _MAX_BOREL_DEGREES:  # the 0/1 degrees alone pass the cap
+        raise ResourceGuardError(
+            f"{rs.simple_type} has at least {2 ** rs.rank} full-flag minimal degrees, "
+            f"more than the {_MAX_BOREL_DEGREES} the enumeration accepts")
+    roots, fits, _ = _root_table(b)
+    steps = [(j, project_coroot(b, a), reflection(rs, a).length)
+             for j, a in enumerate(roots)]
+    found = {b.zero_degree: identity(rs)}
+    queue = [b.zero_degree]
+    for d in queue:
+        # checked when taken from the queue, so a refusal skips the last checks
+        if not _passes_unit_edges(b, d, found[d]):
+            raise ConsistencyError(
+                f"the length criterion accepts {d} on {b}, "
+                f"but a unit edge below it reaches the same z")
+        length = found[d].length
+        for j, coroot, step in steps:
+            e = tuple(x + y for x, y in zip(d, coroot))
+            # the first root in greedy order that fits below e is maximal (a
+            # root above it is lexicographically larger, so it comes earlier),
+            # hence e's first greedy root; skip e unless that is alpha
+            if _fitting(fits, e, (1 << j) - 1):
+                continue
+            z = curve_neighborhood_element(b, e)
+            if z.length != length + step:
+                continue
+            found[e] = z
+            queue.append(e)
+            if len(found) > _MAX_BOREL_DEGREES:
+                raise ResourceGuardError(
+                    f"{rs.simple_type} has more than {_MAX_BOREL_DEGREES} full-flag "
+                    f"minimal degrees, the most the enumeration accepts")
+    return found
+
+
+@lru_cache(maxsize=None)
+def _minimal(p: Parabolic) -> tuple[dict[Degree, WeylElement], Degree]:
+    """The minimal degrees of p with their z, and the point-class degree.
+
+    On G/P the candidates are the projections of the full-flag minimal
+    degrees, kept when they pass the unit-edge test.
+    """
+    if not p.positions:
+        found = _borel_minimal(p)
+    else:
+        found, seen = {}, set()
+        for e in _minimal(borel(p.system))[0]:
+            d = tuple(e[i] for i in p.quotient_positions)
+            if d not in seen:
+                seen.add(d)
+                z = curve_neighborhood_element(p, d)
+                if _passes_unit_edges(p, d, z):
+                    found[d] = z
+    target = compose(longest_element(p.system), p.w_p)
+    tops = [d for d, z in found.items() if z == target]
+    if len(tops) != 1:
+        raise ConsistencyError(
+            f"{len(tops)} minimal degrees of {p} reach the longest coset: {tops}")
+    return found, tops[0]
 
 
 @lru_cache(maxsize=None)
 def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
-    """No strictly smaller effective degree reaches a Bruhat-larger element.
-
-    With z certified monotone on the box below d, a smaller degree can only
-    reach z_d itself, and if one does, so does some d - e_i.
-    """
+    """No strictly smaller effective degree reaches a Bruhat-larger element."""
     p.check_degree(d)
-    _certify_monotone(p, d)
-    z = curve_neighborhood_element(p, d)
-    return all(curve_neighborhood_element(p, below) != z for below in _unit_steps_down(d))
+    return d in _minimal(p)[0]
 
 
 @lru_cache(maxsize=None)
 def point_class_degree(p: Parabolic) -> Degree:
-    """The smallest degree whose curve neighborhood reaches the longest coset.
-
-    Found by coordinate descent from a saturating degree; the enumeration in
-    minimal_degrees re-checks minimality and uniqueness over the whole box.
-    """
-    rs = p.system
-    target = compose(longest_element(rs), p.w_p)
-    k = len(p.quotient_positions)
-    if k == 0:
-        if curve_neighborhood_element(p, ()) != target:
-            raise ConsistencyError("trivial quotient must reach the longest coset at 0")
-        return ()
-    start = None
-    for b in (1, 2, 4, 8, 16, 32, 64):
-        if curve_neighborhood_element(p, (b,) * k) == target:
-            start = (b,) * k
-            break
-    if start is None:
-        raise BoundViolationError("no saturating degree below the probe bound 64")
-    d = list(start)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k):
-            while d[i] > 0:
-                trial = tuple(d[:i] + [d[i] - 1] + d[i + 1:])
-                if curve_neighborhood_element(p, trial) == target:
-                    d[i] -= 1
-                    changed = True
-                else:
-                    break
-    return tuple(d)
+    """The smallest degree whose curve neighborhood reaches the longest coset."""
+    return _minimal(p)[1]
 
 
 @lru_cache(maxsize=None)
 def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
-    """All minimal degrees, searched over the box below point_class_degree."""
-    rs = p.system
-    d_top = point_class_degree(p)
-    _check_box_size(p, d_top)
-    for i, c in enumerate(d_top):  # the frontier scan certifies these larger boxes
-        _check_box_size(p, d_top[:i] + (c + 1,) + d_top[i + 1:])
-    target = compose(longest_element(rs), p.w_p)
-    found = []
-    for d in itertools.product(*(range(c + 1) for c in d_top)):
-        if d != d_top and curve_neighborhood_element(p, d) == target:
-            raise UniquenessViolationError(
-                f"{d} below {d_top} also reaches the longest coset")
-        if is_minimal_degree(p, d):
-            found.append(d)
-    for i in range(len(d_top)):
-        ranges = [range(c + 1) for c in d_top]
-        ranges[i] = range(d_top[i] + 1, d_top[i] + 2)
-        for d in itertools.product(*ranges):
-            if is_minimal_degree(p, d):
-                raise BoundViolationError(
-                    f"minimal degree {d} escaped the search box below {d_top}")
-    return tuple(sorted(found))
+    """All minimal degrees of p, sorted."""
+    return tuple(sorted(_minimal(p)[0]))
 
 
 @lru_cache(maxsize=None)
 def _liftings(rs: RootSystem) -> dict[WeylElement, list[Degree]]:
     """The full-flag minimal degrees of rs, grouped by their z."""
-    b = borel(rs)
     out = {}
-    for e in minimal_degrees(b):
-        out.setdefault(curve_neighborhood_element(b, e), []).append(e)
+    for e, z in _minimal(borel(rs))[0].items():
+        out.setdefault(z, []).append(e)
     return out
 
 

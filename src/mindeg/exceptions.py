@@ -29,10 +29,6 @@ class NotMinimalDegreeError(MindegError, ValueError):
     """The degree is not a minimal degree, but the operation requires one."""
 
 
-class BoundViolationError(MindegError, RuntimeError):
-    """The enumeration bound heuristic failed (a minimal degree escaped it)."""
-
-
 class UniquenessViolationError(MindegError, RuntimeError):
     """An object asserted to be unique is missing or not unique."""
 
@@ -58,7 +54,7 @@ class ExceptionalCaseError(MindegError):
 
 
 class ResourceGuardError(MindegError, ValueError):
-    """A request exceeds a resource guard: the sweep rank cap or the box-size bound."""
+    """A request exceeds a resource guard: the sweep rank cap or the full-flag degree cap."""
 
 
 class InvalidConfigError(MindegError, ValueError):

@@ -3,12 +3,14 @@
 These deliberately avoid the code paths they check: root sets come from
 explicit epsilon-coordinate models, Bruhat order from the subword property,
 centers from commutation against every generator, maximal roots from a
-pairwise comparison, minimality from a scan of the whole box below a degree,
-liftings from a linear scan, curve-neighborhood elements from the Hecke
-product of a whole greedy decomposition, coset representatives by stripping
-right descents one at a time, the Weyl action from simple reflections on
-unpacked coefficient vectors, and Q(i)-spans from Gauss-Jordan elimination
-over pairs of Fractions.
+pairwise comparison, minimality from a scan of the whole box below a degree
+(or, where that is too slow, from the unit-edge test over the point-class box
+and its frontier under a monotonicity certificate), the point-class degree
+by coordinate descent, liftings from a linear scan, curve-neighborhood
+elements from the Hecke product of a whole greedy decomposition, coset
+representatives by stripping right descents one at a time, the Weyl action
+from simple reflections on unpacked coefficient vectors, and Q(i)-spans from
+Gauss-Jordan elimination over pairs of Fractions.
 """
 
 from __future__ import annotations
@@ -16,15 +18,15 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from mindeg.curve_nbhd import (
-    borel, curve_neighborhood_element, greedy_decomposition, point_class_degree,
+from mindeg.curve_nbhd import borel, curve_neighborhood_element, greedy_decomposition
+from mindeg.exceptions import (
+    ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError, UniquenessViolationError,
 )
-from mindeg.exceptions import ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError
 from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
 from mindeg.root_system import Root, RootSystem, reflect, root_leq
 from mindeg.weyl import (
     WeylElement, all_elements, bruhat_leq, compose, hecke_product, identity,
-    is_descent, mul_gen, reduced_word, reflection, simple_reflection,
+    is_descent, longest_element, mul_gen, reduced_word, reflection, simple_reflection,
 )
 
 
@@ -99,6 +101,27 @@ def pairwise_maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     return tuple(sorted(maxima, key=lambda r: r.coeffs, reverse=True))
 
 
+def box_scan_point_class_degree(p: Parabolic) -> Degree:
+    """The smallest degree whose z is the longest coset, by coordinate descent
+    from a saturating degree (z is monotone, so the descent ends at it)."""
+    target = compose(longest_element(p.system), p.w_p)
+    k = len(p.quotient_positions)
+    start = next((b,) * k for b in (0, 1, 2, 4, 8, 16, 32, 64)
+                 if curve_neighborhood_element(p, (b,) * k) == target)
+    d = list(start)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k):
+            while d[i] > 0:
+                trial = tuple(d[:i] + [d[i] - 1] + d[i + 1:])
+                if curve_neighborhood_element(p, trial) != target:
+                    break
+                d[i] -= 1
+                changed = True
+    return tuple(d)
+
+
 def box_scan_is_minimal_degree(p: Parabolic, d: Degree) -> bool:
     """The definition: no strictly smaller effective degree reaches a
     Bruhat-larger element, checked against every degree in the box below d."""
@@ -114,8 +137,77 @@ def box_scan_is_minimal_degree(p: Parabolic, d: Degree) -> bool:
 
 def box_scan_minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     """The degrees in the box below the point-class degree that pass the box scan."""
-    return tuple(d for d in itertools.product(*(range(c + 1) for c in point_class_degree(p)))
+    return tuple(d for d in itertools.product(*(range(c + 1) for c in box_scan_point_class_degree(p)))
                  if box_scan_is_minimal_degree(p, d))
+
+
+def _unit_steps_down(d: Degree):
+    for i, c in enumerate(d):
+        if c:
+            yield d[:i] + (c - 1,) + d[i + 1:]
+
+
+def certify_monotone(p: Parabolic, d: Degree, certified: set, verified: set) -> None:
+    """Check z_{c-e_i} <= z_c in Bruhat order on every unit edge of the box below d.
+
+    Walks the box iteratively and skips degrees in certified (whose boxes are
+    already checked), so each edge is visited once per certified set. An edge
+    with z_{c-e_i} == z_c needs no walk, and bruhat_leq runs once per distinct
+    pair (z_{c-e_i}, z_c) in verified; a pair is added only after it passes.
+    Monotonicity on the unit edges gives it on the whole box by transitivity.
+    """
+    if d in certified:
+        return
+    seen = {d}
+    stack = [d]
+    while stack:
+        c = stack.pop()
+        z = curve_neighborhood_element(p, c)
+        for below in _unit_steps_down(c):
+            u = curve_neighborhood_element(p, below)
+            if u != z and (u, z) not in verified:
+                if not bruhat_leq(u, z):
+                    raise ConsistencyError(
+                        f"z is not monotone on {p}: z_{below} is not below z_{c}")
+                verified.add((u, z))
+            if below not in certified and below not in seen:
+                seen.add(below)
+                stack.append(below)
+    certified |= seen
+
+
+def certified_box_scan_minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
+    """The minimal degrees by the certified box scan.
+
+    Every degree of the box below the point-class degree gets the unit-edge
+    test (d is minimal iff z_{d-e_i} != z_d for every i with d_i > 0) after z
+    is certified monotone on the box below it; only the point-class degree may
+    reach the longest coset, and the one-step frontier outside the box must
+    hold no minimal degree. Costs one z per degree of the boxes, so it reaches
+    E7 but not E8.
+    """
+    certified, verified = set(), set()
+
+    def is_minimal(d):
+        certify_monotone(p, d, certified, verified)
+        z = curve_neighborhood_element(p, d)
+        return all(curve_neighborhood_element(p, c) != z for c in _unit_steps_down(d))
+
+    top = box_scan_point_class_degree(p)
+    target = compose(longest_element(p.system), p.w_p)
+    found = []
+    for d in itertools.product(*(range(c + 1) for c in top)):
+        if d != top and curve_neighborhood_element(p, d) == target:
+            raise UniquenessViolationError(f"{d} below {top} also reaches the longest coset")
+        if is_minimal(d):
+            found.append(d)
+    for i in range(len(top)):
+        ranges = [range(c + 1) for c in top]
+        ranges[i] = range(top[i] + 1, top[i] + 2)
+        for d in itertools.product(*ranges):
+            if is_minimal(d):
+                raise ConsistencyError(f"minimal degree {d} escaped the search box below {top}")
+    return tuple(sorted(found))
 
 
 def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:
@@ -147,12 +239,12 @@ def hecke_curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     return z
 
 
-def linear_scan_lifting(p: Parabolic, d: Degree) -> Degree:
-    """The full-flag minimal degree e with z_e = z_d * w_P, by trying every e."""
+def linear_scan_lifting(p: Parabolic, d: Degree, full_flag: tuple[Degree, ...]) -> Degree:
+    """The full-flag minimal degree e with z_e = z_d * w_P, by trying every e
+    of full_flag, the full-flag minimal degrees found by an oracle."""
     b = borel(p.system)
     want = compose(curve_neighborhood_element(p, d), p.w_p)
-    matches = [e for e in box_scan_minimal_degrees(b)
-               if curve_neighborhood_element(b, e) == want]
+    matches = [e for e in full_flag if curve_neighborhood_element(b, e) == want]
     if not matches:
         raise LiftingNotFoundError(f"no full-flag minimal degree lifts {d}")
     if len(matches) > 1:

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from mindeg import curve_nbhd, weyl
+from mindeg.cli import main
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
     is_p_cosmall, lifting, maximal_roots, minimal_degree_records, minimal_degrees,
@@ -14,12 +15,13 @@ from mindeg.exceptions import (
 )
 from mindeg.parabolic import Parabolic, degree_leq, project_coroot
 from mindeg.root_system import build_root_system
-from mindeg.weyl import bruhat_leq, compose, identity, longest_element
+from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
 
 from oracles import (
-    box_scan_is_minimal_degree, box_scan_minimal_degrees,
-    hecke_curve_neighborhood_element, is_maximal_coset_representative,
-    linear_scan_lifting, minimal_coset_representative, pairwise_maximal_roots,
+    box_scan_is_minimal_degree, box_scan_minimal_degrees, box_scan_point_class_degree,
+    certified_box_scan_minimal_degrees, hecke_curve_neighborhood_element,
+    is_maximal_coset_representative, linear_scan_lifting, minimal_coset_representative,
+    pairwise_maximal_roots,
 )
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -254,6 +256,7 @@ def test_maximal_roots_match_pairwise_scan(label):
 @pytest.mark.parametrize("label", ORACLE_TYPES)
 def test_unit_edge_minimality_matches_box_scan(label):
     rs = build_root_system(label)
+    full_flag = box_scan_minimal_degrees(borel(rs))
     for p in all_parabolics(rs):
         found = minimal_degrees(p)
         assert found == box_scan_minimal_degrees(p), p
@@ -261,7 +264,19 @@ def test_unit_edge_minimality_matches_box_scan(label):
         for d in itertools.product(*(range(c + 2) for c in top)):
             assert is_minimal_degree(p, d) == box_scan_is_minimal_degree(p, d), (p, d)
         for d in found:
-            assert lifting(p, d) == linear_scan_lifting(p, d), (p, d)
+            assert lifting(p, d) == linear_scan_lifting(p, d, full_flag), (p, d)
+
+
+@pytest.mark.parametrize("label", ["A5", "B5", "C5", "D5", "F4"])
+def test_enumeration_matches_certified_box_scan(label):
+    rs = build_root_system(label)
+    full_flag = certified_box_scan_minimal_degrees(borel(rs))
+    for p in all_parabolics(rs):
+        found = minimal_degrees(p)
+        assert found == certified_box_scan_minimal_degrees(p), p
+        assert point_class_degree(p) == box_scan_point_class_degree(p), p
+        for d in found:
+            assert lifting(p, d) == linear_scan_lifting(p, d, full_flag), (p, d)
 
 
 @pytest.fixture
@@ -276,71 +291,89 @@ def cold_curve_nbhd():
     clear()
 
 
-def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2):
-    p = borel(a2)
-    top = point_class_degree(p)
-    real = curve_nbhd.curve_neighborhood_element
-
-    def reversed_z(q, d):
-        # z read backwards along the box: z_0 becomes w_o, z_top the identity
-        return real(q, tuple(t - c for t, c in zip(top, d)))
-
-    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element", reversed_z)
-    with pytest.raises(ConsistencyError, match="not monotone"):
-        is_minimal_degree(p, top)
-
-
-def test_certificate_walks_each_distinct_pair_once(monkeypatch, cold_curve_nbhd, b3):
-    calls = []
-    real = curve_nbhd.bruhat_leq
-
-    def counted(u, v):
-        calls.append((u, v))
-        return real(u, v)
-
-    monkeypatch.setattr(curve_nbhd, "bruhat_leq", counted)
-    edges = walks = 0
-    for p in all_parabolics(b3):
-        minimal_degrees(p)
-        # minimal_degrees tests every degree below the frontier degrees top + e_i
-        top = point_class_degree(p)
-        tops = [top[:i] + (c + 1,) + top[i + 1:] for i, c in enumerate(top)] or [top]
-        box = {d for t in tops for d in itertools.product(*(range(c + 1) for c in t))}
-        z = {d: hecke_curve_neighborhood_element(p, d) for d in box}
-        pairs = set()
-        for c in box:
-            for i in range(len(c)):
-                if c[i]:
-                    edges += 1
-                    pairs.add((z[c[:i] + (c[i] - 1,) + c[i + 1:]], z[c]))
-        walks += sum(u != v for u, v in pairs)
-    assert len(calls) == walks < edges
+def _read_z_as(real, swaps):
+    """z with the degrees in swaps read as other degrees."""
+    def fake_z(q, d):
+        return real(q, swaps.get(d, d))
+    return fake_z
 
 
 def _reversed(real, top):
     def reversed_z(q, d):
+        # z read backwards along the box: z_0 becomes w_o, z_top the identity
         return real(q, tuple(t - c for t, c in zip(top, d)))
     return reversed_z
 
 
 def _equal_length_swap(real, top):
-    def swapped_z(q, d):
-        # z_(1,1) read as z_(1,0) = s1: the edge up from z_(0,1) = s2 then
-        # joins two unequal elements of one length
-        return real(q, (1, 0) if d == top else d)
-    return swapped_z
+    # z_(0,0) read as z_(0,1) = s2: the edge up to z_(1,0) = s1 then joins two
+    # unequal elements of one length
+    return _read_z_as(real, {(0, 0): (0, 1)})
+
+
+# A2/B, whose point-class degree is (1, 1). The enumeration takes z_0 = 1 as
+# given and reads every other z through curve_neighborhood_element.
+A2_TOP = (1, 1)
+
+
+def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2):
+    p = borel(a2)
+    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
+                        _reversed(curve_nbhd.curve_neighborhood_element, A2_TOP))
+    with pytest.raises(ConsistencyError, match="not monotone"):
+        is_minimal_degree(p, A2_TOP)
 
 
 @pytest.mark.parametrize("fake", [_reversed, _equal_length_swap])
 def test_a_failed_pair_is_never_remembered(monkeypatch, cold_curve_nbhd, a2, fake):
     p = borel(a2)
-    top = point_class_degree(p)
-    assert top == (1, 1)
-    real = curve_nbhd.curve_neighborhood_element
-    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element", fake(real, top))
-    for _ in range(5):  # one call more than the box below top has unit edges
+    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
+                        fake(curve_nbhd.curve_neighborhood_element, A2_TOP))
+    for _ in range(5):  # nothing of a failed enumeration is kept
         with pytest.raises(ConsistencyError, match="not monotone"):
-            is_minimal_degree(p, top)
+            is_minimal_degree(p, A2_TOP)
+
+
+def test_length_criterion_disagreeing_with_unit_edges_is_a_consistency_error(
+        monkeypatch, cold_curve_nbhd, a2):
+    # z_(0,0) read as z_(1,0) = s1: (1, 0) passes the length criterion from
+    # z_0 = 1, but its unit edge down to (0, 0) then reaches the same z
+    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
+                        _read_z_as(curve_nbhd.curve_neighborhood_element, {(0, 0): (1, 0)}))
+    with pytest.raises(ConsistencyError, match="length criterion"):
+        minimal_degrees(borel(a2))
+
+
+@pytest.mark.parametrize("swaps, reach", [({(1, 1): (1, 0)}, 0), ({(0, 1): (1, 0)}, 2)])
+def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, cold_curve_nbhd, a2,
+                                                      swaps, reach):
+    # z_(1,1) read as s1 leaves no degree at w_o; z_(0,1) read as s1, with s1
+    # taken for the longest element, puts two degrees there
+    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
+                        _read_z_as(curve_nbhd.curve_neighborhood_element, swaps))
+    if reach == 2:
+        monkeypatch.setattr(curve_nbhd, "longest_element", lambda rs: simple_reflection(rs, 0))
+    with pytest.raises(ConsistencyError, match=f"{reach} minimal degrees .* longest coset"):
+        point_class_degree(borel(a2))
+
+
+def test_projections_failing_the_unit_edge_test_are_dropped(monkeypatch, cold_curve_nbhd, a2):
+    # On P^2 (A2, Delta_P = {2}) the full-flag degree (2, 0), which is not
+    # minimal, projects to (2), whose z equals z_(1): the projection is dropped
+    real = curve_nbhd._borel_minimal
+    monkeypatch.setattr(curve_nbhd, "_borel_minimal",
+                        lambda b: {**real(b), (2, 0): curve_neighborhood_element(b, (2, 0))})
+    assert minimal_degrees(Parabolic(a2, frozenset({2}))) == ((0,), (1,))
+
+
+@pytest.mark.parametrize("label", ["B6", "D6"])
+def test_enumeration_never_visits_the_box(cold_curve_nbhd, label):
+    p = borel(build_root_system(label))
+    top = point_class_degree(p)
+    computed = len(curve_nbhd._z_pairs(p))  # every degree whose z was computed
+    # the box below top holds 6,300 (B6) and 3,600 (D6) degrees, and the
+    # box scan with its frontier computed 15,495 and 9,240 z's
+    assert 3 * computed < math.prod(c + 1 for c in top)
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES + ["F4"])
@@ -375,26 +408,49 @@ def test_action_ignoring_delta_p_is_a_consistency_error(monkeypatch, cold_curve_
         minimal_degrees(Parabolic(b3, frozenset({2})))
 
 
-def test_box_guard_counts_the_degrees_of_each_box(monkeypatch, cold_curve_nbhd, b3):
-    p = borel(b3)
-    assert point_class_degree(p) == (2, 2, 2)  # a box of 27, frontier boxes of 36
-    monkeypatch.setattr(curve_nbhd, "_MAX_BOX_DEGREES", 35)
-    with pytest.raises(ResourceGuardError, match="below \\(3, 2, 2\\) .* holds 36 degrees"):
+def test_enumeration_guard_counts_accepted_degrees(monkeypatch, cold_curve_nbhd, capsys):
+    p = borel(build_root_system("A7"))  # 323 minimal degrees, 128 of them 0/1
+    monkeypatch.setattr(curve_nbhd, "_MAX_BOREL_DEGREES", 200)
+    with pytest.raises(ResourceGuardError, match="more than 200 full-flag minimal degrees"):
         minimal_degrees(p)
-    assert curve_nbhd._monotone_certified(p) == set()  # refused before any scan
-    monkeypatch.setattr(curve_nbhd, "_MAX_BOX_DEGREES", 26)
-    with pytest.raises(ResourceGuardError, match="holds 27 degrees"):
-        is_minimal_degree(p, (2, 2, 2))
-    assert is_minimal_degree(p, (2, 2, 1))  # 18 degrees
-    monkeypatch.setattr(curve_nbhd, "_MAX_BOX_DEGREES", 36)
-    assert minimal_degrees(p) == box_scan_minimal_degrees(p)
+    refused = len(curve_nbhd._z_pairs(p))
+    assert main(["cascade", "A7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    monkeypatch.setattr(curve_nbhd, "_MAX_BOREL_DEGREES", 322)
+    with pytest.raises(ResourceGuardError):
+        minimal_degrees(p)
+    monkeypatch.setattr(curve_nbhd, "_MAX_BOREL_DEGREES", 323)
+    assert len(minimal_degrees(p)) == 323
+    assert 2 * refused < len(curve_nbhd._z_pairs(p))  # the refusal stopped early
 
 
-def test_box_guard_sits_between_e7_and_e8(cold_curve_nbhd):
-    sizes = {label: math.prod(c + 1 for c in point_class_degree(borel(build_root_system(label))))
-             for label in ("E7", "E8")}
-    assert sizes == {"E7": 181_440, "E8": 18_243_225}
-    assert sizes["E7"] <= curve_nbhd._MAX_BOX_DEGREES < sizes["E8"]
+@pytest.mark.parametrize("label", ["A5", "B5", "C5", "D5", "E6", "F4", "G2"])
+def test_every_0_1_degree_is_minimal(label):
+    rs = build_root_system(label)
+    assert set(itertools.product((0, 1), repeat=rs.rank)) <= set(minimal_degrees(borel(rs)))
+
+
+def test_enumeration_guard_refuses_at_once_when_the_0_1_degrees_pass_it(
+        monkeypatch, cold_curve_nbhd):
+    p = borel(build_root_system("A7"))
+    monkeypatch.setattr(curve_nbhd, "_MAX_BOREL_DEGREES", 127)
+    with pytest.raises(ResourceGuardError, match="at least 128 full-flag minimal degrees"):
+        minimal_degrees(p)
+    assert len(curve_nbhd._z_pairs(p)) == 1  # only z_0: nothing was searched
+
+
+def test_enumeration_guard_admits_e8_and_refuses_a11(cold_curve_nbhd):
+    # full-flag minimal degrees, counted by the enumeration with the cap lifted;
+    # A10 is the largest G/B the box scan answered
+    counts = {"E7": 970, "E8": 4_474, "D9": 5_293, "A10": 5_798, "C9": 6_046,
+              "B9": 7_101, "A11": 15_511}
+    admitted = {t for t, n in counts.items() if n <= curve_nbhd._MAX_BOREL_DEGREES}
+    assert admitted == {"E7", "E8", "D9", "A10"}
+    assert 2 ** 8 <= curve_nbhd._MAX_BOREL_DEGREES  # E8 is not refused at once
+    with pytest.raises(ResourceGuardError, match="A13 has at least 8192"):
+        minimal_degrees(borel(build_root_system("A13")))
 
 
 def test_long_greedy_chain_does_not_exhaust_the_stack(cold_curve_nbhd):
