@@ -24,8 +24,7 @@ from .exceptions import (
 )
 from .parabolic import Parabolic
 from .report import (
-    SweepConfig, all_parabolic_subsets, case_reports, default_types, emit,
-    predictions_confirmed, run_sweep,
+    SweepConfig, case_reports, default_types, emit, predictions_confirmed, run_sweep,
 )
 from .root_system import SimpleType, build_root_system
 from .so7 import run_appendix_checks
@@ -128,12 +127,11 @@ def cmd_minimal_degrees(args) -> int:
 
 
 def cmd_key_inequality(args) -> int:
-    rs = build_root_system(args.type)
+    t = SimpleType.parse(args.type)
     if args.all_parabolics:
-        subsets = all_parabolic_subsets(rs.rank)
+        rows = run_sweep(SweepConfig(types=(t,)))
     else:
-        subsets = [_parse_indices(args.delta_p)]
-    rows = [r for dp in subsets for r in case_reports(args.type, dp)]
+        rows = case_reports(args.type, _parse_indices(args.delta_p))
     sys.stdout.write(emit(rows, "json"))
     return 0 if predictions_confirmed(rows) else 1
 
@@ -169,7 +167,7 @@ def cmd_sweep(args) -> int:
     if args.types:
         types = tuple(SimpleType.parse(t) for t in args.types.split(","))
     else:
-        types = default_types(args.max_rank, include_e6=args.include_e6)
+        types = default_types(args.max_rank)
     cfg = SweepConfig(types=types, max_rank=args.max_rank, workers=args.workers)
     reports = run_sweep(cfg)
     sys.stdout.write(emit(reports, args.format))
@@ -220,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rank", type=int, default=5)
     sp.add_argument("--format", choices=("json", "csv", "md"), default="json")
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--include-e6", action="store_true")
     sp.set_defaults(func=cmd_sweep)
     return parser
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 from .curve_nbhd import minimal_degree_records
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
-from .root_system import SimpleType, build_root_system
+from .root_system import SimpleType, admissible, build_root_system
 from .tangent_directions import (
     VERDICT_ONLY_AUT_X, key_inequality, quasi_homogeneity_verdict,
     tangent_direction_sets,
@@ -58,21 +58,10 @@ class SweepConfig:
     workers: int = 1
 
 
-def default_types(max_rank: int, include_e6: bool = False) -> tuple[SimpleType, ...]:
-    """All admissible non-E types up to max_rank; E6 only on request."""
-    out = []
-    for l in range(1, max_rank + 1):
-        out.append(SimpleType("A", l))
-    for fam, lo in (("B", 2), ("C", 2), ("D", 3)):
-        for l in range(lo, max_rank + 1):
-            out.append(SimpleType(fam, l))
-    if max_rank >= 4:
-        out.append(SimpleType("F", 4))
-    if max_rank >= 2:
-        out.append(SimpleType("G", 2))
-    if include_e6 and max_rank >= 6:
-        out.append(SimpleType("E", 6))
-    return tuple(sorted(out, key=lambda t: (t.family, t.rank)))
+def default_types(max_rank: int) -> tuple[SimpleType, ...]:
+    """Every admissible type of rank at most max_rank, by family and rank."""
+    return tuple(SimpleType(f, l) for f in "ABCDEFG" for l in range(1, max_rank + 1)
+                 if admissible(f, l))
 
 
 def all_parabolic_subsets(rank: int) -> tuple[tuple[int, ...], ...]:
@@ -129,6 +118,8 @@ def run_sweep(cfg: SweepConfig) -> list[CaseReport]:
         raise ResourceGuardError(f"sweeps are capped at rank {_MAX_SWEEP_RANK}")
     if cfg.workers < 1:
         raise InvalidConfigError(f"the worker count must be at least 1, got {cfg.workers}")
+    if not cfg.types:
+        raise InvalidConfigError("no types to sweep")
     tasks = []
     for t in dict.fromkeys(cfg.types):  # each type once, first occurrence kept
         if t.rank > cfg.max_rank:

@@ -19,7 +19,7 @@ from .exceptions import ConsistencyError, InadmissibleRankError, MixedRootSystem
 __all__ = [
     "SimpleType", "Root", "RootSystem", "build_root_system",
     "bilinear", "coroot_pairing", "reflect", "root_leq",
-    "coroot_coefficients", "is_long", "is_short",
+    "coroot_coefficients", "is_long", "is_short", "admissible",
 ]
 
 _FAMILIES = "ABCDEFG"
@@ -35,7 +35,7 @@ _ROOT_COUNTS = {
 }
 
 
-def _admissible(family: str, rank: int) -> bool:
+def admissible(family: str, rank: int) -> bool:
     return {
         "A": rank >= 1,
         "B": rank >= 2,
@@ -55,7 +55,7 @@ class SimpleType:
     rank: int
 
     def __post_init__(self):
-        if self.family not in _FAMILIES or not _admissible(self.family, self.rank):
+        if self.family not in _FAMILIES or not admissible(self.family, self.rank):
             raise InadmissibleRankError(f"no simple type {self.family}{self.rank}")
 
     @classmethod

@@ -12,32 +12,41 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .exactlinalg import SpanBuilder, intersect_spans, span_rank, spans_equal
+from .curve_nbhd import point_class_degree
+from .exactlinalg import SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal
+from .parabolic import Parabolic
+from .root_system import build_root_system
+from .tangent_directions import tangent_direction_sets
+from .weyl import longest_element
 
 __all__ = [
     "I", "Matrix7", "e_matrix", "epsilon", "RootVectorTable", "build_tables",
     "B3_POSITIVE", "B3_LEVI_POSITIVE", "G2_POSITIVE", "G2_LEVI_POSITIVE",
-    "g2_closure_basis", "CheckResult", "run_appendix_checks",
+    "g2_closure_basis", "subalgebra_bases", "CheckResult", "run_appendix_checks",
     "verify_bracket_rules", "verify_root_space_decomposition",
     "verify_inclusions", "verify_levi_bracket_spans_quotient",
     "verify_longest_element_restriction",
 ]
 
 _N = 7
+_DIM = _N * _N
 I = (0, 1)  # the imaginary unit as a Gaussian integer (re, im)
 
 
-@dataclass(frozen=True)
-class Matrix7:
-    """A 7x7 Gaussian-integer matrix: row-major integer real and imaginary parts."""
+class Matrix7(NamedTuple):
+    """A 7x7 Gaussian-integer matrix: row-major integer real and imaginary parts.
+
+    As a pair (re, im) it is also the vector that `exactlinalg` spans take.
+    """
 
     re: tuple[int, ...]
     im: tuple[int, ...]
 
     @classmethod
     def zero(cls) -> "Matrix7":
-        return cls((0,) * _N * _N, (0,) * _N * _N)
+        return cls((0,) * _DIM, (0,) * _DIM)
 
     def __add__(self, other: "Matrix7") -> "Matrix7":
         return Matrix7(tuple(a + b for a, b in zip(self.re, other.re)),
@@ -57,8 +66,8 @@ class Matrix7:
                        tuple(a * y + b * x for x, y in zip(self.re, self.im)))
 
     def __matmul__(self, other: "Matrix7") -> "Matrix7":
-        re, im = [0] * (_N * _N), [0] * (_N * _N)
-        for i in range(0, _N * _N, _N):
+        re, im = [0] * _DIM, [0] * _DIM
+        for i in range(0, _DIM, _N):
             for k in range(_N):
                 ar, ai = self.re[i + k], self.im[i + k]
                 if not (ar or ai):
@@ -88,19 +97,16 @@ class Matrix7:
     def is_zero(self) -> bool:
         return not (any(self.re) or any(self.im))
 
-    def vec(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.re, self.im
-
 
 def e_matrix(i: int, j: int) -> Matrix7:
     """E_[i,j] = E_ij - E_ji, 1-based indices."""
     if not (1 <= i <= _N and 1 <= j <= _N):
         raise IndexError(f"indices must lie in 1..7, got ({i}, {j})")
-    re = [0] * (_N * _N)
+    re = [0] * _DIM
     if i != j:
         re[_N * (i - 1) + j - 1] = 1
         re[_N * (j - 1) + i - 1] = -1
-    return Matrix7(tuple(re), (0,) * (_N * _N))
+    return Matrix7(tuple(re), (0,) * _DIM)
 
 
 def epsilon(k: int) -> Matrix7:
@@ -124,22 +130,28 @@ _G2_SIMPLE_EPS = (
     (Fraction(1, 3), Fraction(2, 3), Fraction(1, 3)),
     (Fraction(0), Fraction(-1), Fraction(-1)),
 )
+# the G2 Cartan basis in eps-coordinates: solutions of -x1 + x2 - x3 = 0
+_G2_CARTAN_EPS = ((1, 1, 0), (0, 1, 1))
+
+
+def _in_g2_cartan(v) -> bool:
+    return -v[0] + v[1] - v[2] == 0
+
+
+def _eps_coords(coeffs, simple_eps) -> tuple:
+    return tuple(sum(c * s[k] for c, s in zip(coeffs, simple_eps)) for k in range(3))
 
 
 def b3_eps_coords(coeffs) -> tuple[int, int, int]:
-    out = [0, 0, 0]
-    for c, simple in zip(coeffs, _B3_SIMPLE_EPS):
-        for k in range(3):
-            out[k] += c * simple[k]
-    return tuple(out)
+    return _eps_coords(coeffs, _B3_SIMPLE_EPS)
 
 
 def g2_eps_coords(coeffs) -> tuple[Fraction, Fraction, Fraction]:
-    out = [Fraction(0)] * 3
-    for c, simple in zip(coeffs, _G2_SIMPLE_EPS):
-        for k in range(3):
-            out[k] += c * simple[k]
-    return tuple(out)
+    return _eps_coords(coeffs, _G2_SIMPLE_EPS)
+
+
+def _neg(coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-c for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -173,8 +185,7 @@ def build_tables() -> RootVectorTable:
         (1, 2, 2): _combo((one, E(2, 4)), (-one, E(3, 5)), (mi, E(2, 5)), (mi, E(3, 4))),
     }
     for coeffs in list(b3):
-        neg = tuple(-c for c in coeffs)
-        b3[neg] = b3[coeffs].conjugate()
+        b3[_neg(coeffs)] = b3[coeffs].conjugate()
     g2 = {
         (1, 0): _combo(((0, 2), b3[(0, 1, 1)]), (one, b3[(1, 1, 2)])),
         (0, 1): b3[(0, -1, -2)],
@@ -184,8 +195,7 @@ def build_tables() -> RootVectorTable:
         (3, 2): b3[(1, 1, 0)],
     }
     for coeffs in list(g2):
-        neg = tuple(-c for c in coeffs)
-        g2[neg] = g2[coeffs].conjugate()
+        g2[_neg(coeffs)] = g2[coeffs].conjugate()
     return RootVectorTable(b3, g2, (epsilon(1), epsilon(2), epsilon(3)))
 
 
@@ -195,7 +205,7 @@ def _proportionality(x: Matrix7, y: Matrix7) -> tuple[Fraction, Fraction] | None
     At the first nonzero entry x_k, c = y_k*conj(x_k) / |x_k|^2 = num/den, and
     y == c*x is checked over the integers as den*y == num*x.
     """
-    k = next((k for k in range(_N * _N) if x.re[k] or x.im[k]), None)
+    k = next((k for k in range(_DIM) if x.re[k] or x.im[k]), None)
     if k is None:
         return None
     xr, xi, yr, yi = x.re[k], x.im[k], y.re[k], y.im[k]
@@ -206,84 +216,12 @@ def _proportionality(x: Matrix7, y: Matrix7) -> tuple[Fraction, Fraction] | None
     return Fraction(num[0], den), Fraction(num[1], den)
 
 
-# subspace bases, as tuples of Matrix7
-
-@lru_cache(maxsize=None)
-def cartan_b3_basis() -> tuple[Matrix7, ...]:
-    return (e_matrix(2, 3), e_matrix(4, 5), e_matrix(6, 7))
-
-
-@lru_cache(maxsize=None)
-def so7_basis() -> tuple[Matrix7, ...]:
-    return tuple(e_matrix(i, j) for i in range(1, _N + 1) for j in range(i + 1, _N + 1))
-
-
-@lru_cache(maxsize=None)
-def cartan_g2_basis() -> tuple[Matrix7, ...]:
-    # eps-coordinate solutions of -x1 + x2 - x3 = 0
-    return (epsilon(1) + epsilon(2), epsilon(2) + epsilon(3))
-
-
-def _vectors(mats) -> tuple:
-    return tuple(m.vec() for m in mats)
-
-
-@lru_cache(maxsize=None)
-def borel_b3_basis() -> tuple[Matrix7, ...]:
-    t = build_tables()
-    return cartan_b3_basis() + tuple(t.b3[c] for c in B3_POSITIVE)
-
-
-@lru_cache(maxsize=None)
-def parabolic_b3_basis() -> tuple[Matrix7, ...]:
-    t = build_tables()
-    negs = tuple(t.b3[tuple(-x for x in c)] for c in B3_LEVI_POSITIVE)
-    return borel_b3_basis() + negs
-
-
-@lru_cache(maxsize=None)
-def levi_b3_basis() -> tuple[Matrix7, ...]:
-    t = build_tables()
-    out = list(cartan_b3_basis())
-    for c in B3_LEVI_POSITIVE:
-        out.append(t.b3[c])
-        out.append(t.b3[tuple(-x for x in c)])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def borel_g2_basis() -> tuple[Matrix7, ...]:
-    t = build_tables()
-    return cartan_g2_basis() + tuple(t.g2[c] for c in G2_POSITIVE)
-
-
-@lru_cache(maxsize=None)
-def parabolic_g2_basis() -> tuple[Matrix7, ...]:
-    t = build_tables()
-    negs = tuple(t.g2[tuple(-x for x in c)] for c in G2_LEVI_POSITIVE)
-    return borel_g2_basis() + negs
-
-
-@lru_cache(maxsize=None)
-def levi_g2_basis() -> tuple[Matrix7, ...]:
-    t = build_tables()
-    out = list(cartan_g2_basis())
-    for c in G2_LEVI_POSITIVE:
-        out.append(t.g2[c])
-        out.append(t.g2[tuple(-x for x in c)])
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def g2_closure_basis() -> tuple[Matrix7, ...]:
     """Bracket closure of the four generating root vectors; a 14-dim algebra."""
     t = build_tables()
     gens = [t.g2[(1, 0)], t.g2[(0, 1)], t.g2[(-1, 0)], t.g2[(0, -1)]]
-    sb = SpanBuilder(_N * _N)
-    basis: list[Matrix7] = []
-    for g in gens:
-        if sb.add(g.vec()):
-            basis.append(g)
+    sb = SpanBuilder(_DIM)
+    basis = [g for g in gens if sb.add(g)]
     changed = True
     while changed:
         changed = False
@@ -291,10 +229,42 @@ def g2_closure_basis() -> tuple[Matrix7, ...]:
         for i in range(len(snapshot)):
             for j in range(i + 1, len(snapshot)):
                 w = snapshot[i].bracket(snapshot[j])
-                if sb.add(w.vec()):
+                if sb.add(w):
                     basis.append(w)
                     changed = True
     return tuple(basis)
+
+
+def _borel_parabolic_levi(roots: dict, cartan: tuple, positive, levi_positive) -> tuple:
+    """Bases of the Borel, the parabolic and the Levi from root vectors and a Cartan basis."""
+    borel = cartan + tuple(roots[c] for c in positive)
+    parabolic = borel + tuple(roots[_neg(c)] for c in levi_positive)
+    levi = cartan + tuple(m for c in levi_positive for m in (roots[c], roots[_neg(c)]))
+    return borel, parabolic, levi
+
+
+@lru_cache(maxsize=None)
+def subalgebra_bases() -> dict[str, tuple[Matrix7, ...]]:
+    """Named bases of the subalgebras the checks compare, as tuples of Matrix7.
+
+    "t", "b", "p1", "l1" are the Cartan, Borel, parabolic and Levi of G2 and
+    "g2" is its bracket closure; a trailing "~" names the same part of so7,
+    of type B3, and "b3" is all of so7.
+    """
+    t = build_tables()
+    bases = {
+        "b3": tuple(e_matrix(i, j) for i in range(1, _N + 1) for j in range(i + 1, _N + 1)),
+        "g2": g2_closure_basis(),
+        "t~": (e_matrix(2, 3), e_matrix(4, 5), e_matrix(6, 7)),
+        "t": tuple(_combo(*zip(h, t.eps)) for h in _G2_CARTAN_EPS),
+    }
+    for tilde, roots, positive, levi_positive in (
+            ("~", t.b3, B3_POSITIVE, B3_LEVI_POSITIVE),
+            ("", t.g2, G2_POSITIVE, G2_LEVI_POSITIVE)):
+        parts = _borel_parabolic_levi(roots, bases["t" + tilde], positive, levi_positive)
+        for name, basis in zip(("b", "p1", "l1"), parts):
+            bases[name + tilde] = basis
+    return bases
 
 
 @dataclass(frozen=True)
@@ -358,7 +328,7 @@ def verify_root_space_decomposition() -> CheckResult:
                 bad.append((coeffs, k))
                 continue
             consts.add(c[0] / eps_coords[k])
-    rank = span_rank(_vectors(cartan_b3_basis() + tuple(t.b3.values())), _N * _N)
+    rank = span_rank(subalgebra_bases()["t~"] + tuple(t.b3.values()), _DIM)
     ok = not bad and len(consts) == 1 and rank == 21
     return _result(
         "root-space-decomposition", ok,
@@ -367,13 +337,11 @@ def verify_root_space_decomposition() -> CheckResult:
 
 def verify_g2_eigenvectors() -> CheckResult:
     """Each G2 root vector is a simultaneous ad-eigenvector matching its root."""
-    t = build_tables()
-    cartan_coords = ((Fraction(1), Fraction(1), Fraction(0)),
-                     (Fraction(0), Fraction(1), Fraction(1)))
+    t, cartan = build_tables(), subalgebra_bases()["t"]
     bad = []
     for coeffs, x in sorted(t.g2.items()):
         root_eps = g2_eps_coords(coeffs)
-        for h, h_eps in zip(cartan_g2_basis(), cartan_coords):
+        for h, h_eps in zip(cartan, _G2_CARTAN_EPS):
             expected = sum(a * b for a, b in zip(h_eps, root_eps))
             br = h.bracket(x)
             if expected == 0:
@@ -388,15 +356,14 @@ def verify_g2_eigenvectors() -> CheckResult:
 
 
 def verify_g2_closure() -> CheckResult:
-    basis = g2_closure_basis()
-    sb = SpanBuilder(_N * _N)
-    for m in basis:
-        sb.add(m.vec())
-    t = build_tables()
-    members = list(cartan_g2_basis()) + list(t.g2.values())
-    missing = sum(1 for m in members if not sb.contains(m.vec()))
-    return _result("g2-closure-dimension", len(basis) == 14 and missing == 0,
-                   f"closure dimension {len(basis)}, missing members {missing}")
+    bases = subalgebra_bases()
+    sb = SpanBuilder(_DIM)
+    for m in bases["g2"]:
+        sb.add(m)
+    members = bases["t"] + tuple(build_tables().g2.values())
+    missing = sum(1 for m in members if not sb.contains(m))
+    return _result("g2-closure-dimension", len(bases["g2"]) == 14 and missing == 0,
+                   f"closure dimension {len(bases['g2'])}, missing members {missing}")
 
 
 def verify_g2_structure_constants() -> CheckResult:
@@ -418,44 +385,20 @@ def verify_g2_structure_constants() -> CheckResult:
 
 def verify_inclusions() -> CheckResult:
     """Dimension table and the three exact intersections, with witnesses."""
-    dim = _N * _N
-    t = build_tables()
-    g2 = g2_closure_basis()
-    dims = {
-        "t": span_rank(_vectors(cartan_g2_basis()), dim),
-        "p1": span_rank(_vectors(parabolic_g2_basis()), dim),
-        "l1": span_rank(_vectors(levi_g2_basis()), dim),
-        "l1~": span_rank(_vectors(levi_b3_basis()), dim),
-        "p1~": span_rank(_vectors(parabolic_b3_basis()), dim),
-        "b3": span_rank(_vectors(so7_basis()), dim),
-    }
+    t, s = build_tables(), subalgebra_bases()
+    dims = {name: span_rank(s[name], _DIM) for name in ("t", "p1", "l1", "l1~", "p1~", "b3")}
     ok = dims == {"t": 2, "p1": 9, "l1": 4, "l1~": 11, "p1~": 16, "b3": 21}
+    for part in ("t", "p1", "l1"):  # g2 meets each part of so7 in the part of g2
+        ok = ok and spans_equal(intersect_spans(s["g2"], s[part + "~"], _DIM), s[part], _DIM)
 
-    def meets(big, small, expected):
-        inter = intersect_spans(_vectors(big), _vectors(small), dim)
-        return spans_equal(inter, _vectors(expected), dim)
-
-    ok = ok and meets(g2, cartan_b3_basis(), cartan_g2_basis())
-    ok = ok and meets(g2, parabolic_b3_basis(), parabolic_g2_basis())
-    ok = ok and meets(g2, levi_b3_basis(), levi_g2_basis())
-
-    joint = span_rank(_vectors(g2 + parabolic_b3_basis()), dim)
+    joint = span_rank(s["g2"] + s["p1~"], _DIM)
     ok = ok and joint == 21  # g2/p1 -> b3/p1~ is onto; both quotients have dim 5
 
     x_low = t.g2[(-3, -2)]
-    sb_g2 = SpanBuilder(dim)
-    for m in g2:
-        sb_g2.add(m.vec())
-    sb_p1t = SpanBuilder(dim)
-    for m in parabolic_b3_basis():
-        sb_p1t.add(m.vec())
     witness1 = ((x_low - t.b3[(-1, -1, 0)]).is_zero
-                and sb_g2.contains(x_low.vec())
-                and not sb_p1t.contains(x_low.vec()))
-    sb_borel_t = SpanBuilder(dim)
-    for m in borel_b3_basis():
-        sb_borel_t.add(m.vec())
-    witness2 = not sb_borel_t.contains(t.g2[(0, 1)].vec())
+                and span_contains(s["g2"], x_low, _DIM)
+                and not span_contains(s["p1~"], x_low, _DIM))
+    witness2 = not span_contains(s["b~"], t.g2[(0, 1)], _DIM)
     ok = ok and witness1 and witness2
     return _result(
         "subalgebra-inclusions", ok,
@@ -464,17 +407,11 @@ def verify_inclusions() -> CheckResult:
 
 def verify_levi_bracket_spans_quotient() -> CheckResult:
     """Brackets of the big Levi against x_-theta1 + x_-theta2 fill the quotient."""
-    dim = _N * _N
-    t = build_tables()
+    t, s = build_tables(), subalgebra_bases()
     v = t.g2[(-3, -2)] + t.g2[(-1, 0)]
-    bracket_vecs = [y.bracket(v).vec() for y in levi_b3_basis()]
-    full = span_rank(tuple(bracket_vecs) + _vectors(parabolic_b3_basis()), dim)
-
-    cartan_span = SpanBuilder(dim)
-    for h in cartan_g2_basis():
-        cartan_span.add(h.bracket(v).vec())
-    both = (cartan_span.contains(t.g2[(-3, -2)].vec())
-            and cartan_span.contains(t.g2[(-1, 0)].vec()))
+    full = span_rank(tuple(y.bracket(v) for y in s["l1~"]) + s["p1~"], _DIM)
+    cartan_brackets = tuple(h.bracket(v) for h in s["t"])
+    both = all(span_contains(cartan_brackets, t.g2[c], _DIM) for c in ((-3, -2), (-1, 0)))
     ok = full == 21 and both
     return _result("levi-bracket-spans-quotient", ok,
                    f"span dimension {full} of 21; quotient dimension {full - 16}; "
@@ -487,25 +424,15 @@ def verify_codimension_one() -> CheckResult:
     Cross-checked against the span of the root vectors indexed by the tangent
     directions of the exceptional case, which misses the same single direction.
     """
-    dim = _N * _N
-    t = build_tables()
+    t, s = build_tables(), subalgebra_bases()
     v = t.g2[(-3, -2)] + t.g2[(-1, 0)]
-    bracket_vecs = [y.bracket(v).vec() for y in levi_g2_basis()]
-    restricted = span_rank(tuple(bracket_vecs) + _vectors(parabolic_b3_basis()), dim)
+    restricted = span_rank(tuple(y.bracket(v) for y in s["l1"]) + s["p1~"], _DIM)
 
-    from .curve_nbhd import point_class_degree
-    from .parabolic import Parabolic
-    from .root_system import build_root_system
-    from .tangent_directions import tangent_direction_sets
-
-    g2rs = build_root_system("G2")
-    p1 = Parabolic(g2rs, frozenset({2}))
+    p1 = Parabolic(build_root_system("G2"), frozenset({2}))
     sets = tangent_direction_sets(p1, point_class_degree(p1))
-    direction_keys = [r.coeffs for r in sets.td + sets.td_tilde]
-    direction_vecs = tuple(t.g2[c].vec() for c in direction_keys)
-    partial = span_rank(direction_vecs + _vectors(parabolic_g2_basis()), dim)
-    completed = span_rank(direction_vecs + (t.g2[(-2, -1)].vec(),)
-                          + _vectors(parabolic_g2_basis()), dim)
+    directions = tuple(t.g2[r.coeffs] for r in sets.td + sets.td_tilde)
+    partial = span_rank(directions + s["p1"], _DIM)
+    completed = span_rank(directions + (t.g2[(-2, -1)],) + s["p1"], _DIM)
     ok = restricted == 20 and partial == 13 and completed == 14
     return _result(
         "restricted-bracket-codimension-one", ok,
@@ -515,21 +442,16 @@ def verify_codimension_one() -> CheckResult:
 
 def verify_longest_element_restriction() -> CheckResult:
     """-1 on the big Cartan restricts to -1 on the small one, as Weyl elements."""
-    from .root_system import build_root_system
-    from .weyl import longest_element
-
     flips = []
     for label in ("B3", "G2"):
         rs = build_root_system(label)
         w0 = longest_element(rs)
-        flips.append(all(w0.apply(b).coeffs == tuple(-c for c in b.coeffs)
-                         for b in rs.simple_roots))
-    stable = all(-v[0] + v[1] - v[2] == 0
-                 for v in ((1, 1, 0), (0, 1, 1)))
+        flips.append(all(w0.apply(b).coeffs == _neg(b.coeffs) for b in rs.simple_roots))
+    stable = all(_in_g2_cartan(v) for v in _G2_CARTAN_EPS)
     in_small_cartan = all(
-        -c[0] + c[1] - c[2] == 0
+        _in_g2_cartan(c)
         for c in (g2_eps_coords((1, 0)), g2_eps_coords((0, 1)),
-                  tuple(-x for x in g2_eps_coords((1, 0))))
+                  _neg(g2_eps_coords((1, 0))))
     )
     ok = all(flips) and stable and in_small_cartan
     return _result("longest-element-restriction", ok,

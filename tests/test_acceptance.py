@@ -29,7 +29,7 @@ from oracles import brute_force_center
 
 RANK5_TYPES = default_types(5)  # A1-A5, B2-B5, C2-C5, D3-D5, F4, G2
 RANK4_TYPES = [t for t in RANK5_TYPES if t.rank <= 4]
-RANK6_TYPES = default_types(6, include_e6=True)
+RANK6_TYPES = default_types(6)
 
 
 def _report(num, name, ok, detail=""):

@@ -9,7 +9,7 @@ import pytest
 
 from mindeg import report
 from mindeg.cli import main
-from mindeg.exceptions import InvalidDegreeError
+from mindeg.exceptions import InvalidConfigError, InvalidDegreeError
 from mindeg.report import (
     SweepConfig, default_types, emit, predictions_confirmed, run_sweep,
 )
@@ -82,6 +82,19 @@ def test_key_inequality_all_parabolics(capsys):
     rows = json.loads(out)
     assert code == 0
     assert all(r["holds"] for r in rows)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3"])
+def test_key_inequality_all_parabolics_is_the_sweep(capsys, label):
+    assert run_cli(capsys, "key-inequality", label, "--all-parabolics") == \
+        run_cli(capsys, "sweep", "--types", label)
+
+
+def test_key_inequality_all_parabolics_shares_the_sweep_cap(capsys):
+    assert main(["key-inequality", "E7", "--all-parabolics"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: E7 exceeds the sweep rank cap 6\n"
 
 
 def test_verdict_command(capsys):
@@ -244,6 +257,25 @@ def test_e7_single_case_commands_answer(argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("max_rank", ["0", "-3"])
+def test_empty_sweep_is_refused(capsys, max_rank):
+    assert main(["sweep", "--max-rank", max_rank]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no types to sweep\n"
+
+
+def test_run_sweep_refuses_no_types():
+    with pytest.raises(InvalidConfigError):
+        run_sweep(SweepConfig(types=()))
+
+
+def test_default_types_list_every_admissible_type():
+    assert [str(t) for t in default_types(2)] == ["A1", "A2", "B2", "C2", "G2"]
+    assert [str(t) for t in default_types(6) if t.family == "E"] == ["E6"]
+    assert [str(t) for t in default_types(8) if t.family == "E"] == ["E6", "E7", "E8"]
 
 
 def test_e7_sweep_is_refused(capsys):

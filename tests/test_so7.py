@@ -10,6 +10,30 @@ from mindeg.so7 import (
     g2_closure_basis, g2_eps_coords, run_appendix_checks,
 )
 
+# Name, pass flag and witness of each check, as in perfbench/reference/appendix.json.
+APPENDIX_WITNESSES = (
+    ("e-basis-bracket-rules", True, "441 commutators checked, 0 mismatches"),
+    ("root-vectors-skew-symmetric", True, "33 matrices checked, 0 not skew"),
+    ("root-space-decomposition", True,
+     "eigenvalue constant [Fraction(1, 1)], span rank 21"),
+    ("g2-root-vectors-eigen", True,
+     "12 root vectors against 2 Cartan elements; failures: []"),
+    ("g2-closure-dimension", True, "closure dimension 14, missing members 0"),
+    ("g2-structure-constants-nonzero", True, "root-sum pairs checked; failures: []"),
+    ("subalgebra-inclusions", True,
+     "dims {'t': 2, 'p1': 9, 'l1': 4, 'l1~': 11, 'p1~': 16, 'b3': 21}, "
+     "joint span 21, witnesses True"),
+    ("levi-bracket-spans-quotient", True,
+     "span dimension 21 of 21; quotient dimension 5; "
+     "both cascade directions recovered: True"),
+    ("restricted-bracket-codimension-one", True,
+     "restricted span 20 of 21 (quotient 4 of 5); "
+     "tangent-direction span 13 of 14, completed 14"),
+    ("longest-element-restriction", True,
+     "longest elements act as -1: [True, True]; "
+     "negation preserves the small Cartan: True"),
+)
+
 
 def test_span_builder_and_intersection():
     dim = 3
@@ -117,3 +141,8 @@ def test_full_checklist_passes():
     assert len(names) == len(set(names))
     for r in results:
         assert r.passed, f"{r.check_name}: {r.witness}"
+
+
+def test_checklist_witnesses_are_pinned():
+    got = tuple((r.check_name, r.passed, r.witness) for r in run_appendix_checks())
+    assert got == APPENDIX_WITNESSES

@@ -29,3 +29,14 @@ def test_packed_weyl_format_stays_in_weyl():
             if attr == "images" or attr in helpers or name in helpers:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert found == []
+
+
+def test_no_function_local_imports():
+    """Every import of the package sits at module top, where a cycle would show."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
