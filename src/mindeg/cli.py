@@ -20,7 +20,8 @@ from .cascade import (
 )
 from .curve_nbhd import borel, minimal_degree_records, point_class_degree
 from .exceptions import (
-    InvalidDegreeError, InvalidParabolicError, MindegError, NotApplicableError,
+    InvalidConfigError, InvalidDegreeError, InvalidParabolicError, MindegError,
+    NotApplicableError,
 )
 from .parabolic import Parabolic
 from .report import (
@@ -129,6 +130,8 @@ def cmd_minimal_degrees(args) -> int:
 def cmd_key_inequality(args) -> int:
     t = SimpleType.parse(args.type)
     if args.all_parabolics:
+        if args.delta_p is not None:
+            raise InvalidConfigError("--delta-p and --all-parabolics exclude each other")
         rows = run_sweep(SweepConfig(types=(t,)))
     else:
         rows = case_reports(args.type, _parse_indices(args.delta_p))
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("key-inequality", help="tangent-direction count vs c1 pairing")
     sp.add_argument("type")
-    sp.add_argument("--delta-p", default="")
+    sp.add_argument("--delta-p")
     sp.add_argument("--all-parabolics", action="store_true")
     sp.set_defaults(func=cmd_key_inequality)
 

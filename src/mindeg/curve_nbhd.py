@@ -51,7 +51,7 @@ from .exceptions import (
     NotMinimalDegreeError, ResourceGuardError,
 )
 from .parabolic import Degree, Parabolic, project_coroot
-from .root_system import Root, RootSystem, root_leq
+from .root_system import Root, RootSystem
 from .weyl import (
     WeylElement, bruhat_leq, compose, hecke_reflection_on_coset, identity,
     is_descent, longest_element, reflection,
@@ -78,25 +78,16 @@ def borel(rs: RootSystem) -> Parabolic:
 
 @lru_cache(maxsize=None)
 def _root_table(p: Parabolic):
-    """The roots of R+ \\ R_P+ as bitmask data for maximal_roots.
+    """The root table of p's system (RootSystem.root_table), sliced to p.
 
-    Returns (roots, fits, above). roots is sorted with the lexicographically
-    largest coefficient vector first, and bit j of a mask stands for roots[j].
-    fits[i][c] masks the roots whose projected coroot has i-th coordinate
-    <= c (the last entry, the largest such coordinate, masks them all), and
-    above[j] masks the roots strictly above roots[j] in the root order.
+    Returns (roots, fits, above, outside): fits keeps the coordinates of
+    Delta \\ Delta_P, and outside masks the roots of R+ \\ R_P+. A Levi root
+    projects to the zero degree, so it fits below every degree; starting from
+    the outside mask drops it and changes nothing else.
     """
-    roots = sorted((a for a in p.system.positive_roots if p.outside_levi(a)),
-                   key=lambda r: r.coeffs, reverse=True)
-    coroots = [project_coroot(p, a) for a in roots]
-    fits = []
-    for i in range(len(p.quotient_positions)):
-        top = max((c[i] for c in coroots), default=0)
-        fits.append(tuple(sum(1 << j for j, c in enumerate(coroots) if c[i] <= v)
-                          for v in range(top + 1)))
-    above = tuple(sum(1 << k for k, b in enumerate(roots) if b is not a and root_leq(a, b))
-                  for a in roots)
-    return tuple(roots), tuple(fits), above
+    roots, fits, above = p.system.root_table
+    outside = sum(1 << j for j, a in enumerate(roots) if p.outside_levi(a))
+    return roots, tuple(fits[i] for i in p.quotient_positions), above, outside
 
 
 @lru_cache(maxsize=None)
@@ -107,8 +98,8 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     is the deterministic greedy tie-break.
     """
     p.check_degree(d)
-    roots, fits, above = _root_table(p)
-    cands = _fitting(fits, d, (1 << len(roots)) - 1)
+    roots, fits, above, outside = _root_table(p)
+    cands = _fitting(fits, d, outside)
     return tuple(a for j, a in enumerate(roots)
                  if cands >> j & 1 and not above[j] & cands)
 
@@ -224,7 +215,7 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
         raise ResourceGuardError(
             f"{rs.simple_type} has at least {2 ** rs.rank} full-flag minimal degrees, "
             f"more than the {_MAX_BOREL_DEGREES} the enumeration accepts")
-    roots, fits, _ = _root_table(b)
+    roots, fits, _, _ = _root_table(b)
     steps = [(j, project_coroot(b, a), reflection(rs, a).length)
              for j, a in enumerate(roots)]
     found = {b.zero_degree: identity(rs)}

@@ -21,6 +21,10 @@ class InvalidDegreeError(MindegError, ValueError):
     """A degree has the wrong number of coordinates, a non-integer, or a negative one."""
 
 
+class InvalidVectorError(MindegError, ValueError):
+    """A coefficient vector has the wrong number of entries for its root system."""
+
+
 class NotApplicableError(MindegError):
     """A check's precondition does not hold for this input."""
 

@@ -73,6 +73,13 @@ class Parabolic:
         """R(P) = R+ union R_P, the roots whose root group lies in P."""
         return frozenset(self.system.positive_roots) | frozenset(self.levi_roots)
 
+    @cached_property
+    def c1_weights(self) -> tuple[int, ...]:
+        """(c_1, alpha_i^vee) for each simple root alpha_i outside Delta_P, ascending."""
+        c1 = c1_vector(self)
+        return tuple(coroot_pairing(c1, self.system.simple_roots[i])
+                     for i in self.quotient_positions)
+
     @property
     def zero_degree(self) -> Degree:
         return (0,) * len(self.quotient_positions)
@@ -130,12 +137,8 @@ def c1_vector(p: Parabolic) -> tuple[int, ...]:
 
 def c1_pairing(p: Parabolic, d: Degree) -> int:
     """Pairing of the anticanonical class with an effective degree; linear in d."""
-    c1 = c1_vector(p)
-    total = 0
-    for coord, i in zip(d, p.quotient_positions):
-        if coord:
-            total += coord * coroot_pairing(c1, p.system.simple_roots[i])
-    return total
+    p.check_degree(d)
+    return sum(c * w for c, w in zip(d, p.c1_weights))
 
 
 def dim_x(p: Parabolic) -> int:

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .exceptions import ConsistencyError, InadmissibleRankError, MixedRootSystemError
+from .exceptions import (
+    ConsistencyError, InadmissibleRankError, InvalidVectorError, MixedRootSystemError,
+)
 
 __all__ = [
     "SimpleType", "Root", "RootSystem", "build_root_system",
@@ -204,9 +206,43 @@ class RootSystem:
         return tuple(coeffs) in self._index
 
     @cached_property
+    def root_table(self) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The positive roots as bitmask data, built once per system.
+
+        Returns (roots, fits, above). roots is sorted with the lexicographically
+        largest coefficient vector first (the greedy tie-break), and bit j of a
+        mask stands for roots[j]. fits[i][c] masks the roots whose coroot has
+        coefficient <= c at the simple coroot alpha_i^vee (the last entry, the
+        largest such coefficient, masks them all), and above[j] masks the
+        roots strictly above roots[j] in the root order.
+        """
+        roots = tuple(sorted(self.positive_roots, key=lambda r: r.coeffs, reverse=True))
+        coroots = [coroot_coefficients(a) for a in roots]
+        fits = tuple(tuple(sum(1 << j for j, c in enumerate(coroots) if c[i] <= v)
+                           for v in range(max(c[i] for c in coroots) + 1))
+                     for i in range(self.rank))
+        above = tuple(sum(1 << k for k, b in enumerate(roots) if b is not a and root_leq(a, b))
+                      for a in roots)
+        return roots, fits, above
+
+    @cached_property
+    def coroot_functionals(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Coefficients of each root y -> its integer functional ((alpha_i, y^vee))_i.
+
+        With y^vee = sum_j c_j alpha_j^vee (c from coroot_coefficients, which
+        checks integrality), (alpha_i, y^vee) = sum_j c_j * cartan[j][i].
+        """
+        out = {}
+        for y in self.roots:
+            c = coroot_coefficients(y)
+            out[y.coeffs] = tuple(sum(cj * row[i] for cj, row in zip(c, self.cartan) if cj)
+                                  for i in range(self.rank))
+        return out
+
+    @cached_property
     def highest_root(self) -> Root:
-        top = [p for p in self.positive_roots
-               if all(root_leq(q, p) for q in self.positive_roots)]
+        roots, _, above = self.root_table
+        top = [a for a, mask in zip(roots, above) if not mask]
         if len(top) != 1:
             raise ConsistencyError(f"{self.simple_type}: expected one highest root, got {top}")
         return top[0]
@@ -248,10 +284,19 @@ def _system_of(*args) -> RootSystem:
     return systems[0]
 
 
+def _vector(rs: RootSystem, x) -> tuple[int, ...]:
+    """The coefficients of x, which must number rs.rank."""
+    v = _coeffs(x)
+    if len(v) != rs.rank:
+        raise InvalidVectorError(
+            f"{v} has {len(v)} coefficients, {rs.simple_type} needs {rs.rank}")
+    return v
+
+
 def bilinear(x, y) -> int:
     """The invariant symmetric form (x, y); integral on the root lattice."""
     rs = _system_of(x, y)
-    xv, yv = _coeffs(x), _coeffs(y)
+    xv, yv = _vector(rs, x), _vector(rs, y)
     total = 0
     for i, xi in enumerate(xv):
         if not xi:
@@ -262,11 +307,13 @@ def bilinear(x, y) -> int:
 
 
 def coroot_pairing(x, y: Root) -> int:
-    """The pairing (x, y^vee) = 2 (x, y) / (y, y); an integer on the root lattice."""
-    val = Fraction(2 * bilinear(x, y), bilinear(y, y))
-    if val.denominator != 1:
-        raise ConsistencyError(f"coroot pairing of {x} with {y} is not an integer")
-    return int(val)
+    """The pairing (x, y^vee) = 2 (x, y) / (y, y); an integer on the root lattice.
+
+    Read as the dot product of x with y's integer functional (see
+    RootSystem.coroot_functionals).
+    """
+    rs = _system_of(x, y)
+    return sum(a * b for a, b in zip(_vector(rs, x), rs.coroot_functionals[y.coeffs]))
 
 
 def reflect(alpha: Root, lam):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exceptions import ConsistencyError, MixedRootSystemError
-from .root_system import Root, RootSystem, coroot_pairing, reflect
+from .root_system import Root, RootSystem, reflect
 
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
@@ -39,8 +39,8 @@ def _pack(coeffs) -> int:
 def _unpack(x: int, rank: int) -> tuple[int, ...]:
     """The coefficients of the root packed as x."""
     if x < 0:
-        return tuple(-c for c in _unpack(-x, rank))
-    return tuple(x >> 4 * k & 15 for k in range(rank))
+        return tuple([-c for c in _unpack(-x, rank)])
+    return tuple([x >> s & 15 for s in range(0, 4 * rank, 4)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -173,13 +173,6 @@ def hecke_product(u: WeylElement, v: WeylElement) -> WeylElement:
     return w
 
 
-@lru_cache(maxsize=None)
-def _coroot_pairings(rs: RootSystem) -> dict[int, tuple[int, ...]]:
-    """Packed positive root beta -> the pairings (alpha_j, beta^vee) over all j."""
-    return {_pack(b.coeffs): tuple(coroot_pairing(a, b) for a in rs.simple_roots)
-            for b in rs.positive_roots}
-
-
 def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
                               positions: tuple[int, ...]) -> tuple[WeylElement, WeylElement]:
     """(y, y^-1) with y W_P = s_alpha * z W_P, the left Hecke product on cosets.
@@ -193,7 +186,7 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
     (alpha_j, beta^vee) alpha_i, since (z(alpha_j), alpha_i^vee) = (alpha_j, beta^vee).
     """
     rs = _same_group(z, z_inv)
-    pairings = _coroot_pairings(rs)
+    functionals = rs.coroot_functionals
     simple = identity(rs).images
     levi = {simple[j] for j in positions}
     images = z.images
@@ -204,7 +197,8 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
             continue
         z_inv = mul_gen(z_inv, i)
         step = simple[i]
-        images = tuple([x - c * step for x, c in zip(images, pairings[beta])])
+        pairings = functionals[_unpack(beta, rs.rank)]
+        images = tuple([x - c * step for x, c in zip(images, pairings)])
         length += 1
     return WeylElement(rs, images, length), z_inv
 
@@ -222,7 +216,9 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
         return lu == lv and u.images == v.images
     pu, pv = list(u.images), list(v.images)
     while lu < lv:
-        i = next(k for k, x in enumerate(pv) if x < 0)
+        i = 0
+        while pv[i] >= 0:
+            i += 1
         b = pv[i]
         pv = [x - c * b for x, c in zip(pv, cartan[i])]
         lv -= 1

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: root sets come from
 explicit epsilon-coordinate models, Bruhat order from the subword property,
 centers from commutation against every generator, maximal roots from a
-pairwise comparison, minimality from a scan of the whole box below a degree
+pairwise comparison and from a root table built for one parabolic, coroot
+and c1 pairings from Fractions over the Gram matrix, minimality from a scan of the whole box below a degree
 (or, where that is too slow, from the unit-edge test over the point-class box
 and its frontier under a monotonicity certificate), the point-class degree
 by coordinate descent, liftings from a linear scan, curve-neighborhood
@@ -99,6 +100,58 @@ def pairwise_maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     maxima = [a for a in cands
               if not any(b is not a and root_leq(a, b) for b in cands)]
     return tuple(sorted(maxima, key=lambda r: r.coeffs, reverse=True))
+
+
+def per_parabolic_root_table(p: Parabolic):
+    """The roots of R+ \\ R_P+ as bitmask data, built for p alone.
+
+    Returns (roots, fits, above). roots is sorted with the lexicographically
+    largest coefficient vector first, and bit j of a mask stands for roots[j].
+    fits[i][c] masks the roots whose projected coroot has i-th coordinate
+    <= c (the last entry, the largest such coordinate, masks them all), and
+    above[j] masks the roots strictly above roots[j] in the root order.
+    """
+    roots = sorted((a for a in p.system.positive_roots if p.outside_levi(a)),
+                   key=lambda r: r.coeffs, reverse=True)
+    coroots = [project_coroot(p, a) for a in roots]
+    fits = []
+    for i in range(len(p.quotient_positions)):
+        top = max((c[i] for c in coroots), default=0)
+        fits.append(tuple(sum(1 << j for j, c in enumerate(coroots) if c[i] <= v)
+                          for v in range(top + 1)))
+    above = tuple(sum(1 << k for k, b in enumerate(roots) if b is not a and root_leq(a, b))
+                  for a in roots)
+    return tuple(roots), tuple(fits), above
+
+
+def per_parabolic_maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
+    """Maximal roots with coroot class <= d, read from per_parabolic_root_table(p)."""
+    roots, fits, above = per_parabolic_root_table(p)
+    cands = (1 << len(roots)) - 1
+    for fit, c in zip(fits, d, strict=True):
+        cands &= fit[min(c, len(fit) - 1)]
+    return tuple(a for j, a in enumerate(roots)
+                 if cands >> j & 1 and not above[j] & cands)
+
+
+def fraction_coroot_pairing(x, y: Root) -> int:
+    """(x, y^vee) = 2 (x, y) / (y, y) over the Gram matrix, checked integral."""
+    rs = y.system
+    xv = x.coeffs if isinstance(x, Root) else tuple(x)
+    val = Fraction(2 * gram_bilinear(rs, xv, y.coeffs), gram_bilinear(rs, y.coeffs, y.coeffs))
+    if val.denominator != 1:
+        raise ConsistencyError(f"coroot pairing of {x} with {y} is not an integer")
+    return int(val)
+
+
+def fraction_c1_pairing(p: Parabolic, d: Degree) -> int:
+    """(c_1, d): c_1 the sum of the roots of R+ \\ R_P+, paired by Fractions with
+    the simple coroots outside Delta_P."""
+    rs = p.system
+    c1 = [sum(a.coeffs[i] for a in rs.positive_roots if p.outside_levi(a))
+          for i in range(rs.rank)]
+    return sum(c * fraction_coroot_pairing(c1, rs.simple_roots[i])
+               for c, i in zip(d, p.quotient_positions, strict=True))
 
 
 def box_scan_point_class_degree(p: Parabolic) -> Degree:

@@ -126,6 +126,7 @@ def test_invalid_type_is_a_clean_error(capsys):
     ["verdict", "G2", "--delta-p", "2", "--degree", "2,7"],
     ["verdict", "G2", "--delta-p", "x"],
     ["minimal-degrees", "G2", "--delta-p", "3"],
+    ["key-inequality", "G2", "--delta-p", "1", "--all-parabolics"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2

@@ -21,7 +21,7 @@ from oracles import (
     box_scan_is_minimal_degree, box_scan_minimal_degrees, box_scan_point_class_degree,
     certified_box_scan_minimal_degrees, hecke_curve_neighborhood_element,
     is_maximal_coset_representative, linear_scan_lifting, minimal_coset_representative,
-    pairwise_maximal_roots,
+    pairwise_maximal_roots, per_parabolic_maximal_roots,
 )
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -251,6 +251,18 @@ def test_maximal_roots_match_pairwise_scan(label):
         top = point_class_degree(p)
         for d in itertools.product(*(range(c + 2) for c in top)):
             assert maximal_roots(p, d) == pairwise_maximal_roots(p, d), (p, d)
+
+
+@pytest.mark.parametrize("label", ORACLE_TYPES + ["F4"])
+def test_maximal_roots_match_per_parabolic_table(label):
+    """The slice of the one root table per system agrees with a table built
+    for each parabolic, on every minimal degree and each unit step below it."""
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        for d in minimal_degrees(p):
+            below = [d[:i] + (c - 1,) + d[i + 1:] for i, c in enumerate(d) if c]
+            for e in [d, *below]:
+                assert maximal_roots(p, e) == per_parabolic_maximal_roots(p, e), (p, e)
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)

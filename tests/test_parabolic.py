@@ -3,12 +3,15 @@ import itertools
 import pytest
 
 from mindeg.cascade import full_cascade
-from mindeg.exceptions import NotApplicableError
+from mindeg.curve_nbhd import minimal_degrees
+from mindeg.exceptions import InvalidDegreeError, NotApplicableError
 from mindeg.parabolic import (
     Parabolic, c1_pairing, c1_vector, dim_x, levi_intersection_check,
     project_coroot,
 )
 from mindeg.root_system import build_root_system, coroot_coefficients, coroot_pairing
+
+from oracles import fraction_c1_pairing
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                "D3", "D4", "F4", "G2"]
@@ -75,6 +78,23 @@ def test_c1_pairing_is_positive_on_simple_degrees(label):
         for i in range(k):
             unit = tuple(1 if j == i else 0 for j in range(k))
             assert c1_pairing(p, unit) >= 2
+
+
+@pytest.mark.parametrize("d", [(1,), (1, 1, 5)])
+def test_c1_pairing_rejects_degrees_of_the_wrong_length(b3, d):
+    p = Parabolic(b3, frozenset({2}))
+    with pytest.raises(InvalidDegreeError):
+        c1_pairing(p, d)
+
+
+@pytest.mark.parametrize("label", [
+    "A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
+    "D3", "D4", "D5", "F4", "G2"])
+def test_c1_pairing_matches_fraction_formula(label):
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        for d in minimal_degrees(p):
+            assert c1_pairing(p, d) == fraction_c1_pairing(p, d), (p, d)
 
 
 def test_dim_x_examples(g2, b3):

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg.exceptions import InadmissibleRankError, MixedRootSystemError
+from mindeg.exceptions import InadmissibleRankError, InvalidVectorError, MixedRootSystemError
 from mindeg.root_system import (
     SimpleType, bilinear, build_root_system, coroot_coefficients,
     coroot_pairing, is_long, is_short, reflect, root_leq,
 )
 from mindeg.weyl import identity, simple_reflection
 
-from oracles import b3_root_coeffs, g2_root_coeffs, gram_bilinear
+from oracles import b3_root_coeffs, fraction_coroot_pairing, g2_root_coeffs, gram_bilinear
 
 ALL_TYPES_RANK_LE_8 = (
     [f"A{l}" for l in range(1, 9)]
@@ -105,6 +105,24 @@ def test_coroot_pairing_is_integral_on_roots():
         for a in rs.roots:
             for b in rs.roots:
                 assert isinstance(coroot_pairing(a, b), int)
+
+
+@pytest.mark.parametrize("label", [
+    t for t in ALL_TYPES_RANK_LE_8 if int(t[1:]) <= 6 or t == "E7"])
+def test_coroot_pairing_matches_fraction_formula(label):
+    rs = build_root_system(label)
+    for a in rs.roots:
+        for b in rs.roots:
+            assert coroot_pairing(a, b) == fraction_coroot_pairing(a, b), (a, b)
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 0, 0, 0, 0)])
+def test_vectors_of_the_wrong_rank_are_refused(b3, v):
+    a = b3.simple_roots[0]
+    for call in (lambda: coroot_pairing(v, a), lambda: bilinear(v, a),
+                 lambda: bilinear(a, v), lambda: reflect(a, v)):
+        with pytest.raises(InvalidVectorError):
+            call()
 
 
 def test_coroot_coefficients_example(g2):

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mindeg"
+BENCH_SPANS = PACKAGE.parents[1] / "perfbench" / "spans.py"
 
 
 def test_no_assert_statements():
@@ -40,3 +42,25 @@ def test_no_function_local_imports():
              for node in ast.walk(func)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_benchmark_bindings_name_package_functions():
+    """Every function perfbench/spans.py binds exists, and every cache it reads
+    has cache_info; the file is parsed, not imported."""
+    tree = ast.parse(BENCH_SPANS.read_text(), filename=str(BENCH_SPANS))
+    lists = {node.targets[0].id: ast.literal_eval(node.value)
+             for node in tree.body
+             if isinstance(node, ast.Assign) and len(node.targets) == 1
+             and getattr(node.targets[0], "id", None) in ("SPANS", "COUNTED", "CACHES")}
+    assert set(lists) == {"SPANS", "COUNTED", "CACHES"}
+    missing, uncached = [], []
+    for name, entries in lists.items():
+        assert entries, name
+        for _, module, fn in entries:
+            obj = getattr(importlib.import_module(f"mindeg.{module}"), fn, None)
+            if not callable(obj):
+                missing.append(f"{name}: mindeg.{module}.{fn}")
+            elif name == "CACHES" and not hasattr(obj, "cache_info"):
+                uncached.append(f"mindeg.{module}.{fn}")
+    assert missing == []
+    assert uncached == []
