@@ -12,8 +12,10 @@ import csv
 import io
 import itertools
 import json
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 from .curve_nbhd import minimal_degree_records
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
@@ -29,9 +31,6 @@ __all__ = ["SweepConfig", "CaseReport", "default_types", "all_parabolic_subsets"
            "case_reports", "run_sweep", "predictions_confirmed", "emit"]
 
 _MAX_SWEEP_RANK = 6
-
-CSV_HEADER = ("type", "delta_p", "degree", "z_length", "z_word", "cascade",
-              "td", "td_tilde", "lhs", "rhs", "holds", "exception", "verdict")
 
 
 @dataclass(frozen=True)
@@ -49,6 +48,11 @@ class CaseReport:
     holds: bool
     exception: bool
     verdict: str
+
+
+# The field names in declaration order: the CSV header and the JSON key order.
+CSV_HEADER = tuple(f.name for f in fields(CaseReport))
+_field_values = operator.attrgetter(*CSV_HEADER)
 
 
 @dataclass(frozen=True)
@@ -152,23 +156,61 @@ def _inequality_cell(r: CaseReport) -> str:
     return f"{r.lhs} <= {r.rhs}" if r.holds else f"{r.lhs} > {r.rhs}"
 
 
-def _fields(r: CaseReport) -> dict:
-    """The fields of r by name, in declaration order, without copying them."""
-    return {f.name: getattr(r, f.name) for f in fields(r)}
+def _json_value(v, indent: int, memo: dict) -> str:
+    """v as json.dumps(v, indent=2) writes it on a line indented by indent spaces.
+
+    Tuples are memoized by (value, indent): the same degree or root recurs
+    across many rows, at more than one depth.
+    """
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if not isinstance(v, tuple):
+        raise TypeError(f"cannot write a {type(v).__name__} as report JSON")
+    key = (v, indent)
+    text = memo.get(key)
+    if text is None:
+        if v:
+            inner = ",\n" + " " * (indent + 2)
+            text = ("[" + inner[1:] + inner.join([_json_value(x, indent + 2, memo) for x in v])
+                    + "\n" + " " * indent + "]")
+        else:
+            text = "[]"
+        memo[key] = text
+    return text
+
+
+# How json.dumps(indent=2) opens the line of each field in a row object.
+_JSON_KEYS = tuple(f"\n    {encode_basestring_ascii(k)}: " for k in CSV_HEADER)
+
+
+def _json(reports) -> str:
+    """The bytes of json.dumps([the fields of r by name], indent=2) + "\\n"."""
+    memo = {}
+    rows = []
+    for r in reports:
+        items = ",".join([k + _json_value(v, 4, memo)
+                          for k, v in zip(_JSON_KEYS, _field_values(r))])
+        rows.append("{" + items + "\n  }")
+    if not rows:
+        return "[]\n"
+    return "[\n  " + ",\n  ".join(rows) + "\n]\n"
 
 
 def emit(reports, fmt: str) -> str:
     """Render reports as json, csv, or md with a stable field order."""
     if fmt == "json":
-        return json.dumps([_fields(r) for r in reports], indent=2) + "\n"
+        return _json(reports)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for r in reports:
-            d = _fields(r)
-            writer.writerow([json.dumps(d[k]) if isinstance(d[k], tuple) else d[k]
-                             for k in CSV_HEADER])
+            writer.writerow([json.dumps(v) if isinstance(v, tuple) else v
+                             for v in _field_values(r)])
         return buf.getvalue()
     if fmt == "md":
         head = ("| type | delta_p | degree | z_length | inequality | holds "

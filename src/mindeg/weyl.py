@@ -6,7 +6,9 @@ a root packed as the integer sum_k c_k 16**k of its coefficients c_k over the
 simple roots. Root coefficients lie in -6..6, so the packing is one-to-one on
 roots; roots are sign-homogeneous, so the integer has the sign of the root;
 and it is linear, so a Weyl group action on roots is an action on the packed
-integers. The packed format never leaves this module.
+integers. One table per root system (_packed_roots) maps each packed root to
+its coefficients and its integer coroot functional, so the hot loops below
+never unpack a root. The packed format never leaves this module.
 
 mul_gen carries the length along (w * s_i is one longer iff w(alpha_i) > 0);
 elements built otherwise count inversions on first use. Reduced words come
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .exceptions import ConsistencyError, MixedRootSystemError
-from .root_system import Root, RootSystem, reflect
+from .root_system import Root, RootSystem, _vector, reflect
 
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
@@ -43,6 +45,18 @@ def _unpack(x: int, rank: int) -> tuple[int, ...]:
     return tuple([x >> s & 15 for s in range(0, 4 * rank, 4)])
 
 
+@lru_cache(maxsize=None)
+def _packed_roots(rs: RootSystem) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
+    """Each packed root y -> (its coefficients, its coroot functional).
+
+    The functional lists the pairs (i, (alpha_i, y^vee)) whose value is not 0
+    (see RootSystem.coroot_functionals). For y = alpha_i it is the sparse
+    Cartan row of s_i: s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
+    """
+    return {_pack(r.coeffs): (r.coeffs, tuple((i, c) for i, c in enumerate(f) if c))
+            for r in rs.roots for f in (rs.coroot_functionals[r.coeffs],)}
+
+
 @dataclass(frozen=True, slots=True)
 class WeylElement:
     system: RootSystem
@@ -52,15 +66,17 @@ class WeylElement:
 
     def apply(self, v):
         """Apply to a Root or to a coefficient vector over the simple roots."""
+        table = _packed_roots(self.system)
         if isinstance(v, Root):
             if v.system is not self.system:
                 raise MixedRootSystemError("element and root live in different systems")
-            return self.system.root(self.apply(v.coeffs))
-        rank = self.system.rank
-        out = [0] * rank
-        for c, img in zip(v, self.images):
+            # w(v) is a root, so its packed image is a key of the table
+            x = sum([c * img for c, img in zip(v.coeffs, self.images) if c])
+            return self.system.root(table[x][0])
+        out = [0] * self.system.rank
+        for c, img in zip(_vector(self.system, v), self.images):
             if c:
-                for k, x in enumerate(_unpack(img, rank)):
+                for k, x in enumerate(table[img][0]):
                     out[k] += c * x
         return tuple(out)
 
@@ -118,21 +134,30 @@ def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
 def compose(u: WeylElement, v: WeylElement) -> WeylElement:
     """(u o v)(x) = u(v(x))."""
     rs = _same_group(u, v)
-    return WeylElement(rs, tuple(sum(c * x for c, x in zip(_unpack(img, rs.rank), u.images))
-                                 for img in v.images))
+    table = _packed_roots(rs)
+    return WeylElement(rs, tuple([sum([c * x for c, x in zip(table[img][0], u.images) if c])
+                                  for img in v.images]))
 
 
 @lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Reduced word (0-based indices) by stripping the smallest right descent."""
+    """Reduced word (0-based indices) by stripping the smallest right descent.
+
+    Only the identity has no right descent, so the stripping ends there.
+    """
+    table = _packed_roots(w.system)
+    simple = identity(w.system).images
+    images = list(w.images)
     word = []
-    cur = w
-    ident = identity(w.system).images
-    while cur.images != ident:
-        i = next(k for k, x in enumerate(cur.images) if x < 0)
+    while True:
+        for i, b in enumerate(images):
+            if b < 0:
+                break
+        else:
+            return tuple(reversed(word))
         word.append(i)
-        cur = mul_gen(cur, i)
-    return tuple(reversed(word))
+        for j, c in table[simple[i]][1]:
+            images[j] -= c * b
 
 
 def word_str(w: WeylElement) -> str:
@@ -184,23 +209,25 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
     simple root of W_P (if it is, s_i z = z s_beta lies in the same coset).
     When s_i acts, z^-1 becomes z^-1 s_i and z(alpha_j) drops by
     (alpha_j, beta^vee) alpha_i, since (z(alpha_j), alpha_i^vee) = (alpha_j, beta^vee).
+    Both image lists are updated in place and become elements once, at the end.
     """
     rs = _same_group(z, z_inv)
-    functionals = rs.coroot_functionals
+    table = _packed_roots(rs)
     simple = identity(rs).images
     levi = {simple[j] for j in positions}
-    images = z.images
+    images, inv = list(z.images), list(z_inv.images)
     length = z.length
     for i in reversed(reduced_word(reflection(rs, alpha))):
-        beta = z_inv.images[i]
+        beta = inv[i]
         if beta < 0 or beta in levi:
             continue
-        z_inv = mul_gen(z_inv, i)
         step = simple[i]
-        pairings = functionals[_unpack(beta, rs.rank)]
-        images = tuple([x - c * step for x, c in zip(images, pairings)])
+        for j, c in table[step][1]:
+            inv[j] -= c * beta
+        for j, c in table[beta][1]:
+            images[j] -= c * step
         length += 1
-    return WeylElement(rs, images, length), z_inv
+    return WeylElement(rs, tuple(images), length), WeylElement(rs, tuple(inv), length)
 
 
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
@@ -210,21 +237,25 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     shortens v by one and u by at most one, so the walk stops once the
     lengths meet, where u <= v iff u == v.
     """
-    cartan = _same_group(u, v).cartan
+    rs = _same_group(u, v)
     lu, lv = u.length, v.length
     if lu >= lv:
         return lu == lv and u.images == v.images
+    table = _packed_roots(rs)
+    rows = [table[x][1] for x in identity(rs).images]  # the sparse Cartan rows
     pu, pv = list(u.images), list(v.images)
     while lu < lv:
         i = 0
         while pv[i] >= 0:
             i += 1
         b = pv[i]
-        pv = [x - c * b for x, c in zip(pv, cartan[i])]
+        for j, c in rows[i]:
+            pv[j] -= c * b
         lv -= 1
         b = pu[i]
         if b < 0:
-            pu = [x - c * b for x, c in zip(pu, cartan[i])]
+            for j, c in rows[i]:
+                pu[j] -= c * b
             lu -= 1
     return pu == pv
 

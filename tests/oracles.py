@@ -10,8 +10,9 @@ and its frontier under a monotonicity certificate), the point-class degree
 by coordinate descent, liftings from a linear scan, curve-neighborhood
 elements from the Hecke product of a whole greedy decomposition, coset
 representatives by stripping right descents one at a time, the Weyl action
-from simple reflections on unpacked coefficient vectors, and Q(i)-spans from
-Gauss-Jordan elimination over pairs of Fractions.
+from simple reflections on unpacked coefficient vectors, reduced words, the
+Hecke step and composition one mul_gen or one unpacked root at a time, and
+Q(i)-spans from Gauss-Jordan elimination over pairs of Fractions.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from mindeg.exceptions import (
 from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
 from mindeg.root_system import Root, RootSystem, reflect, root_leq
 from mindeg.weyl import (
-    WeylElement, all_elements, bruhat_leq, compose, hecke_product, identity,
+    WeylElement, _unpack, all_elements, bruhat_leq, compose, hecke_product, identity,
     is_descent, longest_element, mul_gen, reduced_word, reflection, simple_reflection,
 )
 
@@ -275,6 +276,46 @@ def minimal_coset_representative(w: WeylElement, p: Parabolic) -> WeylElement:
         if i is None:
             return out
         out = mul_gen(out, i)
+
+
+def mul_gen_reduced_word(w: WeylElement) -> tuple[int, ...]:
+    """A reduced word of w by stripping the smallest right descent, one
+    mul_gen at a time, until the identity is left."""
+    word = []
+    ident = identity(w.system).images
+    while w.images != ident:
+        i = next(k for k in range(w.system.rank) if is_descent(w, k))
+        word.append(i)
+        w = mul_gen(w, i)
+    return tuple(reversed(word))
+
+
+def unpacked_compose(u: WeylElement, v: WeylElement) -> WeylElement:
+    """u o v, applying u to the unpacked coefficients of each v(alpha_j)."""
+    rs = u.system
+    return WeylElement(rs, tuple(sum(c * x for c, x in zip(_unpack(img, rs.rank), u.images))
+                                 for img in v.images))
+
+
+def mul_gen_hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
+                                      positions) -> tuple[WeylElement, WeylElement]:
+    """(y, y^-1) with y W_P = s_alpha * z W_P, letter by letter: z^-1 becomes
+    mul_gen(z^-1, i) and beta's functional is looked up by its unpacked
+    coefficients, each time s_i acts."""
+    rs = z.system
+    simple = identity(rs).images
+    levi = {simple[j] for j in positions}
+    images = z.images
+    length = z.length
+    for i in reversed(mul_gen_reduced_word(reflection(rs, alpha))):
+        beta = z_inv.images[i]
+        if beta < 0 or beta in levi:
+            continue
+        z_inv = mul_gen(z_inv, i)
+        pairings = rs.coroot_functionals[_unpack(beta, rs.rank)]
+        images = tuple([x - c * simple[i] for x, c in zip(images, pairings)])
+        length += 1
+    return WeylElement(rs, images, length), z_inv
 
 
 def hecke_curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:

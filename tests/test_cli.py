@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import signal
@@ -11,7 +12,7 @@ from mindeg import report
 from mindeg.cli import main
 from mindeg.exceptions import InvalidConfigError, InvalidDegreeError
 from mindeg.report import (
-    SweepConfig, default_types, emit, predictions_confirmed, run_sweep,
+    CaseReport, SweepConfig, default_types, emit, predictions_confirmed, run_sweep,
 )
 from mindeg.root_system import SimpleType
 
@@ -190,6 +191,33 @@ def test_sweep_command_exit_code_and_md(capsys):
 
 def test_emit_json_empty():
     assert emit([], "json") == "[]\n"
+
+
+def _check_emit_json_against_json_dumps(reports) -> None:
+    got = emit(reports, "json")
+    want = json.dumps([dataclasses.asdict(r) for r in reports], indent=2) + "\n"
+    same = got == want  # a bare boolean: pytest would diff megabytes of text
+    lines = zip(got.splitlines(), want.splitlines())
+    assert same, next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b),
+                      f"lengths {len(got)} and {len(want)}")
+
+
+@pytest.mark.parametrize("types", [default_types(5), (SimpleType("E", 6),)],
+                         ids=["headline", "E6"])
+def test_emit_json_matches_json_dumps_on_sweeps(types):
+    _check_emit_json_against_json_dumps(run_sweep(SweepConfig(types=types, max_rank=6)))
+
+
+def test_emit_json_matches_json_dumps_on_hand_built_reports():
+    # the degree (1, 0) recurs as a root two levels deeper, and an empty
+    # tuple sits both as a field and inside a list
+    first = CaseReport(type="B2", delta_p=(), degree=(1, 0), z_length=0, z_word="",
+                       cascade=((1, 0), ()), td=(), td_tilde=((1, 0),), lhs=-3,
+                       rhs=0, holds=True, exception=False, verdict='say "\u00e9"\n')
+    second = dataclasses.replace(first, degree=(), holds=False, exception=True,
+                                 td=((2, 1), (1, 0)), z_length=12, z_word="1 2")
+    for reports in ([], [first], [first, second], [second, first, second]):
+        _check_emit_json_against_json_dumps(reports)
 
 
 def test_emit_round_trips_reports():

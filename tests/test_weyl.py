@@ -2,14 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mindeg.exceptions import InvalidVectorError
+from mindeg.report import default_types
 from mindeg.root_system import build_root_system
 from mindeg.weyl import (
     all_elements, bruhat_leq, center_elements, compose, hecke_product,
-    identity, inversion_set, longest_element, mul_gen, reduced_word,
-    simple_reflection, weyl_group_order, word_str,
+    hecke_reflection_on_coset, identity, inversion_set, longest_element, mul_gen,
+    reduced_word, simple_reflection, weyl_group_order, word_str,
 )
 
-from oracles import brute_force_center, subword_bruhat_down_set, word_apply
+from oracles import (
+    brute_force_center, fraction_coroot_pairing, mul_gen_hecke_reflection_on_coset,
+    mul_gen_reduced_word, subword_bruhat_down_set, unpacked_compose, word_apply,
+)
 
 
 def _word_element(rs, word):
@@ -205,15 +210,36 @@ def test_bruhat_uses_every_coordinate_past_rank_8():
         assert bruhat_leq(u, v) == (u in below), u
 
 
-@pytest.mark.parametrize("label", ["E8", "A10"])
+@pytest.mark.parametrize("label", ["E8", "A10", "F4", "G2"])
 def test_packing_round_trips_on_every_root(label):
-    from mindeg.weyl import _pack, _unpack
+    """Packing is one-to-one and sign-preserving on roots, and the packed table
+    holds each root's coefficients and its coroot functional (the Fraction
+    formula), whose entries at the simple roots are the Cartan rows."""
+    from mindeg.weyl import _pack, _packed_roots, _unpack
     rs = build_root_system(label)
     packed = [_pack(r.coeffs) for r in rs.roots]
     assert len(set(packed)) == len(rs.roots)
+    table = _packed_roots(rs)
+    assert set(table) == set(packed)
     for r, x in zip(rs.roots, packed):
         assert _unpack(x, rs.rank) == r.coeffs
         assert (x > 0) == r.is_positive
+        coeffs, functional = table[x]
+        assert coeffs == r.coeffs
+        dense = tuple(fraction_coroot_pairing(a, r) for a in rs.simple_roots)
+        assert functional == tuple((i, c) for i, c in enumerate(dense) if c)
+    for i, a in enumerate(rs.simple_roots):
+        assert table[_pack(a.coeffs)][1] == tuple((j, c) for j, c in enumerate(rs.cartan[i]) if c)
+
+
+def test_apply_refuses_vectors_of_the_wrong_rank():
+    rs = build_root_system("A3")
+    s1 = simple_reflection(rs, 0)
+    for v in [(1, 2), (1, 2, 3, 4, 5), ()]:
+        with pytest.raises(InvalidVectorError):
+            s1.apply(v)
+    assert s1.apply((1, 0, 0)) == (-1, 0, 0)
+    assert s1.apply((0, 1, 2)) == (1, 1, 2)
 
 
 def _draw_word(data, rs):
@@ -235,3 +261,30 @@ def test_action_matches_unpacked_reference(data):
         assert uv.apply(b.coeffs) == word_apply(rs, word_u + word_v, b.coeffs)
     assert inversion_set(u) == tuple(a for a in rs.positive_roots
                                      if min(word_apply(rs, word_u, a.coeffs)) < 0)
+
+
+PACKED_PATH_TYPES = [str(t) for t in default_types(6)] + ["E7", "E8"]
+
+
+@pytest.mark.parametrize("label", PACKED_PATH_TYPES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_packed_paths_match_mul_gen_oracles(label, data):
+    """reduced_word, compose and the Hecke step on cosets agree with their
+    letter-by-letter versions on random elements, parabolics and roots."""
+    rs = build_root_system(label)
+    u, v = _draw_element(data, rs), _draw_element(data, rs)
+    assert reduced_word(u) == mul_gen_reduced_word(u)
+    assert compose(u, v) == unpacked_compose(u, v)
+    positions = tuple(sorted(data.draw(st.sets(st.integers(0, rs.rank - 1)))))
+    z = u
+    while any(z.images[i] < 0 for i in positions):  # the minimal representative of u W_P
+        z = mul_gen(z, next(i for i in positions if z.images[i] < 0))
+    z_inv = _word_element(rs, reversed(reduced_word(z)))
+    for alpha in data.draw(st.lists(st.sampled_from(rs.positive_roots), min_size=1, max_size=4)):
+        got = hecke_reflection_on_coset(z, z_inv, alpha, positions)
+        want = mul_gen_hecke_reflection_on_coset(z, z_inv, alpha, positions)
+        assert got == want
+        assert got[0].length == got[1].length == want[0].length == want[1].length
+        assert compose(*got) == identity(rs)
+        z, z_inv = got
