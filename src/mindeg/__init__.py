@@ -7,11 +7,13 @@ roots, tangent-direction sets with the key inequality and quasi-homogeneity
 verdicts, and a bit-exact 7x7 matrix model of the G2-inside-so7 embedding.
 """
 
-from .cascade import CascadeSet, cascade_roots, full_cascade, strongly_orthogonal
+from .cascade import (
+    CascadeSet, MinimalDegreeRecord, cascade_roots, full_cascade,
+    minimal_degree_records, strongly_orthogonal,
+)
 from .curve_nbhd import (
-    MinimalDegreeRecord, borel, curve_neighborhood_element, greedy_decomposition,
-    is_minimal_degree, is_p_cosmall, lifting, maximal_roots,
-    minimal_degree_records, minimal_degrees, point_class_degree,
+    borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
+    is_p_cosmall, lifting, maximal_roots, minimal_degrees, point_class_degree,
 )
 from .parabolic import Parabolic, c1_pairing, dim_x, project_coroot
 from .root_system import (

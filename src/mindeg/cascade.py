@@ -4,7 +4,8 @@ The cascade of a full-flag minimal degree e is the set of roots occurring in
 a greedy decomposition of e. Cascades are sets of pairwise strongly
 orthogonal roots (SOS); the classification facts checked here are that every
 SOS of maximal cardinality is Weyl-equivalent to the top cascade, and that
-cascade sizes are bounded by it.
+cascade sizes are bounded by it. A minimal degree of any G/P is recorded
+with its z, its lifting and the cascade of that lifting.
 """
 
 from __future__ import annotations
@@ -16,18 +17,19 @@ from .exceptions import (
     ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
 )
 from .curve_nbhd import (
-    borel, greedy_decomposition, is_minimal_degree, minimal_degrees,
-    point_class_degree,
+    borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
+    lifting, minimal_degrees, point_class_degree,
 )
-from .parabolic import Degree, is_effective
+from .parabolic import Degree, Parabolic, is_effective
 from .root_system import Root, RootSystem
-from .weyl import all_elements, center_elements, longest_element
+from .weyl import WeylElement, all_elements, center_elements, longest_element
 
 __all__ = [
     "CascadeSet", "cascade_roots", "full_cascade", "strongly_orthogonal",
     "is_sos", "SosRecord", "enumerate_sos", "mmsos_size",
     "mmsos_unique_up_to_weyl", "cascade_size_bound_holds",
-    "max_cascade_forces_point_degree",
+    "max_cascade_forces_point_degree", "MinimalDegreeRecord",
+    "minimal_degree_records",
 ]
 
 _SOS_RANK_CAP = 4
@@ -70,6 +72,25 @@ def cascade_roots(rs: RootSystem, e: Degree) -> CascadeSet:
     if not is_sos(roots):
         raise ConsistencyError(f"cascade of {e} is not strongly orthogonal")
     return CascadeSet(e, roots)
+
+
+@dataclass(frozen=True)
+class MinimalDegreeRecord:
+    degree: Degree
+    z: WeylElement
+    lifting: Degree
+    cascade: tuple[Root, ...]
+
+
+@lru_cache(maxsize=None)
+def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
+    """One record per minimal degree: its Weyl element, lifting, and cascade."""
+    out = []
+    for d in minimal_degrees(p):
+        e = lifting(p, d)
+        out.append(MinimalDegreeRecord(d, curve_neighborhood_element(p, d), e,
+                                       cascade_roots(p.system, e).roots))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -16,9 +16,10 @@ import sys
 
 from .cascade import (
     cascade_roots, cascade_size_bound_holds, enumerate_sos, full_cascade,
-    max_cascade_forces_point_degree, mmsos_size, mmsos_unique_up_to_weyl,
+    max_cascade_forces_point_degree, minimal_degree_records, mmsos_size,
+    mmsos_unique_up_to_weyl,
 )
-from .curve_nbhd import borel, minimal_degree_records, point_class_degree
+from .curve_nbhd import borel, point_class_degree
 from .exceptions import (
     InvalidConfigError, InvalidDegreeError, InvalidParabolicError, MindegError,
     NotApplicableError,

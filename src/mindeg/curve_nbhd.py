@@ -31,6 +31,20 @@ Bruhat-larger z. The minimal degrees are generated from 0; why that is sound:
   minimal degrees finds every minimal degree of G/P. The lifting of d (the
   full-flag e with z_e = z_d w_P) is looked up by z in the full-flag set.
 
+Both walks read one table of the positive roots in greedy order, the
+lexicographically largest coefficient vector first (_root_table):
+
+- The greedy step. The first root in greedy order whose projected coroot
+  fits below d is maximal among those that fit, since a root above it is
+  lexicographically larger and would fit too. So it is maximal_roots(p, d)[0],
+  the first greedy root of d: the lowest set bit of the mask of fitting roots.
+- The pruned search. Let alpha_j0 be the first greedy root of d. It fits below
+  d, so below every child d + alpha_j^vee; for j > j0 it comes before alpha_j
+  in greedy order, so alpha_j is not that child's first greedy root and the
+  child is never generated. The search therefore tries only the children with
+  j <= j0 (every child of 0, which has no greedy root) and accepts the same
+  degrees; a child accepted through alpha_j has j as its own j0.
+
 Each accepted degree is checked locally, raising ConsistencyError: on G/B
 the unit-edge test must agree with the length criterion, z_{d-e_i} <= z_d
 on each unit edge, and exactly one minimal degree, the point-class degree,
@@ -43,7 +57,6 @@ W_{S'}, while z_d >= s_i for every i in S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .exceptions import (
@@ -60,8 +73,7 @@ from .weyl import (
 __all__ = [
     "borel", "maximal_roots", "greedy_decomposition", "is_p_cosmall",
     "curve_neighborhood_element", "is_minimal_degree", "point_class_degree",
-    "minimal_degrees", "lifting", "MinimalDegreeRecord",
-    "minimal_degree_records",
+    "minimal_degrees", "lifting",
 ]
 
 
@@ -80,14 +92,18 @@ def borel(rs: RootSystem) -> Parabolic:
 def _root_table(p: Parabolic):
     """The root table of p's system (RootSystem.root_table), sliced to p.
 
-    Returns (roots, fits, above, outside): fits keeps the coordinates of
-    Delta \\ Delta_P, and outside masks the roots of R+ \\ R_P+. A Levi root
-    projects to the zero degree, so it fits below every degree; starting from
-    the outside mask drops it and changes nothing else.
+    Returns (roots, fits, above, outside, coroots): fits keeps the
+    coordinates of Delta \\ Delta_P, outside masks the roots of R+ \\ R_P+,
+    and coroots[j] is project_coroot(p, roots[j]), read off the system's
+    integer coroot table. A Levi root projects to the zero degree, so it fits
+    below every degree; starting from the outside mask drops it and changes
+    nothing else.
     """
-    roots, fits, above = p.system.root_table
+    roots, fits, above, coroots = p.system.root_table
+    q = p.quotient_positions
     outside = sum(1 << j for j, a in enumerate(roots) if p.outside_levi(a))
-    return roots, tuple(fits[i] for i in p.quotient_positions), above, outside
+    return (roots, tuple(fits[i] for i in q), above, outside,
+            tuple(tuple([c[i] for i in q]) for c in coroots))
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +114,7 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     is the deterministic greedy tie-break.
     """
     p.check_degree(d)
-    roots, fits, above, outside = _root_table(p)
+    roots, fits, above, outside, _ = _root_table(p)
     cands = _fitting(fits, d, outside)
     return tuple(a for j, a in enumerate(roots)
                  if cands >> j & 1 and not above[j] & cands)
@@ -107,30 +123,34 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
 def _fitting(fits, d: Degree, cands: int) -> int:
     """The roots of the mask cands whose projected coroot is <= d (see _root_table)."""
     for fit, c in zip(fits, d):
-        cands &= fit[min(c, len(fit) - 1)]
+        if c < len(fit):  # the last entry masks every root
+            cands &= fit[c]
     return cands
 
 
-def _greedy_step(p: Parabolic, d: Degree) -> tuple[Root, Degree]:
-    """The first greedy root alpha of a nonzero degree d, and d - alpha^vee."""
-    tops = maximal_roots(p, d)
-    if not tops:
+def _greedy_step(p: Parabolic, d: Degree) -> tuple[int, Degree]:
+    """The index j in _root_table(p) of the first greedy root alpha of a
+    nonzero degree d, the first fitting root in greedy order; and d - alpha^vee."""
+    roots, fits, _, outside, coroots = _root_table(p)
+    cands = _fitting(fits, d, outside)
+    if not cands:
         raise ConsistencyError(f"nonzero effective degree {d} has no maximal root")
-    alpha = tops[0]
-    rest = tuple(x - y for x, y in zip(d, project_coroot(p, alpha)))
+    j = (cands & -cands).bit_length() - 1
+    rest = tuple([x - y for x, y in zip(d, coroots[j])])
     if min(rest) < 0:
-        raise ConsistencyError(f"peeling {alpha} off a degree left {rest}")
-    return alpha, rest
+        raise ConsistencyError(f"peeling {roots[j]} off a degree left {rest}")
+    return j, rest
 
 
 @lru_cache(maxsize=None)
 def greedy_decomposition(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Peel maximal roots off d until nothing is left."""
     p.check_degree(d)
+    roots = _root_table(p)[0]
     out = []
     while any(d):
-        alpha, d = _greedy_step(p, d)
-        out.append(alpha)
+        j, d = _greedy_step(p, d)
+        out.append(roots[j])
     return tuple(out)
 
 
@@ -160,12 +180,13 @@ def _z_pair(p: Parabolic, d: Degree) -> tuple[WeylElement, WeylElement]:
     pairs = _z_pairs(p)
     chain = []
     while d not in pairs:
-        alpha, rest = _greedy_step(p, d)
-        chain.append((d, alpha))
+        j, rest = _greedy_step(p, d)
+        chain.append((d, j))
         d = rest
     pair = pairs[d]
-    for d, alpha in reversed(chain):
-        pair = hecke_reflection_on_coset(*pair, alpha, p.positions)
+    roots = _root_table(p)[0]
+    for d, k in reversed(chain):
+        pair = hecke_reflection_on_coset(*pair, roots[k], p.positions)
         if any(is_descent(pair[0], j) for j in p.positions):
             raise ConsistencyError(f"curve-neighborhood element of {d} is not in W^P")
         pairs[d] = pair
@@ -209,36 +230,39 @@ def _passes_unit_edges(p: Parabolic, d: Degree, z: WeylElement) -> bool:
 
 
 def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
-    """The minimal degrees of G/B with their z, by a breadth-first search from 0."""
+    """The minimal degrees of G/B with their z, by a breadth-first search from 0.
+
+    Each degree is queued with the index j0 of its first greedy root, and
+    only its children through the roots j <= j0 are tried (see the module
+    docstring).
+    """
     rs = b.system
     if 2 ** rs.rank > _MAX_BOREL_DEGREES:  # the 0/1 degrees alone pass the cap
         raise ResourceGuardError(
             f"{rs.simple_type} has at least {2 ** rs.rank} full-flag minimal degrees, "
             f"more than the {_MAX_BOREL_DEGREES} the enumeration accepts")
-    roots, fits, _, _ = _root_table(b)
-    steps = [(j, project_coroot(b, a), reflection(rs, a).length)
-             for j, a in enumerate(roots)]
+    roots, fits, _, _, coroots = _root_table(b)
+    steps = [(j, coroots[j], reflection(rs, a).length) for j, a in enumerate(roots)]
     found = {b.zero_degree: identity(rs)}
-    queue = [b.zero_degree]
-    for d in queue:
+    queue = [(b.zero_degree, len(roots) - 1)]
+    for d, j0 in queue:
         # checked when taken from the queue, so a refusal skips the last checks
         if not _passes_unit_edges(b, d, found[d]):
             raise ConsistencyError(
                 f"the length criterion accepts {d} on {b}, "
                 f"but a unit edge below it reaches the same z")
         length = found[d].length
-        for j, coroot, step in steps:
-            e = tuple(x + y for x, y in zip(d, coroot))
-            # the first root in greedy order that fits below e is maximal (a
-            # root above it is lexicographically larger, so it comes earlier),
-            # hence e's first greedy root; skip e unless that is alpha
+        for j, coroot, step in steps[:j0 + 1]:
+            e = tuple([x + y for x, y in zip(d, coroot)])
+            # skip e unless alpha_j is its first greedy root, the first
+            # fitting root in greedy order
             if _fitting(fits, e, (1 << j) - 1):
                 continue
             z = curve_neighborhood_element(b, e)
             if z.length != length + step:
                 continue
             found[e] = z
-            queue.append(e)
+            queue.append((e, j))
             if len(found) > _MAX_BOREL_DEGREES:
                 raise ResourceGuardError(
                     f"{rs.simple_type} has more than {_MAX_BOREL_DEGREES} full-flag "
@@ -300,6 +324,7 @@ def _liftings(rs: RootSystem) -> dict[WeylElement, list[Degree]]:
     return out
 
 
+@lru_cache(maxsize=None)
 def lifting(p: Parabolic, d: Degree) -> Degree:
     """The full-flag minimal degree e with z_e = z_d * w_P."""
     if not is_minimal_degree(p, d):
@@ -311,23 +336,3 @@ def lifting(p: Parabolic, d: Degree) -> Degree:
     if len(matches) > 1:
         raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
     return matches[0]
-
-
-@dataclass(frozen=True)
-class MinimalDegreeRecord:
-    degree: Degree
-    z: WeylElement
-    lifting: Degree
-    cascade: tuple[Root, ...]
-
-
-@lru_cache(maxsize=None)
-def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
-    """One record per minimal degree: its Weyl element, lifting, and cascade."""
-    b = borel(p.system)
-    out = []
-    for d in minimal_degrees(p):
-        e = lifting(p, d)
-        casc = tuple(sorted(set(greedy_decomposition(b, e)), key=lambda r: r.coeffs))
-        out.append(MinimalDegreeRecord(d, curve_neighborhood_element(p, d), e, casc))
-    return tuple(out)

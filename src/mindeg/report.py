@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
-from .curve_nbhd import minimal_degree_records
+from .cascade import minimal_degree_records
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, admissible, build_root_system

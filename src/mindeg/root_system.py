@@ -206,24 +206,26 @@ class RootSystem:
         return tuple(coeffs) in self._index
 
     @cached_property
-    def root_table(self) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    def root_table(self) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...],
+                                  tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """The positive roots as bitmask data, built once per system.
 
-        Returns (roots, fits, above). roots is sorted with the lexicographically
-        largest coefficient vector first (the greedy tie-break), and bit j of a
-        mask stands for roots[j]. fits[i][c] masks the roots whose coroot has
-        coefficient <= c at the simple coroot alpha_i^vee (the last entry, the
-        largest such coefficient, masks them all), and above[j] masks the
-        roots strictly above roots[j] in the root order.
+        Returns (roots, fits, above, coroots). roots is sorted with the
+        lexicographically largest coefficient vector first (the greedy
+        tie-break), and bit j of a mask stands for roots[j]. fits[i][c] masks
+        the roots whose coroot has coefficient <= c at the simple coroot
+        alpha_i^vee (the last entry, the largest such coefficient, masks them
+        all), above[j] masks the roots strictly above roots[j] in the root
+        order, and coroots[j] is coroot_coefficients(roots[j]).
         """
         roots = tuple(sorted(self.positive_roots, key=lambda r: r.coeffs, reverse=True))
-        coroots = [coroot_coefficients(a) for a in roots]
+        coroots = tuple(coroot_coefficients(a) for a in roots)
         fits = tuple(tuple(sum(1 << j for j, c in enumerate(coroots) if c[i] <= v)
                            for v in range(max(c[i] for c in coroots) + 1))
                      for i in range(self.rank))
         above = tuple(sum(1 << k for k, b in enumerate(roots) if b is not a and root_leq(a, b))
                       for a in roots)
-        return roots, fits, above
+        return roots, fits, above, coroots
 
     @cached_property
     def coroot_functionals(self) -> dict[tuple[int, ...], tuple[int, ...]]:
@@ -241,7 +243,7 @@ class RootSystem:
 
     @cached_property
     def highest_root(self) -> Root:
-        roots, _, above = self.root_table
+        roots, _, above, _ = self.root_table
         top = [a for a, mask in zip(roots, above) if not mask]
         if len(top) != 1:
             raise ConsistencyError(f"{self.simple_type}: expected one highest root, got {top}")

@@ -8,6 +8,13 @@ inequality compares (c_1(X), d) - len(z_d) against the number of directions;
 it holds everywhere except on one exceptional triple in type G2, which is
 exactly where the quasi-homogeneity verdict degrades from the group action
 to the full automorphism group.
+
+Both direction sets are unions over the cascade roots alpha outside the Levi
+of sets that depend only on (P, alpha): the plain directions -alpha-gamma, and
+the gammas of R_P+ with (gamma, alpha^vee) < -1 that make the strong pairs.
+These are memoized per (P, alpha), and the R- \\ R_P- check runs once per set;
+the checks that involve the whole degree (bijectivity, disjointness and the
+associated pairs) run once per degree.
 """
 
 from __future__ import annotations
@@ -69,19 +76,32 @@ def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     return tuple(a for a in cascade_roots(p.system, e).roots if p.outside_levi(a))
 
 
-def tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:
-    """-alpha-gamma over cascade alpha outside the Levi and gamma in R_P+ or 0."""
+@lru_cache(maxsize=None)
+def _directions_of(p: Parabolic, alpha: Root) -> frozenset[Root]:
+    """The roots -alpha-gamma, gamma in R_P+ or 0, each checked in R- \\ R_P-."""
     rs = p.system
-    out = set()
-    for a in _cascade_outside_levi(p, d):
-        out.add(-a)
-        for g in p.levi_positive:
-            s = tuple(x + y for x, y in zip(a.coeffs, g.coeffs))
-            if rs.is_root(s):
-                out.add(rs.root(tuple(-c for c in s)))
+    out = {-alpha}
+    for g in p.levi_positive:
+        s = tuple(x + y for x, y in zip(alpha.coeffs, g.coeffs))
+        if rs.is_root(s):
+            out.add(rs.root(tuple(-c for c in s)))
     for r in out:
         if not p.outside_levi(-r):
             raise ConsistencyError(f"tangent direction {r} not in R- \\ R_P-")
+    return frozenset(out)
+
+
+@lru_cache(maxsize=None)
+def _strong_gammas(p: Parabolic, alpha: Root) -> tuple[Root, ...]:
+    """The gamma in R_P+ with (gamma, alpha^vee) < -1, in the order of R_P+."""
+    return tuple(g for g in p.levi_positive if coroot_pairing(g, alpha) < -1)
+
+
+def tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:
+    """-alpha-gamma over cascade alpha outside the Levi and gamma in R_P+ or 0."""
+    out = set()
+    for a in _cascade_outside_levi(p, d):
+        out |= _directions_of(p, a)
     return tuple(sorted(out, key=lambda r: r.coeffs))
 
 
@@ -136,8 +156,7 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     """Both direction sets, with the bijectivity and disjointness checks applied."""
     rs = p.system
     casc = _cascade_outside_levi(p, d)
-    strong = tuple((a, g) for a in casc for g in p.levi_positive
-                   if coroot_pairing(g, a) < -1)
+    strong = tuple((a, g) for a in casc for g in _strong_gammas(p, a))
     seen_gamma = {}
     images = []
     for a, g in strong:

@@ -8,7 +8,9 @@ roots; roots are sign-homogeneous, so the integer has the sign of the root;
 and it is linear, so a Weyl group action on roots is an action on the packed
 integers. One table per root system (_packed_roots) maps each packed root to
 its coefficients and its integer coroot functional, so the hot loops below
-never unpack a root. The packed format never leaves this module.
+never unpack a root; a second one (_steps) holds the sparse Cartan rows and,
+filled on first use, the reversed reduced word of each reflection s_alpha.
+The packed format never leaves this module.
 
 mul_gen carries the length along (w * s_i is one longer iff w(alpha_i) > 0);
 elements built otherwise count inversions on first use. Reduced words come
@@ -55,6 +57,24 @@ def _packed_roots(rs: RootSystem) -> dict[int, tuple[tuple[int, ...], tuple[tupl
     """
     return {_pack(r.coeffs): (r.coeffs, tuple((i, c) for i, c in enumerate(f) if c))
             for r in rs.roots for f in (rs.coroot_functionals[r.coeffs],)}
+
+
+class _Steps:
+    """The per-system data of the Hecke step and the Bruhat walk.
+
+    table is _packed_roots(rs), simple holds the packed simple roots, and
+    rows[i] is the sparse Cartan row of s_i. words maps the coefficients of a
+    root alpha to the reduced word of s_alpha, reversed; it is filled on first
+    use of alpha, so a cold query builds only what it reads.
+    """
+
+    __slots__ = ("table", "simple", "rows", "words")
+
+    def __init__(self, rs: RootSystem):
+        self.table = _packed_roots(rs)
+        self.simple = identity(rs).images
+        self.rows = tuple(self.table[x][1] for x in self.simple)
+        self.words: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,6 +124,11 @@ def _same_group(u: WeylElement, v: WeylElement) -> RootSystem:
 @lru_cache(maxsize=None)
 def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, tuple(1 << 4 * i for i in range(rs.rank)), 0)
+
+
+@lru_cache(maxsize=None)
+def _steps(rs: RootSystem) -> _Steps:
+    return _Steps(rs)
 
 
 def mul_gen(w: WeylElement, i: int) -> WeylElement:
@@ -212,17 +237,22 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
     Both image lists are updated in place and become elements once, at the end.
     """
     rs = _same_group(z, z_inv)
-    table = _packed_roots(rs)
-    simple = identity(rs).images
+    if alpha.system is not rs:
+        raise MixedRootSystemError("element and root live in different systems")
+    steps = _steps(rs)
+    table, simple, rows = steps.table, steps.simple, steps.rows
+    word = steps.words.get(alpha.coeffs)
+    if word is None:
+        word = steps.words[alpha.coeffs] = tuple(reversed(reduced_word(reflection(rs, alpha))))
     levi = {simple[j] for j in positions}
     images, inv = list(z.images), list(z_inv.images)
     length = z.length
-    for i in reversed(reduced_word(reflection(rs, alpha))):
+    for i in word:
         beta = inv[i]
         if beta < 0 or beta in levi:
             continue
         step = simple[i]
-        for j, c in table[step][1]:
+        for j, c in rows[i]:
             inv[j] -= c * beta
         for j, c in table[beta][1]:
             images[j] -= c * step
@@ -241,8 +271,7 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     lu, lv = u.length, v.length
     if lu >= lv:
         return lu == lv and u.images == v.images
-    table = _packed_roots(rs)
-    rows = [table[x][1] for x in identity(rs).images]  # the sparse Cartan rows
+    rows = _steps(rs).rows
     pu, pv = list(u.images), list(v.images)
     while lu < lv:
         i = 0

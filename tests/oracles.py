@@ -6,13 +6,15 @@ centers from commutation against every generator, maximal roots from a
 pairwise comparison and from a root table built for one parabolic, coroot
 and c1 pairings from Fractions over the Gram matrix, minimality from a scan of the whole box below a degree
 (or, where that is too slow, from the unit-edge test over the point-class box
-and its frontier under a monotonicity certificate), the point-class degree
-by coordinate descent, liftings from a linear scan, curve-neighborhood
+and its frontier under a monotonicity certificate), the full-flag minimal
+degrees by a search that tries every child of every accepted degree, the
+point-class degree by coordinate descent, liftings from a linear scan, curve-neighborhood
 elements from the Hecke product of a whole greedy decomposition, coset
 representatives by stripping right descents one at a time, the Weyl action
 from simple reflections on unpacked coefficient vectors, reduced words, the
-Hecke step and composition one mul_gen or one unpacked root at a time, and
-Q(i)-spans from Gauss-Jordan elimination over pairs of Fractions.
+Hecke step and composition one mul_gen or one unpacked root at a time,
+tangent directions root by root for each degree, and Q(i)-spans from
+Gauss-Jordan elimination over pairs of Fractions.
 """
 
 from __future__ import annotations
@@ -20,12 +22,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from mindeg.curve_nbhd import borel, curve_neighborhood_element, greedy_decomposition
+from mindeg.cascade import cascade_roots
+from mindeg.curve_nbhd import (
+    borel, curve_neighborhood_element, greedy_decomposition, lifting, maximal_roots,
+)
 from mindeg.exceptions import (
     ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError, UniquenessViolationError,
 )
 from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
-from mindeg.root_system import Root, RootSystem, reflect, root_leq
+from mindeg.root_system import Root, RootSystem, coroot_pairing, reflect, root_leq
+from mindeg.tangent_directions import TangentDirectionSets, associated_pair
 from mindeg.weyl import (
     WeylElement, _unpack, all_elements, bruhat_leq, compose, hecke_product, identity,
     is_descent, longest_element, mul_gen, reduced_word, reflection, simple_reflection,
@@ -262,6 +268,63 @@ def certified_box_scan_minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
             if is_minimal(d):
                 raise ConsistencyError(f"minimal degree {d} escaped the search box below {top}")
     return tuple(sorted(found))
+
+
+def unpruned_borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
+    """The minimal degrees of G/B with their z, by a breadth-first search from 0
+    that tries every child e = d + alpha^vee of every accepted degree d: e is
+    generated when alpha is maximal_roots(b, e)[0], its first greedy root, and
+    accepted when l(z_e) = l(z_d) + l(s_alpha)."""
+    rs = b.system
+    found = {b.zero_degree: identity(rs)}
+    queue = [b.zero_degree]
+    for d in queue:
+        for alpha in rs.positive_roots:
+            e = tuple(x + y for x, y in zip(d, project_coroot(b, alpha)))
+            if maximal_roots(b, e)[0] is not alpha:
+                continue
+            z = curve_neighborhood_element(b, e)
+            if z.length == found[d].length + reflection(rs, alpha).length:
+                found[e] = z
+                queue.append(e)
+    return found
+
+
+def _cascade_outside_levi(p: Parabolic, d: Degree) -> list[Root]:
+    return [a for a in cascade_roots(p.system, lifting(p, d)).roots if p.outside_levi(a)]
+
+
+def per_degree_tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:
+    """-alpha-gamma over the cascade roots alpha outside the Levi and gamma in
+    R_P+ or 0, built for the degree d alone, each checked in R- \\ R_P-."""
+    rs = p.system
+    out = set()
+    for a in _cascade_outside_levi(p, d):
+        out.add(-a)
+        for g in p.levi_positive:
+            s = tuple(x + y for x, y in zip(a.coeffs, g.coeffs))
+            if rs.is_root(s):
+                out.add(rs.root(tuple(-c for c in s)))
+    for r in out:
+        if not p.outside_levi(-r):
+            raise ConsistencyError(f"tangent direction {r} not in R- \\ R_P-")
+    return tuple(sorted(out, key=lambda r: r.coeffs))
+
+
+def per_degree_tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
+    """Both direction sets of d: the strong pairs (alpha, gamma) over every
+    cascade root alpha outside the Levi and every gamma in R_P+ with
+    (gamma, alpha^vee) < -1, and the extra directions gamma' - alpha' of their
+    associated pairs."""
+    rs = p.system
+    strong = tuple((a, g) for a in _cascade_outside_levi(p, d) for g in p.levi_positive
+                   if coroot_pairing(g, a) < -1)
+    extra = set()
+    for a, g in strong:
+        ap, gp = associated_pair(p, d, a, g)
+        extra.add(rs.root(tuple(y - x for x, y in zip(ap.coeffs, gp.coeffs))))
+    return TangentDirectionSets(per_degree_tangent_directions(p, d),
+                                tuple(sorted(extra, key=lambda r: r.coeffs)), strong)
 
 
 def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:

@@ -5,11 +5,10 @@ import pytest
 from mindeg.cascade import (
     cascade_roots, cascade_size_bound_holds, enumerate_sos, full_cascade,
     is_sos, max_cascade_forces_point_degree, mmsos_size,
-    mmsos_unique_up_to_weyl, strongly_orthogonal,
+    minimal_degree_records, mmsos_unique_up_to_weyl, strongly_orthogonal,
 )
 from mindeg.curve_nbhd import (
-    borel, curve_neighborhood_element, is_p_cosmall,
-    minimal_degree_records, minimal_degrees, point_class_degree,
+    borel, curve_neighborhood_element, is_p_cosmall, minimal_degrees, point_class_degree,
 )
 from mindeg.exceptions import (
     NotApplicableError, NotMinimalDegreeError, RankTooLargeError,

@@ -1,19 +1,21 @@
+import hashlib
 import itertools
 import math
 
 import pytest
 
 from mindeg import curve_nbhd, weyl
+from mindeg.cascade import minimal_degree_records
 from mindeg.cli import main
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
-    is_p_cosmall, lifting, maximal_roots, minimal_degree_records, minimal_degrees,
-    point_class_degree,
+    is_p_cosmall, lifting, maximal_roots, minimal_degrees, point_class_degree,
 )
 from mindeg.exceptions import (
     ConsistencyError, InvalidDegreeError, NotMinimalDegreeError, ResourceGuardError,
 )
 from mindeg.parabolic import Parabolic, degree_leq, project_coroot
+from mindeg.report import default_types
 from mindeg.root_system import build_root_system
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
 
@@ -21,7 +23,7 @@ from oracles import (
     box_scan_is_minimal_degree, box_scan_minimal_degrees, box_scan_point_class_degree,
     certified_box_scan_minimal_degrees, hecke_curve_neighborhood_element,
     is_maximal_coset_representative, linear_scan_lifting, minimal_coset_representative,
-    pairwise_maximal_roots, per_parabolic_maximal_roots,
+    pairwise_maximal_roots, per_parabolic_maximal_roots, unpruned_borel_minimal,
 )
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -469,3 +471,48 @@ def test_long_greedy_chain_does_not_exhaust_the_stack(cold_curve_nbhd):
     # greedy((5000,)) on A1 is 5000 copies of the simple root
     p = borel(build_root_system("A1"))
     assert curve_neighborhood_element(p, (5000,)).length == 1
+
+
+def _labels(max_rank, *extra):
+    return [str(t) for t in default_types(max_rank)] + list(extra)
+
+
+@pytest.mark.parametrize("label", _labels(6, "E7"))
+def test_pruned_search_matches_unpruned_search(label):
+    """Trying only the children through the roots j <= j0 accepts the same
+    degrees, with the same z, as trying every child."""
+    b = borel(build_root_system(label))
+    assert curve_nbhd._borel_minimal(b) == unpruned_borel_minimal(b)
+
+
+@pytest.mark.parametrize("label", _labels(5))
+def test_greedy_step_takes_the_first_maximal_root(label):
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        minimal_degrees(p)
+        roots = curve_nbhd._root_table(p)[0]
+        for d in list(curve_nbhd._z_pairs(p)):  # every degree whose z was computed
+            if not any(d):
+                continue
+            j, rest = curve_nbhd._greedy_step(p, d)
+            alpha = maximal_roots(p, d)[0]
+            assert roots[j] is alpha, (p, d)
+            assert rest == tuple(x - y for x, y in zip(d, project_coroot(p, alpha))), (p, d)
+
+
+@pytest.mark.parametrize("label", _labels(6, "E7", "E8"))
+def test_table_coroots_match_project_coroot(label):
+    """The projected coroots read off the integer coroot table equal the
+    Fraction-based expansion of project_coroot, on every root and parabolic."""
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        roots, _, _, _, coroots = curve_nbhd._root_table(p)
+        assert coroots == tuple(project_coroot.__wrapped__(p, a) for a in roots), p
+
+
+def test_e7_full_flag_minimal_degrees_are_pinned():
+    # as the full-flag search without the j <= j0 prune computed them
+    found = minimal_degrees(borel(build_root_system("E7")))
+    assert len(found) == 970
+    assert hashlib.sha256(repr(found).encode()).hexdigest() == (
+        "4a5c6d03fafba38ce7697b83d527b9c82f50f65b1e6f64bf448dc6c8816a61fc")

@@ -6,6 +6,7 @@ from mindeg.cascade import cascade_roots
 from mindeg.curve_nbhd import borel, lifting, minimal_degrees, point_class_degree
 from mindeg.exceptions import ExceptionalCaseError, NotMinimalDegreeError
 from mindeg.parabolic import Parabolic
+from mindeg.report import default_types
 from mindeg.root_system import bilinear, build_root_system, coroot_pairing
 from mindeg.tangent_directions import (
     VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, additional_tangent_directions,
@@ -14,6 +15,8 @@ from mindeg.tangent_directions import (
     tangent_direction_sets, tangent_directions,
     weighted_pair_count_identity_holds,
 )
+
+from oracles import per_degree_tangent_direction_sets, per_degree_tangent_directions
 
 SWEEP_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "F4", "G2"]
 SIMPLY_LACED = ["A1", "A2", "A3", "A4", "D4"]
@@ -239,3 +242,13 @@ def test_collisions_of_the_negative_pair_map_share_gamma():
                     assert prev_g == g
                 else:
                     seen[img] = (ap, gp, g)
+
+
+@pytest.mark.parametrize("label", [str(t) for t in default_types(5)])
+def test_direction_sets_match_the_per_degree_loop(label):
+    """The unions of the per-(P, alpha) sets equal the sets built degree by
+    degree, on every minimal degree of every parabolic, strong pairs included
+    (they occur on B3-B5, F4 and G2)."""
+    for p, d in sweep_cases([label]):
+        assert tangent_directions(p, d) == per_degree_tangent_directions(p, d), (p, d)
+        assert tangent_direction_sets(p, d) == per_degree_tangent_direction_sets(p, d), (p, d)
