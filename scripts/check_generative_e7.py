@@ -4,7 +4,10 @@ box scan of tests/oracles.py on every parabolic of E7 (or of other types).
 
 For each parabolic, minimal_degrees, point_class_degree and the lifting of
 every minimal degree must equal the oracle's, and each lifting must project
-back to its degree. Every cache is emptied after each parabolic, so peak
+back to its degree. The table of minimal degrees, z's and liftings read off
+the full-flag set must also equal the one found by projection and the
+unit-edge test, and each z the whole Hecke product of its greedy
+decomposition. Every cache is emptied after each parabolic, so peak
 memory is that of the largest single case, not of the whole type. E7 takes
 several minutes; its largest case, E7/B, scans a box of 181,440 degrees.
 
@@ -23,11 +26,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+from mindeg import curve_nbhd  # noqa: E402
 from mindeg.curve_nbhd import borel, lifting, minimal_degrees, point_class_degree  # noqa: E402
 from mindeg.parabolic import Parabolic  # noqa: E402
 from mindeg.root_system import build_root_system  # noqa: E402
 from oracles import (  # noqa: E402
-    box_scan_point_class_degree, certified_box_scan_minimal_degrees, linear_scan_lifting,
+    box_scan_point_class_degree, certified_box_scan_minimal_degrees,
+    hecke_curve_neighborhood_element, linear_scan_lifting, unit_edge_minimal_degrees,
 )
 
 
@@ -56,6 +61,12 @@ def check_type(label: str) -> list[str]:
                 problems.append(f"{p}: minimal degrees differ")
             if point_class_degree(p) != box_scan_point_class_degree(p):
                 problems.append(f"{p}: point-class degrees differ")
+            table = curve_nbhd._minimal(p)[0]
+            if table != unit_edge_minimal_degrees(p):
+                problems.append(f"{p}: the table differs from the unit-edge oracle")
+            for d, (z, _) in table.items():
+                if z != hecke_curve_neighborhood_element(p, d):
+                    problems.append(f"{p}: z of {d} differs from the whole Hecke product")
             for d in found:
                 e = lifting(p, d)
                 if e != linear_scan_lifting(p, d, full_flag):
@@ -79,7 +90,8 @@ def main() -> int:
     problems = [msg for label in args.types.split(",") for msg in check_type(label)]
     for msg in problems:
         print(msg)
-    print("generative sets equal the box scan" if not problems else "DIFFERENCES FOUND")
+    print("generative sets equal the box scan and the unit-edge oracle"
+          if not problems else "DIFFERENCES FOUND")
     return 1 if problems else 0
 
 

@@ -17,8 +17,8 @@ from .exceptions import (
     ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
 )
 from .curve_nbhd import (
-    borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
-    lifting, minimal_degrees, point_class_degree,
+    _z_and_lifting, borel, greedy_decomposition, is_minimal_degree, minimal_degrees,
+    point_class_degree,
 )
 from .parabolic import Degree, Parabolic, is_effective
 from .root_system import Root, RootSystem
@@ -84,12 +84,12 @@ class MinimalDegreeRecord:
 
 @lru_cache(maxsize=None)
 def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
-    """One record per minimal degree: its Weyl element, lifting, and cascade."""
+    """One record per minimal degree: its Weyl element, lifting, and cascade,
+    the first two read off the table of minimal degrees."""
     out = []
     for d in minimal_degrees(p):
-        e = lifting(p, d)
-        out.append(MinimalDegreeRecord(d, curve_neighborhood_element(p, d), e,
-                                       cascade_roots(p.system, e).roots))
+        z, e = _z_and_lifting(p, d)
+        out.append(MinimalDegreeRecord(d, z, e, cascade_roots(p.system, e).roots))
     return tuple(out)
 
 

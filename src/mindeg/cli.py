@@ -168,7 +168,7 @@ def cmd_appendix_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.types:
+    if args.types is not None:
         types = tuple(SimpleType.parse(t) for t in args.types.split(","))
     else:
         types = default_types(args.max_rank)

@@ -23,13 +23,22 @@ Bruhat-larger z. The minimal degrees are generated from 0; why that is sound:
   minimal-degree/shortest-path correspondence of the quantum Bruhat graph
   (Fulton-Woodward, J. Algebraic Geom. 13 (2004); Postnikov, Quantum Bruhat
   graph and Schubert polynomials, Proc. AMS 133 (2005)).
-- G/P by projection. A curve through 1P lifts to a curve through 1B whose
-  degree e projects onto its own, and the degree-d neighborhood of 1P is
-  irreducible, so z_d W_P = z_e W_P for such an e. A minimal e_0 <= e with
-  z_{e_0} = z_e projects to a degree <= d that still reaches z_d, which for
-  minimal d is d. So the unit-edge test on the projections of the full-flag
-  minimal degrees finds every minimal degree of G/P. The lifting of d (the
-  full-flag e with z_e = z_d w_P) is looked up by z in the full-flag set.
+- G/P from the full-flag set. d is minimal on G/P iff d is the projection
+  of a full-flag minimal degree e whose z_e has every position of Delta_P as
+  a right descent, i.e. z_e is the longest element of z_e W_P. That e is the
+  lifting of d, and z_d = z_e * w_P. The proof rests on two facts. (i) Every
+  minimal d has a lifting: a full-flag minimal e with z_e = z_d * w_P that
+  projects to d. A curve through 1P lifts to a curve through 1B whose degree
+  projects onto its own, and the degree-d neighborhood of 1P is irreducible.
+  (ii) For each w the degrees e with z_e >= w have a least element, the
+  minimal degree of w in the quantum Bruhat graph (Fulton-Woodward, ibid.;
+  Postnikov, ibid.); so distinct full-flag minimal degrees have distinct z.
+  "Only if" is (i). For "if", let such an e project to d. A curve through 1B
+  projects to one through 1P, so z_e <= z_d * w_P. Take a minimal d0 <= d
+  with z_{d0} = z_d and its lifting e0. Then z_{e0} = z_d * w_P >= z_e, and e
+  is the least degree reaching z_e, so e <= e0 and d <= d0. Hence d = d0 is
+  minimal, and e0 is a second preimage of d of this kind unless e = e0.
+  Two such preimages of one d raise LiftingNotUniqueError.
 
 Both walks read one table of the positive roots in greedy order, the
 lexicographically largest coefficient vector first (_root_table):
@@ -45,10 +54,12 @@ lexicographically largest coefficient vector first (_root_table):
   j <= j0 (every child of 0, which has no greedy root) and accepts the same
   degrees; a child accepted through alpha_j has j as its own j0.
 
-Each accepted degree is checked locally, raising ConsistencyError: on G/B
-the unit-edge test must agree with the length criterion, z_{d-e_i} <= z_d
-on each unit edge, and exactly one minimal degree, the point-class degree,
-reaches the longest coset. The full-flag search is refused
+Each table is checked locally, raising ConsistencyError. On G/B the
+unit-edge test must agree with the length criterion on each accepted degree,
+with z_{d-e_i} <= z_d on each unit edge. On G/P every projection of a
+full-flag minimal degree must have a preimage whose z is longest in its
+coset, as on every parabolic through E8. On both, exactly one minimal degree,
+the point-class degree, reaches the longest coset. The full-flag search is refused
 (ResourceGuardError) once it accepts more than _MAX_BOREL_DEGREES degrees,
 and at once when 2^rank does: each degree sum_{i in S} alpha_i^vee is
 minimal, as a smaller degree is supported on some S' < S, so its z lies in
@@ -57,17 +68,16 @@ W_{S'}, while z_d >= s_i for every i in S.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .exceptions import (
-    ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError,
-    NotMinimalDegreeError, ResourceGuardError,
+    ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
 )
 from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem
 from .weyl import (
     WeylElement, bruhat_leq, compose, hecke_reflection_on_coset, identity,
-    is_descent, longest_element, reflection,
+    is_descent, longest_element, mul_gen, reduced_word, reflection,
 )
 
 __all__ = [
@@ -271,25 +281,33 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
 
 
 @lru_cache(maxsize=None)
-def _minimal(p: Parabolic) -> tuple[dict[Degree, WeylElement], Degree]:
-    """The minimal degrees of p with their z, and the point-class degree.
+def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], Degree]:
+    """The minimal degrees of p, each with its z and its lifting, and the
+    point-class degree.
 
-    On G/P the candidates are the projections of the full-flag minimal
-    degrees, kept when they pass the unit-edge test.
+    On G/P they are read off the full-flag minimal degrees e whose z_e has
+    every position of Delta_P as a right descent (see the module docstring).
     """
     if not p.positions:
-        found = _borel_minimal(p)
+        found = {d: (z, d) for d, z in _borel_minimal(p).items()}
     else:
-        found, seen = {}, set()
-        for e in _minimal(borel(p.system))[0]:
-            d = tuple(e[i] for i in p.quotient_positions)
-            if d not in seen:
-                seen.add(d)
-                z = curve_neighborhood_element(p, d)
-                if _passes_unit_edges(p, d, z):
-                    found[d] = z
+        found, projections = {}, set()
+        q, word = p.quotient_positions, reduced_word(p.w_p)
+        for e, (z, _) in _minimal(borel(p.system))[0].items():
+            d = tuple([e[i] for i in q])
+            projections.add(d)
+            if all(is_descent(z, i) for i in p.positions):
+                if d in found:
+                    raise LiftingNotUniqueError(f"{d} lifts to each of {[found[d][1], e]}")
+                # z_d = z * w_P, one letter of w_P at a time, each shortening z
+                found[d] = (reduce(mul_gen, word, z), e)
+        missing = projections - found.keys()
+        if missing:
+            raise ConsistencyError(
+                f"no full-flag minimal degree longest in its coset projects to "
+                f"{min(missing)} on {p}")
     target = compose(longest_element(p.system), p.w_p)
-    tops = [d for d, z in found.items() if z == target]
+    tops = [d for d, (z, _) in found.items() if z == target]
     if len(tops) != 1:
         raise ConsistencyError(
             f"{len(tops)} minimal degrees of {p} reach the longest coset: {tops}")
@@ -315,24 +333,17 @@ def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     return tuple(sorted(_minimal(p)[0]))
 
 
-@lru_cache(maxsize=None)
-def _liftings(rs: RootSystem) -> dict[WeylElement, list[Degree]]:
-    """The full-flag minimal degrees of rs, grouped by their z."""
-    out = {}
-    for e, z in _minimal(borel(rs))[0].items():
-        out.setdefault(z, []).append(e)
-    return out
-
-
-@lru_cache(maxsize=None)
-def lifting(p: Parabolic, d: Degree) -> Degree:
-    """The full-flag minimal degree e with z_e = z_d * w_P."""
+def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree]:
+    """z_d and the lifting of a minimal degree d, read off the table."""
     if not is_minimal_degree(p, d):
         raise NotMinimalDegreeError(f"{d} is not a minimal degree for {p}")
-    want = compose(curve_neighborhood_element(p, d), p.w_p)
-    matches = _liftings(p.system).get(want, [])
-    if not matches:
-        raise LiftingNotFoundError(f"no full-flag minimal degree lifts {d}")
-    if len(matches) > 1:
-        raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
-    return matches[0]
+    return _minimal(p)[0][d]
+
+
+def lifting(p: Parabolic, d: Degree) -> Degree:
+    """The full-flag minimal degree e with z_e = z_d * w_P; it projects to d.
+
+    A lookup in the table of minimal degrees: on G/P, the full-flag minimal
+    degree longest in its coset that projects to d; on G/B, d itself.
+    """
+    return _z_and_lifting(p, d)[1]

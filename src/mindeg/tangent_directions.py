@@ -28,7 +28,7 @@ from .exceptions import (
 )
 from .cascade import cascade_roots
 from .curve_nbhd import (
-    borel, curve_neighborhood_element, is_minimal_degree, lifting,
+    _z_and_lifting, borel, curve_neighborhood_element, is_minimal_degree, lifting,
     point_class_degree,
 )
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
@@ -262,9 +262,10 @@ def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
 
 @lru_cache(maxsize=None)
 def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
-    """(c_1(X), d) - len(z_d) against the number of tangent directions."""
+    """(c_1(X), d) - len(z_d) against the number of tangent directions,
+    z_d read off the table of minimal degrees."""
     sets = tangent_direction_sets(p, d)
-    lhs = c1_pairing(p, d) - curve_neighborhood_element(p, d).length
+    lhs = c1_pairing(p, d) - _z_and_lifting(p, d)[0].length
     rhs = len(sets.td) + len(sets.td_tilde)
     return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d))
 

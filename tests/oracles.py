@@ -8,6 +8,9 @@ and c1 pairings from Fractions over the Gram matrix, minimality from a scan of t
 (or, where that is too slow, from the unit-edge test over the point-class box
 and its frontier under a monotonicity certificate), the full-flag minimal
 degrees by a search that tries every child of every accepted degree, the
+minimal degrees of G/P by projecting the full-flag set and keeping the
+degrees that pass the unit-edge test, each with its z from a Hecke walk and
+its lifting looked up among the full-flag degrees grouped by z, the
 point-class degree by coordinate descent, liftings from a linear scan, curve-neighborhood
 elements from the Hecke product of a whole greedy decomposition, coset
 representatives by stripping right descents one at a time, the Weyl action
@@ -25,6 +28,7 @@ from fractions import Fraction
 from mindeg.cascade import cascade_roots
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, lifting, maximal_roots,
+    minimal_degrees,
 )
 from mindeg.exceptions import (
     ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError, UniquenessViolationError,
@@ -394,6 +398,39 @@ def hecke_curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     if compose(z, p.w_p) != acc:
         raise ConsistencyError(f"curve-neighborhood element of {d} does not split as z * w_P")
     return z
+
+
+def unit_edge_minimal_degrees(p: Parabolic) -> dict[Degree, tuple[WeylElement, Degree]]:
+    """The minimal degrees of p, each with its z and its lifting, by projection
+    and the unit-edge test.
+
+    The candidates are the projections of the full-flag minimal degrees. z is
+    monotone in d, so a candidate d is minimal iff z_{d-e_i} != z_d for every
+    i with d_i > 0; each z_{d-e_i} of a kept d is checked below z_d in Bruhat
+    order. The lifting of d is the full-flag minimal degree e with
+    z_e = z_d * w_P, looked up among the full-flag minimal degrees grouped by z.
+    """
+    b = borel(p.system)
+    full_flag = minimal_degrees(b)
+    by_z = {}
+    for e in full_flag:
+        by_z.setdefault(curve_neighborhood_element(b, e), []).append(e)
+    out = {}
+    for d in dict.fromkeys(tuple(e[i] for i in p.quotient_positions) for e in full_flag):
+        z = curve_neighborhood_element(p, d)
+        below = [(c, curve_neighborhood_element(p, c)) for c in _unit_steps_down(d)]
+        if any(u == z for _, u in below):
+            continue
+        for c, u in below:
+            if not bruhat_leq(u, z):
+                raise ConsistencyError(f"z is not monotone on {p}: z_{c} is not below z_{d}")
+        matches = by_z.get(compose(z, p.w_p), [])
+        if not matches:
+            raise LiftingNotFoundError(f"no full-flag minimal degree lifts {d}")
+        if len(matches) > 1:
+            raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
+        out[d] = (z, matches[0])
+    return out
 
 
 def linear_scan_lifting(p: Parabolic, d: Degree, full_flag: tuple[Degree, ...]) -> Degree:

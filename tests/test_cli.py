@@ -136,6 +136,15 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("types", ["", "A2,"])
+def test_sweep_with_an_empty_type_is_refused(capsys, types):
+    # an empty --types is a type that does not parse, not the default sweep
+    assert main(["sweep", "--types", types]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse simple type ''\n"
+
+
 def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(

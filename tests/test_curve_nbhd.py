@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from mindeg import curve_nbhd, weyl
+from mindeg import cascade, curve_nbhd, tangent_directions, weyl
 from mindeg.cascade import minimal_degree_records
 from mindeg.cli import main
 from mindeg.curve_nbhd import (
@@ -12,18 +12,21 @@ from mindeg.curve_nbhd import (
     is_p_cosmall, lifting, maximal_roots, minimal_degrees, point_class_degree,
 )
 from mindeg.exceptions import (
-    ConsistencyError, InvalidDegreeError, NotMinimalDegreeError, ResourceGuardError,
+    ConsistencyError, InvalidDegreeError, LiftingNotUniqueError, NotMinimalDegreeError,
+    ResourceGuardError,
 )
 from mindeg.parabolic import Parabolic, degree_leq, project_coroot
-from mindeg.report import default_types
+from mindeg.report import all_parabolic_subsets, default_types
 from mindeg.root_system import build_root_system
+from mindeg.tangent_directions import key_inequality
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
 
 from oracles import (
     box_scan_is_minimal_degree, box_scan_minimal_degrees, box_scan_point_class_degree,
     certified_box_scan_minimal_degrees, hecke_curve_neighborhood_element,
     is_maximal_coset_representative, linear_scan_lifting, minimal_coset_representative,
-    pairwise_maximal_roots, per_parabolic_maximal_roots, unpruned_borel_minimal,
+    pairwise_maximal_roots, per_parabolic_maximal_roots, unit_edge_minimal_degrees,
+    unpruned_borel_minimal,
 )
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -373,11 +376,34 @@ def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, cold_curve_nb
 
 def test_projections_failing_the_unit_edge_test_are_dropped(monkeypatch, cold_curve_nbhd, a2):
     # On P^2 (A2, Delta_P = {2}) the full-flag degree (2, 0), which is not
-    # minimal, projects to (2), whose z equals z_(1): the projection is dropped
+    # minimal, projects to (2), whose z equals z_(1): the unit-edge oracle
+    # drops the projection
     real = curve_nbhd._borel_minimal
     monkeypatch.setattr(curve_nbhd, "_borel_minimal",
                         lambda b: {**real(b), (2, 0): curve_neighborhood_element(b, (2, 0))})
-    assert minimal_degrees(Parabolic(a2, frozenset({2}))) == ((0,), (1,))
+    assert sorted(unit_edge_minimal_degrees(Parabolic(a2, frozenset({2})))) == [(0,), (1,)]
+
+
+def test_projection_without_a_coset_maximal_preimage_is_a_consistency_error(
+        monkeypatch, cold_curve_nbhd, a2):
+    # the same (2, 0): z_(2,0) = s1 lacks the descent s2, so no preimage of
+    # (2) is longest in its coset, which no true full-flag minimal degree has
+    # produced on any parabolic through E8
+    real = curve_nbhd._borel_minimal
+    monkeypatch.setattr(curve_nbhd, "_borel_minimal",
+                        lambda b: {**real(b), (2, 0): curve_neighborhood_element(b, (2, 0))})
+    with pytest.raises(ConsistencyError, match="longest in its coset projects to \\(2,\\)"):
+        minimal_degrees(Parabolic(a2, frozenset({2})))
+
+
+def test_two_coset_maximal_preimages_are_refused(monkeypatch, cold_curve_nbhd, a2):
+    # a fake full-flag degree (1, 5) with z = s1 s2, which has the descent s2,
+    # projects to (1) like (1, 1), whose z = w_o has it too
+    real = curve_nbhd._borel_minimal
+    s1s2 = compose(simple_reflection(a2, 0), simple_reflection(a2, 1))
+    monkeypatch.setattr(curve_nbhd, "_borel_minimal", lambda b: {**real(b), (1, 5): s1s2})
+    with pytest.raises(LiftingNotUniqueError, match="\\(1,\\) lifts to each of"):
+        minimal_degrees(Parabolic(a2, frozenset({2})))
 
 
 @pytest.mark.parametrize("label", ["B6", "D6"])
@@ -418,8 +444,10 @@ def test_action_ignoring_delta_p_is_a_consistency_error(monkeypatch, cold_curve_
         return real(z, z_inv, alpha, ())
 
     monkeypatch.setattr(curve_nbhd, "hecke_reflection_on_coset", without_levi)
+    p = Parabolic(b3, frozenset({2}))
     with pytest.raises(ConsistencyError, match="not in W\\^P"):
-        minimal_degrees(Parabolic(b3, frozenset({2})))
+        for d in itertools.product(range(3), repeat=2):
+            curve_neighborhood_element(p, d)
 
 
 def test_enumeration_guard_counts_accepted_degrees(monkeypatch, cold_curve_nbhd, capsys):
@@ -516,3 +544,33 @@ def test_e7_full_flag_minimal_degrees_are_pinned():
     assert len(found) == 970
     assert hashlib.sha256(repr(found).encode()).hexdigest() == (
         "4a5c6d03fafba38ce7697b83d527b9c82f50f65b1e6f64bf448dc6c8816a61fc")
+
+
+@pytest.mark.parametrize("label", _labels(6))
+def test_table_matches_the_unit_edge_oracle(label):
+    """The degrees, z's and liftings read off the full-flag set equal those of
+    projection and the unit-edge test, and each z equals the whole Hecke
+    product of its greedy decomposition."""
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        table = curve_nbhd._minimal(p)[0]
+        assert table == unit_edge_minimal_degrees(p), p
+        for d, (z, e) in table.items():
+            assert z == hecke_curve_neighborhood_element(p, d), (p, d)
+            assert z.length == len(weyl.inversion_set(z)), (p, d)
+            assert lifting(p, d) == e, (p, d)
+
+
+def test_e6_records_and_inequalities_walk_no_g_p_chain(cold_curve_nbhd):
+    """On every P != B of E6 the records and the key inequality read z_d off
+    the table: no G/P Hecke walk computes a z beyond z_0."""
+    for module in (cascade, tangent_directions):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    rs = build_root_system("E6")
+    for delta_p in all_parabolic_subsets(6)[1:]:
+        p = Parabolic(rs, frozenset(delta_p))
+        for rec in minimal_degree_records(p):
+            key_inequality(p, rec.degree)
+        assert list(curve_nbhd._z_pairs(p)) == [p.zero_degree], p
