@@ -82,7 +82,6 @@ class MinimalDegreeRecord:
     cascade: tuple[Root, ...]
 
 
-@lru_cache(maxsize=None)
 def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
     """One record per minimal degree: its Weyl element, lifting, and cascade,
     the first two read off the table of minimal degrees."""

@@ -35,8 +35,11 @@ from .weyl import center_elements, word_str
 
 
 def _parse_ints(text: str, error, what: str) -> tuple[int, ...]:
+    """The integers of a comma list; an empty list is (), a blank field an error."""
+    if not text.strip():
+        return ()
     try:
-        return tuple(int(x) for x in text.split(",") if x.strip())
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise error(f"{what} must be comma-separated integers, got {text!r}") from None
 

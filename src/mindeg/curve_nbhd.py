@@ -321,13 +321,11 @@ def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
     return d in _minimal(p)[0]
 
 
-@lru_cache(maxsize=None)
 def point_class_degree(p: Parabolic) -> Degree:
     """The smallest degree whose curve neighborhood reaches the longest coset."""
     return _minimal(p)[1]
 
 
-@lru_cache(maxsize=None)
 def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     """All minimal degrees of p, sorted."""
     return tuple(sorted(_minimal(p)[0]))

@@ -37,10 +37,6 @@ class UniquenessViolationError(MindegError, RuntimeError):
     """An object asserted to be unique is missing or not unique."""
 
 
-class LiftingNotFoundError(MindegError, RuntimeError):
-    """No full-flag minimal degree matches the required Weyl element."""
-
-
 class LiftingNotUniqueError(MindegError, RuntimeError):
     """More than one full-flag minimal degree matches the Weyl element."""
 

@@ -123,7 +123,6 @@ def project_coroot(p: Parabolic, alpha: Root) -> Degree:
     return tuple(full[i] for i in p.quotient_positions)
 
 
-@lru_cache(maxsize=None)
 def c1_vector(p: Parabolic) -> tuple[int, ...]:
     """Sum of the roots in R+ \\ R_P+, over the simple-root basis."""
     levi_pos = set(p.levi_positive)

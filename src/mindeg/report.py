@@ -2,8 +2,8 @@
 
 One CaseReport per minimal degree of each requested parabolic. Reports are
 plain data (strings, ints, tuples), so they serialize and pickle cleanly;
-sweeps are deterministic regardless of worker count because the merge sorts
-by the case key.
+sweeps are deterministic regardless of worker count because the cases are
+built in (family, rank, Delta_P) order and the merge keeps that order.
 """
 
 from __future__ import annotations
@@ -112,11 +112,6 @@ def _case_worker(task: tuple[str, tuple[int, ...]]) -> list[CaseReport]:
         raise
 
 
-def _sort_key(r: CaseReport):
-    t = SimpleType.parse(r.type)
-    return (t.family, t.rank, r.delta_p, r.degree)
-
-
 def run_sweep(cfg: SweepConfig) -> list[CaseReport]:
     if cfg.max_rank > _MAX_SWEEP_RANK:
         raise ResourceGuardError(f"sweeps are capped at rank {_MAX_SWEEP_RANK}")
@@ -125,20 +120,19 @@ def run_sweep(cfg: SweepConfig) -> list[CaseReport]:
     if not cfg.types:
         raise InvalidConfigError("no types to sweep")
     tasks = []
-    for t in dict.fromkeys(cfg.types):  # each type once, first occurrence kept
+    for t in sorted(set(cfg.types), key=lambda s: (s.family, s.rank)):
         if t.rank > cfg.max_rank:
             raise ResourceGuardError(f"{t} exceeds the sweep rank cap {cfg.max_rank}")
         for dp in all_parabolic_subsets(t.rank):
             tasks.append((str(t), dp))
-    tasks.sort()
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # each case returns its rows sorted by degree, and map keeps the task order
+    workers = min(cfg.workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_case_worker, tasks, chunksize=4))
     else:
         chunks = [_case_worker(t) for t in tasks]
-    reports = [r for chunk in chunks for r in chunk]
-    reports.sort(key=_sort_key)
-    return reports
+    return [r for chunk in chunks for r in chunk]
 
 
 def predictions_confirmed(reports) -> bool:

@@ -12,9 +12,9 @@ to the full automorphism group.
 Both direction sets are unions over the cascade roots alpha outside the Levi
 of sets that depend only on (P, alpha): the plain directions -alpha-gamma, and
 the gammas of R_P+ with (gamma, alpha^vee) < -1 that make the strong pairs.
-These are memoized per (P, alpha), and the R- \\ R_P- check runs once per set;
-the checks that involve the whole degree (bijectivity, disjointness and the
-associated pairs) run once per degree.
+Both are memoized together per (P, alpha), and the R- \\ R_P- check runs once
+per set; the checks that involve the whole degree (bijectivity, disjointness
+and the associated pairs) run once per degree.
 """
 
 from __future__ import annotations
@@ -70,15 +70,15 @@ class QuasiHomogeneityVerdict:
     group_dim: int | None = None
 
 
-@lru_cache(maxsize=None)
 def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     e = lifting(p, d)
     return tuple(a for a in cascade_roots(p.system, e).roots if p.outside_levi(a))
 
 
 @lru_cache(maxsize=None)
-def _directions_of(p: Parabolic, alpha: Root) -> frozenset[Root]:
-    """The roots -alpha-gamma, gamma in R_P+ or 0, each checked in R- \\ R_P-."""
+def _root_directions(p: Parabolic, alpha: Root) -> tuple[frozenset[Root], tuple[Root, ...]]:
+    """The roots -alpha-gamma, gamma in R_P+ or 0, each checked in R- \\ R_P-;
+    and the gamma in R_P+ with (gamma, alpha^vee) < -1, in the order of R_P+."""
     rs = p.system
     out = {-alpha}
     for g in p.levi_positive:
@@ -88,21 +88,21 @@ def _directions_of(p: Parabolic, alpha: Root) -> frozenset[Root]:
     for r in out:
         if not p.outside_levi(-r):
             raise ConsistencyError(f"tangent direction {r} not in R- \\ R_P-")
-    return frozenset(out)
+    strong = tuple(g for g in p.levi_positive if coroot_pairing(g, alpha) < -1)
+    return frozenset(out), strong
 
 
-@lru_cache(maxsize=None)
-def _strong_gammas(p: Parabolic, alpha: Root) -> tuple[Root, ...]:
-    """The gamma in R_P+ with (gamma, alpha^vee) < -1, in the order of R_P+."""
-    return tuple(g for g in p.levi_positive if coroot_pairing(g, alpha) < -1)
+def _plain_directions(p: Parabolic, casc: tuple[Root, ...]) -> tuple[Root, ...]:
+    """The union of the plain directions of the cascade roots casc, sorted."""
+    out = set()
+    for a in casc:
+        out |= _root_directions(p, a)[0]
+    return tuple(sorted(out, key=lambda r: r.coeffs))
 
 
 def tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """-alpha-gamma over cascade alpha outside the Levi and gamma in R_P+ or 0."""
-    out = set()
-    for a in _cascade_outside_levi(p, d):
-        out |= _directions_of(p, a)
-    return tuple(sorted(out, key=lambda r: r.coeffs))
+    return _plain_directions(p, _cascade_outside_levi(p, d))
 
 
 def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[Root, Root]:
@@ -156,7 +156,7 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     """Both direction sets, with the bijectivity and disjointness checks applied."""
     rs = p.system
     casc = _cascade_outside_levi(p, d)
-    strong = tuple((a, g) for a in casc for g in _strong_gammas(p, a))
+    strong = tuple((a, g) for a in casc for g in _root_directions(p, a)[1])
     seen_gamma = {}
     images = []
     for a, g in strong:
@@ -169,7 +169,7 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     td_tilde = set(images)
     if len(td_tilde) != len(strong):
         raise ConsistencyError("the strong pairs do not biject onto the extra directions")
-    td = tangent_directions(p, d)
+    td = _plain_directions(p, casc)
     if td_tilde & set(td):
         raise ConsistencyError("extra tangent directions must avoid the plain ones")
     for r in td_tilde:
@@ -260,7 +260,6 @@ def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
     return ok
 
 
-@lru_cache(maxsize=None)
 def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
     """(c_1(X), d) - len(z_d) against the number of tangent directions,
     z_d read off the table of minimal degrees."""

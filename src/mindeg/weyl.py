@@ -6,10 +6,10 @@ a root packed as the integer sum_k c_k 16**k of its coefficients c_k over the
 simple roots. Root coefficients lie in -6..6, so the packing is one-to-one on
 roots; roots are sign-homogeneous, so the integer has the sign of the root;
 and it is linear, so a Weyl group action on roots is an action on the packed
-integers. One table per root system (_packed_roots) maps each packed root to
-its coefficients and its integer coroot functional, so the hot loops below
-never unpack a root; a second one (_steps) holds the sparse Cartan rows and,
-filled on first use, the reversed reduced word of each reflection s_alpha.
+integers. One table per root system (_steps) maps each packed root to its
+coefficients and its integer coroot functional, so the hot loops below never
+unpack a root; it also holds the sparse Cartan rows and, filled on first use,
+the reversed reduced word of each reflection s_alpha.
 The packed format never leaves this module.
 
 mul_gen carries the length along (w * s_i is one longer iff w(alpha_i) > 0);
@@ -47,31 +47,24 @@ def _unpack(x: int, rank: int) -> tuple[int, ...]:
     return tuple([x >> s & 15 for s in range(0, 4 * rank, 4)])
 
 
-@lru_cache(maxsize=None)
-def _packed_roots(rs: RootSystem) -> dict[int, tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-    """Each packed root y -> (its coefficients, its coroot functional).
-
-    The functional lists the pairs (i, (alpha_i, y^vee)) whose value is not 0
-    (see RootSystem.coroot_functionals). For y = alpha_i it is the sparse
-    Cartan row of s_i: s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
-    """
-    return {_pack(r.coeffs): (r.coeffs, tuple((i, c) for i, c in enumerate(f) if c))
-            for r in rs.roots for f in (rs.coroot_functionals[r.coeffs],)}
-
-
 class _Steps:
-    """The per-system data of the Hecke step and the Bruhat walk.
+    """The per-system root table and the data of the Hecke step and the Bruhat walk.
 
-    table is _packed_roots(rs), simple holds the packed simple roots, and
-    rows[i] is the sparse Cartan row of s_i. words maps the coefficients of a
-    root alpha to the reduced word of s_alpha, reversed; it is filled on first
-    use of alpha, so a cold query builds only what it reads.
+    table maps each packed root y to (its coefficients, its coroot
+    functional); the functional lists the pairs (i, (alpha_i, y^vee)) whose
+    value is not 0 (see RootSystem.coroot_functionals). simple holds the
+    packed simple roots, and rows[i] is the sparse Cartan row of s_i, the
+    functional of alpha_i: s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
+    words maps the coefficients of a root alpha to the reduced word of
+    s_alpha, reversed; it is filled on first use of alpha, so a cold query
+    builds only what it reads.
     """
 
     __slots__ = ("table", "simple", "rows", "words")
 
     def __init__(self, rs: RootSystem):
-        self.table = _packed_roots(rs)
+        self.table = {_pack(r.coeffs): (r.coeffs, tuple((i, c) for i, c in enumerate(f) if c))
+                      for r in rs.roots for f in (rs.coroot_functionals[r.coeffs],)}
         self.simple = identity(rs).images
         self.rows = tuple(self.table[x][1] for x in self.simple)
         self.words: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -86,7 +79,7 @@ class WeylElement:
 
     def apply(self, v):
         """Apply to a Root or to a coefficient vector over the simple roots."""
-        table = _packed_roots(self.system)
+        table = _steps(self.system).table
         if isinstance(v, Root):
             if v.system is not self.system:
                 raise MixedRootSystemError("element and root live in different systems")
@@ -105,10 +98,6 @@ class WeylElement:
         if self._length is None:
             object.__setattr__(self, "_length", len(inversion_set(self)))
         return self._length
-
-    @property
-    def is_identity(self) -> bool:
-        return self.images == identity(self.system).images
 
     def __repr__(self) -> str:
         word = word_str(self) or "e"
@@ -159,7 +148,7 @@ def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
 def compose(u: WeylElement, v: WeylElement) -> WeylElement:
     """(u o v)(x) = u(v(x))."""
     rs = _same_group(u, v)
-    table = _packed_roots(rs)
+    table = _steps(rs).table
     return WeylElement(rs, tuple([sum([c * x for c, x in zip(table[img][0], u.images) if c])
                                   for img in v.images]))
 
@@ -170,8 +159,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
 
     Only the identity has no right descent, so the stripping ends there.
     """
-    table = _packed_roots(w.system)
-    simple = identity(w.system).images
+    rows = _steps(w.system).rows
     images = list(w.images)
     word = []
     while True:
@@ -181,7 +169,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
         else:
             return tuple(reversed(word))
         word.append(i)
-        for j, c in table[simple[i]][1]:
+        for j, c in rows[i]:
             images[j] -= c * b
 
 

@@ -31,7 +31,7 @@ from mindeg.curve_nbhd import (
     minimal_degrees,
 )
 from mindeg.exceptions import (
-    ConsistencyError, LiftingNotFoundError, LiftingNotUniqueError, UniquenessViolationError,
+    ConsistencyError, LiftingNotUniqueError, UniquenessViolationError,
 )
 from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
 from mindeg.root_system import Root, RootSystem, coroot_pairing, reflect, root_leq
@@ -426,7 +426,7 @@ def unit_edge_minimal_degrees(p: Parabolic) -> dict[Degree, tuple[WeylElement, D
                 raise ConsistencyError(f"z is not monotone on {p}: z_{c} is not below z_{d}")
         matches = by_z.get(compose(z, p.w_p), [])
         if not matches:
-            raise LiftingNotFoundError(f"no full-flag minimal degree lifts {d}")
+            raise ConsistencyError(f"no full-flag minimal degree lifts {d}")
         if len(matches) > 1:
             raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
         out[d] = (z, matches[0])
@@ -440,7 +440,7 @@ def linear_scan_lifting(p: Parabolic, d: Degree, full_flag: tuple[Degree, ...]) 
     want = compose(curve_neighborhood_element(p, d), p.w_p)
     matches = [e for e in full_flag if curve_neighborhood_element(b, e) == want]
     if not matches:
-        raise LiftingNotFoundError(f"no full-flag minimal degree lifts {d}")
+        raise ConsistencyError(f"no full-flag minimal degree lifts {d}")
     if len(matches) > 1:
         raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
     return matches[0]

@@ -145,6 +145,30 @@ def test_sweep_with_an_empty_type_is_refused(capsys, types):
     assert captured.err == "error: cannot parse simple type ''\n"
 
 
+@pytest.mark.parametrize("argv, what, text", [
+    (["cascade", "A1", "--e", "1,,"], "degree coordinates", "1,,"),
+    (["cascade", "A2", "--e", ",1,1"], "degree coordinates", ",1,1"),
+    (["verdict", "A3", "--delta-p", "2", "--degree", "1,,2"], "degree coordinates", "1,,2"),
+    (["verdict", "A3", "--delta-p", "1,,2"], "--delta-p", "1,,2"),
+    (["minimal-degrees", "A3", "--delta-p", "2,"], "--delta-p", "2,"),
+    (["key-inequality", "A3", "--delta-p", ",1"], "--delta-p", ",1"),
+])
+def test_blank_fields_in_comma_lists_are_refused(capsys, argv, what, text):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} must be comma-separated integers, got {text!r}\n"
+
+
+def test_an_empty_comma_list_is_the_empty_tuple(capsys):
+    # an empty --delta-p is the Borel, an empty --degree the degree of P = G
+    assert run_cli(capsys, "minimal-degrees", "A2", "--delta-p", "") == \
+        run_cli(capsys, "minimal-degrees", "A2")
+    code, out = run_cli(capsys, "verdict", "A2", "--delta-p", "1,2", "--degree", "")
+    assert code == 0
+    assert json.loads(out)["degree"] == []
+
+
 def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -273,6 +297,49 @@ def test_sweep_runs_a_repeated_type_once(capsys):
     assert twice == once
     code, mixed = run_cli(capsys, "sweep", "--types", "G2,A1,G2")
     assert mixed == run_cli(capsys, "sweep", "--types", "A1,G2")[1]
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in process."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
+    started = []
+    monkeypatch.setattr(report, "ProcessPoolExecutor",
+                        lambda max_workers: _RecordingPool(started, max_workers))
+    a1 = (SimpleType("A", 1),)  # two cases
+    serial = run_sweep(SweepConfig(types=a1))
+    assert started == []
+    for workers in (2, 4, 64):
+        assert run_sweep(SweepConfig(types=a1, workers=workers)) == serial
+    assert started == [2, 2, 2]
+    run_sweep(SweepConfig(types=(SimpleType("A", 2),), workers=3))  # four cases
+    assert started == [2, 2, 2, 3]
+
+
+def test_sweep_runs_its_cases_by_family_rank_and_parabolic(monkeypatch):
+    seen = []
+    monkeypatch.setattr(report, "_MAX_SWEEP_RANK", 10)
+    monkeypatch.setattr(report, "_case_worker", lambda task: seen.append(task) or [])
+    types = (SimpleType("B", 2), SimpleType("A", 10), SimpleType("A", 2), SimpleType("B", 2))
+    assert run_sweep(SweepConfig(types=types, max_rank=10)) == []
+    labels = list(dict.fromkeys(label for label, _ in seen))
+    assert labels == ["A2", "A10", "B2"]
+    for label in labels:
+        subsets = [dp for lab, dp in seen if lab == label]
+        assert subsets == sorted(subsets) and len(subsets) == len(set(subsets))
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

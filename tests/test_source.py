@@ -64,3 +64,39 @@ def test_benchmark_bindings_name_package_functions():
                 uncached.append(f"mindeg.{module}.{fn}")
     assert missing == []
     assert uncached == []
+
+
+# Every module-global memo in the package, as module.function. A new memo
+# joins this list only with its measured reuse on the sweeps and queries.
+MEMOS = {
+    "cascade.cascade_roots", "cascade.full_cascade", "cascade._sos_subsets",
+    "curve_nbhd.borel", "curve_nbhd._root_table", "curve_nbhd.maximal_roots",
+    "curve_nbhd.greedy_decomposition", "curve_nbhd._z_pairs",
+    "curve_nbhd.curve_neighborhood_element", "curve_nbhd._minimal",
+    "curve_nbhd.is_minimal_degree",
+    "parabolic.project_coroot",
+    "root_system._build",
+    "so7.build_tables", "so7.subalgebra_bases",
+    "tangent_directions._root_directions", "tangent_directions.tangent_direction_sets",
+    "weyl.identity", "weyl._steps", "weyl.reflection", "weyl.reduced_word",
+    "weyl._longest", "weyl.all_elements",
+}
+
+
+def _memo_decorator(node) -> bool:
+    """True for @lru_cache, @cache, their functools. forms and calls of them."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    name = getattr(node, "attr", None) or getattr(node, "id", None)
+    return name in ("lru_cache", "cache")
+
+
+def test_memo_inventory():
+    """The functions decorated with a functools memo are exactly MEMOS."""
+    found = [f"{path.stem}.{node.name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and any(_memo_decorator(d) for d in node.decorator_list)]
+    assert len(found) == len(set(found))
+    assert set(found) == MEMOS

@@ -215,11 +215,11 @@ def test_packing_round_trips_on_every_root(label):
     """Packing is one-to-one and sign-preserving on roots, and the packed table
     holds each root's coefficients and its coroot functional (the Fraction
     formula), whose entries at the simple roots are the Cartan rows."""
-    from mindeg.weyl import _pack, _packed_roots, _unpack
+    from mindeg.weyl import _pack, _steps, _unpack
     rs = build_root_system(label)
     packed = [_pack(r.coeffs) for r in rs.roots]
     assert len(set(packed)) == len(rs.roots)
-    table = _packed_roots(rs)
+    table = _steps(rs).table
     assert set(table) == set(packed)
     for r, x in zip(rs.roots, packed):
         assert _unpack(x, rs.rank) == r.coeffs
