@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mindeg.curve_nbhd import point_class_degree
 from mindeg.parabolic import Parabolic, c1_pairing, dim_x
-from mindeg.report import SweepConfig, default_types, emit, predictions_confirmed, run_sweep
+from mindeg.report import default_types, emit, predictions_confirmed, run_sweep
 from mindeg.root_system import build_root_system
 from mindeg.tangent_directions import quasi_homogeneity_verdict
 
@@ -30,8 +30,7 @@ def main() -> int:
     args = ap.parse_args()
 
     start = time.monotonic()
-    cfg = SweepConfig(types=default_types(5), workers=args.workers)
-    reports = run_sweep(cfg)
+    reports = run_sweep(default_types(5), args.workers)
     elapsed = time.monotonic() - start
 
     table = emit(reports, "md")

@@ -22,12 +22,10 @@ from .cascade import (
 from .curve_nbhd import borel, point_class_degree
 from .exceptions import (
     InvalidConfigError, InvalidDegreeError, InvalidParabolicError, MindegError,
-    NotApplicableError,
+    NotApplicableError, RankTooLargeError,
 )
 from .parabolic import Parabolic
-from .report import (
-    SweepConfig, case_reports, default_types, emit, predictions_confirmed, run_sweep,
-)
+from .report import case_reports, default_types, emit, predictions_confirmed, run_sweep
 from .root_system import SimpleType, build_root_system
 from .so7 import run_appendix_checks
 from .tangent_directions import quasi_homogeneity_verdict
@@ -104,8 +102,11 @@ def cmd_msos(args) -> int:
         summary["max_cascade_forces_point_degree"] = max_cascade_forces_point_degree(rs)
     except NotApplicableError:
         summary["max_cascade_forces_point_degree"] = "NotApplicable"
-    if rs.rank <= 4:
+    try:
         records = enumerate_sos(rs)
+    except RankTooLargeError:
+        pass  # above the enumeration's rank cap the SOS keys are left out
+    else:
         summary.update({
             "num_sos": len(records),
             "num_msos": sum(1 for r in records if r.is_msos),
@@ -136,7 +137,7 @@ def cmd_key_inequality(args) -> int:
     if args.all_parabolics:
         if args.delta_p is not None:
             raise InvalidConfigError("--delta-p and --all-parabolics exclude each other")
-        rows = run_sweep(SweepConfig(types=(t,)))
+        rows = run_sweep((t,))
     else:
         rows = case_reports(args.type, _parse_indices(args.delta_p))
     sys.stdout.write(emit(rows, "json"))
@@ -175,8 +176,7 @@ def cmd_sweep(args) -> int:
         types = tuple(SimpleType.parse(t) for t in args.types.split(","))
     else:
         types = default_types(args.max_rank)
-    cfg = SweepConfig(types=types, max_rank=args.max_rank, workers=args.workers)
-    reports = run_sweep(cfg)
+    reports = run_sweep(types, args.workers)
     sys.stdout.write(emit(reports, args.format))
     return 0 if predictions_confirmed(reports) else 1
 
@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="full case sweep with report emission")
     sp.add_argument("--types", help="comma-separated, e.g. A2,B3,G2")
-    sp.add_argument("--max-rank", type=int, default=5)
+    sp.add_argument("--max-rank", type=int, default=5,
+                    help="without --types, sweep every type of rank at most this")
     sp.add_argument("--format", choices=("json", "csv", "md"), default="json")
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)

@@ -331,6 +331,19 @@ def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
     return tuple(sorted(_minimal(p)[0]))
 
 
+def _sweep_rows(rs: RootSystem) -> int:
+    """The minimal degrees of rs summed over its 2^rank parabolics: the sum
+    over full-flag minimal e of 2^(number of right descents of z_e).
+
+    By the G/P criterion of the module docstring, e lifts one minimal degree
+    on each P whose Delta_P lies in the right descent set of z_e, and none
+    on any other P; no two e lift the same degree, since distinct full-flag
+    minimal degrees have distinct z (Fulton-Woodward; Postnikov).
+    """
+    return sum(1 << sum(is_descent(z, i) for i in range(rs.rank))
+               for z, _ in _minimal(borel(rs))[0].values())
+
+
 def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree]:
     """z_d and the lifting of a minimal degree d, read off the table."""
     if not is_minimal_degree(p, d):

@@ -54,7 +54,7 @@ class ExceptionalCaseError(MindegError):
 
 
 class ResourceGuardError(MindegError, ValueError):
-    """A request exceeds a resource guard: the sweep rank cap or the full-flag degree cap."""
+    """A request exceeds a resource guard: the sweep row budget or the full-flag degree cap."""
 
 
 class InvalidConfigError(MindegError, ValueError):

@@ -4,6 +4,7 @@ One CaseReport per minimal degree of each requested parabolic. Reports are
 plain data (strings, ints, tuples), so they serialize and pickle cleanly;
 sweeps are deterministic regardless of worker count because the cases are
 built in (family, rank, Delta_P) order and the merge keeps that order.
+A sweep is guarded by the rows it will emit, counted before any case runs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 from .cascade import minimal_degree_records
+from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, admissible, build_root_system
@@ -27,10 +29,15 @@ from .tangent_directions import (
 )
 from .weyl import word_str
 
-__all__ = ["SweepConfig", "CaseReport", "default_types", "all_parabolic_subsets",
+__all__ = ["CaseReport", "default_types", "all_parabolic_subsets",
            "case_reports", "run_sweep", "predictions_confirmed", "emit"]
 
-_MAX_SWEEP_RANK = 6
+# The most rows a sweep may emit. Every type of rank <= 7 together has
+# 77,198 and E8 alone 113,807 (about 720 MB peak serially, with emit);
+# --max-rank 8 passes it at C7 (128,791), and D9 alone has 210,055. Memory
+# grows with the rows: run_sweep holds every report and emit renders them
+# as one string.
+_MAX_SWEEP_ROWS = 120_000
 
 
 @dataclass(frozen=True)
@@ -55,16 +62,12 @@ CSV_HEADER = tuple(f.name for f in fields(CaseReport))
 _field_values = operator.attrgetter(*CSV_HEADER)
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    types: tuple[SimpleType, ...]
-    max_rank: int = _MAX_SWEEP_RANK
-    workers: int = 1
-
-
 def default_types(max_rank: int) -> tuple[SimpleType, ...]:
-    """Every admissible type of rank at most max_rank, by family and rank."""
-    return tuple(SimpleType(f, l) for f in "ABCDEFG" for l in range(1, max_rank + 1)
+    """Every admissible type of rank at most max_rank, by family and rank,
+    up to rank 12: above it 2^rank > _MAX_BOREL_DEGREES, and the full-flag
+    search refuses a type at once."""
+    top = min(max_rank, _MAX_BOREL_DEGREES.bit_length() - 1)
+    return tuple(SimpleType(f, l) for f in "ABCDEFG" for l in range(1, top + 1)
                  if admissible(f, l))
 
 
@@ -112,21 +115,25 @@ def _case_worker(task: tuple[str, tuple[int, ...]]) -> list[CaseReport]:
         raise
 
 
-def run_sweep(cfg: SweepConfig) -> list[CaseReport]:
-    if cfg.max_rank > _MAX_SWEEP_RANK:
-        raise ResourceGuardError(f"sweeps are capped at rank {_MAX_SWEEP_RANK}")
-    if cfg.workers < 1:
-        raise InvalidConfigError(f"the worker count must be at least 1, got {cfg.workers}")
-    if not cfg.types:
+def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseReport]:
+    """The reports of every parabolic of the types, by (family, rank, Delta_P),
+    in up to workers processes. Refused with ResourceGuardError before any
+    case runs once the row count summed in that order passes _MAX_SWEEP_ROWS."""
+    if workers < 1:
+        raise InvalidConfigError(f"the worker count must be at least 1, got {workers}")
+    if not types:
         raise InvalidConfigError("no types to sweep")
-    tasks = []
-    for t in sorted(set(cfg.types), key=lambda s: (s.family, s.rank)):
-        if t.rank > cfg.max_rank:
-            raise ResourceGuardError(f"{t} exceeds the sweep rank cap {cfg.max_rank}")
+    tasks, rows = [], 0
+    for t in sorted(set(types), key=lambda s: (s.family, s.rank)):
+        rows += _sweep_rows(build_root_system(t))
+        if rows > _MAX_SWEEP_ROWS:
+            raise ResourceGuardError(
+                f"the sweep through {t} has {rows} rows, more than the "
+                f"{_MAX_SWEEP_ROWS} a sweep may emit")
         for dp in all_parabolic_subsets(t.rank):
             tasks.append((str(t), dp))
     # each case returns its rows sorted by degree, and map keeps the task order
-    workers = min(cfg.workers, len(tasks))
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_case_worker, tasks, chunksize=4))

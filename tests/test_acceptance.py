@@ -17,7 +17,7 @@ from mindeg.curve_nbhd import (
 from mindeg.exceptions import ExceptionalCaseError
 from mindeg.parabolic import Parabolic, c1_pairing, dim_x
 from mindeg.root_system import bilinear, build_root_system, coroot_pairing
-from mindeg.report import SweepConfig, default_types, emit, predictions_confirmed, run_sweep
+from mindeg.report import default_types, emit, predictions_confirmed, run_sweep
 from mindeg.tangent_directions import (
     VERDICT_ONLY_AUT_X, coroot_pairing_bound_holds, key_inequality,
     pair_map_is_injective, quasi_homogeneity_verdict, tangent_direction_sets,
@@ -76,7 +76,7 @@ def test_criterion_1_exceptional_case_exact_numbers():
 
 def test_criterion_2_key_inequality_sweep():
     start = time.monotonic()
-    reports = run_sweep(SweepConfig(types=RANK5_TYPES))
+    reports = run_sweep(RANK5_TYPES)
     violations = [r for r in reports if not r.exception and not r.holds]
     exceptions = [r for r in reports if r.exception]
     ok = (not violations
@@ -206,13 +206,13 @@ def test_criterion_7_so7_model_suite():
 
 def test_criterion_8_sweep_determinism():
     types = default_types(3)
-    base = emit(run_sweep(SweepConfig(types=types, workers=1)), "json")
+    base = emit(run_sweep(types, workers=1), "json")
     ok = True
     for workers in (2, 4):
-        other = emit(run_sweep(SweepConfig(types=types, workers=workers)), "json")
+        other = emit(run_sweep(types, workers=workers), "json")
         ok = ok and other == base
-    full = run_sweep(SweepConfig(types=RANK5_TYPES, workers=2))
-    full_serial = run_sweep(SweepConfig(types=RANK5_TYPES, workers=1))
+    full = run_sweep(RANK5_TYPES, workers=2)
+    full_serial = run_sweep(RANK5_TYPES, workers=1)
     ok = ok and emit(full, "csv") == emit(full_serial, "csv")
     ok = ok and predictions_confirmed(full)
     _report(8, "sweep-determinism", ok, "1 vs 2 vs 4 workers byte-identical")

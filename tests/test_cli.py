@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import signal
@@ -10,10 +11,8 @@ import pytest
 
 from mindeg import report
 from mindeg.cli import main
-from mindeg.exceptions import InvalidConfigError, InvalidDegreeError
-from mindeg.report import (
-    CaseReport, SweepConfig, default_types, emit, predictions_confirmed, run_sweep,
-)
+from mindeg.exceptions import InvalidConfigError, InvalidDegreeError, ResourceGuardError
+from mindeg.report import CaseReport, default_types, emit, predictions_confirmed, run_sweep
 from mindeg.root_system import SimpleType
 
 
@@ -44,6 +43,23 @@ def test_cascade_command_with_explicit_degree(capsys):
     code, out = run_cli(capsys, "cascade", "G2", "--e", "1,1")
     payload = json.loads(out)
     assert payload["cascade"] == [[3, 1]]
+
+
+# sha256 of `mindeg msos A4` and `mindeg msos A5` as first recorded
+MSOS_SHA256 = {
+    "A4": "333906202c3ecd1cfebf52d195b6280f3b9adaa350d447d82d1ccbb8fcf46626",
+    "A5": "e7334f6dcd6807b87cb4a1eb4b27daa87577b7f5b9aeb57f360d1cbfa903e289",
+}
+SOS_KEYS = {"num_sos", "num_msos", "num_mmsos", "mmsos_size", "mmsos_unique_up_to_weyl"}
+
+
+@pytest.mark.parametrize("label, has_sos", [("A4", True), ("A5", False)])
+def test_msos_leaves_out_the_sos_keys_above_the_enumeration_cap(capsys, label, has_sos):
+    code, out = run_cli(capsys, "msos", label)
+    assert code == 0
+    keys = json.loads(out).keys()
+    assert SOS_KEYS <= keys if has_sos else SOS_KEYS.isdisjoint(keys)
+    assert hashlib.sha256(out.encode()).hexdigest() == MSOS_SHA256[label]
 
 
 def test_msos_command(capsys):
@@ -91,11 +107,17 @@ def test_key_inequality_all_parabolics_is_the_sweep(capsys, label):
         run_cli(capsys, "sweep", "--types", label)
 
 
-def test_key_inequality_all_parabolics_shares_the_sweep_cap(capsys):
-    assert main(["key-inequality", "E7", "--all-parabolics"]) == 2
+def _over_budget(label, rows):
+    """The error line of a sweep refused at label, under a budget of 100 rows."""
+    return f"error: the sweep through {label} has {rows} rows, more than the 100 a sweep may emit\n"
+
+
+def test_key_inequality_all_parabolics_shares_the_sweep_cap(monkeypatch, capsys):
+    monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)
+    assert main(["key-inequality", "A4", "--all-parabolics"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: E7 exceeds the sweep rank cap 6\n"
+    assert captured.err == _over_budget("A4", 109)
 
 
 def test_verdict_command(capsys):
@@ -238,7 +260,7 @@ def _check_emit_json_against_json_dumps(reports) -> None:
 @pytest.mark.parametrize("types", [default_types(5), (SimpleType("E", 6),)],
                          ids=["headline", "E6"])
 def test_emit_json_matches_json_dumps_on_sweeps(types):
-    _check_emit_json_against_json_dumps(run_sweep(SweepConfig(types=types, max_rank=6)))
+    _check_emit_json_against_json_dumps(run_sweep(types))
 
 
 def test_emit_json_matches_json_dumps_on_hand_built_reports():
@@ -254,8 +276,7 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
 
 
 def test_emit_round_trips_reports():
-    cfg = SweepConfig(types=(SimpleType("G", 2),))
-    reports = run_sweep(cfg)
+    reports = run_sweep((SimpleType("G", 2),))
     parsed = json.loads(emit(reports, "json"))
     assert len(parsed) == len(reports)
     row = next(r for r in parsed if r["exception"])
@@ -267,26 +288,25 @@ def test_emit_round_trips_reports():
 
 
 def test_sweep_is_deterministic_across_worker_counts():
-    cfg1 = SweepConfig(types=default_types(3), workers=1)
-    cfg2 = SweepConfig(types=default_types(3), workers=3)
-    out1 = emit(run_sweep(cfg1), "json")
-    out2 = emit(run_sweep(cfg2), "json")
+    out1 = emit(run_sweep(default_types(3), workers=1), "json")
+    out2 = emit(run_sweep(default_types(3), workers=3), "json")
     assert out1 == out2
 
 
 def test_sweep_confirms_predictions_up_to_rank_three():
-    reports = run_sweep(SweepConfig(types=default_types(3)))
+    reports = run_sweep(default_types(3))
     assert predictions_confirmed(reports)
     bad = [r for r in reports if not r.holds]
     assert [r.type for r in bad] == ["G2"]
 
 
-def test_resource_guard():
-    from mindeg.exceptions import ResourceGuardError
-    with pytest.raises(ResourceGuardError):
-        run_sweep(SweepConfig(types=(SimpleType("E", 7),), max_rank=7))
-    with pytest.raises(ResourceGuardError):
-        run_sweep(SweepConfig(types=(SimpleType("E", 7),), max_rank=6))
+def test_resource_guard(monkeypatch):
+    # A3, B3 and C3 have 31, 43 and 43 rows: the budget counts their sum
+    monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)
+    a3, b3, c3 = (SimpleType(f, 3) for f in "ABC")
+    assert len(run_sweep((b3, a3))) == 74
+    with pytest.raises(ResourceGuardError, match="through C3 has 117 rows, more than the 100"):
+        run_sweep((c3, b3, a3))
 
 
 def test_sweep_runs_a_repeated_type_once(capsys):
@@ -320,21 +340,22 @@ def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
     monkeypatch.setattr(report, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(started, max_workers))
     a1 = (SimpleType("A", 1),)  # two cases
-    serial = run_sweep(SweepConfig(types=a1))
+    serial = run_sweep(a1)
     assert started == []
     for workers in (2, 4, 64):
-        assert run_sweep(SweepConfig(types=a1, workers=workers)) == serial
+        assert run_sweep(a1, workers=workers) == serial
     assert started == [2, 2, 2]
-    run_sweep(SweepConfig(types=(SimpleType("A", 2),), workers=3))  # four cases
+    run_sweep((SimpleType("A", 2),), workers=3)  # four cases
     assert started == [2, 2, 2, 3]
 
 
 def test_sweep_runs_its_cases_by_family_rank_and_parabolic(monkeypatch):
     seen = []
-    monkeypatch.setattr(report, "_MAX_SWEEP_RANK", 10)
+    # a zero count keeps A10's full-flag search from running
+    monkeypatch.setattr(report, "_sweep_rows", lambda rs: 0)
     monkeypatch.setattr(report, "_case_worker", lambda task: seen.append(task) or [])
     types = (SimpleType("B", 2), SimpleType("A", 10), SimpleType("A", 2), SimpleType("B", 2))
-    assert run_sweep(SweepConfig(types=types, max_rank=10)) == []
+    assert run_sweep(types) == []
     labels = list(dict.fromkeys(label for label, _ in seen))
     assert labels == ["A2", "A10", "B2"]
     for label in labels:
@@ -374,7 +395,7 @@ def test_empty_sweep_is_refused(capsys, max_rank):
 
 def test_run_sweep_refuses_no_types():
     with pytest.raises(InvalidConfigError):
-        run_sweep(SweepConfig(types=()))
+        run_sweep(())
 
 
 def test_default_types_list_every_admissible_type():
@@ -383,8 +404,25 @@ def test_default_types_list_every_admissible_type():
     assert [str(t) for t in default_types(8) if t.family == "E"] == ["E6", "E7", "E8"]
 
 
-def test_e7_sweep_is_refused(capsys):
-    assert main(["sweep", "--types", "E7"]) == 2
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_over_the_row_budget_is_refused_before_any_case(monkeypatch, capsys, workers):
+    def failing(type_label, delta_p):
+        raise InvalidDegreeError("a case ran")
+
+    monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)
+    monkeypatch.setattr(report, "case_reports", failing)
+    assert main(["sweep", "--types", "A4", "--workers", workers]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: E7 exceeds the sweep rank cap 5\n"
+    assert captured.err == _over_budget("A4", 109)
+
+
+def test_a_huge_max_rank_is_refused_at_once(monkeypatch, capsys):
+    # the default list stops at rank 12, where the full-flag search can still start
+    assert default_types(10**9) == default_types(12)
+    assert [t.rank for t in default_types(10**9) if t.family == "A"][-1] == 12
+    monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)
+    assert main(["sweep", "--max-rank", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == _over_budget("A4", 3 + 9 + 31 + 109)

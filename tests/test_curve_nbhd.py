@@ -574,3 +574,9 @@ def test_e6_records_and_inequalities_walk_no_g_p_chain(cold_curve_nbhd):
         for rec in minimal_degree_records(p):
             key_inequality(p, rec.degree)
         assert list(curve_nbhd._z_pairs(p)) == [p.zero_degree], p
+
+
+@pytest.mark.parametrize("label", _labels(5, "E6"))
+def test_sweep_rows_count_every_minimal_degree_of_every_parabolic(label):
+    rs = build_root_system(label)
+    assert curve_nbhd._sweep_rows(rs) == sum(len(minimal_degrees(p)) for p in all_parabolics(rs))

@@ -4,15 +4,13 @@ Each hash is the sha256 of `emit(run_sweep(...), "json")` for one type, as
 recorded from the original box-scan implementation (the same per-type values
 are kept in perfbench/reference/sweeps.json). A fast path that changes any
 row, field order or formatting fails here without running the benchmark.
-E7 lies above the sweep rank cap, so its pin is built from case_reports over
-its 128 parabolics, in the order run_sweep sorts them.
 """
 
 import hashlib
 
 import pytest
 
-from mindeg.report import SweepConfig, all_parabolic_subsets, case_reports, emit, run_sweep
+from mindeg.report import emit, run_sweep
 from mindeg.root_system import SimpleType
 
 SWEEP_SHA256 = {
@@ -40,7 +38,7 @@ SWEEP_SHA256 = {
 
 @pytest.mark.parametrize("label", sorted(SWEEP_SHA256))
 def test_sweep_output_is_byte_identical(label):
-    text = emit(run_sweep(SweepConfig(types=(SimpleType.parse(label),))), "json")
+    text = emit(run_sweep((SimpleType.parse(label),)), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256[label]
 
 
@@ -49,9 +47,7 @@ E7_SWEEP_SHA256 = "20367c1a77403129fec6fcc37c495b00a325823707cf9d0d9c3ed71328f13
 
 
 def test_e7_sweep_output_is_byte_identical():
-    # one type, so run_sweep's sort key reduces to (delta_p, degree)
-    reports = sorted((r for dp in all_parabolic_subsets(7) for r in case_reports("E7", dp)),
-                     key=lambda r: (r.delta_p, r.degree))
+    reports = run_sweep((SimpleType("E", 7),))
     assert len(reports) == 16_623
     text = emit(reports, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == E7_SWEEP_SHA256
