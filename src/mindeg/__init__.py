@@ -8,8 +8,8 @@ verdicts, and a bit-exact 7x7 matrix model of the G2-inside-so7 embedding.
 """
 
 from .cascade import (
-    CascadeSet, MinimalDegreeRecord, cascade_roots, full_cascade,
-    minimal_degree_records, strongly_orthogonal,
+    MinimalDegreeRecord, cascade_roots, full_cascade, minimal_degree_records,
+    strongly_orthogonal,
 )
 from .curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
@@ -38,7 +38,7 @@ __all__ = [
     "borel", "maximal_roots", "greedy_decomposition", "is_p_cosmall",
     "curve_neighborhood_element", "is_minimal_degree", "point_class_degree",
     "minimal_degrees", "minimal_degree_records", "lifting", "MinimalDegreeRecord",
-    "CascadeSet", "cascade_roots", "full_cascade", "strongly_orthogonal",
+    "cascade_roots", "full_cascade", "strongly_orthogonal",
     "tangent_direction_sets", "key_inequality", "quasi_homogeneity_verdict",
     "KeyInequalityReport", "QuasiHomogeneityVerdict",
 ]

@@ -25,7 +25,7 @@ from .root_system import Root, RootSystem
 from .weyl import WeylElement, all_elements, center_elements, longest_element
 
 __all__ = [
-    "CascadeSet", "cascade_roots", "full_cascade", "strongly_orthogonal",
+    "cascade_roots", "full_cascade", "strongly_orthogonal",
     "is_sos", "SosRecord", "enumerate_sos", "mmsos_size",
     "mmsos_unique_up_to_weyl", "cascade_size_bound_holds",
     "max_cascade_forces_point_degree", "MinimalDegreeRecord",
@@ -33,17 +33,6 @@ __all__ = [
 ]
 
 _SOS_RANK_CAP = 4
-
-
-@dataclass(frozen=True)
-class CascadeSet:
-    """Roots occurring in a greedy decomposition of a full-flag minimal degree."""
-
-    degree: Degree
-    roots: tuple[Root, ...]
-
-    def __len__(self) -> int:
-        return len(self.roots)
 
 
 def strongly_orthogonal(alpha: Root, gamma: Root) -> bool:
@@ -64,14 +53,15 @@ def is_sos(roots) -> bool:
 
 
 @lru_cache(maxsize=None)
-def cascade_roots(rs: RootSystem, e: Degree) -> CascadeSet:
+def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
+    """The greedy roots of the full-flag minimal degree e, by coefficients."""
     if not is_effective(e) or not is_minimal_degree(borel(rs), e):
         raise NotMinimalDegreeError(f"{e} is not a full-flag minimal degree")
     roots = tuple(sorted(set(greedy_decomposition(borel(rs), e)),
                          key=lambda r: r.coeffs))
     if not is_sos(roots):
         raise ConsistencyError(f"cascade of {e} is not strongly orthogonal")
-    return CascadeSet(e, roots)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -88,12 +78,12 @@ def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
     out = []
     for d in minimal_degrees(p):
         z, e = _z_and_lifting(p, d)
-        out.append(MinimalDegreeRecord(d, z, e, cascade_roots(p.system, e).roots))
+        out.append(MinimalDegreeRecord(d, z, e, cascade_roots(p.system, e)))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def full_cascade(rs: RootSystem) -> CascadeSet:
+def full_cascade(rs: RootSystem) -> tuple[Root, ...]:
     """The cascade of the degree joining two general points of G/B."""
     return cascade_roots(rs, point_class_degree(borel(rs)))
 
@@ -107,7 +97,10 @@ class SosRecord:
 
 @lru_cache(maxsize=None)
 def _sos_subsets(rs: RootSystem):
-    """All nonempty SOS as ascending index tuples into rs.roots, plus adjacency."""
+    """All nonempty SOS as ascending index tuples into rs.roots, plus adjacency;
+    refused above rank _SOS_RANK_CAP."""
+    if rs.rank > _SOS_RANK_CAP:
+        raise RankTooLargeError(f"SOS enumeration capped at rank {_SOS_RANK_CAP}")
     n = len(rs.roots)
     adj = [0] * n
     for i in range(n):
@@ -130,10 +123,8 @@ def _sos_subsets(rs: RootSystem):
     return tuple(out), tuple(adj)
 
 
-def enumerate_sos(rs: RootSystem, maximal_only: bool = False) -> tuple[SosRecord, ...]:
+def enumerate_sos(rs: RootSystem) -> tuple[SosRecord, ...]:
     """Every nonempty SOS, flagged as maximal / of maximal cardinality."""
-    if rs.rank > _SOS_RANK_CAP:
-        raise RankTooLargeError(f"SOS enumeration capped at rank {_SOS_RANK_CAP}")
     subsets, adj = _sos_subsets(rs)
     top = max(len(s) for s in subsets)
     full_mask = (1 << len(rs.roots)) - 1
@@ -144,28 +135,22 @@ def enumerate_sos(rs: RootSystem, maximal_only: bool = False) -> tuple[SosRecord
         for i in members:
             inside |= 1 << i
             common &= adj[i]
-        msos = (common & ~inside) == 0
-        if maximal_only and not msos:
-            continue
         records.append(SosRecord(tuple(rs.roots[i] for i in members),
-                                 msos, len(members) == top))
+                                 (common & ~inside) == 0, len(members) == top))
     return tuple(records)
 
 
 def mmsos_size(rs: RootSystem) -> int:
-    if rs.rank > _SOS_RANK_CAP:
-        raise RankTooLargeError(f"SOS enumeration capped at rank {_SOS_RANK_CAP}")
     subsets, _ = _sos_subsets(rs)
     return max(len(s) for s in subsets)
 
 
 def mmsos_unique_up_to_weyl(rs: RootSystem) -> bool:
     """Every SOS of maximal cardinality is a Weyl translate of the top cascade."""
-    if rs.rank > _SOS_RANK_CAP:
-        raise RankTooLargeError(f"orbit search capped at rank {_SOS_RANK_CAP}")
-    base = frozenset(r.coeffs for r in full_cascade(rs).roots)
+    records = enumerate_sos(rs)  # refused above the rank cap before any orbit work
+    base = frozenset(r.coeffs for r in full_cascade(rs))
     orbit = {frozenset(w.apply(c) for c in base) for w in all_elements(rs)}
-    for rec in enumerate_sos(rs):
+    for rec in records:
         if rec.is_mmsos and frozenset(r.coeffs for r in rec.roots) not in orbit:
             return False
     return True

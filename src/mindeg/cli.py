@@ -21,8 +21,8 @@ from .cascade import (
 )
 from .curve_nbhd import borel, point_class_degree
 from .exceptions import (
-    InvalidConfigError, InvalidDegreeError, InvalidParabolicError, MindegError,
-    NotApplicableError, RankTooLargeError,
+    InvalidDegreeError, InvalidParabolicError, MindegError, NotApplicableError,
+    RankTooLargeError,
 )
 from .parabolic import Parabolic
 from .report import case_reports, default_types, emit, predictions_confirmed, run_sweep
@@ -79,11 +79,10 @@ def cmd_cascade(args) -> int:
     e = _parse_coeffs(args.e)
     if e is None:
         e = point_class_degree(borel(rs))
-    cs = cascade_roots(rs, e)
     _print_json({
         "type": str(rs.simple_type),
-        "e": list(cs.degree),
-        "cascade": [list(r.coeffs) for r in cs.roots],
+        "e": list(e),
+        "cascade": [list(r.coeffs) for r in cascade_roots(rs, e)],
     })
     return 0
 
@@ -93,7 +92,7 @@ def cmd_msos(args) -> int:
     base = full_cascade(rs)
     summary = {
         "type": str(rs.simple_type),
-        "cascade": [list(r.coeffs) for r in base.roots],
+        "cascade": [list(r.coeffs) for r in base],
         "cascade_size": len(base),
         "cascade_size_bound_holds": cascade_size_bound_holds(rs),
         "center_order": len(center_elements(rs)),
@@ -133,13 +132,7 @@ def cmd_minimal_degrees(args) -> int:
 
 
 def cmd_key_inequality(args) -> int:
-    t = SimpleType.parse(args.type)
-    if args.all_parabolics:
-        if args.delta_p is not None:
-            raise InvalidConfigError("--delta-p and --all-parabolics exclude each other")
-        rows = run_sweep((t,))
-    else:
-        rows = case_reports(args.type, _parse_indices(args.delta_p))
+    rows = case_reports(args.type, _parse_indices(args.delta_p))
     sys.stdout.write(emit(rows, "json"))
     return 0 if predictions_confirmed(rows) else 1
 
@@ -208,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("key-inequality", help="tangent-direction count vs c1 pairing")
     sp.add_argument("type")
     sp.add_argument("--delta-p")
-    sp.add_argument("--all-parabolics", action="store_true")
     sp.set_defaults(func=cmd_key_inequality)
 
     sp = sub.add_parser("verdict", help="quasi-homogeneity classification")

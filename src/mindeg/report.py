@@ -14,6 +14,7 @@ import io
 import itertools
 import json
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -23,10 +24,7 @@ from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, admissible, build_root_system
-from .tangent_directions import (
-    VERDICT_ONLY_AUT_X, key_inequality, quasi_homogeneity_verdict,
-    tangent_direction_sets,
-)
+from .tangent_directions import VERDICT_ONLY_AUT_X, key_inequality, quasi_homogeneity_verdict
 from .weyl import word_str
 
 __all__ = ["CaseReport", "default_types", "all_parabolic_subsets",
@@ -84,7 +82,6 @@ def case_reports(type_label: str, delta_p: tuple[int, ...]) -> list[CaseReport]:
     p = Parabolic(rs, frozenset(delta_p))
     out = []
     for rec in minimal_degree_records(p):
-        sets = tangent_direction_sets(p, rec.degree)
         ineq = key_inequality(p, rec.degree)
         verdict = quasi_homogeneity_verdict(p, rec.degree)
         out.append(CaseReport(
@@ -94,8 +91,8 @@ def case_reports(type_label: str, delta_p: tuple[int, ...]) -> list[CaseReport]:
             z_length=rec.z.length,
             z_word=word_str(rec.z),
             cascade=tuple(r.coeffs for r in rec.cascade),
-            td=tuple(r.coeffs for r in sets.td),
-            td_tilde=tuple(r.coeffs for r in sets.td_tilde),
+            td=tuple(r.coeffs for r in ineq.sets.td),
+            td_tilde=tuple(r.coeffs for r in ineq.sets.td_tilde),
             lhs=ineq.lhs,
             rhs=ineq.rhs,
             holds=ineq.holds,
@@ -117,8 +114,9 @@ def _case_worker(task: tuple[str, tuple[int, ...]]) -> list[CaseReport]:
 
 def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseReport]:
     """The reports of every parabolic of the types, by (family, rank, Delta_P),
-    in up to workers processes. Refused with ResourceGuardError before any
-    case runs once the row count summed in that order passes _MAX_SWEEP_ROWS."""
+    in up to workers processes, and no more than the cases or the CPUs. Refused
+    with ResourceGuardError before any case runs once the row count summed in
+    that order passes _MAX_SWEEP_ROWS."""
     if workers < 1:
         raise InvalidConfigError(f"the worker count must be at least 1, got {workers}")
     if not types:
@@ -132,8 +130,9 @@ def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseRepor
                 f"{_MAX_SWEEP_ROWS} a sweep may emit")
         for dp in all_parabolic_subsets(t.rank):
             tasks.append((str(t), dp))
-    # each case returns its rows sorted by degree, and map keeps the task order
-    workers = min(workers, len(tasks))
+    # each case returns its rows sorted by degree, and map keeps the task order;
+    # the pool forks all its processes at the first submit, so bound them here
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_case_worker, tasks, chunksize=4))

@@ -38,8 +38,7 @@ from .weyl import inversion_set, reflection
 __all__ = [
     "TangentDirectionSets", "KeyInequalityReport", "QuasiHomogeneityVerdict",
     "VERDICT_DENSE_G_ORBIT", "VERDICT_ONLY_AUT_X",
-    "tangent_directions", "associated_pair", "additional_tangent_directions",
-    "tangent_direction_sets", "pair_map_is_injective",
+    "tangent_directions", "associated_pair", "tangent_direction_sets", "pair_map_is_injective",
     "coroot_pairing_bound_holds", "weighted_pair_count_identity_holds",
     "key_inequality", "is_exceptional_triple", "quasi_homogeneity_verdict",
 ]
@@ -61,6 +60,7 @@ class KeyInequalityReport:
     rhs: int
     holds: bool
     exception: bool
+    sets: TangentDirectionSets  # the directions rhs counts
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class QuasiHomogeneityVerdict:
 
 def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     e = lifting(p, d)
-    return tuple(a for a in cascade_roots(p.system, e).roots if p.outside_levi(a))
+    return tuple(a for a in cascade_roots(p.system, e) if p.outside_levi(a))
 
 
 @lru_cache(maxsize=None)
@@ -151,7 +151,6 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
     return alpha_p, gamma_p
 
 
-@lru_cache(maxsize=None)
 def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     """Both direction sets, with the bijectivity and disjointness checks applied."""
     rs = p.system
@@ -177,10 +176,6 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
             raise ConsistencyError(f"extra tangent direction {r} not in R- \\ R_P-")
     return TangentDirectionSets(
         td, tuple(sorted(td_tilde, key=lambda r: r.coeffs)), strong)
-
-
-def additional_tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:
-    return tangent_direction_sets(p, d).td_tilde
 
 
 def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
@@ -266,7 +261,7 @@ def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
     sets = tangent_direction_sets(p, d)
     lhs = c1_pairing(p, d) - _z_and_lifting(p, d)[0].length
     rhs = len(sets.td) + len(sets.td_tilde)
-    return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d))
+    return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d), sets)
 
 
 def quasi_homogeneity_verdict(p: Parabolic, d: Degree) -> QuasiHomogeneityVerdict:

@@ -42,6 +42,13 @@ from mindeg.weyl import (
 )
 
 
+def all_parabolics(rs: RootSystem):
+    """Every parabolic of rs, by the size of Delta_P and then lexicographically."""
+    for r in range(rs.rank + 1):
+        for combo in itertools.combinations(range(1, rs.rank + 1), r):
+            yield Parabolic(rs, frozenset(combo))
+
+
 def g2_root_coeffs() -> set[tuple[int, int]]:
     """The classical list of G2 roots over (short, long) simple roots."""
     positive = [(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
@@ -295,7 +302,7 @@ def unpruned_borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
 
 
 def _cascade_outside_levi(p: Parabolic, d: Degree) -> list[Root]:
-    return [a for a in cascade_roots(p.system, lifting(p, d)).roots if p.outside_levi(a)]
+    return [a for a in cascade_roots(p.system, lifting(p, d)) if p.outside_levi(a)]
 
 
 def per_degree_tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:

@@ -94,32 +94,6 @@ def test_key_inequality_command_single_case(capsys):
     assert row["td_tilde"] == [[-3, -1]]
 
 
-def test_key_inequality_all_parabolics(capsys):
-    code, out = run_cli(capsys, "key-inequality", "A2", "--all-parabolics")
-    rows = json.loads(out)
-    assert code == 0
-    assert all(r["holds"] for r in rows)
-
-
-@pytest.mark.parametrize("label", ["G2", "B3"])
-def test_key_inequality_all_parabolics_is_the_sweep(capsys, label):
-    assert run_cli(capsys, "key-inequality", label, "--all-parabolics") == \
-        run_cli(capsys, "sweep", "--types", label)
-
-
-def _over_budget(label, rows):
-    """The error line of a sweep refused at label, under a budget of 100 rows."""
-    return f"error: the sweep through {label} has {rows} rows, more than the 100 a sweep may emit\n"
-
-
-def test_key_inequality_all_parabolics_shares_the_sweep_cap(monkeypatch, capsys):
-    monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)
-    assert main(["key-inequality", "A4", "--all-parabolics"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == _over_budget("A4", 109)
-
-
 def test_verdict_command(capsys):
     code, out = run_cli(capsys, "verdict", "G2", "--delta-p", "2")
     payload = json.loads(out)
@@ -149,7 +123,6 @@ def test_invalid_type_is_a_clean_error(capsys):
     ["verdict", "G2", "--delta-p", "2", "--degree", "2,7"],
     ["verdict", "G2", "--delta-p", "x"],
     ["minimal-degrees", "G2", "--delta-p", "3"],
-    ["key-inequality", "G2", "--delta-p", "1", "--all-parabolics"],
 ])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -335,10 +308,17 @@ class _RecordingPool:
         return map(fn, tasks)
 
 
-def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
+def _record_pools(monkeypatch, cpus):
+    """The max_workers of every pool run_sweep opens on a host with cpus CPUs."""
     started = []
+    monkeypatch.setattr(report.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(report, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(started, max_workers))
+    return started
+
+
+def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
+    started = _record_pools(monkeypatch, 1024)
     a1 = (SimpleType("A", 1),)  # two cases
     serial = run_sweep(a1)
     assert started == []
@@ -347,6 +327,16 @@ def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
     assert started == [2, 2, 2]
     run_sweep((SimpleType("A", 2),), workers=3)  # four cases
     assert started == [2, 2, 2, 3]
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (1, []), (None, [])],
+                         ids=["2-cpus", "1-cpu", "unknown-cpus"])
+def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cpus, pools):
+    # a pool forks all its processes at once, so a huge --workers must not reach it
+    started = _record_pools(monkeypatch, cpus)
+    a2 = (SimpleType("A", 2),)  # four cases
+    assert run_sweep(a2, workers=2000) == run_sweep(a2)
+    assert started == pools
 
 
 def test_sweep_runs_its_cases_by_family_rank_and_parabolic(monkeypatch):
@@ -402,6 +392,11 @@ def test_default_types_list_every_admissible_type():
     assert [str(t) for t in default_types(2)] == ["A1", "A2", "B2", "C2", "G2"]
     assert [str(t) for t in default_types(6) if t.family == "E"] == ["E6"]
     assert [str(t) for t in default_types(8) if t.family == "E"] == ["E6", "E7", "E8"]
+
+
+def _over_budget(label, rows):
+    """The error line of a sweep refused at label, under a budget of 100 rows."""
+    return f"error: the sweep through {label} has {rows} rows, more than the 100 a sweep may emit\n"
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

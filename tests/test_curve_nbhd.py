@@ -22,8 +22,9 @@ from mindeg.tangent_directions import key_inequality
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
 
 from oracles import (
-    box_scan_is_minimal_degree, box_scan_minimal_degrees, box_scan_point_class_degree,
-    certified_box_scan_minimal_degrees, hecke_curve_neighborhood_element,
+    all_parabolics, box_scan_is_minimal_degree, box_scan_minimal_degrees,
+    box_scan_point_class_degree, certified_box_scan_minimal_degrees,
+    hecke_curve_neighborhood_element,
     is_maximal_coset_representative, linear_scan_lifting, minimal_coset_representative,
     pairwise_maximal_roots, per_parabolic_maximal_roots, unit_edge_minimal_degrees,
     unpruned_borel_minimal,
@@ -31,12 +32,6 @@ from oracles import (
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                 "D3", "D4", "G2"]
-
-
-def all_parabolics(rs):
-    for r in range(rs.rank + 1):
-        for combo in itertools.combinations(range(1, rs.rank + 1), r):
-            yield Parabolic(rs, frozenset(combo))
 
 
 def test_maximal_roots_examples(g2):

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from mindeg.cascade import cascade_roots
@@ -9,23 +7,18 @@ from mindeg.parabolic import Parabolic
 from mindeg.report import default_types
 from mindeg.root_system import bilinear, build_root_system, coroot_pairing
 from mindeg.tangent_directions import (
-    VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, additional_tangent_directions,
-    associated_pair, coroot_pairing_bound_holds, is_exceptional_triple,
+    VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, associated_pair, coroot_pairing_bound_holds, is_exceptional_triple,
     key_inequality, pair_map_is_injective, quasi_homogeneity_verdict,
     tangent_direction_sets, tangent_directions,
     weighted_pair_count_identity_holds,
 )
 
-from oracles import per_degree_tangent_direction_sets, per_degree_tangent_directions
+from oracles import (
+    all_parabolics, per_degree_tangent_direction_sets, per_degree_tangent_directions,
+)
 
 SWEEP_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "F4", "G2"]
 SIMPLY_LACED = ["A1", "A2", "A3", "A4", "D4"]
-
-
-def all_parabolics(rs):
-    for r in range(rs.rank + 1):
-        for combo in itertools.combinations(range(1, rs.rank + 1), r):
-            yield Parabolic(rs, frozenset(combo))
 
 
 def sweep_cases(labels):
@@ -53,7 +46,7 @@ def test_tangent_directions_on_the_full_flag_are_the_negated_cascade():
         rs = build_root_system(label)
         b = borel(rs)
         for d in minimal_degrees(b):
-            casc = cascade_roots(rs, lifting(b, d)).roots
+            casc = cascade_roots(rs, lifting(b, d))
             assert {r.coeffs for r in tangent_directions(b, d)} == {
                 tuple(-c for c in a.coeffs) for a in casc}
 
@@ -84,7 +77,7 @@ def test_associated_pair_rejects_bad_input(g2, g2_exception):
 
 def test_additional_tangent_directions_exceptional_case(g2_exception):
     p, d = g2_exception
-    assert [r.coeffs for r in additional_tangent_directions(p, d)] == [(-3, -1)]
+    assert [r.coeffs for r in tangent_direction_sets(p, d).td_tilde] == [(-3, -1)]
 
 
 def test_no_additional_directions_in_simply_laced_types():
@@ -92,20 +85,20 @@ def test_no_additional_directions_in_simply_laced_types():
         rs = build_root_system(label)
         for p in all_parabolics(rs):
             for d in minimal_degrees(p):
-                assert additional_tangent_directions(p, d) == ()
+                assert tangent_direction_sets(p, d).td_tilde == ()
 
 
 def test_no_additional_directions_on_full_flags():
     rs = build_root_system("B2")
     b = borel(rs)
     for d in minimal_degrees(b):
-        assert additional_tangent_directions(b, d) == ()
+        assert tangent_direction_sets(b, d).td_tilde == ()
 
 
 def test_pair_map_injective_exceptional_case(g2, g2_exception):
     p, d = g2_exception
     assert pair_map_is_injective(p, d)
-    casc = [a for a in cascade_roots(g2, lifting(p, d)).roots if p.outside_levi(a)]
+    casc = [a for a in cascade_roots(g2, lifting(p, d)) if p.outside_levi(a)]
     domain = [(a, g) for a in casc for g in p.levi_positive if bilinear(a, g) < 0]
     assert len(domain) == 1  # only (beta1, beta2); (theta1, beta2) pairs positively
 
@@ -136,7 +129,7 @@ def test_pairing_bound_holds_off_the_exception(b3):
 def test_weighted_pair_count_identity(g2, g2_exception):
     p, d = g2_exception
     assert weighted_pair_count_identity_holds(p, d)
-    casc = [a for a in cascade_roots(g2, lifting(p, d)).roots if p.outside_levi(a)]
+    casc = [a for a in cascade_roots(g2, lifting(p, d)) if p.outside_levi(a)]
     pairings = [coroot_pairing(g, a) for a in casc for g in p.levi_positive]
     assert pairings.count(-3) == 1  # the single weight-3 pair
     for q, d2 in sweep_cases(["F4"]):
@@ -227,7 +220,7 @@ def test_collisions_of_the_negative_pair_map_share_gamma():
     # associated pairs and equal gamma
     for p, d in sweep_cases(SWEEP_TYPES):
         rs = p.system
-        casc = [a for a in cascade_roots(rs, lifting(p, d)).roots
+        casc = [a for a in cascade_roots(rs, lifting(p, d))
                 if p.outside_levi(a)]
         seen = {}
         for a in casc:
