@@ -20,7 +20,7 @@ from .curve_nbhd import (
     _z_and_lifting, borel, greedy_decomposition, is_minimal_degree, minimal_degrees,
     point_class_degree,
 )
-from .parabolic import Degree, Parabolic, is_effective
+from .parabolic import Degree, Parabolic
 from .root_system import Root, RootSystem
 from .weyl import WeylElement, all_elements, center_elements, longest_element
 
@@ -55,7 +55,7 @@ def is_sos(roots) -> bool:
 @lru_cache(maxsize=None)
 def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
     """The greedy roots of the full-flag minimal degree e, by coefficients."""
-    if not is_effective(e) or not is_minimal_degree(borel(rs), e):
+    if not is_minimal_degree(borel(rs), e):
         raise NotMinimalDegreeError(f"{e} is not a full-flag minimal degree")
     roots = tuple(sorted(set(greedy_decomposition(borel(rs), e)),
                          key=lambda r: r.coeffs))

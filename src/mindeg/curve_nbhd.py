@@ -111,7 +111,7 @@ def _root_table(p: Parabolic):
     """
     roots, fits, above, coroots = p.system.root_table
     q = p.quotient_positions
-    outside = sum(1 << j for j, a in enumerate(roots) if p.outside_levi(a))
+    outside = sum(1 << j for j, a in enumerate(roots) if a in p.outside_levi_set)
     return (roots, tuple(fits[i] for i in q), above, outside,
             tuple(tuple([c[i] for i in q]) for c in coroots))
 

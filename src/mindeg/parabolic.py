@@ -3,7 +3,7 @@
 Degrees are plain integer tuples over the simple roots outside Delta_P, in
 ascending Bourbaki order: the coordinates of a class in the coroot lattice
 modulo the Delta_P coroots. A degree is effective iff all coordinates are
-nonnegative.
+nonnegative (Parabolic.check_degree).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .root_system import Root, RootSystem, coroot_coefficients, coroot_pairing
 from .weyl import WeylElement, longest_element
 
 __all__ = [
-    "Degree", "Parabolic", "is_effective", "degree_leq",
+    "Degree", "Parabolic", "degree_leq",
     "project_coroot", "c1_vector", "c1_pairing", "dim_x",
     "levi_intersection_check",
 ]
@@ -65,6 +65,11 @@ class Parabolic:
         return frozenset(self.levi_positive)
 
     @cached_property
+    def outside_levi_set(self) -> frozenset[Root]:
+        """R+ \\ R_P+."""
+        return frozenset(self.system.positive_roots) - self.levi_positive_set
+
+    @cached_property
     def w_p(self) -> WeylElement:
         return longest_element(self.system, self.positions)
 
@@ -101,15 +106,11 @@ class Parabolic:
                 raise InvalidDegreeError(f"degree {d} is not effective")
 
     def outside_levi(self, alpha: Root) -> bool:
-        """True when alpha lies in R+ \\ R_P+ (for positive alpha)."""
-        return alpha.is_positive and alpha not in self.levi_positive_set
+        """True when alpha lies in R+ \\ R_P+."""
+        return alpha in self.outside_levi_set
 
     def __repr__(self) -> str:
         return f"Parabolic({self.system.simple_type}, {sorted(self.delta_p)})"
-
-
-def is_effective(d: Degree) -> bool:
-    return all(c >= 0 for c in d)
 
 
 def degree_leq(d: Degree, e: Degree) -> bool:
@@ -125,13 +126,7 @@ def project_coroot(p: Parabolic, alpha: Root) -> Degree:
 
 def c1_vector(p: Parabolic) -> tuple[int, ...]:
     """Sum of the roots in R+ \\ R_P+, over the simple-root basis."""
-    levi_pos = set(p.levi_positive)
-    total = [0] * p.system.rank
-    for r in p.system.positive_roots:
-        if r not in levi_pos:
-            for i, c in enumerate(r.coeffs):
-                total[i] += c
-    return tuple(total)
+    return tuple(sum(r.coeffs[i] for r in p.outside_levi_set) for i in range(p.system.rank))
 
 
 def c1_pairing(p: Parabolic, d: Degree) -> int:
@@ -142,7 +137,7 @@ def c1_pairing(p: Parabolic, d: Degree) -> int:
 
 def dim_x(p: Parabolic) -> int:
     """dim G/P = number of roots in R+ \\ R_P+."""
-    return len(p.system.positive_roots) - len(p.levi_positive)
+    return len(p.outside_levi_set)
 
 
 def levi_intersection_check(p: Parabolic) -> bool:

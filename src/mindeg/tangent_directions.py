@@ -9,12 +9,15 @@ it holds everywhere except on one exceptional triple in type G2, which is
 exactly where the quasi-homogeneity verdict degrades from the group action
 to the full automorphism group.
 
-Both direction sets are unions over the cascade roots alpha outside the Levi
-of sets that depend only on (P, alpha): the plain directions -alpha-gamma, and
-the gammas of R_P+ with (gamma, alpha^vee) < -1 that make the strong pairs.
-Both are memoized together per (P, alpha), and the R- \\ R_P- check runs once
-per set; the checks that involve the whole degree (bijectivity, disjointness
-and the associated pairs) run once per degree.
+Everything here reads one row per (P, alpha), alpha a cascade root outside
+the Levi (_root_directions): the plain directions -alpha-gamma, each checked
+once in R- \\ R_P-; the pairings (gamma, alpha^vee) in the order of R_P+;
+and the gammas pairing below -1, which make the strong pairs. The direction
+sets are unions of rows over the cascade; the degree-wide checks
+(bijectivity, disjointness, associated pairs) run once per degree. The lemma
+checks read the pairings: the pair map's domain is the negative ones, the
+bound their absolute values, and the count identity weighs them, with its
+left side chosen by the action of s_alpha on gamma, not by their sign.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .curve_nbhd import (
 )
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
 from .root_system import Root, bilinear, coroot_pairing, is_long, is_short
-from .weyl import inversion_set, reflection
+from .weyl import reflection
 
 __all__ = [
     "TangentDirectionSets", "KeyInequalityReport", "QuasiHomogeneityVerdict",
@@ -76,9 +79,11 @@ def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[Root, ...]:
 
 
 @lru_cache(maxsize=None)
-def _root_directions(p: Parabolic, alpha: Root) -> tuple[frozenset[Root], tuple[Root, ...]]:
+def _root_directions(p: Parabolic, alpha: Root) -> tuple[
+        frozenset[Root], tuple[Root, ...], tuple[int, ...]]:
     """The roots -alpha-gamma, gamma in R_P+ or 0, each checked in R- \\ R_P-;
-    and the gamma in R_P+ with (gamma, alpha^vee) < -1, in the order of R_P+."""
+    the gamma in R_P+ with (gamma, alpha^vee) < -1; and the pairings
+    (gamma, alpha^vee) themselves. Both tuples follow the order of R_P+."""
     rs = p.system
     out = {-alpha}
     for g in p.levi_positive:
@@ -88,8 +93,9 @@ def _root_directions(p: Parabolic, alpha: Root) -> tuple[frozenset[Root], tuple[
     for r in out:
         if not p.outside_levi(-r):
             raise ConsistencyError(f"tangent direction {r} not in R- \\ R_P-")
-    strong = tuple(g for g in p.levi_positive if coroot_pairing(g, alpha) < -1)
-    return frozenset(out), strong
+    pairings = tuple(coroot_pairing(g, alpha) for g in p.levi_positive)
+    strong = tuple(g for g, v in zip(p.levi_positive, pairings) if v < -1)
+    return frozenset(out), strong, pairings
 
 
 def _plain_directions(p: Parabolic, casc: tuple[Root, ...]) -> tuple[Root, ...]:
@@ -125,14 +131,12 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
         raise UniquenessViolationError(
             f"expected exactly one cascade root pairing positively with {gamma}, got {primed}")
     alpha_p = primed[0]
-    e = lifting(p, d)
-    z_e = curve_neighborhood_element(borel(rs), e)
+    z_e = curve_neighborhood_element(borel(rs), lifting(p, d))
     gamma_p = rs.root(tuple(-c for c in z_e.apply(gamma.coeffs)))
 
     if not gamma_p.is_positive:
         raise ConsistencyError("gamma' must be positive")
-    image = z_e.apply(gamma_p)
-    if image.is_positive or image not in set(p.levi_roots):
+    if -z_e.apply(gamma_p) not in p.levi_positive_set:
         raise ConsistencyError("z_e(gamma') must land in R_P-")
     if coroot_pairing(gamma, alpha_p) != 1:
         raise ConsistencyError("(gamma, alpha'^vee) must be 1")
@@ -146,7 +150,7 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
         if coroot_pairing(alpha_p, gamma) != 1:
             raise ConsistencyError("(alpha', gamma^vee) must be 1")
         candidate = rs.root(tuple(-x for x in diff))
-        if candidate in set(tangent_directions(p, d)):
+        if any(candidate in _root_directions(p, a)[0] for a in casc):
             raise ConsistencyError("-alpha' + gamma' may not be a plain tangent direction")
     return alpha_p, gamma_p
 
@@ -186,15 +190,16 @@ def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
     """
     rs = p.system
     casc = _cascade_outside_levi(p, d)
-    domain = [(a, g) for a in casc for g in p.levi_positive if bilinear(a, g) < 0]
-    allowed = set(tangent_directions(p, d)) - {-a for a in casc}
+    domain = [(a, g) for a in casc  # (gamma, alpha^vee) has the sign of (alpha, gamma)
+              for g, v in zip(p.levi_positive, _root_directions(p, a)[2]) if v < 0]
+    negated = {-a for a in casc}
     images = set()
     for a, g in domain:
         s = tuple(x + y for x, y in zip(a.coeffs, g.coeffs))
         if not rs.is_root(s):
             return False
         img = rs.root(tuple(-c for c in s))
-        if img not in allowed:
+        if img in negated or not any(img in _root_directions(p, b)[0] for b in casc):
             return False
         images.add(img)
     return len(images) == len(domain)
@@ -219,16 +224,14 @@ def coroot_pairing_bound_holds(p: Parabolic, d: Degree) -> bool:
     """
     if not is_minimal_degree(p, d):
         raise NotMinimalDegreeError(f"{d} is not a minimal degree")
+    casc = _cascade_outside_levi(p, d)
     if is_exceptional_triple(p, d):
-        witness = [(g, a, coroot_pairing(g, a))
-                   for a in _cascade_outside_levi(p, d)
-                   for g in p.levi_positive
-                   if abs(coroot_pairing(g, a)) == 3]
+        witness = [(g, a, v) for a in casc
+                   for g, v in zip(p.levi_positive, _root_directions(p, a)[2])
+                   if abs(v) == 3]
         raise ExceptionalCaseError(
             "the pairing bound fails on the excluded triple", witness=witness)
-    return all(abs(coroot_pairing(g, a)) <= 2
-               for a in _cascade_outside_levi(p, d)
-               for g in p.levi_positive)
+    return all(abs(v) <= 2 for a in casc for v in _root_directions(p, a)[2])
 
 
 def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
@@ -236,17 +239,17 @@ def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
 
     Weights 1, 2, 3 count the pairs with pairing -1, -2, -3. Off the
     exceptional triple the same total also collapses to the two cardinalities
-    card{pairing < 0} + card{pairing < -1}.
+    card{pairing < 0} + card{pairing < -1}. A gamma is non-inverted when
+    s_alpha(gamma) is positive.
     """
     rs = p.system
-    casc = _cascade_outside_levi(p, d)
     lhs = 0
-    for a in casc:
-        inv = set(inversion_set(reflection(rs, a)))
-        for g in p.levi_positive:
-            if g not in inv:
-                lhs -= coroot_pairing(g, a)
-    pairings = [coroot_pairing(g, a) for a in casc for g in p.levi_positive]
+    pairings = []
+    for a in _cascade_outside_levi(p, d):
+        s_a = reflection(rs, a)
+        row = _root_directions(p, a)[2]
+        lhs -= sum(v for g, v in zip(p.levi_positive, row) if s_a.apply(g).is_positive)
+        pairings += row
     weighted = sum({-1: 1, -2: 2, -3: 3}.get(v, 0) for v in pairings)
     ok = lhs == weighted
     if not is_exceptional_triple(p, d):

@@ -16,7 +16,9 @@ elements from the Hecke product of a whole greedy decomposition, coset
 representatives by stripping right descents one at a time, the Weyl action
 from simple reflections on unpacked coefficient vectors, reduced words, the
 Hecke step and composition one mul_gen or one unpacked root at a time,
-tangent directions root by root for each degree, and Q(i)-spans from
+tangent directions root by root for each degree, the three lemma checks
+from pairings recomputed for each degree (the count identity reading a
+rebuilt inversion set of each s_alpha), and Q(i)-spans from
 Gauss-Jordan elimination over pairs of Fractions.
 """
 
@@ -31,14 +33,18 @@ from mindeg.curve_nbhd import (
     minimal_degrees,
 )
 from mindeg.exceptions import (
-    ConsistencyError, LiftingNotUniqueError, UniquenessViolationError,
+    ConsistencyError, ExceptionalCaseError, LiftingNotUniqueError, NotMinimalDegreeError,
+    UniquenessViolationError,
 )
 from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
-from mindeg.root_system import Root, RootSystem, coroot_pairing, reflect, root_leq
-from mindeg.tangent_directions import TangentDirectionSets, associated_pair
+from mindeg.root_system import Root, RootSystem, bilinear, coroot_pairing, reflect, root_leq
+from mindeg.tangent_directions import (
+    TangentDirectionSets, associated_pair, is_exceptional_triple,
+)
 from mindeg.weyl import (
     WeylElement, _unpack, all_elements, bruhat_leq, compose, hecke_product, identity,
-    is_descent, longest_element, mul_gen, reduced_word, reflection, simple_reflection,
+    inversion_set, is_descent, longest_element, mul_gen, reduced_word, reflection,
+    simple_reflection,
 )
 
 
@@ -336,6 +342,60 @@ def per_degree_tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirecti
         extra.add(rs.root(tuple(y - x for x, y in zip(ap.coeffs, gp.coeffs))))
     return TangentDirectionSets(per_degree_tangent_directions(p, d),
                                 tuple(sorted(extra, key=lambda r: r.coeffs)), strong)
+
+
+def per_degree_pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
+    """pair_map_is_injective with the domain read off bilinear for d alone."""
+    rs = p.system
+    casc = _cascade_outside_levi(p, d)
+    domain = [(a, g) for a in casc for g in p.levi_positive if bilinear(a, g) < 0]
+    allowed = set(per_degree_tangent_directions(p, d)) - {-a for a in casc}
+    images = set()
+    for a, g in domain:
+        s = tuple(x + y for x, y in zip(a.coeffs, g.coeffs))
+        if not rs.is_root(s):
+            return False
+        img = rs.root(tuple(-c for c in s))
+        if img not in allowed:
+            return False
+        images.add(img)
+    return len(images) == len(domain)
+
+
+def per_degree_coroot_pairing_bound_holds(p: Parabolic, d: Degree) -> bool:
+    """coroot_pairing_bound_holds with every pairing recomputed for d alone."""
+    if d not in minimal_degrees(p):
+        raise NotMinimalDegreeError(f"{d} is not a minimal degree")
+    if is_exceptional_triple(p, d):
+        witness = [(g, a, coroot_pairing(g, a))
+                   for a in _cascade_outside_levi(p, d)
+                   for g in p.levi_positive
+                   if abs(coroot_pairing(g, a)) == 3]
+        raise ExceptionalCaseError(
+            "the pairing bound fails on the excluded triple", witness=witness)
+    return all(abs(coroot_pairing(g, a)) <= 2
+               for a in _cascade_outside_levi(p, d)
+               for g in p.levi_positive)
+
+
+def per_degree_weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
+    """weighted_pair_count_identity_holds with the inversion set of each
+    s_alpha rebuilt and every pairing recomputed for d alone."""
+    rs = p.system
+    casc = _cascade_outside_levi(p, d)
+    lhs = 0
+    for a in casc:
+        inv = set(inversion_set(reflection(rs, a)))
+        for g in p.levi_positive:
+            if g not in inv:
+                lhs -= coroot_pairing(g, a)
+    pairings = [coroot_pairing(g, a) for a in casc for g in p.levi_positive]
+    weighted = sum({-1: 1, -2: 2, -3: 3}.get(v, 0) for v in pairings)
+    ok = lhs == weighted
+    if not is_exceptional_triple(p, d):
+        collapsed = sum(1 for v in pairings if v < 0) + sum(1 for v in pairings if v < -1)
+        ok = ok and lhs == collapsed
+    return ok
 
 
 def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:

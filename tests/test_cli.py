@@ -116,19 +116,26 @@ def test_invalid_type_is_a_clean_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["cascade", "G2", "--e", "1"],
-    ["cascade", "A2", "--e", "1,1,1"],
-    ["cascade", "G2", "--e", "1,x"],
-    ["verdict", "G2", "--delta-p", "2", "--degree", "2,7"],
-    ["verdict", "G2", "--delta-p", "x"],
-    ["minimal-degrees", "G2", "--delta-p", "3"],
-])
+BAD_INPUT = {
+    ("cascade", "G2", "--e", "1"): "degree (1,) has 1 coordinates, Parabolic(G2, []) needs 2",
+    ("cascade", "A2", "--e", "1,1,1"):
+        "degree (1, 1, 1) has 3 coordinates, Parabolic(A2, []) needs 2",
+    ("cascade", "G2", "--e", "1,x"):
+        "degree coordinates must be comma-separated integers, got '1,x'",
+    ("verdict", "G2", "--delta-p", "2", "--degree", "2,7"):
+        "degree (2, 7) has 2 coordinates, Parabolic(G2, [2]) needs 1",
+    ("verdict", "G2", "--delta-p", "x"): "--delta-p must be comma-separated integers, got 'x'",
+    ("minimal-degrees", "G2", "--delta-p", "3"): "simple-root indices out of range 1..2: [3]",
+    ("cascade", "G2", "--e=-1,0"): "degree (-1, 0) is not effective",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in BAD_INPUT])
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.err == f"error: {BAD_INPUT[tuple(argv)]}\n"
 
 
 @pytest.mark.parametrize("types", ["", "A2,"])

@@ -14,7 +14,9 @@ from mindeg.tangent_directions import (
 )
 
 from oracles import (
-    all_parabolics, per_degree_tangent_direction_sets, per_degree_tangent_directions,
+    all_parabolics, per_degree_coroot_pairing_bound_holds, per_degree_pair_map_is_injective,
+    per_degree_tangent_direction_sets, per_degree_tangent_directions,
+    per_degree_weighted_pair_count_identity_holds,
 )
 
 SWEEP_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "F4", "G2"]
@@ -245,3 +247,23 @@ def test_direction_sets_match_the_per_degree_loop(label):
     for p, d in sweep_cases([label]):
         assert tangent_directions(p, d) == per_degree_tangent_directions(p, d), (p, d)
         assert tangent_direction_sets(p, d) == per_degree_tangent_direction_sets(p, d), (p, d)
+
+
+def _bound_or_witness(check, p, d):
+    try:
+        return check(p, d)
+    except ExceptionalCaseError as exc:
+        return exc.witness
+
+
+@pytest.mark.parametrize("label", [str(t) for t in default_types(5)] + ["E6"])
+def test_lemma_checks_match_the_per_degree_oracles(label):
+    """The three lemma checks, reading the pairings of the per-(P, alpha) rows,
+    agree with their bodies recomputed for each degree on every minimal degree,
+    the G2 triple's witness included."""
+    for p, d in sweep_cases([label]):
+        assert pair_map_is_injective(p, d) == per_degree_pair_map_is_injective(p, d), (p, d)
+        assert weighted_pair_count_identity_holds(p, d) == \
+            per_degree_weighted_pair_count_identity_holds(p, d), (p, d)
+        assert _bound_or_witness(coroot_pairing_bound_holds, p, d) == \
+            _bound_or_witness(per_degree_coroot_pairing_bound_holds, p, d), (p, d)
