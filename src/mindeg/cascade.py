@@ -82,7 +82,6 @@ def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def full_cascade(rs: RootSystem) -> tuple[Root, ...]:
     """The cascade of the degree joining two general points of G/B."""
     return cascade_roots(rs, point_class_degree(borel(rs)))

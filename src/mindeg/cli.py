@@ -54,10 +54,6 @@ def _parse_coeffs(text: str | None):
     return _parse_ints(text, InvalidDegreeError, "degree coordinates")
 
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj))
-
-
 def cmd_roots(args) -> int:
     rs = build_root_system(args.type)
     summary = {
@@ -79,11 +75,11 @@ def cmd_cascade(args) -> int:
     e = _parse_coeffs(args.e)
     if e is None:
         e = point_class_degree(borel(rs))
-    _print_json({
+    print(json.dumps({
         "type": str(rs.simple_type),
         "e": list(e),
         "cascade": [list(r.coeffs) for r in cascade_roots(rs, e)],
-    })
+    }))
     return 0
 
 
@@ -121,13 +117,13 @@ def cmd_minimal_degrees(args) -> int:
     rs = build_root_system(args.type)
     p = Parabolic(rs, frozenset(_parse_indices(args.delta_p)))
     for rec in minimal_degree_records(p):
-        _print_json({
+        print(json.dumps({
             "degree": list(rec.degree),
             "z_reduced_word": word_str(rec.z),
             "length": rec.z.length,
             "lifting": list(rec.lifting),
             "cascade": [list(r.coeffs) for r in rec.cascade],
-        })
+        }))
     return 0
 
 
@@ -153,7 +149,7 @@ def cmd_verdict(args) -> int:
     if v.moduli_dim is not None:
         payload["moduli_dim"] = v.moduli_dim
         payload["group_dim"] = v.group_dim
-    _print_json(payload)
+    print(json.dumps(payload))
     return 0
 
 

@@ -11,15 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .exceptions import InvalidDegreeError, InvalidParabolicError, NotApplicableError
+from .exceptions import InvalidDegreeError, InvalidParabolicError
 from .root_system import Root, RootSystem, coroot_coefficients, coroot_pairing
 from .weyl import WeylElement, longest_element
 
-__all__ = [
-    "Degree", "Parabolic", "degree_leq",
-    "project_coroot", "c1_vector", "c1_pairing", "dim_x",
-    "levi_intersection_check",
-]
+__all__ = ["Degree", "Parabolic", "project_coroot", "c1_vector", "c1_pairing", "dim_x"]
 
 Degree = tuple  # integer coordinates over Delta \ Delta_P
 
@@ -33,6 +29,10 @@ class Parabolic:
 
     def __post_init__(self):
         object.__setattr__(self, "delta_p", frozenset(self.delta_p))
+        non_int = sorted(repr(i) for i in self.delta_p if not isinstance(i, int))
+        if non_int:
+            raise InvalidParabolicError(
+                f"simple-root indices must be integers, got {', '.join(non_int)}")
         bad = [i for i in self.delta_p if not 1 <= i <= self.system.rank]
         if bad:
             raise InvalidParabolicError(
@@ -74,11 +74,6 @@ class Parabolic:
         return longest_element(self.system, self.positions)
 
     @cached_property
-    def roots_of_p(self) -> frozenset[Root]:
-        """R(P) = R+ union R_P, the roots whose root group lies in P."""
-        return frozenset(self.system.positive_roots) | frozenset(self.levi_roots)
-
-    @cached_property
     def c1_weights(self) -> tuple[int, ...]:
         """(c_1, alpha_i^vee) for each simple root alpha_i outside Delta_P, ascending."""
         c1 = c1_vector(self)
@@ -113,10 +108,6 @@ class Parabolic:
         return f"Parabolic({self.system.simple_type}, {sorted(self.delta_p)})"
 
 
-def degree_leq(d: Degree, e: Degree) -> bool:
-    return all(x <= y for x, y in zip(d, e, strict=True))
-
-
 @lru_cache(maxsize=None)
 def project_coroot(p: Parabolic, alpha: Root) -> Degree:
     """alpha^vee as a degree: expand over simple coroots, drop Delta_P slots."""
@@ -139,16 +130,3 @@ def dim_x(p: Parabolic) -> int:
     """dim G/P = number of roots in R+ \\ R_P+."""
     return len(p.outside_levi_set)
 
-
-def levi_intersection_check(p: Parabolic) -> bool:
-    """Check R_P = {gamma in R(P) : w_o(gamma) in R(P)}.
-
-    Only meaningful when w_o stabilizes R_P; raises NotApplicableError
-    otherwise.
-    """
-    w0 = longest_element(p.system)
-    levi = set(p.levi_roots)
-    if {w0.apply(r) for r in levi} != levi:
-        raise NotApplicableError("w_o does not stabilize R_P")
-    rp_from_cut = {g for g in p.roots_of_p if w0.apply(g) in p.roots_of_p}
-    return rp_from_cut == levi

@@ -131,11 +131,6 @@ class Root:
     def is_positive(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Bourbaki (1-based) indices of the simple roots occurring in self."""
-        return tuple(i + 1 for i, c in enumerate(self.coeffs) if c != 0)
-
     def __neg__(self) -> "Root":
         return self.system.root(tuple(-c for c in self.coeffs))
 

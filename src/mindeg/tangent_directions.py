@@ -41,7 +41,7 @@ from .weyl import reflection
 __all__ = [
     "TangentDirectionSets", "KeyInequalityReport", "QuasiHomogeneityVerdict",
     "VERDICT_DENSE_G_ORBIT", "VERDICT_ONLY_AUT_X",
-    "tangent_directions", "associated_pair", "tangent_direction_sets", "pair_map_is_injective",
+    "associated_pair", "tangent_direction_sets", "pair_map_is_injective",
     "coroot_pairing_bound_holds", "weighted_pair_count_identity_holds",
     "key_inequality", "is_exceptional_triple", "quasi_homogeneity_verdict",
 ]
@@ -98,19 +98,6 @@ def _root_directions(p: Parabolic, alpha: Root) -> tuple[
     return frozenset(out), strong, pairings
 
 
-def _plain_directions(p: Parabolic, casc: tuple[Root, ...]) -> tuple[Root, ...]:
-    """The union of the plain directions of the cascade roots casc, sorted."""
-    out = set()
-    for a in casc:
-        out |= _root_directions(p, a)[0]
-    return tuple(sorted(out, key=lambda r: r.coeffs))
-
-
-def tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:
-    """-alpha-gamma over cascade alpha outside the Levi and gamma in R_P+ or 0."""
-    return _plain_directions(p, _cascade_outside_levi(p, d))
-
-
 def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[Root, Root]:
     """The pair (alpha', gamma') attached to (alpha, gamma) with (alpha, gamma) < 0.
 
@@ -156,7 +143,11 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
 
 
 def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
-    """Both direction sets, with the bijectivity and disjointness checks applied."""
+    """Both direction sets, with the bijectivity and disjointness checks applied.
+
+    td is -alpha-gamma over cascade alpha outside the Levi and gamma in R_P+
+    or 0, the union of the plain directions of the cascade's rows.
+    """
     rs = p.system
     casc = _cascade_outside_levi(p, d)
     strong = tuple((a, g) for a in casc for g in _root_directions(p, a)[1])
@@ -172,14 +163,16 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     td_tilde = set(images)
     if len(td_tilde) != len(strong):
         raise ConsistencyError("the strong pairs do not biject onto the extra directions")
-    td = _plain_directions(p, casc)
-    if td_tilde & set(td):
+    td = set()
+    for a in casc:
+        td |= _root_directions(p, a)[0]
+    if td_tilde & td:
         raise ConsistencyError("extra tangent directions must avoid the plain ones")
     for r in td_tilde:
         if not p.outside_levi(-r):
             raise ConsistencyError(f"extra tangent direction {r} not in R- \\ R_P-")
-    return TangentDirectionSets(
-        td, tuple(sorted(td_tilde, key=lambda r: r.coeffs)), strong)
+    return TangentDirectionSets(tuple(sorted(td, key=lambda r: r.coeffs)),
+                                tuple(sorted(td_tilde, key=lambda r: r.coeffs)), strong)
 
 
 def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
@@ -222,9 +215,7 @@ def coroot_pairing_bound_holds(p: Parabolic, d: Degree) -> bool:
     On the unique exceptional triple the bound provably fails with a witness
     value of absolute value 3; that case raises instead of returning False.
     """
-    if not is_minimal_degree(p, d):
-        raise NotMinimalDegreeError(f"{d} is not a minimal degree")
-    casc = _cascade_outside_levi(p, d)
+    casc = _cascade_outside_levi(p, d)  # raises NotMinimalDegreeError via lifting
     if is_exceptional_triple(p, d):
         witness = [(g, a, v) for a in casc
                    for g, v in zip(p.levi_positive, _root_directions(p, a)[2])

@@ -20,7 +20,6 @@ products are reproducible).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -32,7 +31,6 @@ __all__ = [
     "mul_gen", "is_descent", "hecke_reflection_on_coset",
     "reduced_word", "word_str", "longest_element", "hecke_product",
     "bruhat_leq", "inversion_set", "center_elements", "all_elements",
-    "weyl_group_order",
 ]
 
 
@@ -314,18 +312,3 @@ def all_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
         frontier = fresh
     return tuple(seen.values())
 
-
-def weyl_group_order(rs: RootSystem) -> int:
-    """|W| from the classical formulas (independent of any enumeration)."""
-    fam, l = rs.simple_type.family, rs.rank
-    if fam == "A":
-        return math.factorial(l + 1)
-    if fam in ("B", "C"):
-        return 2 ** l * math.factorial(l)
-    if fam == "D":
-        return 2 ** (l - 1) * math.factorial(l)
-    if fam == "E":
-        return {6: 51840, 7: 2903040, 8: 696729600}[l]
-    if fam == "F":
-        return 1152
-    return 12

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they check: root sets come from
 explicit epsilon-coordinate models, Bruhat order from the subword property,
-centers from commutation against every generator, maximal roots from a
-pairwise comparison and from a root table built for one parabolic, coroot
+centers from commutation against every generator (or, over the whole
+group, from the images of the simple roots), the order of W from the
+classical formulas, the Levi intersection from R(P) cut by w_o, maximal
+roots from a pairwise comparison and from a root table built for one parabolic, coroot
 and c1 pairings from Fractions over the Gram matrix, minimality from a scan of the whole box below a degree
 (or, where that is too slow, from the unit-edge test over the point-class box
 and its frontier under a monotonicity certificate), the full-flag minimal
@@ -25,6 +27,7 @@ Gauss-Jordan elimination over pairs of Fractions.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from mindeg.cascade import cascade_roots
@@ -33,10 +36,10 @@ from mindeg.curve_nbhd import (
     minimal_degrees,
 )
 from mindeg.exceptions import (
-    ConsistencyError, ExceptionalCaseError, LiftingNotUniqueError, NotMinimalDegreeError,
-    UniquenessViolationError,
+    ConsistencyError, ExceptionalCaseError, LiftingNotUniqueError, NotApplicableError,
+    NotMinimalDegreeError, UniquenessViolationError,
 )
-from mindeg.parabolic import Degree, Parabolic, degree_leq, project_coroot
+from mindeg.parabolic import Degree, Parabolic, project_coroot
 from mindeg.root_system import Root, RootSystem, bilinear, coroot_pairing, reflect, root_leq
 from mindeg.tangent_directions import (
     TangentDirectionSets, associated_pair, is_exceptional_triple,
@@ -104,6 +107,53 @@ def brute_force_center(rs: RootSystem) -> frozenset[WeylElement]:
     gens = [simple_reflection(rs, i) for i in range(rs.rank)]
     return frozenset(w for w in all_elements(rs)
                      if all(compose(w, s) == compose(s, w) for s in gens))
+
+
+def simple_root_center(rs: RootSystem) -> frozenset[WeylElement]:
+    """Elements sending every simple root to plus or minus itself, over the
+    whole group: w s_i w^-1 = s_{w(alpha_i)}, so w commutes with s_i iff
+    w(alpha_i) = +-alpha_i."""
+    pm = [(b, (b, -b)) for b in rs.simple_roots]
+    return frozenset(w for w in all_elements(rs) if all(w.apply(b) in s for b, s in pm))
+
+
+def weyl_group_order(rs: RootSystem) -> int:
+    """|W| from the classical formulas (independent of any enumeration)."""
+    fam, l = rs.simple_type.family, rs.rank
+    if fam == "A":
+        return math.factorial(l + 1)
+    if fam in ("B", "C"):
+        return 2 ** l * math.factorial(l)
+    if fam == "D":
+        return 2 ** (l - 1) * math.factorial(l)
+    if fam == "E":
+        return {6: 51840, 7: 2903040, 8: 696729600}[l]
+    if fam == "F":
+        return 1152
+    return 12
+
+
+def degree_leq(d: Degree, e: Degree) -> bool:
+    return all(x <= y for x, y in zip(d, e, strict=True))
+
+
+def roots_of_p(p: Parabolic) -> frozenset[Root]:
+    """R(P) = R+ union R_P, the roots whose root group lies in P."""
+    return frozenset(p.system.positive_roots) | frozenset(p.levi_roots)
+
+
+def levi_intersection_check(p: Parabolic) -> bool:
+    """Check R_P = {gamma in R(P) : w_o(gamma) in R(P)}.
+
+    Only meaningful when w_o stabilizes R_P; raises NotApplicableError
+    otherwise.
+    """
+    w0 = longest_element(p.system)
+    levi = set(p.levi_roots)
+    if {w0.apply(r) for r in levi} != levi:
+        raise NotApplicableError("w_o does not stabilize R_P")
+    rp = roots_of_p(p)
+    return {g for g in rp if w0.apply(g) in rp} == levi
 
 
 def gram_matrix(rs: RootSystem) -> list[list[int]]:

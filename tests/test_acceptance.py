@@ -24,7 +24,7 @@ from mindeg.tangent_directions import (
 )
 from mindeg.weyl import center_elements, longest_element
 
-from oracles import all_parabolics, brute_force_center
+from oracles import all_parabolics, simple_root_center
 
 RANK5_TYPES = default_types(5)  # A1-A5, B2-B5, C2-C5, D3-D5, F4, G2
 RANK4_TYPES = [t for t in RANK5_TYPES if t.rank <= 4]
@@ -121,10 +121,10 @@ def test_criterion_5_cascades_orthogonal_and_negated():
 def test_criterion_6_lemma_suite():
     failures = []
 
-    # center of the Weyl group against brute force, rank <= 6
+    # center of the Weyl group against brute force over W, rank <= 6
     for t in RANK6_TYPES:
         rs = build_root_system(str(t))
-        if center_elements(rs) != brute_force_center(rs):
+        if center_elements(rs) != simple_root_center(rs):
             failures.append(("center", str(t)))
         w0 = longest_element(rs)
         minus_one = all(w0.apply(b).coeffs == tuple(-c for c in b.coeffs)

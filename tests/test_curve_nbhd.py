@@ -15,7 +15,7 @@ from mindeg.exceptions import (
     ConsistencyError, InvalidDegreeError, LiftingNotUniqueError, NotMinimalDegreeError,
     ResourceGuardError,
 )
-from mindeg.parabolic import Parabolic, degree_leq, project_coroot
+from mindeg.parabolic import Parabolic, project_coroot
 from mindeg.report import all_parabolic_subsets, default_types
 from mindeg.root_system import build_root_system
 from mindeg.tangent_directions import key_inequality
@@ -23,7 +23,7 @@ from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_r
 
 from oracles import (
     all_parabolics, box_scan_is_minimal_degree, box_scan_minimal_degrees,
-    box_scan_point_class_degree, certified_box_scan_minimal_degrees,
+    box_scan_point_class_degree, certified_box_scan_minimal_degrees, degree_leq,
     hecke_curve_neighborhood_element,
     is_maximal_coset_representative, linear_scan_lifting, minimal_coset_representative,
     pairwise_maximal_roots, per_parabolic_maximal_roots, unit_edge_minimal_degrees,

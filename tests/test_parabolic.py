@@ -2,14 +2,11 @@ import pytest
 
 from mindeg.cascade import full_cascade
 from mindeg.curve_nbhd import minimal_degrees
-from mindeg.exceptions import InvalidDegreeError, NotApplicableError
-from mindeg.parabolic import (
-    Parabolic, c1_pairing, c1_vector, dim_x, levi_intersection_check,
-    project_coroot,
-)
+from mindeg.exceptions import InvalidDegreeError, InvalidParabolicError, NotApplicableError
+from mindeg.parabolic import Parabolic, c1_pairing, c1_vector, dim_x, project_coroot
 from mindeg.root_system import build_root_system, coroot_coefficients, coroot_pairing
 
-from oracles import all_parabolics, fraction_c1_pairing
+from oracles import all_parabolics, fraction_c1_pairing, levi_intersection_check, roots_of_p
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                "D3", "D4", "F4", "G2"]
@@ -108,7 +105,7 @@ def test_levi_positive_and_root_counts(label):
     pos = set(rs.positive_roots)
     for p in all_parabolics(rs):
         assert set(p.levi_positive) == set(p.levi_roots) & pos
-        assert len(p.roots_of_p) == len(rs.positive_roots) + len(p.levi_positive)
+        assert len(roots_of_p(p)) == len(rs.positive_roots) + len(p.levi_positive)
 
 
 @pytest.mark.parametrize("label", ["A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
@@ -119,7 +116,7 @@ def test_cascade_support_parabolics_are_stable_under_longest_element(label):
     from mindeg.weyl import longest_element
     w0 = longest_element(rs)
     for alpha in full_cascade(rs):
-        p = Parabolic(rs, frozenset(alpha.support))
+        p = Parabolic(rs, frozenset(i + 1 for i, c in enumerate(alpha.coeffs) if c))
         levi = set(p.levi_roots)
         assert {w0.apply(r) for r in levi} == levi
         assert levi_intersection_check(p)
@@ -130,3 +127,9 @@ def test_bad_indices_rejected(g2):
         Parabolic(g2, frozenset({0}))
     with pytest.raises(ValueError):
         Parabolic(g2, frozenset({3}))
+
+
+def test_non_integer_indices_rejected(a2):
+    for bad in ({1.0}, {"1"}):
+        with pytest.raises(InvalidParabolicError, match="must be integers"):
+            Parabolic(a2, frozenset(bad))

@@ -79,7 +79,7 @@ def test_benchmark_bindings_name_package_functions():
 # Every module-global memo in the package, as module.function. A new memo
 # joins this list only with its measured reuse on the sweeps and queries.
 MEMOS = {
-    "cascade.cascade_roots", "cascade.full_cascade", "cascade._sos_subsets",
+    "cascade.cascade_roots", "cascade._sos_subsets",
     "curve_nbhd.borel", "curve_nbhd._root_table", "curve_nbhd.maximal_roots",
     "curve_nbhd.greedy_decomposition", "curve_nbhd._z_pairs",
     "curve_nbhd.curve_neighborhood_element", "curve_nbhd._minimal",
@@ -110,3 +110,54 @@ def test_memo_inventory():
              and any(_memo_decorator(d) for d in node.decorator_list)]
     assert len(found) == len(set(found))
     assert set(found) == MEMOS
+
+
+# Public names that nothing in src/ reads and perfbench does not bind, each
+# with the reason it stays in the package rather than in tests/oracles.py.
+NO_PRODUCT_READER = {
+    "tangent_directions.pair_map_is_injective":
+        "lemma check of acceptance 6, to run on every sweep row (ROADMAP item 1)",
+    "tangent_directions.coroot_pairing_bound_holds":
+        "lemma check of acceptance 6, to run on every sweep row (ROADMAP item 1)",
+    "tangent_directions.weighted_pair_count_identity_holds":
+        "lemma check of acceptance 6, to run on every sweep row (ROADMAP item 1)",
+    "curve_nbhd.is_p_cosmall":
+        "acceptance 6 checks the P-cosmall pairings with it; ROADMAP item 1 gives "
+        "it a root-table path or moves it to tests/oracles.py",
+}
+
+
+def _definitions_of(name: str, tree) -> list:
+    """The top-level statements of a module that define name."""
+    return [node for node in tree.body
+            if getattr(node, "name", None) == name
+            or any(getattr(t, "id", None) == name for t in getattr(node, "targets", ()))]
+
+
+def test_every_public_name_has_a_product_reader():
+    """Each name in a submodule's __all__ is read somewhere in src/ outside its
+    own definition, is bound by perfbench/spans.py, or is in NO_PRODUCT_READER.
+    A helper that only the tests read belongs in tests/oracles.py."""
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    bench = ast.parse(BENCH_SPANS.read_text(), filename=str(BENCH_SPANS))
+    bound = {entry[-1]
+             for node in bench.body
+             if isinstance(node, ast.Assign)
+             and getattr(node.targets[0], "id", None) in ("SPANS", "COUNTED", "CACHES")
+             for entry in ast.literal_eval(node.value)}
+    reads = {}  # name -> the ids of the ast.Name nodes that read it
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.setdefault(n.id, set()).add(id(n))
+    unread = []
+    for stem, tree in trees.items():
+        if stem == "__init__":
+            continue
+        for name in getattr(importlib.import_module(f"mindeg.{stem}"), "__all__", ()):
+            own = {id(n) for d in _definitions_of(name, tree) for n in ast.walk(d)}
+            read = bool(reads.get(name, set()) - own)
+            if not (read or name in bound or f"{stem}.{name}" in NO_PRODUCT_READER):
+                unread.append(f"{stem}.{name}")
+    assert unread == []
