@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Check that `mindeg sweep` streams the pinned bytes within its memory gate.
+
+Runs `python -m mindeg sweep --types E8` (or other types) in a subprocess,
+once serially and once with --workers 2, and hashes stdout as it arrives,
+so that the output is never held whole. The serial run's peak RSS is read
+with os.wait4 and must stay under MAX_RSS_MB; both runs must exit 0 and
+give the same sha256, which for E8 must equal the pinned one. The E6 and E7
+sweeps are pinned in tests/test_sweep_hashes.py, which Tier-1 runs; this
+table holds only what Tier-1 does not check. E8 writes 113,807 rows
+(143 MB of JSON) and takes a few tens of seconds per run.
+
+Usage: python scripts/check_sweep_stream.py [--types E8]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# the serial run's peak RSS must stay below this
+MAX_RSS_MB = 300
+
+# sha256 of the whole `mindeg sweep --types T` JSON output
+PINNED_SHA256 = {
+    "E8": "51108c4d68203a6dd0e7782c1a78e2050c1f6b9c54bd126af558aad441a620c3",
+}
+
+
+def run_sweep(types: str, workers: int) -> tuple[int, str, int, float, float]:
+    """(exit code, sha256 of stdout, stdout bytes, peak RSS in MB, seconds)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    start = time.monotonic()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mindeg", "sweep", "--types", types,
+         "--workers", str(workers)], stdout=subprocess.PIPE, env=env)
+    digest, size = hashlib.sha256(), 0
+    for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+        digest.update(block)
+        size += len(block)
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    # ru_maxrss is in KiB on Linux; under --workers it is the parent's alone
+    return (proc.returncode, digest.hexdigest(), size, usage.ru_maxrss / 1024,
+            time.monotonic() - start)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--types", default="E8", help="comma-separated types, e.g. E8 or E6,E7")
+    args = ap.parse_args()
+    problems, hashes = [], set()
+    for workers in (1, 2):
+        code, sha, size, rss, secs = run_sweep(args.types, workers)
+        print(f"--types {args.types} --workers {workers}: exit {code}, {size} bytes, "
+              f"sha256 {sha}, {secs:.1f} s, peak RSS {rss:.0f} MB"
+              + (" (parent process only)" if workers > 1 else ""), flush=True)
+        hashes.add(sha)
+        if code != 0:
+            problems.append(f"--workers {workers} exited {code}")
+        if workers == 1 and rss >= MAX_RSS_MB:
+            problems.append(f"serial peak RSS {rss:.0f} MB is not under {MAX_RSS_MB} MB")
+    if len(hashes) != 1:
+        problems.append("the serial and --workers 2 outputs differ")
+    pinned = PINNED_SHA256.get(args.types)
+    if pinned is not None and hashes != {pinned}:
+        problems.append(f"the output does not hash to the pinned {pinned}")
+    for msg in problems:
+        print(msg)
+    print("the sweep streams the expected bytes within the memory gate"
+          if not problems else "CHECK FAILED")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -9,6 +9,7 @@ roots outside Delta_P in ascending order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -25,7 +26,9 @@ from .exceptions import (
     RankTooLargeError,
 )
 from .parabolic import Parabolic
-from .report import case_reports, default_types, emit, predictions_confirmed, run_sweep
+from .report import (
+    case_reports, default_types, emit, predictions_confirmed, render, sweep_cases,
+)
 from .root_system import SimpleType, build_root_system
 from .so7 import run_appendix_checks
 from .tangent_directions import quasi_homogeneity_verdict
@@ -165,9 +168,22 @@ def cmd_sweep(args) -> int:
         types = tuple(SimpleType.parse(t) for t in args.types.split(","))
     else:
         types = default_types(args.max_rank)
-    reports = run_sweep(types, args.workers)
-    sys.stdout.write(emit(reports, args.format))
-    return 0 if predictions_confirmed(reports) else 1
+    cases = sweep_cases(types, args.workers)  # refuses before any output
+    confirmed = True
+
+    def checked():
+        nonlocal confirmed
+        for chunk in cases:
+            confirmed = predictions_confirmed(chunk) and confirmed
+            yield chunk
+
+    # each case's rows are written, in case order, once it has finished; a
+    # failed case or a closed stdout closes the stream, which cancels the
+    # cases not yet started
+    with contextlib.closing(cases):
+        for piece in render(checked(), args.format):
+            sys.stdout.write(piece)
+    return 0 if confirmed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

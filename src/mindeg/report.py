@@ -5,6 +5,9 @@ plain data (strings, ints, tuples), so they serialize and pickle cleanly;
 sweeps are deterministic regardless of worker count because the cases are
 built in (family, rank, Delta_P) order and the merge keeps that order.
 A sweep is guarded by the rows it will emit, counted before any case runs.
+`sweep_cases` yields one case's reports at a time and `render` writes each
+case's rows with `emit` as it arrives, so a sweep is written out as its cases
+finish.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import itertools
 import json
 import operator
 import os
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
@@ -27,14 +31,15 @@ from .root_system import SimpleType, admissible, build_root_system
 from .tangent_directions import VERDICT_ONLY_AUT_X, key_inequality, quasi_homogeneity_verdict
 from .weyl import word_str
 
-__all__ = ["CaseReport", "default_types", "all_parabolic_subsets",
-           "case_reports", "run_sweep", "predictions_confirmed", "emit"]
+__all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports",
+           "sweep_cases", "run_sweep", "predictions_confirmed", "render", "emit"]
 
 # The most rows a sweep may emit. Every type of rank <= 7 together has
-# 77,198 and E8 alone 113,807 (about 720 MB peak serially, with emit);
-# --max-rank 8 passes it at C7 (128,791), and D9 alone has 210,055. Memory
-# grows with the rows: run_sweep holds every report and emit renders them
-# as one string.
+# 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
+# D9 alone has 210,055. The value was set when a sweep held its whole output
+# in memory. The CLI now writes each case's rows as the case finishes, so its
+# memory is the caches and the stream's JSON memo (E8: 220 MB peak,
+# serially), while run_sweep still holds every report.
 _MAX_SWEEP_ROWS = 120_000
 
 
@@ -112,11 +117,14 @@ def _case_worker(task: tuple[str, tuple[int, ...]]) -> list[CaseReport]:
         raise
 
 
-def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseReport]:
-    """The reports of every parabolic of the types, by (family, rank, Delta_P),
-    in up to workers processes, and no more than the cases or the CPUs. Refused
-    with ResourceGuardError before any case runs once the row count summed in
-    that order passes _MAX_SWEEP_ROWS."""
+def sweep_cases(types: tuple[SimpleType, ...],
+                workers: int = 1) -> Iterator[list[CaseReport]]:
+    """The reports of every parabolic of the types, one list per case, by
+    (family, rank, Delta_P), in up to workers processes, and no more than the
+    cases or the CPUs. The worker count, the type list and the row budget are
+    checked here, before any case runs: ResourceGuardError once the row count
+    summed in that order passes _MAX_SWEEP_ROWS. The cases run as the
+    iterator is read; closing it cancels those not yet started."""
     if workers < 1:
         raise InvalidConfigError(f"the worker count must be at least 1, got {workers}")
     if not types:
@@ -130,15 +138,32 @@ def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseRepor
                 f"{_MAX_SWEEP_ROWS} a sweep may emit")
         for dp in all_parabolic_subsets(t.rank):
             tasks.append((str(t), dp))
-    # each case returns its rows sorted by degree, and map keeps the task order;
     # the pool forks all its processes at the first submit, so bound them here
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_case_worker, tasks, chunksize=4))
-    else:
-        chunks = [_case_worker(t) for t in tasks]
-    return [r for chunk in chunks for r in chunk]
+    return _run_cases(tasks, min(workers, len(tasks), os.cpu_count() or 1))
+
+
+def _run_cases(tasks, workers: int) -> Iterator[list[CaseReport]]:
+    """The reports of each task, yielded in task order; each case returns its
+    rows sorted by degree. map submits every task at once and keeps that
+    order, so under workers > 1 the cases after the one being waited for may
+    finish first, and their reports wait in this process until their turn.
+    The pool takes one case per task, so a failing case costs no other case
+    its rows."""
+    if workers == 1:
+        for task in tasks:
+            yield _case_worker(task)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(_case_worker, tasks)
+    finally:
+        # a failed case or an abandoned stream leaves tasks queued: drop them
+        pool.shutdown(cancel_futures=True)
+
+
+def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseReport]:
+    """Every report of sweep_cases(types, workers) in one list."""
+    return [r for chunk in sweep_cases(types, workers) for r in chunk]
 
 
 def predictions_confirmed(reports) -> bool:
@@ -185,11 +210,12 @@ def _json_value(v, indent: int, memo: dict) -> str:
 
 # How json.dumps(indent=2) opens the line of each field in a row object.
 _JSON_KEYS = tuple(f"\n    {encode_basestring_ascii(k)}: " for k in CSV_HEADER)
+# How a json document of one or more rows opens, joins its rows and closes.
+_JSON_FRAME = ("[\n  ", ",\n  ", "\n]\n")
 
 
-def _json(reports) -> str:
+def _json(reports, memo: dict) -> str:
     """The bytes of json.dumps([the fields of r by name], indent=2) + "\\n"."""
-    memo = {}
     rows = []
     for r in reports:
         items = ",".join([k + _json_value(v, 4, memo)
@@ -197,13 +223,16 @@ def _json(reports) -> str:
         rows.append("{" + items + "\n  }")
     if not rows:
         return "[]\n"
-    return "[\n  " + ",\n  ".join(rows) + "\n]\n"
+    head, sep, tail = _JSON_FRAME
+    return head + sep.join(rows) + tail
 
 
-def emit(reports, fmt: str) -> str:
-    """Render reports as json, csv, or md with a stable field order."""
+def emit(reports, fmt: str, memo: dict | None = None) -> str:
+    """Render reports as json, csv, or md with a stable field order. Calls
+    that write parts of one json document may share a memo dict, so that
+    each degree or root is encoded once for them all."""
     if fmt == "json":
-        return _json(reports)
+        return _json(reports, {} if memo is None else memo)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -225,3 +254,26 @@ def emit(reports, fmt: str) -> str:
                 f"| {[list(c) for c in r.td_tilde]} |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown output format {fmt!r}")
+
+
+def render(chunks: Iterable[list[CaseReport]], fmt: str) -> Iterator[str]:
+    """emit(every report of chunks, fmt) in pieces, one per non-empty list as
+    it arrives and one to close. A list's piece is emit's document for it
+    less the tail and, after the first, less the head, which the separator
+    replaces; the closing piece is the tail, or emit([], fmt) if no list had
+    a report. One memo serves every call. An unknown format is refused
+    before any list is read."""
+    empty = emit([], fmt)
+    # csv and md open with the header lines that make up emit([], fmt)
+    head, sep, tail = _JSON_FRAME if fmt == "json" else (empty, "", "")
+
+    def pieces():
+        lead, memo = head, {}
+        for reports in chunks:
+            if reports:
+                text = emit(reports, fmt, memo)
+                yield lead + text[len(head):len(text) - len(tail)]
+                lead = sep
+        yield tail if lead == sep else empty
+
+    return pieces()

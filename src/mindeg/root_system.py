@@ -9,7 +9,6 @@ of that normalization.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -62,10 +61,15 @@ class SimpleType:
 
     @classmethod
     def parse(cls, label: str) -> "SimpleType":
-        m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", label.strip())
-        if not m:
+        """A family letter A-G in either case, optional whitespace, then the
+        rank in decimal digits. str.strip and str.isdecimal take the same
+        Unicode whitespace and digits as a regular expression's whitespace
+        and digit classes, without compiling one."""
+        text = label.strip()
+        letter, digits = text[:1], text[1:].lstrip()
+        if not (letter and letter in "ABCDEFGabcdefg" and digits.isdecimal()):
             raise InadmissibleRankError(f"cannot parse simple type {label!r}")
-        return cls(m.group(1).upper(), int(m.group(2)))
+        return cls(letter.upper(), int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -20,14 +20,16 @@ from simple reflections on unpacked coefficient vectors, reduced words, the
 Hecke step and composition one mul_gen or one unpacked root at a time,
 tangent directions root by root for each degree, the three lemma checks
 from pairings recomputed for each degree (the count identity reading a
-rebuilt inversion set of each s_alpha), and Q(i)-spans from
-Gauss-Jordan elimination over pairs of Fractions.
+rebuilt inversion set of each s_alpha), Q(i)-spans from
+Gauss-Jordan elimination over pairs of Fractions, and simple-type labels
+from a regular expression.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from mindeg.cascade import cascade_roots
@@ -36,11 +38,13 @@ from mindeg.curve_nbhd import (
     minimal_degrees,
 )
 from mindeg.exceptions import (
-    ConsistencyError, ExceptionalCaseError, LiftingNotUniqueError, NotApplicableError,
-    NotMinimalDegreeError, UniquenessViolationError,
+    ConsistencyError, ExceptionalCaseError, InadmissibleRankError, LiftingNotUniqueError,
+    NotApplicableError, NotMinimalDegreeError, UniquenessViolationError,
 )
 from mindeg.parabolic import Degree, Parabolic, project_coroot
-from mindeg.root_system import Root, RootSystem, bilinear, coroot_pairing, reflect, root_leq
+from mindeg.root_system import (
+    Root, RootSystem, SimpleType, bilinear, coroot_pairing, reflect, root_leq,
+)
 from mindeg.tangent_directions import (
     TangentDirectionSets, associated_pair, is_exceptional_triple,
 )
@@ -602,3 +606,11 @@ def qi_rank(vectors) -> int:
 
 def qi_contains(vectors, vec) -> bool:
     return qi_rank(list(vectors) + [vec]) == qi_rank(vectors)
+
+
+def regex_parse_simple_type(label: str) -> SimpleType:
+    r"""SimpleType.parse by the regular expression ([A-Ga-g])\s*(\d+)."""
+    m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", label.strip())
+    if not m:
+        raise InadmissibleRankError(f"cannot parse simple type {label!r}")
+    return SimpleType(m.group(1).upper(), int(m.group(2)))

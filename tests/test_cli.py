@@ -12,7 +12,9 @@ import pytest
 from mindeg import report
 from mindeg.cli import main
 from mindeg.exceptions import InvalidConfigError, InvalidDegreeError, ResourceGuardError
-from mindeg.report import CaseReport, default_types, emit, predictions_confirmed, run_sweep
+from mindeg.report import (
+    CaseReport, default_types, emit, predictions_confirmed, render, run_sweep, sweep_cases,
+)
 from mindeg.root_system import SimpleType
 
 
@@ -186,7 +188,8 @@ def test_bad_input_exits_2_under_python_O():
     assert proc.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("argv", [["roots", "A1"], ["sweep", "--types", "A2"]])
+@pytest.mark.parametrize("argv", [["roots", "A1"], ["sweep", "--types", "A2"],
+                                  ["sweep", "--types", "A2", "--workers", "2"]])
 def test_closed_stdout_exits_without_a_traceback(argv):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the first byte is written
@@ -209,11 +212,16 @@ def test_sweep_case_error_names_its_case(monkeypatch, capsys, workers):
             raise InvalidDegreeError("injected failure")
         return real(type_label, delta_p)
 
+    # the rows of the cases before the failing one are already written:
+    # every A2 case and B2 {}, as an unterminated JSON array
+    before = run_sweep((SimpleType("A", 2),)) + real("B2", ())
+    whole = emit(before, "json")
+    assert whole.endswith("\n]\n")
     # Pool workers are forked after this point, so they see the patch too.
     monkeypatch.setattr(report, "case_reports", failing)
     assert main(["sweep", "--types", "A2,B2", "--workers", workers]) == 2
     captured = capsys.readouterr()
-    assert captured.out == ""
+    assert captured.out == whole[:-len("\n]\n")]
     assert captured.err == "error: case (B2, Delta_P={1}): injected failure\n"
 
 
@@ -224,8 +232,86 @@ def test_sweep_command_exit_code_and_md(capsys):
     assert "OnlyAutX" in out
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_prediction_failing_in_any_case_exits_1(monkeypatch, capsys, workers):
+    real = report.case_reports
+
+    def wrong(type_label, delta_p):
+        rows = real(type_label, delta_p)
+        if (type_label, delta_p) == ("A2", ()):  # the first of eight cases
+            rows[0] = dataclasses.replace(rows[0], holds=not rows[0].holds)
+        return rows
+
+    monkeypatch.setattr(report, "case_reports", wrong)
+    code, out = run_cli(capsys, "sweep", "--types", "A2,B2", "--workers", workers)
+    assert code == 1
+    assert out == emit(run_sweep((SimpleType("A", 2), SimpleType("B", 2))), "json")
+
+
 def test_emit_json_empty():
     assert emit([], "json") == "[]\n"
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("json", "[]\n"),
+    ("csv", ",".join(report.CSV_HEADER) + "\n"),
+    ("md", "| type | delta_p | degree | z_length | inequality | holds | exception "
+           "| verdict | cascade | td | td_tilde |\n|" + "---|" * 11 + "\n"),
+])
+def test_an_empty_stream_renders_as_no_reports(fmt, text):
+    assert emit([], fmt) == text
+    assert "".join(render([], fmt)) == text
+    assert "".join(render([[], []], fmt)) == text
+
+
+def test_render_refuses_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        render([], "xml")
+
+
+# every type of rank <= 3, with F4 and G2 (named twice)
+_STREAM_TYPES = default_types(3) + (SimpleType("F", 4), SimpleType("G", 2))
+
+
+@pytest.fixture(scope="module")
+def stream_reports():
+    return run_sweep(_STREAM_TYPES)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_sweep_command_streams_the_bytes_of_emit(capsys, stream_reports, fmt, workers):
+    argv = ["sweep", "--types", ",".join(map(str, _STREAM_TYPES)),
+            "--format", fmt, "--workers", workers]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == emit(stream_reports, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_render_joins_to_emit_however_the_reports_are_split(stream_reports, fmt):
+    whole = emit(stream_reports, fmt)
+    cases = [stream_reports[i:i + 7] for i in range(0, len(stream_reports), 7)]
+    assert "".join(render(cases, fmt)) == whole
+    assert "".join(render([[], *cases, []], fmt)) == whole
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_sweep_command_renders_each_case_with_emit(monkeypatch, capsys, fmt):
+    real, documents = report.emit, []
+
+    def recording(reports, fmt, memo=None):
+        documents.append((len(reports), real(reports, fmt, memo)))
+        return documents[-1][1]
+
+    monkeypatch.setattr(report, "emit", recording)
+    code, out = run_cli(capsys, "sweep", "--types", "A2,B2", "--format", fmt)
+    assert code == 0
+    reports = run_sweep((SimpleType("A", 2), SimpleType("B", 2)))
+    assert out == real(reports, fmt)
+    # emit([], fmt) once, then one document per case: four of A2, four of B2
+    assert documents[0] == (0, real([], fmt)) and len(documents) == 1 + 8
+    assert sum(n for n, _ in documents) == len(reports)
 
 
 def _check_emit_json_against_json_dumps(reports) -> None:
@@ -305,14 +391,11 @@ class _RecordingPool:
     def __init__(self, started, max_workers):
         started.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
     def map(self, fn, tasks, chunksize=1):
         return map(fn, tasks)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 def _record_pools(monkeypatch, cpus):
@@ -344,6 +427,27 @@ def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cpus, pools):
     a2 = (SimpleType("A", 2),)  # four cases
     assert run_sweep(a2, workers=2000) == run_sweep(a2)
     assert started == pools
+
+
+def test_closing_a_sweep_stream_cancels_the_cases_not_started(monkeypatch):
+    shutdowns = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+
+    monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(report, "ProcessPoolExecutor", Pool)
+    cases = sweep_cases((SimpleType("A", 2),), workers=2)  # four cases
+    assert shutdowns == [] and next(cases)[0].delta_p == ()
+    cases.close()
+    assert shutdowns == [True]
 
 
 def test_sweep_runs_its_cases_by_family_rank_and_parabolic(monkeypatch):
@@ -413,10 +517,11 @@ def test_sweep_over_the_row_budget_is_refused_before_any_case(monkeypatch, capsy
 
     monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)
     monkeypatch.setattr(report, "case_reports", failing)
-    assert main(["sweep", "--types", "A4", "--workers", workers]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == _over_budget("A4", 109)
+    for fmt in ("json", "csv", "md"):
+        assert main(["sweep", "--types", "A4", "--workers", workers, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # not even a CSV or md header
+        assert captured.err == _over_budget("A4", 109)
 
 
 def test_a_huge_max_rank_is_refused_at_once(monkeypatch, capsys):

@@ -11,7 +11,10 @@ from mindeg.root_system import (
 )
 from mindeg.weyl import identity, simple_reflection
 
-from oracles import b3_root_coeffs, fraction_coroot_pairing, g2_root_coeffs, gram_bilinear
+from oracles import (
+    b3_root_coeffs, fraction_coroot_pairing, g2_root_coeffs, gram_bilinear,
+    regex_parse_simple_type,
+)
 
 ALL_TYPES_RANK_LE_8 = (
     [f"A{l}" for l in range(1, 9)]
@@ -182,6 +185,35 @@ def test_simple_type_parsing():
     assert str(SimpleType.parse("B10")) == "B10"
     with pytest.raises(InadmissibleRankError):
         SimpleType.parse("X5")
+
+
+# whitespace that is ASCII and not, decimal digits that are ASCII and not
+# (Arabic-Indic, fullwidth, mathematical), and digits or numerals that are
+# not decimal (superscript two, Roman eight)
+_SPACES = " \t\n\x0b\x1c\x85\u00a0\u2003\u3000"
+_DIGITS = "0123456789\u0663\uff15\U0001d7d8"
+_LABEL_CHARS = "ABCDEFGHXabcdefgx" + _SPACES + _DIGITS + "\u00b2\u2167"
+
+
+def _parse_outcome(parse, label):
+    try:
+        return parse(label)
+    except InadmissibleRankError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.text(st.one_of(st.sampled_from(_LABEL_CHARS), st.characters()), max_size=6),
+    st.tuples(st.text(st.sampled_from(_SPACES), max_size=2),
+              st.sampled_from("ABCDEFGHXabcdefgx"),
+              st.text(st.sampled_from(_SPACES), max_size=2),
+              st.text(st.sampled_from(_DIGITS + "\u00b2\u2167 "), min_size=1, max_size=2),
+              st.text(st.sampled_from(_SPACES), max_size=2)).map("".join),
+))
+def test_simple_type_parse_matches_the_regex(label):
+    assert _parse_outcome(SimpleType.parse, label) == \
+        _parse_outcome(regex_parse_simple_type, label)
 
 
 def test_pickling_keeps_root_system_identity(b3):

@@ -121,6 +121,9 @@ NO_PRODUCT_READER = {
         "lemma check of acceptance 6, to run on every sweep row (ROADMAP item 1)",
     "tangent_directions.weighted_pair_count_identity_holds":
         "lemma check of acceptance 6, to run on every sweep row (ROADMAP item 1)",
+    "report.run_sweep":
+        "the library call that returns a whole sweep as one list; the CLI streams "
+        "sweep_cases instead, and the hash pins and acceptance 2 and 8 read it",
     "curve_nbhd.is_p_cosmall":
         "acceptance 6 checks the P-cosmall pairings with it; ROADMAP item 1 gives "
         "it a root-table path or moves it to tests/oracles.py",

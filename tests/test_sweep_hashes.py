@@ -4,12 +4,14 @@ Each hash is the sha256 of `emit(run_sweep(...), "json")` for one type, as
 recorded from the original box-scan implementation (the same per-type values
 are kept in perfbench/reference/sweeps.json). A fast path that changes any
 row, field order or formatting fails here without running the benchmark.
+E6 is also pinned through `mindeg sweep`, which streams the same bytes.
 """
 
 import hashlib
 
 import pytest
 
+from mindeg.cli import main
 from mindeg.report import emit, run_sweep
 from mindeg.root_system import SimpleType
 
@@ -40,6 +42,12 @@ SWEEP_SHA256 = {
 def test_sweep_output_is_byte_identical(label):
     text = emit(run_sweep((SimpleType.parse(label),)), "json")
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256[label]
+
+
+def test_e6_sweep_command_output_is_byte_identical(capsys):
+    assert main(["sweep", "--types", "E6"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256["E6"]
 
 
 # 16,623 rows, as recorded from the box-scan implementation
