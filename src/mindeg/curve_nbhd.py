@@ -52,7 +52,13 @@ lexicographically largest coefficient vector first (_root_table):
   in greedy order, so alpha_j is not that child's first greedy root and the
   child is never generated. The search therefore tries only the children with
   j <= j0 (every child of 0, which has no greedy root) and accepts the same
-  degrees; a child accepted through alpha_j has j as its own j0.
+  degrees; a child accepted through alpha_j has j as its own j0. A child e
+  is tried only once no root before alpha_j fits below it, so alpha_j is its
+  first greedy root and e - alpha_j^vee = d its rest: z_e is the one Hecke
+  step s_alpha_j * z_d that _z_pair would take from z_d, and the search takes
+  it itself, with no greedy walk, degree check or memo lookup. The unit-edge
+  test reads the z's below a degree through _z_pair, whose walks end at z's
+  the search has stored.
 
 Each table is checked locally, raising ConsistencyError. On G/B the
 unit-edge test must agree with the length criterion on each accepted degree,
@@ -229,7 +235,7 @@ def _passes_unit_edges(p: Parabolic, d: Degree, z: WeylElement) -> bool:
     """
     below = []
     for c in _unit_steps_down(d):
-        u = curve_neighborhood_element(p, c)
+        u = _z_pair(p, c)[0]
         if u == z:
             return False
         below.append((c, u))
@@ -244,7 +250,8 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
 
     Each degree is queued with the index j0 of its first greedy root, and
     only its children through the roots j <= j0 are tried (see the module
-    docstring).
+    docstring). A child's z is one Hecke step from its parent's, the step
+    _z_pair takes, and joins _z_pairs(b).
     """
     rs = b.system
     if 2 ** rs.rank > _MAX_BOREL_DEGREES:  # the 0/1 degrees alone pass the cap
@@ -253,6 +260,7 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
             f"more than the {_MAX_BOREL_DEGREES} the enumeration accepts")
     roots, fits, _, _, coroots = _root_table(b)
     steps = [(j, coroots[j], reflection(rs, a).length) for j, a in enumerate(roots)]
+    pairs = _z_pairs(b)
     found = {b.zero_degree: identity(rs)}
     queue = [(b.zero_degree, len(roots) - 1)]
     for d, j0 in queue:
@@ -261,14 +269,19 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
             raise ConsistencyError(
                 f"the length criterion accepts {d} on {b}, "
                 f"but a unit edge below it reaches the same z")
-        length = found[d].length
+        pair = pairs[d]
+        length = pair[0].length
         for j, coroot, step in steps[:j0 + 1]:
             e = tuple([x + y for x, y in zip(d, coroot)])
             # skip e unless alpha_j is its first greedy root, the first
             # fitting root in greedy order
             if _fitting(fits, e, (1 << j) - 1):
                 continue
-            z = curve_neighborhood_element(b, e)
+            # then d is e's rest, and z_e W_B = s_alpha_j * z_d W_B
+            child = pairs.get(e)
+            if child is None:  # not yet read by a unit-edge test
+                child = pairs[e] = hecke_reflection_on_coset(*pair, roots[j], ())
+            z = child[0]
             if z.length != length + step:
                 continue
             found[e] = z

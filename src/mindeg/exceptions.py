@@ -54,7 +54,8 @@ class ExceptionalCaseError(MindegError):
 
 
 class ResourceGuardError(MindegError, ValueError):
-    """A request exceeds a resource guard: the sweep row budget or the full-flag degree cap."""
+    """A request exceeds a resource guard: the root count, the sweep row budget
+    or the full-flag degree cap."""
 
 
 class InvalidConfigError(MindegError, ValueError):

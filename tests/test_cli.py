@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -129,6 +130,13 @@ BAD_INPUT = {
     ("verdict", "G2", "--delta-p", "x"): "--delta-p must be comma-separated integers, got 'x'",
     ("minimal-degrees", "G2", "--delta-p", "3"): "simple-root indices out of range 1..2: [3]",
     ("cascade", "G2", "--e=-1,0"): "degree (-1, 0) is not effective",
+    # a huge rank is refused by its root count, before a rank^2 Cartan matrix
+    **{argv: "A1000000 has more than the 4000 roots a root system may be built with"
+       for argv in [("roots", "A1000000"), ("cascade", "A1000000"),
+                    ("verdict", "A1000000", "--delta-p", "1"),
+                    ("sweep", "--types", "G2,A1000000")]},
+    ("roots", "A" + "9" * 5000):
+        "cannot parse simple type A99999999999...: its rank has 5000 digits",
 }
 
 
@@ -402,7 +410,8 @@ def _record_pools(monkeypatch, cpus):
     """The max_workers of every pool run_sweep opens on a host with cpus CPUs."""
     started = []
     monkeypatch.setattr(report.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(report, "ProcessPoolExecutor",
+    # report imports the pool from concurrent.futures when a sweep opens one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: _RecordingPool(started, max_workers))
     return started
 
@@ -443,7 +452,7 @@ def test_closing_a_sweep_stream_cancels_the_cases_not_started(monkeypatch):
             shutdowns.append(cancel_futures)
 
     monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(report, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     cases = sweep_cases((SimpleType("A", 2),), workers=2)  # four cases
     assert shutdowns == [] and next(cases)[0].delta_p == ()
     cases.close()

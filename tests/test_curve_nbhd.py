@@ -323,15 +323,15 @@ def _equal_length_swap(real, top):
     return _read_z_as(real, {(0, 0): (0, 1)})
 
 
-# A2/B, whose point-class degree is (1, 1). The enumeration takes z_0 = 1 as
-# given and reads every other z through curve_neighborhood_element.
+# A2/B, whose point-class degree is (1, 1). The enumeration takes each z from
+# its parent's by one Hecke step, unless the z table _z_pairs already holds
+# it, and reads the z's of the unit-edge test through _z_pair.
 A2_TOP = (1, 1)
 
 
 def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2):
     p = borel(a2)
-    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
-                        _reversed(curve_nbhd.curve_neighborhood_element, A2_TOP))
+    monkeypatch.setattr(curve_nbhd, "_z_pair", _reversed(curve_nbhd._z_pair, A2_TOP))
     with pytest.raises(ConsistencyError, match="not monotone"):
         is_minimal_degree(p, A2_TOP)
 
@@ -339,8 +339,7 @@ def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2)
 @pytest.mark.parametrize("fake", [_reversed, _equal_length_swap])
 def test_a_failed_pair_is_never_remembered(monkeypatch, cold_curve_nbhd, a2, fake):
     p = borel(a2)
-    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
-                        fake(curve_nbhd.curve_neighborhood_element, A2_TOP))
+    monkeypatch.setattr(curve_nbhd, "_z_pair", fake(curve_nbhd._z_pair, A2_TOP))
     for _ in range(5):  # nothing of a failed enumeration is kept
         with pytest.raises(ConsistencyError, match="not monotone"):
             is_minimal_degree(p, A2_TOP)
@@ -350,8 +349,8 @@ def test_length_criterion_disagreeing_with_unit_edges_is_a_consistency_error(
         monkeypatch, cold_curve_nbhd, a2):
     # z_(0,0) read as z_(1,0) = s1: (1, 0) passes the length criterion from
     # z_0 = 1, but its unit edge down to (0, 0) then reaches the same z
-    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
-                        _read_z_as(curve_nbhd.curve_neighborhood_element, {(0, 0): (1, 0)}))
+    monkeypatch.setattr(curve_nbhd, "_z_pair",
+                        _read_z_as(curve_nbhd._z_pair, {(0, 0): (1, 0)}))
     with pytest.raises(ConsistencyError, match="length criterion"):
         minimal_degrees(borel(a2))
 
@@ -360,13 +359,16 @@ def test_length_criterion_disagreeing_with_unit_edges_is_a_consistency_error(
 def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, cold_curve_nbhd, a2,
                                                       swaps, reach):
     # z_(1,1) read as s1 leaves no degree at w_o; z_(0,1) read as s1, with s1
-    # taken for the longest element, puts two degrees there
-    monkeypatch.setattr(curve_nbhd, "curve_neighborhood_element",
-                        _read_z_as(curve_nbhd.curve_neighborhood_element, swaps))
+    # taken for the longest element, puts two degrees there. The wrong z's
+    # are written into the z table, where the enumeration finds them.
+    b = borel(a2)
+    table = curve_nbhd._z_pairs(b)
+    for d, source in swaps.items():
+        table[d] = curve_nbhd._z_pair(b, source)
     if reach == 2:
         monkeypatch.setattr(curve_nbhd, "longest_element", lambda rs: simple_reflection(rs, 0))
     with pytest.raises(ConsistencyError, match=f"{reach} minimal degrees .* longest coset"):
-        point_class_degree(borel(a2))
+        point_class_degree(b)
 
 
 def test_projections_failing_the_unit_edge_test_are_dropped(monkeypatch, cold_curve_nbhd, a2):

@@ -4,10 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg.exceptions import InadmissibleRankError, InvalidVectorError, MixedRootSystemError
+from mindeg import root_system
+from mindeg.exceptions import (
+    ConsistencyError, InadmissibleRankError, InvalidVectorError, MixedRootSystemError,
+    ResourceGuardError,
+)
 from mindeg.root_system import (
-    SimpleType, bilinear, build_root_system, coroot_coefficients,
-    coroot_pairing, is_long, is_short, reflect, root_leq,
+    Root, RootSystem, SimpleType, admissible, bilinear, build_root_system,
+    coroot_coefficients, coroot_pairing, is_long, is_short, reflect, root_leq,
 )
 from mindeg.weyl import identity, simple_reflection
 
@@ -133,6 +137,35 @@ def test_coroot_coefficients_example(g2):
     assert coroot_coefficients(theta1) == (1, 2)
     highest_short = g2.root((2, 1))
     assert coroot_coefficients(highest_short) == (2, 3)
+
+
+def test_a_non_integral_coroot_is_a_consistency_error(a2):
+    # (1, 2) is no root of A2: its norm is 6, so its coroot would be (1/3, 2/3)
+    with pytest.raises(ConsistencyError, match="not integral"):
+        coroot_coefficients(Root(a2, (1, 2)))
+
+
+@pytest.mark.parametrize("label", ALL_TYPES_RANK_LE_8)
+def test_root_table_masks_match_the_root_order(label):
+    roots, _, above, coroots = build_root_system(label).root_table
+    assert above == tuple(sum(1 << k for k, b in enumerate(roots)
+                              if b is not a and root_leq(a, b)) for a in roots)
+    assert coroots == tuple(coroot_coefficients(a) for a in roots)
+
+
+def test_every_type_of_rank_at_most_12_passes_the_root_count():
+    counts = [root_system._ROOT_COUNTS[f](l)
+              for f in "ABCDEFG" for l in range(1, 13) if admissible(f, l)]
+    assert max(counts) == 288 <= root_system._MAX_ROOTS
+
+
+@pytest.mark.parametrize("label", ["A63", "B45", "C45", "D46", "A1000000", "D" + "9" * 4300])
+def test_a_type_past_the_root_count_is_refused_before_it_is_built(monkeypatch, label):
+    def unbuilt(*args):
+        raise AssertionError("the Cartan matrix was built")
+    monkeypatch.setattr(root_system, "_cartan_matrix", unbuilt)
+    with pytest.raises(ResourceGuardError, match="more than the 4000 roots"):
+        RootSystem(SimpleType.parse(label))
 
 
 @pytest.mark.parametrize("label", SMALL_TYPES)
