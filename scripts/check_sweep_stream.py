@@ -5,10 +5,12 @@ Runs `python -m mindeg sweep --types E8` (or other types) in a subprocess,
 once serially and once with --workers 2, and hashes stdout as it arrives,
 so that the output is never held whole. The serial run's peak RSS is read
 with os.wait4 and must stay under MAX_RSS_MB; both runs must exit 0 and
-give the same sha256, which for E8 must equal the pinned one. The E6 and E7
-sweeps are pinned in tests/test_sweep_hashes.py, which Tier-1 runs; this
-table holds only what Tier-1 does not check. E8 writes 113,807 rows
-(143 MB of JSON) and takes a few tens of seconds per run.
+give the same sha256, which for a type of PINNED_SHA256 must equal the
+pinned one. The E6 and E7 sweeps are pinned in tests/test_sweep_hashes.py,
+which Tier-1 runs; this table holds only what Tier-1 does not check: the
+rank-8 types A8, B8, C8, D8 and E8, each recorded before the sweep rows read
+their table entries. E8 writes 113,807 rows (143 MB of JSON) and takes 6 to
+20 s per run on a shared 2-vCPU host, by its load.
 
 Usage: python scripts/check_sweep_stream.py [--types E8]
 """
@@ -30,6 +32,10 @@ MAX_RSS_MB = 300
 
 # sha256 of the whole `mindeg sweep --types T` JSON output
 PINNED_SHA256 = {
+    "A8": "75f91826d550f4ce5fbcd00782960c162a1d1ffd51c04db6feab8d5aa38bd071",
+    "B8": "a635789e7ec2215c334f70b24bc8d4ea322fb26f2a2fafc8ab3c5d11f779f8c2",
+    "C8": "335ab1a3a04cb59ac0cc6c74ef9430c4e96f71caa3c38c8f36cb89be8207ad6a",
+    "D8": "2200e3728437d6b55e0915072587bd12f1871a8a35fe0771f5cd283e5a6e2de4",
     "E8": "51108c4d68203a6dd0e7782c1a78e2050c1f6b9c54bd126af558aad441a620c3",
 }
 

@@ -64,17 +64,19 @@ Each table is checked locally, raising ConsistencyError. On G/B the
 unit-edge test must agree with the length criterion on each accepted degree,
 with z_{d-e_i} <= z_d on each unit edge. On G/P every projection of a
 full-flag minimal degree must have a preimage whose z is longest in its
-coset, as on every parabolic through E8. On both, exactly one minimal degree,
-the point-class degree, reaches the longest coset. The full-flag search is refused
-(ResourceGuardError) once it accepts more than _MAX_BOREL_DEGREES degrees,
-and at once when 2^rank does: each degree sum_{i in S} alpha_i^vee is
-minimal, as a smaller degree is supported on some S' < S, so its z lies in
-W_{S'}, while z_d >= s_i for every i in S.
+coset, as on every parabolic through E8, and each z_d = z_e * w_P, one
+product given the length l(z_e) - l(w_P), must have no right descent in
+Delta_P, which is what makes that length right. On both, exactly one
+minimal degree, the point-class degree, reaches the longest coset. The
+full-flag search is refused (ResourceGuardError) once it accepts more than
+_MAX_BOREL_DEGREES degrees, and at once when 2^rank does: each degree
+sum_{i in S} alpha_i^vee is minimal, as a smaller degree is supported on
+some S' < S, so its z lies in W_{S'}, while z_d >= s_i for every i in S.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .exceptions import (
     ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
@@ -83,7 +85,7 @@ from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem
 from .weyl import (
     WeylElement, bruhat_leq, compose, hecke_reflection_on_coset, identity,
-    is_descent, longest_element, mul_gen, reduced_word, reflection,
+    descents_at, longest_element, reflection,
 )
 
 __all__ = [
@@ -203,7 +205,7 @@ def _z_pair(p: Parabolic, d: Degree) -> tuple[WeylElement, WeylElement]:
     roots = _root_table(p)[0]
     for d, k in reversed(chain):
         pair = hecke_reflection_on_coset(*pair, roots[k], p.positions)
-        if any(is_descent(pair[0], j) for j in p.positions):
+        if descents_at(pair[0], p.positions):
             raise ConsistencyError(f"curve-neighborhood element of {d} is not in W^P")
         pairs[d] = pair
     return pair
@@ -305,15 +307,19 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], De
         found = {d: (z, d) for d, z in _borel_minimal(p).items()}
     else:
         found, projections = {}, set()
-        q, word = p.quotient_positions, reduced_word(p.w_p)
+        q, w_p, positions = p.quotient_positions, p.w_p, p.positions
         for e, (z, _) in _minimal(borel(p.system))[0].items():
             d = tuple([e[i] for i in q])
             projections.add(d)
-            if all(is_descent(z, i) for i in p.positions):
+            if descents_at(z, positions) == len(positions):
                 if d in found:
                     raise LiftingNotUniqueError(f"{d} lifts to each of {[found[d][1], e]}")
-                # z_d = z * w_P, one letter of w_P at a time, each shortening z
-                found[d] = (reduce(mul_gen, word, z), e)
+                # z is the longest element of z W_P, so z = z_d * w_P with
+                # z_d the shortest, l(z) = l(z_d) + l(w_P), and z_d = z * w_P
+                z_d = compose(z, w_p, z.length - w_p.length)
+                if descents_at(z_d, positions):
+                    raise ConsistencyError(f"z_{d} = z_{e} * w_P on {p} is not in W^P")
+                found[d] = (z_d, e)
         missing = projections - found.keys()
         if missing:
             raise ConsistencyError(
@@ -353,8 +359,8 @@ def _sweep_rows(rs: RootSystem) -> int:
     on any other P; no two e lift the same degree, since distinct full-flag
     minimal degrees have distinct z (Fulton-Woodward; Postnikov).
     """
-    return sum(1 << sum(is_descent(z, i) for i in range(rs.rank))
-               for z, _ in _minimal(borel(rs))[0].values())
+    positions = range(rs.rank)
+    return sum(1 << descents_at(z, positions) for z, _ in _minimal(borel(rs))[0].values())
 
 
 def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree]:

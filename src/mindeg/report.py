@@ -22,12 +22,12 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
-from .cascade import minimal_degree_records
-from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows
+from .cascade import cascade_roots
+from .curve_nbhd import _MAX_BOREL_DEGREES, _minimal, _sweep_rows, minimal_degrees
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, admissible, build_root_system
-from .tangent_directions import VERDICT_ONLY_AUT_X, key_inequality, quasi_homogeneity_verdict
+from .tangent_directions import VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, key_inequality
 from .weyl import word_str
 
 __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports",
@@ -81,27 +81,37 @@ def all_parabolic_subsets(rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def case_reports(type_label: str, delta_p: tuple[int, ...]) -> list[CaseReport]:
-    """All per-minimal-degree reports of one (type, parabolic) case."""
+    """All per-minimal-degree reports of one (type, parabolic) case, by degree.
+
+    The degrees are those of the table of minimal degrees, sorted; each row
+    reads z_d and the lifting e from its entry there, the cascade of e, and
+    key_inequality, which validates d and reads the same entry. The verdict
+    is the one quasi_homogeneity_verdict gives a minimal degree, read off the
+    inequality's exception.
+    """
     rs = build_root_system(type_label)
     p = Parabolic(rs, frozenset(delta_p))
+    degrees, table = minimal_degrees(p), _minimal(p)[0]
+    type_str, dp = str(rs.simple_type), tuple(sorted(p.delta_p))
     out = []
-    for rec in minimal_degree_records(p):
-        ineq = key_inequality(p, rec.degree)
-        verdict = quasi_homogeneity_verdict(p, rec.degree)
+    for d in degrees:
+        z, e = table[d]
+        cascade = cascade_roots(rs, e)
+        ineq = key_inequality(p, d)
         out.append(CaseReport(
-            type=str(rs.simple_type),
-            delta_p=tuple(sorted(p.delta_p)),
-            degree=rec.degree,
-            z_length=rec.z.length,
-            z_word=word_str(rec.z),
-            cascade=tuple(r.coeffs for r in rec.cascade),
-            td=tuple(r.coeffs for r in ineq.sets.td),
-            td_tilde=tuple(r.coeffs for r in ineq.sets.td_tilde),
+            type=type_str,
+            delta_p=dp,
+            degree=d,
+            z_length=z.length,
+            z_word=word_str(z),
+            cascade=tuple([r.coeffs for r in cascade]),
+            td=tuple([r.coeffs for r in ineq.sets.td]),
+            td_tilde=tuple([r.coeffs for r in ineq.sets.td_tilde]),
             lhs=ineq.lhs,
             rhs=ineq.rhs,
             holds=ineq.holds,
             exception=ineq.exception,
-            verdict=verdict.kind,
+            verdict=VERDICT_ONLY_AUT_X if ineq.exception else VERDICT_DENSE_G_ORBIT,
         ))
     return out
 

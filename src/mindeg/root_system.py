@@ -250,6 +250,13 @@ class RootSystem:
         return roots, fits, above, coroots
 
     @cached_property
+    def root_positions(self) -> dict[tuple[int, ...], int]:
+        """Coefficients of each root -> its position in roots. roots is sorted
+        by coefficients, so a bitmask over these positions lists its roots in
+        that order from the lowest bit up."""
+        return {r.coeffs: k for k, r in enumerate(self.roots)}
+
+    @cached_property
     def coroot_functionals(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """Coefficients of each root y -> its integer functional ((alpha_i, y^vee))_i.
 

@@ -11,19 +11,24 @@ to the full automorphism group.
 
 Everything here reads one row per (P, alpha), alpha a cascade root outside
 the Levi (_root_directions): the plain directions -alpha-gamma, each checked
-once in R- \\ R_P-; the pairings (gamma, alpha^vee) in the order of R_P+;
-and the gammas pairing below -1, which make the strong pairs. The direction
-sets are unions of rows over the cascade; the degree-wide checks
-(bijectivity, disjointness, associated pairs) run once per degree. The lemma
-checks read the pairings: the pair map's domain is the negative ones, the
-bound their absolute values, and the count identity weighs them, with its
-left side chosen by the action of s_alpha on gamma, not by their sign.
+once in R- \\ R_P-, as a bitmask over the positions of the system's roots;
+the pairings (gamma, alpha^vee) in the order of R_P+; and the gammas pairing
+below -1, which make the strong pairs. The roots are sorted by coefficients,
+the order of td, so td is the OR of the cascade's masks read from the lowest
+bit up. The degree-wide checks (bijectivity, disjointness, associated pairs)
+run once per degree, in one core (_direction_sets) that
+tangent_direction_sets and key_inequality call once they have validated d
+and read its lifting off the table of minimal degrees. The lemma checks
+read the pairings: the pair map's domain is the negative ones, the bound
+their absolute values, and the count identity weighs them, with its left
+side chosen by the action of s_alpha on gamma, not by their sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 
 from .exceptions import (
     ConsistencyError, ExceptionalCaseError, NotMinimalDegreeError,
@@ -35,8 +40,8 @@ from .curve_nbhd import (
     point_class_degree,
 )
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
-from .root_system import Root, bilinear, coroot_pairing, is_long, is_short
-from .weyl import reflection
+from .root_system import Root, RootSystem, bilinear, coroot_pairing, is_long, is_short
+from .weyl import WeylElement, reflection
 
 __all__ = [
     "TangentDirectionSets", "KeyInequalityReport", "QuasiHomogeneityVerdict",
@@ -73,29 +78,54 @@ class QuasiHomogeneityVerdict:
     group_dim: int | None = None
 
 
+def _outside_levi(p: Parabolic, cascade: tuple[Root, ...]) -> tuple[Root, ...]:
+    return tuple(a for a in cascade if a in p.outside_levi_set)
+
+
 def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[Root, ...]:
-    e = lifting(p, d)
-    return tuple(a for a in cascade_roots(p.system, e) if p.outside_levi(a))
+    return _outside_levi(p, cascade_roots(p.system, lifting(p, d)))
 
 
 @lru_cache(maxsize=None)
 def _root_directions(p: Parabolic, alpha: Root) -> tuple[
-        frozenset[Root], tuple[Root, ...], tuple[int, ...]]:
-    """The roots -alpha-gamma, gamma in R_P+ or 0, each checked in R- \\ R_P-;
-    the gamma in R_P+ with (gamma, alpha^vee) < -1; and the pairings
-    (gamma, alpha^vee) themselves. Both tuples follow the order of R_P+."""
+        int, tuple[Root, ...], tuple[int, ...]]:
+    """The roots -alpha-gamma, gamma in R_P+ or 0, each checked in R- \\ R_P-,
+    as a mask over the positions of the system's roots (root_positions); the
+    gamma in R_P+ with (gamma, alpha^vee) < -1; and the pairings
+    (gamma, alpha^vee) themselves, gamma dotted with alpha's functional. Both
+    tuples follow the order of R_P+."""
     rs = p.system
-    out = {-alpha}
-    for g in p.levi_positive:
-        s = tuple(x + y for x, y in zip(alpha.coeffs, g.coeffs))
-        if rs.is_root(s):
-            out.add(rs.root(tuple(-c for c in s)))
-    for r in out:
-        if not p.outside_levi(-r):
-            raise ConsistencyError(f"tangent direction {r} not in R- \\ R_P-")
-    pairings = tuple(coroot_pairing(g, alpha) for g in p.levi_positive)
-    strong = tuple(g for g, v in zip(p.levi_positive, pairings) if v < -1)
-    return frozenset(out), strong, pairings
+    positions, a = rs.root_positions, alpha.coeffs
+    mask = 0
+    for s in [a] + [tuple(map(add, a, g.coeffs)) for g in p.levi_positive]:
+        if s in positions:  # s = alpha + gamma is a root
+            r = tuple([-c for c in s])
+            if not p.outside_levi(rs.root(s)):
+                raise ConsistencyError(f"tangent direction {rs.root(r)} not in R- \\ R_P-")
+            mask |= 1 << positions[r]
+    f = rs.coroot_functionals[a]
+    pairings = tuple([sum(map(mul, g.coeffs, f)) for g in p.levi_positive])
+    strong = tuple([g for g, v in zip(p.levi_positive, pairings) if v < -1])
+    return mask, strong, pairings
+
+
+def _plain_directions(p: Parabolic, casc: tuple[Root, ...]) -> int:
+    """The union of the plain directions of the cascade roots casc, as a mask."""
+    mask = 0
+    for a in casc:
+        mask |= _root_directions(p, a)[0]
+    return mask
+
+
+def _roots_at(rs: RootSystem, mask: int) -> tuple[Root, ...]:
+    """The roots at the set bits of a mask over root positions, in the order
+    of rs.roots, which is by coefficients."""
+    roots, out = rs.roots, []
+    while mask:
+        low = mask & -mask
+        out.append(roots[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
 
 
 def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[Root, Root]:
@@ -105,8 +135,16 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
     gamma; gamma' is -z_e(gamma). The defining properties are re-verified on
     every call and any failure is fatal.
     """
-    rs = p.system
     casc = _cascade_outside_levi(p, d)
+    z_e = curve_neighborhood_element(borel(p.system), lifting(p, d))
+    return _associated_pair(p, casc, _plain_directions(p, casc), z_e, alpha, gamma)
+
+
+def _associated_pair(p: Parabolic, casc: tuple[Root, ...], plain: int, z_e: WeylElement,
+                     alpha: Root, gamma: Root) -> tuple[Root, Root]:
+    """associated_pair for the cascade casc outside the Levi, with plain
+    directions plain (a mask), of a lifting whose z is z_e."""
+    rs = p.system
     if alpha not in casc:
         raise ValueError(f"{alpha} is not a cascade root outside the Levi")
     if gamma not in p.levi_positive_set:
@@ -118,7 +156,6 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
         raise UniquenessViolationError(
             f"expected exactly one cascade root pairing positively with {gamma}, got {primed}")
     alpha_p = primed[0]
-    z_e = curve_neighborhood_element(borel(rs), lifting(p, d))
     gamma_p = rs.root(tuple(-c for c in z_e.apply(gamma.coeffs)))
 
     if not gamma_p.is_positive:
@@ -136,8 +173,7 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
             raise ConsistencyError("a pairing below -1 forces alpha short, gamma long")
         if coroot_pairing(alpha_p, gamma) != 1:
             raise ConsistencyError("(alpha', gamma^vee) must be 1")
-        candidate = rs.root(tuple(-x for x in diff))
-        if any(candidate in _root_directions(p, a)[0] for a in casc):
+        if plain >> rs.root_positions[tuple(-x for x in diff)] & 1:
             raise ConsistencyError("-alpha' + gamma' may not be a plain tangent direction")
     return alpha_p, gamma_p
 
@@ -148,31 +184,41 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     td is -alpha-gamma over cascade alpha outside the Levi and gamma in R_P+
     or 0, the union of the plain directions of the cascade's rows.
     """
+    e = lifting(p, d)
+    return _direction_sets(p, e, _outside_levi(p, cascade_roots(p.system, e)))
+
+
+def _direction_sets(p: Parabolic, e: Degree, casc: tuple[Root, ...]) -> TangentDirectionSets:
+    """tangent_direction_sets of the minimal degree of p with lifting e, casc
+    the cascade of e outside the Levi. td is the union of the rows' masks, and
+    each extra direction one bit of another mask, both listed by position."""
     rs = p.system
-    casc = _cascade_outside_levi(p, d)
-    strong = tuple((a, g) for a in casc for g in _root_directions(p, a)[1])
-    seen_gamma = {}
-    images = []
-    for a, g in strong:
-        if g in seen_gamma and seen_gamma[g] != a:
-            raise ConsistencyError(
-                f"two orthogonal cascade roots pair below -1 with {g}")
-        seen_gamma[g] = a
-        ap, gp = associated_pair(p, d, a, g)
-        images.append(rs.root(tuple(y - x for x, y in zip(ap.coeffs, gp.coeffs))))
-    td_tilde = set(images)
-    if len(td_tilde) != len(strong):
-        raise ConsistencyError("the strong pairs do not biject onto the extra directions")
-    td = set()
+    strong, plain = [], 0
     for a in casc:
-        td |= _root_directions(p, a)[0]
-    if td_tilde & td:
+        mask, gammas, _ = _root_directions(p, a)
+        plain |= mask
+        strong += [(a, g) for g in gammas]
+    extra = 0
+    if strong:
+        z_e = curve_neighborhood_element(borel(rs), e)
+        seen_gamma = {}
+        for a, g in strong:
+            if seen_gamma.setdefault(g, a) != a:
+                raise ConsistencyError(
+                    f"two orthogonal cascade roots pair below -1 with {g}")
+            ap, gp = _associated_pair(p, casc, plain, z_e, a, g)
+            bit = 1 << rs.root_positions[tuple(y - x for x, y in zip(ap.coeffs, gp.coeffs))]
+            if extra & bit:
+                raise ConsistencyError(
+                    "the strong pairs do not biject onto the extra directions")
+            extra |= bit
+    if extra & plain:
         raise ConsistencyError("extra tangent directions must avoid the plain ones")
+    td_tilde = _roots_at(rs, extra)
     for r in td_tilde:
         if not p.outside_levi(-r):
             raise ConsistencyError(f"extra tangent direction {r} not in R- \\ R_P-")
-    return TangentDirectionSets(tuple(sorted(td, key=lambda r: r.coeffs)),
-                                tuple(sorted(td_tilde, key=lambda r: r.coeffs)), strong)
+    return TangentDirectionSets(_roots_at(rs, plain), td_tilde, tuple(strong))
 
 
 def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
@@ -186,13 +232,14 @@ def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
     domain = [(a, g) for a in casc  # (gamma, alpha^vee) has the sign of (alpha, gamma)
               for g, v in zip(p.levi_positive, _root_directions(p, a)[2]) if v < 0]
     negated = {-a for a in casc}
+    plain = _plain_directions(p, casc)
     images = set()
     for a, g in domain:
         s = tuple(x + y for x, y in zip(a.coeffs, g.coeffs))
         if not rs.is_root(s):
             return False
         img = rs.root(tuple(-c for c in s))
-        if img in negated or not any(img in _root_directions(p, b)[0] for b in casc):
+        if img in negated or not plain >> rs.root_positions[img.coeffs] & 1:
             return False
         images.add(img)
     return len(images) == len(domain)
@@ -252,8 +299,9 @@ def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
 def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
     """(c_1(X), d) - len(z_d) against the number of tangent directions,
     z_d read off the table of minimal degrees."""
-    sets = tangent_direction_sets(p, d)
-    lhs = c1_pairing(p, d) - _z_and_lifting(p, d)[0].length
+    z, e = _z_and_lifting(p, d)
+    sets = _direction_sets(p, e, _outside_levi(p, cascade_roots(p.system, e)))
+    lhs = c1_pairing(p, d) - z.length
     rhs = len(sets.td) + len(sets.td_tilde)
     return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d), sets)
 

@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 from .exceptions import ConsistencyError, MixedRootSystemError
 from .root_system import Root, RootSystem, _vector, reflect
 
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
-    "mul_gen", "is_descent", "hecke_reflection_on_coset",
+    "mul_gen", "descents_at", "hecke_reflection_on_coset",
     "reduced_word", "word_str", "longest_element", "hecke_product",
     "bruhat_leq", "inversion_set", "center_elements", "all_elements",
 ]
@@ -53,18 +54,20 @@ class _Steps:
     value is not 0 (see RootSystem.coroot_functionals). simple holds the
     packed simple roots, and rows[i] is the sparse Cartan row of s_i, the
     functional of alpha_i: s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
-    words maps the coefficients of a root alpha to the reduced word of
-    s_alpha, reversed; it is filled on first use of alpha, so a cold query
-    builds only what it reads.
+    letters[i] is the 1-based Bourbaki label of s_i as a string. words maps
+    the coefficients of a root alpha to the reduced word of s_alpha,
+    reversed; it is filled on first use of alpha, so a cold query builds
+    only what it reads.
     """
 
-    __slots__ = ("table", "simple", "rows", "words")
+    __slots__ = ("table", "simple", "rows", "letters", "words")
 
     def __init__(self, rs: RootSystem):
         self.table = {_pack(r.coeffs): (r.coeffs, tuple((i, c) for i, c in enumerate(f) if c))
                       for r in rs.roots for f in (rs.coroot_functionals[r.coeffs],)}
         self.simple = identity(rs).images
         self.rows = tuple(self.table[x][1] for x in self.simple)
+        self.letters = tuple(str(i + 1) for i in range(rs.rank))
         self.words: dict[tuple[int, ...], tuple[int, ...]] = {}
 
 
@@ -128,9 +131,10 @@ def mul_gen(w: WeylElement, i: int) -> WeylElement:
     return WeylElement(w.system, images, length)
 
 
-def is_descent(w: WeylElement, i: int) -> bool:
-    """True iff s_i is a right descent of w, i.e. w(alpha_i) < 0."""
-    return w.images[i] < 0
+def descents_at(w: WeylElement, positions) -> int:
+    """How many of the positions i are right descents of w, i.e. w(alpha_i) < 0."""
+    images = w.images
+    return sum([images[i] < 0 for i in positions])
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
@@ -143,37 +147,45 @@ def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     return WeylElement(rs, tuple(_pack(reflect(alpha, b).coeffs) for b in rs.simple_roots))
 
 
-def compose(u: WeylElement, v: WeylElement) -> WeylElement:
-    """(u o v)(x) = u(v(x))."""
+def compose(u: WeylElement, v: WeylElement, length: int | None = None) -> WeylElement:
+    """(u o v)(x) = u(v(x)), the product u * v; length is l(u * v) when the
+    caller knows it, and is otherwise counted on first use."""
     rs = _same_group(u, v)
-    table = _steps(rs).table
-    return WeylElement(rs, tuple([sum([c * x for c, x in zip(table[img][0], u.images) if c])
-                                  for img in v.images]))
+    table, images = _steps(rs).table, u.images
+    return WeylElement(rs, tuple([sum(map(mul, table[img][0], images)) for img in v.images]),
+                       length)
 
 
 @lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Reduced word (0-based indices) by stripping the smallest right descent.
 
-    Only the identity has no right descent, so the stripping ends there.
+    Only the identity has no right descent, so the stripping ends there: at
+    the sentinel descent past the last position. No position before the
+    smallest descent i is a descent, and stripping s_i changes only the
+    images at the positions of its Cartan row, so the next scan starts at the
+    row's first position.
     """
     rows = _steps(w.system).rows
-    images = list(w.images)
+    rank = w.system.rank
+    images = [*w.images, -1]
     word = []
+    i = 0
     while True:
-        for i, b in enumerate(images):
-            if b < 0:
-                break
-        else:
+        while images[i] >= 0:
+            i += 1
+        if i == rank:
             return tuple(reversed(word))
         word.append(i)
-        for j, c in rows[i]:
+        b, row = images[i], rows[i]
+        for j, c in row:
             images[j] -= c * b
+        i = row[0][0]
 
 
 def word_str(w: WeylElement) -> str:
     """Serialized reduced word in 1-based Bourbaki generator indices."""
-    return " ".join(str(i + 1) for i in reduced_word(w))
+    return " ".join(map(_steps(w.system).letters.__getitem__, reduced_word(w)))
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,11 @@ degrees that pass the unit-edge test, each with its z from a Hecke walk and
 its lifting looked up among the full-flag degrees grouped by z, the
 point-class degree by coordinate descent, liftings from a linear scan, curve-neighborhood
 elements from the Hecke product of a whole greedy decomposition, coset
-representatives by stripping right descents one at a time, the Weyl action
-from simple reflections on unpacked coefficient vectors, reduced words, the
-Hecke step and composition one mul_gen or one unpacked root at a time,
+representatives by stripping right descents one at a time, z_d = z_e * w_P
+one letter of w_P at a time, the Weyl action from simple reflections on
+unpacked coefficient vectors, reduced words by a scan for the first descent
+from the first position each time, reduced words, the Hecke step and
+composition one mul_gen or one unpacked root at a time,
 tangent directions root by root for each degree, the three lemma checks
 from pairings recomputed for each degree (the count identity reading a
 rebuilt inversion set of each s_alpha), Q(i)-spans from
@@ -31,6 +33,7 @@ import itertools
 import math
 import re
 from fractions import Fraction
+from functools import reduce
 
 from mindeg.cascade import cascade_roots
 from mindeg.curve_nbhd import (
@@ -49,8 +52,8 @@ from mindeg.tangent_directions import (
     TangentDirectionSets, associated_pair, is_exceptional_triple,
 )
 from mindeg.weyl import (
-    WeylElement, _unpack, all_elements, bruhat_leq, compose, hecke_product, identity,
-    inversion_set, is_descent, longest_element, mul_gen, reduced_word, reflection,
+    WeylElement, _steps, _unpack, all_elements, bruhat_leq, compose, hecke_product, identity,
+    inversion_set, longest_element, mul_gen, reduced_word, reflection,
     simple_reflection,
 )
 
@@ -452,6 +455,12 @@ def per_degree_weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bo
     return ok
 
 
+def is_descent(w: WeylElement, i: int) -> bool:
+    """True iff s_i is a right descent of w: w(alpha_i) is a negative root,
+    read off the action on the unpacked simple root."""
+    return not w.apply(w.system.simple_roots[i]).is_positive
+
+
 def is_maximal_coset_representative(w: WeylElement, p: Parabolic) -> bool:
     return all(is_descent(w, i) for i in p.positions)
 
@@ -464,6 +473,29 @@ def minimal_coset_representative(w: WeylElement, p: Parabolic) -> WeylElement:
         if i is None:
             return out
         out = mul_gen(out, i)
+
+
+def letter_by_letter_z_d(p: Parabolic, z_e: WeylElement) -> WeylElement:
+    """z_d = z_e * w_P for z_e longest in its coset, one letter of a reduced
+    word of w_P at a time, each mul_gen shortening z_e by one."""
+    return reduce(mul_gen, reduced_word(p.w_p), z_e)
+
+
+def stripping_reduced_word(w: WeylElement) -> tuple[int, ...]:
+    """A reduced word of w by stripping its smallest right descent, each scan
+    for it from the first position."""
+    rows = _steps(w.system).rows
+    images = list(w.images)
+    word = []
+    while True:
+        for i, b in enumerate(images):
+            if b < 0:
+                break
+        else:
+            return tuple(reversed(word))
+        word.append(i)
+        for j, c in rows[i]:
+            images[j] -= c * b
 
 
 def mul_gen_reduced_word(w: WeylElement) -> tuple[int, ...]:

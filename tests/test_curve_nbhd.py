@@ -25,9 +25,9 @@ from oracles import (
     all_parabolics, box_scan_is_minimal_degree, box_scan_minimal_degrees,
     box_scan_point_class_degree, certified_box_scan_minimal_degrees, degree_leq,
     hecke_curve_neighborhood_element,
-    is_maximal_coset_representative, linear_scan_lifting, minimal_coset_representative,
-    pairwise_maximal_roots, per_parabolic_maximal_roots, unit_edge_minimal_degrees,
-    unpruned_borel_minimal,
+    is_maximal_coset_representative, letter_by_letter_z_d, linear_scan_lifting,
+    minimal_coset_representative, pairwise_maximal_roots, per_parabolic_maximal_roots,
+    stripping_reduced_word, unit_edge_minimal_degrees, unpruned_borel_minimal,
 )
 
 ORACLE_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -401,6 +401,36 @@ def test_two_coset_maximal_preimages_are_refused(monkeypatch, cold_curve_nbhd, a
     monkeypatch.setattr(curve_nbhd, "_borel_minimal", lambda b: {**real(b), (1, 5): s1s2})
     with pytest.raises(LiftingNotUniqueError, match="\\(1,\\) lifts to each of"):
         minimal_degrees(Parabolic(a2, frozenset({2})))
+
+
+def test_z_d_with_a_descent_in_delta_p_is_a_consistency_error(
+        monkeypatch, cold_curve_nbhd, a2):
+    # z_d read as z_e itself, the longest element of its coset, keeps the
+    # descent s2 that z_e * w_P must lose
+    monkeypatch.setattr(curve_nbhd, "compose", lambda u, v, length=None: u)
+    with pytest.raises(ConsistencyError,
+                       match="z_\\(1,\\) = z_\\(1, 1\\) \\* w_P .* not in W\\^P"):
+        minimal_degrees(Parabolic(a2, frozenset({2})))
+
+
+@pytest.mark.parametrize("label", ["B4", "F4", "E6"])
+def test_z_d_matches_the_letter_by_letter_product(label):
+    """Each z_d of the table, one product z_e * w_P with the length
+    l(z_e) - l(w_P), equals z_e times w_P one letter at a time, with the
+    length mul_gen carries, on every parabolic."""
+    rs = build_root_system(label)
+    full = curve_nbhd._minimal(borel(rs))[0]
+    for p in all_parabolics(rs):
+        for d, (z, e) in curve_nbhd._minimal(p)[0].items():
+            want = letter_by_letter_z_d(p, full[e][0])
+            assert (z, z.length) == (want, want.length), (p, d)
+
+
+def test_reduced_word_matches_the_stripping_loop_on_the_e6_sweep():
+    rs = build_root_system("E6")
+    for p in all_parabolics(rs):
+        for d, (z, _) in curve_nbhd._minimal(p)[0].items():
+            assert weyl.reduced_word(z) == stripping_reduced_word(z), (p, d)
 
 
 @pytest.mark.parametrize("label", ["B6", "D6"])

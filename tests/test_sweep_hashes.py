@@ -5,6 +5,8 @@ recorded from the original box-scan implementation (the same per-type values
 are kept in perfbench/reference/sweeps.json). A fast path that changes any
 row, field order or formatting fails here without running the benchmark.
 E6 is also pinned through `mindeg sweep`, which streams the same bytes.
+The csv and md outputs of G2, B3, F4 (whose td_tilde is not empty) and E6
+are pinned as recorded before the sweep rows read their table entries.
 """
 
 import hashlib
@@ -59,3 +61,23 @@ def test_e7_sweep_output_is_byte_identical():
     assert len(reports) == 16_623
     text = emit(reports, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == E7_SWEEP_SHA256
+
+
+# sha256 of emit(run_sweep((T,)), fmt), recorded from the per-degree lookups
+# the rows made before they read their table entries
+SWEEP_TEXT_SHA256 = {
+    ("G2", "csv"): "1c915e94647c7ae0d5ed2364eae2132f4770d251e2902ef1c22642800eee65b3",
+    ("G2", "md"): "f8d4e8ae630ed9728f0b4e498df540c7bbb8918c23b3901e9feab728b610f418",
+    ("B3", "csv"): "ce455cd5c5cd6c15e9947b33e39dfb9ba4e33db88ffc7c86794c0f902c1dd726",
+    ("B3", "md"): "a310b9a52c1edf8e49c2c4f6c3770852d5a21f66e282736c8ece08ce59f74c9a",
+    ("F4", "csv"): "a11dca6223b54a6011ab8431ddc77790e7a3497ca729bac780352dfe8ea56550",
+    ("F4", "md"): "040dc4e3ab778cf77c1afb46e4395ad3fd07a3aa518fda7bcf0ee0bfbf080f8f",
+    ("E6", "csv"): "4545c0ce8a930a041bbb3ed25905d108ef5c7bdc972eb058810afa61e96d63f6",
+    ("E6", "md"): "a13a7fa9b61e4217feb5592b7c8e638e2ac7c399caff961b0b0b60364818a2ad",
+}
+
+
+@pytest.mark.parametrize("label, fmt", sorted(SWEEP_TEXT_SHA256))
+def test_sweep_csv_and_md_are_byte_identical(label, fmt):
+    text = emit(run_sweep((SimpleType.parse(label),)), fmt)
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_TEXT_SHA256[label, fmt]

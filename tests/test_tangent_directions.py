@@ -1,16 +1,19 @@
 import pytest
 
 from mindeg.cascade import cascade_roots
-from mindeg.curve_nbhd import borel, lifting, minimal_degrees, point_class_degree
+from mindeg.curve_nbhd import (
+    borel, curve_neighborhood_element, lifting, minimal_degrees, point_class_degree,
+)
 from mindeg.exceptions import ExceptionalCaseError, NotMinimalDegreeError
 from mindeg.parabolic import Parabolic
-from mindeg.report import default_types
+from mindeg.report import case_reports, default_types
 from mindeg.root_system import bilinear, build_root_system, coroot_pairing
 from mindeg.tangent_directions import (
     VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, associated_pair, coroot_pairing_bound_holds, is_exceptional_triple,
     key_inequality, pair_map_is_injective, quasi_homogeneity_verdict,
     tangent_direction_sets, weighted_pair_count_identity_holds,
 )
+from mindeg.weyl import word_str
 
 from oracles import (
     all_parabolics, per_degree_coroot_pairing_bound_holds, per_degree_pair_map_is_injective,
@@ -240,9 +243,9 @@ def test_collisions_of_the_negative_pair_map_share_gamma():
 
 @pytest.mark.parametrize("label", [str(t) for t in default_types(5)])
 def test_direction_sets_match_the_per_degree_loop(label):
-    """The unions of the per-(P, alpha) sets equal the sets built degree by
-    degree, on every minimal degree of every parabolic, strong pairs included
-    (they occur on B3-B5, F4 and G2)."""
+    """The unions of the per-(P, alpha) sets, read off one mask of root
+    positions, equal the sets built degree by degree, on every minimal degree
+    of every parabolic, strong pairs included (they occur on B3-B5, F4 and G2)."""
     for p, d in sweep_cases([label]):
         sets = tangent_direction_sets(p, d)
         assert sets.td == per_degree_tangent_directions(p, d), (p, d)
@@ -267,3 +270,29 @@ def test_lemma_checks_match_the_per_degree_oracles(label):
             per_degree_weighted_pair_count_identity_holds(p, d), (p, d)
         assert _bound_or_witness(coroot_pairing_bound_holds, p, d) == \
             _bound_or_witness(per_degree_coroot_pairing_bound_holds, p, d), (p, d)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "F4"])
+def test_sweep_rows_match_the_public_per_degree_path(label):
+    """Each case_reports row, its z_d read off its table entry and its
+    verdict off the inequality's exception, equals what key_inequality,
+    quasi_homogeneity_verdict and the Hecke walk of
+    curve_neighborhood_element give for its degree, on every parabolic; the
+    rows are the minimal degrees in order, the G2 triple among them."""
+    rs = build_root_system(label)
+    exceptions = 0
+    for p in all_parabolics(rs):
+        rows = case_reports(label, tuple(sorted(p.delta_p)))
+        assert [r.degree for r in rows] == list(minimal_degrees(p)), p
+        for r in rows:
+            d = r.degree
+            ineq = key_inequality(p, d)
+            assert (r.lhs, r.rhs, r.holds, r.exception) == (
+                ineq.lhs, ineq.rhs, ineq.holds, ineq.exception), (p, d)
+            assert r.td == tuple(x.coeffs for x in ineq.sets.td), (p, d)
+            assert r.td_tilde == tuple(x.coeffs for x in ineq.sets.td_tilde), (p, d)
+            assert r.verdict == quasi_homogeneity_verdict(p, d).kind, (p, d)
+            z = curve_neighborhood_element(p, d)
+            assert (r.z_word, r.z_length) == (word_str(z), z.length), (p, d)
+            exceptions += r.exception
+    assert exceptions == (label == "G2")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,15 +8,15 @@ from mindeg.exceptions import InvalidVectorError
 from mindeg.report import default_types
 from mindeg.root_system import build_root_system
 from mindeg.weyl import (
-    all_elements, bruhat_leq, center_elements, compose, hecke_product,
-    hecke_reflection_on_coset, identity, inversion_set, longest_element, mul_gen,
-    reduced_word, simple_reflection, word_str,
+    all_elements, bruhat_leq, center_elements, compose, descents_at, hecke_product,
+    hecke_reflection_on_coset, identity, inversion_set, longest_element,
+    mul_gen, reduced_word, simple_reflection, word_str,
 )
 
 from oracles import (
-    brute_force_center, fraction_coroot_pairing, mul_gen_hecke_reflection_on_coset,
-    mul_gen_reduced_word, simple_root_center, subword_bruhat_down_set, unpacked_compose,
-    weyl_group_order, word_apply,
+    brute_force_center, fraction_coroot_pairing, is_descent, mul_gen_hecke_reflection_on_coset,
+    mul_gen_reduced_word, simple_root_center, stripping_reduced_word,
+    subword_bruhat_down_set, unpacked_compose, weyl_group_order, word_apply,
 )
 
 
@@ -289,3 +291,21 @@ def test_packed_paths_match_mul_gen_oracles(label, data):
         assert got[0].length == got[1].length == want[0].length == want[1].length
         assert compose(*got) == identity(rs)
         z, z_inv = got
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_descents_at_counts_is_descent(label):
+    rs = build_root_system(label)
+    for w in all_elements(rs):
+        for k in range(rs.rank + 1):
+            for positions in itertools.combinations(range(rs.rank), k):
+                assert descents_at(w, positions) == sum(
+                    is_descent(w, i) for i in positions), (w, positions)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_reduced_word_matches_the_stripping_loop(label):
+    """The scan that restarts at the stripped letter's Cartan row gives the
+    words of the scan from the first position, on the whole group."""
+    for w in all_elements(build_root_system(label)):
+        assert reduced_word(w) == stripping_reduced_word(w), w
