@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Check that `mindeg sweep` streams the pinned bytes within its memory gate.
 
-Runs `python -m mindeg sweep --types E8` (or other types) in a subprocess,
-once serially and once with --workers 2, and hashes stdout as it arrives,
-so that the output is never held whole. The serial run's peak RSS is read
-with os.wait4 and must stay under MAX_RSS_MB; both runs must exit 0 and
-give the same sha256, which for a type of PINNED_SHA256 must equal the
-pinned one. The E6 and E7 sweeps are pinned in tests/test_sweep_hashes.py,
-which Tier-1 runs; this table holds only what Tier-1 does not check: the
-rank-8 types A8, B8, C8, D8 and E8, each recorded before the sweep rows read
-their table entries. E8 writes 113,807 rows (143 MB of JSON) and takes 6 to
-20 s per run on a shared 2-vCPU host, by its load.
+Runs `python -m mindeg sweep --types T` in a subprocess for each listed type
+T on its own, once serially and once with --workers 2, and hashes stdout as
+it arrives, so that the output is never held whole. The serial run's peak
+RSS is read with os.wait4 and must stay under MAX_RSS_MB; both runs must
+exit 0 and give the same sha256, which for a type of PINNED_SHA256 must
+equal the pinned one; a type without a pin is reported as such. The E6 and
+E7 sweeps are pinned in tests/test_sweep_hashes.py, which Tier-1 runs; this
+table holds only what Tier-1 does not check: the rank-8 types A8, B8, C8, D8
+and E8, each recorded before the sweep rows read their table entries. E8
+writes 113,807 rows (143 MB of JSON) and takes 6 to 20 s per run on a shared
+2-vCPU host, by its load.
 
-Usage: python scripts/check_sweep_stream.py [--types E8]
+Usage: python scripts/check_sweep_stream.py [--types E8 | --types A8,B8,C8,D8,E8]
 """
 
 from __future__ import annotations
@@ -60,29 +61,40 @@ def run_sweep(types: str, workers: int) -> tuple[int, str, int, float, float]:
             time.monotonic() - start)
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--types", default="E8", help="comma-separated types, e.g. E8 or E6,E7")
-    args = ap.parse_args()
+def check_type(label: str) -> list[str]:
+    """Sweep one type serially and with --workers 2; the problems found."""
     problems, hashes = [], set()
     for workers in (1, 2):
-        code, sha, size, rss, secs = run_sweep(args.types, workers)
-        print(f"--types {args.types} --workers {workers}: exit {code}, {size} bytes, "
+        code, sha, size, rss, secs = run_sweep(label, workers)
+        print(f"--types {label} --workers {workers}: exit {code}, {size} bytes, "
               f"sha256 {sha}, {secs:.1f} s, peak RSS {rss:.0f} MB"
               + (" (parent process only)" if workers > 1 else ""), flush=True)
         hashes.add(sha)
         if code != 0:
-            problems.append(f"--workers {workers} exited {code}")
+            problems.append(f"{label}: --workers {workers} exited {code}")
         if workers == 1 and rss >= MAX_RSS_MB:
-            problems.append(f"serial peak RSS {rss:.0f} MB is not under {MAX_RSS_MB} MB")
+            problems.append(f"{label}: serial peak RSS {rss:.0f} MB is not under {MAX_RSS_MB} MB")
     if len(hashes) != 1:
-        problems.append("the serial and --workers 2 outputs differ")
-    pinned = PINNED_SHA256.get(args.types)
-    if pinned is not None and hashes != {pinned}:
-        problems.append(f"the output does not hash to the pinned {pinned}")
+        problems.append(f"{label}: the serial and --workers 2 outputs differ")
+    pinned = PINNED_SHA256.get(label)
+    if pinned is None:
+        print(f"{label}: no pin", flush=True)
+    elif hashes != {pinned}:
+        problems.append(f"{label}: the output does not hash to the pinned {pinned}")
+    return problems
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--types", default="E8",
+                    help="comma-separated types, each swept on its own, e.g. E8 or A8,B8,C8,D8,E8")
+    args = ap.parse_args()
+    problems = []
+    for label in args.types.split(","):
+        problems += check_type(label.strip())
     for msg in problems:
         print(msg)
-    print("the sweep streams the expected bytes within the memory gate"
+    print("each sweep streams the expected bytes within the memory gate"
           if not problems else "CHECK FAILED")
     return 1 if problems else 0
 

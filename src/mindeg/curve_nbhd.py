@@ -38,7 +38,11 @@ Bruhat-larger z. The minimal degrees are generated from 0; why that is sound:
   with z_{d0} = z_d and its lifting e0. Then z_{e0} = z_d * w_P >= z_e, and e
   is the least degree reaching z_e, so e <= e0 and d <= d0. Hence d = d0 is
   minimal, and e0 is a second preimage of d of this kind unless e = e0.
-  Two such preimages of one d raise LiftingNotUniqueError.
+  Two such preimages of one d raise LiftingNotUniqueError. So a parabolic
+  reads only the e whose right-descent set contains Delta_P: the G/B table
+  groups its degrees by the right-descent mask of z_e, and G/P visits the
+  groups whose mask contains that of Delta_P, each e once. Every full-flag
+  degree still has its projection checked against the table.
 
 Both walks read one table of the positive roots in greedy order, the
 lexicographically largest coefficient vector first (_root_table):
@@ -65,18 +69,20 @@ unit-edge test must agree with the length criterion on each accepted degree,
 with z_{d-e_i} <= z_d on each unit edge. On G/P every projection of a
 full-flag minimal degree must have a preimage whose z is longest in its
 coset, as on every parabolic through E8, and each z_d = z_e * w_P, one
-product given the length l(z_e) - l(w_P), must have no right descent in
-Delta_P, which is what makes that length right. On both, exactly one
-minimal degree, the point-class degree, reaches the longest coset. The
-full-flag search is refused (ResourceGuardError) once it accepts more than
-_MAX_BOREL_DEGREES degrees, and at once when 2^rank does: each degree
-sum_{i in S} alpha_i^vee is minimal, as a smaller degree is supported on
-some S' < S, so its z lies in W_{S'}, while z_d >= s_i for every i in S.
+sparse product (right_multiplier) given the length l(z_e) - l(w_P), must
+have no right descent in Delta_P, which is what makes that length right.
+On both, exactly one minimal degree, the point-class degree, reaches the
+longest coset. The full-flag search is refused (ResourceGuardError) once it
+accepts more than _MAX_BOREL_DEGREES degrees, and at once when 2^rank does:
+each degree sum_{i in S} alpha_i^vee is minimal, as a smaller degree is
+supported on some S' < S, so its z lies in W_{S'}, while z_d >= s_i for
+every i in S.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 
 from .exceptions import (
     ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
@@ -84,8 +90,8 @@ from .exceptions import (
 from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem
 from .weyl import (
-    WeylElement, bruhat_leq, compose, hecke_reflection_on_coset, identity,
-    descents_at, longest_element, reflection,
+    WeylElement, bruhat_leq, compose, descent_mask, descents_at, hecke_reflection_on_coset,
+    identity, longest_element, reflection, right_multiplier,
 )
 
 __all__ = [
@@ -296,32 +302,47 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
 
 
 @lru_cache(maxsize=None)
-def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], Degree]:
-    """The minimal degrees of p, each with its z and its lifting, and the
-    point-class degree.
+def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], Degree,
+                                    dict[int, list[tuple[Degree, WeylElement]]] | None]:
+    """The minimal degrees of p, each with its z and its lifting; the
+    point-class degree; and on G/B the groups of the table.
 
-    On G/P they are read off the full-flag minimal degrees e whose z_e has
-    every position of Delta_P as a right descent (see the module docstring).
+    The groups map each right-descent mask (descent_mask) to the full-flag
+    minimal degrees e whose z_e has that descent set, each with z_e. On
+    G/P (groups None) the table is read off the groups whose mask contains
+    Delta_P: their e are the full-flag minimal degrees whose z_e has every
+    position of Delta_P as a right descent (see the module docstring).
     """
     if not p.positions:
-        found = {d: (z, d) for d, z in _borel_minimal(p).items()}
+        found, groups = {}, {}
+        for d, z in _borel_minimal(p).items():
+            found[d] = (z, d)
+            groups.setdefault(descent_mask(z), []).append((d, z))
     else:
-        found, projections = {}, set()
-        q, w_p, positions = p.quotient_positions, p.w_p, p.positions
-        for e, (z, _) in _minimal(borel(p.system))[0].items():
-            d = tuple([e[i] for i in q])
-            projections.add(d)
-            if descents_at(z, positions) == len(positions):
+        full, _, by_descents = _minimal(borel(p.system))
+        q, positions, groups = p.quotient_positions, p.positions, None
+        pmask = sum([1 << i for i in positions])
+        # z is the longest element of z W_P, so z = z_d * w_P with z_d the
+        # shortest, l(z) = l(z_d) + l(w_P), and z_d = z * w_P
+        times_w_p, drop = right_multiplier(p.w_p), p.w_p.length
+        found = {}
+        for mask, entries in by_descents.items():
+            if mask & pmask != pmask:
+                continue
+            for e, z in entries:
+                d = tuple([e[i] for i in q])
                 if d in found:
                     raise LiftingNotUniqueError(f"{d} lifts to each of {[found[d][1], e]}")
-                # z is the longest element of z W_P, so z = z_d * w_P with
-                # z_d the shortest, l(z) = l(z_d) + l(w_P), and z_d = z * w_P
-                z_d = compose(z, w_p, z.length - w_p.length)
+                z_d = times_w_p(z, z.length - drop)
                 if descents_at(z_d, positions):
                     raise ConsistencyError(f"z_{d} = z_{e} * w_P on {p} is not in W^P")
                 found[d] = (z_d, e)
-        missing = projections - found.keys()
-        if missing:
+        # found holds projections of full-flag degrees, so it holds all of
+        # them iff it has as many; itemgetter of one position gives bare
+        # coordinates, which count the same, and with none (Delta_P = Delta)
+        # every degree projects to ()
+        if len(found) != (len(set(map(itemgetter(*q), full))) if q else 1):
+            missing = {tuple([e[i] for i in q]) for e in full} - found.keys()
             raise ConsistencyError(
                 f"no full-flag minimal degree longest in its coset projects to "
                 f"{min(missing)} on {p}")
@@ -330,7 +351,7 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], De
     if len(tops) != 1:
         raise ConsistencyError(
             f"{len(tops)} minimal degrees of {p} reach the longest coset: {tops}")
-    return found, tops[0]
+    return found, tops[0], groups
 
 
 @lru_cache(maxsize=None)
@@ -352,15 +373,16 @@ def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
 
 def _sweep_rows(rs: RootSystem) -> int:
     """The minimal degrees of rs summed over its 2^rank parabolics: the sum
-    over full-flag minimal e of 2^(number of right descents of z_e).
+    over full-flag minimal e of 2^(number of right descents of z_e), read
+    off the groups of _minimal as each group's size times 2^(bits of its mask).
 
     By the G/P criterion of the module docstring, e lifts one minimal degree
     on each P whose Delta_P lies in the right descent set of z_e, and none
     on any other P; no two e lift the same degree, since distinct full-flag
     minimal degrees have distinct z (Fulton-Woodward; Postnikov).
     """
-    positions = range(rs.rank)
-    return sum(1 << descents_at(z, positions) for z, _ in _minimal(borel(rs))[0].values())
+    return sum(len(entries) << mask.bit_count()
+               for mask, entries in _minimal(borel(rs))[2].items())
 
 
 def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree]:

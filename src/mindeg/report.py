@@ -37,7 +37,7 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
 # D9 alone has 210,055. The value was set when a sweep held its whole output
 # in memory. The CLI now writes each case's rows as the case finishes, so its
-# memory is the caches and the stream's JSON memo (E8: 220 MB peak,
+# memory is the caches and the stream's JSON memo (E8: 212 MB peak,
 # serially), while run_sweep still holds every report.
 _MAX_SWEEP_ROWS = 120_000
 
@@ -222,17 +222,49 @@ def _json_value(v, indent: int, memo: dict) -> str:
 
 # How json.dumps(indent=2) opens the line of each field in a row object.
 _JSON_KEYS = tuple(f"\n    {encode_basestring_ascii(k)}: " for k in CSV_HEADER)
+# A row object with each field's text in its %s.
+_JSON_ROW = "{" + ",".join([k + "%s" for k in _JSON_KEYS]) + "\n  }"
 # How a json document of one or more rows opens, joins its rows and closes.
 _JSON_FRAME = ("[\n  ", ",\n  ", "\n]\n")
+# How json.dumps writes a bool; only read for a field checked to hold one.
+_JSON_BOOL = {True: "true", False: "false"}
 
 
 def _json(reports, memo: dict) -> str:
-    """The bytes of json.dumps([the fields of r by name], indent=2) + "\\n"."""
-    rows = []
+    """The bytes of json.dumps([the fields of r by name], indent=2) + "\\n".
+
+    Each row is written from the template _JSON_ROW, field by field as
+    case_reports types it: strings through encode_basestring_ascii, which
+    refuses any other type, ints through int.__repr__, bools from
+    _JSON_BOOL, and tuples from the memo or _json_value; a list is
+    unhashable, so the memo refuses it. A row whose int or bool field holds
+    another type (True is an int and 1 == True) is written by _json_value
+    field by field instead.
+    """
+    enc, rows = encode_basestring_ascii, []
     for r in reports:
-        items = ",".join([k + _json_value(v, 4, memo)
-                          for k, v in zip(_JSON_KEYS, _field_values(r))])
-        rows.append("{" + items + "\n  }")
+        (type_, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
+         lhs, rhs, holds, exception, verdict) = values = _field_values(r)
+        if not (type(z_length) is type(lhs) is type(rhs) is int
+                and type(holds) is type(exception) is bool):
+            rows.append("{" + ",".join([k + _json_value(v, 4, memo)
+                                        for k, v in zip(_JSON_KEYS, values)]) + "\n  }")
+            continue
+        rows.append(_JSON_ROW % (
+            enc(type_),
+            memo.get((delta_p, 4)) or _json_value(delta_p, 4, memo),
+            memo.get((degree, 4)) or _json_value(degree, 4, memo),
+            int.__repr__(z_length),
+            enc(z_word),
+            memo.get((cascade, 4)) or _json_value(cascade, 4, memo),
+            memo.get((td, 4)) or _json_value(td, 4, memo),
+            memo.get((td_tilde, 4)) or _json_value(td_tilde, 4, memo),
+            int.__repr__(lhs),
+            int.__repr__(rhs),
+            _JSON_BOOL[holds],
+            _JSON_BOOL[exception],
+            enc(verdict),
+        ))
     if not rows:
         return "[]\n"
     head, sep, tail = _JSON_FRAME

@@ -29,7 +29,7 @@ from .root_system import Root, RootSystem, _vector, reflect
 
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
-    "mul_gen", "descents_at", "hecke_reflection_on_coset",
+    "mul_gen", "descents_at", "descent_mask", "right_multiplier", "hecke_reflection_on_coset",
     "reduced_word", "word_str", "longest_element", "hecke_product",
     "bruhat_leq", "inversion_set", "center_elements", "all_elements",
 ]
@@ -137,6 +137,11 @@ def descents_at(w: WeylElement, positions) -> int:
     return sum([images[i] < 0 for i in positions])
 
 
+def descent_mask(w: WeylElement) -> int:
+    """The right descent set of w as a bitmask: bit i is set iff w(alpha_i) < 0."""
+    return sum([1 << i for i, x in enumerate(w.images) if x < 0])
+
+
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return mul_gen(identity(rs), i)
 
@@ -147,13 +152,41 @@ def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     return WeylElement(rs, tuple(_pack(reflect(alpha, b).coeffs) for b in rs.simple_roots))
 
 
-def compose(u: WeylElement, v: WeylElement, length: int | None = None) -> WeylElement:
-    """(u o v)(x) = u(v(x)), the product u * v; length is l(u * v) when the
-    caller knows it, and is otherwise counted on first use."""
+def compose(u: WeylElement, v: WeylElement) -> WeylElement:
+    """(u o v)(x) = u(v(x)), the product u * v."""
     rs = _same_group(u, v)
     table, images = _steps(rs).table, u.images
-    return WeylElement(rs, tuple([sum(map(mul, table[img][0], images)) for img in v.images]),
-                       length)
+    return WeylElement(rs, tuple([sum(map(mul, table[img][0], images)) for img in v.images]))
+
+
+def right_multiplier(v: WeylElement):
+    """The map (u, length) -> u * v with the given length l(u * v), for a fixed v.
+
+    (u * v)(alpha_j) = u(v(alpha_j)) is the sum of c * u(alpha_k) over the
+    nonzero coefficients c_k of v(alpha_j), read once here into sparse rows.
+    Only the positions whose simple root v moves are recomputed: for v = w_S,
+    the longest element of W_S, those are S and its neighbours, since w_S
+    fixes every simple root orthogonal to S. So each product costs the
+    entries of those rows, not the rank^2 products of compose.
+    """
+    rs = v.system
+    table = _steps(rs).table
+    moved = []
+    for j, img in enumerate(v.images):
+        row = tuple((k, c) for k, c in enumerate(table[img][0]) if c)
+        if row != ((j, 1),):
+            moved.append((j, row))
+
+    def times_v(u: WeylElement, length: int) -> WeylElement:
+        if u.system is not rs:
+            raise MixedRootSystemError("elements of different Weyl groups")
+        images = u.images
+        out = list(images)
+        for j, row in moved:
+            out[j] = sum([c * images[k] for k, c in row])
+        return WeylElement(rs, tuple(out), length)
+
+    return times_v
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,8 @@ and its frontier under a monotonicity certificate), the full-flag minimal
 degrees by a search that tries every child of every accepted degree, the
 minimal degrees of G/P by projecting the full-flag set and keeping the
 degrees that pass the unit-edge test, each with its z from a Hecke walk and
-its lifting looked up among the full-flag degrees grouped by z, the
+its lifting looked up among the full-flag degrees grouped by z, or by a scan
+of every full-flag degree for those whose z is longest in its coset, the
 point-class degree by coordinate descent, liftings from a linear scan, curve-neighborhood
 elements from the Hecke product of a whole greedy decomposition, coset
 representatives by stripping right descents one at a time, z_d = z_e * w_P
@@ -35,6 +36,7 @@ import re
 from fractions import Fraction
 from functools import reduce
 
+from mindeg import curve_nbhd
 from mindeg.cascade import cascade_roots
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, lifting, maximal_roots,
@@ -52,8 +54,8 @@ from mindeg.tangent_directions import (
     TangentDirectionSets, associated_pair, is_exceptional_triple,
 )
 from mindeg.weyl import (
-    WeylElement, _steps, _unpack, all_elements, bruhat_leq, compose, hecke_product, identity,
-    inversion_set, longest_element, mul_gen, reduced_word, reflection,
+    WeylElement, _steps, _unpack, all_elements, bruhat_leq, compose, descents_at,
+    hecke_product, identity, inversion_set, longest_element, mul_gen, reduced_word, reflection,
     simple_reflection,
 )
 
@@ -584,6 +586,31 @@ def unit_edge_minimal_degrees(p: Parabolic) -> dict[Degree, tuple[WeylElement, D
             raise LiftingNotUniqueError(f"{d} lifts to each of {matches}")
         out[d] = (z, matches[0])
     return out
+
+
+def full_scan_minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], Degree]:
+    """The table of minimal degrees of p != B with its point-class degree, by
+    a scan of every full-flag minimal degree e: d, the projection of e, is
+    kept with (z_e * w_P, e) when z_e has every position of Delta_P as a
+    right descent, each counted with descents_at, and z_e * w_P is formed by
+    compose."""
+    full = curve_nbhd._minimal(borel(p.system))[0]
+    found, projections = {}, set()
+    q, positions = p.quotient_positions, p.positions
+    for e, (z, _) in full.items():
+        d = tuple([e[i] for i in q])
+        projections.add(d)
+        if descents_at(z, positions) == len(positions):
+            if d in found:
+                raise LiftingNotUniqueError(f"{d} lifts to each of {[found[d][1], e]}")
+            found[d] = (compose(z, p.w_p), e)
+    if projections != found.keys():
+        raise ConsistencyError(f"a projection on {p} has no preimage longest in its coset")
+    target = compose(longest_element(p.system), p.w_p)
+    tops = [d for d, (z, _) in found.items() if z == target]
+    if len(tops) != 1:
+        raise ConsistencyError(f"{len(tops)} minimal degrees of {p} reach the longest coset")
+    return found, tops[0]
 
 
 def linear_scan_lifting(p: Parabolic, d: Degree, full_flag: tuple[Degree, ...]) -> Degree:

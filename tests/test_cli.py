@@ -347,6 +347,18 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
                                  td=((2, 1), (1, 0)), z_length=12, z_word="1 2")
     for reports in ([], [first], [first, second], [second, first, second]):
         _check_emit_json_against_json_dumps(reports)
+    # fields of other JSON types than case_reports builds are written as
+    # json.dumps writes them, or refused with TypeError: the int 1 is not
+    # the bool true, nor True the int 1
+    for change in ({"holds": 1}, {"exception": 0}, {"lhs": True}, {"z_length": False},
+                   {"td": [(1, 0)]}, {"cascade": ((1, 0), [0, 1])}, {"z_word": 1}):
+        for reports in ([dataclasses.replace(first, **change)],
+                        [first, dataclasses.replace(second, **change), second]):
+            try:
+                emit(reports, "json")
+            except TypeError:
+                continue
+            _check_emit_json_against_json_dumps(reports)
 
 
 def test_emit_round_trips_reports():

@@ -24,7 +24,7 @@ from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_r
 from oracles import (
     all_parabolics, box_scan_is_minimal_degree, box_scan_minimal_degrees,
     box_scan_point_class_degree, certified_box_scan_minimal_degrees, degree_leq,
-    hecke_curve_neighborhood_element,
+    full_scan_minimal, hecke_curve_neighborhood_element, is_descent,
     is_maximal_coset_representative, letter_by_letter_z_d, linear_scan_lifting,
     minimal_coset_representative, pairwise_maximal_roots, per_parabolic_maximal_roots,
     stripping_reduced_word, unit_edge_minimal_degrees, unpruned_borel_minimal,
@@ -407,10 +407,39 @@ def test_z_d_with_a_descent_in_delta_p_is_a_consistency_error(
         monkeypatch, cold_curve_nbhd, a2):
     # z_d read as z_e itself, the longest element of its coset, keeps the
     # descent s2 that z_e * w_P must lose
-    monkeypatch.setattr(curve_nbhd, "compose", lambda u, v, length=None: u)
+    monkeypatch.setattr(curve_nbhd, "right_multiplier", lambda v: lambda u, length: u)
     with pytest.raises(ConsistencyError,
                        match="z_\\(1,\\) = z_\\(1, 1\\) \\* w_P .* not in W\\^P"):
         minimal_degrees(Parabolic(a2, frozenset({2})))
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "F4", "B5", "D5", "E6"])
+def test_table_matches_the_scan_of_every_full_flag_degree(label):
+    """On every P != B, the table read off the descent groups whose mask
+    contains Delta_P has the entries (z_d, e), with the length carried by
+    z_d, and the point-class degree of the scan of every full-flag minimal
+    degree, whose z_d count their inversions."""
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        if p.positions:
+            (got, top), (want, want_top) = curve_nbhd._minimal(p)[:2], full_scan_minimal(p)
+            assert top == want_top, p
+            assert ({d: (z, z.length, e) for d, (z, e) in got.items()}
+                    == {d: (z, z.length, e) for d, (z, e) in want.items()}), p
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "F4", "B5", "D5", "E6"])
+def test_descent_groups_partition_the_full_flag_table(label):
+    """The groups of the G/B entry hold each full-flag minimal degree once,
+    with its z, under the mask of exactly the right descents of that z."""
+    rs = build_root_system(label)
+    full, _, groups = curve_nbhd._minimal(borel(rs))
+    grouped = [(e, z) for entries in groups.values() for e, z in entries]
+    assert len(grouped) == len(full)
+    assert dict(grouped) == {e: z for e, (z, _) in full.items()}
+    for mask, entries in groups.items():
+        for e, z in entries:
+            assert mask == sum(1 << i for i in range(rs.rank) if is_descent(z, i)), e
 
 
 @pytest.mark.parametrize("label", ["B4", "F4", "E6"])

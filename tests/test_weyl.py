@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg.exceptions import InvalidVectorError
+from mindeg.exceptions import InvalidVectorError, MixedRootSystemError
 from mindeg.report import default_types
 from mindeg.root_system import build_root_system
 from mindeg.weyl import (
-    all_elements, bruhat_leq, center_elements, compose, descents_at, hecke_product,
-    hecke_reflection_on_coset, identity, inversion_set, longest_element,
-    mul_gen, reduced_word, simple_reflection, word_str,
+    all_elements, bruhat_leq, center_elements, compose, descent_mask, descents_at,
+    hecke_product, hecke_reflection_on_coset, identity, inversion_set, longest_element,
+    mul_gen, reduced_word, right_multiplier, simple_reflection, word_str,
 )
 
 from oracles import (
@@ -301,6 +301,26 @@ def test_descents_at_counts_is_descent(label):
             for positions in itertools.combinations(range(rs.rank), k):
                 assert descents_at(w, positions) == sum(
                     is_descent(w, i) for i in positions), (w, positions)
+        assert descent_mask(w) == sum(1 << i for i in range(rs.rank) if is_descent(w, i)), w
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_right_multiplier_matches_compose(label):
+    """The sparse product by each longest parabolic element w_S, and by
+    every seventh element of the group, equals the unpacked product and
+    carries the length it is given."""
+    rs = build_root_system(label)
+    elements = all_elements(rs)
+    tops = [longest_element(rs, s) for k in range(rs.rank + 1)
+            for s in itertools.combinations(range(rs.rank), k)]
+    for v in tops + list(elements[::7]):
+        times_v = right_multiplier(v)
+        for u in elements:
+            got = times_v(u, 5)
+            assert got == unpacked_compose(u, v), (u, v)
+            assert got.length == 5
+    with pytest.raises(MixedRootSystemError):
+        right_multiplier(identity(rs))(identity(build_root_system("A2")), 0)
 
 
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
