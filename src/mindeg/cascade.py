@@ -17,7 +17,7 @@ from .exceptions import (
     ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
 )
 from .curve_nbhd import (
-    _z_and_lifting, borel, greedy_decomposition, is_minimal_degree, minimal_degrees,
+    _minimal, borel, greedy_decomposition, is_minimal_degree, minimal_degrees,
     point_class_degree,
 )
 from .parabolic import Degree, Parabolic
@@ -73,13 +73,12 @@ class MinimalDegreeRecord:
 
 
 def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
-    """One record per minimal degree: its Weyl element, lifting, and cascade,
-    the first two read off the table of minimal degrees."""
-    out = []
-    for d in minimal_degrees(p):
-        z, e = _z_and_lifting(p, d)
-        out.append(MinimalDegreeRecord(d, z, e, cascade_roots(p.system, e)))
-    return tuple(out)
+    """One record per minimal degree, in the order of minimal_degrees: its
+    Weyl element and lifting, read off the table of minimal degrees that
+    lists it, and the cascade of the lifting."""
+    table = _minimal(p)[0]
+    return tuple([MinimalDegreeRecord(d, *table[d], cascade_roots(p.system, table[d][1]))
+                  for d in minimal_degrees(p)])
 
 
 def full_cascade(rs: RootSystem) -> tuple[Root, ...]:

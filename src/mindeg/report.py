@@ -5,15 +5,14 @@ plain data (strings, ints, tuples), so they serialize and pickle cleanly;
 sweeps are deterministic regardless of worker count because the cases are
 built in (family, rank, Delta_P) order and the merge keeps that order.
 A sweep is guarded by the rows it will emit, counted before any case runs.
-`sweep_cases` yields one case's reports at a time and `render` writes each
-case's rows with `emit` as it arrives, so a sweep is written out as its cases
-finish.
+Each row is one key_inequality call. `sweep_cases` yields one case's reports
+at a time, and `render` writes each case's rows as it arrives with the row
+writer `emit` uses, so a sweep is written out as its cases finish.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import operator
@@ -21,9 +20,9 @@ import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
-from .cascade import cascade_roots
-from .curve_nbhd import _MAX_BOREL_DEGREES, _minimal, _sweep_rows, minimal_degrees
+from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows, minimal_degrees
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, admissible, build_root_system
@@ -35,10 +34,9 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 
 # The most rows a sweep may emit. Every type of rank <= 7 together has
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
-# D9 alone has 210,055. The value was set when a sweep held its whole output
-# in memory. The CLI now writes each case's rows as the case finishes, so its
-# memory is the caches and the stream's JSON memo (E8: 212 MB peak,
-# serially), while run_sweep still holds every report.
+# D9 alone has 210,055. A streamed sweep's memory is the caches and the
+# stream's JSON memo (E8: 203 MB peak, serially), which grow with the rows,
+# and run_sweep holds every report.
 _MAX_SWEEP_ROWS = 120_000
 
 
@@ -83,28 +81,25 @@ def all_parabolic_subsets(rank: int) -> tuple[tuple[int, ...], ...]:
 def case_reports(type_label: str, delta_p: tuple[int, ...]) -> list[CaseReport]:
     """All per-minimal-degree reports of one (type, parabolic) case, by degree.
 
-    The degrees are those of the table of minimal degrees, sorted; each row
-    reads z_d and the lifting e from its entry there, the cascade of e, and
-    key_inequality, which validates d and reads the same entry. The verdict
-    is the one quasi_homogeneity_verdict gives a minimal degree, read off the
+    The degrees are those of minimal_degrees, and each row is one
+    key_inequality call, which validates d and reports z_d, the cascade of
+    its lifting and both direction sets. The verdict is the one
+    quasi_homogeneity_verdict gives a minimal degree, read off the
     inequality's exception.
     """
     rs = build_root_system(type_label)
     p = Parabolic(rs, frozenset(delta_p))
-    degrees, table = minimal_degrees(p), _minimal(p)[0]
     type_str, dp = str(rs.simple_type), tuple(sorted(p.delta_p))
     out = []
-    for d in degrees:
-        z, e = table[d]
-        cascade = cascade_roots(rs, e)
+    for d in minimal_degrees(p):
         ineq = key_inequality(p, d)
         out.append(CaseReport(
             type=type_str,
             delta_p=dp,
             degree=d,
-            z_length=z.length,
-            z_word=word_str(z),
-            cascade=tuple([r.coeffs for r in cascade]),
+            z_length=ineq.z.length,
+            z_word=word_str(ineq.z),
+            cascade=tuple([r.coeffs for r in ineq.cascade]),
             td=tuple([r.coeffs for r in ineq.sets.td]),
             td_tilde=tuple([r.coeffs for r in ineq.sets.td_tilde]),
             lhs=ineq.lhs,
@@ -189,10 +184,6 @@ def predictions_confirmed(reports) -> bool:
     return True
 
 
-def _inequality_cell(r: CaseReport) -> str:
-    return f"{r.lhs} <= {r.rhs}" if r.holds else f"{r.lhs} > {r.rhs}"
-
-
 def _json_value(v, indent: int, memo: dict) -> str:
     """v as json.dumps(v, indent=2) writes it on a line indented by indent spaces.
 
@@ -224,99 +215,99 @@ def _json_value(v, indent: int, memo: dict) -> str:
 _JSON_KEYS = tuple(f"\n    {encode_basestring_ascii(k)}: " for k in CSV_HEADER)
 # A row object with each field's text in its %s.
 _JSON_ROW = "{" + ",".join([k + "%s" for k in _JSON_KEYS]) + "\n  }"
-# How a json document of one or more rows opens, joins its rows and closes.
-_JSON_FRAME = ("[\n  ", ",\n  ", "\n]\n")
 # How json.dumps writes a bool; only read for a field checked to hold one.
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json(reports, memo: dict) -> str:
-    """The bytes of json.dumps([the fields of r by name], indent=2) + "\\n".
-
-    Each row is written from the template _JSON_ROW, field by field as
-    case_reports types it: strings through encode_basestring_ascii, which
-    refuses any other type, ints through int.__repr__, bools from
-    _JSON_BOOL, and tuples from the memo or _json_value; a list is
-    unhashable, so the memo refuses it. A row whose int or bool field holds
-    another type (True is an int and 1 == True) is written by _json_value
-    field by field instead.
-    """
-    enc, rows = encode_basestring_ascii, []
-    for r in reports:
-        (type_, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
-         lhs, rhs, holds, exception, verdict) = values = _field_values(r)
-        if not (type(z_length) is type(lhs) is type(rhs) is int
-                and type(holds) is type(exception) is bool):
-            rows.append("{" + ",".join([k + _json_value(v, 4, memo)
-                                        for k, v in zip(_JSON_KEYS, values)]) + "\n  }")
-            continue
-        rows.append(_JSON_ROW % (
-            enc(type_),
-            memo.get((delta_p, 4)) or _json_value(delta_p, 4, memo),
-            memo.get((degree, 4)) or _json_value(degree, 4, memo),
-            int.__repr__(z_length),
-            enc(z_word),
-            memo.get((cascade, 4)) or _json_value(cascade, 4, memo),
-            memo.get((td, 4)) or _json_value(td, 4, memo),
-            memo.get((td_tilde, 4)) or _json_value(td_tilde, 4, memo),
-            int.__repr__(lhs),
-            int.__repr__(rhs),
-            _JSON_BOOL[holds],
-            _JSON_BOOL[exception],
-            enc(verdict),
-        ))
-    if not rows:
-        return "[]\n"
-    head, sep, tail = _JSON_FRAME
-    return head + sep.join(rows) + tail
+def _json_row(r: CaseReport, memo: dict) -> str:
+    """The object json.dumps([the fields of r by name], indent=2) writes for
+    r, from the template _JSON_ROW, field by field as case_reports types it.
+    Strings go through encode_basestring_ascii, which refuses any other type,
+    and tuples through the memo, which refuses a list (unhashable); an int
+    or bool field of another type (True is an int, 1 == True) is refused too."""
+    (type_, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
+     lhs, rhs, holds, exception, verdict) = _field_values(r)
+    if not (type(z_length) is type(lhs) is type(rhs) is int
+            and type(holds) is type(exception) is bool):
+        raise TypeError("report JSON needs int z_length, lhs and rhs, "
+                        "and bool holds and exception")
+    enc = encode_basestring_ascii
+    return _JSON_ROW % (
+        enc(type_),
+        memo.get((delta_p, 4)) or _json_value(delta_p, 4, memo),
+        memo.get((degree, 4)) or _json_value(degree, 4, memo),
+        int.__repr__(z_length),
+        enc(z_word),
+        memo.get((cascade, 4)) or _json_value(cascade, 4, memo),
+        memo.get((td, 4)) or _json_value(td, 4, memo),
+        memo.get((td_tilde, 4)) or _json_value(td_tilde, 4, memo),
+        int.__repr__(lhs),
+        int.__repr__(rhs),
+        _JSON_BOOL[holds],
+        _JSON_BOOL[exception],
+        enc(verdict),
+    )
 
 
-def emit(reports, fmt: str, memo: dict | None = None) -> str:
-    """Render reports as json, csv, or md with a stable field order. Calls
-    that write parts of one json document may share a memo dict, so that
-    each degree or root is encoded once for them all."""
-    if fmt == "json":
-        return _json(reports, {} if memo is None else memo)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in reports:
-            writer.writerow([json.dumps(v) if isinstance(v, tuple) else v
-                             for v in _field_values(r)])
-        return buf.getvalue()
-    if fmt == "md":
-        head = ("| type | delta_p | degree | z_length | inequality | holds "
-                "| exception | verdict | cascade | td | td_tilde |")
-        rule = "|" + "---|" * 11
-        lines = [head, rule]
-        for r in reports:
-            lines.append(
-                f"| {r.type} | {list(r.delta_p)} | {list(r.degree)} | {r.z_length} "
-                f"| {_inequality_cell(r)} | {r.holds} | {r.exception} | {r.verdict} "
-                f"| {[list(c) for c in r.cascade]} | {[list(c) for c in r.td]} "
-                f"| {[list(c) for c in r.td_tilde]} |")
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"unknown output format {fmt!r}")
+# writerow returns what its file's write returns: here the line it writes
+_CSV = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+_CSV_HEAD = _CSV.writerow(CSV_HEADER)
+_MD_HEAD = ("| type | delta_p | degree | z_length | inequality | holds "
+            "| exception | verdict | cascade | td | td_tilde |\n|" + "---|" * 11 + "\n")
+
+
+def _csv_row(r: CaseReport, memo: dict) -> str:
+    """r's line of CSV, its tuples as JSON; memo is unused."""
+    return _CSV.writerow([json.dumps(v) if isinstance(v, tuple) else v
+                          for v in _field_values(r)])
+
+
+def _md_row(r: CaseReport, memo: dict) -> str:
+    """r's line of the Markdown table; memo is unused."""
+    return (f"| {r.type} | {list(r.delta_p)} | {list(r.degree)} | {r.z_length} "
+            f"| {r.lhs} {'<=' if r.holds else '>'} {r.rhs} | {r.holds} | {r.exception} "
+            f"| {r.verdict} | {[list(c) for c in r.cascade]} | {[list(c) for c in r.td]} "
+            f"| {[list(c) for c in r.td_tilde]} |\n")
+
+
+# Each format's row writer, head, separator, tail and empty document: a
+# document of one or more rows is head + sep.join(rows) + tail.
+_FORMATS = {
+    "json": (_json_row, "[\n  ", ",\n  ", "\n]\n", "[]\n"),
+    "csv": (_csv_row, _CSV_HEAD, "", "", _CSV_HEAD),
+    "md": (_md_row, _MD_HEAD, "", "", _MD_HEAD),
+}
+
+
+def emit(reports, fmt: str) -> str:
+    """Render reports as json, csv, or md with a stable field order: the
+    format's head, its rows joined by its separator and its tail, or its
+    empty document if there are no reports. The json rows share one memo,
+    so that each degree or root is encoded once per nesting depth."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}")
+    row, head, sep, tail, empty = _FORMATS[fmt]
+    memo = {}
+    rows = [row(r, memo) for r in reports]
+    return head + sep.join(rows) + tail if rows else empty
 
 
 def render(chunks: Iterable[list[CaseReport]], fmt: str) -> Iterator[str]:
     """emit(every report of chunks, fmt) in pieces, one per non-empty list as
-    it arrives and one to close. A list's piece is emit's document for it
-    less the tail and, after the first, less the head, which the separator
-    replaces; the closing piece is the tail, or emit([], fmt) if no list had
-    a report. One memo serves every call. An unknown format is refused
-    before any list is read."""
+    it arrives and one to close. A list's piece is its rows, written by the
+    row writer emit uses, joined by the format's separator and led by its
+    head for the first list and by the separator after that; one memo
+    serves the whole stream. The closing piece is the tail, or emit([], fmt)
+    if no list had a report. An unknown format is refused before any list
+    is read."""
     empty = emit([], fmt)
-    # csv and md open with the header lines that make up emit([], fmt)
-    head, sep, tail = _JSON_FRAME if fmt == "json" else (empty, "", "")
+    row, head, sep, tail, _ = _FORMATS[fmt]
 
     def pieces():
         lead, memo = head, {}
         for reports in chunks:
             if reports:
-                text = emit(reports, fmt, memo)
-                yield lead + text[len(head):len(text) - len(tail)]
+                yield lead + sep.join([row(r, memo) for r in reports])
                 lead = sep
         yield tail if lead == sep else empty
 

@@ -16,12 +16,12 @@ the pairings (gamma, alpha^vee) in the order of R_P+; and the gammas pairing
 below -1, which make the strong pairs. The roots are sorted by coefficients,
 the order of td, so td is the OR of the cascade's masks read from the lowest
 bit up. The degree-wide checks (bijectivity, disjointness, associated pairs)
-run once per degree, in one core (_direction_sets) that
-tangent_direction_sets and key_inequality call once they have validated d
-and read its lifting off the table of minimal degrees. The lemma checks
-read the pairings: the pair map's domain is the negative ones, the bound
-their absolute values, and the count identity weighs them, with its left
-side chosen by the action of s_alpha on gamma, not by their sign.
+run once per degree, in key_inequality, which validates d, reads z_d and its
+lifting off the table of minimal degrees, and reports z_d, the cascade and
+both direction sets; tangent_direction_sets returns those sets. The lemma
+checks read the pairings: the pair map's domain is the negative ones, the
+bound their absolute values, and the count identity weighs them, with its
+left side chosen by the action of s_alpha on gamma, not by their sign.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ class KeyInequalityReport:
     holds: bool
     exception: bool
     sets: TangentDirectionSets  # the directions rhs counts
+    z: WeylElement  # z_d, whose length lhs subtracts
+    cascade: tuple[Root, ...]  # of the lifting of d, by coefficients
 
 
 @dataclass(frozen=True)
@@ -184,12 +186,11 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     td is -alpha-gamma over cascade alpha outside the Levi and gamma in R_P+
     or 0, the union of the plain directions of the cascade's rows.
     """
-    e = lifting(p, d)
-    return _direction_sets(p, e, _outside_levi(p, cascade_roots(p.system, e)))
+    return key_inequality(p, d).sets
 
 
 def _direction_sets(p: Parabolic, e: Degree, casc: tuple[Root, ...]) -> TangentDirectionSets:
-    """tangent_direction_sets of the minimal degree of p with lifting e, casc
+    """The direction sets of the minimal degree of p with lifting e, casc
     the cascade of e outside the Levi. td is the union of the rows' masks, and
     each extra direction one bit of another mask, both listed by position."""
     rs = p.system
@@ -298,12 +299,15 @@ def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
 
 def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
     """(c_1(X), d) - len(z_d) against the number of tangent directions,
-    z_d read off the table of minimal degrees."""
+    z_d and the lifting read off the table of minimal degrees; the report
+    carries z_d and the cascade of the lifting too."""
     z, e = _z_and_lifting(p, d)
-    sets = _direction_sets(p, e, _outside_levi(p, cascade_roots(p.system, e)))
+    cascade = cascade_roots(p.system, e)
+    sets = _direction_sets(p, e, _outside_levi(p, cascade))
     lhs = c1_pairing(p, d) - z.length
     rhs = len(sets.td) + len(sets.td_tilde)
-    return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d), sets)
+    return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d), sets,
+                               z, cascade)
 
 
 def quasi_homogeneity_verdict(p: Parabolic, d: Degree) -> QuasiHomogeneityVerdict:

@@ -304,22 +304,41 @@ def test_render_joins_to_emit_however_the_reports_are_split(stream_reports, fmt)
     assert "".join(render([[], *cases, []], fmt)) == whole
 
 
+class _RecordingStdout:
+    """Stands in for sys.stdout: appends each written text to events."""
+
+    def __init__(self, events):
+        self.events = events
+
+    def write(self, text):
+        self.events.append(text)
+
+    def flush(self):
+        pass
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
-def test_sweep_command_renders_each_case_with_emit(monkeypatch, capsys, fmt):
-    real, documents = report.emit, []
+def test_sweep_command_writes_each_case_as_it_arrives(monkeypatch, fmt):
+    cases = list(sweep_cases((SimpleType("A", 2), SimpleType("B", 2))))
+    assert len(cases) == 8 and all(cases)
+    # one piece per non-empty case, in case order, and one to close: the
+    # pieces of the first k cases and the closing one make their document
+    pieces = list(render([[], *cases[:4], [], *cases[4:]], fmt))
+    assert len(pieces) == len(cases) + 1
+    for k in range(1, len(cases) + 1):
+        assert "".join(pieces[:k]) + pieces[-1] == emit([r for c in cases[:k] for r in c], fmt)
+    # the CLI writes each case's piece before the next case runs
+    events, real = [], report.case_reports
 
-    def recording(reports, fmt, memo=None):
-        documents.append((len(reports), real(reports, fmt, memo)))
-        return documents[-1][1]
+    def recording(type_label, delta_p):
+        events.append(("case", type_label, delta_p))
+        return real(type_label, delta_p)
 
-    monkeypatch.setattr(report, "emit", recording)
-    code, out = run_cli(capsys, "sweep", "--types", "A2,B2", "--format", fmt)
-    assert code == 0
-    reports = run_sweep((SimpleType("A", 2), SimpleType("B", 2)))
-    assert out == real(reports, fmt)
-    # emit([], fmt) once, then one document per case: four of A2, four of B2
-    assert documents[0] == (0, real([], fmt)) and len(documents) == 1 + 8
-    assert sum(n for n, _ in documents) == len(reports)
+    monkeypatch.setattr(report, "case_reports", recording)
+    monkeypatch.setattr(sys, "stdout", _RecordingStdout(events))
+    assert main(["sweep", "--types", "A2,B2", "--format", fmt]) == 0
+    ran = [("case", c[0].type, c[0].delta_p) for c in cases]
+    assert events == [x for pair in zip(ran, pieces) for x in pair] + [pieces[-1]]
 
 
 def _check_emit_json_against_json_dumps(reports) -> None:
@@ -347,18 +366,15 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
                                  td=((2, 1), (1, 0)), z_length=12, z_word="1 2")
     for reports in ([], [first], [first, second], [second, first, second]):
         _check_emit_json_against_json_dumps(reports)
-    # fields of other JSON types than case_reports builds are written as
-    # json.dumps writes them, or refused with TypeError: the int 1 is not
-    # the bool true, nor True the int 1
+    # a field of another type than case_reports builds is refused with
+    # TypeError, alone or between valid rows: the int 1 is not the bool
+    # true, nor True the int 1, and a list is not a tuple
     for change in ({"holds": 1}, {"exception": 0}, {"lhs": True}, {"z_length": False},
                    {"td": [(1, 0)]}, {"cascade": ((1, 0), [0, 1])}, {"z_word": 1}):
         for reports in ([dataclasses.replace(first, **change)],
                         [first, dataclasses.replace(second, **change), second]):
-            try:
+            with pytest.raises(TypeError):
                 emit(reports, "json")
-            except TypeError:
-                continue
-            _check_emit_json_against_json_dumps(reports)
 
 
 def test_emit_round_trips_reports():

@@ -274,11 +274,11 @@ def test_lemma_checks_match_the_per_degree_oracles(label):
 
 @pytest.mark.parametrize("label", ["G2", "B3", "F4"])
 def test_sweep_rows_match_the_public_per_degree_path(label):
-    """Each case_reports row, its z_d read off its table entry and its
-    verdict off the inequality's exception, equals what key_inequality,
-    quasi_homogeneity_verdict and the Hecke walk of
-    curve_neighborhood_element give for its degree, on every parabolic; the
-    rows are the minimal degrees in order, the G2 triple among them."""
+    """Each case_reports row, one key_inequality call with its verdict read
+    off the exception, equals what key_inequality, quasi_homogeneity_verdict,
+    the Hecke walk of curve_neighborhood_element and the cascade of the
+    lifting give for its degree, on every parabolic; the rows are the
+    minimal degrees in order, the G2 triple among them."""
     rs = build_root_system(label)
     exceptions = 0
     for p in all_parabolics(rs):
@@ -293,6 +293,8 @@ def test_sweep_rows_match_the_public_per_degree_path(label):
             assert r.td_tilde == tuple(x.coeffs for x in ineq.sets.td_tilde), (p, d)
             assert r.verdict == quasi_homogeneity_verdict(p, d).kind, (p, d)
             z = curve_neighborhood_element(p, d)
+            assert ineq.z == z, (p, d)
             assert (r.z_word, r.z_length) == (word_str(z), z.length), (p, d)
+            assert r.cascade == tuple(x.coeffs for x in cascade_roots(rs, lifting(p, d))), (p, d)
             exceptions += r.exception
     assert exceptions == (label == "G2")
