@@ -20,7 +20,7 @@ from .curve_nbhd import (
     _minimal, borel, greedy_decomposition, is_minimal_degree, minimal_degrees,
     point_class_degree,
 )
-from .parabolic import Degree, Parabolic
+from .parabolic import Degree, Parabolic, checks_degree
 from .root_system import Root, RootSystem
 from .weyl import WeylElement, all_elements, center_elements, longest_element
 
@@ -52,6 +52,11 @@ def is_sos(roots) -> bool:
                for i, a in enumerate(roots) for b in roots[i + 1:])
 
 
+def _check_full_flag_degree(rs: RootSystem, e: Degree) -> None:
+    borel(rs).check_degree(e)
+
+
+@checks_degree(_check_full_flag_degree)
 @lru_cache(maxsize=None)
 def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
     """The greedy roots of the full-flag minimal degree e, by coefficients."""

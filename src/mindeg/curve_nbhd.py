@@ -87,11 +87,11 @@ from operator import itemgetter
 from .exceptions import (
     ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
 )
-from .parabolic import Degree, Parabolic, project_coroot
+from .parabolic import Degree, Parabolic, checks_degree, project_coroot
 from .root_system import Root, RootSystem
 from .weyl import (
     WeylElement, bruhat_leq, compose, descent_mask, descents_at, hecke_reflection_on_coset,
-    identity, longest_element, reflection, right_multiplier,
+    identity, longest_element, right_multiplier,
 )
 
 __all__ = [
@@ -130,6 +130,7 @@ def _root_table(p: Parabolic):
             tuple(tuple([c[i] for i in q]) for c in coroots))
 
 
+@checks_degree(Parabolic.check_degree)
 @lru_cache(maxsize=None)
 def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Maximal elements (root order) among roots whose coroot class is <= d.
@@ -137,7 +138,6 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     Sorted with the lexicographically largest coefficient vector first, which
     is the deterministic greedy tie-break.
     """
-    p.check_degree(d)
     roots, fits, above, outside, _ = _root_table(p)
     cands = _fitting(fits, d, outside)
     return tuple(a for j, a in enumerate(roots)
@@ -166,10 +166,10 @@ def _greedy_step(p: Parabolic, d: Degree) -> tuple[int, Degree]:
     return j, rest
 
 
+@checks_degree(Parabolic.check_degree)
 @lru_cache(maxsize=None)
 def greedy_decomposition(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Peel maximal roots off d until nothing is left."""
-    p.check_degree(d)
     roots = _root_table(p)[0]
     out = []
     while any(d):
@@ -217,6 +217,7 @@ def _z_pair(p: Parabolic, d: Degree) -> tuple[WeylElement, WeylElement]:
     return pair
 
 
+@checks_degree(Parabolic.check_degree)
 @lru_cache(maxsize=None)
 def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     """The Weyl element attached to the degree-d curve neighborhood of 1P.
@@ -224,7 +225,6 @@ def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     The minimal representative of the coset of s_{a_1} * ... * s_{a_k} * w_P,
     a Hecke product over the greedy decomposition (a_1, ..., a_k) of d.
     """
-    p.check_degree(d)
     return _z_pair(p, d)[0]
 
 
@@ -267,7 +267,9 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
             f"{rs.simple_type} has at least {2 ** rs.rank} full-flag minimal degrees, "
             f"more than the {_MAX_BOREL_DEGREES} the enumeration accepts")
     roots, fits, _, _, coroots = _root_table(b)
-    steps = [(j, coroots[j], reflection(rs, a).length) for j, a in enumerate(roots)]
+    # l(s_alpha) is the length of the reduced word the root system recorded
+    data = rs.root_data
+    steps = [(j, coroots[j], len(data[a.coeffs].word)) for j, a in enumerate(roots)]
     pairs = _z_pairs(b)
     found = {b.zero_degree: identity(rs)}
     queue = [(b.zero_degree, len(roots) - 1)]
@@ -354,10 +356,10 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], De
     return found, tops[0], groups
 
 
+@checks_degree(Parabolic.check_degree)
 @lru_cache(maxsize=None)
 def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
     """No strictly smaller effective degree reaches a Bruhat-larger element."""
-    p.check_degree(d)
     return d in _minimal(p)[0]
 
 

@@ -9,13 +9,14 @@ nonnegative (Parabolic.check_degree).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
+from operator import mul
 
 from .exceptions import InvalidDegreeError, InvalidParabolicError
-from .root_system import Root, RootSystem, coroot_coefficients, coroot_pairing
+from .root_system import Root, RootSystem, coroot_coefficients
 from .weyl import WeylElement, longest_element
 
-__all__ = ["Degree", "Parabolic", "project_coroot", "c1_vector", "c1_pairing", "dim_x"]
+__all__ = ["Degree", "Parabolic", "project_coroot", "c1_pairing", "dim_x", "checks_degree"]
 
 Degree = tuple  # integer coordinates over Delta \ Delta_P
 
@@ -51,10 +52,11 @@ class Parabolic:
 
     @cached_property
     def levi_roots(self) -> tuple[Root, ...]:
-        """R_P: the roots supported on Delta_P."""
-        inside = set(self.positions)
-        return tuple(r for r in self.system.roots
-                     if all(c == 0 or i in inside for i, c in enumerate(r.coeffs)))
+        """R_P: the roots supported on Delta_P, whose support masks
+        (RootSystem.root_supports) have no bit outside it."""
+        outside = sum([1 << i for i in self.quotient_positions])
+        return tuple([r for r, support in zip(self.system.roots, self.system.root_supports)
+                      if not support & outside])
 
     @cached_property
     def levi_positive(self) -> tuple[Root, ...]:
@@ -75,10 +77,17 @@ class Parabolic:
 
     @cached_property
     def c1_weights(self) -> tuple[int, ...]:
-        """(c_1, alpha_i^vee) for each simple root alpha_i outside Delta_P, ascending."""
-        c1 = c1_vector(self)
-        return tuple(coroot_pairing(c1, self.system.simple_roots[i])
-                     for i in self.quotient_positions)
+        """(c_1, alpha_i^vee) for each simple root alpha_i outside Delta_P, ascending.
+
+        c_1 is the sum of R+ \\ R_P+, which is 2 rho - 2 rho_P with 2 rho_P the
+        sum of R_P+; and (2 rho, alpha_i^vee) = 2 for every simple root. So
+        (c_1, alpha_i^vee) = 2 - (2 rho_P, alpha_i^vee), the pairing read off
+        the Cartan row of alpha_i.
+        """
+        two_rho_p = [sum(column) for column in zip(*[r.coeffs for r in self.levi_positive])]
+        # with no Levi root two_rho_p is empty and every weight is 2
+        cartan = self.system.cartan
+        return tuple([2 - sum(map(mul, cartan[i], two_rho_p)) for i in self.quotient_positions])
 
     @property
     def zero_degree(self) -> Degree:
@@ -87,9 +96,11 @@ class Parabolic:
     def check_degree(self, d: Degree) -> None:
         """Raise InvalidDegreeError unless d is an effective degree on this G/P.
 
-        An effective degree has one nonnegative integer coordinate per simple
-        root outside Delta_P.
+        An effective degree is a tuple of one nonnegative integer coordinate
+        per simple root outside Delta_P.
         """
+        if not isinstance(d, tuple):
+            raise InvalidDegreeError(f"degree {d!r} is a {type(d).__name__}, not a tuple")
         k = len(self.quotient_positions)
         if len(d) != k:
             raise InvalidDegreeError(
@@ -108,16 +119,31 @@ class Parabolic:
         return f"Parabolic({self.system.simple_type}, {sorted(self.delta_p)})"
 
 
+def checks_degree(check):
+    """Decorator for a memo f(x, d) keyed by a degree d: the function it
+    returns calls check(x, d) before the memo lookup.
+
+    lru_cache keys by equality, so without the check an entry for (1,)
+    would answer (1.0,) or (Fraction(1),), which a fresh process refuses,
+    and a list would raise TypeError rather than InvalidDegreeError. The
+    function keeps f's name and the memo's counters, and its __wrapped__ is
+    the memo.
+    """
+    def decorate(memo):
+        @wraps(memo)
+        def checked(x, d):
+            check(x, d)
+            return memo(x, d)
+        checked.cache_info, checked.cache_clear = memo.cache_info, memo.cache_clear
+        return checked
+    return decorate
+
+
 @lru_cache(maxsize=None)
 def project_coroot(p: Parabolic, alpha: Root) -> Degree:
     """alpha^vee as a degree: expand over simple coroots, drop Delta_P slots."""
     full = coroot_coefficients(alpha)
     return tuple(full[i] for i in p.quotient_positions)
-
-
-def c1_vector(p: Parabolic) -> tuple[int, ...]:
-    """Sum of the roots in R+ \\ R_P+, over the simple-root basis."""
-    return tuple(sum(r.coeffs[i] for r in p.outside_levi_set) for i in range(p.system.rank))
 
 
 def c1_pairing(p: Parabolic, d: Degree) -> int:

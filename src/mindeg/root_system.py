@@ -4,15 +4,24 @@ Roots are integer coefficient vectors over the base, Bourbaki plate labeling.
 The symmetric form is normalized so that short roots have squared length 2;
 every quantity consumed downstream is a coroot pairing, which is independent
 of that normalization.
+
+A system is built in one pass by simple reflections from the simple roots
+(_positive_roots): each positive root inherits its coroot, its integer
+coroot functional, its norm, a reduced word of its reflection and its
+support from the root it came from. The root table, the functionals, the
+Weyl tables and the parabolic Levi data all read that pass; bilinear and
+coroot_coefficients stay as the direct formulas for any root.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .exceptions import (
     ConsistencyError, InadmissibleRankError, InvalidVectorError, MixedRootSystemError,
@@ -157,12 +166,77 @@ class Root:
         return f"Root({self.system.simple_type}, {list(self.coeffs)})"
 
 
+class RootData(NamedTuple):
+    """What the pass by simple reflections (_positive_roots) records for a
+    positive root y."""
+
+    coroot: tuple[int, ...]  # y^vee over the simple coroots
+    functional: tuple[int, ...]  # ((alpha_k, y^vee))_k, an integer functional
+    norm: int  # (y, y)
+    word: tuple[int, ...]  # a reduced word of s_y (0-based letters), a palindrome
+    support: int  # bit k is set iff y has a nonzero coefficient at alpha_k
+
+
+def _positive_roots(cartan: tuple[tuple[int, ...], ...],
+                    symmetrizer: tuple[int, ...]) -> dict[tuple[int, ...], RootData]:
+    """The positive roots in order of height, each with its RootData, in one
+    pass by simple reflections from the simple roots.
+
+    alpha_i has coroot alpha_i^vee, functional the Cartan row i, norm 2 d_i
+    (d the symmetrizer), word (i,) and support {i}. A positive root y' of
+    height > 1 has (y', alpha_i) > 0 for some i, as (y', y') > 0; then
+    y = s_i(y') is a lower positive root and y' = s_i(y) = y + m alpha_i with
+    m = -(y, alpha_i^vee) > 0. So visiting the roots by height and stepping
+    from each y along every i with m > 0 meets every positive root, each
+    from a lower root already visited. The first y to reach y' gives it
+    - its coroot y'^vee = s_i(y^vee) = y^vee - (alpha_i, y^vee) alpha_i^vee;
+    - its functional f(y')_k = (alpha_k, y'^vee) = f(y)_k - f(y)_i (alpha_k, alpha_i^vee);
+    - its norm, the norm of y, since s_i is an isometry;
+    - the word i w(y) i of s_{y'} = s_i s_y s_i. It is reduced: with
+      k = -(alpha_i, y^vee) > 0, s_y(alpha_i) = alpha_i + k y > 0, so
+      l(s_y s_i) = l(s_y) + 1; and s_i s_y(alpha_i) = k y + (k m - 1) alpha_i
+      > 0, so l(s_i s_y s_i) = l(s_y) + 2. Its length is l(s_{y'});
+    - its support, that of y with i added.
+    No bilinear form, coroot division, reflection element or inversion
+    count is computed on the way.
+    """
+    rank = len(cartan)
+    data = {}
+    by_height = [[]]
+    for i in range(rank):
+        unit = tuple([int(k == i) for k in range(rank)])
+        data[unit] = RootData(unit, cartan[i], 2 * symmetrizer[i], (i,), 1 << i)
+        by_height[0].append(unit)
+    # by_height grows while it is read: a root found from one of height h
+    # joins a higher level, visited later in this loop
+    for h, level in enumerate(by_height, 1):
+        for y in level:
+            coroot, f, norm, word, support = data[y]
+            for i, row in enumerate(cartan):
+                m = -sum([c * x for c, x in zip(row, y) if x])  # -(y, alpha_i^vee)
+                if m <= 0:
+                    continue
+                up = y[:i] + (y[i] + m,) + y[i + 1:]
+                if up in data:
+                    continue
+                fi = f[i]
+                data[up] = RootData(coroot[:i] + (coroot[i] - fi,) + coroot[i + 1:],
+                                    tuple([fk - fi * c for fk, c in zip(f, row)]),
+                                    norm, (i, *word, i), support | 1 << i)
+                by_height.extend([] for _ in range(h + m - len(by_height)))
+                by_height[h + m - 1].append(up)
+    return {y: data[y] for level in by_height for y in level}
+
+
 class RootSystem:
     """All roots of one simple type; immutable after construction.
 
     Instances are memoized by type (see build_root_system), so identity
     comparison is the right notion of equality; unpickling returns the
     memoized instance, so copies of roots and Weyl elements stay comparable.
+    The positive roots come from one pass by simple reflections
+    (_positive_roots), and every per-root table reads what it recorded:
+    root_data maps the coefficients of each positive root to its RootData.
     """
 
     def __init__(self, simple_type: SimpleType):
@@ -176,8 +250,12 @@ class RootSystem:
         self.rank = simple_type.rank
         self.cartan = _cartan_matrix(simple_type.family, simple_type.rank)
         self.symmetrizer = _symmetrizer(self.cartan)
-        coeff_sets = self._generate_coeffs()
-        roots = tuple(Root(self, c) for c in sorted(coeff_sets))
+        self.root_data = _positive_roots(self.cartan, self.symmetrizer)
+        if 2 * len(self.root_data) != expected:
+            raise ConsistencyError(
+                f"{simple_type}: got {2 * len(self.root_data)} roots, expected {expected}")
+        coeffs = [*self.root_data, *(tuple([-c for c in y]) for y in self.root_data)]
+        roots = tuple(Root(self, c) for c in sorted(coeffs))
         self.roots = roots
         self._index = {r.coeffs: r for r in roots}
         self.positive_roots = tuple(r for r in roots if r.is_positive)
@@ -185,38 +263,11 @@ class RootSystem:
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
         )
-        if len(roots) != expected or 2 * len(self.positive_roots) != expected:
-            raise ConsistencyError(f"{simple_type}: got {len(roots)} roots, expected {expected}")
-        lengths = {bilinear(r, r) for r in self.positive_roots}  # (-r, -r) = (r, r)
+        lengths = {data.norm for data in self.root_data.values()}
         self._min_norm = min(lengths)
         self._max_norm = max(lengths)
         if self._min_norm != 2:
             raise ConsistencyError(f"{simple_type}: short roots must have squared length 2")
-
-    def _generate_coeffs(self) -> set[tuple[int, ...]]:
-        l = self.rank
-        cartan = self.cartan
-        simple = [tuple(1 if k == i else 0 for k in range(l)) for i in range(l)]
-        seen = set(simple)
-        frontier = list(simple)
-        while frontier:
-            fresh = []
-            for v in frontier:
-                for i in range(l):
-                    pair = sum(v[j] * cartan[i][j] for j in range(l) if v[j])
-                    if pair == 0:
-                        continue
-                    w = list(v)
-                    w[i] -= pair
-                    tw = tuple(w)
-                    if tw not in seen:
-                        seen.add(tw)
-                        fresh.append(tw)
-            frontier = fresh
-        for v in seen:
-            if not (all(c >= 0 for c in v) or all(c <= 0 for c in v)):
-                raise ConsistencyError(f"root {v} is not sign-homogeneous")
-        return seen
 
     def root(self, coeffs) -> Root:
         return self._index[tuple(coeffs)]
@@ -235,19 +286,36 @@ class RootSystem:
         the roots whose coroot has coefficient <= c at the simple coroot
         alpha_i^vee (the last entry, the largest such coefficient, masks them
         all), above[j] masks the roots strictly above roots[j] in the root
-        order, and coroots[j] is coroot_coefficients(roots[j]).
+        order, and coroots[j] is the coroot of roots[j] over the simple
+        coroots, read off root_data.
+
+        If a < b are positive roots, some a + alpha_i is a root <= b: b - a is
+        a nonzero sum of simple roots with (b - a, b - a) > 0, so
+        (b - a, alpha_i) > 0 for some alpha_i it contains. If (a, alpha_i) < 0,
+        a + alpha_i is a root; otherwise (b, alpha_i) > 0, so b - alpha_i is a
+        root >= a, and it is a + alpha_i or, by induction on the height of
+        b - a, above some root a + alpha_j. So the roots above a are its covers
+        a + alpha_i and the roots above them; a cover is lexicographically
+        larger, so it comes first and its mask is known.
         """
         roots = tuple(sorted(self.positive_roots, key=lambda r: r.coeffs, reverse=True))
-        coroots = tuple(coroot_coefficients(a) for a in roots)
-        fits = tuple(tuple(sum(1 << j for j, c in enumerate(coroots) if c[i] <= v)
-                           for v in range(max(c[i] for c in coroots) + 1))
-                     for i in range(self.rank))
-        # a root strictly above roots[j] is lexicographically larger, so it
-        # comes before roots[j]
-        coeffs = [a.coeffs for a in roots]
-        above = tuple(sum(1 << k for k, b in enumerate(coeffs[:j]) if all(map(operator.le, a, b)))
-                      for j, a in enumerate(coeffs))
-        return roots, fits, above, coroots
+        coroots = tuple([self.root_data[a.coeffs].coroot for a in roots])
+        fits = []
+        for i in range(self.rank):
+            at = [0] * (max(c[i] for c in coroots) + 1)
+            for j, c in enumerate(coroots):
+                at[c[i]] |= 1 << j
+            fits.append(tuple(itertools.accumulate(at, operator.or_)))
+        position = {a.coeffs: j for j, a in enumerate(roots)}
+        above = []
+        for a in roots:
+            y, mask = a.coeffs, 0
+            for i in range(self.rank):
+                k = position.get(y[:i] + (y[i] + 1,) + y[i + 1:])
+                if k is not None:
+                    mask |= 1 << k | above[k]
+            above.append(mask)
+        return roots, tuple(fits), tuple(above), coroots
 
     @cached_property
     def root_positions(self) -> dict[tuple[int, ...], int]:
@@ -257,20 +325,21 @@ class RootSystem:
         return {r.coeffs: k for k, r in enumerate(self.roots)}
 
     @cached_property
-    def coroot_functionals(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Coefficients of each root y -> its integer functional ((alpha_i, y^vee))_i.
+    def root_supports(self) -> tuple[int, ...]:
+        """The support mask (RootData.support) of each root, in the order of
+        roots; -y has the support of y."""
+        data = self.root_data
+        return tuple([data[y if min(y) >= 0 else tuple([-c for c in y])].support
+                      for y in (r.coeffs for r in self.roots)])
 
-        With y^vee = sum_j c_j alpha_j^vee (c from coroot_coefficients, which
-        checks integrality), (alpha_i, y^vee) = sum_j c_j * cartan[j][i].
-        Each positive root's is computed once; (-y)^vee = -y^vee.
-        """
+    @cached_property
+    def coroot_functionals(self) -> dict[tuple[int, ...], tuple[int, ...]]:
+        """Coefficients of each root y -> its integer functional ((alpha_i, y^vee))_i,
+        read off root_data; (-y)^vee = -y^vee."""
         out = {}
-        for y in self.positive_roots:
-            c = coroot_coefficients(y)
-            f = tuple(sum(cj * row[i] for cj, row in zip(c, self.cartan) if cj)
-                      for i in range(self.rank))
-            out[y.coeffs] = f
-            out[tuple([-x for x in y.coeffs])] = tuple([-x for x in f])
+        for y, data in self.root_data.items():
+            out[y] = data.functional
+            out[tuple([-c for c in y])] = tuple([-c for c in data.functional])
         return out
 
     @cached_property

@@ -36,7 +36,7 @@ from .exceptions import (
 )
 from .cascade import cascade_roots
 from .curve_nbhd import (
-    _z_and_lifting, borel, curve_neighborhood_element, is_minimal_degree, lifting,
+    _minimal, _z_and_lifting, borel, curve_neighborhood_element, is_minimal_degree, lifting,
     point_class_degree,
 )
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
@@ -201,7 +201,7 @@ def _direction_sets(p: Parabolic, e: Degree, casc: tuple[Root, ...]) -> TangentD
         strong += [(a, g) for g in gammas]
     extra = 0
     if strong:
-        z_e = curve_neighborhood_element(borel(rs), e)
+        z_e = _minimal(borel(rs))[0][e][0]
         seen_gamma = {}
         for a, g in strong:
             if seen_gamma.setdefault(g, a) != a:
@@ -301,10 +301,10 @@ def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
     """(c_1(X), d) - len(z_d) against the number of tangent directions,
     z_d and the lifting read off the table of minimal degrees; the report
     carries z_d and the cascade of the lifting too."""
-    z, e = _z_and_lifting(p, d)
+    z, e = _z_and_lifting(p, d)  # checks d, once
     cascade = cascade_roots(p.system, e)
     sets = _direction_sets(p, e, _outside_levi(p, cascade))
-    lhs = c1_pairing(p, d) - z.length
+    lhs = sum(map(mul, d, p.c1_weights)) - z.length  # c1_pairing, d already checked
     rhs = len(sets.td) + len(sets.td_tilde)
     return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d), sets,
                                z, cascade)

@@ -8,8 +8,9 @@ roots; roots are sign-homogeneous, so the integer has the sign of the root;
 and it is linear, so a Weyl group action on roots is an action on the packed
 integers. One table per root system (_steps) maps each packed root to its
 coefficients and its integer coroot functional, so the hot loops below never
-unpack a root; it also holds the sparse Cartan rows and, filled on first use,
-the reversed reduced word of each reflection s_alpha.
+unpack a root; it also holds the sparse Cartan rows and a reduced word of
+each reflection s_alpha, the palindrome the root system's pass by simple
+reflections recorded (RootSystem.root_data).
 The packed format never leaves this module.
 
 mul_gen carries the length along (w * s_i is one longer iff w(alpha_i) > 0);
@@ -55,9 +56,8 @@ class _Steps:
     packed simple roots, and rows[i] is the sparse Cartan row of s_i, the
     functional of alpha_i: s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
     letters[i] is the 1-based Bourbaki label of s_i as a string. words maps
-    the coefficients of a root alpha to the reduced word of s_alpha,
-    reversed; it is filled on first use of alpha, so a cold query builds
-    only what it reads.
+    the coefficients of a root alpha, of either sign, to the reduced word of
+    s_alpha = s_{-alpha} that RootSystem.root_data holds.
     """
 
     __slots__ = ("table", "simple", "rows", "letters", "words")
@@ -68,7 +68,9 @@ class _Steps:
         self.simple = identity(rs).images
         self.rows = tuple(self.table[x][1] for x in self.simple)
         self.letters = tuple(str(i + 1) for i in range(rs.rank))
-        self.words: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.words = {}
+        for y, data in rs.root_data.items():
+            self.words[y] = self.words[tuple([-c for c in y])] = data.word
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,7 +262,9 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
 
     z must be the minimal representative of its coset z W_P, with W_P the
     parabolic subgroup of the 0-based simple positions; so is y. The letters
-    s_i of the reduced word of s_alpha act from the right end. With
+    s_i of a reduced word of s_alpha act from the right end: the word is the
+    palindrome of RootSystem.root_data. The 0-Hecke (Demazure) product does
+    not depend on which reduced word is used, so neither does y. With
     beta = z^-1(alpha_i), s_i lengthens z w_P iff beta > 0 and beta is not a
     simple root of W_P (if it is, s_i z = z s_beta lies in the same coset).
     When s_i acts, z^-1 becomes z^-1 s_i and z(alpha_j) drops by
@@ -272,13 +276,10 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
         raise MixedRootSystemError("element and root live in different systems")
     steps = _steps(rs)
     table, simple, rows = steps.table, steps.simple, steps.rows
-    word = steps.words.get(alpha.coeffs)
-    if word is None:
-        word = steps.words[alpha.coeffs] = tuple(reversed(reduced_word(reflection(rs, alpha))))
     levi = {simple[j] for j in positions}
     images, inv = list(z.images), list(z_inv.images)
     length = z.length
-    for i in word:
+    for i in steps.words[alpha.coeffs]:
         beta = inv[i]
         if beta < 0 or beta in levi:
             continue

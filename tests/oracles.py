@@ -23,7 +23,12 @@ from the first position each time, reduced words, the Hecke step and
 composition one mul_gen or one unpacked root at a time,
 tangent directions root by root for each degree, the three lemma checks
 from pairings recomputed for each degree (the count identity reading a
-rebuilt inversion set of each s_alpha), Q(i)-spans from
+rebuilt inversion set of each s_alpha), the data of the one pass by simple
+reflections from the closure of the simple roots, coroots by Fractions and
+by coroot_coefficients, functionals by coroot_coefficients and the Cartan
+matrix, reflection words by stripping the reflection element and their
+lengths by its inversion count, Levi roots by
+scanning coefficients, c1 weights from the summed vector c_1, Q(i)-spans from
 Gauss-Jordan elimination over pairs of Fractions, and simple-type labels
 from a regular expression.
 """
@@ -48,7 +53,8 @@ from mindeg.exceptions import (
 )
 from mindeg.parabolic import Degree, Parabolic, project_coroot
 from mindeg.root_system import (
-    Root, RootSystem, SimpleType, bilinear, coroot_pairing, reflect, root_leq,
+    Root, RootSystem, SimpleType, bilinear, coroot_coefficients, coroot_pairing, reflect,
+    root_leq,
 )
 from mindeg.tangent_directions import (
     TangentDirectionSets, associated_pair, is_exceptional_triple,
@@ -163,6 +169,83 @@ def levi_intersection_check(p: Parabolic) -> bool:
         raise NotApplicableError("w_o does not stabilize R_P")
     rp = roots_of_p(p)
     return {g for g in rp if w0.apply(g) in rp} == levi
+
+
+def support_scan_levi_roots(p: Parabolic) -> tuple[Root, ...]:
+    """R_P: the roots whose nonzero coefficients all sit on Delta_P, by a scan
+    of each root's coefficients."""
+    inside = set(p.positions)
+    return tuple(r for r in p.system.roots
+                 if all(c == 0 or i in inside for i, c in enumerate(r.coeffs)))
+
+
+def c1_vector(p: Parabolic) -> tuple[int, ...]:
+    """Sum of the roots in R+ \\ R_P+, over the simple-root basis."""
+    return tuple(sum(r.coeffs[i] for r in p.outside_levi_set) for i in range(p.system.rank))
+
+
+def c1_vector_weights(p: Parabolic) -> tuple[int, ...]:
+    """(c_1, alpha_i^vee) for alpha_i outside Delta_P, pairing the summed
+    vector c1_vector(p) with each simple coroot."""
+    c1 = c1_vector(p)
+    return tuple(coroot_pairing(c1, p.system.simple_roots[i]) for i in p.quotient_positions)
+
+
+def closure_root_coeffs(rs: RootSystem) -> set[tuple[int, ...]]:
+    """All roots, as the closure of the simple roots under the simple
+    reflections on coefficient vectors, each checked sign-homogeneous."""
+    l, cartan = rs.rank, rs.cartan
+    seen = {tuple(int(k == i) for k in range(l)) for i in range(l)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for v in frontier:
+            for i in range(l):
+                pair = sum(v[j] * cartan[i][j] for j in range(l))
+                w = v[:i] + (v[i] - pair,) + v[i + 1:]
+                if pair and w not in seen:
+                    seen.add(w)
+                    fresh.append(w)
+        frontier = fresh
+    for v in seen:
+        if not (all(c >= 0 for c in v) or all(c <= 0 for c in v)):
+            raise ConsistencyError(f"root {v} is not sign-homogeneous")
+    return seen
+
+
+def fraction_coroot(alpha: Root) -> tuple[int, ...]:
+    """alpha^vee = 2 alpha / (alpha, alpha) over the simple coroots
+    alpha_i^vee = 2 alpha_i / (alpha_i, alpha_i), by Fractions over the Gram
+    matrix, checked integral."""
+    rs = alpha.system
+    norm = gram_bilinear(rs, alpha.coeffs, alpha.coeffs)
+    out = []
+    for i, a in enumerate(alpha.coeffs):
+        simple = tuple(int(k == i) for k in range(rs.rank))
+        c = Fraction(a * gram_bilinear(rs, simple, simple), norm)
+        if c.denominator != 1:
+            raise ConsistencyError(f"coroot of {alpha} is not integral")
+        out.append(int(c))
+    return tuple(out)
+
+
+def bilinear_functional(alpha: Root) -> tuple[int, ...]:
+    """((alpha_i, alpha^vee))_i from coroot_coefficients, which divides
+    bilinear forms, and the Cartan matrix."""
+    c = coroot_coefficients(alpha)
+    rs = alpha.system
+    return tuple(sum(cj * rs.cartan[j][i] for j, cj in enumerate(c)) for i in range(rs.rank))
+
+
+def stripping_reflection_word(alpha: Root) -> tuple[int, ...]:
+    """A reduced word of s_alpha, reversed: the word descent stripping gives
+    the reflection element built by reflecting each simple root."""
+    return tuple(reversed(reduced_word(reflection(alpha.system, alpha))))
+
+
+def inversion_count_reflection_length(alpha: Root) -> int:
+    """l(s_alpha) as the number of positive roots the reflection element sends negative."""
+    return len(inversion_set(reflection(alpha.system, alpha)))
 
 
 def gram_matrix(rs: RootSystem) -> list[list[int]]:

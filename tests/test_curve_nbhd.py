@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
 from mindeg import cascade, curve_nbhd, tangent_directions, weyl
-from mindeg.cascade import minimal_degree_records
+from mindeg.cascade import cascade_roots, minimal_degree_records
 from mindeg.cli import main
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
@@ -18,7 +19,7 @@ from mindeg.exceptions import (
 from mindeg.parabolic import Parabolic, project_coroot
 from mindeg.report import all_parabolic_subsets, default_types
 from mindeg.root_system import build_root_system
-from mindeg.tangent_directions import key_inequality
+from mindeg.tangent_directions import key_inequality, quasi_homogeneity_verdict
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
 
 from oracles import (
@@ -242,6 +243,38 @@ def test_records_tie_degree_z_lifting_together(label):
 def test_entry_points_reject_malformed_degrees(g2, entry, d):
     with pytest.raises(InvalidDegreeError):
         entry(borel(g2), d)
+
+
+@pytest.mark.parametrize("bad", [(1.0,), (Fraction(1),), [1]], ids=["float", "fraction", "list"])
+@pytest.mark.parametrize("entry", [lifting, curve_neighborhood_element, is_minimal_degree,
+                                   quasi_homogeneity_verdict, key_inequality, maximal_roots,
+                                   greedy_decomposition])
+def test_a_degree_equal_to_a_cached_one_is_still_refused(entry, bad):
+    """After the int query (1,), a degree equal to it but not a tuple of
+    ints is refused as in a fresh process, not answered from the memo."""
+    p = borel(build_root_system("A1"))
+    entry(p, (1,))
+    with pytest.raises(InvalidDegreeError):
+        entry(p, bad)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 1), (Fraction(1), 1), [1, 1]],
+                         ids=["float", "fraction", "list"])
+def test_cascade_roots_refuses_a_degree_equal_to_a_cached_one(bad):
+    rs = build_root_system("A2")
+    assert cascade_roots(rs, (1, 1)) == (rs.root((1, 1)),)
+    with pytest.raises(InvalidDegreeError):
+        cascade_roots(rs, bad)
+
+
+def test_degree_memos_keep_their_counters_and_memo():
+    """Each entry point that checks its degree reports its memo's counters,
+    and __wrapped__ is that memo, under the entry point's own name."""
+    for entry in (maximal_roots, greedy_decomposition, curve_neighborhood_element,
+                  is_minimal_degree, cascade_roots):
+        memo = entry.__wrapped__
+        assert entry.cache_info() == memo.cache_info()
+        assert memo.__wrapped__.__name__ == entry.__name__
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)

@@ -3,10 +3,14 @@ import pytest
 from mindeg.cascade import full_cascade
 from mindeg.curve_nbhd import minimal_degrees
 from mindeg.exceptions import InvalidDegreeError, InvalidParabolicError, NotApplicableError
-from mindeg.parabolic import Parabolic, c1_pairing, c1_vector, dim_x, project_coroot
+from mindeg.parabolic import Parabolic, c1_pairing, dim_x, project_coroot
+from mindeg.report import default_types
 from mindeg.root_system import build_root_system, coroot_coefficients, coroot_pairing
 
-from oracles import all_parabolics, fraction_c1_pairing, levi_intersection_check, roots_of_p
+from oracles import (
+    all_parabolics, c1_vector, c1_vector_weights, fraction_c1_pairing, levi_intersection_check,
+    roots_of_p, support_scan_levi_roots,
+)
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
                "D3", "D4", "F4", "G2"]
@@ -84,6 +88,17 @@ def test_c1_pairing_matches_fraction_formula(label):
     for p in all_parabolics(rs):
         for d in minimal_degrees(p):
             assert c1_pairing(p, d) == fraction_c1_pairing(p, d), (p, d)
+
+
+@pytest.mark.parametrize("label", [str(t) for t in default_types(6)] + ["E7"])
+def test_levi_roots_and_c1_weights_match_the_old_paths(label):
+    """Levi roots from the support masks and c1 weights as 2 - (2 rho_P, alpha_i^vee)
+    agree with a scan of coefficients and with pairing the summed c_1, on every
+    parabolic."""
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        assert p.levi_roots == support_scan_levi_roots(p), p
+        assert p.c1_weights == c1_vector_weights(p), p
 
 
 def test_dim_x_examples(g2, b3):

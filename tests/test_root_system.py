@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg import root_system
+from mindeg import curve_nbhd, root_system, weyl
 from mindeg.exceptions import (
     ConsistencyError, InadmissibleRankError, InvalidVectorError, MixedRootSystemError,
     ResourceGuardError,
@@ -13,11 +13,13 @@ from mindeg.root_system import (
     Root, RootSystem, SimpleType, admissible, bilinear, build_root_system,
     coroot_coefficients, coroot_pairing, is_long, is_short, reflect, root_leq,
 )
-from mindeg.weyl import identity, simple_reflection
+from mindeg.parabolic import Parabolic
+from mindeg.weyl import identity, mul_gen, reflection, simple_reflection
 
 from oracles import (
-    b3_root_coeffs, fraction_coroot_pairing, g2_root_coeffs, gram_bilinear,
-    regex_parse_simple_type,
+    b3_root_coeffs, bilinear_functional, closure_root_coeffs, fraction_coroot,
+    fraction_coroot_pairing, g2_root_coeffs, gram_bilinear, inversion_count_reflection_length,
+    regex_parse_simple_type, stripping_reflection_word,
 )
 
 ALL_TYPES_RANK_LE_8 = (
@@ -151,6 +153,71 @@ def test_root_table_masks_match_the_root_order(label):
     assert above == tuple(sum(1 << k for k, b in enumerate(roots)
                               if b is not a and root_leq(a, b)) for a in roots)
     assert coroots == tuple(coroot_coefficients(a) for a in roots)
+
+
+@pytest.mark.parametrize("label", ALL_TYPES_RANK_LE_8)
+def test_one_pass_matches_the_per_root_oracles(label):
+    """Each positive root's coroot, functional, norm, support and word from
+    the pass by simple reflections agree with the direct formulas: the word
+    is a palindrome that multiplies out to the reflection element, with as
+    many letters as that element has inversions."""
+    rs = build_root_system(label)
+    assert {r.coeffs for r in rs.roots} == closure_root_coeffs(rs)
+    assert list(rs.root_data) == sorted(rs.root_data, key=sum)  # by height
+    units = [tuple(int(k == i) for k in range(rs.rank)) for i in range(rs.rank)]
+    for a in rs.positive_roots:
+        data = rs.root_data[a.coeffs]
+        assert data.coroot == fraction_coroot(a) == coroot_coefficients(a), a
+        assert data.functional == bilinear_functional(a) == tuple(
+            fraction_coroot_pairing(u, a) for u in units), a
+        assert data.norm == gram_bilinear(rs, a.coeffs, a.coeffs) == bilinear(a, a), a
+        assert data.support == sum(1 << k for k, c in enumerate(a.coeffs) if c), a
+        word = data.word
+        assert word == word[::-1], a
+        w = identity(rs)
+        for i in word:
+            w = mul_gen(w, i)
+        assert w == reflection(rs, a), a
+        assert len(word) == w.length == inversion_count_reflection_length(a), a
+        assert len(word) == len(stripping_reflection_word(a)), a
+
+
+@pytest.mark.parametrize("label", ALL_TYPES_RANK_LE_8)
+def test_tables_read_off_the_one_pass_match_the_direct_formulas(label):
+    """The functionals of every root, the support masks and the fits masks
+    of the root table agree with bilinear forms, coefficient scans and a scan
+    of every root for every bound."""
+    rs = build_root_system(label)
+    for a in rs.roots:
+        assert rs.coroot_functionals[a.coeffs] == bilinear_functional(a), a
+    assert rs.root_supports == tuple(sum(1 << k for k, c in enumerate(r.coeffs) if c)
+                                     for r in rs.roots)
+    _, fits, _, coroots = rs.root_table
+    for i, fit in enumerate(fits):
+        assert len(fit) == max(c[i] for c in coroots) + 1
+        for v, mask in enumerate(fit):
+            assert mask == sum(1 << j for j, c in enumerate(coroots) if c[i] <= v), (i, v)
+
+
+@pytest.mark.parametrize("label", ["G2", "C3", "F4"])
+def test_the_build_path_takes_no_per_root_formula(monkeypatch, label):
+    """A fresh system builds its tables and runs the full-flag search with no
+    call of bilinear, coroot_coefficients, reflection, inversion_set or
+    reduced_word, and finds the memoized system's minimal degrees."""
+    def refused(*args):
+        raise AssertionError("the build path took a per-root formula")
+    for module in (root_system, weyl, curve_nbhd):
+        for name in ("bilinear", "coroot_coefficients", "reflection", "inversion_set",
+                     "reduced_word"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    rs = RootSystem(SimpleType.parse(label))
+    rs.root_table, rs.coroot_functionals, rs.root_supports
+    weyl._Steps(rs)
+    found = curve_nbhd._borel_minimal(Parabolic(rs, frozenset()))
+    monkeypatch.undo()
+    assert sorted(found) == sorted(curve_nbhd.minimal_degrees(
+        curve_nbhd.borel(build_root_system(label))))
 
 
 def test_every_type_of_rank_at_most_12_passes_the_root_count():

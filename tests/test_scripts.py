@@ -1,0 +1,21 @@
+"""Smoke tests of the scripts under scripts/."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_time_cold_query_reports_each_part():
+    """One fresh run of A2 prints one line with a time in ms for each of the
+    four parts of a cold query."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "time_cold_query.py"), "--types", "A2", "--runs", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split()[:5] == ["type", "import", "build", "search", "rest"]
+    label, *times = row.split()
+    assert label == "A2" and len(times) == 4
+    assert all(float(t) >= 0 for t in times)

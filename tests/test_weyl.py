@@ -293,6 +293,35 @@ def test_packed_paths_match_mul_gen_oracles(label, data):
         z, z_inv = got
 
 
+ONE_PASS_TYPES = (
+    [f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
+    + [f"C{l}" for l in range(2, 9)] + [f"D{l}" for l in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+@pytest.mark.parametrize("label", ONE_PASS_TYPES)
+def test_hecke_steps_by_the_palindromic_words_match_the_stripped_words(label):
+    """The Hecke step on cosets, which reads the reflection words of the
+    one pass, agrees with the letter-by-letter step over the stripped word
+    of the reflection element, for every positive root: from the identity,
+    from s_1 and from s_theta (theta the highest root), on G/B and on the
+    parabolics of the first and of the last simple root."""
+    rs = build_root_system(label)
+    e, s1 = identity(rs), simple_reflection(rs, 0)
+    starts = [(e, e), (s1, s1), hecke_reflection_on_coset(e, e, rs.highest_root, ())]
+    for positions in {(), (0,), (rs.rank - 1,)}:
+        for z, z_inv in starts:
+            while any(z.images[i] < 0 for i in positions):  # the minimal representative
+                i = next(i for i in positions if z.images[i] < 0)
+                z, z_inv = mul_gen(z, i), _word_element(rs, reversed(reduced_word(mul_gen(z, i))))
+            for alpha in rs.positive_roots:
+                got = hecke_reflection_on_coset(z, z_inv, alpha, positions)
+                assert got == mul_gen_hecke_reflection_on_coset(z, z_inv, alpha, positions), (
+                    z, alpha, positions)
+                assert got[0].length == got[1].length == len(inversion_set(got[0]))
+
+
 @pytest.mark.parametrize("label", ["A3", "B3", "G2"])
 def test_descents_at_counts_is_descent(label):
     rs = build_root_system(label)
