@@ -29,8 +29,12 @@ by coroot_coefficients, functionals by coroot_coefficients and the Cartan
 matrix, reflection words by stripping the reflection element and their
 lengths by its inversion count, Levi roots by
 scanning coefficients, c1 weights from the summed vector c_1, Q(i)-spans from
-Gauss-Jordan elimination over pairs of Fractions, and simple-type labels
-from a regular expression.
+Gauss-Jordan elimination over pairs of Fractions, so7 brackets from two dense
+matrix products, the G2 closure by re-bracketing every pair until a round
+adds nothing, and simple-type labels from a regular expression.
+
+APPENDIX_WITNESSES pins the so7 checklist itself: the name, pass flag and
+witness of each check, as in perfbench/reference/appendix.json.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, lifting, maximal_roots,
     minimal_degrees,
 )
+from mindeg.exactlinalg import SpanBuilder
 from mindeg.exceptions import (
     ConsistencyError, ExceptionalCaseError, InadmissibleRankError, LiftingNotUniqueError,
     NotApplicableError, NotMinimalDegreeError, UniquenessViolationError,
@@ -56,6 +61,7 @@ from mindeg.root_system import (
     Root, RootSystem, SimpleType, bilinear, coroot_coefficients, coroot_pairing, reflect,
     root_leq,
 )
+from mindeg.so7 import Matrix7, build_tables
 from mindeg.tangent_directions import (
     TangentDirectionSets, associated_pair, is_exceptional_triple,
 )
@@ -748,6 +754,70 @@ def qi_rank(vectors) -> int:
 
 def qi_contains(vectors, vec) -> bool:
     return qi_rank(list(vectors) + [vec]) == qi_rank(vectors)
+
+
+APPENDIX_WITNESSES = (
+    ("e-basis-bracket-rules", True, "441 commutators checked, 0 mismatches"),
+    ("root-vectors-skew-symmetric", True, "33 matrices checked, 0 not skew"),
+    ("root-space-decomposition", True,
+     "eigenvalue constant [Fraction(1, 1)], span rank 21"),
+    ("g2-root-vectors-eigen", True,
+     "12 root vectors against 2 Cartan elements; failures: []"),
+    ("g2-closure-dimension", True, "closure dimension 14, missing members 0"),
+    ("g2-structure-constants-nonzero", True, "root-sum pairs checked; failures: []"),
+    ("subalgebra-inclusions", True,
+     "dims {'t': 2, 'p1': 9, 'l1': 4, 'l1~': 11, 'p1~': 16, 'b3': 21}, "
+     "joint span 21, witnesses True"),
+    ("levi-bracket-spans-quotient", True,
+     "span dimension 21 of 21; quotient dimension 5; "
+     "both cascade directions recovered: True"),
+    ("restricted-bracket-codimension-one", True,
+     "restricted span 20 of 21 (quotient 4 of 5); "
+     "tangent-direction span 13 of 14, completed 14"),
+    ("longest-element-restriction", True,
+     "longest elements act as -1: [True, True]; "
+     "negation preserves the small Cartan: True"),
+)
+
+
+def dense_product(x: Matrix7, y: Matrix7) -> Matrix7:
+    """The matrix product xy, row by row of x and column by column of y."""
+    n = 7
+    re, im = [0] * (n * n), [0] * (n * n)
+    for i in range(0, n * n, n):
+        for k in range(n):
+            ar, ai = x.re[i + k], x.im[i + k]
+            if not (ar or ai):
+                continue
+            for j in range(n):
+                br, bi = y.re[n * k + j], y.im[n * k + j]
+                if br or bi:
+                    re[i + j] += ar * br - ai * bi
+                    im[i + j] += ar * bi + ai * br
+    return Matrix7(tuple(re), tuple(im))
+
+
+def dense_bracket(x: Matrix7, y: Matrix7) -> Matrix7:
+    return dense_product(x, y) - dense_product(y, x)
+
+
+def fixpoint_g2_closure() -> tuple[Matrix7, ...]:
+    """The bracket closure of the four G2 generators, by rounds: each round
+    brackets every pair of the basis it started with, until one adds nothing."""
+    t = build_tables()
+    gens = [t.g2[(1, 0)], t.g2[(0, 1)], t.g2[(-1, 0)], t.g2[(0, -1)]]
+    sb = SpanBuilder(49)
+    basis = [g for g in gens if sb.add(g)]
+    changed = True
+    while changed:
+        changed = False
+        snapshot = list(basis)
+        for x, y in itertools.combinations(snapshot, 2):
+            w = dense_bracket(x, y)
+            if sb.add(w):
+                basis.append(w)
+                changed = True
+    return tuple(basis)
 
 
 def regex_parse_simple_type(label: str) -> SimpleType:

@@ -17,6 +17,7 @@ from mindeg.report import (
     CaseReport, default_types, emit, predictions_confirmed, render, run_sweep, sweep_cases,
 )
 from mindeg.root_system import SimpleType
+from oracles import APPENDIX_WITNESSES
 
 
 def run_cli(capsys, *args):
@@ -110,8 +111,9 @@ def test_appendix_verify_command(capsys):
     code, out = run_cli(capsys, "appendix-verify")
     assert code == 0
     checklist = json.loads(out)
-    assert all(entry["pass"] for entry in checklist)
-    assert {"check_name", "pass", "witness"} == set(checklist[0])
+    assert [{"check_name", "pass", "witness"}] * len(checklist) == [set(c) for c in checklist]
+    assert [(c["check_name"], c["pass"], c["witness"]) for c in checklist] \
+        == list(APPENDIX_WITNESSES)
 
 
 def test_invalid_type_is_a_clean_error(capsys):

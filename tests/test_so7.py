@@ -1,38 +1,19 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mindeg.exactlinalg import SpanBuilder, intersect_spans, span_rank, spans_equal
+from mindeg.exactlinalg import SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal
 from mindeg.so7 import (
     I, Matrix7, _proportionality, b3_eps_coords, build_tables, e_matrix, epsilon,
     g2_closure_basis, g2_eps_coords, run_appendix_checks,
 )
+from oracles import APPENDIX_WITNESSES, dense_bracket, fixpoint_g2_closure
 
-# Name, pass flag and witness of each check, as in perfbench/reference/appendix.json.
-APPENDIX_WITNESSES = (
-    ("e-basis-bracket-rules", True, "441 commutators checked, 0 mismatches"),
-    ("root-vectors-skew-symmetric", True, "33 matrices checked, 0 not skew"),
-    ("root-space-decomposition", True,
-     "eigenvalue constant [Fraction(1, 1)], span rank 21"),
-    ("g2-root-vectors-eigen", True,
-     "12 root vectors against 2 Cartan elements; failures: []"),
-    ("g2-closure-dimension", True, "closure dimension 14, missing members 0"),
-    ("g2-structure-constants-nonzero", True, "root-sum pairs checked; failures: []"),
-    ("subalgebra-inclusions", True,
-     "dims {'t': 2, 'p1': 9, 'l1': 4, 'l1~': 11, 'p1~': 16, 'b3': 21}, "
-     "joint span 21, witnesses True"),
-    ("levi-bracket-spans-quotient", True,
-     "span dimension 21 of 21; quotient dimension 5; "
-     "both cascade directions recovered: True"),
-    ("restricted-bracket-codimension-one", True,
-     "restricted span 20 of 21 (quotient 4 of 5); "
-     "tangent-direction span 13 of 14, completed 14"),
-    ("longest-element-restriction", True,
-     "longest elements act as -1: [True, True]; "
-     "negation preserves the small Cartan: True"),
-)
+BENCH_APPENDIX = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "appendix.json"
 
 
 def test_span_builder_and_intersection():
@@ -115,6 +96,66 @@ def test_g2_closure_is_fourteen_dimensional():
     assert len(g2_closure_basis()) == 14
 
 
+def test_g2_closure_matches_the_fixpoint_oracle(monkeypatch):
+    basis = g2_closure_basis()
+    assert len(basis) == 14
+    assert spans_equal(basis, fixpoint_g2_closure(), 49)
+    for n, y in enumerate(basis):
+        for x in basis[:n]:
+            assert span_contains(basis, x.bracket(y), 49)
+
+    calls = []
+    bracket = Matrix7.bracket
+
+    def counted(self, other):
+        calls.append(1)
+        return bracket(self, other)
+
+    monkeypatch.setattr(Matrix7, "bracket", counted)
+    assert spans_equal(g2_closure_basis(), basis, 49)
+    assert 0 < len(calls) <= 14 * 13 // 2  # each pair of basis elements at most once
+
+
+def _model_matrices():
+    """The 49 E-matrices, the 33 table matrices and the 14 closure elements."""
+    t = build_tables()
+    e_basis = [e_matrix(i, j) for i in range(1, 8) for j in range(1, 8)]
+    return e_basis + list(t.b3.values()) + list(t.g2.values()) + list(t.eps) \
+        + list(g2_closure_basis())
+
+
+def test_bracket_matches_the_dense_oracle_on_the_model():
+    mats = _model_matrices()
+    assert len(mats) == 49 + 33 + 14
+    bad = [(a, b) for a, x in enumerate(mats) for b, y in enumerate(mats)
+           if x.bracket(y) != dense_bracket(x, y)]
+    assert bad == []
+
+
+@st.composite
+def gaussian_matrices(draw):
+    """A 7x7 matrix with entries in -3..3 + (-3..3)i, from all-zero to fully dense."""
+    slots = draw(st.permutations(range(49)))[:draw(st.integers(0, 49))]
+    entry = st.integers(-3, 3)
+    re, im = [0] * 49, [0] * 49
+    for k in slots:
+        re[k], im[k] = draw(entry), draw(entry)
+    return Matrix7(tuple(re), tuple(im))
+
+
+_FULL = Matrix7(tuple((-1) ** k * (k % 3 + 1) for k in range(49)),
+                tuple(k % 7 - 3 for k in range(49)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=gaussian_matrices(), y=gaussian_matrices())
+@example(x=Matrix7.zero(), y=Matrix7.zero())
+@example(x=Matrix7.zero(), y=_FULL)
+@example(x=_FULL, y=_FULL.transpose())
+def test_bracket_matches_the_dense_oracle_on_random_matrices(x, y):
+    assert x.bracket(y) == dense_bracket(x, y)
+
+
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_conjugation_commutes_with_brackets(data):
@@ -146,3 +187,9 @@ def test_full_checklist_passes():
 def test_checklist_witnesses_are_pinned():
     got = tuple((r.check_name, r.passed, r.witness) for r in run_appendix_checks())
     assert got == APPENDIX_WITNESSES
+
+
+def test_witnesses_match_the_benchmark_reference():
+    reference = json.loads(BENCH_APPENDIX.read_text())
+    assert [(c["check_name"], c["pass"], c["witness"]) for c in reference] \
+        == list(APPENDIX_WITNESSES)
