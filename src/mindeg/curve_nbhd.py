@@ -117,15 +117,17 @@ def _root_table(p: Parabolic):
     """The root table of p's system (RootSystem.root_table), sliced to p.
 
     Returns (roots, fits, above, outside, coroots): fits keeps the
-    coordinates of Delta \\ Delta_P, outside masks the roots of R+ \\ R_P+,
-    and coroots[j] is project_coroot(p, roots[j]), read off the system's
-    integer coroot table. A Levi root projects to the zero degree, so it fits
-    below every degree; starting from the outside mask drops it and changes
-    nothing else.
+    coordinates of Delta \\ Delta_P, outside masks the roots of R+ \\ R_P+
+    (Parabolic.outside_mask; greedy index j is system position N-1-j, N the
+    number of roots), and coroots[j] is project_coroot(p, roots[j]), read
+    off the system's integer coroot table. A Levi root projects to the zero
+    degree, so it fits below every degree; starting from the outside mask
+    drops it and changes nothing else.
     """
+    n, mask = len(p.system.roots), p.outside_mask
     roots, fits, above, coroots = p.system.root_table
     q = p.quotient_positions
-    outside = sum(1 << j for j, a in enumerate(roots) if a in p.outside_levi_set)
+    outside = sum([1 << j for j in range(n // 2) if mask >> n - 1 - j & 1])
     return (roots, tuple(fits[i] for i in q), above, outside,
             tuple(tuple([c[i] for i in q]) for c in coroots))
 

@@ -51,25 +51,48 @@ class Parabolic:
         return tuple(i for i in range(self.system.rank) if i not in inside)
 
     @cached_property
-    def levi_roots(self) -> tuple[Root, ...]:
-        """R_P: the roots supported on Delta_P, whose support masks
-        (RootSystem.root_supports) have no bit outside it."""
+    def levi_positions(self) -> tuple[int, ...]:
+        """The positions in system.roots of R_P, ascending: the roots supported
+        on Delta_P, whose support masks (RootSystem.root_supports) have no bit
+        outside it. R_P = -R_P and -roots[k] is roots[N-1-k] (N = len(roots)),
+        so k is a position of R_P iff N-1-k is: the lower half of these
+        positions is that of R_P-, the upper half that of R_P+."""
         outside = sum([1 << i for i in self.quotient_positions])
-        return tuple([r for r, support in zip(self.system.roots, self.system.root_supports)
+        return tuple([k for k, support in enumerate(self.system.root_supports)
                       if not support & outside])
 
     @cached_property
+    def levi_roots(self) -> tuple[Root, ...]:
+        """R_P, in the order of system.roots."""
+        roots = self.system.roots
+        return tuple([roots[k] for k in self.levi_positions])
+
+    @cached_property
     def levi_positive(self) -> tuple[Root, ...]:
-        return tuple(r for r in self.levi_roots if r.is_positive)
+        """R_P+: the upper half of levi_roots, since R_P = -R_P and
+        -roots[k] is roots[N-1-k], N = len(roots) (see levi_positions)."""
+        levi = self.levi_roots
+        return levi[len(levi) // 2:]
 
     @cached_property
-    def levi_positive_set(self) -> frozenset[Root]:
-        return frozenset(self.levi_positive)
+    def levi_mask(self) -> int:
+        """R_P as a bitmask over the positions of system.roots."""
+        return sum([1 << k for k in self.levi_positions])
 
     @cached_property
-    def outside_levi_set(self) -> frozenset[Root]:
-        """R+ \\ R_P+."""
-        return frozenset(self.system.positive_roots) - self.levi_positive_set
+    def outside_mask(self) -> int:
+        """R+ \\ R_P+ as a bitmask over the positions of system.roots: the
+        upper half of the positions, which is R+ (every negative root comes
+        before every positive one, and -roots[k] is roots[N-1-k]), less the
+        positions of R_P (levi_mask, symmetric as R_P = -R_P)."""
+        n = len(self.system.roots)
+        return ((1 << n) - (1 << n // 2)) & ~self.levi_mask
+
+    @cached_property
+    def direction_rows(self) -> dict[int, tuple]:
+        """The (P, alpha) rows of tangent_directions, keyed by the position of
+        alpha in system.roots; filled as the rows are first read."""
+        return {}
 
     @cached_property
     def w_p(self) -> WeylElement:
@@ -112,8 +135,10 @@ class Parabolic:
                 raise InvalidDegreeError(f"degree {d} is not effective")
 
     def outside_levi(self, alpha: Root) -> bool:
-        """True when alpha lies in R+ \\ R_P+."""
-        return alpha in self.outside_levi_set
+        """True when alpha is a root of this system in R+ \\ R_P+ (outside_mask)."""
+        rs = self.system
+        return alpha.system is rs and bool(
+            self.outside_mask >> rs.root_positions[alpha.coeffs] & 1)
 
     def __repr__(self) -> str:
         return f"Parabolic({self.system.simple_type}, {sorted(self.delta_p)})"
@@ -153,6 +178,6 @@ def c1_pairing(p: Parabolic, d: Degree) -> int:
 
 
 def dim_x(p: Parabolic) -> int:
-    """dim G/P = number of roots in R+ \\ R_P+."""
-    return len(p.outside_levi_set)
+    """dim G/P = number of roots in R+ \\ R_P+, the bits of outside_mask."""
+    return p.outside_mask.bit_count()
 

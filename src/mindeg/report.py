@@ -15,11 +15,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import marshal
 import operator
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from types import SimpleNamespace
 
 from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows, minimal_degrees
@@ -55,6 +57,15 @@ class CaseReport:
     holds: bool
     exception: bool
     verdict: str
+
+    def __init__(self, type, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
+                 lhs, rhs, holds, exception, verdict):
+        # one __dict__ update: a frozen dataclass's own __init__ calls
+        # object.__setattr__ once per field, on every sweep row
+        self.__dict__.update(
+            type=type, delta_p=delta_p, degree=degree, z_length=z_length, z_word=z_word,
+            cascade=cascade, td=td, td_tilde=td_tilde, lhs=lhs, rhs=rhs, holds=holds,
+            exception=exception, verdict=verdict)
 
 
 # The field names in declaration order: the CSV header and the JSON key order.
@@ -188,27 +199,50 @@ def _json_value(v, indent: int, memo: dict) -> str:
     """v as json.dumps(v, indent=2) writes it on a line indented by indent spaces.
 
     Tuples are memoized by (value, indent): the same degree or root recurs
-    across many rows, at more than one depth.
+    across many rows, at more than one depth. Equal tuples may be written
+    differently ((True, 0) == (1, 0), and 1.0 == 1), so an entry keeps the
+    tuple it was written from and answers an equal tuple only when both are
+    built alike: at once when their items are the same objects, as in a
+    serial sweep, whose tuples hold small ints and the coefficient tuples of
+    the system's roots; else when marshal writes both to the same bytes,
+    which it does only for the same types throughout (a process pool returns
+    each case's tuples unpickled, as new objects). The entry then keeps the
+    newer tuple, whose items the next rows of its case share.
     """
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is True or v is False:
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
     if not isinstance(v, tuple):
+        if isinstance(v, str):
+            return encode_basestring_ascii(v)
+        if v is True or v is False:
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return int.__repr__(v)
         raise TypeError(f"cannot write a {type(v).__name__} as report JSON")
     key = (v, indent)
-    text = memo.get(key)
-    if text is None:
-        if v:
-            inner = ",\n" + " " * (indent + 2)
-            text = ("[" + inner[1:] + inner.join([_json_value(x, indent + 2, memo) for x in v])
-                    + "\n" + " " * indent + "]")
-        else:
-            text = "[]"
-        memo[key] = text
+    entry = memo.get(key)
+    if entry is not None:
+        if entry[0] is v or all(map(is_, entry[0], v)):
+            return entry[1]
+        if _marshal_alike(entry[0], v):
+            memo[key] = (v, entry[1])
+            return entry[1]
+    if v:
+        inner = ",\n" + " " * (indent + 2)
+        text = ("[" + inner[1:] + inner.join([_json_value(x, indent + 2, memo) for x in v])
+                + "\n" + " " * indent + "]")
+    else:
+        text = "[]"
+    memo[key] = (v, text)
     return text
+
+
+def _marshal_alike(a: tuple, b: tuple) -> bool:
+    """True when marshal (format 2, which shares no objects) writes a and b
+    to the same bytes; False when it cannot write one of them (an int
+    subclass, say)."""
+    try:
+        return marshal.dumps(a, 2) == marshal.dumps(b, 2)
+    except ValueError:
+        return False
 
 
 # How json.dumps(indent=2) opens the line of each field in a row object.
@@ -223,24 +257,29 @@ def _json_row(r: CaseReport, memo: dict) -> str:
     """The object json.dumps([the fields of r by name], indent=2) writes for
     r, from the template _JSON_ROW, field by field as case_reports types it.
     Strings go through encode_basestring_ascii, which refuses any other type,
-    and tuples through the memo, which refuses a list (unhashable); an int
-    or bool field of another type (True is an int, 1 == True) is refused too."""
+    and tuples through _json_value, which refuses a list; an int or bool
+    field of another type (True is an int, 1 == True) is refused too."""
     (type_, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
      lhs, rhs, holds, exception, verdict) = _field_values(r)
     if not (type(z_length) is type(lhs) is type(rhs) is int
             and type(holds) is type(exception) is bool):
         raise TypeError("report JSON needs int z_length, lhs and rhs, "
                         "and bool holds and exception")
-    enc = encode_basestring_ascii
+    enc, get = encode_basestring_ascii, memo.get
+    texts = []
+    for v in (delta_p, degree, cascade, td, td_tilde):
+        entry = get((v, 4))  # _json_value's first answer, without its call
+        texts.append(entry[1] if entry is not None and (entry[0] is v or all(map(is_, entry[0], v)))
+                     else _json_value(v, 4, memo))
     return _JSON_ROW % (
         enc(type_),
-        memo.get((delta_p, 4)) or _json_value(delta_p, 4, memo),
-        memo.get((degree, 4)) or _json_value(degree, 4, memo),
+        texts[0],
+        texts[1],
         int.__repr__(z_length),
         enc(z_word),
-        memo.get((cascade, 4)) or _json_value(cascade, 4, memo),
-        memo.get((td, 4)) or _json_value(td, 4, memo),
-        memo.get((td_tilde, 4)) or _json_value(td_tilde, 4, memo),
+        texts[2],
+        texts[3],
+        texts[4],
         int.__repr__(lhs),
         int.__repr__(rhs),
         _JSON_BOOL[holds],

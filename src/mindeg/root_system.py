@@ -258,6 +258,7 @@ class RootSystem:
         roots = tuple(Root(self, c) for c in sorted(coeffs))
         self.roots = roots
         self._index = {r.coeffs: r for r in roots}
+        self._pairing_rows = {}  # see pairing_row
         self.positive_roots = tuple(r for r in roots if r.is_positive)
         self.simple_roots = tuple(
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
@@ -321,8 +322,53 @@ class RootSystem:
     def root_positions(self) -> dict[tuple[int, ...], int]:
         """Coefficients of each root -> its position in roots. roots is sorted
         by coefficients, so a bitmask over these positions lists its roots in
-        that order from the lowest bit up."""
+        that order from the lowest bit up. The coefficients of a root share
+        one sign, so every negative root comes before every positive one, and
+        negation reverses the order: -roots[k] is roots[N-1-k], N = len(roots)."""
         return {r.coeffs: k for k, r in enumerate(self.roots)}
+
+    def pairing_row(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """For the positive root alpha = roots[k], over the positive roots gamma
+        in the order of roots (gamma = roots[N/2 + j] at index j): the pairings
+        (gamma, alpha^vee); and the position of -(alpha + gamma), or -1 where
+        alpha + gamma is not a root. Built on the first read of alpha, and
+        held for every parabolic of the system to slice.
+
+        The pairings are gamma dotted with alpha's functional, summed column
+        by column (positive_columns) over its nonzero entries. A root
+        beta = alpha + gamma lies above alpha in the root order, so the sums
+        are found among the roots above alpha (root_table), few for the high
+        roots that cascades hold: beta is at greedy index j of root_table,
+        which is roots[N-1-j], so -beta is roots[j].
+        """
+        row = self._pairing_rows.get(k)
+        if row is None:
+            roots, positions = self.roots, self.root_positions
+            n, a = len(roots), roots[k].coeffs
+            if min(a) < 0:
+                raise ValueError(f"{roots[k]} is not a positive root")
+            pairings = [0] * (n // 2)
+            for c, column in zip(self.root_data[a].functional, self.positive_columns):
+                if c:
+                    pairings = list(map(operator.add, pairings,
+                                        map(operator.mul, column, itertools.repeat(c))))
+            negated = [-1] * (n // 2)
+            above = self.root_table[2][n - 1 - k]
+            while above:
+                low = above & -above
+                j = low.bit_length() - 1
+                above ^= low
+                g = positions.get(tuple(map(operator.sub, roots[n - 1 - j].coeffs, a)))
+                if g is not None:  # beta - alpha is a root, positive as beta > alpha
+                    negated[g - n // 2] = j
+            row = self._pairing_rows[k] = (tuple(pairings), tuple(negated))
+        return row
+
+    @cached_property
+    def positive_columns(self) -> tuple[tuple[int, ...], ...]:
+        """For each simple root alpha_i, the coefficients at alpha_i of the
+        positive roots, in the order of roots."""
+        return tuple(zip(*[r.coeffs for r in self.positive_roots]))
 
     @cached_property
     def root_supports(self) -> tuple[int, ...]:

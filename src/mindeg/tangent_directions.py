@@ -13,22 +13,31 @@ Everything here reads one row per (P, alpha), alpha a cascade root outside
 the Levi (_root_directions): the plain directions -alpha-gamma, each checked
 once in R- \\ R_P-, as a bitmask over the positions of the system's roots;
 the pairings (gamma, alpha^vee) in the order of R_P+; and the gammas pairing
-below -1, which make the strong pairs. The roots are sorted by coefficients,
-the order of td, so td is the OR of the cascade's masks read from the lowest
-bit up. The degree-wide checks (bijectivity, disjointness, associated pairs)
-run once per degree, in key_inequality, which validates d, reads z_d and its
-lifting off the table of minimal degrees, and reports z_d, the cascade and
-both direction sets; tangent_direction_sets returns those sets. The lemma
-checks read the pairings: the pair map's domain is the negative ones, the
-bound their absolute values, and the count identity weighs them, with its
-left side chosen by the action of s_alpha on gamma, not by their sign.
+below -1, which make the strong pairs. The rows run on root positions. The
+roots are sorted by coefficients, the order of td, so td is the OR of the
+cascade's masks read from the lowest bit up; the negative roots fill the
+lower half of that order, and negation reverses it: -roots[k] is
+roots[N-1-k], N the number of roots. A cascade root is outside the Levi when
+its bit is in the parabolic's outside_mask. Since R_P = -R_P, the upper half
+of the Levi positions is R_P+, so the (P, alpha) row is a slice of alpha's
+pairing row (RootSystem.pairing_row), which holds (gamma, alpha^vee) and the
+position of -(alpha+gamma) over every positive gamma and which every
+parabolic of the system shares. Pairing rows are built for the roots a
+cascade reaches and (P, alpha) rows are held on their parabolic
+(Parabolic.direction_rows), both on first read. The degree-wide checks
+(bijectivity, disjointness, associated pairs) run once per degree, in
+key_inequality, which validates d, reads z_d and its lifting off the table
+of minimal degrees, and reports z_d, the cascade and both direction sets;
+tangent_direction_sets returns those sets. The lemma checks read the
+pairings: the pair map's domain is the negative ones, the bound their
+absolute values, and the count identity weighs them, with its left side
+chosen by the action of s_alpha on gamma, not by their sign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import add, mul
+from operator import mul
 
 from .exceptions import (
     ConsistencyError, ExceptionalCaseError, NotMinimalDegreeError,
@@ -61,6 +70,11 @@ class TangentDirectionSets:
     td_tilde: tuple[Root, ...]
     strong_pairs: tuple[tuple[Root, Root], ...]  # (alpha, gamma) with (gamma, alpha^vee) < -1
 
+    def __init__(self, td, td_tilde, strong_pairs):
+        # one __dict__ update: a frozen dataclass's own __init__ calls
+        # object.__setattr__ once per field, on every sweep row
+        self.__dict__.update(td=td, td_tilde=td_tilde, strong_pairs=strong_pairs)
+
 
 @dataclass(frozen=True)
 class KeyInequalityReport:
@@ -72,6 +86,11 @@ class KeyInequalityReport:
     z: WeylElement  # z_d, whose length lhs subtracts
     cascade: tuple[Root, ...]  # of the lifting of d, by coefficients
 
+    def __init__(self, lhs, rhs, holds, exception, sets, z, cascade):
+        # as TangentDirectionSets.__init__
+        self.__dict__.update(lhs=lhs, rhs=rhs, holds=holds, exception=exception, sets=sets,
+                             z=z, cascade=cascade)
+
 
 @dataclass(frozen=True)
 class QuasiHomogeneityVerdict:
@@ -80,43 +99,62 @@ class QuasiHomogeneityVerdict:
     group_dim: int | None = None
 
 
-def _outside_levi(p: Parabolic, cascade: tuple[Root, ...]) -> tuple[Root, ...]:
-    return tuple(a for a in cascade if a in p.outside_levi_set)
+def _outside_levi(p: Parabolic, cascade: tuple[Root, ...]) -> tuple[int, ...]:
+    """The positions in p.system.roots of the roots of cascade in R+ \\ R_P+."""
+    positions, outside = p.system.root_positions, p.outside_mask
+    return tuple([k for k in [positions[a.coeffs] for a in cascade] if outside >> k & 1])
 
 
-def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[Root, ...]:
+def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[int, ...]:
     return _outside_levi(p, cascade_roots(p.system, lifting(p, d)))
 
 
-@lru_cache(maxsize=None)
-def _root_directions(p: Parabolic, alpha: Root) -> tuple[
-        int, tuple[Root, ...], tuple[int, ...]]:
-    """The roots -alpha-gamma, gamma in R_P+ or 0, each checked in R- \\ R_P-,
-    as a mask over the positions of the system's roots (root_positions); the
-    gamma in R_P+ with (gamma, alpha^vee) < -1; and the pairings
-    (gamma, alpha^vee) themselves, gamma dotted with alpha's functional. Both
-    tuples follow the order of R_P+."""
-    rs = p.system
-    positions, a = rs.root_positions, alpha.coeffs
-    mask = 0
-    for s in [a] + [tuple(map(add, a, g.coeffs)) for g in p.levi_positive]:
-        if s in positions:  # s = alpha + gamma is a root
-            r = tuple([-c for c in s])
-            if not p.outside_levi(rs.root(s)):
-                raise ConsistencyError(f"tangent direction {rs.root(r)} not in R- \\ R_P-")
-            mask |= 1 << positions[r]
-    f = rs.coroot_functionals[a]
-    pairings = tuple([sum(map(mul, g.coeffs, f)) for g in p.levi_positive])
-    strong = tuple([g for g, v in zip(p.levi_positive, pairings) if v < -1])
-    return mask, strong, pairings
+def _root_directions(p: Parabolic, k: int) -> tuple[int, tuple[Root, ...], tuple[int, ...]]:
+    """The (P, alpha) row of alpha = roots[k] in R+ \\ R_P+, held on p
+    (Parabolic.direction_rows): the roots -alpha-gamma, gamma in R_P+ or 0,
+    as a mask over the positions of the system's roots, checked to lie in
+    R- \\ R_P-; the gamma in R_P+ with (gamma, alpha^vee) < -1; and the
+    pairings (gamma, alpha^vee) themselves. Both tuples follow the order of
+    R_P+.
+
+    The row is the slice over R_P+ of alpha's pairing row
+    (RootSystem.pairing_row), which every parabolic of the system shares.
+    With N roots, -alpha is roots[N-1-k], and R_P+ is the upper half of the
+    Levi positions, gamma = roots[N/2 + j] sitting at index j of the row.
+    """
+    row = p.direction_rows.get(k)
+    if row is None:
+        rs = p.system
+        n = len(rs.roots)
+        all_pairings, negated = rs.pairing_row(k)
+        levi = [j - n // 2 for j in p.levi_positions[len(p.levi_positions) // 2:]]
+        mask = 1 << n - 1 - k  # -alpha
+        for j in levi:
+            if negated[j] >= 0:  # alpha + gamma is a root
+                mask |= 1 << negated[j]
+        below = (1 << n // 2) - 1 & ~p.levi_mask  # R- \ R_P-: the lower half less R_P
+        bad = mask & ~below
+        if bad:
+            raise ConsistencyError(
+                f"tangent direction {_roots_at(rs, bad)[0]} not in R- \\ R_P-")
+        pairings = tuple([all_pairings[j] for j in levi])
+        strong = tuple([g for g, v in zip(p.levi_positive, pairings) if v < -1])
+        row = p.direction_rows[k] = (mask, strong, pairings)
+    return row
 
 
-def _plain_directions(p: Parabolic, casc: tuple[Root, ...]) -> int:
-    """The union of the plain directions of the cascade roots casc, as a mask."""
+def _plain_directions(p: Parabolic, casc: tuple[int, ...]) -> int:
+    """The union of the plain directions of the cascade roots at the
+    positions casc, as a mask."""
     mask = 0
-    for a in casc:
-        mask |= _root_directions(p, a)[0]
+    for k in casc:
+        mask |= _root_directions(p, k)[0]
     return mask
+
+
+def _in_levi_positive(p: Parabolic, r: Root) -> bool:
+    """True when r is a root of p's system in R_P+."""
+    return r.system is p.system and r.is_positive and not p.outside_levi(r)
 
 
 def _roots_at(rs: RootSystem, mask: int) -> tuple[Root, ...]:
@@ -139,7 +177,8 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
     """
     casc = _cascade_outside_levi(p, d)
     z_e = curve_neighborhood_element(borel(p.system), lifting(p, d))
-    return _associated_pair(p, casc, _plain_directions(p, casc), z_e, alpha, gamma)
+    return _associated_pair(p, tuple([p.system.roots[k] for k in casc]),
+                            _plain_directions(p, casc), z_e, alpha, gamma)
 
 
 def _associated_pair(p: Parabolic, casc: tuple[Root, ...], plain: int, z_e: WeylElement,
@@ -149,7 +188,7 @@ def _associated_pair(p: Parabolic, casc: tuple[Root, ...], plain: int, z_e: Weyl
     rs = p.system
     if alpha not in casc:
         raise ValueError(f"{alpha} is not a cascade root outside the Levi")
-    if gamma not in p.levi_positive_set:
+    if not _in_levi_positive(p, gamma):
         raise ValueError(f"{gamma} is not in R_P+")
     if bilinear(alpha, gamma) >= 0:
         raise ValueError("associated pairs require (alpha, gamma) < 0")
@@ -162,7 +201,7 @@ def _associated_pair(p: Parabolic, casc: tuple[Root, ...], plain: int, z_e: Weyl
 
     if not gamma_p.is_positive:
         raise ConsistencyError("gamma' must be positive")
-    if -z_e.apply(gamma_p) not in p.levi_positive_set:
+    if not _in_levi_positive(p, -z_e.apply(gamma_p)):
         raise ConsistencyError("z_e(gamma') must land in R_P-")
     if coroot_pairing(gamma, alpha_p) != 1:
         raise ConsistencyError("(gamma, alpha'^vee) must be 1")
@@ -189,25 +228,28 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     return key_inequality(p, d).sets
 
 
-def _direction_sets(p: Parabolic, e: Degree, casc: tuple[Root, ...]) -> TangentDirectionSets:
+def _direction_sets(p: Parabolic, e: Degree, casc: tuple[int, ...]) -> TangentDirectionSets:
     """The direction sets of the minimal degree of p with lifting e, casc
-    the cascade of e outside the Levi. td is the union of the rows' masks, and
-    each extra direction one bit of another mask, both listed by position."""
+    the positions of the cascade of e outside the Levi. td is the union of
+    the rows' masks, and each extra direction one bit of another mask, both
+    listed by position."""
     rs = p.system
+    roots = rs.roots
     strong, plain = [], 0
-    for a in casc:
-        mask, gammas, _ = _root_directions(p, a)
+    for k in casc:
+        mask, gammas, _ = _root_directions(p, k)
         plain |= mask
-        strong += [(a, g) for g in gammas]
+        strong += [(roots[k], g) for g in gammas]
     extra = 0
     if strong:
         z_e = _minimal(borel(rs))[0][e][0]
+        alphas = tuple([roots[k] for k in casc])
         seen_gamma = {}
         for a, g in strong:
             if seen_gamma.setdefault(g, a) != a:
                 raise ConsistencyError(
                     f"two orthogonal cascade roots pair below -1 with {g}")
-            ap, gp = _associated_pair(p, casc, plain, z_e, a, g)
+            ap, gp = _associated_pair(p, alphas, plain, z_e, a, g)
             bit = 1 << rs.root_positions[tuple(y - x for x, y in zip(ap.coeffs, gp.coeffs))]
             if extra & bit:
                 raise ConsistencyError(
@@ -230,9 +272,9 @@ def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
     """
     rs = p.system
     casc = _cascade_outside_levi(p, d)
-    domain = [(a, g) for a in casc  # (gamma, alpha^vee) has the sign of (alpha, gamma)
-              for g, v in zip(p.levi_positive, _root_directions(p, a)[2]) if v < 0]
-    negated = {-a for a in casc}
+    domain = [(rs.roots[k], g) for k in casc  # (gamma, alpha^vee) has the sign of (alpha, gamma)
+              for g, v in zip(p.levi_positive, _root_directions(p, k)[2]) if v < 0]
+    negated = {-rs.roots[k] for k in casc}
     plain = _plain_directions(p, casc)
     images = set()
     for a, g in domain:
@@ -265,12 +307,12 @@ def coroot_pairing_bound_holds(p: Parabolic, d: Degree) -> bool:
     """
     casc = _cascade_outside_levi(p, d)  # raises NotMinimalDegreeError via lifting
     if is_exceptional_triple(p, d):
-        witness = [(g, a, v) for a in casc
-                   for g, v in zip(p.levi_positive, _root_directions(p, a)[2])
+        witness = [(g, p.system.roots[k], v) for k in casc
+                   for g, v in zip(p.levi_positive, _root_directions(p, k)[2])
                    if abs(v) == 3]
         raise ExceptionalCaseError(
             "the pairing bound fails on the excluded triple", witness=witness)
-    return all(abs(v) <= 2 for a in casc for v in _root_directions(p, a)[2])
+    return all(abs(v) <= 2 for k in casc for v in _root_directions(p, k)[2])
 
 
 def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
@@ -284,9 +326,9 @@ def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
     rs = p.system
     lhs = 0
     pairings = []
-    for a in _cascade_outside_levi(p, d):
-        s_a = reflection(rs, a)
-        row = _root_directions(p, a)[2]
+    for k in _cascade_outside_levi(p, d):
+        s_a = reflection(rs, rs.roots[k])
+        row = _root_directions(p, k)[2]
         lhs -= sum(v for g, v in zip(p.levi_positive, row) if s_a.apply(g).is_positive)
         pairings += row
     weighted = sum({-1: 1, -2: 2, -3: 3}.get(v, 0) for v in pairings)

@@ -55,18 +55,23 @@ class _Steps:
     value is not 0 (see RootSystem.coroot_functionals). simple holds the
     packed simple roots, and rows[i] is the sparse Cartan row of s_i, the
     functional of alpha_i: s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
-    letters[i] is the 1-based Bourbaki label of s_i as a string. words maps
-    the coefficients of a root alpha, of either sign, to the reduced word of
-    s_alpha = s_{-alpha} that RootSystem.root_data holds.
+    strips[i] is what stripping s_i from the right reads: the first position
+    of rows[i], and the entries (j, c) of rows[i] with j != i, i's neighbours
+    in the Dynkin diagram; stripping s_i negates w(alpha_i), since c = 2 at
+    j = i. letters[i] is the 1-based Bourbaki label of s_i as a string.
+    words maps the coefficients of a root alpha, of either sign, to the
+    reduced word of s_alpha = s_{-alpha} that RootSystem.root_data holds.
     """
 
-    __slots__ = ("table", "simple", "rows", "letters", "words")
+    __slots__ = ("table", "simple", "rows", "strips", "letters", "words")
 
     def __init__(self, rs: RootSystem):
         self.table = {_pack(r.coeffs): (r.coeffs, tuple((i, c) for i, c in enumerate(f) if c))
                       for r in rs.roots for f in (rs.coroot_functionals[r.coeffs],)}
         self.simple = identity(rs).images
         self.rows = tuple(self.table[x][1] for x in self.simple)
+        self.strips = tuple((row[0][0], tuple([(j, c) for j, c in row if j != i]))
+                            for i, row in enumerate(self.rows))
         self.letters = tuple(str(i + 1) for i in range(rs.rank))
         self.words = {}
         for y, data in rs.root_data.items():
@@ -191,17 +196,17 @@ def right_multiplier(v: WeylElement):
     return times_v
 
 
-@lru_cache(maxsize=None)
-def reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """Reduced word (0-based indices) by stripping the smallest right descent.
+def _stripped_word(w: WeylElement, letters) -> list:
+    """The letters letters[i] of the reduced word of w by stripping the
+    smallest right descent s_i, last letter first.
 
     Only the identity has no right descent, so the stripping ends there: at
     the sentinel descent past the last position. No position before the
-    smallest descent i is a descent, and stripping s_i changes only the
-    images at the positions of its Cartan row, so the next scan starts at the
-    row's first position.
+    smallest descent i is a descent, and stripping s_i negates the image at
+    i and changes only the images at i's neighbours (_Steps.strips), so the
+    next scan starts at the first of i and its neighbours.
     """
-    rows = _steps(w.system).rows
+    strips = _steps(w.system).strips
     rank = w.system.rank
     images = [*w.images, -1]
     word = []
@@ -210,17 +215,30 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
         while images[i] >= 0:
             i += 1
         if i == rank:
-            return tuple(reversed(word))
-        word.append(i)
-        b, row = images[i], rows[i]
-        for j, c in row:
+            return word
+        word.append(letters[i])
+        b = images[i]
+        images[i] = -b
+        i, neighbours = strips[i]
+        for j, c in neighbours:
             images[j] -= c * b
-        i = row[0][0]
+
+
+@lru_cache(maxsize=None)
+def reduced_word(w: WeylElement) -> tuple[int, ...]:
+    """Reduced word (0-based indices) by stripping the smallest right
+    descent (_stripped_word), memoized: hecke_product reads its right
+    factor's."""
+    return tuple(reversed(_stripped_word(w, range(w.system.rank))))
 
 
 def word_str(w: WeylElement) -> str:
-    """Serialized reduced word in 1-based Bourbaki generator indices."""
-    return " ".join(map(_steps(w.system).letters.__getitem__, reduced_word(w)))
+    """Serialized reduced word in 1-based Bourbaki generator indices, the
+    letters of reduced_word. It strips w afresh, past the memo, which would
+    hold one entry for each distinct z of a sweep."""
+    word = _stripped_word(w, _steps(w.system).letters)
+    word.reverse()
+    return " ".join(word)
 
 
 @lru_cache(maxsize=None)

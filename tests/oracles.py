@@ -21,13 +21,14 @@ one letter of w_P at a time, the Weyl action from simple reflections on
 unpacked coefficient vectors, reduced words by a scan for the first descent
 from the first position each time, reduced words, the Hecke step and
 composition one mul_gen or one unpacked root at a time,
-tangent directions root by root for each degree, the three lemma checks
+tangent directions root by root for each degree, each (P, alpha) row from
+sets of roots and coroot_pairing, the three lemma checks
 from pairings recomputed for each degree (the count identity reading a
 rebuilt inversion set of each s_alpha), the data of the one pass by simple
 reflections from the closure of the simple roots, coroots by Fractions and
 by coroot_coefficients, functionals by coroot_coefficients and the Cartan
 matrix, reflection words by stripping the reflection element and their
-lengths by its inversion count, Levi roots by
+lengths by its inversion count, Levi roots and R+ \\ R_P+ by
 scanning coefficients, c1 weights from the summed vector c_1, Q(i)-spans from
 Gauss-Jordan elimination over pairs of Fractions, so7 brackets from two dense
 matrix products, the G2 closure by re-bracketing every pair until a round
@@ -185,9 +186,16 @@ def support_scan_levi_roots(p: Parabolic) -> tuple[Root, ...]:
                  if all(c == 0 or i in inside for i, c in enumerate(r.coeffs)))
 
 
+def outside_levi_roots(p: Parabolic) -> frozenset[Root]:
+    """R+ \\ R_P+: the positive roots outside support_scan_levi_roots(p)."""
+    levi = set(support_scan_levi_roots(p))
+    return frozenset(r for r in p.system.positive_roots if r not in levi)
+
+
 def c1_vector(p: Parabolic) -> tuple[int, ...]:
     """Sum of the roots in R+ \\ R_P+, over the simple-root basis."""
-    return tuple(sum(r.coeffs[i] for r in p.outside_levi_set) for i in range(p.system.rank))
+    outside = outside_levi_roots(p)
+    return tuple(sum(r.coeffs[i] for r in outside) for i in range(p.system.rank))
 
 
 def c1_vector_weights(p: Parabolic) -> tuple[int, ...]:
@@ -474,6 +482,29 @@ def per_degree_tangent_directions(p: Parabolic, d: Degree) -> tuple[Root, ...]:
         if not p.outside_levi(-r):
             raise ConsistencyError(f"tangent direction {r} not in R- \\ R_P-")
     return tuple(sorted(out, key=lambda r: r.coeffs))
+
+
+def set_root_directions(p: Parabolic, alpha: Root) -> tuple[
+        int, tuple[Root, ...], tuple[int, ...]]:
+    """The (P, alpha) row from sets of roots: the roots -alpha-gamma, gamma in
+    R_P+ or 0, each checked in R- \\ R_P-, as a mask over the positions of
+    the system's roots; the gamma in R_P+ with (gamma, alpha^vee) < -1; and
+    the pairings (gamma, alpha^vee) by coroot_pairing. R_P+ and R+ \\ R_P+
+    come from the coefficient scan, and both tuples follow the order of R_P+."""
+    rs = p.system
+    levi = set(support_scan_levi_roots(p))
+    levi_positive = [r for r in rs.roots if r in levi and r.is_positive]
+    outside = outside_levi_roots(p)
+    positions, a = rs.root_positions, alpha.coeffs
+    mask = 0
+    for s in [a] + [tuple(x + y for x, y in zip(a, g.coeffs)) for g in levi_positive]:
+        if rs.is_root(s):
+            if rs.root(s) not in outside:
+                raise ConsistencyError(f"tangent direction {-rs.root(s)} not in R- \\ R_P-")
+            mask |= 1 << positions[tuple(-c for c in s)]
+    pairings = tuple(coroot_pairing(g, alpha) for g in levi_positive)
+    strong = tuple(g for g, v in zip(levi_positive, pairings) if v < -1)
+    return mask, strong, pairings
 
 
 def per_degree_tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:

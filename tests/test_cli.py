@@ -3,12 +3,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindeg import report
 from mindeg.cli import main
@@ -377,6 +380,68 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
                         [first, dataclasses.replace(second, **change), second]):
             with pytest.raises(TypeError):
                 emit(reports, "json")
+
+
+def _hand_built_report() -> CaseReport:
+    return CaseReport(type="B2", delta_p=(), degree=(1, 0), z_length=0, z_word="",
+                      cascade=((1, 0),), td=((0, 1), (1, 0)), td_tilde=(), lhs=-3, rhs=0,
+                      holds=True, exception=False, verdict="DenseGOrbit")
+
+
+def test_emit_json_writes_bools_in_tuples_as_json_dumps_does():
+    """(True, 0) == (1, 0), and both hash alike, yet json.dumps writes
+    [true, 0] and [1, 0]. The JSON memo answers neither with the text of the
+    other, in either order and at either depth, and a float equal to a
+    memoized int tuple is refused as it is without the memo."""
+    a = _hand_built_report()
+    b = dataclasses.replace(a, degree=(True, 0))
+    c = dataclasses.replace(a, td=((False, True), (True, 0)), cascade=((1, False),))
+    for reports in ([a, b], [b, a], [a, b, a, b], [a, c, b], [c, a, c]):
+        _check_emit_json_against_json_dumps(reports)
+        chunks = [[r] for r in reports]
+        assert "".join(render(chunks, "json")) == emit(reports, "json")
+    for change in ({"degree": (1.0, 0)}, {"td": ((0, 1), (1.0, 0))}):
+        with pytest.raises(TypeError):
+            emit([a, dataclasses.replace(a, **change)], "json")
+
+
+class _SmallInt(int):
+    pass
+
+
+def test_emit_json_matches_json_dumps_on_rows_rebuilt_as_new_objects():
+    """A process pool returns each case's reports unpickled, so an equal
+    tuple arrives built from new objects. The memo answers it only when its
+    leaves have the same types, and writes an int subclass (which marshal
+    cannot write) as json.dumps does."""
+    a = _hand_built_report()
+    b = dataclasses.replace(a, degree=(True, 0), td=((0, True), (1, 0)))
+    c = dataclasses.replace(a, degree=(_SmallInt(1), 0), cascade=((_SmallInt(1), 0),))
+    rows = run_sweep((SimpleType("G", 2),))
+    for reports in ([a, b, c], rows):
+        copies = [pickle.loads(pickle.dumps(r)) for r in reports]
+        _check_emit_json_against_json_dumps(reports + copies + reports[::-1])
+    assert emit(rows + [pickle.loads(pickle.dumps(r)) for r in rows], "json") == \
+        emit(rows + rows, "json")
+
+
+# tuples nested up to three deep whose leaves are small ints and bools
+_MIXED_TUPLES = st.lists(
+    st.recursive(st.integers(-2, 2) | st.booleans(),
+                 lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6),
+    max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_MIXED_TUPLES, _MIXED_TUPLES, _MIXED_TUPLES), min_size=1, max_size=5))
+def test_emit_json_matches_json_dumps_on_mixed_int_and_bool_tuples(fields):
+    """Reports whose tuple fields mix ints and bools that compare equal
+    (1 == True, 0 == False) are written as json.dumps writes them, by emit
+    and by render, whose one memo serves the whole stream."""
+    base = _hand_built_report()
+    reports = [dataclasses.replace(base, degree=d, cascade=c, td=t) for d, c, t in fields]
+    _check_emit_json_against_json_dumps(reports)
+    assert "".join(render([reports[:1], reports[1:]], "json")) == emit(reports, "json")
 
 
 def test_emit_round_trips_reports():

@@ -9,7 +9,7 @@ from mindeg.root_system import build_root_system, coroot_coefficients, coroot_pa
 
 from oracles import (
     all_parabolics, c1_vector, c1_vector_weights, fraction_c1_pairing, levi_intersection_check,
-    roots_of_p, support_scan_levi_roots,
+    outside_levi_roots, roots_of_p, support_scan_levi_roots,
 )
 
 SMALL_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
@@ -99,6 +99,29 @@ def test_levi_roots_and_c1_weights_match_the_old_paths(label):
     for p in all_parabolics(rs):
         assert p.levi_roots == support_scan_levi_roots(p), p
         assert p.c1_weights == c1_vector_weights(p), p
+
+
+@pytest.mark.parametrize("label", [str(t) for t in default_types(4)] + ["B5"])
+def test_levi_masks_match_the_root_sets(label):
+    """levi_mask and outside_mask hold the positions of R_P and R+ \\ R_P+
+    from the coefficient scan, levi_positive is the Levi roots filtered by
+    is_positive, and outside_levi and dim_x read R+ \\ R_P+, on every
+    parabolic."""
+    rs = build_root_system(label)
+    positions = rs.root_positions
+    for p in all_parabolics(rs):
+        levi, outside = support_scan_levi_roots(p), outside_levi_roots(p)
+        assert p.levi_mask == sum(1 << positions[r.coeffs] for r in levi), p
+        assert p.outside_mask == sum(1 << positions[r.coeffs] for r in outside), p
+        assert p.levi_positive == tuple(r for r in levi if r.is_positive), p
+        assert [p.outside_levi(r) for r in rs.roots] == [r in outside for r in rs.roots], p
+        assert dim_x(p) == len(outside), p
+
+
+def test_outside_levi_refuses_a_root_of_another_system(a2):
+    p = Parabolic(a2, frozenset())
+    assert p.outside_levi(a2.simple_roots[0])
+    assert not p.outside_levi(build_root_system("B2").simple_roots[0])
 
 
 def test_dim_x_examples(g2, b3):

@@ -199,6 +199,35 @@ def test_tables_read_off_the_one_pass_match_the_direct_formulas(label):
             assert mask == sum(1 << j for j, c in enumerate(coroots) if c[i] <= v), (i, v)
 
 
+@pytest.mark.parametrize("label", ALL_TYPES_RANK_LE_8)
+def test_negation_reverses_the_root_order(label):
+    """The negative roots fill the lower half of roots, the positive ones the
+    upper half, and -roots[k] is roots[N-1-k]."""
+    rs = build_root_system(label)
+    n = len(rs.roots)
+    assert rs.positive_roots == rs.roots[n // 2:]
+    assert [-r for r in rs.roots] == list(reversed(rs.roots))
+
+
+@pytest.mark.parametrize("label", SMALL_TYPES + ["B5", "E6"])
+def test_pairing_rows_match_coroot_pairing_and_the_root_set(label):
+    """Over the positive roots gamma, a root's pairing row holds
+    (gamma, alpha^vee) and the position of -(alpha + gamma), or -1 where the
+    sum is not a root; a negative root has none."""
+    rs = build_root_system(label)
+    n = len(rs.roots)
+    for k in range(n // 2, n):
+        alpha = rs.roots[k]
+        pairings, negated = rs.pairing_row(k)
+        assert pairings == tuple(coroot_pairing(g, alpha) for g in rs.positive_roots)
+        sums = [tuple(x + y for x, y in zip(alpha.coeffs, g.coeffs)) for g in rs.positive_roots]
+        assert negated == tuple(rs.roots.index(-rs.root(s)) if rs.is_root(s) else -1
+                                for s in sums), alpha
+        assert rs.pairing_row(k) is rs.pairing_row(k)
+    with pytest.raises(ValueError, match="not a positive root"):
+        rs.pairing_row(n // 2 - 1)
+
+
 @pytest.mark.parametrize("label", ["G2", "C3", "F4"])
 def test_the_build_path_takes_no_per_root_formula(monkeypatch, label):
     """A fresh system builds its tables and runs the full-flag search with no

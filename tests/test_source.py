@@ -115,7 +115,6 @@ MEMOS = {
     "parabolic.project_coroot",
     "root_system._build",
     "so7.build_tables", "so7.subalgebra_bases",
-    "tangent_directions._root_directions",
     "weyl.identity", "weyl._steps", "weyl.reflection", "weyl.reduced_word",
     "weyl._longest", "weyl.all_elements",
 }

@@ -1,24 +1,29 @@
+import dataclasses
+import inspect
+import pickle
+
 import pytest
 
 from mindeg.cascade import cascade_roots
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, lifting, minimal_degrees, point_class_degree,
 )
-from mindeg.exceptions import ExceptionalCaseError, NotMinimalDegreeError
+from mindeg.exceptions import ConsistencyError, ExceptionalCaseError, NotMinimalDegreeError
 from mindeg.parabolic import Parabolic
-from mindeg.report import case_reports, default_types
-from mindeg.root_system import bilinear, build_root_system, coroot_pairing
+from mindeg.report import CaseReport, case_reports, default_types
+from mindeg.root_system import RootSystem, SimpleType, bilinear, build_root_system, coroot_pairing
 from mindeg.tangent_directions import (
-    VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, associated_pair, coroot_pairing_bound_holds, is_exceptional_triple,
-    key_inequality, pair_map_is_injective, quasi_homogeneity_verdict,
-    tangent_direction_sets, weighted_pair_count_identity_holds,
+    VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, KeyInequalityReport, TangentDirectionSets,
+    _outside_levi, _root_directions, associated_pair, coroot_pairing_bound_holds, is_exceptional_triple, key_inequality, pair_map_is_injective,
+    quasi_homogeneity_verdict, tangent_direction_sets, weighted_pair_count_identity_holds,
 )
 from mindeg.weyl import word_str
 
 from oracles import (
-    all_parabolics, per_degree_coroot_pairing_bound_holds, per_degree_pair_map_is_injective,
-    per_degree_tangent_direction_sets, per_degree_tangent_directions,
-    per_degree_weighted_pair_count_identity_holds,
+    all_parabolics, outside_levi_roots, per_degree_coroot_pairing_bound_holds,
+    per_degree_pair_map_is_injective, per_degree_tangent_direction_sets,
+    per_degree_tangent_directions, per_degree_weighted_pair_count_identity_holds,
+    set_root_directions,
 )
 
 SWEEP_TYPES = ["A1", "A2", "A3", "B2", "B3", "C3", "D3", "F4", "G2"]
@@ -298,3 +303,67 @@ def test_sweep_rows_match_the_public_per_degree_path(label):
             assert r.cascade == tuple(x.coeffs for x in cascade_roots(rs, lifting(p, d))), (p, d)
             exceptions += r.exception
     assert exceptions == (label == "G2")
+
+
+@pytest.mark.parametrize("label", [str(t) for t in default_types(4)] + ["B5"])
+def test_root_rows_match_the_set_oracle(label):
+    """Each (P, alpha) row, a slice of alpha's pairing row over the Levi
+    positions, equals the row built from sets of roots and coroot_pairing,
+    for every alpha in R+ \\ R_P+ of every parabolic."""
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        for alpha in outside_levi_roots(p):
+            k = rs.root_positions[alpha.coeffs]
+            assert _root_directions(p, k) == set_root_directions(p, alpha), (p, alpha)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_a_row_refuses_a_direction_in_the_levi(label):
+    """A row checks each of its directions in R- \\ R_P-: at a root alpha of
+    R_P+, -alpha lies in R_P-, and the row is refused and not stored."""
+    rs = build_root_system(label)
+    for p in all_parabolics(rs):
+        for alpha in p.levi_positive:
+            k = rs.root_positions[alpha.coeffs]
+            with pytest.raises(ConsistencyError, match="not in R- "):
+                _root_directions(p, k)
+            assert k not in p.direction_rows
+            with pytest.raises(ConsistencyError, match="not in R- "):
+                set_root_directions(p, alpha)
+
+
+def test_rows_are_built_lazily_and_shared_by_the_parabolics():
+    """A fresh system holds no pairing row. key_inequality builds the rows
+    of its cascade roots outside the Levi, and only those, each on its
+    parabolic over the system's one pairing row of the root."""
+    rs = RootSystem(SimpleType.parse("B3"))
+    assert rs._pairing_rows == {}
+    built = set()
+    for delta_p in ({2}, {3}, {2, 3}):
+        p = Parabolic(rs, frozenset(delta_p))
+        for d in minimal_degrees(p):
+            casc = _outside_levi(p, key_inequality(p, d).cascade)
+            built |= set(casc)
+            assert set(casc) <= set(p.direction_rows), (p, d)
+        assert set(rs._pairing_rows) == built
+    assert len(built) < len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("cls", [TangentDirectionSets, KeyInequalityReport, CaseReport])
+def test_row_objects_keep_their_dataclass_behaviour(cls):
+    """The per-row objects fill __dict__ in their own __init__: it takes the
+    fields in declaration order, by position or by name, sets each of them
+    and nothing else, and the object stays a frozen, hashable, picklable
+    dataclass."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    values = [(i,) for i in range(len(names))]
+    obj = cls(*values)
+    assert vars(obj) == dict(zip(names, values))
+    assert obj == cls(**dict(zip(names, values))) == pickle.loads(pickle.dumps(obj))
+    assert hash(obj) == hash(cls(*values))
+    assert repr(obj).startswith(f"{cls.__name__}({names[0]}=(0,), ")
+    changed = dataclasses.replace(obj, **{names[-1]: "x"})
+    assert getattr(changed, names[-1]) == "x" and changed != obj
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, names[0], 1)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mindeg.exceptions import InvalidVectorError, MixedRootSystemError
 from mindeg.report import default_types
-from mindeg.root_system import build_root_system
+from mindeg.root_system import RootSystem, SimpleType, build_root_system
 from mindeg.weyl import (
     all_elements, bruhat_leq, center_elements, compose, descent_mask, descents_at,
     hecke_product, hecke_reflection_on_coset, identity, inversion_set, longest_element,
@@ -147,6 +147,17 @@ def test_word_serialization(a2):
     w0 = longest_element(a2)
     assert word_str(w0) == "1 2 1"
     assert word_str(identity(a2)) == ""
+
+
+def test_word_str_strips_past_the_memo():
+    """word_str writes the letters of reduced_word, 1-based, and adds no
+    entry to its memo."""
+    rs = RootSystem(SimpleType.parse("B3"))  # a fresh system, no word memoized
+    elements = all_elements(rs)
+    before = reduced_word.cache_info().currsize
+    texts = [word_str(w) for w in elements]
+    assert reduced_word.cache_info().currsize == before
+    assert texts == [" ".join(str(i + 1) for i in reduced_word(w)) for w in elements]
 
 
 def test_center_examples(g2, a2):
