@@ -1,11 +1,15 @@
 """Exact spans of Gaussian-integer vectors, by fraction-free integer elimination.
 
-A vector over Z[i] is a pair (re, im) of integer tuples. Its Q(i)-span is
-realified as span{v, iv} inside Q^(2n), with v -> (re|im) and iv -> (-im|re),
-so rank over Q is twice the rank over Q(i). One integer echelon serves every
+A vector over Z[i] is a pair (re, im) of integer tuples of length dim. Its
+Q(i)-span is realified as span{v, iv} inside Q^(2 dim), with v -> (re|im)
+and iv -> (-im|re), so rank over Q is twice the rank over Q(i). A realified
+row is stored sparse, as a dict {column: value} of its nonzero entries, and
+its pivot is its least column, min(row). One integer echelon serves every
 function here: a row w is reduced against a stored row with pivot p by
-w <- row[p]*w - w[p]*row and then divided by the gcd of its entries (the
-fraction-free elimination of Bareiss, Math. Comp. 22, 1968). No rational
+w <- row[p]*w - w[p]*row, both factors first divided by their gcd, and then
+divided by the gcd of its entries (the fraction-free elimination of Bareiss,
+Math. Comp. 22, 1968); the step reads and writes only the nonzero entries of
+w and row, and gives the same integers as on the dense rows. No rational
 number and no floating point enters, so every result is exact.
 """
 
@@ -13,104 +17,145 @@ from __future__ import annotations
 
 from math import gcd
 
+from .exceptions import InvalidVectorError
+
 __all__ = ["SpanBuilder", "span_rank", "span_contains", "spans_equal",
            "intersect_spans"]
 
 
-def _realify(vec) -> tuple[list[int], list[int]]:
-    """The integer rows (re|im) and (-im|re) of v and iv."""
+def _realify(vec, dim: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The sparse integer rows (re|im) and (-im|re) of v and iv."""
     re, im = vec
-    return [*re, *im], [-x for x in im] + list(re)
+    if len(re) != dim or len(im) != dim:
+        raise InvalidVectorError(
+            f"a vector of this span has {dim} entries in each part, "
+            f"got {len(re)} real and {len(im)} imaginary")
+    v, iv = {}, {}
+    for k, x in enumerate(re):
+        if x:
+            v[k] = iv[dim + k] = x
+    for k, y in enumerate(im):
+        if y:
+            v[dim + k] = y
+            iv[k] = -y
+    return v, iv
 
 
 class SpanBuilder:
     """Incremental integer row echelon form of a realified Q(i)-span."""
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, vectors=()):
         self.dim = dim
-        # pivot column -> row, in insertion order. Each row was reduced against
-        # the rows before it, so it is zero at their pivots, and one pass in
-        # this order leaves a reduced row zero at every pivot.
-        self.rows: dict[int, list[int]] = {}
+        # pivot column -> sparse row, in insertion order. Each row was reduced
+        # against the rows before it, so it is zero at their pivots, and one
+        # pass in this order leaves a reduced row zero at every pivot.
+        self.rows: dict[int, dict[int, int]] = {}
+        for v in vectors:
+            self.add(v)
 
-    def _reduce(self, w: list[int]) -> list[int]:
+    def extended(self, vectors) -> "SpanBuilder":
+        """A copy of this echelon with vectors added; this builder is unchanged.
+
+        Stored rows are never written, so the copy shares them.
+        """
+        out = SpanBuilder(self.dim)
+        out.rows = dict(self.rows)
+        for v in vectors:
+            out.add(v)
+        return out
+
+    def _reduce(self, w: dict[int, int]) -> dict[int, int]:
+        """w reduced against every stored row; w itself may be changed."""
         for p, row in self.rows.items():
-            c = w[p]
+            c = w.get(p)
             if c:
                 a = row[p]
                 g = gcd(a, c)
                 a, c = a // g, c // g
-                w = [a * x - c * y for x, y in zip(w, row)]
-                g = gcd(*w)
+                if a != 1:
+                    w = {k: a * x for k, x in w.items()}
+                for k, y in row.items():
+                    x = w.get(k, 0) - c * y
+                    if x:
+                        w[k] = x
+                    else:
+                        del w[k]
+                g = gcd(*w.values())
                 if g > 1:
-                    w = [x // g for x in w]
+                    w = {k: x // g for k, x in w.items()}
         return w
 
-    def _insert(self, w: list[int]) -> bool:
-        """Add one integer row; returns True iff it enlarged the row space."""
+    def _insert(self, w: dict[int, int]) -> bool:
+        """Add one sparse integer row; returns True iff it enlarged the row space."""
         w = self._reduce(w)
-        pivot = next((k for k, x in enumerate(w) if x), None)
-        if pivot is None:
+        if not w:
             return False
-        self.rows[pivot] = w
+        self.rows[min(w)] = w
         return True
 
     def add(self, vec) -> bool:
         """Add a vector; returns True iff it enlarged the span."""
-        v, iv = _realify(vec)
+        v, iv = _realify(vec, self.dim)
         if not self._insert(v):
             return False
         self._insert(iv)  # never in span + Qv: the span is closed under i
         return True
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(_realify(vec)[0]))
+        return not self._reduce(_realify(vec, self.dim)[0])
 
     @property
     def rank(self) -> int:
         return len(self.rows) // 2
 
+    def spanned_by(self, vectors) -> bool:
+        """True iff vectors span exactly this span: each lies in it, and they
+        have its rank."""
+        vectors = tuple(vectors)
+        return (all(self.contains(v) for v in vectors)
+                and SpanBuilder(self.dim, vectors).rank == self.rank)
 
-def _builder(vectors, dim: int) -> SpanBuilder:
-    sb = SpanBuilder(dim)
-    for v in vectors:
-        sb.add(v)
-    return sb
+    def intersect(self, b) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """A Q(i)-basis of this span & span(b), by Zassenhaus elimination.
+
+        The realified rows [u|u] for the vectors u of this span and [v|0] for
+        v in b go into one echelon; the rows whose left half is zero, those
+        with a pivot past it, carry a basis of the realified intersection in
+        their right half. Reducing [u|u] rows against each other repeats on
+        the right half each step on the left, and the gcd of [r|r] is that of
+        r, so the [u|u] rows reduce to [r|r] for the rows r of this echelon,
+        in its order: they are copied, not eliminated again.
+        """
+        n = 2 * self.dim
+        zassenhaus = SpanBuilder(n)
+        for p, row in self.rows.items():
+            zassenhaus.rows[p] = {**row, **{n + k: x for k, x in row.items()}}
+        for v in b:
+            for row in _realify(v, self.dim):
+                zassenhaus._insert(row)
+        out = SpanBuilder(self.dim)
+        basis = []
+        for p, row in zassenhaus.rows.items():
+            if p >= n:
+                vec = (tuple(row.get(k, 0) for k in range(n, n + self.dim)),
+                       tuple(row.get(k, 0) for k in range(n + self.dim, 2 * n)))
+                if out.add(vec):
+                    basis.append(vec)
+        return tuple(basis)
 
 
 def span_rank(vectors, dim: int) -> int:
-    return _builder(vectors, dim).rank
+    return SpanBuilder(dim, vectors).rank
 
 
 def span_contains(vectors, vec, dim: int) -> bool:
-    return _builder(vectors, dim).contains(vec)
+    return SpanBuilder(dim, vectors).contains(vec)
 
 
 def spans_equal(a, b, dim: int) -> bool:
-    a, b = tuple(a), tuple(b)
-    return span_rank(a, dim) == span_rank(b, dim) == span_rank(a + b, dim)
+    return SpanBuilder(dim, a).spanned_by(b)
 
 
 def intersect_spans(a, b, dim: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """A Q(i)-basis of span(a) & span(b), by Zassenhaus elimination.
-
-    The realified rows [u|u] for u in a and [v|0] for v in b go into one
-    echelon; the rows whose left half is zero, those with a pivot past it,
-    carry a basis of the realified intersection in their right half.
-    """
-    zassenhaus = SpanBuilder(2 * dim)
-    zero = [0] * (2 * dim)
-    for u in a:
-        for row in _realify(u):
-            zassenhaus._insert(row + row)
-    for v in b:
-        for row in _realify(v):
-            zassenhaus._insert(row + zero)
-    out = SpanBuilder(dim)
-    basis = []
-    for p, row in zassenhaus.rows.items():
-        if p >= 2 * dim:
-            vec = (tuple(row[2 * dim:3 * dim]), tuple(row[3 * dim:]))
-            if out.add(vec):
-                basis.append(vec)
-    return tuple(basis)
+    """A Q(i)-basis of span(a) & span(b), by Zassenhaus elimination (`SpanBuilder.intersect`)."""
+    return SpanBuilder(dim, a).intersect(b)

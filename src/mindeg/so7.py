@@ -8,8 +8,11 @@ the integers, so every check below is exact and deterministic.
 
 The matrices are almost empty (an E-basis matrix has 2 nonzero entries of
 49, a root vector 2 to 8), so a bracket gathers the nonzero entries of each
-side by row once and sums only their products. The G2 closure is a worklist:
-each basis element is bracketed once against each element before it.
+side by row once and sums only their products; the bracket-rule check
+gathers each E-basis matrix once for all its brackets. The G2 closure is a
+worklist: each basis element is bracketed once against each element before
+it. A check eliminates each subalgebra basis at most once and extends
+copies of its echelon (`SpanBuilder.extended`, `SpanBuilder.intersect`).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .curve_nbhd import point_class_degree
-from .exactlinalg import SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal
+from .exactlinalg import SpanBuilder, span_contains, span_rank
 from .parabolic import Parabolic
 from .root_system import build_root_system
 from .tangent_directions import tangent_direction_sets
@@ -49,6 +52,26 @@ def _nonzero_rows(m) -> list[list[tuple[int, int, int]]]:
         if re[k] or im[k]:
             rows[k // _N].append((k % _N, re[k], im[k]))
     return rows
+
+
+def _bracket_rows(xrows, yrows) -> "Matrix7":
+    """[x, y] = xy - yx from the gathered rows (`_nonzero_rows`) of x and y.
+
+    Row i of xy takes x_ik * y_kj for each nonzero x_ik in row i of x and
+    nonzero y_kj in row k of y; row i of yx likewise, with the roles
+    swapped. Both go into one pair of integer lists.
+    """
+    re, im = [0] * _DIM, [0] * _DIM
+    for r, xrow, yrow in zip(_ROW_STARTS, xrows, yrows):
+        for k, ar, ai in xrow:
+            for j, br, bi in yrows[k]:
+                re[r + j] += ar * br - ai * bi
+                im[r + j] += ar * bi + ai * br
+        for k, br, bi in yrow:
+            for j, ar, ai in xrows[k]:
+                re[r + j] -= br * ar - bi * ai
+                im[r + j] -= br * ai + bi * ar
+    return Matrix7(tuple(re), tuple(im))
 
 
 class Matrix7(NamedTuple):
@@ -82,24 +105,8 @@ class Matrix7(NamedTuple):
                        tuple(a * y + b * x for x, y in zip(self.re, self.im)))
 
     def bracket(self, other: "Matrix7") -> "Matrix7":
-        """[x, y] = xy - yx, summed over the nonzero entries of x and y only.
-
-        Row i of xy takes x_ik * y_kj for each nonzero x_ik in row i of x and
-        nonzero y_kj in row k of y; row i of yx likewise, with the roles
-        swapped. Both go into one pair of integer lists.
-        """
-        xrows, yrows = _nonzero_rows(self), _nonzero_rows(other)
-        re, im = [0] * _DIM, [0] * _DIM
-        for r, xrow, yrow in zip(_ROW_STARTS, xrows, yrows):
-            for k, ar, ai in xrow:
-                for j, br, bi in yrows[k]:
-                    re[r + j] += ar * br - ai * bi
-                    im[r + j] += ar * bi + ai * br
-            for k, br, bi in yrow:
-                for j, ar, ai in xrows[k]:
-                    re[r + j] -= br * ar - bi * ai
-                    im[r + j] -= br * ai + bi * ar
-        return Matrix7(tuple(re), tuple(im))
+        """[x, y] = xy - yx, summed over the nonzero entries of x and y only."""
+        return _bracket_rows(_nonzero_rows(self), _nonzero_rows(other))
 
     def conjugate(self) -> "Matrix7":
         return Matrix7(self.re, tuple(-a for a in self.im))
@@ -303,10 +310,12 @@ def verify_bracket_rules() -> CheckResult:
     E = {(i, j): e_matrix(i, j) for i in range(1, _N + 1) for j in range(1, _N + 1)}
     zero = Matrix7.zero()
     pairs = [(i, j) for i in range(1, _N + 1) for j in range(i + 1, _N + 1)]
+    rows = {pair: _nonzero_rows(E[pair]) for pair in pairs}
     bad = 0
     for (i, j) in pairs:
+        xrows = rows[i, j]
         for (k, l) in pairs:
-            got = E[i, j].bracket(E[k, l])
+            got = _bracket_rows(xrows, rows[k, l])
             want = zero
             if j == k:
                 want = want + E[i, l]
@@ -379,9 +388,7 @@ def verify_g2_eigenvectors() -> CheckResult:
 
 def verify_g2_closure() -> CheckResult:
     bases = subalgebra_bases()
-    sb = SpanBuilder(_DIM)
-    for m in bases["g2"]:
-        sb.add(m)
+    sb = SpanBuilder(_DIM, bases["g2"])
     members = bases["t"] + tuple(build_tables().g2.values())
     missing = sum(1 for m in members if not sb.contains(m))
     return _result("g2-closure-dimension", len(bases["g2"]) == 14 and missing == 0,
@@ -406,20 +413,27 @@ def verify_g2_structure_constants() -> CheckResult:
 
 
 def verify_inclusions() -> CheckResult:
-    """Dimension table and the three exact intersections, with witnesses."""
-    t, s = build_tables(), subalgebra_bases()
-    dims = {name: span_rank(s[name], _DIM) for name in ("t", "p1", "l1", "l1~", "p1~", "b3")}
-    ok = dims == {"t": 2, "p1": 9, "l1": 4, "l1~": 11, "p1~": 16, "b3": 21}
-    for part in ("t", "p1", "l1"):  # g2 meets each part of so7 in the part of g2
-        ok = ok and spans_equal(intersect_spans(s["g2"], s[part + "~"], _DIM), s[part], _DIM)
+    """Dimension table and the three exact intersections, with witnesses.
 
-    joint = span_rank(s["g2"] + s["p1~"], _DIM)
+    Each basis is eliminated once; the intersections and the joint span
+    extend the echelon of g2 rather than eliminate g2 again.
+    """
+    t, s = build_tables(), subalgebra_bases()
+    spans = {name: SpanBuilder(_DIM, s[name])
+             for name in ("t", "p1", "l1", "l1~", "p1~", "b3", "g2")}
+    dims = {name: spans[name].rank for name in ("t", "p1", "l1", "l1~", "p1~", "b3")}
+    ok = dims == {"t": 2, "p1": 9, "l1": 4, "l1~": 11, "p1~": 16, "b3": 21}
+    g2 = spans["g2"]
+    for part in ("t", "p1", "l1"):  # g2 meets each part of so7 in the part of g2
+        ok = ok and spans[part].spanned_by(g2.intersect(s[part + "~"]))
+
+    joint = g2.extended(s["p1~"]).rank
     ok = ok and joint == 21  # g2/p1 -> b3/p1~ is onto; both quotients have dim 5
 
     x_low = t.g2[(-3, -2)]
     witness1 = (x_low == t.b3[(-1, -1, 0)]
-                and span_contains(s["g2"], x_low, _DIM)
-                and not span_contains(s["p1~"], x_low, _DIM))
+                and g2.contains(x_low)
+                and not spans["p1~"].contains(x_low))
     witness2 = not span_contains(s["b~"], t.g2[(0, 1)], _DIM)
     ok = ok and witness1 and witness2
     return _result(
@@ -453,8 +467,9 @@ def verify_codimension_one() -> CheckResult:
     p1 = Parabolic(build_root_system("G2"), frozenset({2}))
     sets = tangent_direction_sets(p1, point_class_degree(p1))
     directions = tuple(t.g2[r.coeffs] for r in sets.td + sets.td_tilde)
-    partial = span_rank(directions + s["p1"], _DIM)
-    completed = span_rank(directions + (t.g2[(-2, -1)],) + s["p1"], _DIM)
+    spanned = SpanBuilder(_DIM, directions + s["p1"])
+    partial = spanned.rank
+    completed = spanned.extended((t.g2[(-2, -1)],)).rank
     ok = restricted == 20 and partial == 13 and completed == 14
     return _result(
         "restricted-bracket-codimension-one", ok,

@@ -30,7 +30,8 @@ by coroot_coefficients, functionals by coroot_coefficients and the Cartan
 matrix, reflection words by stripping the reflection element and their
 lengths by its inversion count, Levi roots and R+ \\ R_P+ by
 scanning coefficients, c1 weights from the summed vector c_1, Q(i)-spans from
-Gauss-Jordan elimination over pairs of Fractions, so7 brackets from two dense
+Gauss-Jordan elimination over pairs of Fractions, the integer echelon and
+its Zassenhaus intersection on dense rows, so7 brackets from two dense
 matrix products, the G2 closure by re-bracketing every pair until a round
 adds nothing, and simple-type labels from a regular expression.
 
@@ -785,6 +786,74 @@ def qi_rank(vectors) -> int:
 
 def qi_contains(vectors, vec) -> bool:
     return qi_rank(list(vectors) + [vec]) == qi_rank(vectors)
+
+
+def _dense_realify(vec) -> tuple[list[int], list[int]]:
+    """The integer rows (re|im) and (-im|re) of v and iv."""
+    re, im = vec
+    return [*re, *im], [-x for x in im] + list(re)
+
+
+class DenseSpanBuilder:
+    """The integer echelon of `exactlinalg.SpanBuilder` on dense rows: the same
+    Bareiss step and gcd division over every column, the first nonzero
+    column as pivot."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: dict[int, list[int]] = {}
+
+    def _reduce(self, w: list[int]) -> list[int]:
+        for p, row in self.rows.items():
+            c = w[p]
+            if c:
+                a = row[p]
+                g = math.gcd(a, c)
+                a, c = a // g, c // g
+                w = [a * x - c * y for x, y in zip(w, row)]
+                g = math.gcd(*w)
+                if g > 1:
+                    w = [x // g for x in w]
+        return w
+
+    def _insert(self, w: list[int]) -> bool:
+        w = self._reduce(w)
+        pivot = next((k for k, x in enumerate(w) if x), None)
+        if pivot is None:
+            return False
+        self.rows[pivot] = w
+        return True
+
+    def add(self, vec) -> bool:
+        v, iv = _dense_realify(vec)
+        if not self._insert(v):
+            return False
+        self._insert(iv)
+        return True
+
+    def contains(self, vec) -> bool:
+        return not any(self._reduce(_dense_realify(vec)[0]))
+
+
+def dense_intersect_spans(a, b, dim: int):
+    """A Q(i)-basis of span(a) & span(b): every [u|u] row of a and [v|0] row
+    of b eliminated in one dense Zassenhaus echelon."""
+    zassenhaus = DenseSpanBuilder(2 * dim)
+    zero = [0] * (2 * dim)
+    for u in a:
+        for row in _dense_realify(u):
+            zassenhaus._insert(row + row)
+    for v in b:
+        for row in _dense_realify(v):
+            zassenhaus._insert(row + zero)
+    out = DenseSpanBuilder(dim)
+    basis = []
+    for p, row in zassenhaus.rows.items():
+        if p >= 2 * dim:
+            vec = (tuple(row[2 * dim:3 * dim]), tuple(row[3 * dim:]))
+            if out.add(vec):
+                basis.append(vec)
+    return tuple(basis)
 
 
 APPENDIX_WITNESSES = (

@@ -19,3 +19,21 @@ def test_time_cold_query_reports_each_part():
     label, *times = row.split()
     assert label == "A2" and len(times) == 4
     assert all(float(t) >= 0 for t in times)
+
+
+def test_time_appendix_reports_the_import_and_each_check():
+    """One fresh run prints a header and eleven timed parts: the import and
+    the ten checks under the names they report."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "time_appendix.py"), "--runs", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:2] == ["part", "ms"]
+    parts = [row.split() for row in rows]
+    assert len(parts) == 11 and all(len(p) == 2 for p in parts)
+    assert parts[0][0] == "import"
+    assert parts[1][0] == "e-basis-bracket-rules"
+    assert parts[-1][0] == "longest-element-restriction"
+    assert len({name for name, _ in parts}) == 11
+    assert all(float(ms) >= 0 for _, ms in parts)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mindeg import so7
 from mindeg.exactlinalg import SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal
 from mindeg.so7 import (
     I, Matrix7, _proportionality, b3_eps_coords, build_tables, e_matrix, epsilon,
-    g2_closure_basis, g2_eps_coords, run_appendix_checks,
+    g2_closure_basis, g2_eps_coords, run_appendix_checks, subalgebra_bases,
 )
 from oracles import APPENDIX_WITNESSES, dense_bracket, fixpoint_g2_closure
 
@@ -114,6 +115,33 @@ def test_g2_closure_matches_the_fixpoint_oracle(monkeypatch):
     monkeypatch.setattr(Matrix7, "bracket", counted)
     assert spans_equal(g2_closure_basis(), basis, 49)
     assert 0 < len(calls) <= 14 * 13 // 2  # each pair of basis elements at most once
+
+
+def test_checklist_eliminates_and_gathers_each_basis_once(monkeypatch):
+    """A cold checklist constructs at most 27 `SpanBuilder`s and gathers the
+    nonzero rows of a matrix at most 513 times: twice per bracket, plus once
+    for each of the 21 E-basis matrices of the bracket-rule check. With each
+    span call eliminating its bases afresh and each of the 441 E-basis
+    brackets gathering both sides, the counts were 34 and 1,374."""
+    counts = {"builders": 0, "gathers": 0}
+    init, gather = SpanBuilder.__init__, so7._nonzero_rows
+
+    def counted_init(self, *args):
+        counts["builders"] += 1
+        init(self, *args)
+
+    def counted_gather(m):
+        counts["gathers"] += 1
+        return gather(m)
+
+    monkeypatch.setattr(SpanBuilder, "__init__", counted_init)
+    monkeypatch.setattr(so7, "_nonzero_rows", counted_gather)
+    build_tables.cache_clear()
+    subalgebra_bases.cache_clear()
+    got = tuple((r.check_name, r.passed, r.witness) for r in run_appendix_checks())
+    assert got == APPENDIX_WITNESSES
+    assert 0 < counts["builders"] <= 27
+    assert 0 < counts["gathers"] <= 513
 
 
 def _model_matrices():
