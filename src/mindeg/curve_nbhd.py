@@ -1,7 +1,7 @@
 """Greedy decompositions, curve-neighborhood Weyl elements, minimal degrees.
 
 z_d is built from z_{d - alpha^vee} by one left Hecke step with s_alpha,
-alpha the first greedy root of d, and memoized per degree:
+alpha the first greedy root of d, and kept in the z table p holds (_held):
 z_d W_P = s_alpha * z_{d - alpha^vee} W_P.
 
 A degree d is minimal when no strictly smaller effective degree reaches a
@@ -112,7 +112,22 @@ def borel(rs: RootSystem) -> Parabolic:
     return Parabolic(rs, frozenset())
 
 
-@lru_cache(maxsize=None)
+def _held(build):
+    """Decorator: p keeps build(p) in its __dict__, as a cached_property would,
+    and frees it with itself; G/B keeps it on borel(rs), which every
+    Parabolic(rs, frozenset()) reads."""
+    name = f"{build.__module__}.{build.__name__}"  # never an attribute name
+
+    def read(p: Parabolic):
+        owner = p if p.delta_p else borel(p.system)
+        state = owner.__dict__
+        if name not in state:
+            state[name] = build(owner)
+        return state[name]
+    return read
+
+
+@_held
 def _root_table(p: Parabolic):
     """The root table of p's system (RootSystem.root_table), sliced to p.
 
@@ -187,7 +202,7 @@ def is_p_cosmall(p: Parabolic, alpha: Root) -> bool:
     return alpha in maximal_roots(p, project_coroot(p, alpha))
 
 
-@lru_cache(maxsize=None)
+@_held
 def _z_pairs(p: Parabolic) -> dict[Degree, tuple[WeylElement, WeylElement]]:
     """(z_d, z_d^-1) for each degree d of p computed so far."""
     e = identity(p.system)
@@ -305,7 +320,7 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
     return found
 
 
-@lru_cache(maxsize=None)
+@_held
 def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], Degree,
                                     dict[int, list[tuple[Degree, WeylElement]]] | None]:
     """The minimal degrees of p, each with its z and its lifting; the

@@ -89,12 +89,6 @@ class Parabolic:
         return ((1 << n) - (1 << n // 2)) & ~self.levi_mask
 
     @cached_property
-    def direction_rows(self) -> dict[int, tuple]:
-        """The (P, alpha) rows of tangent_directions, keyed by the position of
-        alpha in system.roots; filled as the rows are first read."""
-        return {}
-
-    @cached_property
     def w_p(self) -> WeylElement:
         return longest_element(self.system, self.positions)
 
@@ -139,6 +133,9 @@ class Parabolic:
         rs = self.system
         return alpha.system is rs and bool(
             self.outside_mask >> rs.root_positions[alpha.coeffs] & 1)
+
+    def __reduce__(self):  # by its fields: the tables it holds stay behind
+        return Parabolic, (self.system, self.delta_p)
 
     def __repr__(self) -> str:
         return f"Parabolic({self.system.simple_type}, {sorted(self.delta_p)})"

@@ -36,9 +36,10 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 
 # The most rows a sweep may emit. Every type of rank <= 7 together has
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
-# D9 alone has 210,055. A streamed sweep's memory is the caches and the
-# stream's JSON memo (E8: 203 MB peak, serially), which grow with the rows,
-# and run_sweep holds every report.
+# D9 alone has 210,055. A streamed sweep's memory is the tables its
+# parabolics hold, which the is_minimal_degree memo keeps alive, and the
+# stream's JSON memo (E8: 167 MB peak, serially), which grow with the rows;
+# run_sweep holds every report.
 _MAX_SWEEP_ROWS = 120_000
 
 
@@ -185,14 +186,10 @@ def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseRepor
 
 
 def predictions_confirmed(reports) -> bool:
-    """The inequality holds off the exception, fails on it, verdict matching."""
-    for r in reports:
-        if r.exception:
-            if r.holds or r.verdict != VERDICT_ONLY_AUT_X:
-                return False
-        elif not r.holds or r.verdict == VERDICT_ONLY_AUT_X:
-            return False
-    return True
+    """lhs == rhs off the exception and lhs == rhs + 1 on it, holds and the
+    verdict agreeing; the equality is an invariant seen through rank 9, not a theorem."""
+    return all(r.lhs - r.rhs == (1 if r.exception else 0) and r.holds != r.exception
+               and (r.verdict == VERDICT_ONLY_AUT_X) == r.exception for r in reports)
 
 
 def _json_value(v, indent: int, memo: dict) -> str:

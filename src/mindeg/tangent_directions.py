@@ -24,7 +24,7 @@ pairing row (RootSystem.pairing_row), which holds (gamma, alpha^vee) and the
 position of -(alpha+gamma) over every positive gamma and which every
 parabolic of the system shares. Pairing rows are built for the roots a
 cascade reaches and (P, alpha) rows are held on their parabolic
-(Parabolic.direction_rows), both on first read. The degree-wide checks
+(_direction_rows, freed with it), both on first read. The degree-wide checks
 (bijectivity, disjointness, associated pairs) run once per degree, in
 key_inequality, which validates d, reads z_d and its lifting off the table
 of minimal degrees, and reports z_d, the cascade and both direction sets;
@@ -45,8 +45,8 @@ from .exceptions import (
 )
 from .cascade import cascade_roots
 from .curve_nbhd import (
-    _minimal, _z_and_lifting, borel, curve_neighborhood_element, is_minimal_degree, lifting,
-    point_class_degree,
+    _held, _minimal, _z_and_lifting, borel, curve_neighborhood_element, is_minimal_degree,
+    lifting, point_class_degree,
 )
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
 from .root_system import Root, RootSystem, bilinear, coroot_pairing, is_long, is_short
@@ -109,9 +109,15 @@ def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[int, ...]:
     return _outside_levi(p, cascade_roots(p.system, lifting(p, d)))
 
 
+@_held
+def _direction_rows(p: Parabolic) -> dict[int, tuple]:
+    """The (P, alpha) rows of p by the position of alpha, filled as read."""
+    return {}
+
+
 def _root_directions(p: Parabolic, k: int) -> tuple[int, tuple[Root, ...], tuple[int, ...]]:
     """The (P, alpha) row of alpha = roots[k] in R+ \\ R_P+, held on p
-    (Parabolic.direction_rows): the roots -alpha-gamma, gamma in R_P+ or 0,
+    (_direction_rows): the roots -alpha-gamma, gamma in R_P+ or 0,
     as a mask over the positions of the system's roots, checked to lie in
     R- \\ R_P-; the gamma in R_P+ with (gamma, alpha^vee) < -1; and the
     pairings (gamma, alpha^vee) themselves. Both tuples follow the order of
@@ -122,7 +128,7 @@ def _root_directions(p: Parabolic, k: int) -> tuple[int, tuple[Root, ...], tuple
     With N roots, -alpha is roots[N-1-k], and R_P+ is the upper half of the
     Levi positions, gamma = roots[N/2 + j] sitting at index j of the row.
     """
-    row = p.direction_rows.get(k)
+    row = _direction_rows(p).get(k)
     if row is None:
         rs = p.system
         n = len(rs.roots)
@@ -139,7 +145,7 @@ def _root_directions(p: Parabolic, k: int) -> tuple[int, tuple[Root, ...], tuple
                 f"tangent direction {_roots_at(rs, bad)[0]} not in R- \\ R_P-")
         pairings = tuple([all_pairings[j] for j in levi])
         strong = tuple([g for g, v in zip(p.levi_positive, pairings) if v < -1])
-        row = p.direction_rows[k] = (mask, strong, pairings)
+        row = _direction_rows(p)[k] = (mask, strong, pairings)
     return row
 
 

@@ -75,7 +75,8 @@ def test_criterion_2_key_inequality_sweep():
     ok = (not violations
           and len(exceptions) == 1
           and not exceptions[0].holds
-          and exceptions[0].type == "G2")
+          and exceptions[0].type == "G2"
+          and predictions_confirmed(reports))  # with lhs == rhs off the exception
     elapsed = time.monotonic() - start
     _report(2, "key-inequality-sweep", ok and elapsed < 600.0,
             f"{len(reports)} cases, {len(violations)} violations in {elapsed:.1f}s")

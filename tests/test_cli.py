@@ -469,6 +469,21 @@ def test_sweep_confirms_predictions_up_to_rank_three():
     assert [r.type for r in bad] == ["G2"]
 
 
+def test_predictions_require_the_equality():
+    """lhs == rhs off the exception and lhs == rhs + 1 on it: a row whose
+    inequality still holds, or still fails, with the sides one apart
+    otherwise is not confirmed."""
+    reports = run_sweep((SimpleType("G", 2),))
+    assert predictions_confirmed(reports)
+    k = next(i for i, r in enumerate(reports) if r.exception)
+    off = next(i for i, r in enumerate(reports) if not r.exception)
+    for i, change in ((off, {"rhs": reports[off].lhs + 1}),
+                      (k, {"lhs": reports[k].rhs + 2})):
+        changed = dataclasses.replace(reports[i], **change)
+        assert (changed.lhs <= changed.rhs) == changed.holds  # the row is consistent
+        assert not predictions_confirmed(reports[:i] + [changed] + reports[i + 1:])
+
+
 def test_resource_guard(monkeypatch):
     # A3, B3 and C3 have 31, 43 and 43 rows: the budget counts their sum
     monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)

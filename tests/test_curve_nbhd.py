@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -669,3 +671,35 @@ def test_e6_records_and_inequalities_walk_no_g_p_chain(cold_curve_nbhd):
 def test_sweep_rows_count_every_minimal_degree_of_every_parabolic(label):
     rs = build_root_system(label)
     assert curve_nbhd._sweep_rows(rs) == sum(len(minimal_degrees(p)) for p in all_parabolics(rs))
+
+
+def test_a_parabolic_frees_the_tables_it_holds():
+    """The tables p holds keep no reference to p: with nothing else holding
+    it, p is freed with its root-table slice, z table and G/P table. (In a
+    sweep, the is_minimal_degree memo, keyed by the case's p, still holds it.)"""
+    rs = build_root_system("E6")
+    p = Parabolic(rs, frozenset({2, 4}))
+    assert minimal_degrees(p)
+    curve_nbhd._z_pair(p, point_class_degree(p))  # curve_neighborhood_element, unmemoized
+    held = {f"mindeg.curve_nbhd.{f}" for f in ("_root_table", "_z_pairs", "_minimal")}
+    assert held <= set(vars(p))
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_fresh_borel_reads_the_tables_of_borel(monkeypatch):
+    """Every Parabolic(rs, frozenset()) reads the G/B state borel(rs) holds:
+    it never searches again."""
+    rs = build_root_system("A4")
+    b = borel(rs)
+    minimal_degrees(b)
+    calls = []
+    real = curve_nbhd._borel_minimal
+    monkeypatch.setattr(curve_nbhd, "_borel_minimal", lambda q: calls.append(q) or real(q))
+    fresh = Parabolic(rs, frozenset())
+    assert fresh is not b
+    assert minimal_degrees(fresh) == minimal_degrees(b)
+    assert calls == []
+    assert curve_nbhd._z_pairs(fresh) is curve_nbhd._z_pairs(b)

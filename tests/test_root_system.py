@@ -348,12 +348,15 @@ def test_simple_type_parse_matches_the_regex(label):
 def test_pickling_keeps_root_system_identity(b3):
     import pickle
 
+    from mindeg.curve_nbhd import minimal_degrees
     from mindeg.parabolic import Parabolic
     from mindeg.weyl import bruhat_leq, longest_element
 
     assert pickle.loads(pickle.dumps(b3)) is b3
     p = Parabolic(b3, frozenset({2}))
-    p.w_p  # a cached property travels in the pickled state too
+    size = len(pickle.dumps(p))
+    minimal_degrees(p)  # p now holds its tables and cached properties
+    assert len(pickle.dumps(p)) == size  # none of them travels: p pickles by its fields
     for original in (longest_element(b3), b3.highest_root, p):
         copy = pickle.loads(pickle.dumps(original))
         assert copy == original and copy.system is b3

@@ -108,10 +108,8 @@ def test_benchmark_bindings_name_package_functions():
 # joins this list only with its measured reuse on the sweeps and queries.
 MEMOS = {
     "cascade.cascade_roots", "cascade._sos_subsets",
-    "curve_nbhd.borel", "curve_nbhd._root_table", "curve_nbhd.maximal_roots",
-    "curve_nbhd.greedy_decomposition", "curve_nbhd._z_pairs",
-    "curve_nbhd.curve_neighborhood_element", "curve_nbhd._minimal",
-    "curve_nbhd.is_minimal_degree",
+    "curve_nbhd.borel", "curve_nbhd.maximal_roots", "curve_nbhd.greedy_decomposition",
+    "curve_nbhd.curve_neighborhood_element", "curve_nbhd.is_minimal_degree",
     "parabolic.project_coroot",
     "root_system._build",
     "so7.build_tables", "so7.subalgebra_bases",
