@@ -7,7 +7,9 @@ every minimal degree must equal the oracle's, and each lifting must project
 back to its degree. The table of minimal degrees, z's and liftings read off
 the full-flag set must also equal the one found by projection and the
 unit-edge test, and each z the whole Hecke product of its greedy
-decomposition. Every cache is emptied after each parabolic, so peak
+decomposition. Every cache is emptied after each parabolic, the interned
+root systems with them, and each parabolic is built on a fresh system, so
+each case starts from a cold type, no z of the box scan is kept, and peak
 memory is that of the largest single case, not of the whole type. E7 takes
 several minutes; its largest case, E7/B, scans a box of 181,440 degrees.
 
@@ -29,7 +31,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from mindeg import curve_nbhd  # noqa: E402
 from mindeg.curve_nbhd import borel, lifting, minimal_degrees, point_class_degree  # noqa: E402
 from mindeg.parabolic import Parabolic  # noqa: E402
-from mindeg.root_system import build_root_system  # noqa: E402
+from mindeg.root_system import SimpleType, build_root_system  # noqa: E402
 from oracles import (  # noqa: E402
     box_scan_point_class_degree, certified_box_scan_minimal_degrees,
     hecke_curve_neighborhood_element, linear_scan_lifting, unit_edge_minimal_degrees,
@@ -37,25 +39,27 @@ from oracles import (  # noqa: E402
 
 
 def clear_caches() -> None:
-    """Empty every lru_cache of mindeg except the memoized root systems."""
+    """Empty every lru_cache of mindeg, the interning table of root systems
+    (root_system._build) included. The tables a system holds go with the
+    system, so build_root_system returns a cold one afterwards."""
     for name, module in list(sys.modules.items()):
-        if name.startswith("mindeg.") and name != "mindeg.root_system":
+        if name.startswith("mindeg."):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
 
 
 def check_type(label: str) -> list[str]:
-    rs = build_root_system(label)
     start = time.monotonic()
-    full_flag = certified_box_scan_minimal_degrees(borel(rs))
+    full_flag = certified_box_scan_minimal_degrees(borel(build_root_system(label)))
     clear_caches()
     print(f"{label}/B: {len(full_flag)} minimal degrees by the box scan "
           f"in {time.monotonic() - start:.1f} s", flush=True)
     problems, cases, degrees = [], 0, 0
-    for r in range(rs.rank + 1):
-        for combo in itertools.combinations(range(1, rs.rank + 1), r):
-            p = Parabolic(rs, frozenset(combo))
+    rank = SimpleType.parse(label).rank
+    for r in range(rank + 1):
+        for combo in itertools.combinations(range(1, rank + 1), r):
+            p = Parabolic(build_root_system(label), frozenset(combo))
             found = minimal_degrees(p)
             if found != certified_box_scan_minimal_degrees(p):
                 problems.append(f"{p}: minimal degrees differ")

@@ -21,7 +21,7 @@ from .curve_nbhd import (
     point_class_degree,
 )
 from .parabolic import Degree, Parabolic, checks_degree
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, held
 from .weyl import WeylElement, all_elements, center_elements, longest_element
 
 __all__ = [
@@ -98,7 +98,7 @@ class SosRecord:
     is_mmsos: bool
 
 
-@lru_cache(maxsize=None)
+@held
 def _sos_subsets(rs: RootSystem):
     """All nonempty SOS as ascending index tuples into rs.roots, plus adjacency;
     refused above rank _SOS_RANK_CAP."""

@@ -88,7 +88,7 @@ from .exceptions import (
     ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
 )
 from .parabolic import Degree, Parabolic, checks_degree, project_coroot
-from .root_system import Root, RootSystem
+from .root_system import Root, RootSystem, held
 from .weyl import (
     WeylElement, bruhat_leq, compose, descent_mask, descents_at, hecke_reflection_on_coset,
     identity, longest_element, right_multiplier,
@@ -107,24 +107,15 @@ __all__ = [
 _MAX_BOREL_DEGREES = 6_000
 
 
-@lru_cache(maxsize=None)
+@held
 def borel(rs: RootSystem) -> Parabolic:
     return Parabolic(rs, frozenset())
 
 
 def _held(build):
-    """Decorator: p keeps build(p) in its __dict__, as a cached_property would,
-    and frees it with itself; G/B keeps it on borel(rs), which every
-    Parabolic(rs, frozenset()) reads."""
-    name = f"{build.__module__}.{build.__name__}"  # never an attribute name
-
-    def read(p: Parabolic):
-        owner = p if p.delta_p else borel(p.system)
-        state = owner.__dict__
-        if name not in state:
-            state[name] = build(owner)
-        return state[name]
-    return read
+    """Decorator: p holds build(p, *key) (root_system.held); every
+    Parabolic(rs, frozenset()) shares the G/B table of borel(rs)."""
+    return held(build, lambda p: p if p.delta_p else borel(p.system))
 
 
 @_held

@@ -20,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
 
 from .exceptions import (
@@ -52,6 +52,25 @@ _ROOT_COUNTS = {
 # and C45 (4,050) and 10 s for A70 (4,970). Every type of rank <= 12 has at
 # most 288.
 _MAX_ROOTS = 4_000
+
+
+def held(build, owner=lambda x: x):
+    """Decorator: x keeps build(x, *key) by key in a table in its __dict__,
+    under build's module-qualified name, and frees it with itself: no
+    module-global table pins x. x's first read fetches the table of owner(x),
+    which x then shares. The result keeps build's name and docstring."""
+    name = f"{build.__module__}.{build.__qualname__}"  # never an attribute name
+
+    @wraps(build)
+    def read(x, *key):
+        try:
+            return x.__dict__[name][key]
+        except KeyError:
+            memo = x.__dict__.setdefault(name, vars(owner(x)).setdefault(name, {}))
+            if key not in memo:  # a table shared with owner(x) may hold it
+                memo[key] = build(x, *key)
+            return memo[key]
+    return read
 
 
 def admissible(family: str, rank: int) -> bool:
@@ -258,7 +277,6 @@ class RootSystem:
         roots = tuple(Root(self, c) for c in sorted(coeffs))
         self.roots = roots
         self._index = {r.coeffs: r for r in roots}
-        self._pairing_rows = {}  # see pairing_row
         self.positive_roots = tuple(r for r in roots if r.is_positive)
         self.simple_roots = tuple(
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
@@ -327,6 +345,7 @@ class RootSystem:
         negation reverses the order: -roots[k] is roots[N-1-k], N = len(roots)."""
         return {r.coeffs: k for k, r in enumerate(self.roots)}
 
+    @held
     def pairing_row(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """For the positive root alpha = roots[k], over the positive roots gamma
         in the order of roots (gamma = roots[N/2 + j] at index j): the pairings
@@ -341,28 +360,25 @@ class RootSystem:
         roots that cascades hold: beta is at greedy index j of root_table,
         which is roots[N-1-j], so -beta is roots[j].
         """
-        row = self._pairing_rows.get(k)
-        if row is None:
-            roots, positions = self.roots, self.root_positions
-            n, a = len(roots), roots[k].coeffs
-            if min(a) < 0:
-                raise ValueError(f"{roots[k]} is not a positive root")
-            pairings = [0] * (n // 2)
-            for c, column in zip(self.root_data[a].functional, self.positive_columns):
-                if c:
-                    pairings = list(map(operator.add, pairings,
-                                        map(operator.mul, column, itertools.repeat(c))))
-            negated = [-1] * (n // 2)
-            above = self.root_table[2][n - 1 - k]
-            while above:
-                low = above & -above
-                j = low.bit_length() - 1
-                above ^= low
-                g = positions.get(tuple(map(operator.sub, roots[n - 1 - j].coeffs, a)))
-                if g is not None:  # beta - alpha is a root, positive as beta > alpha
-                    negated[g - n // 2] = j
-            row = self._pairing_rows[k] = (tuple(pairings), tuple(negated))
-        return row
+        roots, positions = self.roots, self.root_positions
+        n, a = len(roots), roots[k].coeffs
+        if min(a) < 0:
+            raise ValueError(f"{roots[k]} is not a positive root")
+        pairings = [0] * (n // 2)
+        for c, column in zip(self.root_data[a].functional, self.positive_columns):
+            if c:
+                pairings = list(map(operator.add, pairings,
+                                    map(operator.mul, column, itertools.repeat(c))))
+        negated = [-1] * (n // 2)
+        above = self.root_table[2][n - 1 - k]
+        while above:
+            low = above & -above
+            j = low.bit_length() - 1
+            above ^= low
+            g = positions.get(tuple(map(operator.sub, roots[n - 1 - j].coeffs, a)))
+            if g is not None:  # beta - alpha is a root, positive as beta > alpha
+                negated[g - n // 2] = j
+        return tuple(pairings), tuple(negated)
 
     @cached_property
     def positive_columns(self) -> tuple[tuple[int, ...], ...]:

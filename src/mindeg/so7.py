@@ -228,18 +228,20 @@ def build_tables() -> RootVectorTable:
 def _proportionality(x: Matrix7, y: Matrix7) -> tuple[Fraction, Fraction] | None:
     """The scalar c with y == c*x as (re, im), or None if y is not a multiple of x.
 
-    At the first nonzero entry x_k, c = y_k*conj(x_k) / |x_k|^2 = num/den, and
-    y == c*x is checked over the integers as den*y == num*x.
+    At the first nonzero entry x_k, c = y_k*conj(x_k) / |x_k|^2 = num/den; y == c*x is
+    checked over the integers as den*y_m == num*x_m where x_m != 0, and y_m == 0 elsewhere.
     """
-    k = next((k for k in range(_DIM) if x.re[k] or x.im[k]), None)
+    re, im, yre, yim = *x, *y
+    k = next((k for k in range(_DIM) if re[k] or im[k]), None)
     if k is None:
         return None
-    xr, xi, yr, yi = x.re[k], x.im[k], y.re[k], y.im[k]
-    num = (yr * xr + yi * xi, yi * xr - yr * xi)
+    xr, xi, yr, yi = re[k], im[k], yre[k], yim[k]
+    nr, ni = yr * xr + yi * xi, yi * xr - yr * xi
     den = xr * xr + xi * xi
-    if x.scale(num) != y.scale(den):
+    if any(den * yre[m] != nr * re[m] - ni * im[m] or den * yim[m] != nr * im[m] + ni * re[m]
+           if re[m] or im[m] else yre[m] or yim[m] for m in range(_DIM)):
         return None
-    return Fraction(num[0], den), Fraction(num[1], den)
+    return Fraction(nr, den), Fraction(ni, den)
 
 
 def g2_closure_basis() -> tuple[Matrix7, ...]:
@@ -306,9 +308,9 @@ def _result(name: str, passed: bool, witness: str) -> CheckResult:
 
 
 def verify_bracket_rules() -> CheckResult:
-    """Exhaustive commutators of the E-basis against the index rules."""
+    """Exhaustive commutators of the E-basis against the index rules, each compared
+    by its nonzero entries with the terms c*E_[a,b] the rules give: c at (a, b), -c at (b, a)."""
     E = {(i, j): e_matrix(i, j) for i in range(1, _N + 1) for j in range(1, _N + 1)}
-    zero = Matrix7.zero()
     pairs = [(i, j) for i in range(1, _N + 1) for j in range(i + 1, _N + 1)]
     rows = {pair: _nonzero_rows(E[pair]) for pair in pairs}
     bad = 0
@@ -316,16 +318,14 @@ def verify_bracket_rules() -> CheckResult:
         xrows = rows[i, j]
         for (k, l) in pairs:
             got = _bracket_rows(xrows, rows[k, l])
-            want = zero
-            if j == k:
-                want = want + E[i, l]
-            if i == l:
-                want = want + E[j, k]
-            if j == l:
-                want = want - E[i, k]
-            if i == k:
-                want = want - E[j, l]
-            if got != want:
+            want = {}
+            for c, a, b, rule in ((1, i, l, j == k), (1, j, k, i == l),
+                                  (-1, i, k, j == l), (-1, j, l, i == k)):
+                if rule and a != b:  # E_[a,a] = 0
+                    for m, v in ((_N * (a - 1) + b - 1, c), (_N * (b - 1) + a - 1, -c)):
+                        want[m] = want.get(m, 0) + v
+            if (any(got.im) or _DIM - got.re.count(0) != len(want)
+                    or any(got.re[m] != v for m, v in want.items())):
                 bad += 1
     diag_zero = all(E[i, i].is_zero for i in range(1, _N + 1))
     anti = all(E[j, i] == -E[i, j] for i, j in pairs)

@@ -24,7 +24,7 @@ pairing row (RootSystem.pairing_row), which holds (gamma, alpha^vee) and the
 position of -(alpha+gamma) over every positive gamma and which every
 parabolic of the system shares. Pairing rows are built for the roots a
 cascade reaches and (P, alpha) rows are held on their parabolic
-(_direction_rows, freed with it), both on first read. The degree-wide checks
+(_held, freed with it), both on first read. The degree-wide checks
 (bijectivity, disjointness, associated pairs) run once per degree, in
 key_inequality, which validates d, reads z_d and its lifting off the table
 of minimal degrees, and reports z_d, the cascade and both direction sets;
@@ -110,43 +110,34 @@ def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[int, ...]:
 
 
 @_held
-def _direction_rows(p: Parabolic) -> dict[int, tuple]:
-    """The (P, alpha) rows of p by the position of alpha, filled as read."""
-    return {}
-
-
 def _root_directions(p: Parabolic, k: int) -> tuple[int, tuple[Root, ...], tuple[int, ...]]:
-    """The (P, alpha) row of alpha = roots[k] in R+ \\ R_P+, held on p
-    (_direction_rows): the roots -alpha-gamma, gamma in R_P+ or 0,
-    as a mask over the positions of the system's roots, checked to lie in
-    R- \\ R_P-; the gamma in R_P+ with (gamma, alpha^vee) < -1; and the
-    pairings (gamma, alpha^vee) themselves. Both tuples follow the order of
-    R_P+.
+    """The (P, alpha) row of alpha = roots[k] in R+ \\ R_P+, held on p by k
+    (_held): the roots -alpha-gamma, gamma in R_P+ or 0, as a mask over the
+    positions of the system's roots, checked to lie in R- \\ R_P-; the gamma
+    in R_P+ with (gamma, alpha^vee) < -1; and the pairings (gamma, alpha^vee)
+    themselves. Both tuples follow the order of R_P+.
 
     The row is the slice over R_P+ of alpha's pairing row
     (RootSystem.pairing_row), which every parabolic of the system shares.
     With N roots, -alpha is roots[N-1-k], and R_P+ is the upper half of the
     Levi positions, gamma = roots[N/2 + j] sitting at index j of the row.
     """
-    row = _direction_rows(p).get(k)
-    if row is None:
-        rs = p.system
-        n = len(rs.roots)
-        all_pairings, negated = rs.pairing_row(k)
-        levi = [j - n // 2 for j in p.levi_positions[len(p.levi_positions) // 2:]]
-        mask = 1 << n - 1 - k  # -alpha
-        for j in levi:
-            if negated[j] >= 0:  # alpha + gamma is a root
-                mask |= 1 << negated[j]
-        below = (1 << n // 2) - 1 & ~p.levi_mask  # R- \ R_P-: the lower half less R_P
-        bad = mask & ~below
-        if bad:
-            raise ConsistencyError(
-                f"tangent direction {_roots_at(rs, bad)[0]} not in R- \\ R_P-")
-        pairings = tuple([all_pairings[j] for j in levi])
-        strong = tuple([g for g, v in zip(p.levi_positive, pairings) if v < -1])
-        row = _direction_rows(p)[k] = (mask, strong, pairings)
-    return row
+    rs = p.system
+    n = len(rs.roots)
+    all_pairings, negated = rs.pairing_row(k)
+    levi = [j - n // 2 for j in p.levi_positions[len(p.levi_positions) // 2:]]
+    mask = 1 << n - 1 - k  # -alpha
+    for j in levi:
+        if negated[j] >= 0:  # alpha + gamma is a root
+            mask |= 1 << negated[j]
+    below = (1 << n // 2) - 1 & ~p.levi_mask  # R- \ R_P-: the lower half less R_P
+    bad = mask & ~below
+    if bad:
+        raise ConsistencyError(
+            f"tangent direction {_roots_at(rs, bad)[0]} not in R- \\ R_P-")
+    pairings = tuple([all_pairings[j] for j in levi])
+    strong = tuple([g for g, v in zip(p.levi_positive, pairings) if v < -1])
+    return mask, strong, pairings
 
 
 def _plain_directions(p: Parabolic, casc: tuple[int, ...]) -> int:

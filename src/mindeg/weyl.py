@@ -26,7 +26,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exceptions import ConsistencyError, MixedRootSystemError
-from .root_system import Root, RootSystem, _vector, reflect
+from .root_system import Root, RootSystem, _vector, held, reflect
 
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
@@ -118,12 +118,12 @@ def _same_group(u: WeylElement, v: WeylElement) -> RootSystem:
     return u.system
 
 
-@lru_cache(maxsize=None)
+@held
 def identity(rs: RootSystem) -> WeylElement:
     return WeylElement(rs, tuple(1 << 4 * i for i in range(rs.rank)), 0)
 
 
-@lru_cache(maxsize=None)
+@held
 def _steps(rs: RootSystem) -> _Steps:
     return _Steps(rs)
 
@@ -153,7 +153,7 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return mul_gen(identity(rs), i)
 
 
-@lru_cache(maxsize=None)
+@held
 def reflection(rs: RootSystem, alpha: Root) -> WeylElement:
     """The reflection s_alpha as a Weyl group element."""
     return WeylElement(rs, tuple(_pack(reflect(alpha, b).coeffs) for b in rs.simple_roots))
@@ -241,7 +241,7 @@ def word_str(w: WeylElement) -> str:
     return " ".join(word)
 
 
-@lru_cache(maxsize=None)
+@held
 def _longest(rs: RootSystem, indices: frozenset[int]) -> WeylElement:
     order = sorted(indices)
     w = identity(rs)
@@ -359,7 +359,7 @@ def center_elements(rs: RootSystem) -> frozenset[WeylElement]:
     return frozenset(center)
 
 
-@lru_cache(maxsize=None)
+@held
 def all_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
     """The whole Weyl group by breadth-first closure; use only at small rank."""
     e = identity(rs)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mindeg import cascade, curve_nbhd, tangent_directions, weyl
+from mindeg import curve_nbhd, root_system, weyl
 from mindeg.cascade import cascade_roots, minimal_degree_records
 from mindeg.cli import main
 from mindeg.curve_nbhd import (
@@ -20,7 +20,7 @@ from mindeg.exceptions import (
 )
 from mindeg.parabolic import Parabolic, project_coroot
 from mindeg.report import all_parabolic_subsets, default_types
-from mindeg.root_system import build_root_system
+from mindeg.root_system import RootSystem, SimpleType, build_root_system
 from mindeg.tangent_directions import key_inequality, quasi_homogeneity_verdict
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
 
@@ -326,16 +326,12 @@ def test_enumeration_matches_certified_box_scan(label):
             assert lifting(p, d) == linear_scan_lifting(p, d, full_flag), (p, d)
 
 
-@pytest.fixture
-def cold_curve_nbhd():
-    """Empty every curve_nbhd cache before and after the test."""
-    def clear():
-        for value in vars(curve_nbhd).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-    clear()
-    yield
-    clear()
+def _fresh(label):
+    """A root system of the test's own, built past the interning table of
+    build_root_system: its tables, and every memo entry keyed by it, start
+    cold, and the faults a test injects stay in them, away from the shared
+    system of the same type."""
+    return RootSystem(SimpleType.parse(label))
 
 
 def _read_z_as(real, swaps):
@@ -364,39 +360,37 @@ def _equal_length_swap(real, top):
 A2_TOP = (1, 1)
 
 
-def test_non_monotone_z_is_a_consistency_error(monkeypatch, cold_curve_nbhd, a2):
-    p = borel(a2)
+def test_non_monotone_z_is_a_consistency_error(monkeypatch):
+    p = borel(_fresh("A2"))
     monkeypatch.setattr(curve_nbhd, "_z_pair", _reversed(curve_nbhd._z_pair, A2_TOP))
     with pytest.raises(ConsistencyError, match="not monotone"):
         is_minimal_degree(p, A2_TOP)
 
 
 @pytest.mark.parametrize("fake", [_reversed, _equal_length_swap])
-def test_a_failed_pair_is_never_remembered(monkeypatch, cold_curve_nbhd, a2, fake):
-    p = borel(a2)
+def test_a_failed_pair_is_never_remembered(monkeypatch, fake):
+    p = borel(_fresh("A2"))
     monkeypatch.setattr(curve_nbhd, "_z_pair", fake(curve_nbhd._z_pair, A2_TOP))
     for _ in range(5):  # nothing of a failed enumeration is kept
         with pytest.raises(ConsistencyError, match="not monotone"):
             is_minimal_degree(p, A2_TOP)
 
 
-def test_length_criterion_disagreeing_with_unit_edges_is_a_consistency_error(
-        monkeypatch, cold_curve_nbhd, a2):
+def test_length_criterion_disagreeing_with_unit_edges_is_a_consistency_error(monkeypatch):
     # z_(0,0) read as z_(1,0) = s1: (1, 0) passes the length criterion from
     # z_0 = 1, but its unit edge down to (0, 0) then reaches the same z
     monkeypatch.setattr(curve_nbhd, "_z_pair",
                         _read_z_as(curve_nbhd._z_pair, {(0, 0): (1, 0)}))
     with pytest.raises(ConsistencyError, match="length criterion"):
-        minimal_degrees(borel(a2))
+        minimal_degrees(borel(_fresh("A2")))
 
 
 @pytest.mark.parametrize("swaps, reach", [({(1, 1): (1, 0)}, 0), ({(0, 1): (1, 0)}, 2)])
-def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, cold_curve_nbhd, a2,
-                                                      swaps, reach):
+def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, swaps, reach):
     # z_(1,1) read as s1 leaves no degree at w_o; z_(0,1) read as s1, with s1
     # taken for the longest element, puts two degrees there. The wrong z's
     # are written into the z table, where the enumeration finds them.
-    b = borel(a2)
+    b = borel(_fresh("A2"))
     table = curve_nbhd._z_pairs(b)
     for d, source in swaps.items():
         table[d] = curve_nbhd._z_pair(b, source)
@@ -406,18 +400,17 @@ def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, cold_curve_nb
         point_class_degree(b)
 
 
-def test_projections_failing_the_unit_edge_test_are_dropped(monkeypatch, cold_curve_nbhd, a2):
+def test_projections_failing_the_unit_edge_test_are_dropped(monkeypatch):
     # On P^2 (A2, Delta_P = {2}) the full-flag degree (2, 0), which is not
     # minimal, projects to (2), whose z equals z_(1): the unit-edge oracle
     # drops the projection
     real = curve_nbhd._borel_minimal
     monkeypatch.setattr(curve_nbhd, "_borel_minimal",
                         lambda b: {**real(b), (2, 0): curve_neighborhood_element(b, (2, 0))})
-    assert sorted(unit_edge_minimal_degrees(Parabolic(a2, frozenset({2})))) == [(0,), (1,)]
+    assert sorted(unit_edge_minimal_degrees(Parabolic(_fresh("A2"), frozenset({2})))) == [(0,), (1,)]
 
 
-def test_projection_without_a_coset_maximal_preimage_is_a_consistency_error(
-        monkeypatch, cold_curve_nbhd, a2):
+def test_projection_without_a_coset_maximal_preimage_is_a_consistency_error(monkeypatch):
     # the same (2, 0): z_(2,0) = s1 lacks the descent s2, so no preimage of
     # (2) is longest in its coset, which no true full-flag minimal degree has
     # produced on any parabolic through E8
@@ -425,12 +418,13 @@ def test_projection_without_a_coset_maximal_preimage_is_a_consistency_error(
     monkeypatch.setattr(curve_nbhd, "_borel_minimal",
                         lambda b: {**real(b), (2, 0): curve_neighborhood_element(b, (2, 0))})
     with pytest.raises(ConsistencyError, match="longest in its coset projects to \\(2,\\)"):
-        minimal_degrees(Parabolic(a2, frozenset({2})))
+        minimal_degrees(Parabolic(_fresh("A2"), frozenset({2})))
 
 
-def test_two_coset_maximal_preimages_are_refused(monkeypatch, cold_curve_nbhd, a2):
+def test_two_coset_maximal_preimages_are_refused(monkeypatch):
     # a fake full-flag degree (1, 5) with z = s1 s2, which has the descent s2,
     # projects to (1) like (1, 1), whose z = w_o has it too
+    a2 = _fresh("A2")
     real = curve_nbhd._borel_minimal
     s1s2 = compose(simple_reflection(a2, 0), simple_reflection(a2, 1))
     monkeypatch.setattr(curve_nbhd, "_borel_minimal", lambda b: {**real(b), (1, 5): s1s2})
@@ -438,14 +432,13 @@ def test_two_coset_maximal_preimages_are_refused(monkeypatch, cold_curve_nbhd, a
         minimal_degrees(Parabolic(a2, frozenset({2})))
 
 
-def test_z_d_with_a_descent_in_delta_p_is_a_consistency_error(
-        monkeypatch, cold_curve_nbhd, a2):
+def test_z_d_with_a_descent_in_delta_p_is_a_consistency_error(monkeypatch):
     # z_d read as z_e itself, the longest element of its coset, keeps the
     # descent s2 that z_e * w_P must lose
     monkeypatch.setattr(curve_nbhd, "right_multiplier", lambda v: lambda u, length: u)
     with pytest.raises(ConsistencyError,
                        match="z_\\(1,\\) = z_\\(1, 1\\) \\* w_P .* not in W\\^P"):
-        minimal_degrees(Parabolic(a2, frozenset({2})))
+        minimal_degrees(Parabolic(_fresh("A2"), frozenset({2})))
 
 
 @pytest.mark.parametrize("label", ["G2", "B3", "C3", "F4", "B5", "D5", "E6"])
@@ -498,8 +491,8 @@ def test_reduced_word_matches_the_stripping_loop_on_the_e6_sweep():
 
 
 @pytest.mark.parametrize("label", ["B6", "D6"])
-def test_enumeration_never_visits_the_box(cold_curve_nbhd, label):
-    p = borel(build_root_system(label))
+def test_enumeration_never_visits_the_box(label):
+    p = borel(_fresh(label))
     top = point_class_degree(p)
     computed = len(curve_nbhd._z_pairs(p))  # every degree whose z was computed
     # the box below top holds 6,300 (B6) and 3,600 (D6) degrees, and the
@@ -516,37 +509,39 @@ def test_recursion_matches_whole_hecke_product(label):
             assert curve_neighborhood_element(p, d) == hecke_curve_neighborhood_element(p, d), (p, d)
 
 
-def test_z_is_computed_without_whole_products(monkeypatch, cold_curve_nbhd, b3):
+def test_z_is_computed_without_whole_products(monkeypatch):
     def forbidden(*args):
         raise AssertionError("called")
 
     for name in ("greedy_decomposition", "compose"):
         monkeypatch.setattr(curve_nbhd, name, forbidden)
     monkeypatch.setattr(weyl, "hecke_product", forbidden)
-    for p in all_parabolics(b3):
+    for p in all_parabolics(_fresh("B3")):
         for d in itertools.product(*(range(3) for _ in p.quotient_positions)):
             curve_neighborhood_element(p, d)
 
 
-def test_action_ignoring_delta_p_is_a_consistency_error(monkeypatch, cold_curve_nbhd, b3):
+def test_action_ignoring_delta_p_is_a_consistency_error(monkeypatch):
     real = curve_nbhd.hecke_reflection_on_coset
 
     def without_levi(z, z_inv, alpha, positions):
         return real(z, z_inv, alpha, ())
 
     monkeypatch.setattr(curve_nbhd, "hecke_reflection_on_coset", without_levi)
-    p = Parabolic(b3, frozenset({2}))
+    p = Parabolic(_fresh("B3"), frozenset({2}))
     with pytest.raises(ConsistencyError, match="not in W\\^P"):
         for d in itertools.product(range(3), repeat=2):
             curve_neighborhood_element(p, d)
 
 
-def test_enumeration_guard_counts_accepted_degrees(monkeypatch, cold_curve_nbhd, capsys):
-    p = borel(build_root_system("A7"))  # 323 minimal degrees, 128 of them 0/1
+def test_enumeration_guard_counts_accepted_degrees(monkeypatch, capsys):
+    rs = _fresh("A7")
+    p = borel(rs)  # 323 minimal degrees, 128 of them 0/1
     monkeypatch.setattr(curve_nbhd, "_MAX_BOREL_DEGREES", 200)
     with pytest.raises(ResourceGuardError, match="more than 200 full-flag minimal degrees"):
         minimal_degrees(p)
     refused = len(curve_nbhd._z_pairs(p))
+    monkeypatch.setattr(root_system, "_build", lambda t: rs)  # the CLI reads rs
     assert main(["cascade", "A7"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -565,16 +560,15 @@ def test_every_0_1_degree_is_minimal(label):
     assert set(itertools.product((0, 1), repeat=rs.rank)) <= set(minimal_degrees(borel(rs)))
 
 
-def test_enumeration_guard_refuses_at_once_when_the_0_1_degrees_pass_it(
-        monkeypatch, cold_curve_nbhd):
-    p = borel(build_root_system("A7"))
+def test_enumeration_guard_refuses_at_once_when_the_0_1_degrees_pass_it(monkeypatch):
+    p = borel(_fresh("A7"))
     monkeypatch.setattr(curve_nbhd, "_MAX_BOREL_DEGREES", 127)
     with pytest.raises(ResourceGuardError, match="at least 128 full-flag minimal degrees"):
         minimal_degrees(p)
     assert len(curve_nbhd._z_pairs(p)) == 1  # only z_0: nothing was searched
 
 
-def test_enumeration_guard_admits_e8_and_refuses_a11(cold_curve_nbhd):
+def test_enumeration_guard_admits_e8_and_refuses_a11():
     # full-flag minimal degrees, counted by the enumeration with the cap lifted;
     # A10 is the largest G/B the box scan answered
     counts = {"E7": 970, "E8": 4_474, "D9": 5_293, "A10": 5_798, "C9": 6_046,
@@ -583,12 +577,12 @@ def test_enumeration_guard_admits_e8_and_refuses_a11(cold_curve_nbhd):
     assert admitted == {"E7", "E8", "D9", "A10"}
     assert 2 ** 8 <= curve_nbhd._MAX_BOREL_DEGREES  # E8 is not refused at once
     with pytest.raises(ResourceGuardError, match="A13 has at least 8192"):
-        minimal_degrees(borel(build_root_system("A13")))
+        minimal_degrees(borel(_fresh("A13")))
 
 
-def test_long_greedy_chain_does_not_exhaust_the_stack(cold_curve_nbhd):
+def test_long_greedy_chain_does_not_exhaust_the_stack():
     # greedy((5000,)) on A1 is 5000 copies of the simple root
-    p = borel(build_root_system("A1"))
+    p = borel(_fresh("A1"))
     assert curve_neighborhood_element(p, (5000,)).length == 1
 
 
@@ -652,14 +646,10 @@ def test_table_matches_the_unit_edge_oracle(label):
             assert lifting(p, d) == e, (p, d)
 
 
-def test_e6_records_and_inequalities_walk_no_g_p_chain(cold_curve_nbhd):
+def test_e6_records_and_inequalities_walk_no_g_p_chain():
     """On every P != B of E6 the records and the key inequality read z_d off
     the table: no G/P Hecke walk computes a z beyond z_0."""
-    for module in (cascade, tangent_directions):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-    rs = build_root_system("E6")
+    rs = _fresh("E6")
     for delta_p in all_parabolic_subsets(6)[1:]:
         p = Parabolic(rs, frozenset(delta_p))
         for rec in minimal_degree_records(p):
@@ -685,6 +675,25 @@ def test_a_parabolic_frees_the_tables_it_holds():
     assert held <= set(vars(p))
     ref = weakref.ref(p)
     del p
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_root_system_frees_the_tables_it_holds():
+    """The tables a system holds keep no reference to it that outlives it:
+    with nothing else holding rs, it is freed with its Weyl tables, its
+    Borel and G/B table, its reflections and its longest elements. (A system
+    build_root_system interns lives as long as the process.)"""
+    rs = RootSystem(SimpleType("E", 6))
+    assert minimal_degrees(borel(rs)) and minimal_degrees(Parabolic(rs, frozenset({2, 4})))
+    assert weyl.word_str(longest_element(rs)) and weyl.word_str(longest_element(rs, {0, 2}))
+    assert weyl.reflection(rs, rs.highest_root).length == len(rs.root_data[
+        rs.highest_root.coeffs].word)
+    held = {f"mindeg.{f}" for f in ("weyl.identity", "weyl._steps", "weyl._longest",
+                                    "weyl.reflection", "curve_nbhd.borel")}
+    assert held <= set(vars(rs))
+    ref = weakref.ref(rs)
+    del rs
     gc.collect()
     assert ref() is None
 

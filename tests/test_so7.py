@@ -82,7 +82,10 @@ def test_proportionality_scalar_is_exact():
     assert _proportionality(x, x.scale((0, 2))) == (Fraction(0), Fraction(2))
     # 3 / (1 + i) = 3/2 - 3/2 i
     assert _proportionality(x.scale((1, 1)), x.scale(3)) == (Fraction(3, 2), Fraction(-3, 2))
-    assert _proportionality(x, x.scale(I) + e_matrix(1, 2)) is None
+    assert _proportionality(x, x.scale(I) + e_matrix(1, 2)) is None  # nonzero off x's support
+    # y = i*x but at x_25 = i, in the real part only, then in the imaginary part only
+    assert _proportionality(x, x.scale(I) + e_matrix(2, 5)) is None
+    assert _proportionality(x, x.scale(I) + e_matrix(2, 5).scale(I)) is None
     assert _proportionality(Matrix7.zero(), x) is None
 
 
