@@ -10,8 +10,8 @@ with its z, its lifting and the cascade of that lifting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .exceptions import (
     ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
@@ -69,8 +69,7 @@ def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
     return roots
 
 
-@dataclass(frozen=True)
-class MinimalDegreeRecord:
+class MinimalDegreeRecord(NamedTuple):
     degree: Degree
     z: WeylElement
     lifting: Degree
@@ -91,8 +90,7 @@ def full_cascade(rs: RootSystem) -> tuple[Root, ...]:
     return cascade_roots(rs, point_class_degree(borel(rs)))
 
 
-@dataclass(frozen=True)
-class SosRecord:
+class SosRecord(NamedTuple):
     roots: tuple[Root, ...]
     is_msos: bool
     is_mmsos: bool

@@ -8,12 +8,11 @@ nonnegative (Parabolic.check_degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from operator import mul
 
 from .exceptions import InvalidDegreeError, InvalidParabolicError
-from .root_system import Root, RootSystem, coroot_coefficients
+from .root_system import Root, RootSystem, _Frozen, coroot_coefficients
 from .weyl import WeylElement, longest_element
 
 __all__ = ["Degree", "Parabolic", "project_coroot", "c1_pairing", "dim_x", "checks_degree"]
@@ -21,23 +20,34 @@ __all__ = ["Degree", "Parabolic", "project_coroot", "c1_pairing", "dim_x", "chec
 Degree = tuple  # integer coordinates over Delta \ Delta_P
 
 
-@dataclass(frozen=True)
-class Parabolic:
-    """A standard parabolic, fixed by its set of simple roots (Bourbaki, 1-based)."""
+class Parabolic(_Frozen):
+    """A standard parabolic, fixed by its set of simple roots (Bourbaki, 1-based).
 
-    system: RootSystem
-    delta_p: frozenset[int]
+    Equal to another Parabolic with the same system and delta_p, and hashed
+    as (system, delta_p); its __dict__ keeps its cached properties and the
+    tables it holds (root_system.held). An index must be an int: True would
+    equal 1 and be written as true."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta_p", frozenset(self.delta_p))
-        non_int = sorted(repr(i) for i in self.delta_p if not isinstance(i, int))
+    def __init__(self, system: RootSystem, delta_p):
+        delta_p = frozenset(delta_p)
+        non_int = sorted(repr(i) for i in delta_p if type(i) is not int)
         if non_int:
             raise InvalidParabolicError(
                 f"simple-root indices must be integers, got {', '.join(non_int)}")
-        bad = [i for i in self.delta_p if not 1 <= i <= self.system.rank]
+        bad = [i for i in delta_p if not 1 <= i <= system.rank]
         if bad:
             raise InvalidParabolicError(
-                f"simple-root indices out of range 1..{self.system.rank}: {sorted(bad)}")
+                f"simple-root indices out of range 1..{system.rank}: {sorted(bad)}")
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "delta_p", delta_p)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.system, self.delta_p) == (other.system, other.delta_p)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.system, self.delta_p))
 
     @cached_property
     def positions(self) -> tuple[int, ...]:

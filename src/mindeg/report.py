@@ -16,13 +16,12 @@ import csv
 import itertools
 import json
 import marshal
-import operator
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 from operator import is_
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows, minimal_degrees
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
@@ -43,8 +42,7 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 _MAX_SWEEP_ROWS = 120_000
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     type: str
     delta_p: tuple[int, ...]
     degree: tuple[int, ...]
@@ -59,19 +57,9 @@ class CaseReport:
     exception: bool
     verdict: str
 
-    def __init__(self, type, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
-                 lhs, rhs, holds, exception, verdict):
-        # one __dict__ update: a frozen dataclass's own __init__ calls
-        # object.__setattr__ once per field, on every sweep row
-        self.__dict__.update(
-            type=type, delta_p=delta_p, degree=degree, z_length=z_length, z_word=z_word,
-            cascade=cascade, td=td, td_tilde=td_tilde, lhs=lhs, rhs=rhs, holds=holds,
-            exception=exception, verdict=verdict)
-
 
 # The field names in declaration order: the CSV header and the JSON key order.
-CSV_HEADER = tuple(f.name for f in fields(CaseReport))
-_field_values = operator.attrgetter(*CSV_HEADER)
+CSV_HEADER = CaseReport._fields
 
 
 def default_types(max_rank: int) -> tuple[SimpleType, ...]:
@@ -257,7 +245,7 @@ def _json_row(r: CaseReport, memo: dict) -> str:
     and tuples through _json_value, which refuses a list; an int or bool
     field of another type (True is an int, 1 == True) is refused too."""
     (type_, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
-     lhs, rhs, holds, exception, verdict) = _field_values(r)
+     lhs, rhs, holds, exception, verdict) = r
     if not (type(z_length) is type(lhs) is type(rhs) is int
             and type(holds) is type(exception) is bool):
         raise TypeError("report JSON needs int z_length, lhs and rhs, "
@@ -295,7 +283,7 @@ _MD_HEAD = ("| type | delta_p | degree | z_length | inequality | holds "
 def _csv_row(r: CaseReport, memo: dict) -> str:
     """r's line of CSV, its tuples as JSON; memo is unused."""
     return _CSV.writerow([json.dumps(v) if isinstance(v, tuple) else v
-                          for v in _field_values(r)])
+                          for v in r])
 
 
 def _md_row(r: CaseReport, memo: dict) -> str:

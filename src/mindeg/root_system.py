@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
@@ -85,16 +84,47 @@ def admissible(family: str, rank: int) -> bool:
     }.get(family, False)
 
 
-@dataclass(frozen=True)
-class SimpleType:
-    """A simple Lie type, e.g. SimpleType("G", 2)."""
+class _Frozen:
+    """Base of the value types: assigning or deleting an attribute raises
+    AttributeError. A constructor sets its fields with object.__setattr__.
+    Pickle restores a __dict__ directly but __slots__ by setattr, so a
+    subclass with __slots__ pickles by a __reduce__ that calls its constructor."""
 
-    family: str
-    rank: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES or not admissible(self.family, self.rank):
-            raise InadmissibleRankError(f"no simple type {self.family}{self.rank}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class SimpleType(_Frozen):
+    """A simple Lie type, e.g. SimpleType("G", 2). Equal to another SimpleType
+    with the same family and rank, and hashed as (family, rank).
+
+    The rank must be an int: True or 2.0 would equal and hash as 1 or 2, and
+    the interning memo (_build) would answer a later "A1" with an "ATrue"."""
+
+    def __init__(self, family: str, rank: int):
+        if type(rank) is not int:
+            raise InadmissibleRankError(
+                f"the rank of a simple type is an int, got {type(rank).__name__} {rank!r}")
+        if family not in _FAMILIES or not admissible(family, rank):
+            raise InadmissibleRankError(f"no simple type {family}{rank}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank) == (other.family, other.rank)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.family, self.rank))
+
+    def __repr__(self) -> str:
+        return f"SimpleType(family={self.family!r}, rank={self.rank!r})"
 
     @classmethod
     def parse(cls, label: str) -> "SimpleType":
@@ -167,12 +197,22 @@ def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(ints)
 
 
-@dataclass(frozen=True)
-class Root:
-    """A root, as its integer coefficient vector over the simple roots."""
+class Root(_Frozen):
+    """A root, as its integer coefficient vector over the simple roots. Equal
+    to another Root with the same system and coefficients, and hashed as
+    (system, coeffs)."""
 
-    system: "RootSystem"
-    coeffs: tuple[int, ...]
+    def __init__(self, system: "RootSystem", coeffs: tuple[int, ...]):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.system, self.coeffs) == (other.system, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.system, self.coeffs))
 
     @property
     def is_positive(self) -> bool:

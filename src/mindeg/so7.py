@@ -17,7 +17,6 @@ copies of its echelon (`SpanBuilder.extended`, `SpanBuilder.intersect`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -180,8 +179,7 @@ def _neg(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(-c for c in coeffs)
 
 
-@dataclass(frozen=True)
-class RootVectorTable:
+class RootVectorTable(NamedTuple):
     b3: dict
     g2: dict
     eps: tuple[Matrix7, Matrix7, Matrix7]
@@ -296,8 +294,7 @@ def subalgebra_bases() -> dict[str, tuple[Matrix7, ...]]:
     return bases
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_name: str
     passed: bool
     witness: str

@@ -36,8 +36,8 @@ chosen by the action of s_alpha on gamma, not by their sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .exceptions import (
     ConsistencyError, ExceptionalCaseError, NotMinimalDegreeError,
@@ -64,20 +64,13 @@ VERDICT_DENSE_G_ORBIT = "DenseGOrbit"
 VERDICT_ONLY_AUT_X = "OnlyAutX"
 
 
-@dataclass(frozen=True)
-class TangentDirectionSets:
+class TangentDirectionSets(NamedTuple):
     td: tuple[Root, ...]
     td_tilde: tuple[Root, ...]
     strong_pairs: tuple[tuple[Root, Root], ...]  # (alpha, gamma) with (gamma, alpha^vee) < -1
 
-    def __init__(self, td, td_tilde, strong_pairs):
-        # one __dict__ update: a frozen dataclass's own __init__ calls
-        # object.__setattr__ once per field, on every sweep row
-        self.__dict__.update(td=td, td_tilde=td_tilde, strong_pairs=strong_pairs)
 
-
-@dataclass(frozen=True)
-class KeyInequalityReport:
+class KeyInequalityReport(NamedTuple):
     lhs: int
     rhs: int
     holds: bool
@@ -86,14 +79,8 @@ class KeyInequalityReport:
     z: WeylElement  # z_d, whose length lhs subtracts
     cascade: tuple[Root, ...]  # of the lifting of d, by coefficients
 
-    def __init__(self, lhs, rhs, holds, exception, sets, z, cascade):
-        # as TangentDirectionSets.__init__
-        self.__dict__.update(lhs=lhs, rhs=rhs, holds=holds, exception=exception, sets=sets,
-                             z=z, cascade=cascade)
 
-
-@dataclass(frozen=True)
-class QuasiHomogeneityVerdict:
+class QuasiHomogeneityVerdict(NamedTuple):
     kind: str
     moduli_dim: int | None = None
     group_dim: int | None = None

@@ -21,12 +21,11 @@ products are reproducible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
 from .exceptions import ConsistencyError, MixedRootSystemError
-from .root_system import Root, RootSystem, _vector, held, reflect
+from .root_system import Root, RootSystem, _Frozen, _vector, held, reflect
 
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
@@ -78,12 +77,29 @@ class _Steps:
             self.words[y] = self.words[tuple([-c for c in y])] = data.word
 
 
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    system: RootSystem
-    images: tuple[int, ...]  # the packed roots w(alpha_j)
-    # l(w) when the constructor knows it; otherwise counted on first use
-    _length: int | None = field(default=None, compare=False, repr=False)
+class WeylElement(_Frozen):
+    """An element w of the Weyl group of system, by images, the packed roots
+    w(alpha_j). Equal to another WeylElement with the same system and images,
+    and hashed as (system, images); _length, l(w) when the constructor knows
+    it and otherwise counted on first use, takes no part."""
+
+    __slots__ = ("system", "images", "_length")
+
+    def __init__(self, system: RootSystem, images: tuple[int, ...], _length: int | None = None):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "images", images)
+        object.__setattr__(self, "_length", _length)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.system, self.images) == (other.system, other.images)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.system, self.images))
+
+    def __reduce__(self):
+        return WeylElement, (self.system, self.images, self._length)
 
     def apply(self, v):
         """Apply to a Root or to a coefficient vector over the simple roots."""

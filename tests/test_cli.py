@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import hashlib
 import json
 import os
@@ -252,7 +251,7 @@ def test_a_prediction_failing_in_any_case_exits_1(monkeypatch, capsys, workers):
     def wrong(type_label, delta_p):
         rows = real(type_label, delta_p)
         if (type_label, delta_p) == ("A2", ()):  # the first of eight cases
-            rows[0] = dataclasses.replace(rows[0], holds=not rows[0].holds)
+            rows[0] = rows[0]._replace(holds=not rows[0].holds)
         return rows
 
     monkeypatch.setattr(report, "case_reports", wrong)
@@ -348,7 +347,7 @@ def test_sweep_command_writes_each_case_as_it_arrives(monkeypatch, fmt):
 
 def _check_emit_json_against_json_dumps(reports) -> None:
     got = emit(reports, "json")
-    want = json.dumps([dataclasses.asdict(r) for r in reports], indent=2) + "\n"
+    want = json.dumps([r._asdict() for r in reports], indent=2) + "\n"
     same = got == want  # a bare boolean: pytest would diff megabytes of text
     lines = zip(got.splitlines(), want.splitlines())
     assert same, next(((n, a, b) for n, (a, b) in enumerate(lines) if a != b),
@@ -367,7 +366,7 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
     first = CaseReport(type="B2", delta_p=(), degree=(1, 0), z_length=0, z_word="",
                        cascade=((1, 0), ()), td=(), td_tilde=((1, 0),), lhs=-3,
                        rhs=0, holds=True, exception=False, verdict='say "\u00e9"\n')
-    second = dataclasses.replace(first, degree=(), holds=False, exception=True,
+    second = first._replace(degree=(), holds=False, exception=True,
                                  td=((2, 1), (1, 0)), z_length=12, z_word="1 2")
     for reports in ([], [first], [first, second], [second, first, second]):
         _check_emit_json_against_json_dumps(reports)
@@ -376,8 +375,8 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
     # true, nor True the int 1, and a list is not a tuple
     for change in ({"holds": 1}, {"exception": 0}, {"lhs": True}, {"z_length": False},
                    {"td": [(1, 0)]}, {"cascade": ((1, 0), [0, 1])}, {"z_word": 1}):
-        for reports in ([dataclasses.replace(first, **change)],
-                        [first, dataclasses.replace(second, **change), second]):
+        for reports in ([first._replace(**change)],
+                        [first, second._replace(**change), second]):
             with pytest.raises(TypeError):
                 emit(reports, "json")
 
@@ -394,15 +393,15 @@ def test_emit_json_writes_bools_in_tuples_as_json_dumps_does():
     other, in either order and at either depth, and a float equal to a
     memoized int tuple is refused as it is without the memo."""
     a = _hand_built_report()
-    b = dataclasses.replace(a, degree=(True, 0))
-    c = dataclasses.replace(a, td=((False, True), (True, 0)), cascade=((1, False),))
+    b = a._replace(degree=(True, 0))
+    c = a._replace(td=((False, True), (True, 0)), cascade=((1, False),))
     for reports in ([a, b], [b, a], [a, b, a, b], [a, c, b], [c, a, c]):
         _check_emit_json_against_json_dumps(reports)
         chunks = [[r] for r in reports]
         assert "".join(render(chunks, "json")) == emit(reports, "json")
     for change in ({"degree": (1.0, 0)}, {"td": ((0, 1), (1.0, 0))}):
         with pytest.raises(TypeError):
-            emit([a, dataclasses.replace(a, **change)], "json")
+            emit([a, a._replace(**change)], "json")
 
 
 class _SmallInt(int):
@@ -415,8 +414,8 @@ def test_emit_json_matches_json_dumps_on_rows_rebuilt_as_new_objects():
     leaves have the same types, and writes an int subclass (which marshal
     cannot write) as json.dumps does."""
     a = _hand_built_report()
-    b = dataclasses.replace(a, degree=(True, 0), td=((0, True), (1, 0)))
-    c = dataclasses.replace(a, degree=(_SmallInt(1), 0), cascade=((_SmallInt(1), 0),))
+    b = a._replace(degree=(True, 0), td=((0, True), (1, 0)))
+    c = a._replace(degree=(_SmallInt(1), 0), cascade=((_SmallInt(1), 0),))
     rows = run_sweep((SimpleType("G", 2),))
     for reports in ([a, b, c], rows):
         copies = [pickle.loads(pickle.dumps(r)) for r in reports]
@@ -439,7 +438,7 @@ def test_emit_json_matches_json_dumps_on_mixed_int_and_bool_tuples(fields):
     (1 == True, 0 == False) are written as json.dumps writes them, by emit
     and by render, whose one memo serves the whole stream."""
     base = _hand_built_report()
-    reports = [dataclasses.replace(base, degree=d, cascade=c, td=t) for d, c, t in fields]
+    reports = [base._replace(degree=d, cascade=c, td=t) for d, c, t in fields]
     _check_emit_json_against_json_dumps(reports)
     assert "".join(render([reports[:1], reports[1:]], "json")) == emit(reports, "json")
 
@@ -479,7 +478,7 @@ def test_predictions_require_the_equality():
     off = next(i for i, r in enumerate(reports) if not r.exception)
     for i, change in ((off, {"rhs": reports[off].lhs + 1}),
                       (k, {"lhs": reports[k].rhs + 2})):
-        changed = dataclasses.replace(reports[i], **change)
+        changed = reports[i]._replace(**change)
         assert (changed.lhs <= changed.rhs) == changed.holds  # the row is consistent
         assert not predictions_confirmed(reports[:i] + [changed] + reports[i + 1:])
 

@@ -4,7 +4,7 @@ from mindeg.cascade import full_cascade
 from mindeg.curve_nbhd import minimal_degrees
 from mindeg.exceptions import InvalidDegreeError, InvalidParabolicError, NotApplicableError
 from mindeg.parabolic import Parabolic, c1_pairing, dim_x, project_coroot
-from mindeg.report import default_types
+from mindeg.report import case_reports, default_types
 from mindeg.root_system import build_root_system, coroot_coefficients, coroot_pairing
 
 from oracles import (
@@ -168,6 +168,9 @@ def test_bad_indices_rejected(g2):
 
 
 def test_non_integer_indices_rejected(a2):
-    for bad in ({1.0}, {"1"}):
+    """True equals 1 and is an int, but a sweep would write it as true."""
+    for bad in ({1.0}, {"1"}, {True}, {False}, {True, 2}):
         with pytest.raises(InvalidParabolicError, match="must be integers"):
             Parabolic(a2, frozenset(bad))
+    with pytest.raises(InvalidParabolicError, match="must be integers"):
+        case_reports("B3", (True,))

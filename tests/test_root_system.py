@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,10 @@ from mindeg.root_system import (
     coroot_coefficients, coroot_pairing, is_long, is_short, reflect, root_leq,
 )
 from mindeg.parabolic import Parabolic
-from mindeg.weyl import identity, mul_gen, reflection, simple_reflection
+from mindeg.report import case_reports
+from mindeg.weyl import (
+    WeylElement, identity, longest_element, mul_gen, reflection, simple_reflection,
+)
 
 from oracles import (
     b3_root_coeffs, bilinear_functional, closure_root_coeffs, fraction_coroot,
@@ -362,3 +366,68 @@ def test_pickling_keeps_root_system_identity(b3):
         assert copy == original and copy.system is b3
     w = longest_element(b3)
     assert bruhat_leq(pickle.loads(pickle.dumps(w)), w)
+
+
+def _value_type_examples(rs):
+    """(value, its field names, its field values, its repr) for each of the
+    four value types, on the system rs of type B3."""
+    w = longest_element(rs)
+    v = mul_gen(simple_reflection(rs, 0), 1)
+    return [
+        (rs.simple_type, ("family", "rank"), ("B", 3), "SimpleType(family='B', rank=3)"),
+        (rs.highest_root, ("system", "coeffs"), (rs, (1, 2, 2)), "Root(B3, [1, 2, 2])"),
+        (w, ("system", "images"), (rs, w.images), "WeylElement(B3, '3 2 3 1 2 3 1 2 1')"),
+        (WeylElement(rs, v.images), ("system", "images"), (rs, v.images),
+         "WeylElement(B3, '1 2')"),
+        (Parabolic(rs, frozenset({2, 3})), ("system", "delta_p"), (rs, frozenset({2, 3})),
+         "Parabolic(B3, [2, 3])"),
+    ]
+
+
+def test_value_types_keep_their_contract(b3):
+    """SimpleType, Root, WeylElement and Parabolic are immutable; each equals
+    only instances of its own class, hashes as the tuple of its fields
+    (WeylElement without _length), keeps its repr and pickles to an equal
+    value on the same system; a WeylElement keeps its _length."""
+    examples = _value_type_examples(b3)
+    for x, names, values, text in examples:
+        assert tuple(getattr(x, n) for n in names) == values
+        for n in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(x, n, None)
+        for n in names:
+            with pytest.raises(AttributeError):
+                delattr(x, n)
+        assert tuple(getattr(x, n) for n in names) == values
+        assert hash(x) == hash(values)
+        assert x != values and values != x and x != list(values)
+        assert x.__eq__(values) is NotImplemented
+        assert sum(x == y for y, *_ in examples) == 1
+        assert repr(x) == text
+        copy = pickle.loads(pickle.dumps(x))
+        assert copy == x and hash(copy) == hash(x) and type(copy) is type(x)
+        if "system" in names:
+            assert copy.system is b3
+    w = longest_element(b3)
+    counted = WeylElement(b3, w.images, 9)
+    uncounted = WeylElement(b3, w.images)
+    assert counted == uncounted and hash(counted) == hash(uncounted)
+    assert pickle.loads(pickle.dumps(counted))._length == 9
+    assert pickle.loads(pickle.dumps(uncounted))._length is None
+    assert uncounted.length == 9 and uncounted._length == 9  # counted on first use
+
+
+@pytest.mark.parametrize("rank", [True, False, 2.0, 6.0, "2", None])
+def test_a_rank_that_is_not_an_int_is_refused(rank):
+    """A bool or float rank equals and hashes as an int, so it would reach
+    the interning memo as a key equal to "A1" or "A2" and label that system."""
+    for family in "AE":
+        with pytest.raises(InadmissibleRankError, match="rank"):
+            SimpleType(family, rank)
+
+
+def test_a_refused_rank_leaves_the_interned_systems_alone():
+    with pytest.raises(InadmissibleRankError):
+        build_root_system(SimpleType("A", True))
+    assert repr(build_root_system("A1")) == "RootSystem(A1)"
+    assert {r.type for r in case_reports("A1", ())} == {"A1"}

@@ -57,19 +57,41 @@ def test_no_function_local_imports():
     assert sorted(found) == sorted(LOCAL_IMPORTS)
 
 
-def test_importing_the_cli_loads_no_process_pool():
-    """A fresh interpreter that imports mindeg.cli has not loaded
-    concurrent.futures or multiprocessing; only a parallel sweep does."""
+def _loaded_by_importing_the_cli(tops: tuple[str, ...]) -> list[str]:
+    """The modules under the top-level names tops that a fresh `python -I`
+    has loaded once it has imported mindeg.cli from this source tree."""
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import mindeg.cli; "
             "print(mindeg.__file__); "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] in {tops!r}))")
     proc = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     where, loaded = proc.stdout.splitlines()
     assert Path(where).parent == PACKAGE
-    assert loaded == "[]"
+    return ast.literal_eval(loaded)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """A fresh interpreter that imports mindeg.cli has not loaded
+    concurrent.futures or multiprocessing; only a parallel sweep does."""
+    assert _loaded_by_importing_the_cli(("concurrent", "multiprocessing")) == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    """No module of the package imports dataclasses, and a fresh interpreter
+    that imports mindeg.cli has loaded neither dataclasses nor inspect (which
+    dataclasses imports, with ast, dis and tokenize: most of the package's
+    import time when its classes were dataclasses). The records are
+    NamedTuples and the value types plain classes."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.level == 0
+             and (node.module or "").split(".")[0] == "dataclasses"]
+    assert found == []
+    assert _loaded_by_importing_the_cli(("dataclasses", "inspect")) == []
 
 
 def test_exported_names_exist():
