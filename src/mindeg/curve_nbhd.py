@@ -56,23 +56,34 @@ lexicographically largest coefficient vector first (_root_table):
   in greedy order, so alpha_j is not that child's first greedy root and the
   child is never generated. The search therefore tries only the children with
   j <= j0 (every child of 0, which has no greedy root) and accepts the same
-  degrees; a child accepted through alpha_j has j as its own j0. A child e
-  is tried only once no root before alpha_j fits below it, so alpha_j is its
-  first greedy root and e - alpha_j^vee = d its rest: z_e is the one Hecke
-  step s_alpha_j * z_d that _z_pair would take from z_d, and the search takes
-  it itself, with no greedy walk, degree check or memo lookup. The unit-edge
-  test reads the z's below a degree through _z_pair, whose walks end at z's
-  the search has stored.
+  degrees; a child accepted through alpha_j has j as its own j0. A child e is
+  tried only once no root before alpha_j fits below it, a test run for every j
+  at once on one integer with a bit field per root (_child_fields), so alpha_j
+  is its first greedy root and e - alpha_j^vee = d its rest: z_e is the one
+  Hecke step s_alpha_j * z_d that _z_pair would take from z_d, and the search
+  takes it itself, with no greedy walk, degree check or memo lookup. It takes
+  it letter by letter along the word of s_alpha_j and stops at the first idle
+  letter (reduced_left_reflection): each letter adds at most one to the
+  length, so after an idle one l(z_e) < l(z_d) + l(s_alpha_j) already, and the
+  length criterion would refuse e anyway. A refused child's z is not stored.
+  The unit-edge test reads the z's below a degree through _z_pair, whose walks
+  end at z's the search has stored; should one read a refused child, _z_pair
+  computes its z afresh.
 
 Each table is checked locally, raising ConsistencyError. On G/B the
 unit-edge test must agree with the length criterion on each accepted degree,
-with z_{d-e_i} <= z_d on each unit edge. On G/P every projection of a
-full-flag minimal degree must have a preimage whose z is longest in its
-coset, as on every parabolic through E8, and each z_d = z_e * w_P, one
-sparse product (right_multiplier) given the length l(z_e) - l(w_P), must
-have no right descent in Delta_P, which is what makes that length right.
-On both, exactly one minimal degree, the point-class degree, reaches the
-longest coset. The full-flag search is refused (ResourceGuardError) once it
+with z_{d-e_i} <= z_d on each unit edge. The edges of d are checked in one
+walk down z_d (first_not_below): each step strips z_d's smallest right
+descent s, and with it every z_{d-e_i} that has s as a right descent. The
+lifting property, u <= v iff min(u, us) <= vs for a right descent s of v,
+holds for each u on its own, so the walk is bruhat_leq(z_{d-e_i}, z_d) for
+every i at once; it reports the first i that fails. On G/P every
+projection of a full-flag minimal degree must have a preimage whose z is
+longest in its coset, as on every parabolic through E8, and each
+z_d = z_e * w_P, one sparse product (right_multiplier) given the length
+l(z_e) - l(w_P), must have no right descent in Delta_P, which is what makes
+that length right. On both, exactly one minimal degree, the point-class
+degree, reaches the longest coset. The full-flag search is refused (ResourceGuardError) once it
 accepts more than _MAX_BOREL_DEGREES degrees, and at once when 2^rank does:
 each degree sum_{i in S} alpha_i^vee is minimal, as a smaller degree is
 supported on some S' < S, so its z lies in W_{S'}, while z_d >= s_i for
@@ -90,8 +101,8 @@ from .exceptions import (
 from .parabolic import Degree, Parabolic, checks_degree, project_coroot
 from .root_system import Root, RootSystem, held
 from .weyl import (
-    WeylElement, bruhat_leq, compose, descent_mask, descents_at, hecke_reflection_on_coset,
-    identity, longest_element, right_multiplier,
+    WeylElement, compose, descent_mask, descents_at, first_not_below, hecke_reflection_on_coset,
+    identity, longest_element, reduced_left_reflection, right_multiplier,
 )
 
 __all__ = [
@@ -247,27 +258,77 @@ def _passes_unit_edges(p: Parabolic, d: Degree, z: WeylElement) -> bool:
     """The unit-edge test: z_{d-e_i} != z_d for every i with d_i > 0.
 
     A degree that passes also has each z_{d-e_i} checked below z_d in Bruhat
-    order, which is the monotonicity the test rests on.
+    order, which is the monotonicity the test rests on: one walk down z_d
+    for all of them (first_not_below).
     """
+    downs = list(_unit_steps_down(d))
     below = []
-    for c in _unit_steps_down(d):
+    for c in downs:
         u = _z_pair(p, c)[0]
         if u == z:
             return False
-        below.append((c, u))
-    for c, u in below:
-        if not bruhat_leq(u, z):
-            raise ConsistencyError(f"z is not monotone on {p}: z_{c} is not below z_{d}")
+        below.append(u)
+    k = first_not_below(below, z)
+    if k is not None:
+        raise ConsistencyError(f"z is not monotone on {p}: z_{downs[k]} is not below z_{d}")
     return True
+
+
+def _child_fields(fits, coroots) -> tuple[int, tuple[tuple[int, ...], ...], int, int, int]:
+    """The first-greedy-root test of the search, for every child of a degree at once.
+
+    The N roots of the root table (_root_table) each own a field of N + 1
+    bits of one integer, field j at bit (N + 1) j. Returns (N + 1, tables,
+    low, ones, guard). tables[i][v] holds in field j the mask fits[i][v + c],
+    c the coefficient of alpha_j^vee at i (the last mask once v + c passes
+    it), and low holds (1 << j) - 1, the roots before alpha_j, in field j.
+    So field j of low & tables[0][d_0] & tables[1][d_1] & ... is
+    _fitting(fits, d + alpha_j^vee, (1 << j) - 1). ones holds 2^N - 1 in
+    every field: adding it to a field below 2^N carries into the field's
+    top bit, which guard masks, exactly when the field is not 0.
+    """
+    n = len(coroots)
+    width = n + 1
+    tables = []
+    for i, fit in enumerate(fits):
+        last = len(fit) - 1
+        # at[c] has a 1 in the field of each root whose coroot has c at i,
+        # and times a mask below 2^N copies the mask into those fields
+        at = [0] * (last + 1)
+        for j, coroot in enumerate(coroots):
+            at[coroot[i]] += 1 << width * j
+        tables.append(tuple(sum([p * fit[min(v + c, last)] for c, p in enumerate(at) if p])
+                            for v in range(last + 1)))
+    low = sum([((1 << j) - 1) << width * j for j in range(n)])
+    ones = sum([((1 << n) - 1) << width * j for j in range(n)])
+    guard = sum([1 << width * j + n for j in range(n)])
+    return width, tuple(tables), low, ones, guard
+
+
+def _first_greedy_children(fields, d: Degree, j0: int):
+    """The j <= j0, ascending, for which alpha_j is the first greedy root of
+    d + alpha_j^vee: no root before alpha_j fits below it (_child_fields)."""
+    width, tables, low, ones, guard = fields
+    blocked = low
+    for table, c in zip(tables, d):
+        blocked &= table[c] if c < len(table) else table[-1]
+    free = ~(blocked + ones) & guard & ((1 << width * (j0 + 1)) - 1)
+    while free:
+        bit = free & -free
+        free ^= bit
+        yield bit.bit_length() // width - 1
 
 
 def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
     """The minimal degrees of G/B with their z, by a breadth-first search from 0.
 
     Each degree is queued with the index j0 of its first greedy root, and
-    only its children through the roots j <= j0 are tried (see the module
+    only its children through the roots j <= j0 that have alpha_j as their
+    first greedy root are tried (_first_greedy_children; see the module
     docstring). A child's z is one Hecke step from its parent's, the step
-    _z_pair takes, and joins _z_pairs(b).
+    _z_pair takes. A child not yet in _z_pairs(b) takes it by
+    reduced_left_reflection, which refuses the child at its first idle
+    letter; only a child it builds joins the table.
     """
     rs = b.system
     if 2 ** rs.rank > _MAX_BOREL_DEGREES:  # the 0/1 degrees alone pass the cap
@@ -277,7 +338,8 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
     roots, fits, _, _, coroots = _root_table(b)
     # l(s_alpha) is the length of the reduced word the root system recorded
     data = rs.root_data
-    steps = [(j, coroots[j], len(data[a.coeffs].word)) for j, a in enumerate(roots)]
+    steps = [len(data[a.coeffs].word) for a in roots]
+    fields = _child_fields(fits, coroots)
     pairs = _z_pairs(b)
     found = {b.zero_degree: identity(rs)}
     queue = [(b.zero_degree, len(roots) - 1)]
@@ -289,20 +351,19 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
                 f"but a unit edge below it reaches the same z")
         pair = pairs[d]
         length = pair[0].length
-        for j, coroot, step in steps[:j0 + 1]:
-            e = tuple([x + y for x, y in zip(d, coroot)])
-            # skip e unless alpha_j is its first greedy root, the first
-            # fitting root in greedy order
-            if _fitting(fits, e, (1 << j) - 1):
-                continue
+        # e = d + alpha_j^vee, tried only if alpha_j is its first greedy root
+        for j in _first_greedy_children(fields, d, j0):
+            e = tuple([x + y for x, y in zip(d, coroots[j])])
             # then d is e's rest, and z_e W_B = s_alpha_j * z_d W_B
             child = pairs.get(e)
             if child is None:  # not yet read by a unit-edge test
-                child = pairs[e] = hecke_reflection_on_coset(*pair, roots[j], ())
-            z = child[0]
-            if z.length != length + step:
+                child = reduced_left_reflection(*pair, roots[j])
+                if child is None:  # not reduced, so e is not minimal
+                    continue
+                pairs[e] = child
+            elif child[0].length != length + steps[j]:
                 continue
-            found[e] = z
+            found[e] = child[0]
             queue.append((e, j))
             if len(found) > _MAX_BOREL_DEGREES:
                 raise ResourceGuardError(

@@ -104,13 +104,15 @@ class SimpleType(_Frozen):
     with the same family and rank, and hashed as (family, rank).
 
     The rank must be an int: True or 2.0 would equal and hash as 1 or 2, and
-    the interning memo (_build) would answer a later "A1" with an "ATrue"."""
+    the interning memo (_build) would answer a later "A1" with an "ATrue".
+    The family must be a str, which the substring test against _FAMILIES
+    needs."""
 
     def __init__(self, family: str, rank: int):
         if type(rank) is not int:
             raise InadmissibleRankError(
                 f"the rank of a simple type is an int, got {type(rank).__name__} {rank!r}")
-        if family not in _FAMILIES or not admissible(family, rank):
+        if type(family) is not str or family not in _FAMILIES or not admissible(family, rank):
             raise InadmissibleRankError(f"no simple type {family}{rank}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "rank", rank)

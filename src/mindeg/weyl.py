@@ -30,8 +30,8 @@ from .root_system import Root, RootSystem, _Frozen, _vector, held, reflect
 __all__ = [
     "WeylElement", "identity", "simple_reflection", "reflection", "compose",
     "mul_gen", "descents_at", "descent_mask", "right_multiplier", "hecke_reflection_on_coset",
-    "reduced_word", "word_str", "longest_element", "hecke_product",
-    "bruhat_leq", "inversion_set", "center_elements", "all_elements",
+    "reduced_left_reflection", "reduced_word", "word_str", "longest_element", "hecke_product",
+    "bruhat_leq", "first_not_below", "inversion_set", "center_elements", "all_elements",
 ]
 
 
@@ -326,33 +326,111 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
     return WeylElement(rs, tuple(images), length), WeylElement(rs, tuple(inv), length)
 
 
+def reduced_left_reflection(z: WeylElement, z_inv: WeylElement,
+                            alpha: Root) -> tuple[WeylElement, WeylElement] | None:
+    """(s_alpha z, z^-1 s_alpha) if l(s_alpha z) = l(z) + l(s_alpha), else None.
+
+    The letters of the palindromic word of s_alpha act as in
+    hecke_reflection_on_coset with no parabolic positions, but the first
+    letter s_i that would be idle, z^-1(alpha_i) < 0 for the z reached so
+    far, ends the step with None: each letter adds at most one to the
+    length, so after an idle one the Hecke product is already shorter than
+    l(z) + l(s_alpha). When every letter acts, the Hecke product is the
+    group product, and the result is exactly the pair
+    hecke_reflection_on_coset(z, z_inv, alpha, ()) returns, with its length.
+    """
+    rs = _same_group(z, z_inv)
+    if alpha.system is not rs:
+        raise MixedRootSystemError("element and root live in different systems")
+    steps = _steps(rs)
+    table, simple, rows = steps.table, steps.simple, steps.rows
+    word = steps.words[alpha.coeffs]
+    images, inv = list(z.images), list(z_inv.images)
+    for i in word:
+        beta = inv[i]
+        if beta < 0:
+            return None
+        step = simple[i]
+        for j, c in rows[i]:
+            inv[j] -= c * beta
+        for j, c in table[beta][1]:
+            images[j] -= c * step
+    length = z.length + len(word)
+    return WeylElement(rs, tuple(images), length), WeylElement(rs, tuple(inv), length)
+
+
 def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     """Bruhat order, via the lifting property along right descents of v.
 
-    For a right descent s of v: u <= v iff min(u, us) <= vs. Each step
-    shortens v by one and u by at most one, so the walk stops once the
-    lengths meet, where u <= v iff u == v.
+    This is first_not_below's walk for the single u: each step strips v's
+    smallest right descent s (u <= v iff min(u, us) <= vs), and the scan
+    for the next descent restarts at the first of the stripped position and
+    its neighbours (_Steps.strips), as in _stripped_word.
     """
-    rs = _same_group(u, v)
-    lu, lv = u.length, v.length
-    if lu >= lv:
-        return lu == lv and u.images == v.images
-    rows = _steps(rs).rows
-    pu, pv = list(u.images), list(v.images)
-    while lu < lv:
-        i = 0
+    return first_not_below((u,), v) is None
+
+
+def first_not_below(us, v: WeylElement) -> int | None:
+    """The index of the first u of us with u not <= v in Bruhat order, or None.
+
+    One walk down v serves all of us: each step strips v's smallest right
+    descent s and, with it, every u still walking that has s as a descent.
+    The lifting property (for a right descent s of v: u <= v iff
+    min(u, us) <= vs) holds for each u on its own, so this is the Bruhat
+    test for every u. Stripping s_i changes only the images at i and its
+    neighbours (_Steps.strips), and no position before i is a descent of v,
+    so the next scan restarts at the first of i and its neighbours, as in
+    _stripped_word.
+    A step closes the gap l(v) - l(u) by one for each u that lacks s, and a
+    u is settled once its gap is 0, below v iff it equals v; once a u fails,
+    the u's after it are dropped, as they cannot be the first.
+    """
+    rs = v.system
+    lv = v.length
+    failed = None
+    walkers = []  # [l(v) - l(u), images of u, index] of the unsettled u's, in order
+    for k, u in enumerate(us):
+        if u.system is not rs:
+            raise MixedRootSystemError("elements of different Weyl groups")
+        gap = lv - u.length
+        if gap > 0:
+            walkers.append([gap, list(u.images), k])
+        elif gap or u.images != v.images:
+            failed = k
+            break
+    strips = _steps(rs).strips
+    pv = list(v.images)
+    i = 0
+    while walkers:
         while pv[i] >= 0:
             i += 1
         b = pv[i]
-        for j, c in rows[i]:
+        pv[i] = -b
+        start, neighbours = strips[i]
+        for j, c in neighbours:
             pv[j] -= c * b
-        lv -= 1
-        b = pu[i]
-        if b < 0:
-            for j, c in rows[i]:
-                pu[j] -= c * b
-            lu -= 1
-    return pu == pv
+        settled = False
+        for walker in walkers:
+            pu = walker[1]
+            b = pu[i]
+            if b < 0:
+                pu[i] = -b
+                for j, c in neighbours:
+                    pu[j] -= c * b
+            else:
+                walker[0] -= 1
+                settled = settled or not walker[0]
+        if settled:
+            left = []
+            for walker in walkers:
+                if walker[0]:
+                    left.append(walker)
+                elif walker[1] != pv:
+                    failed = walker[2]
+                    break
+            walkers = left
+        i = start
+    return failed
 
 
 def inversion_set(w: WeylElement) -> tuple[Root, ...]:

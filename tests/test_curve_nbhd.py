@@ -363,7 +363,8 @@ A2_TOP = (1, 1)
 def test_non_monotone_z_is_a_consistency_error(monkeypatch):
     p = borel(_fresh("A2"))
     monkeypatch.setattr(curve_nbhd, "_z_pair", _reversed(curve_nbhd._z_pair, A2_TOP))
-    with pytest.raises(ConsistencyError, match="not monotone"):
+    with pytest.raises(ConsistencyError,
+                       match=r"not monotone.*: z_\(0, 0\) is not below z_\(1, 0\)"):
         is_minimal_degree(p, A2_TOP)
 
 
@@ -596,6 +597,35 @@ def test_pruned_search_matches_unpruned_search(label):
     degrees, with the same z, as trying every child."""
     b = borel(build_root_system(label))
     assert curve_nbhd._borel_minimal(b) == unpruned_borel_minimal(b)
+
+
+def test_refused_children_are_not_stored():
+    """A child whose Hecke step has an idle letter is refused there, and its
+    z is not stored: the E6/B z table holds 676 entries, the z's of the 249
+    minimal degrees and of the degrees their unit-edge tests read, where
+    storing every child tried left 1,194."""
+    b = borel(_fresh("E6"))
+    curve_nbhd._minimal(b)
+    assert len(curve_nbhd._z_pairs(b)) < 700
+
+
+@pytest.mark.parametrize("label", _labels(4, "F4", "E6"))
+def test_first_greedy_children_match_the_fitting_mask_per_child(label):
+    """The bit-field test of the search takes alpha_j for d + alpha_j^vee
+    exactly when no root before alpha_j fits below it, for every degree of
+    a box and every j0."""
+    b = borel(build_root_system(label))
+    _, fits, _, _, coroots = curve_nbhd._root_table(b)
+    fields = curve_nbhd._child_fields(fits, coroots)
+    n = len(coroots)
+    for d in itertools.product(range(5), repeat=min(b.system.rank, 4)):
+        d += (1,) * (b.system.rank - len(d))
+        want = [j for j in range(n)
+                if not curve_nbhd._fitting(fits, tuple(x + y for x, y in zip(d, coroots[j])),
+                                           (1 << j) - 1)]
+        for j0 in (n - 1, n // 2, 0):
+            got = list(curve_nbhd._first_greedy_children(fields, d, j0))
+            assert got == [j for j in want if j <= j0], (label, d, j0)
 
 
 @pytest.mark.parametrize("label", _labels(5))

@@ -426,6 +426,14 @@ def test_a_rank_that_is_not_an_int_is_refused(rank):
             SimpleType(family, rank)
 
 
+@pytest.mark.parametrize("family", [1, None, b"A"])
+def test_a_family_that_is_not_a_str_is_refused(family):
+    """The family's type is checked before the substring test against the
+    family letters, which raises TypeError for anything but a str."""
+    with pytest.raises(InadmissibleRankError, match="no simple type"):
+        SimpleType(family, 2)
+
+
 def test_a_refused_rank_leaves_the_interned_systems_alone():
     with pytest.raises(InadmissibleRankError):
         build_root_system(SimpleType("A", True))

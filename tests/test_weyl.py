@@ -9,8 +9,9 @@ from mindeg.report import default_types
 from mindeg.root_system import RootSystem, SimpleType, build_root_system
 from mindeg.weyl import (
     all_elements, bruhat_leq, center_elements, compose, descent_mask, descents_at,
-    hecke_product, hecke_reflection_on_coset, identity, inversion_set, longest_element,
-    mul_gen, reduced_word, right_multiplier, simple_reflection, word_str,
+    first_not_below, hecke_product, hecke_reflection_on_coset, identity, inversion_set,
+    longest_element, mul_gen, reduced_left_reflection, reduced_word, reflection,
+    right_multiplier, simple_reflection, word_str,
 )
 
 from oracles import (
@@ -369,3 +370,69 @@ def test_reduced_word_matches_the_stripping_loop(label):
     words of the scan from the first position, on the whole group."""
     for w in all_elements(build_root_system(label)):
         assert reduced_word(w) == stripping_reduced_word(w), w
+
+
+def _inverse(w):
+    return _word_element(w.system, reversed(reduced_word(w)))
+
+
+def _check_reduced_left_reflection(z, z_inv, alpha):
+    """reduced_left_reflection is None exactly when the Hecke step lengthens
+    z by less than l(s_alpha), and is otherwise the Hecke step's pair."""
+    got = reduced_left_reflection(z, z_inv, alpha)
+    want = hecke_reflection_on_coset(z, z_inv, alpha, ())
+    if want[0].length < z.length + reflection(z.system, alpha).length:
+        assert got is None, (z, alpha)
+    else:
+        assert got == want, (z, alpha)
+        assert got[0]._length == got[1]._length == want[0]._length == len(inversion_set(got[0]))
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_reduced_left_reflection_matches_the_hecke_step(label):
+    rs = build_root_system(label)
+    for z in all_elements(rs):
+        z_inv = _inverse(z)
+        for alpha in rs.positive_roots:
+            _check_reduced_left_reflection(z, z_inv, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduced_left_reflection_matches_the_hecke_step_sampled_f4(data):
+    rs = build_root_system("F4")
+    z = _draw_element(data, rs)
+    _check_reduced_left_reflection(z, _inverse(z), data.draw(st.sampled_from(rs.positive_roots)))
+
+
+def _first_not_below_by_pairs(us, v):
+    return next((k for k, u in enumerate(us) if not bruhat_leq(u, v)), None)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3"])
+def test_first_not_below_matches_the_subword_oracle(label):
+    """One walk down v for a list of u's reports the index of the first u
+    that the subword oracle puts outside the interval below v, the index a
+    walk per u (bruhat_leq) reports: a failing u first, in the middle and
+    last, two failing u's, and a u of v's length that is not v."""
+    rs = build_root_system(label)
+    group = all_elements(rs)
+    for v in group:
+        down = subword_bruhat_down_set(v)
+        for u in group:
+            assert (first_not_below([u], v) is None) == (u in down) == bruhat_leq(u, v), (u, v)
+        below = [u for u in group if u in down]
+        outside = [u for u in group if u not in down]
+        assert first_not_below(below, v) is None
+        assert first_not_below(below[::-1], v) is None
+        same = [u for u in outside if u.length == v.length]
+        for u in same[:1] + outside[:1] + outside[-1:]:
+            for order in (below, below[::-1]):
+                for k in (0, len(order) // 2, len(order)):
+                    us = order[:k] + [u] + order[k:]
+                    assert first_not_below(us, v) == k == _first_not_below_by_pairs(us, v)
+                    assert first_not_below(us + outside, v) == k, (u, v)
+        if outside:
+            assert first_not_below(outside, v) == 0
+    with pytest.raises(MixedRootSystemError):
+        first_not_below([identity(build_root_system("A2"))], identity(rs))
