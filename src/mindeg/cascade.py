@@ -17,8 +17,7 @@ from .exceptions import (
     ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
 )
 from .curve_nbhd import (
-    _minimal, borel, greedy_decomposition, is_minimal_degree, minimal_degrees,
-    point_class_degree,
+    _is_minimal, _minimal, borel, greedy_decomposition, minimal_degrees, point_class_degree,
 )
 from .parabolic import Degree, Parabolic, checks_degree
 from .root_system import Root, RootSystem, held
@@ -59,8 +58,10 @@ def _check_full_flag_degree(rs: RootSystem, e: Degree) -> None:
 @checks_degree(_check_full_flag_degree)
 @lru_cache(maxsize=None)
 def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
-    """The greedy roots of the full-flag minimal degree e, by coefficients."""
-    if not is_minimal_degree(borel(rs), e):
+    """The greedy roots of the full-flag minimal degree e, by coefficients;
+    e is checked minimal off the G/B table when borel(rs) holds it, and
+    otherwise by the local test (curve_nbhd)."""
+    if not _is_minimal(borel(rs), e):
         raise NotMinimalDegreeError(f"{e} is not a full-flag minimal degree")
     roots = tuple(sorted(set(greedy_decomposition(borel(rs), e)),
                          key=lambda r: r.coeffs))

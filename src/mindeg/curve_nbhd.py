@@ -88,6 +88,48 @@ accepts more than _MAX_BOREL_DEGREES degrees, and at once when 2^rank does:
 each degree sum_{i in S} alpha_i^vee is minimal, as a smaller degree is
 supported on some S' < S, so its z lies in W_{S'}, while z_d >= s_i for
 every i in S.
+
+Single queries do not need the table. A query on one (p, d) reads it when p
+(on G/B, borel) already holds it (_minimal.holds), as every sweep case does;
+otherwise each fact is decided locally, and no guard of the search applies:
+
+- Least elements. Every degree s reaches z_s through a minimal degree m <= s
+  with z_m = z_s: step down unit edges that keep z until the unit-edge test
+  passes. On G/B, by (ii), a minimal e is the least degree reaching z_e, for
+  the least one m has m <= e and z_m >= z_e. On G/P the same holds for a
+  minimal d: if s reaches z_d, take its minimal m with z_m = z_s >= z_d;
+  their liftings have z_{e_m} = z_m * w_P >= z_d * w_P = z_{e_d}, so
+  e_d <= e_m, and projecting, d <= m <= s. In particular exactly one
+  minimal degree, the point-class degree, reaches the longest coset, and
+  every degree that does lies above it.
+- The degree bound (_degree_bound). Let k be the least power of 2 with
+  z_(k, ..., k) the longest coset. A minimal d is the least degree reaching
+  z_d, which the point-class degree reaches too, so d <= the point-class
+  degree <= (k, ..., k). A degree with a coordinate above k is therefore
+  refused before its greedy chain is walked. On G/B the point-class degree
+  is the sum of the coroots of its cascade, at most rank strongly orthogonal
+  roots, each coefficient below the Coxeter number h, so its coordinates
+  are below rank * h = |R|, and on G/P it projects a G/B minimal degree. So
+  z_(k, ..., k) is the longest coset once k >= |R|; if it is not, the bound
+  raises ConsistencyError.
+- Minimality: the unit-edge test, one greedy chain per coordinate.
+- Descent (_least_reaching). If the degrees reaching w have a least element
+  m, and a start s >= m reaches w, then lowering one coordinate at a time
+  to the least value that still reaches w ends at m: the degrees reaching w
+  form an up-set (z is monotone), so the least value is found by binary
+  search, and it is m_i, since s with m_i there is still >= m and every
+  degree reaching w is >= m.
+- The lifting of a minimal d of G/P is the least G/B degree reaching
+  w = z_d * w_P (the lifting e reaches it, and by the G/B fact above it is
+  the least). e projects to d, and e <= (K, ..., K) for K the bound of G/B,
+  so the descent starts at d off Delta_P and K on Delta_P and runs over the
+  coordinates of Delta_P only. The result is checked: z_d has no right
+  descent in Delta_P, so w = z_d * w_P has length l(z_d) + l(w_P); z_e = w;
+  and e passes the unit-edge test on G/B. Each failure raises
+  ConsistencyError.
+- The point-class degree is the least degree reaching the longest coset,
+  by the descent from (k, ..., k) over every coordinate; it must pass the
+  unit-edge test.
 """
 
 from __future__ import annotations
@@ -101,8 +143,9 @@ from .exceptions import (
 from .parabolic import Degree, Parabolic, checks_degree, project_coroot
 from .root_system import Root, RootSystem, held
 from .weyl import (
-    WeylElement, compose, descent_mask, descents_at, first_not_below, hecke_reflection_on_coset,
-    identity, longest_element, reduced_left_reflection, right_multiplier,
+    WeylElement, bruhat_leq, compose, descent_mask, descents_at, first_not_below,
+    hecke_reflection_on_coset, identity, longest_element, reduced_left_reflection,
+    right_multiplier,
 )
 
 __all__ = [
@@ -417,12 +460,17 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], De
             raise ConsistencyError(
                 f"no full-flag minimal degree longest in its coset projects to "
                 f"{min(missing)} on {p}")
-    target = compose(longest_element(p.system), p.w_p)
+    target = _longest_coset(p)
     tops = [d for d, (z, _) in found.items() if z == target]
     if len(tops) != 1:
         raise ConsistencyError(
             f"{len(tops)} minimal degrees of {p} reach the longest coset: {tops}")
     return found, tops[0], groups
+
+
+def _longest_coset(p: Parabolic) -> WeylElement:
+    """The shortest element of the longest coset w_0 W_P."""
+    return compose(longest_element(p.system), p.w_p)
 
 
 @checks_degree(Parabolic.check_degree)
@@ -432,9 +480,83 @@ def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
     return d in _minimal(p)[0]
 
 
+@_held
+def _degree_bound(p: Parabolic) -> int:
+    """The least power of 2, k, with z_(k, ..., k) the longest coset: no
+    minimal degree of p has a coordinate above k (see the module docstring)."""
+    top, n = _longest_coset(p), len(p.quotient_positions)
+    k = 1
+    while _z_pair(p, (k,) * n)[0] != top:
+        if k >= len(p.system.roots):
+            raise ConsistencyError(f"z_{(k,) * n} on {p} is not the longest coset")
+        k *= 2
+    return k
+
+
+def _is_locally_minimal(p: Parabolic, d: Degree) -> bool:
+    """The unit-edge test on d, after the degree bound; d is checked first."""
+    p.check_degree(d)
+    if max(d, default=0) > _degree_bound(p):
+        return False
+    return _passes_unit_edges(p, d, _z_pair(p, d)[0])
+
+
+def _is_minimal(p: Parabolic, d: Degree) -> bool:
+    """is_minimal_degree when p holds its table, and otherwise the local test."""
+    if _minimal.holds(p):
+        return is_minimal_degree(p, d)
+    return _is_locally_minimal(p, d)
+
+
+def _least_reaching(p: Parabolic, start: Degree, coordinates, w: WeylElement) -> Degree:
+    """The least degree reaching w (z >= w), by descent from start over the
+    given coordinates, one binary search each (see the module docstring)."""
+    s = list(start)
+    for i in coordinates:
+        lo, hi = 0, s[i]
+        while lo < hi:
+            s[i] = mid = (lo + hi) // 2
+            if bruhat_leq(w, _z_pair(p, tuple(s))[0]):
+                hi = mid
+            else:
+                lo = mid + 1
+        s[i] = hi
+    return tuple(s)
+
+
+def _local_lifting(p: Parabolic, d: Degree, z: WeylElement) -> Degree:
+    """The lifting of a minimal degree d of p != B with z_d = z: the least
+    G/B degree reaching z * w_P, by descent over the coordinates of Delta_P,
+    checked (see the module docstring)."""
+    b, positions = borel(p.system), p.positions
+    if descents_at(z, positions):
+        raise ConsistencyError(f"z_{d} on {p} is not in W^P")
+    w = right_multiplier(p.w_p)(z, z.length + p.w_p.length)
+    start = [_degree_bound(b)] * p.system.rank
+    for i, c in zip(p.quotient_positions, d):
+        start[i] = c
+    e = _least_reaching(b, start, positions, w)
+    z_e = _z_pair(b, e)[0]
+    if z_e != w:
+        raise ConsistencyError(f"the descent from {tuple(start)} on G/B ends at {e}, "
+                               f"whose z is not z_{d} * w_P on {p}")
+    if not _passes_unit_edges(b, e, z_e):
+        raise ConsistencyError(f"the lifting {e} of {d} on {p} fails the unit-edge test")
+    return e
+
+
 def point_class_degree(p: Parabolic) -> Degree:
-    """The smallest degree whose curve neighborhood reaches the longest coset."""
-    return _minimal(p)[1]
+    """The smallest degree whose curve neighborhood reaches the longest coset:
+    read off the table when p holds it, and otherwise found by descent from
+    (k, ..., k), k the degree bound, and checked minimal."""
+    if _minimal.holds(p):
+        return _minimal(p)[1]
+    n = len(p.quotient_positions)
+    d = _least_reaching(p, (_degree_bound(p),) * n, range(n), _longest_coset(p))
+    if not _passes_unit_edges(p, d, _z_pair(p, d)[0]):
+        raise ConsistencyError(f"the least degree {d} reaching the longest coset of {p} "
+                               f"fails the unit-edge test")
+    return d
 
 
 def minimal_degrees(p: Parabolic) -> tuple[Degree, ...]:
@@ -457,16 +579,22 @@ def _sweep_rows(rs: RootSystem) -> int:
 
 
 def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree]:
-    """z_d and the lifting of a minimal degree d, read off the table."""
-    if not is_minimal_degree(p, d):
-        raise NotMinimalDegreeError(f"{d} is not a minimal degree for {p}")
-    return _minimal(p)[0][d]
+    """z_d and the lifting of a minimal degree d: read off the table when p
+    holds it, and otherwise decided locally (see the module docstring)."""
+    if _minimal.holds(p):
+        if is_minimal_degree(p, d):
+            return _minimal(p)[0][d]
+    elif _is_locally_minimal(p, d):
+        z = _z_pair(p, d)[0]
+        return z, _local_lifting(p, d, z) if p.positions else d
+    raise NotMinimalDegreeError(f"{d} is not a minimal degree for {p}")
 
 
 def lifting(p: Parabolic, d: Degree) -> Degree:
     """The full-flag minimal degree e with z_e = z_d * w_P; it projects to d.
 
-    A lookup in the table of minimal degrees: on G/P, the full-flag minimal
-    degree longest in its coset that projects to d; on G/B, d itself.
+    On G/B, d itself. On G/P, a lookup in the table of minimal degrees when
+    p holds it (the full-flag minimal degree longest in its coset that
+    projects to d), and otherwise the least G/B degree reaching z_d * w_P.
     """
     return _z_and_lifting(p, d)[1]

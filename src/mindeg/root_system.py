@@ -57,7 +57,9 @@ def held(build, owner=lambda x: x):
     """Decorator: x keeps build(x, *key) by key in a table in its __dict__,
     under build's module-qualified name, and frees it with itself: no
     module-global table pins x. x's first read fetches the table of owner(x),
-    which x then shares. The result keeps build's name and docstring."""
+    which x then shares. The result keeps build's name and docstring, and
+    its holds(x, *key) tells, without building, whether x already holds
+    build(x, *key)."""
     name = f"{build.__module__}.{build.__qualname__}"  # never an attribute name
 
     @wraps(build)
@@ -69,6 +71,12 @@ def held(build, owner=lambda x: x):
             if key not in memo:  # a table shared with owner(x) may hold it
                 memo[key] = build(x, *key)
             return memo[key]
+
+    def holds(x, *key) -> bool:
+        # x's table, once it has one, is the table of owner(x)
+        return key in vars(owner(x)).get(name, ())
+
+    read.holds = holds
     return read
 
 

@@ -27,7 +27,8 @@ cascade reaches and (P, alpha) rows are held on their parabolic
 (_held, freed with it), both on first read. The degree-wide checks
 (bijectivity, disjointness, associated pairs) run once per degree, in
 key_inequality, which validates d, reads z_d and its lifting off the table
-of minimal degrees, and reports z_d, the cascade and both direction sets;
+of minimal degrees when the parabolic holds it and otherwise decides them
+locally (curve_nbhd), and reports z_d, the cascade and both direction sets;
 tangent_direction_sets returns those sets. The lemma checks read the
 pairings: the pair map's domain is the negative ones, the bound their
 absolute values, and the count identity weighs them, with its left side
@@ -45,8 +46,8 @@ from .exceptions import (
 )
 from .cascade import cascade_roots
 from .curve_nbhd import (
-    _held, _minimal, _z_and_lifting, borel, curve_neighborhood_element, is_minimal_degree,
-    lifting, point_class_degree,
+    _held, _is_minimal, _z_and_lifting, _z_pair, borel, curve_neighborhood_element, lifting,
+    point_class_degree,
 )
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
 from .root_system import Root, RootSystem, bilinear, coroot_pairing, is_long, is_short
@@ -226,7 +227,7 @@ def _direction_sets(p: Parabolic, e: Degree, casc: tuple[int, ...]) -> TangentDi
         strong += [(roots[k], g) for g in gammas]
     extra = 0
     if strong:
-        z_e = _minimal(borel(rs))[0][e][0]
+        z_e = _z_pair(borel(rs), e)[0]  # in the z table on either path
         alphas = tuple([roots[k] for k in casc])
         seen_gamma = {}
         for a, g in strong:
@@ -325,8 +326,9 @@ def weighted_pair_count_identity_holds(p: Parabolic, d: Degree) -> bool:
 
 def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
     """(c_1(X), d) - len(z_d) against the number of tangent directions,
-    z_d and the lifting read off the table of minimal degrees; the report
-    carries z_d and the cascade of the lifting too."""
+    z_d and the lifting read off the table of minimal degrees when p holds
+    it, and otherwise decided locally; the report carries z_d and the
+    cascade of the lifting too."""
     z, e = _z_and_lifting(p, d)  # checks d, once
     cascade = cascade_roots(p.system, e)
     sets = _direction_sets(p, e, _outside_levi(p, cascade))
@@ -342,7 +344,7 @@ def quasi_homogeneity_verdict(p: Parabolic, d: Degree) -> QuasiHomogeneityVerdic
     There the moduli space outgrows the group (the dimension witness), and
     only the full automorphism group of X retains a dense orbit.
     """
-    if not is_minimal_degree(p, d):
+    if not _is_minimal(p, d):
         raise NotMinimalDegreeError(f"{d} is not a minimal degree")
     if is_exceptional_triple(p, d):
         rs = p.system

@@ -6,19 +6,21 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mindeg import report
+from mindeg import curve_nbhd, report, root_system
 from mindeg.cli import main
+from mindeg.curve_nbhd import borel
 from mindeg.exceptions import InvalidConfigError, InvalidDegreeError, ResourceGuardError
 from mindeg.report import (
     CaseReport, default_types, emit, predictions_confirmed, render, run_sweep, sweep_cases,
 )
-from mindeg.root_system import SimpleType
+from mindeg.root_system import RootSystem, SimpleType
 from oracles import APPENDIX_WITNESSES
 
 
@@ -189,6 +191,51 @@ def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_system(monkeypatch, label):
+    """A system of the test's own that the CLI reads in place of the interned
+    one, so that no table built by another test is held."""
+    rs = RootSystem(SimpleType.parse(label))
+    monkeypatch.setattr(root_system, "_build", lambda t: rs)
+    return rs
+
+
+def test_a_degree_above_the_bound_exits_2_at_once(capsys, monkeypatch):
+    """A coordinate above the degree bound is refused before its greedy chain
+    (10,000,000 steps) is walked, and no table is built."""
+    rs = _fresh_system(monkeypatch, "A2")
+    t0 = time.perf_counter()
+    assert main(["verdict", "A2", "--degree", "10000000,3"]) == 2
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: (10000000, 3) is not a minimal degree\n"
+    assert not curve_nbhd._minimal.holds(borel(rs))
+
+
+def test_a_query_above_the_table_guards_is_answered(capsys):
+    """The 2^rank rule and the full-flag cap bind only table builds: a query
+    on A20 (2^20 full-flag minimal degrees) is answered locally."""
+    delta_p = ",".join(str(i) for i in range(1, 21) if i != 10)
+    code, out = run_cli(capsys, "verdict", "A20", "--delta-p", delta_p, "--degree", "1")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "DenseGOrbit"
+    assert main(["minimal-degrees", "A20", "--delta-p", delta_p]) == 2
+    assert "at least 1048576 full-flag minimal degrees" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verdict", "E8", "--delta-p", "2,3,4,5,6,7,8", "--degree", "2"],
+    ["verdict", "E8", "--delta-p", "1,2,3,4,5,6,7"],
+    ["cascade", "E8"],
+])
+def test_e8_queries_build_no_table(capsys, monkeypatch, argv):
+    # a G/P table is read off the G/B table, so neither was built
+    rs = _fresh_system(monkeypatch, "E8")
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["type"] == "E8"
+    assert not curve_nbhd._minimal.holds(borel(rs))
 
 
 def test_bad_input_exits_2_under_python_O():

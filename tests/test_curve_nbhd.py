@@ -390,7 +390,9 @@ def test_length_criterion_disagreeing_with_unit_edges_is_a_consistency_error(mon
 def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, swaps, reach):
     # z_(1,1) read as s1 leaves no degree at w_o; z_(0,1) read as s1, with s1
     # taken for the longest element, puts two degrees there. The wrong z's
-    # are written into the z table, where the enumeration finds them.
+    # are written into the z table, where the enumeration finds them. The
+    # check runs on the table build: without a table, point_class_degree
+    # descends locally (test_local_point_class_degree_checks_its_result).
     b = borel(_fresh("A2"))
     table = curve_nbhd._z_pairs(b)
     for d, source in swaps.items():
@@ -398,7 +400,7 @@ def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, swaps, reach)
     if reach == 2:
         monkeypatch.setattr(curve_nbhd, "longest_element", lambda rs: simple_reflection(rs, 0))
     with pytest.raises(ConsistencyError, match=f"{reach} minimal degrees .* longest coset"):
-        point_class_degree(b)
+        minimal_degrees(b)
 
 
 def test_projections_failing_the_unit_edge_test_are_dropped(monkeypatch):
@@ -543,7 +545,7 @@ def test_enumeration_guard_counts_accepted_degrees(monkeypatch, capsys):
         minimal_degrees(p)
     refused = len(curve_nbhd._z_pairs(p))
     monkeypatch.setattr(root_system, "_build", lambda t: rs)  # the CLI reads rs
-    assert main(["cascade", "A7"]) == 2
+    assert main(["minimal-degrees", "A7"]) == 2  # a table build; a query is local
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
@@ -742,3 +744,157 @@ def test_a_fresh_borel_reads_the_tables_of_borel(monkeypatch):
     assert minimal_degrees(fresh) == minimal_degrees(b)
     assert calls == []
     assert curve_nbhd._z_pairs(fresh) is curve_nbhd._z_pairs(b)
+
+
+def test_held_tells_whether_a_table_is_held():
+    """_minimal.holds(p) answers without building; a fresh Parabolic(rs,
+    frozenset()) sees the table of borel(rs), which it shares."""
+    rs = _fresh("A3")
+    p, b = Parabolic(rs, frozenset({2})), borel(rs)
+    assert not curve_nbhd._minimal.holds(p) and not curve_nbhd._minimal.holds(b)
+    assert "mindeg.curve_nbhd._minimal" not in vars(p)
+    minimal_degrees(b)
+    assert curve_nbhd._minimal.holds(b) and curve_nbhd._minimal.holds(Parabolic(rs, frozenset()))
+    assert not curve_nbhd._minimal.holds(p)
+    minimal_degrees(p)
+    assert curve_nbhd._minimal.holds(p)
+
+
+def _query(p, d):
+    """Everything a query reports on (p, d), comparable across two systems."""
+    ineq = key_inequality(p, d)
+    coeffs = lambda roots: tuple([r.coeffs for r in roots])  # noqa: E731
+    return (ineq.z.images, ineq.z.length, lifting(p, d), coeffs(ineq.cascade),
+            coeffs(ineq.sets.td), coeffs(ineq.sets.td_tilde),
+            tuple([(a.coeffs, g.coeffs) for a, g in ineq.sets.strong_pairs]),
+            ineq.lhs, ineq.rhs, ineq.holds, ineq.exception,
+            quasi_homogeneity_verdict(p, d))
+
+
+def _table_and_local(label):
+    """For each parabolic of label, the pair (p on a system whose tables are
+    built, the same p on a fresh system that never builds one)."""
+    table, local = _fresh(label), _fresh(label)
+    for p in all_parabolics(table):
+        minimal_degrees(p)
+        yield p, Parabolic(local, p.delta_p)
+
+
+def _holds_no_table(p):
+    return not curve_nbhd._minimal.holds(p) and not curve_nbhd._minimal.holds(borel(p.system))
+
+
+@pytest.mark.parametrize("label", _labels(4))  # G2 and F4 included
+def test_local_queries_match_the_table(label):
+    """On every parabolic, a query on a system that holds no table answers
+    as the table path does: z_d, the lifting, the cascade, both direction
+    sets with the strong pairs, lhs, rhs and the verdict; and the
+    point-class degree too."""
+    for p, q in _table_and_local(label):
+        assert point_class_degree(q) == point_class_degree(p), p
+        for d in minimal_degrees(p):
+            assert _query(q, d) == _query(p, d), (p, d)
+        assert _holds_no_table(q), q
+
+
+@pytest.mark.parametrize("label", ["B3", "F4"])
+def test_a_table_built_after_local_queries_is_the_table(label):
+    """The z's local queries leave in the z tables are the ones the search
+    computes, so a table built afterwards equals that of a fresh system."""
+    pairs = list(_table_and_local(label))
+    for p, q in pairs:
+        for d in minimal_degrees(p):
+            key_inequality(q, d)
+    for p, q in pairs:
+        assert ({d: (z.images, e) for d, (z, e) in curve_nbhd._minimal(q)[0].items()}
+                == {d: (z.images, e) for d, (z, e) in curve_nbhd._minimal(p)[0].items()}), p
+
+
+@pytest.mark.parametrize("label", _labels(4))  # G2 and F4 included
+def test_local_queries_refuse_what_the_table_refuses(label):
+    """In the box up to the point-class degree plus one, the local test
+    accepts exactly the table's minimal degrees, and every entry point
+    refuses the others on both paths."""
+    for p, q in _table_and_local(label):
+        table = curve_nbhd._minimal(p)[0]
+        top = point_class_degree(p)
+        for d in itertools.product(*[range(c + 2) for c in top]):
+            assert curve_nbhd._is_minimal(q, d) == (d in table), (p, d)
+            if d not in table:
+                for entry in (key_inequality, lifting, quasi_homogeneity_verdict):
+                    for x in (p, q):
+                        with pytest.raises(NotMinimalDegreeError):
+                            entry(x, d)
+        assert _holds_no_table(q), q
+
+
+def test_a_degree_above_the_bound_is_refused_before_its_chain():
+    """A coordinate above the degree bound k refuses d at once: no z of a
+    degree with that coordinate is computed."""
+    rs = _fresh("A2")
+    p = Parabolic(rs, frozenset())
+    with pytest.raises(NotMinimalDegreeError):
+        key_inequality(p, (10_000_000, 3))
+    assert curve_nbhd._degree_bound(p) == 1
+    assert max(max(d) for d in curve_nbhd._z_pairs(p)) == 1
+    g2 = Parabolic(_fresh("G2"), frozenset({2}))
+    assert curve_nbhd._degree_bound(g2) == 2 and point_class_degree(g2) == (2,)
+    assert not curve_nbhd._is_minimal(g2, (3,))
+    assert (3,) not in curve_nbhd._z_pairs(g2) and (2,) in curve_nbhd._z_pairs(g2)
+
+
+def test_local_lifting_with_a_wrong_z_e_is_a_consistency_error(monkeypatch):
+    # P^2 (A2, Delta_P = {2}): the lifting of (1) is (1, 1), which the
+    # descent from (1, 1), the bound of G/B being 1, keeps without probing
+    # it; z_(1,1) read as z_(1,0) = s1 is then not z_(1) * w_P = w_o
+    a2 = _fresh("A2")
+    assert curve_nbhd._degree_bound(borel(a2)) == 1  # held before the fault
+    monkeypatch.setattr(curve_nbhd, "_z_pair",
+                        _read_z_as(curve_nbhd._z_pair, {(1, 1): (1, 0)}))
+    with pytest.raises(ConsistencyError,
+                       match=r"ends at \(1, 1\), whose z is not z_\(1,\) \* w_P"):
+        lifting(Parabolic(a2, frozenset({2})), (1,))
+
+
+def test_local_lifting_failing_its_unit_edges_is_a_consistency_error(monkeypatch):
+    # the same lifting (1, 1), with z_(0,1) read as z_(1,1) = w_o: the descent
+    # never reads (0, 1), but the unit-edge test of (1, 1) then fails
+    a2 = _fresh("A2")
+    monkeypatch.setattr(curve_nbhd, "_z_pair",
+                        _read_z_as(curve_nbhd._z_pair, {(0, 1): (1, 1)}))
+    with pytest.raises(ConsistencyError,
+                       match=r"lifting \(1, 1\) of \(1,\) .* fails the unit-edge test"):
+        key_inequality(Parabolic(a2, frozenset({2})), (1,))
+
+
+def test_local_non_monotone_z_on_g_p_is_a_consistency_error(monkeypatch):
+    # A3, Delta_P = {2}: z read backwards along the box below the point-class
+    # degree (1, 1), so that z_(1,1) is the identity and its unit edges are not
+    # below it
+    rs = _fresh("A3")
+    p = Parabolic(rs, frozenset({2}))
+    top = point_class_degree(Parabolic(build_root_system("A3"), frozenset({2})))
+    assert top == (1, 1) and curve_nbhd._degree_bound(p) == 1  # held before the fault
+    monkeypatch.setattr(curve_nbhd, "_z_pair", _reversed(curve_nbhd._z_pair, top))
+    with pytest.raises(ConsistencyError, match=r"not monotone on Parabolic\(A3, \[2\]\)"):
+        quasi_homogeneity_verdict(p, top)
+
+
+def test_local_point_class_degree_checks_its_result(monkeypatch):
+    # A2/B with the bound held at 2 (z_(1,1) read as s1 while it was found),
+    # then z_(0,1) read as w_o: the descent from (2, 2) ends at (1, 1), whose
+    # unit edge down to (0, 1) reaches the same z
+    b, real = borel(_fresh("A2")), curve_nbhd._z_pair
+    monkeypatch.setattr(curve_nbhd, "_z_pair", _read_z_as(real, {(1, 1): (1, 0)}))
+    assert curve_nbhd._degree_bound(b) == 2
+    monkeypatch.setattr(curve_nbhd, "_z_pair", _read_z_as(real, {(0, 1): (1, 1)}))
+    with pytest.raises(ConsistencyError,
+                       match=r"least degree \(1, 1\) reaching the longest coset .* unit-edge"):
+        point_class_degree(b)
+
+
+def test_degree_bound_that_never_reaches_the_longest_coset_is_a_consistency_error(monkeypatch):
+    # with s1 taken for the longest element no z_(k, k) is the longest coset
+    monkeypatch.setattr(curve_nbhd, "longest_element", lambda rs: simple_reflection(rs, 0))
+    with pytest.raises(ConsistencyError, match=r"z_\(8, 8\) on .* is not the longest coset"):
+        point_class_degree(borel(_fresh("A2")))

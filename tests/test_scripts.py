@@ -9,16 +9,28 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 def test_time_cold_query_reports_each_part():
     """One fresh run of A2 prints one line with a time in ms for each of the
-    four parts of a cold query."""
+    three parts of a cold query, which builds no table, and for the
+    full-flag search on its own."""
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "time_cold_query.py"), "--types", "A2", "--runs", "1"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     header, row = proc.stdout.splitlines()
-    assert header.split()[:5] == ["type", "import", "build", "search", "rest"]
+    assert header.split()[:5] == ["type", "import", "build", "query", "search"]
     label, *times = row.split()
     assert label == "A2" and len(times) == 4
     assert all(float(t) >= 0 for t in times)
+
+
+def test_check_local_queries_accepts_small_types():
+    """The local-versus-table comparison passes on A2 and G2, one line each."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "check_local_queries.py"), "--types", "A2,G2"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["A2", "G2"]
+    assert lines[0].startswith("A2: 9 rows and ") and lines[1].startswith("G2: 13 rows and ")
 
 
 def test_time_appendix_reports_the_import_and_each_check():
