@@ -15,11 +15,9 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import marshal
 import os
 from collections.abc import Iterable, Iterator
 from json.encoder import encode_basestring_ascii
-from operator import is_
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -36,9 +34,10 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 # The most rows a sweep may emit. Every type of rank <= 7 together has
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
 # D9 alone has 210,055. A streamed sweep's memory is the tables its
-# parabolics hold, which the is_minimal_degree memo keeps alive, and the
-# stream's JSON memo (E8: 167 MB peak, serially), which grow with the rows;
-# run_sweep holds every report.
+# parabolics hold, which the is_minimal_degree memo keeps alive, so that it
+# grows with the rows (E8: 122 MB peak, serially); a serial stream's JSON
+# memo holds at most one entry per root and depth. run_sweep holds every
+# report.
 _MAX_SWEEP_ROWS = 120_000
 
 
@@ -180,19 +179,20 @@ def predictions_confirmed(reports) -> bool:
                and (r.verdict == VERDICT_ONLY_AUT_X) == r.exception for r in reports)
 
 
+# What json.dumps(indent=2) writes before, between and after the items of a
+# list on a line indented by n spaces, by n; filled as each depth is met.
+_JSON_LIST = {}
+
+
 def _json_value(v, indent: int, memo: dict) -> str:
     """v as json.dumps(v, indent=2) writes it on a line indented by indent spaces.
 
-    Tuples are memoized by (value, indent): the same degree or root recurs
-    across many rows, at more than one depth. Equal tuples may be written
-    differently ((True, 0) == (1, 0), and 1.0 == 1), so an entry keeps the
-    tuple it was written from and answers an equal tuple only when both are
-    built alike: at once when their items are the same objects, as in a
-    serial sweep, whose tuples hold small ints and the coefficient tuples of
-    the system's roots; else when marshal writes both to the same bytes,
-    which it does only for the same types throughout (a process pool returns
-    each case's tuples unpickled, as new objects). The entry then keeps the
-    newer tuple, whose items the next rows of its case share.
+    A tuple nested in v is written once per object and depth: memo keeps its
+    text under (id, indent), with the tuple itself, so that the id is not
+    reused while memo lives. A tuple and the items it holds cannot change,
+    so the same object always has the same text. In a sweep these are the
+    coefficient tuples of the roots in cascade, td and td_tilde, which each
+    case's rows share; v itself, a new tuple per row, is not kept.
     """
     if not isinstance(v, tuple):
         if isinstance(v, str):
@@ -202,32 +202,22 @@ def _json_value(v, indent: int, memo: dict) -> str:
         if isinstance(v, int):
             return int.__repr__(v)
         raise TypeError(f"cannot write a {type(v).__name__} as report JSON")
-    key = (v, indent)
-    entry = memo.get(key)
-    if entry is not None:
-        if entry[0] is v or all(map(is_, entry[0], v)):
-            return entry[1]
-        if _marshal_alike(entry[0], v):
-            memo[key] = (v, entry[1])
-            return entry[1]
-    if v:
-        inner = ",\n" + " " * (indent + 2)
-        text = ("[" + inner[1:] + inner.join([_json_value(x, indent + 2, memo) for x in v])
-                + "\n" + " " * indent + "]")
-    else:
-        text = "[]"
-    memo[key] = (v, text)
-    return text
-
-
-def _marshal_alike(a: tuple, b: tuple) -> bool:
-    """True when marshal (format 2, which shares no objects) writes a and b
-    to the same bytes; False when it cannot write one of them (an int
-    subclass, say)."""
-    try:
-        return marshal.dumps(a, 2) == marshal.dumps(b, 2)
-    except ValueError:
-        return False
+    if not v:
+        return "[]"
+    i, texts, get = indent + 2, [], memo.get
+    for x in v:
+        if type(x) is int:  # delta_p and degree, without a call per item
+            texts.append(int.__repr__(x))
+        elif isinstance(x, tuple):
+            entry = get((id(x), i))
+            if entry is None:
+                entry = memo[id(x), i] = (x, _json_value(x, i, memo))
+            texts.append(entry[1])
+        else:
+            texts.append(_json_value(x, i, memo))
+    head, sep, tail = _JSON_LIST.get(indent) or _JSON_LIST.setdefault(
+        indent, ("[\n" + " " * i, ",\n" + " " * i, "\n" + " " * indent + "]"))
+    return head + sep.join(texts) + tail
 
 
 # How json.dumps(indent=2) opens the line of each field in a row object.
@@ -250,21 +240,16 @@ def _json_row(r: CaseReport, memo: dict) -> str:
             and type(holds) is type(exception) is bool):
         raise TypeError("report JSON needs int z_length, lhs and rhs, "
                         "and bool holds and exception")
-    enc, get = encode_basestring_ascii, memo.get
-    texts = []
-    for v in (delta_p, degree, cascade, td, td_tilde):
-        entry = get((v, 4))  # _json_value's first answer, without its call
-        texts.append(entry[1] if entry is not None and (entry[0] is v or all(map(is_, entry[0], v)))
-                     else _json_value(v, 4, memo))
+    enc = encode_basestring_ascii
     return _JSON_ROW % (
         enc(type_),
-        texts[0],
-        texts[1],
+        _json_value(delta_p, 4, memo),
+        _json_value(degree, 4, memo),
         int.__repr__(z_length),
         enc(z_word),
-        texts[2],
-        texts[3],
-        texts[4],
+        _json_value(cascade, 4, memo),
+        _json_value(td, 4, memo),
+        _json_value(td_tilde, 4, memo),
         int.__repr__(lhs),
         int.__repr__(rhs),
         _JSON_BOOL[holds],
@@ -307,7 +292,7 @@ def emit(reports, fmt: str) -> str:
     """Render reports as json, csv, or md with a stable field order: the
     format's head, its rows joined by its separator and its tail, or its
     empty document if there are no reports. The json rows share one memo,
-    so that each degree or root is encoded once per nesting depth."""
+    so that each root tuple is encoded once per nesting depth."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
     row, head, sep, tail, empty = _FORMATS[fmt]

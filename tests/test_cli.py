@@ -415,7 +415,11 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
                        rhs=0, holds=True, exception=False, verdict='say "\u00e9"\n')
     second = first._replace(degree=(), holds=False, exception=True,
                                  td=((2, 1), (1, 0)), z_length=12, z_word="1 2")
-    for reports in ([], [first], [first, second], [second, first, second]):
+    # one tuple object at two depths: its text is kept once for each
+    t = (1, 0)
+    third = first._replace(cascade=(t, (t,)), td=(t,))
+    for reports in ([], [first], [first, second], [second, first, second],
+                    [third], [first, third, second, third]):
         _check_emit_json_against_json_dumps(reports)
     # a field of another type than case_reports builds is refused with
     # TypeError, alone or between valid rows: the int 1 is not the bool
@@ -457,9 +461,9 @@ class _SmallInt(int):
 
 def test_emit_json_matches_json_dumps_on_rows_rebuilt_as_new_objects():
     """A process pool returns each case's reports unpickled, so an equal
-    tuple arrives built from new objects. The memo answers it only when its
-    leaves have the same types, and writes an int subclass (which marshal
-    cannot write) as json.dumps does."""
+    tuple arrives built from new objects. The memo, keyed by object, writes
+    each as json.dumps does, whatever its leaves' types, an int subclass
+    too."""
     a = _hand_built_report()
     b = a._replace(degree=(True, 0), td=((0, True), (1, 0)))
     c = a._replace(degree=(_SmallInt(1), 0), cascade=((_SmallInt(1), 0),))
@@ -469,6 +473,21 @@ def test_emit_json_matches_json_dumps_on_rows_rebuilt_as_new_objects():
         _check_emit_json_against_json_dumps(reports + copies + reports[::-1])
     assert emit(rows + [pickle.loads(pickle.dumps(r)) for r in rows], "json") == \
         emit(rows + rows, "json")
+
+
+def test_json_memo_keeps_only_the_nested_tuples():
+    """The JSON memo of a stream holds the text of the tuples nested in a
+    field, the roots of cascade, td and td_tilde, once per object and depth;
+    the fields themselves and the degrees are written without it. Over every
+    row of B3 and G2 it ends with no more entries than the two have roots."""
+    memo, bound = {}, 0
+    for label in ("B3", "G2"):
+        rs = root_system.build_root_system(label)
+        bound += len(rs.roots)
+        for dp in report.all_parabolic_subsets(rs.rank):
+            for r in report.case_reports(label, dp):
+                report._json_row(r, memo)
+    assert 0 < len(memo) <= bound
 
 
 # tuples nested up to three deep whose leaves are small ints and bools
