@@ -4,8 +4,8 @@
 For each type, two systems are built past the interning table of
 build_root_system: one whose parabolics build their tables of minimal
 degrees, and one that never builds any, so that every query on it takes the
-local path (the degree bound, the unit-edge test and the lifting by
-descent). On every parabolic the two must agree on the point-class degree
+local path (the projected cascade degree as the bound, the unit-edge test
+and the lifting by descent). On every parabolic the two must agree on the point-class degree
 and, for each minimal degree, on z_d, the lifting, the cascade, both
 direction sets with the strong pairs, lhs, rhs and the verdict. In the box
 up to the point-class degree plus one, the local test must accept exactly

@@ -83,7 +83,8 @@ longest in its coset, as on every parabolic through E8, and each
 z_d = z_e * w_P, one sparse product (right_multiplier) given the length
 l(z_e) - l(w_P), must have no right descent in Delta_P, which is what makes
 that length right. On both, exactly one minimal degree, the point-class
-degree, reaches the longest coset. The full-flag search is refused (ResourceGuardError) once it
+degree, reaches the longest coset, and it is the projected cascade degree
+(below). The full-flag search is refused (ResourceGuardError) once it
 accepts more than _MAX_BOREL_DEGREES degrees, and at once when 2^rank does:
 each degree sum_{i in S} alpha_i^vee is minimal, as a smaller degree is
 supported on some S' < S, so its z lies in W_{S'}, while z_d >= s_i for
@@ -102,17 +103,32 @@ otherwise each fact is decided locally, and no guard of the search applies:
   e_d <= e_m, and projecting, d <= m <= s. In particular exactly one
   minimal degree, the point-class degree, reaches the longest coset, and
   every degree that does lies above it.
-- The degree bound (_degree_bound). Let k be the least power of 2 with
-  z_(k, ..., k) the longest coset. A minimal d is the least degree reaching
-  z_d, which the point-class degree reaches too, so d <= the point-class
-  degree <= (k, ..., k). A degree with a coordinate above k is therefore
-  refused before its greedy chain is walked. On G/B the point-class degree
-  is the sum of the coroots of its cascade, at most rank strongly orthogonal
-  roots, each coefficient below the Coxeter number h, so its coordinates
-  are below rank * h = |R|, and on G/P it projects a G/B minimal degree. So
-  z_(k, ..., k) is the longest coset once k >= |R|; if it is not, the bound
-  raises ConsistencyError.
-- Minimality: the unit-edge test, one greedy chain per coordinate.
+- The cascade degree (_cascade_degree, held on the system). Kostant's
+  cascade (B. Kostant, The cascade of orthogonal roots and the coadjoint
+  structure of the nilradical of a Borel subgroup of a semisimple Lie group,
+  Moscow Math. J. 12 (2012)) takes the highest root of the positive roots
+  left, keeps only the roots orthogonal to it, and repeats until none are
+  left; its roots b_1, ..., b_m are strongly orthogonal, and the product of
+  their reflections is w_0. Let D = b_1^vee + ... + b_m^vee. By
+  z_{a+b} >= z_a * z_b and z_{b^vee} >= s_b (the completeness argument
+  above), z_D >= s_{b_1} * ... * s_{b_m}, the Hecke product, which is >=
+  the ordinary product s_{b_1} ... s_{b_m} = w_0. So z_D = w_0: D reaches
+  the longest element.
+- The point class (_point_class, held on p) is D projected onto
+  Delta \\ Delta_P. A curve through 1B of degree D projects to one through
+  1P of the projected degree, so that degree reaches the projected coset
+  w_0 W_P, the longest. It is checked to reach it (ConsistencyError
+  otherwise), and so the point-class degree lies below it. A minimal d is
+  the least degree reaching z_d, which the point-class degree reaches too,
+  so d lies below the point class, coordinate by coordinate: a degree with
+  a coordinate above it is refused before its greedy chain is walked. The
+  table build checks that its point-class degree is this projected cascade
+  degree, which it is on every parabolic of the rank-5, E6, E7 and E8
+  sweeps.
+- Minimality: the unit-edge test, one greedy chain per coordinate. Its
+  verdict on a checked degree is held on p (_unit_edge_verdict), so the
+  checks of one query that ask again, such as cascade_roots on the lifting
+  and quasi_homogeneity_verdict on d, read it.
 - Descent (_least_reaching). If the degrees reaching w have a least element
   m, and a start s >= m reaches w, then lowering one coordinate at a time
   to the least value that still reaches w ends at m: the degrees reaching w
@@ -121,21 +137,22 @@ otherwise each fact is decided locally, and no guard of the search applies:
   degree reaching w is >= m.
 - The lifting of a minimal d of G/P is the least G/B degree reaching
   w = z_d * w_P (the lifting e reaches it, and by the G/B fact above it is
-  the least). e projects to d, and e <= (K, ..., K) for K the bound of G/B,
-  so the descent starts at d off Delta_P and K on Delta_P and runs over the
+  the least). e projects to d, and e lies below the point class of G/B, D,
+  so the descent starts at d off Delta_P and D on Delta_P and runs over the
   coordinates of Delta_P only. The result is checked: z_d has no right
   descent in Delta_P, so w = z_d * w_P has length l(z_d) + l(w_P); z_e = w;
   and e passes the unit-edge test on G/B. Each failure raises
-  ConsistencyError.
-- The point-class degree is the least degree reaching the longest coset,
-  by the descent from (k, ..., k) over every coordinate; it must pass the
-  unit-edge test.
+  ConsistencyError. The descent trusts the z's it reads to be monotone.
+- The point-class degree is the point class itself, with no descent: it
+  reaches the longest coset, and once it passes the unit-edge test it is a
+  minimal degree that does, which only the point-class degree is; a failure
+  raises ConsistencyError.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, gt, itemgetter, mul
 
 from .exceptions import (
     ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
@@ -182,10 +199,12 @@ def _root_table(p: Parabolic):
     number of roots), and coroots[j] is project_coroot(p, roots[j]), read
     off the system's integer coroot table. A Levi root projects to the zero
     degree, so it fits below every degree; starting from the outside mask
-    drops it and changes nothing else.
+    drops it and changes nothing else. G/B keeps the system's table whole.
     """
     n, mask = len(p.system.roots), p.outside_mask
     roots, fits, above, coroots = p.system.root_table
+    if not p.positions:  # every positive root is outside the Levi
+        return roots, fits, above, (1 << n // 2) - 1, coroots
     q = p.quotient_positions
     outside = sum([1 << j for j in range(n // 2) if mask >> n - 1 - j & 1])
     return (roots, tuple(fits[i] for i in q), above, outside,
@@ -465,6 +484,9 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], De
     if len(tops) != 1:
         raise ConsistencyError(
             f"{len(tops)} minimal degrees of {p} reach the longest coset: {tops}")
+    if tops[0] != _projected_cascade(p):
+        raise ConsistencyError(f"the point-class degree {tops[0]} of {p} is not the "
+                               f"projected cascade degree {_projected_cascade(p)}")
     return found, tops[0], groups
 
 
@@ -480,25 +502,59 @@ def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
     return d in _minimal(p)[0]
 
 
+@held
+def _cascade_degree(rs: RootSystem) -> Degree:
+    """The sum of the coroots of Kostant's cascade, a full-flag degree: the
+    highest of the positive roots left, then only the roots orthogonal to it
+    left, until none is (see the module docstring).
+
+    The first root left in greedy order (_root_table) is maximal among
+    them, since a root above it is lexicographically larger; the roots left
+    are the positive roots of a root subsystem, in which a maximal root is
+    the highest root of its component.
+    """
+    data = rs.root_data
+    left = [a.coeffs for a in rs.root_table[0]]
+    degree = (0,) * rs.rank
+    while left:
+        top = data[left[0]]
+        degree = tuple(map(add, degree, top.coroot))
+        f = top.functional  # (y, top^vee) is y dotted with it
+        left = [y for y in left if sum(map(mul, y, f)) == 0]
+    return degree
+
+
+def _projected_cascade(p: Parabolic) -> Degree:
+    """The cascade degree of p's system (_cascade_degree) projected onto Delta \\ Delta_P."""
+    full = _cascade_degree(p.system)
+    return tuple([full[i] for i in p.quotient_positions])
+
+
 @_held
-def _degree_bound(p: Parabolic) -> int:
-    """The least power of 2, k, with z_(k, ..., k) the longest coset: no
-    minimal degree of p has a coordinate above k (see the module docstring)."""
-    top, n = _longest_coset(p), len(p.quotient_positions)
-    k = 1
-    while _z_pair(p, (k,) * n)[0] != top:
-        if k >= len(p.system.roots):
-            raise ConsistencyError(f"z_{(k,) * n} on {p} is not the longest coset")
-        k *= 2
-    return k
+def _point_class(p: Parabolic) -> Degree:
+    """The projected cascade degree, checked to reach the longest coset: the
+    point-class degree lies below it, coordinate by coordinate (see the
+    module docstring)."""
+    d = _projected_cascade(p)
+    if _z_pair(p, d)[0] != _longest_coset(p):
+        raise ConsistencyError(f"z_{d} on {p} is not the longest coset")
+    return d
+
+
+@_held
+def _unit_edge_verdict(p: Parabolic, d: Degree) -> bool:
+    """The local minimality test of a checked degree d, held on p by d: false
+    past the point class (_point_class) in some coordinate, and otherwise
+    the unit-edge test."""
+    if any(map(gt, d, _point_class(p))):
+        return False
+    return _passes_unit_edges(p, d, _z_pair(p, d)[0])
 
 
 def _is_locally_minimal(p: Parabolic, d: Degree) -> bool:
-    """The unit-edge test on d, after the degree bound; d is checked first."""
+    """The local minimality test on d (_unit_edge_verdict); d is checked first."""
     p.check_degree(d)
-    if max(d, default=0) > _degree_bound(p):
-        return False
-    return _passes_unit_edges(p, d, _z_pair(p, d)[0])
+    return _unit_edge_verdict(p, d)
 
 
 def _is_minimal(p: Parabolic, d: Degree) -> bool:
@@ -532,30 +588,27 @@ def _local_lifting(p: Parabolic, d: Degree, z: WeylElement) -> Degree:
     if descents_at(z, positions):
         raise ConsistencyError(f"z_{d} on {p} is not in W^P")
     w = right_multiplier(p.w_p)(z, z.length + p.w_p.length)
-    start = [_degree_bound(b)] * p.system.rank
+    start = list(_point_class(b))
     for i, c in zip(p.quotient_positions, d):
         start[i] = c
     e = _least_reaching(b, start, positions, w)
-    z_e = _z_pair(b, e)[0]
-    if z_e != w:
+    if _z_pair(b, e)[0] != w:
         raise ConsistencyError(f"the descent from {tuple(start)} on G/B ends at {e}, "
                                f"whose z is not z_{d} * w_P on {p}")
-    if not _passes_unit_edges(b, e, z_e):
+    if not _unit_edge_verdict(b, e):
         raise ConsistencyError(f"the lifting {e} of {d} on {p} fails the unit-edge test")
     return e
 
 
 def point_class_degree(p: Parabolic) -> Degree:
     """The smallest degree whose curve neighborhood reaches the longest coset:
-    read off the table when p holds it, and otherwise found by descent from
-    (k, ..., k), k the degree bound, and checked minimal."""
+    read off the table when p holds it, and otherwise the projected cascade
+    degree (_point_class), checked minimal by the unit-edge test."""
     if _minimal.holds(p):
         return _minimal(p)[1]
-    n = len(p.quotient_positions)
-    d = _least_reaching(p, (_degree_bound(p),) * n, range(n), _longest_coset(p))
-    if not _passes_unit_edges(p, d, _z_pair(p, d)[0]):
-        raise ConsistencyError(f"the least degree {d} reaching the longest coset of {p} "
-                               f"fails the unit-edge test")
+    d = _point_class(p)
+    if not _unit_edge_verdict(p, d):
+        raise ConsistencyError(f"the cascade degree {d} of {p} fails the unit-edge test")
     return d
 
 

@@ -1,11 +1,15 @@
 """Exact spans of Gaussian-integer vectors, by fraction-free integer elimination.
 
-A vector over Z[i] is a pair (re, im) of integer tuples of length dim. Its
+A vector over Z[i] of length dim is either a dense pair (re, im) of integer
+tuples of length dim, or a SparseVector: its nonzero entries (k, re_k, im_k)
+alone, k ascending in 0..dim-1, which is what so7's matrices are. Its
 Q(i)-span is realified as span{v, iv} inside Q^(2 dim), with v -> (re|im)
 and iv -> (-im|re), so rank over Q is twice the rank over Q(i). A realified
 row is stored sparse, as a dict {column: value} of its nonzero entries, and
-its pivot is its least column, min(row). One integer echelon serves every
-function here: a row w is reduced against a stored row with pivot p by
+its pivot is its least column, min(row). A SparseVector is realified from
+its entries alone, and an intersection is returned as SparseVectors, so a
+so7 check never reads the zero entries of its matrices. One integer echelon
+serves every function here: a row w is reduced against a stored row with pivot p by
 w <- row[p]*w - w[p]*row, both factors first divided by their gcd, and then
 divided by the gcd of its entries (the fraction-free elimination of Bareiss,
 Math. Comp. 22, 1968); the step reads and writes only the nonzero entries of
@@ -16,21 +20,43 @@ number and no floating point enters, so every result is exact.
 from __future__ import annotations
 
 from math import gcd
+from typing import NamedTuple
 
 from .exceptions import InvalidVectorError
 
-__all__ = ["SpanBuilder", "span_rank", "span_contains", "spans_equal",
+__all__ = ["SparseVector", "SpanBuilder", "span_rank", "span_contains", "spans_equal",
            "intersect_spans"]
+
+
+class SparseVector(NamedTuple):
+    """A Gaussian-integer vector by its nonzero entries: the triples
+    (k, re_k, im_k) with re_k or im_k nonzero, k ascending."""
+
+    entries: tuple[tuple[int, int, int], ...]
 
 
 def _realify(vec, dim: int) -> tuple[dict[int, int], dict[int, int]]:
     """The sparse integer rows (re|im) and (-im|re) of v and iv."""
+    v, iv = {}, {}
+    if isinstance(vec, SparseVector):
+        last = -1
+        for k, x, y in vec.entries:
+            if not last < k < dim:
+                raise InvalidVectorError(
+                    f"a vector of this span has positions ascending in 0..{dim - 1}, "
+                    f"got {k} after {last}")
+            last = k
+            if x:
+                v[k] = iv[dim + k] = x
+            if y:
+                v[dim + k] = y
+                iv[k] = -y
+        return v, iv
     re, im = vec
     if len(re) != dim or len(im) != dim:
         raise InvalidVectorError(
             f"a vector of this span has {dim} entries in each part, "
             f"got {len(re)} real and {len(im)} imaginary")
-    v, iv = {}, {}
     for k, x in enumerate(re):
         if x:
             v[k] = iv[dim + k] = x
@@ -65,24 +91,27 @@ class SpanBuilder:
         return out
 
     def _reduce(self, w: dict[int, int]) -> dict[int, int]:
-        """w reduced against every stored row; w itself may be changed."""
+        """w reduced against every stored row, in place; returns w."""
+        get = w.get
         for p, row in self.rows.items():
-            c = w.get(p)
+            c = get(p)
             if c:
                 a = row[p]
                 g = gcd(a, c)
                 a, c = a // g, c // g
                 if a != 1:
-                    w = {k: a * x for k, x in w.items()}
+                    for k in w:
+                        w[k] *= a
                 for k, y in row.items():
-                    x = w.get(k, 0) - c * y
+                    x = get(k, 0) - c * y
                     if x:
                         w[k] = x
                     else:
                         del w[k]
                 g = gcd(*w.values())
                 if g > 1:
-                    w = {k: x // g for k, x in w.items()}
+                    for k in w:
+                        w[k] //= g
         return w
 
     def _insert(self, w: dict[int, int]) -> bool:
@@ -115,7 +144,7 @@ class SpanBuilder:
         return (all(self.contains(v) for v in vectors)
                 and SpanBuilder(self.dim, vectors).rank == self.rank)
 
-    def intersect(self, b) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    def intersect(self, b) -> tuple[SparseVector, ...]:
         """A Q(i)-basis of this span & span(b), by Zassenhaus elimination.
 
         The realified rows [u|u] for the vectors u of this span and [v|0] for
@@ -124,21 +153,25 @@ class SpanBuilder:
         their right half. Reducing [u|u] rows against each other repeats on
         the right half each step on the left, and the gcd of [r|r] is that of
         r, so the [u|u] rows reduce to [r|r] for the rows r of this echelon,
-        in its order: they are copied, not eliminated again.
+        in its order: they are copied, not eliminated again. Each basis
+        vector is read off the right half of its row as a SparseVector.
         """
-        n = 2 * self.dim
+        dim, n = self.dim, 2 * self.dim
         zassenhaus = SpanBuilder(n)
         for p, row in self.rows.items():
             zassenhaus.rows[p] = {**row, **{n + k: x for k, x in row.items()}}
         for v in b:
-            for row in _realify(v, self.dim):
+            for row in _realify(v, dim):
                 zassenhaus._insert(row)
-        out = SpanBuilder(self.dim)
+        out = SpanBuilder(dim)
         basis = []
         for p, row in zassenhaus.rows.items():
             if p >= n:
-                vec = (tuple(row.get(k, 0) for k in range(n, n + self.dim)),
-                       tuple(row.get(k, 0) for k in range(n + self.dim, 2 * n)))
+                parts = {}
+                for k, x in row.items():  # re_k at column n + k, im_k at n + dim + k
+                    k -= n
+                    parts.setdefault(k % dim, [0, 0])[k // dim] = x
+                vec = SparseVector(tuple([(k, x, y) for k, (x, y) in sorted(parts.items())]))
                 if out.add(vec):
                     basis.append(vec)
         return tuple(basis)
@@ -156,6 +189,6 @@ def spans_equal(a, b, dim: int) -> bool:
     return SpanBuilder(dim, a).spanned_by(b)
 
 
-def intersect_spans(a, b, dim: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+def intersect_spans(a, b, dim: int) -> tuple[SparseVector, ...]:
     """A Q(i)-basis of span(a) & span(b), by Zassenhaus elimination (`SpanBuilder.intersect`)."""
     return SpanBuilder(dim, a).intersect(b)

@@ -124,7 +124,8 @@ class Parabolic(_Frozen):
         """Raise InvalidDegreeError unless d is an effective degree on this G/P.
 
         An effective degree is a tuple of one nonnegative integer coordinate
-        per simple root outside Delta_P.
+        per simple root outside Delta_P. A coordinate must be an int: True
+        would equal 1 and key the memos and held tables as 1 does.
         """
         if not isinstance(d, tuple):
             raise InvalidDegreeError(f"degree {d!r} is a {type(d).__name__}, not a tuple")
@@ -133,7 +134,7 @@ class Parabolic(_Frozen):
             raise InvalidDegreeError(
                 f"degree {d} has {len(d)} coordinates, {self} needs {k}")
         for c in d:
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise InvalidDegreeError(f"degree {d} has a non-integer coordinate {c!r}")
             if c < 0:
                 raise InvalidDegreeError(f"degree {d} is not effective")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from typing import NamedTuple
 
@@ -185,23 +184,31 @@ def _cartan_matrix(family: str, l: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _symmetrizer(cartan: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Minimal positive integers d with d_i * c[i][j] == d_j * c[j][i]."""
+    """Minimal positive integers d with d_i * c[i][j] == d_j * c[j][i].
+
+    A search over the Dynkin diagram sets d_j = d_i c[i][j] / c[j][i] for
+    each neighbour j of a vertex i it has reached. When that quotient is not
+    an integer, every value set so far is first multiplied by |c[j][i]|,
+    which keeps the ratios; the gcd is divided out at the end.
+    """
     l = len(cartan)
-    d: list[Fraction | None] = [None] * l
-    d[0] = Fraction(1)
+    d = [0] * l
+    d[0] = 1
     stack = [0]
     while stack:
         i = stack.pop()
         for j in range(l):
-            if i != j and cartan[i][j] != 0 and d[j] is None:
-                d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
+            if i != j and cartan[i][j] != 0 and not d[j]:
+                num, den = d[i] * cartan[i][j], cartan[j][i]
+                if num % den:
+                    d = [x * -den for x in d]
+                    num *= -den
+                d[j] = num // den
                 stack.append(j)
-    if any(x is None for x in d):
+    if not all(d):
         raise ConsistencyError("Dynkin diagram must be connected")
-    scale = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * scale) for x in d]
-    g = math.gcd(*ints)
-    ints = [x // g for x in ints]
+    g = math.gcd(*d)
+    ints = [x // g for x in d]
     if min(ints) != 1:
         raise ConsistencyError("short roots are normalized to squared length 2")
     return tuple(ints)
@@ -265,24 +272,31 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...],
       k = -(alpha_i, y^vee) > 0, s_y(alpha_i) = alpha_i + k y > 0, so
       l(s_y s_i) = l(s_y) + 1; and s_i s_y(alpha_i) = k y + (k m - 1) alpha_i
       > 0, so l(s_i s_y s_i) = l(s_y) + 2. Its length is l(s_{y'});
-    - its support, that of y with i added.
+    - its support, that of y with i added;
+    - its pairings (y', alpha_k^vee) = (y, alpha_k^vee) + m (alpha_i, alpha_k^vee),
+      which choose its own steps, so no root sums its pairings afresh.
     No bilinear form, coroot division, reflection element or inversion
     count is computed on the way.
     """
     rank = len(cartan)
     data = {}
+    # pairings[y][i] = (y, alpha_i^vee); for alpha_j, column j of the Cartan matrix
+    columns = tuple(zip(*cartan))
+    pairings = {}
     by_height = [[]]
     for i in range(rank):
         unit = tuple([int(k == i) for k in range(rank)])
         data[unit] = RootData(unit, cartan[i], 2 * symmetrizer[i], (i,), 1 << i)
+        pairings[unit] = columns[i]
         by_height[0].append(unit)
     # by_height grows while it is read: a root found from one of height h
     # joins a higher level, visited later in this loop
     for h, level in enumerate(by_height, 1):
         for y in level:
             coroot, f, norm, word, support = data[y]
+            pairing = pairings[y]
             for i, row in enumerate(cartan):
-                m = -sum([c * x for c, x in zip(row, y) if x])  # -(y, alpha_i^vee)
+                m = -pairing[i]  # -(y, alpha_i^vee)
                 if m <= 0:
                     continue
                 up = y[:i] + (y[i] + m,) + y[i + 1:]
@@ -292,6 +306,7 @@ def _positive_roots(cartan: tuple[tuple[int, ...], ...],
                 data[up] = RootData(coroot[:i] + (coroot[i] - fi,) + coroot[i + 1:],
                                     tuple([fk - fi * c for fk, c in zip(f, row)]),
                                     norm, (i, *word, i), support | 1 << i)
+                pairings[up] = tuple([a + m * c for a, c in zip(pairing, columns[i])])
                 by_height.extend([] for _ in range(h + m - len(by_height)))
                 by_height[h + m - 1].append(up)
     return {y: data[y] for level in by_height for y in level}
@@ -327,7 +342,9 @@ class RootSystem:
         roots = tuple(Root(self, c) for c in sorted(coeffs))
         self.roots = roots
         self._index = {r.coeffs: r for r in roots}
-        self.positive_roots = tuple(r for r in roots if r.is_positive)
+        # every negative root sorts before every positive one, and there are
+        # as many of each
+        self.positive_roots = roots[len(roots) // 2:]
         self.simple_roots = tuple(
             self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
             for i in range(self.rank)
@@ -367,7 +384,7 @@ class RootSystem:
         a + alpha_i and the roots above them; a cover is lexicographically
         larger, so it comes first and its mask is known.
         """
-        roots = tuple(sorted(self.positive_roots, key=lambda r: r.coeffs, reverse=True))
+        roots = self.positive_roots[::-1]
         coroots = tuple([self.root_data[a.coeffs].coroot for a in roots])
         fits = []
         for i in range(self.rank):

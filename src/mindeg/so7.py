@@ -7,9 +7,13 @@ type G2. Every matrix entry is a Gaussian integer and all arithmetic is over
 the integers, so every check below is exact and deterministic.
 
 The matrices are almost empty (an E-basis matrix has 2 nonzero entries of
-49, a root vector 2 to 8), so a bracket gathers the nonzero entries of each
-side by row once and sums only their products; the bracket-rule check
-gathers each E-basis matrix once for all its brackets. The G2 closure is a
+49, a root vector 2 to 8, a closure element at most 12), so a Matrix7 holds
+only its nonzero entries, sorted by position, and no operation reads a zero
+entry: a sum or a bracket adds into a table by position and drops the
+zeros, and the matrix is an exactlinalg SparseVector, realified from those
+entries. A bracket gathers the entries of each side by row once and sums
+only their products; the bracket-rule check gathers each E-basis matrix
+once for all its brackets. The G2 closure is a
 worklist: each basis element is bracketed once against each element before
 it. A check eliminates each subalgebra basis at most once and extends
 copies of its echelon (`SpanBuilder.extended`, `SpanBuilder.intersect`).
@@ -22,7 +26,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .curve_nbhd import point_class_degree
-from .exactlinalg import SpanBuilder, span_contains, span_rank
+from .exactlinalg import SpanBuilder, SparseVector, span_contains, span_rank
 from .parabolic import Parabolic
 from .root_system import build_root_system
 from .tangent_directions import tangent_direction_sets
@@ -40,17 +44,23 @@ __all__ = [
 _N = 7
 _DIM = _N * _N
 I = (0, 1)  # the imaginary unit as a Gaussian integer (re, im)
-_ROW_STARTS = tuple(range(0, _DIM, _N))
+_ROW_COLUMN = tuple(divmod(k, _N) for k in range(_DIM))  # position -> (row, column)
 
 
-def _nonzero_rows(m) -> list[list[tuple[int, int, int]]]:
-    """The nonzero entries (column, re, im) of each row of m."""
-    re, im = m
-    rows = [[] for _ in range(_N)]
-    for k in range(_DIM):
-        if re[k] or im[k]:
-            rows[k // _N].append((k % _N, re[k], im[k]))
+def _nonzero_rows(m: "Matrix7") -> dict[int, list[tuple[int, int, int]]]:
+    """The nonzero entries (column, re, im) of m by row, for its nonzero rows."""
+    rows = {}
+    for k, re, im in m.entries:
+        r, c = _ROW_COLUMN[k]
+        rows.setdefault(r, []).append((c, re, im))
     return rows
+
+
+def _from_sums(sums: dict[int, tuple[int, int]]) -> "Matrix7":
+    """The matrix with entry sums[k] = (re, im) at position k, zeros dropped."""
+    if not sums:
+        return _ZERO
+    return Matrix7(tuple([(k, re, im) for k, (re, im) in sorted(sums.items()) if re or im]))
 
 
 def _bracket_rows(xrows, yrows) -> "Matrix7":
@@ -58,61 +68,63 @@ def _bracket_rows(xrows, yrows) -> "Matrix7":
 
     Row i of xy takes x_ik * y_kj for each nonzero x_ik in row i of x and
     nonzero y_kj in row k of y; row i of yx likewise, with the roles
-    swapped. Both go into one pair of integer lists.
+    swapped. Both go into one table of sums by position.
     """
-    re, im = [0] * _DIM, [0] * _DIM
-    for r, xrow, yrow in zip(_ROW_STARTS, xrows, yrows):
+    sums = {}
+    for i, xrow in xrows.items():
+        r = _N * i
         for k, ar, ai in xrow:
-            for j, br, bi in yrows[k]:
-                re[r + j] += ar * br - ai * bi
-                im[r + j] += ar * bi + ai * br
+            for j, br, bi in yrows.get(k, ()):
+                re, im = sums.get(r + j, (0, 0))
+                sums[r + j] = re + ar * br - ai * bi, im + ar * bi + ai * br
+    for i, yrow in yrows.items():
+        r = _N * i
         for k, br, bi in yrow:
-            for j, ar, ai in xrows[k]:
-                re[r + j] -= br * ar - bi * ai
-                im[r + j] -= br * ai + bi * ar
-    return Matrix7(tuple(re), tuple(im))
+            for j, ar, ai in xrows.get(k, ()):
+                re, im = sums.get(r + j, (0, 0))
+                sums[r + j] = re - br * ar + bi * ai, im - br * ai - bi * ar
+    return _from_sums(sums)
 
 
-class Matrix7(NamedTuple):
-    """A 7x7 Gaussian-integer matrix: row-major integer real and imaginary parts.
+class Matrix7(SparseVector):
+    """A 7x7 Gaussian-integer matrix by its nonzero entries (k, re, im), k =
+    7 i + j the row-major position of entry (i, j), 0-based, ascending: one
+    canonical form, so equal matrices are equal tuples. Every operation
+    reads and writes only these entries.
 
-    As a pair (re, im) it is also the vector that `exactlinalg` spans take.
+    As a SparseVector of length 49 it is also the vector that `exactlinalg`
+    spans take.
     """
 
-    re: tuple[int, ...]
-    im: tuple[int, ...]
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "Matrix7":
-        return cls((0,) * _DIM, (0,) * _DIM)
+        return _ZERO
 
     def __add__(self, other: "Matrix7") -> "Matrix7":
-        return Matrix7(tuple(a + b for a, b in zip(self.re, other.re)),
-                       tuple(a + b for a, b in zip(self.im, other.im)))
+        return _combo((1, self), (1, other))
 
     def __sub__(self, other: "Matrix7") -> "Matrix7":
-        return Matrix7(tuple(a - b for a, b in zip(self.re, other.re)),
-                       tuple(a - b for a, b in zip(self.im, other.im)))
+        return _combo((1, self), (-1, other))
 
     def __neg__(self) -> "Matrix7":
-        return Matrix7(tuple(-a for a in self.re), tuple(-a for a in self.im))
+        return _combo((-1, self))
 
     def scale(self, c) -> "Matrix7":
         """c times the matrix, for an int c or a Gaussian integer c = (re, im)."""
-        a, b = (c, 0) if isinstance(c, int) else c
-        return Matrix7(tuple(a * x - b * y for x, y in zip(self.re, self.im)),
-                       tuple(a * y + b * x for x, y in zip(self.re, self.im)))
+        return _combo((c, self))
 
     def bracket(self, other: "Matrix7") -> "Matrix7":
         """[x, y] = xy - yx, summed over the nonzero entries of x and y only."""
         return _bracket_rows(_nonzero_rows(self), _nonzero_rows(other))
 
     def conjugate(self) -> "Matrix7":
-        return Matrix7(self.re, tuple(-a for a in self.im))
+        return Matrix7(tuple([(k, re, -im) for k, re, im in self.entries]))
 
     def transpose(self) -> "Matrix7":
-        order = [_N * j + i for i in range(_N) for j in range(_N)]
-        return Matrix7(tuple(self.re[k] for k in order), tuple(self.im[k] for k in order))
+        return Matrix7(tuple(sorted([(k % _N * _N + k // _N, re, im)
+                                     for k, re, im in self.entries])))
 
     @property
     def is_skew(self) -> bool:
@@ -120,18 +132,19 @@ class Matrix7(NamedTuple):
 
     @property
     def is_zero(self) -> bool:
-        return not (any(self.re) or any(self.im))
+        return not self.entries
+
+
+_ZERO = Matrix7(())
 
 
 def e_matrix(i: int, j: int) -> Matrix7:
     """E_[i,j] = E_ij - E_ji, 1-based indices."""
     if not (1 <= i <= _N and 1 <= j <= _N):
         raise IndexError(f"indices must lie in 1..7, got ({i}, {j})")
-    re = [0] * _DIM
-    if i != j:
-        re[_N * (i - 1) + j - 1] = 1
-        re[_N * (j - 1) + i - 1] = -1
-    return Matrix7(tuple(re), (0,) * _DIM)
+    if i == j:
+        return Matrix7.zero()
+    return Matrix7(tuple(sorted([(_N * (i - 1) + j - 1, 1, 0), (_N * (j - 1) + i - 1, -1, 0)])))
 
 
 def epsilon(k: int) -> Matrix7:
@@ -186,10 +199,14 @@ class RootVectorTable(NamedTuple):
 
 
 def _combo(*terms) -> Matrix7:
-    total = Matrix7.zero()
-    for coeff, mat in terms:
-        total = total + mat.scale(coeff)
-    return total
+    """The sum of the terms c * m, for (c, m) pairs, c an int or a Gaussian integer."""
+    sums = {}
+    for c, m in terms:
+        a, b = (c, 0) if isinstance(c, int) else c
+        for k, x, y in m.entries:
+            re, im = sums.get(k, (0, 0))
+            sums[k] = re + a * x - b * y, im + a * y + b * x
+    return _from_sums(sums)
 
 
 @lru_cache(maxsize=None)
@@ -226,19 +243,22 @@ def build_tables() -> RootVectorTable:
 def _proportionality(x: Matrix7, y: Matrix7) -> tuple[Fraction, Fraction] | None:
     """The scalar c with y == c*x as (re, im), or None if y is not a multiple of x.
 
-    At the first nonzero entry x_k, c = y_k*conj(x_k) / |x_k|^2 = num/den; y == c*x is
-    checked over the integers as den*y_m == num*x_m where x_m != 0, and y_m == 0 elsewhere.
+    At the first nonzero entry x_k, c = y_k*conj(x_k) / |x_k|^2 = num/den. A
+    nonzero c*x has the positions of x, so y == c*x iff y is 0 (c = 0) or y
+    has those positions and den*y_m == num*x_m at each, over the integers.
     """
-    re, im, yre, yim = *x, *y
-    k = next((k for k in range(_DIM) if re[k] or im[k]), None)
-    if k is None:
+    if not x.entries:
         return None
-    xr, xi, yr, yi = re[k], im[k], yre[k], yim[k]
+    if not y.entries:
+        return Fraction(0), Fraction(0)
+    if len(x.entries) != len(y.entries):
+        return None
+    (_, xr, xi), (_, yr, yi) = x.entries[0], y.entries[0]
     nr, ni = yr * xr + yi * xi, yi * xr - yr * xi
     den = xr * xr + xi * xi
-    if any(den * yre[m] != nr * re[m] - ni * im[m] or den * yim[m] != nr * im[m] + ni * re[m]
-           if re[m] or im[m] else yre[m] or yim[m] for m in range(_DIM)):
-        return None
+    for (k, re, im), (m, yre, yim) in zip(x.entries, y.entries):
+        if k != m or den * yre != nr * re - ni * im or den * yim != nr * im + ni * re:
+            return None
     return Fraction(nr, den), Fraction(ni, den)
 
 
@@ -321,8 +341,8 @@ def verify_bracket_rules() -> CheckResult:
                 if rule and a != b:  # E_[a,a] = 0
                     for m, v in ((_N * (a - 1) + b - 1, c), (_N * (b - 1) + a - 1, -c)):
                         want[m] = want.get(m, 0) + v
-            if (any(got.im) or _DIM - got.re.count(0) != len(want)
-                    or any(got.re[m] != v for m, v in want.items())):
+            if (len(got.entries) != len(want)
+                    or any(im or want.get(m) != re for m, re, im in got.entries)):
                 bad += 1
     diag_zero = all(E[i, i].is_zero for i in range(1, _N + 1))
     anti = all(E[j, i] == -E[i, j] for i, j in pairs)

@@ -51,9 +51,10 @@ class _Steps:
 
     table maps each packed root y to (its coefficients, its coroot
     functional); the functional lists the pairs (i, (alpha_i, y^vee)) whose
-    value is not 0 (see RootSystem.coroot_functionals). simple holds the
-    packed simple roots, and rows[i] is the sparse Cartan row of s_i, the
-    functional of alpha_i: s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
+    value is not 0, read off RootSystem.root_data, with (-y)^vee = -y^vee.
+    simple holds the packed simple roots, and rows[i] is the sparse Cartan
+    row of s_i, the functional of alpha_i:
+    s_i(alpha_j) = alpha_j - (alpha_j, alpha_i^vee) alpha_i.
     strips[i] is what stripping s_i from the right reads: the first position
     of rows[i], and the entries (j, c) of rows[i] with j != i, i's neighbours
     in the Dynkin diagram; stripping s_i negates w(alpha_i), since c = 2 at
@@ -65,8 +66,12 @@ class _Steps:
     __slots__ = ("table", "simple", "rows", "strips", "letters", "words")
 
     def __init__(self, rs: RootSystem):
-        self.table = {_pack(r.coeffs): (r.coeffs, tuple((i, c) for i, c in enumerate(f) if c))
-                      for r in rs.roots for f in (rs.coroot_functionals[r.coeffs],)}
+        # _pack is linear, so -y packs to -x: one pass over the positive roots
+        table = self.table = {}
+        for y, data in rs.root_data.items():
+            x, f = _pack(y), tuple([(i, c) for i, c in enumerate(data.functional) if c])
+            table[x] = (y, f)
+            table[-x] = (tuple([-c for c in y]), tuple([(i, -c) for i, c in f]))
         self.simple = identity(rs).images
         self.rows = tuple(self.table[x][1] for x in self.simple)
         self.strips = tuple((row[0][0], tuple([(j, c) for j, c in row if j != i]))

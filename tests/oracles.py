@@ -32,7 +32,7 @@ lengths by its inversion count, Levi roots and R+ \\ R_P+ by
 scanning coefficients, c1 weights from the summed vector c_1, Q(i)-spans from
 Gauss-Jordan elimination over pairs of Fractions, the integer echelon and
 its Zassenhaus intersection on dense rows, so7 brackets from two dense
-matrix products, the G2 closure by re-bracketing every pair until a round
+matrix products and their dense difference, the G2 closure by re-bracketing every pair until a round
 adds nothing, and simple-type labels from a regular expression.
 
 APPENDIX_WITNESSES pins the so7 checklist itself: the name, pass flag and
@@ -53,7 +53,7 @@ from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, lifting, maximal_roots,
     minimal_degrees,
 )
-from mindeg.exactlinalg import SpanBuilder
+from mindeg.exactlinalg import SpanBuilder, SparseVector
 from mindeg.exceptions import (
     ConsistencyError, ExceptionalCaseError, InadmissibleRankError, LiftingNotUniqueError,
     NotApplicableError, NotMinimalDegreeError, UniquenessViolationError,
@@ -788,9 +788,24 @@ def qi_contains(vectors, vec) -> bool:
     return qi_rank(list(vectors) + [vec]) == qi_rank(vectors)
 
 
-def _dense_realify(vec) -> tuple[list[int], list[int]]:
+def dense_parts(vec, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The dense pair (re, im) of a vector of length dim, dense or sparse."""
+    if not isinstance(vec, SparseVector):
+        return vec
+    re, im = [0] * dim, [0] * dim
+    for k, x, y in vec.entries:
+        re[k], im[k] = x, y
+    return tuple(re), tuple(im)
+
+
+def dense_matrix(re, im) -> Matrix7:
+    """The Matrix7 whose row-major dense parts are re and im."""
+    return Matrix7(tuple([(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]))
+
+
+def _dense_realify(vec, dim: int) -> tuple[list[int], list[int]]:
     """The integer rows (re|im) and (-im|re) of v and iv."""
-    re, im = vec
+    re, im = dense_parts(vec, dim)
     return [*re, *im], [-x for x in im] + list(re)
 
 
@@ -825,14 +840,14 @@ class DenseSpanBuilder:
         return True
 
     def add(self, vec) -> bool:
-        v, iv = _dense_realify(vec)
+        v, iv = _dense_realify(vec, self.dim)
         if not self._insert(v):
             return False
         self._insert(iv)
         return True
 
     def contains(self, vec) -> bool:
-        return not any(self._reduce(_dense_realify(vec)[0]))
+        return not any(self._reduce(_dense_realify(vec, self.dim)[0]))
 
 
 def dense_intersect_spans(a, b, dim: int):
@@ -841,10 +856,10 @@ def dense_intersect_spans(a, b, dim: int):
     zassenhaus = DenseSpanBuilder(2 * dim)
     zero = [0] * (2 * dim)
     for u in a:
-        for row in _dense_realify(u):
+        for row in _dense_realify(u, dim):
             zassenhaus._insert(row + row)
     for v in b:
-        for row in _dense_realify(v):
+        for row in _dense_realify(v, dim):
             zassenhaus._insert(row + zero)
     out = DenseSpanBuilder(dim)
     basis = []
@@ -880,25 +895,29 @@ APPENDIX_WITNESSES = (
 )
 
 
-def dense_product(x: Matrix7, y: Matrix7) -> Matrix7:
-    """The matrix product xy, row by row of x and column by column of y."""
+def dense_product(x: Matrix7, y: Matrix7) -> tuple[list[int], list[int]]:
+    """The dense parts of the matrix product xy, row by row of x and column
+    by column of y."""
     n = 7
+    (xre, xim), (yre, yim) = dense_parts(x, n * n), dense_parts(y, n * n)
     re, im = [0] * (n * n), [0] * (n * n)
     for i in range(0, n * n, n):
         for k in range(n):
-            ar, ai = x.re[i + k], x.im[i + k]
+            ar, ai = xre[i + k], xim[i + k]
             if not (ar or ai):
                 continue
             for j in range(n):
-                br, bi = y.re[n * k + j], y.im[n * k + j]
+                br, bi = yre[n * k + j], yim[n * k + j]
                 if br or bi:
                     re[i + j] += ar * br - ai * bi
                     im[i + j] += ar * bi + ai * br
-    return Matrix7(tuple(re), tuple(im))
+    return re, im
 
 
 def dense_bracket(x: Matrix7, y: Matrix7) -> Matrix7:
-    return dense_product(x, y) - dense_product(y, x)
+    """xy - yx, both products and the difference taken on dense parts."""
+    (re, im), (yre, yim) = dense_product(x, y), dense_product(y, x)
+    return dense_matrix([a - b for a, b in zip(re, yre)], [a - b for a, b in zip(im, yim)])
 
 
 def fixpoint_g2_closure() -> tuple[Matrix7, ...]:

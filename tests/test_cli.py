@@ -202,8 +202,9 @@ def _fresh_system(monkeypatch, label):
 
 
 def test_a_degree_above_the_bound_exits_2_at_once(capsys, monkeypatch):
-    """A coordinate above the degree bound is refused before its greedy chain
-    (10,000,000 steps) is walked, and no table is built."""
+    """A coordinate above the point class (the projected cascade degree) is
+    refused before its greedy chain (10,000,000 steps) is walked, and no
+    table is built."""
     rs = _fresh_system(monkeypatch, "A2")
     t0 = time.perf_counter()
     assert main(["verdict", "A2", "--degree", "10000000,3"]) == 2
@@ -235,6 +236,21 @@ def test_e8_queries_build_no_table(capsys, monkeypatch, argv):
     rs = _fresh_system(monkeypatch, "E8")
     code, out = run_cli(capsys, *argv)
     assert code == 0 and json.loads(out)["type"] == "E8"
+    assert not curve_nbhd._minimal.holds(borel(rs))
+
+
+def test_cascade_of_d30_reads_the_cascade_degree(capsys, monkeypatch):
+    """`mindeg cascade D30`, a type with no table in reach of a query, answers
+    at its point-class degree, the cascade degree checked by its unit edges:
+    30 strongly orthogonal roots, and the bytes it printed when the degree
+    was found by descent."""
+    rs = _fresh_system(monkeypatch, "D30")
+    code, out = run_cli(capsys, "cascade", "D30")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["e"] == [2 * (k // 2 + 1) for k in range(28)] + [15, 15]
+    assert len(payload["cascade"]) == 30
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("50bae56d63d8f531")
     assert not curve_nbhd._minimal.holds(borel(rs))
 
 

@@ -260,6 +260,27 @@ def test_a_degree_equal_to_a_cached_one_is_still_refused(entry, bad):
         entry(p, bad)
 
 
+@pytest.mark.parametrize("delta_p, d", [((), (True, False)), ((1,), (True,)),
+                                        ((), (1, True)), ((2,), (False,))])
+@pytest.mark.parametrize("entry", [lifting, curve_neighborhood_element, is_minimal_degree,
+                                   quasi_homogeneity_verdict, key_inequality, maximal_roots,
+                                   greedy_decomposition])
+def test_bool_degree_coordinates_are_refused(entry, delta_p, d):
+    """A bool coordinate equals 0 or 1 but is not an int: every entry point
+    refuses it in a fresh system, before any memo or held table is keyed by
+    it. lifting(borel(A2), (True, False)) used to return (True, False), and
+    on A2 {1}, (True,) lifted to (1, True)."""
+    p = Parabolic(_fresh("A2"), frozenset(delta_p))
+    with pytest.raises(InvalidDegreeError, match="non-integer coordinate (True|False)"):
+        entry(p, d)
+    assert "mindeg.curve_nbhd._unit_edge_verdict" not in vars(p)
+
+
+def test_bool_degree_coordinates_are_refused_by_cascade_roots():
+    with pytest.raises(InvalidDegreeError, match="non-integer coordinate True"):
+        cascade_roots(_fresh("A2"), (True, True))
+
+
 @pytest.mark.parametrize("bad", [(1.0, 1), (Fraction(1), 1), [1, 1]],
                          ids=["float", "fraction", "list"])
 def test_cascade_roots_refuses_a_degree_equal_to_a_cached_one(bad):
@@ -829,26 +850,26 @@ def test_local_queries_refuse_what_the_table_refuses(label):
 
 
 def test_a_degree_above_the_bound_is_refused_before_its_chain():
-    """A coordinate above the degree bound k refuses d at once: no z of a
-    degree with that coordinate is computed."""
+    """A coordinate above the projected cascade degree (_point_class) refuses
+    d at once: no z of a degree with that coordinate is computed."""
     rs = _fresh("A2")
     p = Parabolic(rs, frozenset())
     with pytest.raises(NotMinimalDegreeError):
         key_inequality(p, (10_000_000, 3))
-    assert curve_nbhd._degree_bound(p) == 1
+    assert curve_nbhd._point_class(p) == (1, 1)
     assert max(max(d) for d in curve_nbhd._z_pairs(p)) == 1
     g2 = Parabolic(_fresh("G2"), frozenset({2}))
-    assert curve_nbhd._degree_bound(g2) == 2 and point_class_degree(g2) == (2,)
+    assert curve_nbhd._point_class(g2) == (2,) and point_class_degree(g2) == (2,)
     assert not curve_nbhd._is_minimal(g2, (3,))
     assert (3,) not in curve_nbhd._z_pairs(g2) and (2,) in curve_nbhd._z_pairs(g2)
 
 
 def test_local_lifting_with_a_wrong_z_e_is_a_consistency_error(monkeypatch):
     # P^2 (A2, Delta_P = {2}): the lifting of (1) is (1, 1), which the
-    # descent from (1, 1), the bound of G/B being 1, keeps without probing
+    # descent from (1, 1), the cascade degree of G/B, keeps without probing
     # it; z_(1,1) read as z_(1,0) = s1 is then not z_(1) * w_P = w_o
     a2 = _fresh("A2")
-    assert curve_nbhd._degree_bound(borel(a2)) == 1  # held before the fault
+    assert curve_nbhd._point_class(borel(a2)) == (1, 1)  # held before the fault
     monkeypatch.setattr(curve_nbhd, "_z_pair",
                         _read_z_as(curve_nbhd._z_pair, {(1, 1): (1, 0)}))
     with pytest.raises(ConsistencyError,
@@ -874,27 +895,104 @@ def test_local_non_monotone_z_on_g_p_is_a_consistency_error(monkeypatch):
     rs = _fresh("A3")
     p = Parabolic(rs, frozenset({2}))
     top = point_class_degree(Parabolic(build_root_system("A3"), frozenset({2})))
-    assert top == (1, 1) and curve_nbhd._degree_bound(p) == 1  # held before the fault
+    assert top == (1, 1) and curve_nbhd._point_class(p) == top  # held before the fault
     monkeypatch.setattr(curve_nbhd, "_z_pair", _reversed(curve_nbhd._z_pair, top))
     with pytest.raises(ConsistencyError, match=r"not monotone on Parabolic\(A3, \[2\]\)"):
         quasi_homogeneity_verdict(p, top)
 
 
 def test_local_point_class_degree_checks_its_result(monkeypatch):
-    # A2/B with the bound held at 2 (z_(1,1) read as s1 while it was found),
-    # then z_(0,1) read as w_o: the descent from (2, 2) ends at (1, 1), whose
-    # unit edge down to (0, 1) reaches the same z
+    # A2/B with z_(0,1) read as w_o: the cascade degree (1, 1) still reaches
+    # the longest coset, but its unit edge down to (0, 1) reaches the same z
     b, real = borel(_fresh("A2")), curve_nbhd._z_pair
-    monkeypatch.setattr(curve_nbhd, "_z_pair", _read_z_as(real, {(1, 1): (1, 0)}))
-    assert curve_nbhd._degree_bound(b) == 2
     monkeypatch.setattr(curve_nbhd, "_z_pair", _read_z_as(real, {(0, 1): (1, 1)}))
     with pytest.raises(ConsistencyError,
-                       match=r"least degree \(1, 1\) reaching the longest coset .* unit-edge"):
+                       match=r"cascade degree \(1, 1\) of .* fails the unit-edge test"):
         point_class_degree(b)
 
 
-def test_degree_bound_that_never_reaches_the_longest_coset_is_a_consistency_error(monkeypatch):
-    # with s1 taken for the longest element no z_(k, k) is the longest coset
+def test_cascade_degree_that_does_not_reach_the_longest_coset_is_a_consistency_error(
+        monkeypatch):
+    # with s1 taken for the longest element, z_(1,1) = w_o is not the longest coset
     monkeypatch.setattr(curve_nbhd, "longest_element", lambda rs: simple_reflection(rs, 0))
-    with pytest.raises(ConsistencyError, match=r"z_\(8, 8\) on .* is not the longest coset"):
+    with pytest.raises(ConsistencyError, match=r"z_\(1, 1\) on .* is not the longest coset"):
         point_class_degree(borel(_fresh("A2")))
+
+
+def test_local_point_class_degree_refuses_a_wrong_z_table():
+    """z_(1,1) of A2/B overwritten by z_(1,0) = s1 in the z table, the fault
+    the table build refuses (test_exactly_one_degree_reaches_the_longest_coset):
+    the cascade degree (1, 1) then does not reach the longest coset, and the
+    local point-class degree raises rather than answer (1, 2)."""
+    b = borel(_fresh("A2"))
+    table = curve_nbhd._z_pairs(b)
+    table[(1, 1)] = curve_nbhd._z_pair(b, (1, 0))
+    with pytest.raises(ConsistencyError, match=r"z_\(1, 1\) on .* is not the longest coset"):
+        point_class_degree(b)
+
+
+def test_a_table_whose_point_class_is_not_the_cascade_degree_is_refused(monkeypatch):
+    """The table build checks its point-class degree against the projected
+    cascade degree: with the cascade degree of A2 read as (2, 1), the table's
+    (1, 1) is refused, and on P^2, once G/B holds its table, its (1,)."""
+    rs = _fresh("A2")
+    minimal_degrees(borel(rs))  # held before the fault
+    monkeypatch.setattr(curve_nbhd, "_cascade_degree", lambda system: (2, 1))
+    with pytest.raises(ConsistencyError,
+                       match=r"point-class degree \(1, 1\) .* projected cascade degree \(2, 1\)"):
+        minimal_degrees(borel(_fresh("A2")))
+    with pytest.raises(ConsistencyError, match=r"point-class degree \(1,\) .* \(2,\)"):
+        minimal_degrees(Parabolic(rs, frozenset({2})))
+
+
+@pytest.mark.parametrize("label", _labels(4, "G2", "F4"))
+def test_projected_cascade_degree_is_the_point_class_degree(label):
+    """On a fresh system, the cascade degree projected onto Delta \\ Delta_P
+    (_point_class) is the table's point-class degree on every parabolic."""
+    rs = _fresh(label)
+    for p in all_parabolics(rs):
+        assert curve_nbhd._point_class(p) == curve_nbhd._minimal(p)[1], p
+
+
+def test_cascade_degree_is_the_sum_of_the_top_cascade_coroots():
+    """The cascade degree of G/B sums the coroots of the cascade of its
+    point-class degree, read off the table: on D4, four orthogonal roots."""
+    rs = _fresh("D4")
+    top = curve_nbhd._minimal(borel(rs))[1]
+    casc = cascade_roots(rs, top)
+    assert len(casc) == 4
+    total = tuple(map(sum, zip(*[rs.root_data[a.coeffs].coroot for a in casc])))
+    assert curve_nbhd._cascade_degree(rs) == total == top
+
+
+def _counted_unit_edges(monkeypatch):
+    """The degrees _passes_unit_edges is called on, in order."""
+    calls, real = [], curve_nbhd._passes_unit_edges
+
+    def counted(p, d, z):
+        calls.append(d)
+        return real(p, d, z)
+
+    monkeypatch.setattr(curve_nbhd, "_passes_unit_edges", counted)
+    return calls
+
+
+def test_a_local_query_tests_each_degree_once(monkeypatch):
+    """key_inequality and then quasi_homogeneity_verdict on a fresh F4 {2,3}
+    at (1, 1) run the unit-edge test on d and on its lifting e once each;
+    each later check reads the verdict held on the parabolic."""
+    p = Parabolic(_fresh("F4"), frozenset({2, 3}))
+    calls = _counted_unit_edges(monkeypatch)
+    key_inequality(p, (1, 1))
+    quasi_homogeneity_verdict(p, (1, 1))
+    assert calls == [(1, 1), lifting(p, (1, 1))]
+
+
+def test_the_g2_point_class_query_tests_its_degree_once(monkeypatch):
+    """At the exceptional G2 triple, where each is_exceptional_triple call
+    asks for the point-class degree, d's unit-edge test still runs once."""
+    p = Parabolic(_fresh("G2"), frozenset({2}))
+    calls = _counted_unit_edges(monkeypatch)
+    assert key_inequality(p, (2,)).exception
+    assert quasi_homogeneity_verdict(p, (2,)).kind == "OnlyAutX"
+    assert calls.count((2,)) == 1 and len(calls) == 2

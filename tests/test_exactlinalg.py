@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mindeg.exactlinalg import (
-    SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal,
+    SparseVector, SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal,
 )
 from mindeg.exceptions import InvalidVectorError
 from mindeg.so7 import subalgebra_bases
-from oracles import DenseSpanBuilder, dense_intersect_spans, qi_contains, qi_rank, qi_rref
+from oracles import (
+    DenseSpanBuilder, dense_intersect_spans, dense_parts, qi_contains, qi_rank, qi_rref,
+)
 
 ENTRY = st.integers(-3, 3)
 
@@ -54,7 +56,7 @@ def test_spans_match_the_fraction_oracle(data):
     assert span_contains(a, w, dim) == qi_contains(a, w)
     assert spans_equal(a, b, dim) == (qi_rref(a) == qi_rref(b))
 
-    inter = intersect_spans(a, b, dim)
+    inter = [dense_parts(v, dim) for v in intersect_spans(a, b, dim)]
     assert len(inter) == qi_rank(a) + qi_rank(b) - qi_rank(a + b)
     assert qi_rank(inter) == len(inter)
     assert all(qi_contains(a, v) and qi_contains(b, v) for v in inter)
@@ -74,12 +76,32 @@ def _oracle_rows(vectors, dim) -> list[tuple[int, list[int]]]:
 
 def _assert_matches_the_dense_oracle(a, b, dim):
     """The sparse echelon of a, and of a extended by b, holds the dense
-    oracle's rows pivot by pivot, and the intersection is the oracle's tuple."""
+    oracle's rows pivot by pivot, and the intersection, made dense, is the
+    oracle's tuple."""
     sb = SpanBuilder(dim, a)
     assert _dense_rows(sb) == _oracle_rows(a, dim)
     assert _dense_rows(sb.extended(b)) == _oracle_rows(list(a) + list(b), dim)
     assert _dense_rows(sb) == _oracle_rows(a, dim)  # extending left sb as it was
-    assert intersect_spans(a, b, dim) == dense_intersect_spans(a, b, dim)
+    inter = intersect_spans(a, b, dim)
+    assert all(isinstance(v, SparseVector) for v in inter)
+    assert tuple(dense_parts(v, dim) for v in inter) == dense_intersect_spans(a, b, dim)
+
+
+def _sparse(vec) -> SparseVector:
+    re, im = vec
+    return SparseVector(tuple([(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_sparse_vector_spans_as_its_dense_pair(data):
+    """The echelon of a family is the same whether its vectors come dense or
+    sparse, and so is the intersection."""
+    dim = data.draw(st.integers(1, 6))
+    a, b = _family(data, dim), _family(data, dim)
+    sparse_a, sparse_b = [_sparse(v) for v in a], [_sparse(v) for v in b]
+    assert SpanBuilder(dim, sparse_a).rows == SpanBuilder(dim, a).rows
+    assert intersect_spans(sparse_a, sparse_b, dim) == intersect_spans(a, b, dim)
 
 
 @settings(max_examples=200, deadline=None)
@@ -114,6 +136,9 @@ def test_sparse_echelon_matches_the_dense_oracle_on_so7_bases(a, b):
 E1 = ((1, 0, 0), (0, 0, 0))
 SHORT = ((1, 0), (0, 0))
 RAGGED = ((1, 2, 3), (0, 0))
+PAST = SparseVector(((0, 1, 0), (3, 1, 1)))  # position 3 of a length-3 vector
+UNSORTED = SparseVector(((2, 1, 0), (0, 1, 0)))
+TWICE = SparseVector(((1, 1, 0), (1, 0, 1)))
 
 
 @pytest.mark.parametrize("call", [
@@ -127,11 +152,16 @@ RAGGED = ((1, 2, 3), (0, 0))
     lambda: intersect_spans([SHORT], [E1], 3),
     lambda: SpanBuilder(3).add(RAGGED),
     lambda: SpanBuilder(3, [E1]).contains(SHORT),
+    lambda: span_rank([E1, PAST], 3),
+    lambda: SpanBuilder(3).add(UNSORTED),
+    lambda: intersect_spans([E1], [TWICE], 3),
 ], ids=["span_rank-short", "span_rank-ragged", "span_contains-short",
         "span_contains-ragged", "spans_equal-short", "spans_equal-ragged",
-        "intersect_spans-ragged", "intersect_spans-short", "add-ragged", "contains-short"])
+        "intersect_spans-ragged", "intersect_spans-short", "add-ragged", "contains-short",
+        "span_rank-sparse-past", "add-sparse-unsorted", "intersect_spans-sparse-twice"])
 def test_vectors_of_the_wrong_length_are_rejected(call):
     """A vector whose parts do not both have dim entries raises, rather than
-    being zipped against the others or shifting its imaginary half."""
+    being zipped against the others or shifting its imaginary half; so does
+    a sparse vector with a position past dim, or positions not ascending."""
     with pytest.raises(InvalidVectorError):
         call()

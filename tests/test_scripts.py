@@ -34,8 +34,9 @@ def test_check_local_queries_accepts_small_types():
 
 
 def test_time_appendix_reports_the_import_and_each_check():
-    """One fresh run prints a header and eleven timed parts: the import and
-    the ten checks under the names they report."""
+    """One fresh run prints a header and twelve timed parts: the import, the
+    ten checks under the names they report, and the whole checklist, which
+    takes at least as long as its checks together."""
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "time_appendix.py"), "--runs", "1"],
         capture_output=True, text=True, timeout=300)
@@ -43,9 +44,11 @@ def test_time_appendix_reports_the_import_and_each_check():
     header, *rows = proc.stdout.splitlines()
     assert header.split()[:2] == ["part", "ms"]
     parts = [row.split() for row in rows]
-    assert len(parts) == 11 and all(len(p) == 2 for p in parts)
+    assert len(parts) == 12 and all(len(p) == 2 for p in parts)
     assert parts[0][0] == "import"
     assert parts[1][0] == "e-basis-bracket-rules"
-    assert parts[-1][0] == "longest-element-restriction"
-    assert len({name for name, _ in parts}) == 11
+    assert parts[-2][0] == "longest-element-restriction"
+    assert parts[-1][0] == "checklist"
+    assert len({name for name, _ in parts}) == 12
     assert all(float(ms) >= 0 for _, ms in parts)
+    assert float(parts[-1][1]) >= sum(float(ms) for _, ms in parts[1:-1])

@@ -12,7 +12,10 @@ from mindeg.so7 import (
     I, Matrix7, _proportionality, b3_eps_coords, build_tables, e_matrix, epsilon,
     g2_closure_basis, g2_eps_coords, run_appendix_checks, subalgebra_bases,
 )
-from oracles import APPENDIX_WITNESSES, dense_bracket, fixpoint_g2_closure
+from oracles import (
+    APPENDIX_WITNESSES, DenseSpanBuilder, dense_bracket, dense_matrix, dense_parts,
+    fixpoint_g2_closure,
+)
 
 BENCH_APPENDIX = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "appendix.json"
 
@@ -163,6 +166,42 @@ def test_bracket_matches_the_dense_oracle_on_the_model():
     assert bad == []
 
 
+def _is_canonical(m) -> bool:
+    """Entries sorted by position in 0..48, each position once, none zero."""
+    positions = [k for k, _, _ in m.entries]
+    return (isinstance(m, Matrix7) and positions == sorted(set(positions))
+            and all(0 <= k < 49 and (re or im) for k, re, im in m.entries))
+
+
+def test_every_matrix_of_the_model_is_canonical():
+    """The tables, the closure, every subalgebra basis, every bracket of two
+    table matrices, and each operation on them give canonical matrices."""
+    t = build_tables()
+    table = list(t.b3.values()) + list(t.g2.values()) + list(t.eps)
+    mats = _model_matrices() + [m for basis in subalgebra_bases().values() for m in basis]
+    mats += [x.bracket(y) for x in table for y in table]
+    x, y = t.g2[(1, 0)], t.b3[(1, 1, 2)]
+    mats += [x + y, x - y, x - x, -x, x.scale(0), x.scale((2, -1)), x.conjugate(),
+             x.transpose(), Matrix7.zero()]
+    assert all(_is_canonical(m) for m in mats)
+    assert (x - x) == Matrix7.zero() == x.scale(0) and not Matrix7.zero().entries
+
+
+def test_bracket_of_every_pair_of_table_matrices_matches_the_dense_oracle():
+    t = build_tables()
+    table = list(t.b3.values()) + list(t.g2.values()) + list(t.eps)
+    assert all(x.bracket(y) == dense_bracket(x, y) for x in table for y in table)
+
+
+def test_rank_of_every_subalgebra_basis_matches_the_dense_oracle():
+    """Each basis of subalgebra_bases has the rank of the dense echelon of
+    its matrices made dense, which is its length."""
+    for name, basis in subalgebra_bases().items():
+        dense = DenseSpanBuilder(49)
+        rank = sum(dense.add(dense_parts(m, 49)) for m in basis)
+        assert span_rank(basis, 49) == rank == len(basis), name
+
+
 @st.composite
 def gaussian_matrices(draw):
     """A 7x7 matrix with entries in -3..3 + (-3..3)i, from all-zero to fully dense."""
@@ -171,11 +210,11 @@ def gaussian_matrices(draw):
     re, im = [0] * 49, [0] * 49
     for k in slots:
         re[k], im[k] = draw(entry), draw(entry)
-    return Matrix7(tuple(re), tuple(im))
+    return dense_matrix(re, im)
 
 
-_FULL = Matrix7(tuple((-1) ** k * (k % 3 + 1) for k in range(49)),
-                tuple(k % 7 - 3 for k in range(49)))
+_FULL = dense_matrix([(-1) ** k * (k % 3 + 1) for k in range(49)],
+                     [k % 7 - 3 for k in range(49)])
 
 
 @settings(max_examples=100, deadline=None)
