@@ -126,9 +126,10 @@ otherwise each fact is decided locally, and no guard of the search applies:
   degree, which it is on every parabolic of the rank-5, E6, E7 and E8
   sweeps.
 - Minimality: the unit-edge test, one greedy chain per coordinate. Its
-  verdict on a checked degree is held on p (_unit_edge_verdict), so the
-  checks of one query that ask again, such as cascade_roots on the lifting
-  and quasi_homogeneity_verdict on d, read it.
+  verdict on a checked degree below the point class is held on p, beside
+  z_d (_unit_edge_verdict), so the checks of one query that ask again, such
+  as cascade_roots on the lifting and quasi_homogeneity_verdict on d, read
+  it; a degree refused by the point class is not held.
 - Descent (_least_reaching). If the degrees reaching w have a least element
   m, and a start s >= m reaches w, then lowering one coordinate at a time
   to the least value that still reaches w ends at m: the degrees reaching w
@@ -543,18 +544,17 @@ def _point_class(p: Parabolic) -> Degree:
 
 @_held
 def _unit_edge_verdict(p: Parabolic, d: Degree) -> bool:
-    """The local minimality test of a checked degree d, held on p by d: false
-    past the point class (_point_class) in some coordinate, and otherwise
-    the unit-edge test."""
-    if any(map(gt, d, _point_class(p))):
-        return False
+    """The unit-edge test of a checked degree d, held on p by d; p holds z_d
+    too, so it never holds more verdicts than z's."""
     return _passes_unit_edges(p, d, _z_pair(p, d)[0])
 
 
 def _is_locally_minimal(p: Parabolic, d: Degree) -> bool:
-    """The local minimality test on d (_unit_edge_verdict); d is checked first."""
+    """The local minimality test on d: d is checked, refused past the point
+    class (_point_class) in some coordinate, and otherwise put to the
+    unit-edge test (_unit_edge_verdict)."""
     p.check_degree(d)
-    return _unit_edge_verdict(p, d)
+    return not any(map(gt, d, _point_class(p))) and _unit_edge_verdict(p, d)
 
 
 def _is_minimal(p: Parabolic, d: Degree) -> bool:

@@ -1,14 +1,13 @@
 """Exact spans of Gaussian-integer vectors, by fraction-free integer elimination.
 
-A vector over Z[i] of length dim is either a dense pair (re, im) of integer
-tuples of length dim, or a SparseVector: its nonzero entries (k, re_k, im_k)
-alone, k ascending in 0..dim-1, which is what so7's matrices are. Its
-Q(i)-span is realified as span{v, iv} inside Q^(2 dim), with v -> (re|im)
-and iv -> (-im|re), so rank over Q is twice the rank over Q(i). A realified
-row is stored sparse, as a dict {column: value} of its nonzero entries, and
-its pivot is its least column, min(row). A SparseVector is realified from
-its entries alone, and an intersection is returned as SparseVectors, so a
-so7 check never reads the zero entries of its matrices. One integer echelon
+A vector over Z[i] of length dim is a SparseVector: its nonzero entries
+(k, re_k, im_k) alone, k ascending in 0..dim-1, which is what so7's
+matrices are. Its Q(i)-span is realified as span{v, iv} inside Q^(2 dim),
+with v -> (re|im) and iv -> (-im|re), so rank over Q is twice the rank over
+Q(i). A realified row is stored sparse, as a dict {column: value} of its
+nonzero entries, and its pivot is its least column, min(row). A vector is
+realified from its entries alone, and an intersection is returned as
+SparseVectors, so a so7 check never reads the zero entries of its matrices. One integer echelon
 serves every function here: a row w is reduced against a stored row with pivot p by
 w <- row[p]*w - w[p]*row, both factors first divided by their gcd, and then
 divided by the gcd of its entries (the fraction-free elimination of Bareiss,
@@ -35,32 +34,20 @@ class SparseVector(NamedTuple):
     entries: tuple[tuple[int, int, int], ...]
 
 
-def _realify(vec, dim: int) -> tuple[dict[int, int], dict[int, int]]:
+def _realify(vec: SparseVector, dim: int) -> tuple[dict[int, int], dict[int, int]]:
     """The sparse integer rows (re|im) and (-im|re) of v and iv."""
+    if not isinstance(vec, SparseVector):
+        raise InvalidVectorError(f"a vector of this span is a SparseVector, got {vec!r}")
     v, iv = {}, {}
-    if isinstance(vec, SparseVector):
-        last = -1
-        for k, x, y in vec.entries:
-            if not last < k < dim:
-                raise InvalidVectorError(
-                    f"a vector of this span has positions ascending in 0..{dim - 1}, "
-                    f"got {k} after {last}")
-            last = k
-            if x:
-                v[k] = iv[dim + k] = x
-            if y:
-                v[dim + k] = y
-                iv[k] = -y
-        return v, iv
-    re, im = vec
-    if len(re) != dim or len(im) != dim:
-        raise InvalidVectorError(
-            f"a vector of this span has {dim} entries in each part, "
-            f"got {len(re)} real and {len(im)} imaginary")
-    for k, x in enumerate(re):
+    last = -1
+    for k, x, y in vec.entries:
+        if not last < k < dim:
+            raise InvalidVectorError(
+                f"a vector of this span has positions ascending in 0..{dim - 1}, "
+                f"got {k} after {last}")
+        last = k
         if x:
             v[k] = iv[dim + k] = x
-    for k, y in enumerate(im):
         if y:
             v[dim + k] = y
             iv[k] = -y

@@ -22,7 +22,8 @@ class InvalidDegreeError(MindegError, ValueError):
 
 
 class InvalidVectorError(MindegError, ValueError):
-    """A coefficient vector has the wrong number of entries for its root system."""
+    """A coefficient vector has the wrong number of entries for its root system,
+    or a sparse vector or matrix is not in its canonical form."""
 
 
 class NotApplicableError(MindegError):

@@ -8,8 +8,8 @@ the integers, so every check below is exact and deterministic.
 
 The matrices are almost empty (an E-basis matrix has 2 nonzero entries of
 49, a root vector 2 to 8, a closure element at most 12), so a Matrix7 holds
-only its nonzero entries, sorted by position, and no operation reads a zero
-entry: a sum or a bracket adds into a table by position and drops the
+only its nonzero entries, sorted by position (a form its constructor
+enforces), and no operation reads a zero entry: a sum or a bracket adds into a table by position and drops the
 zeros, and the matrix is an exactlinalg SparseVector, realified from those
 entries. A bracket gathers the entries of each side by row once and sums
 only their products; the bracket-rule check gathers each E-basis matrix
@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 from .curve_nbhd import point_class_degree
 from .exactlinalg import SpanBuilder, SparseVector, span_contains, span_rank
+from .exceptions import InvalidVectorError
 from .parabolic import Parabolic
 from .root_system import build_root_system
 from .tangent_directions import tangent_direction_sets
@@ -60,7 +61,7 @@ def _from_sums(sums: dict[int, tuple[int, int]]) -> "Matrix7":
     """The matrix with entry sums[k] = (re, im) at position k, zeros dropped."""
     if not sums:
         return _ZERO
-    return Matrix7(tuple([(k, re, im) for k, (re, im) in sorted(sums.items()) if re or im]))
+    return _matrix(tuple([(k, re, im) for k, (re, im) in sorted(sums.items()) if re or im]))
 
 
 def _bracket_rows(xrows, yrows) -> "Matrix7":
@@ -93,10 +94,24 @@ class Matrix7(SparseVector):
     reads and writes only these entries.
 
     As a SparseVector of length 49 it is also the vector that `exactlinalg`
-    spans take.
+    spans take. Built from entries, it refuses any other form with
+    InvalidVectorError: a position outside 0..48, positions not ascending,
+    or an entry (k, 0, 0). Its operations build their canonical results
+    unchecked (_matrix).
     """
 
     __slots__ = ()
+
+    def __new__(cls, entries):
+        entries = tuple(entries)
+        last = -1
+        for k, re, im in entries:
+            if not last < k < _DIM or not (re or im):
+                raise InvalidVectorError(
+                    f"a Matrix7 has nonzero entries at positions ascending in 0..{_DIM - 1}, "
+                    f"got {(k, re, im)} after position {last}")
+            last = k
+        return _matrix(entries)
 
     @classmethod
     def zero(cls) -> "Matrix7":
@@ -120,10 +135,10 @@ class Matrix7(SparseVector):
         return _bracket_rows(_nonzero_rows(self), _nonzero_rows(other))
 
     def conjugate(self) -> "Matrix7":
-        return Matrix7(tuple([(k, re, -im) for k, re, im in self.entries]))
+        return _matrix(tuple([(k, re, -im) for k, re, im in self.entries]))
 
     def transpose(self) -> "Matrix7":
-        return Matrix7(tuple(sorted([(k % _N * _N + k // _N, re, im)
+        return _matrix(tuple(sorted([(k % _N * _N + k // _N, re, im)
                                      for k, re, im in self.entries])))
 
     @property
@@ -133,6 +148,11 @@ class Matrix7(SparseVector):
     @property
     def is_zero(self) -> bool:
         return not self.entries
+
+
+def _matrix(entries: tuple[tuple[int, int, int], ...]) -> Matrix7:
+    """The Matrix7 of entries already in its canonical form, unchecked."""
+    return tuple.__new__(Matrix7, (entries,))
 
 
 _ZERO = Matrix7(())

@@ -788,10 +788,8 @@ def qi_contains(vectors, vec) -> bool:
     return qi_rank(list(vectors) + [vec]) == qi_rank(vectors)
 
 
-def dense_parts(vec, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The dense pair (re, im) of a vector of length dim, dense or sparse."""
-    if not isinstance(vec, SparseVector):
-        return vec
+def dense_parts(vec: SparseVector, dim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The dense pair (re, im) of a sparse vector of length dim."""
     re, im = [0] * dim, [0] * dim
     for k, x, y in vec.entries:
         re[k], im[k] = x, y
@@ -803,10 +801,13 @@ def dense_matrix(re, im) -> Matrix7:
     return Matrix7(tuple([(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]))
 
 
-def _dense_realify(vec, dim: int) -> tuple[list[int], list[int]]:
-    """The integer rows (re|im) and (-im|re) of v and iv."""
-    re, im = dense_parts(vec, dim)
+def _dense_rows(re, im) -> tuple[list[int], list[int]]:
+    """The integer rows (re|im) and (-im|re) of v = (re, im) and iv."""
     return [*re, *im], [-x for x in im] + list(re)
+
+
+def _dense_realify(vec: SparseVector, dim: int) -> tuple[list[int], list[int]]:
+    return _dense_rows(*dense_parts(vec, dim))
 
 
 class DenseSpanBuilder:
@@ -839,8 +840,10 @@ class DenseSpanBuilder:
         self.rows[pivot] = w
         return True
 
-    def add(self, vec) -> bool:
-        v, iv = _dense_realify(vec, self.dim)
+    def add(self, vec: SparseVector) -> bool:
+        return self._add_rows(*_dense_realify(vec, self.dim))
+
+    def _add_rows(self, v: list[int], iv: list[int]) -> bool:
         if not self._insert(v):
             return False
         self._insert(iv)
@@ -851,8 +854,9 @@ class DenseSpanBuilder:
 
 
 def dense_intersect_spans(a, b, dim: int):
-    """A Q(i)-basis of span(a) & span(b): every [u|u] row of a and [v|0] row
-    of b eliminated in one dense Zassenhaus echelon."""
+    """A Q(i)-basis of span(a) & span(b), as dense pairs (re, im): every
+    [u|u] row of a and [v|0] row of b eliminated in one dense Zassenhaus
+    echelon."""
     zassenhaus = DenseSpanBuilder(2 * dim)
     zero = [0] * (2 * dim)
     for u in a:
@@ -866,7 +870,7 @@ def dense_intersect_spans(a, b, dim: int):
     for p, row in zassenhaus.rows.items():
         if p >= 2 * dim:
             vec = (tuple(row[2 * dim:3 * dim]), tuple(row[3 * dim:]))
-            if out.add(vec):
+            if out._add_rows(*_dense_rows(*vec)):
                 basis.append(vec)
     return tuple(basis)
 

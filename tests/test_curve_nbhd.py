@@ -851,13 +851,17 @@ def test_local_queries_refuse_what_the_table_refuses(label):
 
 def test_a_degree_above_the_bound_is_refused_before_its_chain():
     """A coordinate above the projected cascade degree (_point_class) refuses
-    d at once: no z of a degree with that coordinate is computed."""
+    d at once: no z of a degree with that coordinate is computed, and no
+    unit-edge verdict is held for it, so p never holds more verdicts than z's."""
     rs = _fresh("A2")
     p = Parabolic(rs, frozenset())
     with pytest.raises(NotMinimalDegreeError):
         key_inequality(p, (10_000_000, 3))
     assert curve_nbhd._point_class(p) == (1, 1)
     assert max(max(d) for d in curve_nbhd._z_pairs(p)) == 1
+    assert "mindeg.curve_nbhd._unit_edge_verdict" not in vars(p)
+    assert curve_nbhd._is_locally_minimal(p, (1, 1))
+    assert list(vars(p)["mindeg.curve_nbhd._unit_edge_verdict"]) == [((1, 1),)]
     g2 = Parabolic(_fresh("G2"), frozenset({2}))
     assert curve_nbhd._point_class(g2) == (2,) and point_class_degree(g2) == (2,)
     assert not curve_nbhd._is_minimal(g2, (3,))

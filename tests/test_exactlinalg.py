@@ -1,5 +1,7 @@
 """The integer echelon in exactlinalg against a Fraction-based Q(i) oracle
-and against the same echelon on dense rows."""
+and against the same echelon on dense rows. The families are drawn as dense
+pairs (re, im), which the Fraction oracle reads, and handed to exactlinalg
+and the dense echelon as SparseVectors."""
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +35,7 @@ def _combination(data, vectors, dim):
 
 
 def _family(data, dim):
-    """Up to 6 vectors, later ones possibly combinations of earlier ones."""
+    """Up to 6 dense pairs, later ones possibly combinations of earlier ones."""
     out = []
     for _ in range(data.draw(st.integers(0, 6))):
         if out and data.draw(st.booleans()):
@@ -41,6 +43,15 @@ def _family(data, dim):
         else:
             out.append(data.draw(_vector(dim)))
     return out
+
+
+def _sparse(vec) -> SparseVector:
+    re, im = vec
+    return SparseVector(tuple([(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]))
+
+
+def _sparse_all(vectors) -> list[SparseVector]:
+    return [_sparse(v) for v in vectors]
 
 
 @settings(max_examples=200, deadline=None)
@@ -51,12 +62,13 @@ def test_spans_match_the_fraction_oracle(data):
     b = _family(data, dim) if data.draw(st.booleans()) else a[::-1] + [
         _combination(data, a, dim)]
     w = _combination(data, a, dim) if data.draw(st.booleans()) else data.draw(_vector(dim))
+    sa, sb = _sparse_all(a), _sparse_all(b)
 
-    assert span_rank(a, dim) == qi_rank(a)
-    assert span_contains(a, w, dim) == qi_contains(a, w)
-    assert spans_equal(a, b, dim) == (qi_rref(a) == qi_rref(b))
+    assert span_rank(sa, dim) == qi_rank(a)
+    assert span_contains(sa, _sparse(w), dim) == qi_contains(a, w)
+    assert spans_equal(sa, sb, dim) == (qi_rref(a) == qi_rref(b))
 
-    inter = [dense_parts(v, dim) for v in intersect_spans(a, b, dim)]
+    inter = [dense_parts(v, dim) for v in intersect_spans(sa, sb, dim)]
     assert len(inter) == qi_rank(a) + qi_rank(b) - qi_rank(a + b)
     assert qi_rank(inter) == len(inter)
     assert all(qi_contains(a, v) and qi_contains(b, v) for v in inter)
@@ -75,9 +87,9 @@ def _oracle_rows(vectors, dim) -> list[tuple[int, list[int]]]:
 
 
 def _assert_matches_the_dense_oracle(a, b, dim):
-    """The sparse echelon of a, and of a extended by b, holds the dense
-    oracle's rows pivot by pivot, and the intersection, made dense, is the
-    oracle's tuple."""
+    """The sparse echelon of the SparseVectors a, and of a extended by b,
+    holds the dense oracle's rows pivot by pivot, and the intersection,
+    made dense, is the oracle's tuple."""
     sb = SpanBuilder(dim, a)
     assert _dense_rows(sb) == _oracle_rows(a, dim)
     assert _dense_rows(sb.extended(b)) == _oracle_rows(list(a) + list(b), dim)
@@ -87,23 +99,6 @@ def _assert_matches_the_dense_oracle(a, b, dim):
     assert tuple(dense_parts(v, dim) for v in inter) == dense_intersect_spans(a, b, dim)
 
 
-def _sparse(vec) -> SparseVector:
-    re, im = vec
-    return SparseVector(tuple([(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]))
-
-
-@settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_a_sparse_vector_spans_as_its_dense_pair(data):
-    """The echelon of a family is the same whether its vectors come dense or
-    sparse, and so is the intersection."""
-    dim = data.draw(st.integers(1, 6))
-    a, b = _family(data, dim), _family(data, dim)
-    sparse_a, sparse_b = [_sparse(v) for v in a], [_sparse(v) for v in b]
-    assert SpanBuilder(dim, sparse_a).rows == SpanBuilder(dim, a).rows
-    assert intersect_spans(sparse_a, sparse_b, dim) == intersect_spans(a, b, dim)
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_sparse_echelon_matches_the_dense_oracle(data):
@@ -111,7 +106,7 @@ def test_sparse_echelon_matches_the_dense_oracle(data):
     a = _family(data, dim)
     b = _family(data, dim) if data.draw(st.booleans()) else a[::-1] + [
         _combination(data, a, dim)]
-    _assert_matches_the_dense_oracle(a, b, dim)
+    _assert_matches_the_dense_oracle(_sparse_all(a), _sparse_all(b), dim)
 
 
 @settings(max_examples=20, deadline=None)
@@ -133,16 +128,18 @@ def test_sparse_echelon_matches_the_dense_oracle_on_so7_bases(a, b):
     _assert_matches_the_dense_oracle(s[a], s[b], 49)
 
 
-E1 = ((1, 0, 0), (0, 0, 0))
-SHORT = ((1, 0), (0, 0))
-RAGGED = ((1, 2, 3), (0, 0))
-PAST = SparseVector(((0, 1, 0), (3, 1, 1)))  # position 3 of a length-3 vector
-UNSORTED = SparseVector(((2, 1, 0), (0, 1, 0)))
+# Vectors for a span of length 3. A short one is longer than the span: it
+# has a position past 2. A ragged one has positions out of order or twice.
+E1 = SparseVector(((0, 1, 0),))
+SHORT = SparseVector(((0, 1, 0), (3, 1, 1)))
+RAGGED = SparseVector(((2, 1, 0), (0, 1, 0)))
 TWICE = SparseVector(((1, 1, 0), (1, 0, 1)))
+NEGATIVE = SparseVector(((-1, 1, 0),))
+DENSE = ((1, 0, 0), (0, 0, 0))  # a dense pair (re, im), not a SparseVector
 
 
 @pytest.mark.parametrize("call", [
-    lambda: span_rank([E1, ((0, 1), (0, 0))], 3),
+    lambda: span_rank([E1, SHORT], 3),
     lambda: span_rank([RAGGED], 3),
     lambda: span_contains([E1], SHORT, 3),
     lambda: span_contains([RAGGED], E1, 3),
@@ -152,16 +149,17 @@ TWICE = SparseVector(((1, 1, 0), (1, 0, 1)))
     lambda: intersect_spans([SHORT], [E1], 3),
     lambda: SpanBuilder(3).add(RAGGED),
     lambda: SpanBuilder(3, [E1]).contains(SHORT),
-    lambda: span_rank([E1, PAST], 3),
-    lambda: SpanBuilder(3).add(UNSORTED),
     lambda: intersect_spans([E1], [TWICE], 3),
+    lambda: span_rank([NEGATIVE], 3),
+    lambda: SpanBuilder(3).add(DENSE),
 ], ids=["span_rank-short", "span_rank-ragged", "span_contains-short",
         "span_contains-ragged", "spans_equal-short", "spans_equal-ragged",
         "intersect_spans-ragged", "intersect_spans-short", "add-ragged", "contains-short",
-        "span_rank-sparse-past", "add-sparse-unsorted", "intersect_spans-sparse-twice"])
+        "intersect_spans-twice", "span_rank-negative", "add-dense-pair"])
 def test_vectors_of_the_wrong_length_are_rejected(call):
-    """A vector whose parts do not both have dim entries raises, rather than
-    being zipped against the others or shifting its imaginary half; so does
-    a sparse vector with a position past dim, or positions not ascending."""
+    """A sparse vector with a position outside 0..dim-1, or positions not
+    ascending, raises, rather than being read into another vector's columns
+    or shifting its imaginary half; so does a vector that is not a
+    SparseVector."""
     with pytest.raises(InvalidVectorError):
         call()

@@ -7,13 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mindeg import so7
-from mindeg.exactlinalg import SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal
+from mindeg.exactlinalg import (
+    SparseVector, SpanBuilder, intersect_spans, span_contains, span_rank, spans_equal,
+)
+from mindeg.exceptions import InvalidVectorError
 from mindeg.so7 import (
     I, Matrix7, _proportionality, b3_eps_coords, build_tables, e_matrix, epsilon,
     g2_closure_basis, g2_eps_coords, run_appendix_checks, subalgebra_bases,
 )
 from oracles import (
-    APPENDIX_WITNESSES, DenseSpanBuilder, dense_bracket, dense_matrix, dense_parts,
+    APPENDIX_WITNESSES, DenseSpanBuilder, dense_bracket, dense_matrix,
     fixpoint_g2_closure,
 )
 
@@ -22,11 +25,10 @@ BENCH_APPENDIX = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 def test_span_builder_and_intersection():
     dim = 3
-    zero = (0, 0, 0)
-    e1 = ((1, 0, 0), zero)
-    e2 = ((0, 1, 0), zero)
-    e3 = ((0, 0, 1), zero)
-    plus = ((1, 1, 0), zero)
+    e1 = SparseVector(((0, 1, 0),))
+    e2 = SparseVector(((1, 1, 0),))
+    e3 = SparseVector(((2, 1, 0),))
+    plus = SparseVector(((0, 1, 0), (1, 1, 0)))
     sb = SpanBuilder(dim)
     assert sb.add(e1) and sb.add(e2) and not sb.add(plus)
     assert sb.rank == 2
@@ -187,6 +189,19 @@ def test_every_matrix_of_the_model_is_canonical():
     assert (x - x) == Matrix7.zero() == x.scale(0) and not Matrix7.zero().entries
 
 
+@pytest.mark.parametrize("entries", [
+    ((3, 0, 0),), ((1, 1, 0), (8, 0, 0)), ((8, 1, 0), (1, -1, 0)), ((1, 1, 0), (1, 0, 1)),
+    ((49, 1, 0),), ((-1, 1, 0),),
+], ids=["zero", "zero-after", "unsorted", "twice", "past-48", "negative"])
+def test_a_non_canonical_matrix_is_refused(entries):
+    """A Matrix7 built from entries that are not sorted, unique positions in
+    0..48, each nonzero, is refused: equality, is_zero and the span checks
+    read its entries as canonical."""
+    with pytest.raises(InvalidVectorError):
+        Matrix7(entries)
+    assert Matrix7(list(((1, 1, 0), (7, -1, 0)))) == e_matrix(1, 2)
+
+
 def test_bracket_of_every_pair_of_table_matrices_matches_the_dense_oracle():
     t = build_tables()
     table = list(t.b3.values()) + list(t.g2.values()) + list(t.eps)
@@ -198,7 +213,7 @@ def test_rank_of_every_subalgebra_basis_matches_the_dense_oracle():
     its matrices made dense, which is its length."""
     for name, basis in subalgebra_bases().items():
         dense = DenseSpanBuilder(49)
-        rank = sum(dense.add(dense_parts(m, 49)) for m in basis)
+        rank = sum(dense.add(m) for m in basis)
         assert span_rank(basis, 49) == rank == len(basis), name
 
 
