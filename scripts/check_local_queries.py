@@ -5,17 +5,18 @@ For each type, two systems are built past the interning table of
 build_root_system: one whose parabolics build their tables of minimal
 degrees, and one that never builds any, so that every query on it takes the
 local path (the projected cascade degree as the bound, the unit-edge test
-and the lifting by descent). On every parabolic the two must agree on the point-class degree
-and, for each minimal degree, on z_d, the lifting, the cascade, both
-direction sets with the strong pairs, lhs, rhs and the verdict. In the box
-up to the point-class degree plus one, the local test must accept exactly
-the table's minimal degrees. Prints one line per type and exits 1 on the
-first difference. Tier-1 runs the same comparison through rank 4, G2 and
-F4 (tests/test_curve_nbhd.py).
+and the lifting by descent, held as one entry per degree: curve_nbhd._entry).
+On every parabolic the two must agree on the point-class degree and, for
+each minimal degree, on z_d, the lifting, the cascade, both direction sets
+with the strong pairs, lhs, rhs and the verdict; the checks of one row run
+one descent. In the box up to the point-class degree plus one, the local
+path must find an entry for exactly the table's minimal degrees. Prints one
+line per type and exits 1 on the first difference. Tier-1 runs the same
+comparison through rank 4, G2 and F4 (tests/test_curve_nbhd.py).
 
 Usage: python scripts/check_local_queries.py [--types A5,B5,C5,D5,E6]
-(about 3 s for the default types on a shared 2-vCPU host, most of it E6's
-boxes of 55,125 degrees over its 64 parabolics).
+(about 1.6 s for the default types on a shared 2-vCPU host, most of it
+E6's boxes of 55,125 degrees over its 64 parabolics).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def check_type(label: str) -> tuple[int, int]:
                 raise AssertionError(f"{q}, degree {d}: the local row differs")
         rows += len(minimal)
         for d in itertools.product(*[range(c + 2) for c in top]):
-            if curve_nbhd._is_minimal(q, d) != (d in minimal):
+            if (curve_nbhd._entry(q, d) is not None) != (d in minimal):
                 raise AssertionError(f"{q}, degree {d}: the local test disagrees")
             box += 1
         if curve_nbhd._minimal.holds(q) or curve_nbhd._minimal.holds(curve_nbhd.borel(local)):

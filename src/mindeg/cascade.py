@@ -17,7 +17,7 @@ from .exceptions import (
     ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
 )
 from .curve_nbhd import (
-    _is_minimal, _minimal, borel, greedy_decomposition, minimal_degrees, point_class_degree,
+    _entry, _minimal, borel, greedy_decomposition, minimal_degrees, point_class_degree,
 )
 from .parabolic import Degree, Parabolic, checks_degree
 from .root_system import Root, RootSystem, held
@@ -61,7 +61,7 @@ def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
     """The greedy roots of the full-flag minimal degree e, by coefficients;
     e is checked minimal off the G/B table when borel(rs) holds it, and
     otherwise by the local test (curve_nbhd)."""
-    if not _is_minimal(borel(rs), e):
+    if _entry(borel(rs), e) is None:
         raise NotMinimalDegreeError(f"{e} is not a full-flag minimal degree")
     roots = tuple(sorted(set(greedy_decomposition(borel(rs), e)),
                          key=lambda r: r.coeffs))

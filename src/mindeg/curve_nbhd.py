@@ -90,9 +90,11 @@ each degree sum_{i in S} alpha_i^vee is minimal, as a smaller degree is
 supported on some S' < S, so its z lies in W_{S'}, while z_d >= s_i for
 every i in S.
 
-Single queries do not need the table. A query on one (p, d) reads it when p
-(on G/B, borel) already holds it (_minimal.holds), as every sweep case does;
-otherwise each fact is decided locally, and no guard of the search applies:
+Single queries do not need the table. A query on one (p, d) asks one
+function, _entry, for d's (z_d, lifting), or None when d is not minimal.
+_entry reads the table when p (on G/B, borel) already holds it
+(_minimal.holds), as every sweep case does; otherwise it decides locally,
+and no guard of the search applies:
 
 - Least elements. Every degree s reaches z_s through a minimal degree m <= s
   with z_m = z_s: step down unit edges that keep z until the unit-edge test
@@ -125,11 +127,11 @@ otherwise each fact is decided locally, and no guard of the search applies:
   table build checks that its point-class degree is this projected cascade
   degree, which it is on every parabolic of the rank-5, E6, E7 and E8
   sweeps.
-- Minimality: the unit-edge test, one greedy chain per coordinate. Its
-  verdict on a checked degree below the point class is held on p, beside
-  z_d (_unit_edge_verdict), so the checks of one query that ask again, such
-  as cascade_roots on the lifting and quasi_homogeneity_verdict on d, read
-  it; a degree refused by the point class is not held.
+- Minimality: the unit-edge test, one greedy chain per coordinate. A
+  checked degree below the point class holds its entry on p beside z_d
+  (_local_entry): (z_d, lifting) if it passes, None if not; so the later
+  checks of one query, such as cascade_roots on the lifting, walk no chain
+  or descent again. A degree refused by the point class is not held.
 - Descent (_least_reaching). If the degrees reaching w have a least element
   m, and a start s >= m reaches w, then lowering one coordinate at a time
   to the least value that still reaches w ends at m: the degrees reaching w
@@ -142,12 +144,12 @@ otherwise each fact is decided locally, and no guard of the search applies:
   so the descent starts at d off Delta_P and D on Delta_P and runs over the
   coordinates of Delta_P only. The result is checked: z_d has no right
   descent in Delta_P, so w = z_d * w_P has length l(z_d) + l(w_P); z_e = w;
-  and e passes the unit-edge test on G/B. Each failure raises
+  and e is minimal on G/B (_entry, the unit-edge test). Each failure raises
   ConsistencyError. The descent trusts the z's it reads to be monotone.
-- The point-class degree is the point class itself, with no descent: it
-  reaches the longest coset, and once it passes the unit-edge test it is a
-  minimal degree that does, which only the point-class degree is; a failure
-  raises ConsistencyError.
+- The point-class degree is the point class itself, table or not: it
+  reaches the longest coset, and once _entry finds it minimal it is a
+  minimal degree that does, which only the point-class degree is; a
+  failure raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -436,10 +438,10 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
 
 
 @_held
-def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], Degree,
+def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]],
                                     dict[int, list[tuple[Degree, WeylElement]]] | None]:
-    """The minimal degrees of p, each with its z and its lifting; the
-    point-class degree; and on G/B the groups of the table.
+    """The minimal degrees of p, each with its z and its lifting, and on G/B
+    the groups of the table.
 
     The groups map each right-descent mask (descent_mask) to the full-flag
     minimal degrees e whose z_e has that descent set, each with z_e. On
@@ -453,7 +455,7 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], De
             found[d] = (z, d)
             groups.setdefault(descent_mask(z), []).append((d, z))
     else:
-        full, _, by_descents = _minimal(borel(p.system))
+        full, by_descents = _minimal(borel(p.system))
         q, positions, groups = p.quotient_positions, p.positions, None
         pmask = sum([1 << i for i in positions])
         # z is the longest element of z W_P, so z = z_d * w_P with z_d the
@@ -488,7 +490,7 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]], De
     if tops[0] != _projected_cascade(p):
         raise ConsistencyError(f"the point-class degree {tops[0]} of {p} is not the "
                                f"projected cascade degree {_projected_cascade(p)}")
-    return found, tops[0], groups
+    return found, groups
 
 
 def _longest_coset(p: Parabolic) -> WeylElement:
@@ -542,26 +544,28 @@ def _point_class(p: Parabolic) -> Degree:
     return d
 
 
-@_held
-def _unit_edge_verdict(p: Parabolic, d: Degree) -> bool:
-    """The unit-edge test of a checked degree d, held on p by d; p holds z_d
-    too, so it never holds more verdicts than z's."""
-    return _passes_unit_edges(p, d, _z_pair(p, d)[0])
-
-
-def _is_locally_minimal(p: Parabolic, d: Degree) -> bool:
-    """The local minimality test on d: d is checked, refused past the point
-    class (_point_class) in some coordinate, and otherwise put to the
-    unit-edge test (_unit_edge_verdict)."""
-    p.check_degree(d)
-    return not any(map(gt, d, _point_class(p))) and _unit_edge_verdict(p, d)
-
-
-def _is_minimal(p: Parabolic, d: Degree) -> bool:
-    """is_minimal_degree when p holds its table, and otherwise the local test."""
+def _entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree] | None:
+    """(z_d, the lifting of d) for a minimal degree d of p, None for a checked
+    degree that is not minimal: off the table when p (on G/B, borel) holds
+    it, as every sweep case does, and otherwise decided locally (see the
+    module docstring). The one place that chooses between the two."""
     if _minimal.holds(p):
-        return is_minimal_degree(p, d)
-    return _is_locally_minimal(p, d)
+        return _minimal(p)[0][d] if is_minimal_degree(p, d) else None
+    p.check_degree(d)
+    if any(map(gt, d, _point_class(p))):
+        return None
+    return _local_entry(p, d)
+
+
+@_held
+def _local_entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree] | None:
+    """(z_d, the lifting of d) when the checked degree d, below the point
+    class, passes the unit-edge test, and otherwise None; held on p by d,
+    beside z_d, so p never holds more entries than z's."""
+    z = _z_pair(p, d)[0]
+    if not _passes_unit_edges(p, d, z):
+        return None
+    return z, _local_lifting(p, d, z) if p.positions else d
 
 
 def _least_reaching(p: Parabolic, start: Degree, coordinates, w: WeylElement) -> Degree:
@@ -595,19 +599,16 @@ def _local_lifting(p: Parabolic, d: Degree, z: WeylElement) -> Degree:
     if _z_pair(b, e)[0] != w:
         raise ConsistencyError(f"the descent from {tuple(start)} on G/B ends at {e}, "
                                f"whose z is not z_{d} * w_P on {p}")
-    if not _unit_edge_verdict(b, e):
+    if _entry(b, e) is None:
         raise ConsistencyError(f"the lifting {e} of {d} on {p} fails the unit-edge test")
     return e
 
 
 def point_class_degree(p: Parabolic) -> Degree:
     """The smallest degree whose curve neighborhood reaches the longest coset:
-    read off the table when p holds it, and otherwise the projected cascade
-    degree (_point_class), checked minimal by the unit-edge test."""
-    if _minimal.holds(p):
-        return _minimal(p)[1]
+    the projected cascade degree (_point_class), checked minimal (_entry)."""
     d = _point_class(p)
-    if not _unit_edge_verdict(p, d):
+    if _entry(p, d) is None:
         raise ConsistencyError(f"the cascade degree {d} of {p} fails the unit-edge test")
     return d
 
@@ -628,19 +629,15 @@ def _sweep_rows(rs: RootSystem) -> int:
     minimal degrees have distinct z (Fulton-Woodward; Postnikov).
     """
     return sum(len(entries) << mask.bit_count()
-               for mask, entries in _minimal(borel(rs))[2].items())
+               for mask, entries in _minimal(borel(rs))[1].items())
 
 
 def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree]:
-    """z_d and the lifting of a minimal degree d: read off the table when p
-    holds it, and otherwise decided locally (see the module docstring)."""
-    if _minimal.holds(p):
-        if is_minimal_degree(p, d):
-            return _minimal(p)[0][d]
-    elif _is_locally_minimal(p, d):
-        z = _z_pair(p, d)[0]
-        return z, _local_lifting(p, d, z) if p.positions else d
-    raise NotMinimalDegreeError(f"{d} is not a minimal degree for {p}")
+    """z_d and the lifting of a minimal degree d (_entry)."""
+    entry = _entry(p, d)
+    if entry is None:
+        raise NotMinimalDegreeError(f"{d} is not a minimal degree for {p}")
+    return entry
 
 
 def lifting(p: Parabolic, d: Degree) -> Degree:

@@ -46,7 +46,7 @@ from .exceptions import (
 )
 from .cascade import cascade_roots
 from .curve_nbhd import (
-    _held, _is_minimal, _z_and_lifting, _z_pair, borel, curve_neighborhood_element, lifting,
+    _entry, _held, _z_and_lifting, _z_pair, borel, curve_neighborhood_element, lifting,
     point_class_degree,
 )
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
@@ -344,7 +344,7 @@ def quasi_homogeneity_verdict(p: Parabolic, d: Degree) -> QuasiHomogeneityVerdic
     There the moduli space outgrows the group (the dimension witness), and
     only the full automorphism group of X retains a dense orbit.
     """
-    if not _is_minimal(p, d):
+    if _entry(p, d) is None:
         raise NotMinimalDegreeError(f"{d} is not a minimal degree")
     if is_exceptional_triple(p, d):
         rs = p.system

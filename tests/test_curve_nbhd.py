@@ -21,7 +21,10 @@ from mindeg.exceptions import (
 from mindeg.parabolic import Parabolic, project_coroot
 from mindeg.report import all_parabolic_subsets, default_types
 from mindeg.root_system import RootSystem, SimpleType, build_root_system
-from mindeg.tangent_directions import key_inequality, quasi_homogeneity_verdict
+from mindeg.tangent_directions import (
+    coroot_pairing_bound_holds, key_inequality, pair_map_is_injective,
+    quasi_homogeneity_verdict, weighted_pair_count_identity_holds,
+)
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
 
 from oracles import (
@@ -273,7 +276,7 @@ def test_bool_degree_coordinates_are_refused(entry, delta_p, d):
     p = Parabolic(_fresh("A2"), frozenset(delta_p))
     with pytest.raises(InvalidDegreeError, match="non-integer coordinate (True|False)"):
         entry(p, d)
-    assert "mindeg.curve_nbhd._unit_edge_verdict" not in vars(p)
+    assert "mindeg.curve_nbhd._local_entry" not in vars(p)
 
 
 def test_bool_degree_coordinates_are_refused_by_cascade_roots():
@@ -413,7 +416,8 @@ def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, swaps, reach)
     # taken for the longest element, puts two degrees there. The wrong z's
     # are written into the z table, where the enumeration finds them. The
     # check runs on the table build: without a table, point_class_degree
-    # descends locally (test_local_point_class_degree_checks_its_result).
+    # checks the cascade degree locally
+    # (test_local_point_class_degree_checks_its_result).
     b = borel(_fresh("A2"))
     table = curve_nbhd._z_pairs(b)
     for d, source in swaps.items():
@@ -474,8 +478,8 @@ def test_table_matches_the_scan_of_every_full_flag_degree(label):
     rs = build_root_system(label)
     for p in all_parabolics(rs):
         if p.positions:
-            (got, top), (want, want_top) = curve_nbhd._minimal(p)[:2], full_scan_minimal(p)
-            assert top == want_top, p
+            got, (want, want_top) = curve_nbhd._minimal(p)[0], full_scan_minimal(p)
+            assert _table_point_class(p) == want_top, p
             assert ({d: (z, z.length, e) for d, (z, e) in got.items()}
                     == {d: (z, z.length, e) for d, (z, e) in want.items()}), p
 
@@ -485,7 +489,7 @@ def test_descent_groups_partition_the_full_flag_table(label):
     """The groups of the G/B entry hold each full-flag minimal degree once,
     with its z, under the mask of exactly the right descents of that z."""
     rs = build_root_system(label)
-    full, _, groups = curve_nbhd._minimal(borel(rs))
+    full, groups = curve_nbhd._minimal(borel(rs))
     grouped = [(e, z) for entries in groups.values() for e, z in entries]
     assert len(grouped) == len(full)
     assert dict(grouped) == {e: z for e, (z, _) in full.items()}
@@ -801,6 +805,14 @@ def _table_and_local(label):
         yield p, Parabolic(local, p.delta_p)
 
 
+def _table_point_class(p):
+    """The one degree of p's table of minimal degrees whose z is the longest coset."""
+    target = compose(longest_element(p.system), p.w_p)
+    tops = [d for d, (z, _) in curve_nbhd._minimal(p)[0].items() if z == target]
+    assert len(tops) == 1, (p, tops)
+    return tops[0]
+
+
 def _holds_no_table(p):
     return not curve_nbhd._minimal.holds(p) and not curve_nbhd._minimal.holds(borel(p.system))
 
@@ -840,7 +852,7 @@ def test_local_queries_refuse_what_the_table_refuses(label):
         table = curve_nbhd._minimal(p)[0]
         top = point_class_degree(p)
         for d in itertools.product(*[range(c + 2) for c in top]):
-            assert curve_nbhd._is_minimal(q, d) == (d in table), (p, d)
+            assert (curve_nbhd._entry(q, d) is not None) == (d in table), (p, d)
             if d not in table:
                 for entry in (key_inequality, lifting, quasi_homogeneity_verdict):
                     for x in (p, q):
@@ -852,19 +864,19 @@ def test_local_queries_refuse_what_the_table_refuses(label):
 def test_a_degree_above_the_bound_is_refused_before_its_chain():
     """A coordinate above the projected cascade degree (_point_class) refuses
     d at once: no z of a degree with that coordinate is computed, and no
-    unit-edge verdict is held for it, so p never holds more verdicts than z's."""
+    entry is held for it, so p never holds more entries than z's."""
     rs = _fresh("A2")
     p = Parabolic(rs, frozenset())
     with pytest.raises(NotMinimalDegreeError):
         key_inequality(p, (10_000_000, 3))
     assert curve_nbhd._point_class(p) == (1, 1)
     assert max(max(d) for d in curve_nbhd._z_pairs(p)) == 1
-    assert "mindeg.curve_nbhd._unit_edge_verdict" not in vars(p)
-    assert curve_nbhd._is_locally_minimal(p, (1, 1))
-    assert list(vars(p)["mindeg.curve_nbhd._unit_edge_verdict"]) == [((1, 1),)]
+    assert "mindeg.curve_nbhd._local_entry" not in vars(p)
+    assert curve_nbhd._entry(p, (1, 1)) is not None
+    assert list(vars(p)["mindeg.curve_nbhd._local_entry"]) == [((1, 1),)]
     g2 = Parabolic(_fresh("G2"), frozenset({2}))
     assert curve_nbhd._point_class(g2) == (2,) and point_class_degree(g2) == (2,)
-    assert not curve_nbhd._is_minimal(g2, (3,))
+    assert curve_nbhd._entry(g2, (3,)) is None
     assert (3,) not in curve_nbhd._z_pairs(g2) and (2,) in curve_nbhd._z_pairs(g2)
 
 
@@ -955,14 +967,14 @@ def test_projected_cascade_degree_is_the_point_class_degree(label):
     (_point_class) is the table's point-class degree on every parabolic."""
     rs = _fresh(label)
     for p in all_parabolics(rs):
-        assert curve_nbhd._point_class(p) == curve_nbhd._minimal(p)[1], p
+        assert curve_nbhd._point_class(p) == _table_point_class(p), p
 
 
 def test_cascade_degree_is_the_sum_of_the_top_cascade_coroots():
     """The cascade degree of G/B sums the coroots of the cascade of its
     point-class degree, read off the table: on D4, four orthogonal roots."""
     rs = _fresh("D4")
-    top = curve_nbhd._minimal(borel(rs))[1]
+    top = _table_point_class(borel(rs))
     casc = cascade_roots(rs, top)
     assert len(casc) == 4
     total = tuple(map(sum, zip(*[rs.root_data[a.coeffs].coroot for a in casc])))
@@ -984,12 +996,31 @@ def _counted_unit_edges(monkeypatch):
 def test_a_local_query_tests_each_degree_once(monkeypatch):
     """key_inequality and then quasi_homogeneity_verdict on a fresh F4 {2,3}
     at (1, 1) run the unit-edge test on d and on its lifting e once each;
-    each later check reads the verdict held on the parabolic."""
+    each later check reads the entry held on the parabolic."""
     p = Parabolic(_fresh("F4"), frozenset({2, 3}))
     calls = _counted_unit_edges(monkeypatch)
     key_inequality(p, (1, 1))
     quasi_homogeneity_verdict(p, (1, 1))
     assert calls == [(1, 1), lifting(p, (1, 1))]
+
+
+def test_a_local_query_runs_one_descent_per_degree(monkeypatch):
+    """The checks of one local query read the entry (z_d, lifting) held on p
+    (_local_entry): on a fresh F4 {2,3} at (1, 1), the lifting's descent
+    (_least_reaching) runs once across key_inequality, lifting and the three
+    lemma checks, where a held unit-edge verdict alone let each of them run
+    it again, five times in all."""
+    calls, real = [], curve_nbhd._least_reaching
+    monkeypatch.setattr(curve_nbhd, "_least_reaching",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    p, d = Parabolic(_fresh("F4"), frozenset({2, 3})), (1, 1)
+    key_inequality(p, d)
+    assert lifting(p, d) == curve_nbhd._local_entry(p, d)[1]
+    pair_map_is_injective(p, d)
+    coroot_pairing_bound_holds(p, d)
+    weighted_pair_count_identity_holds(p, d)
+    assert len(calls) == 1
+    assert _holds_no_table(p)
 
 
 def test_the_g2_point_class_query_tests_its_degree_once(monkeypatch):

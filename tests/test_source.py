@@ -126,6 +126,22 @@ def test_benchmark_bindings_name_package_functions():
     assert uncached == []
 
 
+def test_only_entry_reads_whether_a_table_is_held():
+    """One function chooses between the table and the local path: in src/,
+    only curve_nbhd._entry reads _minimal.holds, so no other query can fork
+    its own choice. A read is named by its top-level function or class."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                value = getattr(node, "value", None)
+                if (isinstance(node, ast.Attribute) and node.attr == "holds"
+                        and "_minimal" in (getattr(value, "id", None),
+                                           getattr(value, "attr", None))):
+                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert found == ["curve_nbhd._entry"]
+
+
 # Every module-global memo in the package, as module.function. State that
 # has an owner is held on it (root_system.held); a memo stays here only for
 # the reason given with it. A new memo joins this list only with its
