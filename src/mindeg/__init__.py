@@ -7,10 +7,7 @@ roots, tangent-direction sets with the key inequality and quasi-homogeneity
 verdicts, and a bit-exact 7x7 matrix model of the G2-inside-so7 embedding.
 """
 
-from .cascade import (
-    MinimalDegreeRecord, cascade_roots, full_cascade, minimal_degree_records,
-    strongly_orthogonal,
-)
+from .cascade import MinimalDegreeRecord, cascade_roots, full_cascade, minimal_degree_records
 from .curve_nbhd import (
     borel, curve_neighborhood_element, greedy_decomposition, is_minimal_degree,
     is_p_cosmall, lifting, maximal_roots, minimal_degrees, point_class_degree,
@@ -18,7 +15,7 @@ from .curve_nbhd import (
 from .parabolic import Parabolic, c1_pairing, dim_x, project_coroot
 from .root_system import (
     Root, RootSystem, SimpleType, bilinear, build_root_system, coroot_pairing,
-    reflect, root_leq,
+    reflect, root_leq, strongly_orthogonal,
 )
 from .tangent_directions import (
     KeyInequalityReport, QuasiHomogeneityVerdict, key_inequality,

@@ -2,10 +2,12 @@
 
 The cascade of a full-flag minimal degree e is the set of roots occurring in
 a greedy decomposition of e. Cascades are sets of pairwise strongly
-orthogonal roots (SOS); the classification facts checked here are that every
-SOS of maximal cardinality is Weyl-equivalent to the top cascade, and that
-cascade sizes are bounded by it. A minimal degree of any G/P is recorded
-with its z, its lifting and the cascade of that lifting.
+orthogonal roots (SOS); each is held, checked, as a mask over root positions
+in the entry of e (curve_nbhd), and cascade_roots lists its roots. The
+classification facts checked here are that every SOS of maximal cardinality
+is Weyl-equivalent to the top cascade, and that cascade sizes are bounded by
+it. A minimal degree of any G/P is recorded with its z, its lifting and the
+cascade of that lifting.
 """
 
 from __future__ import annotations
@@ -13,18 +15,14 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .exceptions import (
-    ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
-)
-from .curve_nbhd import (
-    _entry, _minimal, borel, greedy_decomposition, minimal_degrees, point_class_degree,
-)
+from .exceptions import NotApplicableError, NotMinimalDegreeError, RankTooLargeError
+from .curve_nbhd import _entry, _minimal, borel, minimal_degrees, point_class_degree
 from .parabolic import Degree, Parabolic, checks_degree
-from .root_system import Root, RootSystem, held
+from .root_system import Root, RootSystem, held, strongly_orthogonal
 from .weyl import WeylElement, all_elements, center_elements, longest_element
 
 __all__ = [
-    "cascade_roots", "full_cascade", "strongly_orthogonal",
+    "cascade_roots", "full_cascade",
     "is_sos", "SosRecord", "enumerate_sos", "mmsos_size",
     "mmsos_unique_up_to_weyl", "cascade_size_bound_holds",
     "max_cascade_forces_point_degree", "MinimalDegreeRecord",
@@ -32,17 +30,6 @@ __all__ = [
 ]
 
 _SOS_RANK_CAP = 4
-
-
-def strongly_orthogonal(alpha: Root, gamma: Root) -> bool:
-    """Neither the sum nor the difference is a root or zero."""
-    rs = alpha.system
-    total = tuple(a + g for a, g in zip(alpha.coeffs, gamma.coeffs))
-    diff = tuple(a - g for a, g in zip(alpha.coeffs, gamma.coeffs))
-    for v in (total, diff):
-        if not any(v) or rs.is_root(v):
-            return False
-    return True
 
 
 def is_sos(roots) -> bool:
@@ -55,19 +42,29 @@ def _check_full_flag_degree(rs: RootSystem, e: Degree) -> None:
     borel(rs).check_degree(e)
 
 
+def _items_at(items, mask: int) -> tuple:
+    """The items at the set bits of a mask, from the lowest bit up. Over
+    rs.roots and a mask over root positions, the roots in the order of
+    rs.roots, which is by coefficients."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(items[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
 @checks_degree(_check_full_flag_degree)
 @lru_cache(maxsize=None)
 def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
-    """The greedy roots of the full-flag minimal degree e, by coefficients;
-    e is checked minimal off the G/B table when borel(rs) holds it, and
-    otherwise by the local test (curve_nbhd)."""
-    if _entry(borel(rs), e) is None:
+    """The greedy roots of the full-flag minimal degree e, by coefficients:
+    the cascade mask of e's entry, read off the G/B table when borel(rs)
+    holds it, and otherwise built by the local test (curve_nbhd), checked
+    strongly orthogonal either way."""
+    entry = _entry(borel(rs), e)
+    if entry is None:
         raise NotMinimalDegreeError(f"{e} is not a full-flag minimal degree")
-    roots = tuple(sorted(set(greedy_decomposition(borel(rs), e)),
-                         key=lambda r: r.coeffs))
-    if not is_sos(roots):
-        raise ConsistencyError(f"cascade of {e} is not strongly orthogonal")
-    return roots
+    return _items_at(rs.roots, entry[2])
 
 
 class MinimalDegreeRecord(NamedTuple):
@@ -81,9 +78,9 @@ def minimal_degree_records(p: Parabolic) -> tuple[MinimalDegreeRecord, ...]:
     """One record per minimal degree, in the order of minimal_degrees: its
     Weyl element and lifting, read off the table of minimal degrees that
     lists it, and the cascade of the lifting."""
-    table = _minimal(p)[0]
-    return tuple([MinimalDegreeRecord(d, *table[d], cascade_roots(p.system, table[d][1]))
-                  for d in minimal_degrees(p)])
+    roots, table = p.system.roots, _minimal(p)[0]
+    return tuple([MinimalDegreeRecord(d, z, e, _items_at(roots, cascade))
+                  for d, (z, e, cascade) in sorted(table.items())])
 
 
 def full_cascade(rs: RootSystem) -> tuple[Root, ...]:

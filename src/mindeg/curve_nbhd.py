@@ -69,6 +69,14 @@ lexicographically largest coefficient vector first (_root_table):
   The unit-edge test reads the z's below a degree through _z_pair, whose walks
   end at z's the search has stored; should one read a refused child, _z_pair
   computes its z afresh.
+- The cascade. The cascade of a full-flag minimal degree is the set of roots
+  of its greedy decomposition, held as a mask over the positions of the
+  system's roots. An accepted child e = d + alpha_j^vee has the greedy
+  decomposition alpha_j followed by that of d, so the search records the
+  cascade of e as that of d with alpha_j added (_with_cascade_root): alpha_j
+  is checked strongly orthogonal to each root of d's cascade, and a root
+  already in it adds nothing. So every cascade is checked pairwise strongly
+  orthogonal as it is built, each new root against the roots before it.
 
 Each table is checked locally, raising ConsistencyError. On G/B the
 unit-edge test must agree with the length criterion on each accepted degree,
@@ -91,7 +99,9 @@ supported on some S' < S, so its z lies in W_{S'}, while z_d >= s_i for
 every i in S.
 
 Single queries do not need the table. A query on one (p, d) asks one
-function, _entry, for d's (z_d, lifting), or None when d is not minimal.
+function, _entry, for d's entry (z_d, lifting, the lifting's cascade mask),
+or None when d is not minimal; a G/P entry carries the mask of its
+lifting's G/B entry.
 _entry reads the table when p (on G/B, borel) already holds it
 (_minimal.holds), as every sweep case does; otherwise it decides locally,
 and no guard of the search applies:
@@ -129,9 +139,12 @@ and no guard of the search applies:
   sweeps.
 - Minimality: the unit-edge test, one greedy chain per coordinate. A
   checked degree below the point class holds its entry on p beside z_d
-  (_local_entry): (z_d, lifting) if it passes, None if not; so the later
-  checks of one query, such as cascade_roots on the lifting, walk no chain
-  or descent again. A degree refused by the point class is not held.
+  (_local_entry): (z_d, lifting, cascade mask) if it passes, None if not.
+  On G/B the mask is built from d's greedy chain with the search's check
+  (_cascade_mask), and on G/P it is the lifting's. So the later checks of
+  one query, such as cascade_roots, which reads the roots of the entry's
+  mask, walk no chain or descent again. A degree refused by the point
+  class is not held.
 - Descent (_least_reaching). If the degrees reaching w have a least element
   m, and a start s >= m reaches w, then lowering one coordinate at a time
   to the least value that still reaches w ends at m: the degrees reaching w
@@ -161,7 +174,7 @@ from .exceptions import (
     ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
 )
 from .parabolic import Degree, Parabolic, checks_degree, project_coroot
-from .root_system import Root, RootSystem, held
+from .root_system import Root, RootSystem, held, strongly_orthogonal
 from .weyl import (
     WeylElement, bruhat_leq, compose, descent_mask, descents_at, first_not_below,
     hecke_reflection_on_coset, identity, longest_element, reduced_left_reflection,
@@ -384,8 +397,38 @@ def _first_greedy_children(fields, d: Degree, j0: int):
         yield bit.bit_length() // width - 1
 
 
-def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
-    """The minimal degrees of G/B with their z, by a breadth-first search from 0.
+def _with_cascade_root(rs: RootSystem, cascade: int, k: int, e: Degree) -> int:
+    """The cascade mask cascade with the root at position k added, for the
+    full-flag degree e: k is checked strongly orthogonal to every root of
+    cascade (ConsistencyError otherwise), unless it is one of them, which
+    adds nothing."""
+    bit = 1 << k
+    if cascade & bit:
+        return cascade
+    roots, others = rs.roots, cascade
+    while others:
+        low = others & -others
+        others ^= low
+        if not strongly_orthogonal(roots[k], roots[low.bit_length() - 1]):
+            raise ConsistencyError(f"cascade of {e} is not strongly orthogonal")
+    return cascade | bit
+
+
+def _cascade_mask(b: Parabolic, e: Degree) -> int:
+    """The cascade of the full-flag degree e as a mask over root positions:
+    the roots of its greedy chain, each added as the search adds it
+    (_with_cascade_root)."""
+    rs, d, cascade = b.system, e, 0
+    top = len(rs.roots) - 1
+    while any(d):
+        j, d = _greedy_step(b, d)
+        cascade = _with_cascade_root(rs, cascade, top - j, e)
+    return cascade
+
+
+def _borel_minimal(b: Parabolic) -> dict[Degree, tuple[WeylElement, int]]:
+    """The minimal degrees of G/B, each with its z and its cascade mask, by a
+    breadth-first search from 0.
 
     Each degree is queued with the index j0 of its first greedy root, and
     only its children through the roots j <= j0 that have alpha_j as their
@@ -393,7 +436,9 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
     docstring). A child's z is one Hecke step from its parent's, the step
     _z_pair takes. A child not yet in _z_pairs(b) takes it by
     reduced_left_reflection, which refuses the child at its first idle
-    letter; only a child it builds joins the table.
+    letter; only a child it builds joins the table. An accepted child's
+    greedy decomposition is alpha_j followed by its parent's, so its
+    cascade is its parent's with alpha_j added (_with_cascade_root).
     """
     rs = b.system
     if 2 ** rs.rank > _MAX_BOREL_DEGREES:  # the 0/1 degrees alone pass the cap
@@ -406,16 +451,18 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
     steps = [len(data[a.coeffs].word) for a in roots]
     fields = _child_fields(fits, coroots)
     pairs = _z_pairs(b)
-    found = {b.zero_degree: identity(rs)}
+    top = len(rs.roots) - 1  # greedy index j is root position top - j
+    found = {b.zero_degree: (identity(rs), 0)}
     queue = [(b.zero_degree, len(roots) - 1)]
     for d, j0 in queue:
+        z, cascade = found[d]
         # checked when taken from the queue, so a refusal skips the last checks
-        if not _passes_unit_edges(b, d, found[d]):
+        if not _passes_unit_edges(b, d, z):
             raise ConsistencyError(
                 f"the length criterion accepts {d} on {b}, "
                 f"but a unit edge below it reaches the same z")
         pair = pairs[d]
-        length = pair[0].length
+        length = z.length
         # e = d + alpha_j^vee, tried only if alpha_j is its first greedy root
         for j in _first_greedy_children(fields, d, j0):
             e = tuple([x + y for x, y in zip(d, coroots[j])])
@@ -428,7 +475,7 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
                 pairs[e] = child
             elif child[0].length != length + steps[j]:
                 continue
-            found[e] = child[0]
+            found[e] = child[0], _with_cascade_root(rs, cascade, top - j, e)
             queue.append((e, j))
             if len(found) > _MAX_BOREL_DEGREES:
                 raise ResourceGuardError(
@@ -438,22 +485,23 @@ def _borel_minimal(b: Parabolic) -> dict[Degree, WeylElement]:
 
 
 @_held
-def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]],
-                                    dict[int, list[tuple[Degree, WeylElement]]] | None]:
-    """The minimal degrees of p, each with its z and its lifting, and on G/B
-    the groups of the table.
+def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree, int]],
+                                    dict[int, list[tuple[Degree, WeylElement, int]]] | None]:
+    """The minimal degrees of p, each with its entry (z, lifting, the cascade
+    mask of the lifting), and on G/B the groups of the table.
 
     The groups map each right-descent mask (descent_mask) to the full-flag
-    minimal degrees e whose z_e has that descent set, each with z_e. On
-    G/P (groups None) the table is read off the groups whose mask contains
-    Delta_P: their e are the full-flag minimal degrees whose z_e has every
-    position of Delta_P as a right descent (see the module docstring).
+    minimal degrees e whose z_e has that descent set, each with z_e and its
+    cascade mask. On G/P (groups None) the table is read off the groups
+    whose mask contains Delta_P: their e are the full-flag minimal degrees
+    whose z_e has every position of Delta_P as a right descent (see the
+    module docstring).
     """
     if not p.positions:
         found, groups = {}, {}
-        for d, z in _borel_minimal(p).items():
-            found[d] = (z, d)
-            groups.setdefault(descent_mask(z), []).append((d, z))
+        for d, (z, cascade) in _borel_minimal(p).items():
+            found[d] = (z, d, cascade)
+            groups.setdefault(descent_mask(z), []).append((d, z, cascade))
     else:
         full, by_descents = _minimal(borel(p.system))
         q, positions, groups = p.quotient_positions, p.positions, None
@@ -465,14 +513,14 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]],
         for mask, entries in by_descents.items():
             if mask & pmask != pmask:
                 continue
-            for e, z in entries:
+            for e, z, cascade in entries:
                 d = tuple([e[i] for i in q])
                 if d in found:
                     raise LiftingNotUniqueError(f"{d} lifts to each of {[found[d][1], e]}")
                 z_d = times_w_p(z, z.length - drop)
                 if descents_at(z_d, positions):
                     raise ConsistencyError(f"z_{d} = z_{e} * w_P on {p} is not in W^P")
-                found[d] = (z_d, e)
+                found[d] = (z_d, e, cascade)
         # found holds projections of full-flag degrees, so it holds all of
         # them iff it has as many; itemgetter of one position gives bare
         # coordinates, which count the same, and with none (Delta_P = Delta)
@@ -483,7 +531,7 @@ def _minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Degree]],
                 f"no full-flag minimal degree longest in its coset projects to "
                 f"{min(missing)} on {p}")
     target = _longest_coset(p)
-    tops = [d for d, (z, _) in found.items() if z == target]
+    tops = [d for d, (z, _, _) in found.items() if z == target]
     if len(tops) != 1:
         raise ConsistencyError(
             f"{len(tops)} minimal degrees of {p} reach the longest coset: {tops}")
@@ -544,11 +592,12 @@ def _point_class(p: Parabolic) -> Degree:
     return d
 
 
-def _entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree] | None:
-    """(z_d, the lifting of d) for a minimal degree d of p, None for a checked
-    degree that is not minimal: off the table when p (on G/B, borel) holds
-    it, as every sweep case does, and otherwise decided locally (see the
-    module docstring). The one place that chooses between the two."""
+def _entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree, int] | None:
+    """(z_d, the lifting of d, the cascade mask of the lifting) for a minimal
+    degree d of p, None for a checked degree that is not minimal: off the
+    table when p (on G/B, borel) holds it, as every sweep case does, and
+    otherwise decided locally (see the module docstring). The one place
+    that chooses between the two."""
     if _minimal.holds(p):
         return _minimal(p)[0][d] if is_minimal_degree(p, d) else None
     p.check_degree(d)
@@ -558,14 +607,18 @@ def _entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree] | None:
 
 
 @_held
-def _local_entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree] | None:
-    """(z_d, the lifting of d) when the checked degree d, below the point
-    class, passes the unit-edge test, and otherwise None; held on p by d,
-    beside z_d, so p never holds more entries than z's."""
+def _local_entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree, int] | None:
+    """(z_d, the lifting of d, its cascade mask) when the checked degree d,
+    below the point class, passes the unit-edge test, and otherwise None;
+    held on p by d, beside z_d, so p never holds more entries than z's. On
+    G/B the mask is read off d's greedy chain (_cascade_mask), and on G/P
+    it is that of the lifting's entry."""
     z = _z_pair(p, d)[0]
     if not _passes_unit_edges(p, d, z):
         return None
-    return z, _local_lifting(p, d, z) if p.positions else d
+    if p.positions:
+        return z, *_local_lifting(p, d, z)
+    return z, d, _cascade_mask(p, d)
 
 
 def _least_reaching(p: Parabolic, start: Degree, coordinates, w: WeylElement) -> Degree:
@@ -584,10 +637,10 @@ def _least_reaching(p: Parabolic, start: Degree, coordinates, w: WeylElement) ->
     return tuple(s)
 
 
-def _local_lifting(p: Parabolic, d: Degree, z: WeylElement) -> Degree:
-    """The lifting of a minimal degree d of p != B with z_d = z: the least
-    G/B degree reaching z * w_P, by descent over the coordinates of Delta_P,
-    checked (see the module docstring)."""
+def _local_lifting(p: Parabolic, d: Degree, z: WeylElement) -> tuple[Degree, int]:
+    """The lifting of a minimal degree d of p != B with z_d = z, with its
+    cascade mask: the least G/B degree reaching z * w_P, by descent over the
+    coordinates of Delta_P, checked (see the module docstring)."""
     b, positions = borel(p.system), p.positions
     if descents_at(z, positions):
         raise ConsistencyError(f"z_{d} on {p} is not in W^P")
@@ -599,9 +652,10 @@ def _local_lifting(p: Parabolic, d: Degree, z: WeylElement) -> Degree:
     if _z_pair(b, e)[0] != w:
         raise ConsistencyError(f"the descent from {tuple(start)} on G/B ends at {e}, "
                                f"whose z is not z_{d} * w_P on {p}")
-    if _entry(b, e) is None:
+    entry = _entry(b, e)
+    if entry is None:
         raise ConsistencyError(f"the lifting {e} of {d} on {p} fails the unit-edge test")
-    return e
+    return e, entry[2]
 
 
 def point_class_degree(p: Parabolic) -> Degree:
@@ -632,8 +686,8 @@ def _sweep_rows(rs: RootSystem) -> int:
                for mask, entries in _minimal(borel(rs))[1].items())
 
 
-def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree]:
-    """z_d and the lifting of a minimal degree d (_entry)."""
+def _z_and_lifting(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree, int]:
+    """z_d, the lifting of a minimal degree d and the lifting's cascade mask (_entry)."""
     entry = _entry(p, d)
     if entry is None:
         raise NotMinimalDegreeError(f"{d} is not a minimal degree for {p}")

@@ -5,7 +5,8 @@ plain data (strings, ints, tuples), so they serialize and pickle cleanly;
 sweeps are deterministic regardless of worker count because the cases are
 built in (family, rank, Delta_P) order and the merge keeps that order.
 A sweep is guarded by the rows it will emit, counted before any case runs.
-Each row is one key_inequality call. `sweep_cases` yields one case's reports
+Each row is one call of the row kernel key_inequality wraps
+(tangent_directions._row). `sweep_cases` yields one case's reports
 at a time, and `render` writes each case's rows as it arrives with the row
 writer `emit` uses, so a sweep is written out as its cases finish.
 """
@@ -21,11 +22,12 @@ from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 from typing import NamedTuple
 
+from .cascade import _items_at
 from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows, minimal_degrees
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
 from .root_system import SimpleType, admissible, build_root_system
-from .tangent_directions import VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, key_inequality
+from .tangent_directions import VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, _row
 from .weyl import word_str
 
 __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports",
@@ -35,9 +37,9 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
 # D9 alone has 210,055. A streamed sweep's memory is the tables its
 # parabolics hold, which the is_minimal_degree memo keeps alive, so that it
-# grows with the rows (E8: 122 MB peak, serially); a serial stream's JSON
-# memo holds at most one entry per root and depth. run_sweep holds every
-# report.
+# grows with the rows (E8: 119 MB peak, serially, by
+# scripts/check_sweep_stream.py --types E8); a serial stream's JSON memo
+# holds at most one entry per root and depth. run_sweep holds every report.
 _MAX_SWEEP_ROWS = 120_000
 
 
@@ -80,32 +82,34 @@ def all_parabolic_subsets(rank: int) -> tuple[tuple[int, ...], ...]:
 def case_reports(type_label: str, delta_p: tuple[int, ...]) -> list[CaseReport]:
     """All per-minimal-degree reports of one (type, parabolic) case, by degree.
 
-    The degrees are those of minimal_degrees, and each row is one
-    key_inequality call, which validates d and reports z_d, the cascade of
-    its lifting and both direction sets. The verdict is the one
-    quasi_homogeneity_verdict gives a minimal degree, read off the
-    inequality's exception.
+    The degrees are those of minimal_degrees, and each row is one call of
+    the row kernel key_inequality wraps (tangent_directions._row), which
+    validates d and gives z_d and the masks of the cascade of its lifting
+    and of both direction sets; the masks are written as the coefficients
+    of their roots. The verdict is the one quasi_homogeneity_verdict gives
+    a minimal degree, read off the inequality's exception.
     """
     rs = build_root_system(type_label)
     p = Parabolic(rs, frozenset(delta_p))
     type_str, dp = str(rs.simple_type), tuple(sorted(p.delta_p))
+    coeffs = [r.coeffs for r in rs.roots]  # by root position
     out = []
     for d in minimal_degrees(p):
-        ineq = key_inequality(p, d)
+        z, cascade, plain, extra, _, lhs, rhs, exception = _row(p, d)
         out.append(CaseReport(
             type=type_str,
             delta_p=dp,
             degree=d,
-            z_length=ineq.z.length,
-            z_word=word_str(ineq.z),
-            cascade=tuple([r.coeffs for r in ineq.cascade]),
-            td=tuple([r.coeffs for r in ineq.sets.td]),
-            td_tilde=tuple([r.coeffs for r in ineq.sets.td_tilde]),
-            lhs=ineq.lhs,
-            rhs=ineq.rhs,
-            holds=ineq.holds,
-            exception=ineq.exception,
-            verdict=VERDICT_ONLY_AUT_X if ineq.exception else VERDICT_DENSE_G_ORBIT,
+            z_length=z.length,
+            z_word=word_str(z),
+            cascade=_items_at(coeffs, cascade),
+            td=_items_at(coeffs, plain),
+            td_tilde=_items_at(coeffs, extra),
+            lhs=lhs,
+            rhs=rhs,
+            holds=lhs <= rhs,
+            exception=exception,
+            verdict=VERDICT_ONLY_AUT_X if exception else VERDICT_DENSE_G_ORBIT,
         ))
     return out
 

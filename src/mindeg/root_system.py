@@ -28,7 +28,7 @@ from .exceptions import (
 
 __all__ = [
     "SimpleType", "Root", "RootSystem", "build_root_system",
-    "bilinear", "coroot_pairing", "reflect", "root_leq",
+    "bilinear", "coroot_pairing", "reflect", "root_leq", "strongly_orthogonal",
     "coroot_coefficients", "is_long", "is_short", "admissible",
 ]
 
@@ -561,6 +561,16 @@ def root_leq(a: Root, b: Root) -> bool:
     """Partial order with positive cone spanned by the simple roots."""
     _system_of(a, b)
     return all(x <= y for x, y in zip(a.coeffs, b.coeffs))
+
+
+def strongly_orthogonal(alpha: Root, gamma: Root) -> bool:
+    """Neither the sum nor the difference is a root or zero."""
+    index = alpha.system._index
+    for v in (tuple(map(operator.add, alpha.coeffs, gamma.coeffs)),
+              tuple(map(operator.sub, alpha.coeffs, gamma.coeffs))):
+        if not any(v) or v in index:
+            return False
+    return True
 
 
 def coroot_coefficients(alpha: Root) -> tuple[int, ...]:

@@ -17,22 +17,30 @@ below -1, which make the strong pairs. The rows run on root positions. The
 roots are sorted by coefficients, the order of td, so td is the OR of the
 cascade's masks read from the lowest bit up; the negative roots fill the
 lower half of that order, and negation reverses it: -roots[k] is
-roots[N-1-k], N the number of roots. A cascade root is outside the Levi when
-its bit is in the parabolic's outside_mask. Since R_P = -R_P, the upper half
-of the Levi positions is R_P+, so the (P, alpha) row is a slice of alpha's
+roots[N-1-k], N the number of roots. Since R_P = -R_P, the upper half of
+the Levi positions is R_P+, so the (P, alpha) row is a slice of alpha's
 pairing row (RootSystem.pairing_row), which holds (gamma, alpha^vee) and the
 position of -(alpha+gamma) over every positive gamma and which every
 parabolic of the system shares. Pairing rows are built for the roots a
-cascade reaches and (P, alpha) rows are held on their parabolic
-(_held, freed with it), both on first read. The degree-wide checks
-(bijectivity, disjointness, associated pairs) run once per degree, in
-key_inequality, which validates d, reads z_d and its lifting off the table
-of minimal degrees when the parabolic holds it and otherwise decides them
-locally (curve_nbhd), and reports z_d, the cascade and both direction sets;
-tangent_direction_sets returns those sets. The lemma checks read the
-pairings: the pair map's domain is the negative ones, the bound their
-absolute values, and the count identity weighs them, with its left side
-chosen by the action of s_alpha on gamma, not by their sign.
+cascade reaches and (P, alpha) rows are held on their parabolic (_held,
+freed with it), both on first read; each row reads the slice offsets and
+the mask of R- \\ R_P- from the parabolic's row context (_row_context).
+
+One kernel (_row) computes the row of a degree d. It reads d's entry
+(z_d, lifting, the lifting's cascade mask) off the table of minimal degrees
+when the parabolic holds it and otherwise decides it locally (curve_nbhd);
+ANDs the cascade mask with the context's outside mask, whose bits are the
+cascade roots in R+ \\ R_P+; and ORs their rows' plain masks into td. A
+degree whose rows have strong pairs runs the degree-wide checks
+(bijectivity, disjointness, associated pairs; _direction_sets) for td~. The
+kernel returns z_d, the masks of the cascade, td and td~, the strong pairs,
+lhs = (c_1(X), d) - len(z_d) and rhs, the bits of td and td~.
+key_inequality lists the masks' roots (tangent_direction_sets returns its
+sets), and report.case_reports their coefficients, so both read one lhs,
+rhs and td. The lemma checks read the pairings: the pair map's domain is
+the negative ones, the bound their absolute values, and the count identity
+weighs them, with its left side chosen by the action of s_alpha on gamma,
+not by their sign.
 """
 
 from __future__ import annotations
@@ -44,13 +52,10 @@ from .exceptions import (
     ConsistencyError, ExceptionalCaseError, NotMinimalDegreeError,
     UniquenessViolationError,
 )
-from .cascade import cascade_roots
-from .curve_nbhd import (
-    _entry, _held, _z_and_lifting, _z_pair, borel, curve_neighborhood_element, lifting,
-    point_class_degree,
-)
+from .cascade import _items_at
+from .curve_nbhd import _entry, _held, _z_and_lifting, _z_pair, borel, point_class_degree
 from .parabolic import Degree, Parabolic, c1_pairing, dim_x
-from .root_system import Root, RootSystem, bilinear, coroot_pairing, is_long, is_short
+from .root_system import Root, bilinear, coroot_pairing, is_long, is_short
 from .weyl import WeylElement, reflection
 
 __all__ = [
@@ -87,14 +92,31 @@ class QuasiHomogeneityVerdict(NamedTuple):
     group_dim: int | None = None
 
 
-def _outside_levi(p: Parabolic, cascade: tuple[Root, ...]) -> tuple[int, ...]:
-    """The positions in p.system.roots of the roots of cascade in R+ \\ R_P+."""
-    positions, outside = p.system.root_positions, p.outside_mask
-    return tuple([k for k in [positions[a.coeffs] for a in cascade] if outside >> k & 1])
+@_held
+def _row_context(p: Parabolic) -> tuple[int, tuple[int, ...], bool, tuple[int, ...], int]:
+    """What every row of p reads of p, held on p (_held): (outside, weights,
+    g2, levi, below). outside is R+ \\ R_P+ (Parabolic.outside_mask),
+    weights the c1 weights (Parabolic.c1_weights), and g2 whether the type
+    is G2, the only one with an exceptional triple. levi holds the indices
+    of R_P+ in a pairing row, which indexes the positive roots with
+    gamma = roots[N/2 + j] at index j, so the upper half of the Levi
+    positions less N/2; below masks R- \\ R_P-, the lower half of the
+    positions less R_P. A plain tuple: a NamedTuple class would add its
+    build to the import of every cold query."""
+    rs = p.system
+    half, levi = len(rs.roots) // 2, p.levi_positions
+    return (p.outside_mask, p.c1_weights, (rs.simple_type.family, rs.rank) == ("G", 2),
+            tuple([j - half for j in levi[len(levi) // 2:]]), (1 << half) - 1 & ~p.levi_mask)
+
+
+def _positions(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, ascending."""
+    return _items_at(range(mask.bit_length()), mask)
 
 
 def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[int, ...]:
-    return _outside_levi(p, cascade_roots(p.system, lifting(p, d)))
+    """The positions of the cascade roots of d's lifting in R+ \\ R_P+."""
+    return _positions(_z_and_lifting(p, d)[2] & p.outside_mask)
 
 
 @_held
@@ -106,23 +128,21 @@ def _root_directions(p: Parabolic, k: int) -> tuple[int, tuple[Root, ...], tuple
     themselves. Both tuples follow the order of R_P+.
 
     The row is the slice over R_P+ of alpha's pairing row
-    (RootSystem.pairing_row), which every parabolic of the system shares.
-    With N roots, -alpha is roots[N-1-k], and R_P+ is the upper half of the
-    Levi positions, gamma = roots[N/2 + j] sitting at index j of the row.
+    (RootSystem.pairing_row), which every parabolic of the system shares,
+    at the offsets of the row context (_row_context). With N roots, -alpha
+    is roots[N-1-k].
     """
     rs = p.system
-    n = len(rs.roots)
+    _, _, _, levi, below = _row_context(p)
     all_pairings, negated = rs.pairing_row(k)
-    levi = [j - n // 2 for j in p.levi_positions[len(p.levi_positions) // 2:]]
-    mask = 1 << n - 1 - k  # -alpha
+    mask = 1 << len(rs.roots) - 1 - k  # -alpha
     for j in levi:
         if negated[j] >= 0:  # alpha + gamma is a root
             mask |= 1 << negated[j]
-    below = (1 << n // 2) - 1 & ~p.levi_mask  # R- \ R_P-: the lower half less R_P
     bad = mask & ~below
     if bad:
         raise ConsistencyError(
-            f"tangent direction {_roots_at(rs, bad)[0]} not in R- \\ R_P-")
+            f"tangent direction {_items_at(rs.roots, bad)[0]} not in R- \\ R_P-")
     pairings = tuple([all_pairings[j] for j in levi])
     strong = tuple([g for g, v in zip(p.levi_positive, pairings) if v < -1])
     return mask, strong, pairings
@@ -142,17 +162,6 @@ def _in_levi_positive(p: Parabolic, r: Root) -> bool:
     return r.system is p.system and r.is_positive and not p.outside_levi(r)
 
 
-def _roots_at(rs: RootSystem, mask: int) -> tuple[Root, ...]:
-    """The roots at the set bits of a mask over root positions, in the order
-    of rs.roots, which is by coefficients."""
-    roots, out = rs.roots, []
-    while mask:
-        low = mask & -mask
-        out.append(roots[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
-
-
 def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[Root, Root]:
     """The pair (alpha', gamma') attached to (alpha, gamma) with (alpha, gamma) < 0.
 
@@ -160,10 +169,11 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
     gamma; gamma' is -z_e(gamma). The defining properties are re-verified on
     every call and any failure is fatal.
     """
-    casc = _cascade_outside_levi(p, d)
-    z_e = curve_neighborhood_element(borel(p.system), lifting(p, d))
-    return _associated_pair(p, tuple([p.system.roots[k] for k in casc]),
-                            _plain_directions(p, casc), z_e, alpha, gamma)
+    _, e, cascade = _z_and_lifting(p, d)
+    casc = _positions(cascade & p.outside_mask)
+    rs = p.system
+    return _associated_pair(p, tuple([rs.roots[k] for k in casc]),
+                            _plain_directions(p, casc), _z_pair(borel(rs), e)[0], alpha, gamma)
 
 
 def _associated_pair(p: Parabolic, casc: tuple[Root, ...], plain: int, z_e: WeylElement,
@@ -213,22 +223,23 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     return key_inequality(p, d).sets
 
 
-def _direction_sets(p: Parabolic, e: Degree, casc: tuple[int, ...]) -> TangentDirectionSets:
+def _direction_sets(p: Parabolic, e: Degree, casc: int) -> tuple[int, int, tuple]:
     """The direction sets of the minimal degree of p with lifting e, casc
-    the positions of the cascade of e outside the Levi. td is the union of
-    the rows' masks, and each extra direction one bit of another mask, both
-    listed by position."""
+    the mask of the cascade of e outside the Levi, with every check: the
+    masks of td and td~ and the strong pairs. td is the union of the rows'
+    masks, and each extra direction one bit of another mask."""
     rs = p.system
     roots = rs.roots
     strong, plain = [], 0
-    for k in casc:
+    positions = _positions(casc)
+    for k in positions:
         mask, gammas, _ = _root_directions(p, k)
         plain |= mask
         strong += [(roots[k], g) for g in gammas]
     extra = 0
     if strong:
         z_e = _z_pair(borel(rs), e)[0]  # in the z table on either path
-        alphas = tuple([roots[k] for k in casc])
+        alphas = tuple([roots[k] for k in positions])
         seen_gamma = {}
         for a, g in strong:
             if seen_gamma.setdefault(g, a) != a:
@@ -242,11 +253,35 @@ def _direction_sets(p: Parabolic, e: Degree, casc: tuple[int, ...]) -> TangentDi
             extra |= bit
     if extra & plain:
         raise ConsistencyError("extra tangent directions must avoid the plain ones")
-    td_tilde = _roots_at(rs, extra)
-    for r in td_tilde:
-        if not p.outside_levi(-r):
-            raise ConsistencyError(f"extra tangent direction {r} not in R- \\ R_P-")
-    return TangentDirectionSets(_roots_at(rs, plain), td_tilde, tuple(strong))
+    bad = extra & ~_row_context(p)[4]  # below
+    if bad:
+        raise ConsistencyError(f"extra tangent direction {_items_at(roots, bad)[0]} "
+                               f"not in R- \\ R_P-")
+    return plain, extra, tuple(strong)
+
+
+def _row(p: Parabolic, d: Degree) -> tuple[WeylElement, int, int, int, tuple, int, int, bool]:
+    """The row of d on p (see the module docstring): z_d; the masks of the
+    cascade of d's lifting, of td and of td~; the strong pairs; lhs, rhs;
+    and whether (p, d) is the exceptional triple. NotMinimalDegreeError
+    unless d is a minimal degree of p."""
+    z, e, cascade = _z_and_lifting(p, d)  # checks d, once
+    outside, weights, g2, _, _ = _row_context(p)
+    casc = todo = cascade & outside
+    plain, strong = 0, False
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        mask, gammas, _ = _root_directions(p, low.bit_length() - 1)
+        plain |= mask
+        if gammas:
+            strong = True
+    extra, pairs = 0, ()
+    if strong:
+        plain, extra, pairs = _direction_sets(p, e, casc)
+    lhs = sum(map(mul, d, weights)) - z.length  # c1_pairing, d already checked
+    return (z, cascade, plain, extra, pairs, lhs, plain.bit_count() + extra.bit_count(),
+            g2 and is_exceptional_triple(p, d))
 
 
 def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
@@ -290,7 +325,7 @@ def coroot_pairing_bound_holds(p: Parabolic, d: Degree) -> bool:
     On the unique exceptional triple the bound provably fails with a witness
     value of absolute value 3; that case raises instead of returning False.
     """
-    casc = _cascade_outside_levi(p, d)  # raises NotMinimalDegreeError via lifting
+    casc = _cascade_outside_levi(p, d)  # raises NotMinimalDegreeError via _entry
     if is_exceptional_triple(p, d):
         witness = [(g, p.system.roots[k], v) for k in casc
                    for g, v in zip(p.levi_positive, _root_directions(p, k)[2])
@@ -328,14 +363,12 @@ def key_inequality(p: Parabolic, d: Degree) -> KeyInequalityReport:
     """(c_1(X), d) - len(z_d) against the number of tangent directions,
     z_d and the lifting read off the table of minimal degrees when p holds
     it, and otherwise decided locally; the report carries z_d and the
-    cascade of the lifting too."""
-    z, e = _z_and_lifting(p, d)  # checks d, once
-    cascade = cascade_roots(p.system, e)
-    sets = _direction_sets(p, e, _outside_levi(p, cascade))
-    lhs = sum(map(mul, d, p.c1_weights)) - z.length  # c1_pairing, d already checked
-    rhs = len(sets.td) + len(sets.td_tilde)
-    return KeyInequalityReport(lhs, rhs, lhs <= rhs, is_exceptional_triple(p, d), sets,
-                               z, cascade)
+    cascade of the lifting too. The row kernel's masks (_row), as roots."""
+    z, cascade, plain, extra, pairs, lhs, rhs, exception = _row(p, d)
+    roots = p.system.roots
+    sets = TangentDirectionSets(_items_at(roots, plain), _items_at(roots, extra), pairs)
+    return KeyInequalityReport(lhs, rhs, lhs <= rhs, exception, sets, z,
+                               _items_at(roots, cascade))
 
 
 def quasi_homogeneity_verdict(p: Parabolic, d: Degree) -> QuasiHomogeneityVerdict:

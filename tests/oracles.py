@@ -718,7 +718,7 @@ def full_scan_minimal(p: Parabolic) -> tuple[dict[Degree, tuple[WeylElement, Deg
     full = curve_nbhd._minimal(borel(p.system))[0]
     found, projections = {}, set()
     q, positions = p.quotient_positions, p.positions
-    for e, (z, _) in full.items():
+    for e, (z, _, _) in full.items():
         d = tuple([e[i] for i in q])
         projections.add(d)
         if descents_at(z, positions) == len(positions):

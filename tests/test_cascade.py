@@ -1,17 +1,21 @@
 import pytest
 
+from mindeg import curve_nbhd
 from mindeg.cascade import (
     cascade_roots, cascade_size_bound_holds, enumerate_sos, full_cascade,
     is_sos, max_cascade_forces_point_degree, mmsos_size,
     minimal_degree_records, mmsos_unique_up_to_weyl, strongly_orthogonal,
 )
 from mindeg.curve_nbhd import (
-    borel, curve_neighborhood_element, is_p_cosmall, minimal_degrees, point_class_degree,
+    borel, curve_neighborhood_element, greedy_decomposition, is_p_cosmall, minimal_degrees,
+    point_class_degree,
 )
 from mindeg.exceptions import (
-    NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
+    ConsistencyError, NotApplicableError, NotMinimalDegreeError, RankTooLargeError,
 )
-from mindeg.root_system import build_root_system, coroot_pairing
+from mindeg.parabolic import Parabolic
+from mindeg.root_system import RootSystem, SimpleType, build_root_system, coroot_pairing
+from mindeg.tangent_directions import key_inequality
 
 from oracles import all_parabolics
 
@@ -113,3 +117,78 @@ def test_singleton_cascades_consist_of_a_p_cosmall_root(label):
         for rec in minimal_degree_records(p):
             if any(rec.degree) and len(rec.cascade) == 1:
                 assert is_p_cosmall(p, rec.cascade[0])
+
+
+def _oracle_cascade_mask(rs, e) -> int:
+    """The cascade of e as a mask over root positions, from the sorted set
+    of its greedy decomposition, asserted strongly orthogonal by is_sos."""
+    roots = sorted(set(greedy_decomposition(borel(rs), e)), key=lambda r: r.coeffs)
+    assert is_sos(roots), e
+    return sum(1 << rs.root_positions[r.coeffs] for r in roots)
+
+
+@pytest.mark.parametrize("label", RANK_LE_4 + ["E6"])
+def test_cascade_masks_match_the_greedy_oracle(label):
+    """The cascade mask of every full-flag minimal degree, as the search
+    records it in the G/B table and as the local path builds it from the
+    greedy chain on a system that holds no table, is the sorted set of the
+    greedy decomposition, which is_sos accepts."""
+    rs, fresh = build_root_system(label), RootSystem(SimpleType.parse(label))
+    table = curve_nbhd._minimal(borel(rs))[0]
+    for e, (_, _, cascade) in table.items():
+        assert cascade == _oracle_cascade_mask(rs, e), e
+        local = curve_nbhd._entry(borel(fresh), e)
+        assert local is not None and local[2] == cascade, e
+    assert not curve_nbhd._minimal.holds(borel(fresh))
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "C3"])
+def test_a_root_is_added_to_a_cascade_iff_strongly_orthogonal(label):
+    """_with_cascade_root adds a root to a one-root cascade exactly when
+    strongly_orthogonal holds for the pair or the root is already in it,
+    and otherwise raises ConsistencyError; in B2 the short roots alpha_2 and
+    alpha_1 + alpha_2 are orthogonal but not strongly orthogonal."""
+    rs = build_root_system(label)
+    positions = rs.root_positions
+    for a in rs.positive_roots:
+        bit = 1 << positions[a.coeffs]
+        for g in rs.positive_roots:
+            k = positions[g.coeffs]
+            if g is a or strongly_orthogonal(a, g):
+                assert curve_nbhd._with_cascade_root(rs, bit, k, ()) == bit | 1 << k
+            else:
+                with pytest.raises(ConsistencyError, match="not strongly orthogonal"):
+                    curve_nbhd._with_cascade_root(rs, bit, k, ())
+
+
+def _no_root_strongly_orthogonal(monkeypatch):
+    """Inject the fault: no two roots read as strongly orthogonal, so a
+    cascade of two or more roots is not strongly orthogonal."""
+    monkeypatch.setattr(curve_nbhd, "strongly_orthogonal", lambda alpha, gamma: False)
+
+
+def test_a_cascade_not_strongly_orthogonal_fails_the_table_build(monkeypatch):
+    """The full-flag search checks each cascade as it records it: with the
+    fault, the B2/B table build raises ConsistencyError."""
+    rs = RootSystem(SimpleType.parse("B2"))
+    _no_root_strongly_orthogonal(monkeypatch)
+    with pytest.raises(ConsistencyError, match="cascade of .* is not strongly orthogonal"):
+        minimal_degrees(borel(rs))
+
+
+def test_a_cascade_not_strongly_orthogonal_fails_the_local_path(monkeypatch):
+    """The local path builds the cascade of a full-flag degree from its
+    greedy chain with the search's check: with the fault, the B2 point-class
+    degree, whose cascade has two roots, raises ConsistencyError on G/B and
+    as the lifting of a G/P degree; a one-root cascade still passes."""
+    rs = RootSystem(SimpleType.parse("B2"))
+    _no_root_strongly_orthogonal(monkeypatch)
+    b = borel(rs)
+    assert cascade_roots(rs, (1, 1)) == (rs.root((1, 2)),)
+    # (2, 1) has the cascade alpha_1, alpha_1 + 2 alpha_2 and lifts (1,) on P = {1}
+    for p, d in [(b, (2, 1)), (Parabolic(rs, frozenset({1})), (1,))]:
+        with pytest.raises(ConsistencyError, match="cascade of .* is not strongly orthogonal"):
+            key_inequality(p, d)
+    with pytest.raises(ConsistencyError, match="cascade of .* is not strongly orthogonal"):
+        cascade_roots(rs, (2, 1))
+    assert not curve_nbhd._minimal.holds(b)

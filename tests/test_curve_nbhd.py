@@ -428,13 +428,18 @@ def test_exactly_one_degree_reaches_the_longest_coset(monkeypatch, swaps, reach)
         minimal_degrees(b)
 
 
+def _with_a2_degree_2_0(real):
+    """The search real, whose table gains the A2/B degree (2, 0), which is
+    not minimal, with its z and the cascade mask its greedy chain gives."""
+    return lambda b: {**real(b), (2, 0): (curve_neighborhood_element(b, (2, 0)),
+                                          curve_nbhd._cascade_mask(b, (2, 0)))}
+
+
 def test_projections_failing_the_unit_edge_test_are_dropped(monkeypatch):
     # On P^2 (A2, Delta_P = {2}) the full-flag degree (2, 0), which is not
     # minimal, projects to (2), whose z equals z_(1): the unit-edge oracle
     # drops the projection
-    real = curve_nbhd._borel_minimal
-    monkeypatch.setattr(curve_nbhd, "_borel_minimal",
-                        lambda b: {**real(b), (2, 0): curve_neighborhood_element(b, (2, 0))})
+    monkeypatch.setattr(curve_nbhd, "_borel_minimal", _with_a2_degree_2_0(curve_nbhd._borel_minimal))
     assert sorted(unit_edge_minimal_degrees(Parabolic(_fresh("A2"), frozenset({2})))) == [(0,), (1,)]
 
 
@@ -442,9 +447,7 @@ def test_projection_without_a_coset_maximal_preimage_is_a_consistency_error(monk
     # the same (2, 0): z_(2,0) = s1 lacks the descent s2, so no preimage of
     # (2) is longest in its coset, which no true full-flag minimal degree has
     # produced on any parabolic through E8
-    real = curve_nbhd._borel_minimal
-    monkeypatch.setattr(curve_nbhd, "_borel_minimal",
-                        lambda b: {**real(b), (2, 0): curve_neighborhood_element(b, (2, 0))})
+    monkeypatch.setattr(curve_nbhd, "_borel_minimal", _with_a2_degree_2_0(curve_nbhd._borel_minimal))
     with pytest.raises(ConsistencyError, match="longest in its coset projects to \\(2,\\)"):
         minimal_degrees(Parabolic(_fresh("A2"), frozenset({2})))
 
@@ -455,7 +458,8 @@ def test_two_coset_maximal_preimages_are_refused(monkeypatch):
     a2 = _fresh("A2")
     real = curve_nbhd._borel_minimal
     s1s2 = compose(simple_reflection(a2, 0), simple_reflection(a2, 1))
-    monkeypatch.setattr(curve_nbhd, "_borel_minimal", lambda b: {**real(b), (1, 5): s1s2})
+    # its cascade mask, the empty one, plays no part in the check
+    monkeypatch.setattr(curve_nbhd, "_borel_minimal", lambda b: {**real(b), (1, 5): (s1s2, 0)})
     with pytest.raises(LiftingNotUniqueError, match="\\(1,\\) lifts to each of"):
         minimal_degrees(Parabolic(a2, frozenset({2})))
 
@@ -474,14 +478,17 @@ def test_table_matches_the_scan_of_every_full_flag_degree(label):
     """On every P != B, the table read off the descent groups whose mask
     contains Delta_P has the entries (z_d, e), with the length carried by
     z_d, and the point-class degree of the scan of every full-flag minimal
-    degree, whose z_d count their inversions."""
+    degree, whose z_d count their inversions; each entry carries the
+    cascade mask of e's G/B entry."""
     rs = build_root_system(label)
     for p in all_parabolics(rs):
         if p.positions:
             got, (want, want_top) = curve_nbhd._minimal(p)[0], full_scan_minimal(p)
             assert _table_point_class(p) == want_top, p
-            assert ({d: (z, z.length, e) for d, (z, e) in got.items()}
+            assert ({d: (z, z.length, e) for d, (z, e, _) in got.items()}
                     == {d: (z, z.length, e) for d, (z, e) in want.items()}), p
+            full = curve_nbhd._minimal(borel(rs))[0]
+            assert all(cascade == full[e][2] for _, e, cascade in got.values()), p
 
 
 @pytest.mark.parametrize("label", ["G2", "B3", "C3", "F4", "B5", "D5", "E6"])
@@ -490,11 +497,11 @@ def test_descent_groups_partition_the_full_flag_table(label):
     with its z, under the mask of exactly the right descents of that z."""
     rs = build_root_system(label)
     full, groups = curve_nbhd._minimal(borel(rs))
-    grouped = [(e, z) for entries in groups.values() for e, z in entries]
+    grouped = [(e, (z, cascade)) for entries in groups.values() for e, z, cascade in entries]
     assert len(grouped) == len(full)
-    assert dict(grouped) == {e: z for e, (z, _) in full.items()}
+    assert dict(grouped) == {e: (z, cascade) for e, (z, _, cascade) in full.items()}
     for mask, entries in groups.items():
-        for e, z in entries:
+        for e, z, _ in entries:
             assert mask == sum(1 << i for i in range(rs.rank) if is_descent(z, i)), e
 
 
@@ -506,7 +513,7 @@ def test_z_d_matches_the_letter_by_letter_product(label):
     rs = build_root_system(label)
     full = curve_nbhd._minimal(borel(rs))[0]
     for p in all_parabolics(rs):
-        for d, (z, e) in curve_nbhd._minimal(p)[0].items():
+        for d, (z, e, _) in curve_nbhd._minimal(p)[0].items():
             want = letter_by_letter_z_d(p, full[e][0])
             assert (z, z.length) == (want, want.length), (p, d)
 
@@ -514,7 +521,7 @@ def test_z_d_matches_the_letter_by_letter_product(label):
 def test_reduced_word_matches_the_stripping_loop_on_the_e6_sweep():
     rs = build_root_system("E6")
     for p in all_parabolics(rs):
-        for d, (z, _) in curve_nbhd._minimal(p)[0].items():
+        for d, (z, _, _) in curve_nbhd._minimal(p)[0].items():
             assert weyl.reduced_word(z) == stripping_reduced_word(z), (p, d)
 
 
@@ -623,7 +630,7 @@ def test_pruned_search_matches_unpruned_search(label):
     """Trying only the children through the roots j <= j0 accepts the same
     degrees, with the same z, as trying every child."""
     b = borel(build_root_system(label))
-    assert curve_nbhd._borel_minimal(b) == unpruned_borel_minimal(b)
+    assert {d: z for d, (z, _) in curve_nbhd._borel_minimal(b).items()} == unpruned_borel_minimal(b)
 
 
 def test_refused_children_are_not_stored():
@@ -696,8 +703,8 @@ def test_table_matches_the_unit_edge_oracle(label):
     rs = build_root_system(label)
     for p in all_parabolics(rs):
         table = curve_nbhd._minimal(p)[0]
-        assert table == unit_edge_minimal_degrees(p), p
-        for d, (z, e) in table.items():
+        assert {d: (z, e) for d, (z, e, _) in table.items()} == unit_edge_minimal_degrees(p), p
+        for d, (z, e, _) in table.items():
             assert z == hecke_curve_neighborhood_element(p, d), (p, d)
             assert z.length == len(weyl.inversion_set(z)), (p, d)
             assert lifting(p, d) == e, (p, d)
@@ -808,7 +815,7 @@ def _table_and_local(label):
 def _table_point_class(p):
     """The one degree of p's table of minimal degrees whose z is the longest coset."""
     target = compose(longest_element(p.system), p.w_p)
-    tops = [d for d, (z, _) in curve_nbhd._minimal(p)[0].items() if z == target]
+    tops = [d for d, (z, _, _) in curve_nbhd._minimal(p)[0].items() if z == target]
     assert len(tops) == 1, (p, tops)
     return tops[0]
 
@@ -839,8 +846,8 @@ def test_a_table_built_after_local_queries_is_the_table(label):
         for d in minimal_degrees(p):
             key_inequality(q, d)
     for p, q in pairs:
-        assert ({d: (z.images, e) for d, (z, e) in curve_nbhd._minimal(q)[0].items()}
-                == {d: (z.images, e) for d, (z, e) in curve_nbhd._minimal(p)[0].items()}), p
+        assert ({d: (z.images, e, c) for d, (z, e, c) in curve_nbhd._minimal(q)[0].items()}
+                == {d: (z.images, e, c) for d, (z, e, c) in curve_nbhd._minimal(p)[0].items()}), p
 
 
 @pytest.mark.parametrize("label", _labels(4))  # G2 and F4 included

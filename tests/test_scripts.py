@@ -52,3 +52,23 @@ def test_time_appendix_reports_the_import_and_each_check():
     assert len({name for name, _ in parts}) == 12
     assert all(float(ms) >= 0 for _, ms in parts)
     assert float(parts[-1][1]) >= sum(float(ms) for _, ms in parts[1:-1])
+
+
+def test_time_sweep_reports_each_part():
+    """One fresh run each of A2 and B2 prints one line per type with a time
+    in ms for each of the five parts of a serial sweep and their total; the
+    script itself checks that the parts wrote the sweep's JSON."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "time_sweep.py"), "--types", "A2,B2", "--runs", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split()[:7] == ["type", "search", "tables", "rows", "words", "render",
+                                  "total"]
+    assert [row.split()[0] for row in rows] == ["A2", "B2"]
+    for row in rows:
+        times = [float(t) for t in row.split()[1:]]
+        assert len(times) == 6 and all(t >= 0 for t in times)
+        # each part's best is at most its share of the best total; each
+        # printed time is rounded to 0.01 ms
+        assert times[-1] >= sum(times[:-1]) - 0.03

@@ -191,6 +191,9 @@ NO_PRODUCT_READER = {
     "report.run_sweep":
         "the library call that returns a whole sweep as one list; the CLI streams "
         "sweep_cases instead, and the hash pins and acceptance 2 and 8 read it",
+    "cascade.is_sos":
+        "the oracle of the strong-orthogonality check the full-flag search and "
+        "the local path make on each cascade; acceptance 5 and test_cascade read it",
     "curve_nbhd.is_p_cosmall":
         "acceptance 6 checks the P-cosmall pairings with it; ROADMAP item 1 gives "
         "it a root-table path or moves it to tests/oracles.py",

@@ -3,6 +3,7 @@ import pickle
 
 import pytest
 
+from mindeg import curve_nbhd
 from mindeg.cascade import cascade_roots
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, lifting, minimal_degrees, point_class_degree,
@@ -13,7 +14,7 @@ from mindeg.report import CaseReport, case_reports, default_types
 from mindeg.root_system import RootSystem, SimpleType, bilinear, build_root_system, coroot_pairing
 from mindeg.tangent_directions import (
     VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, KeyInequalityReport, TangentDirectionSets,
-    _outside_levi, _root_directions, associated_pair,
+    _root_directions, associated_pair,
     coroot_pairing_bound_holds, is_exceptional_triple, key_inequality, pair_map_is_injective,
     quasi_homogeneity_verdict, tangent_direction_sets, weighted_pair_count_identity_holds,
 )
@@ -305,6 +306,39 @@ def test_sweep_rows_match_the_public_per_degree_path(label):
     assert exceptions == (label == "G2")
 
 
+def _report_of(ineq, p, d) -> CaseReport:
+    """The CaseReport of a key_inequality report on (p, d), field by field."""
+    coeffs = lambda roots: tuple([r.coeffs for r in roots])  # noqa: E731
+    return CaseReport(
+        str(p.system.simple_type), tuple(sorted(p.delta_p)), d, ineq.z.length,
+        word_str(ineq.z), coeffs(ineq.cascade), coeffs(ineq.sets.td),
+        coeffs(ineq.sets.td_tilde), ineq.lhs, ineq.rhs, ineq.holds, ineq.exception,
+        VERDICT_ONLY_AUT_X if ineq.exception else VERDICT_DENSE_G_ORBIT)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "F4", "G2"])
+def test_key_inequality_and_case_reports_read_one_row(label):
+    """key_inequality and case_reports wrap one row kernel: on every row of
+    every parabolic, key_inequality(p, d) written as a CaseReport equals the
+    case_reports row field by field, on a parabolic that holds its table and
+    on one of a fresh system that never builds one (the local path); the G2
+    triple is among the rows, with its strong pair."""
+    rs, fresh = build_root_system(label), RootSystem(SimpleType.parse(label))
+    exceptions = 0
+    for p in all_parabolics(rs):
+        rows = case_reports(label, tuple(sorted(p.delta_p)))
+        minimal_degrees(p)
+        local = Parabolic(fresh, p.delta_p)
+        for r in rows:
+            assert r == _report_of(key_inequality(p, r.degree), p, r.degree), (p, r.degree)
+            assert r == _report_of(key_inequality(local, r.degree), local, r.degree), \
+                (local, r.degree)
+            exceptions += r.exception
+        assert not curve_nbhd._minimal.holds(local)
+    assert not curve_nbhd._minimal.holds(borel(fresh))
+    assert exceptions == (label == "G2")
+
+
 @pytest.mark.parametrize("label", [str(t) for t in default_types(4)] + ["B5"])
 def test_root_rows_match_the_set_oracle(label):
     """Each (P, alpha) row, a slice of alpha's pairing row over the Levi
@@ -347,7 +381,8 @@ def test_rows_are_built_lazily_and_shared_by_the_parabolics():
     for delta_p in ({2}, {3}, {2, 3}):
         p = Parabolic(rs, frozenset(delta_p))
         for d in minimal_degrees(p):
-            casc = _outside_levi(p, key_inequality(p, d).cascade)
+            casc = [rs.root_positions[a.coeffs] for a in key_inequality(p, d).cascade
+                    if p.outside_levi(a)]
             built |= set(casc)
             assert set(casc) <= _held_keys(p, _root_directions), (p, d)
         assert _held_keys(rs, RootSystem.pairing_row) == built
