@@ -5,8 +5,8 @@ Runs `python -m mindeg sweep --types T` in a subprocess for each listed type
 T on its own, once serially and once with --workers 2, and hashes stdout as
 it arrives, so that the output is never held whole. Each run's peak RSS is
 read with os.wait4 and must stay under MAX_RSS_MB; under --workers 2 that
-is the parent process's, which unpickles every report and writes the rows
-with the stream's JSON memo. Both runs must exit 0 and give the same
+is the parent process's, which receives each case's rows already written
+and only joins them. Both runs must exit 0 and give the same
 sha256, which for a type of PINNED_SHA256 must equal the pinned one; a
 type without a pin is reported as such. The E6 and
 E7 sweeps are pinned in tests/test_sweep_hashes.py, which Tier-1 runs; this

@@ -9,13 +9,15 @@ builds the root system untimed and then does the work of
     tables    the G/P tables: minimal_degrees on one Parabolic per case
     rows      the row kernel (tangent_directions._row) on every minimal degree
     words     the reduced word of each row's z_d (weyl.word_str)
-    render    the CaseReports, as case_reports fills them, written as JSON
+    render    the rows written as JSON from the kernel's masks and the words,
+              as the sweep writes them (report._write_rows), and joined
 
 A part reads what the parts before it left on the parabolics, as the sweep
 does. The child hashes the JSON it renders, and this script checks that
-hash against the output of an in-process `report.sweep_cases`, so the parts
-add up to one sweep. It reports the best of the RUNS timings of each part
-in milliseconds, each part's minimum taken on its own, and the best total.
+hash against the output of an in-process `report.sweep_cases`, written
+through CaseReport, so the parts add up to one sweep. It reports the best
+of the RUNS timings of each part in milliseconds, each part's minimum
+taken on its own, and the best total.
 
 Usage: python scripts/time_sweep.py [--types A4,E6] [--runs 5]
 """
@@ -44,34 +46,25 @@ import hashlib, json, sys, time
 sys.path.insert(0, sys.argv[1])
 from mindeg.curve_nbhd import _sweep_rows, minimal_degrees
 from mindeg.parabolic import Parabolic
-from mindeg.cascade import _items_at
-from mindeg.report import CaseReport, all_parabolic_subsets, render
+from mindeg.report import _write_rows, all_parabolic_subsets, join_rows
 from mindeg.root_system import build_root_system
-from mindeg.tangent_directions import VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, _row
+from mindeg.tangent_directions import _row
 from mindeg.weyl import word_str
 rs = build_root_system(sys.argv[2])
-type_str, coeffs = str(rs.simple_type), [r.coeffs for r in rs.roots]
 t0 = time.perf_counter()
 _sweep_rows(rs)
 t1 = time.perf_counter()
 cases = []
 for dp in all_parabolic_subsets(rs.rank):
     p = Parabolic(rs, frozenset(dp))
-    cases.append((p, dp, minimal_degrees(p)))
+    cases.append((p, minimal_degrees(p)))
 t2 = time.perf_counter()
-rows = [[(d, _row(p, d)) for d in ds] for p, _, ds in cases]
+rows = [[(d, _row(p, d)) for d in ds] for p, ds in cases]
 t3 = time.perf_counter()
-words = [[word_str(row[0]) for _, row in case] for case in rows]
+words = [[(d, word_str(row[0]), row) for d, row in case] for case in rows]
 t4 = time.perf_counter()
-chunks = []
-for (p, dp, _), case, case_words in zip(cases, rows, words):
-    chunks.append([CaseReport(
-        type_str, dp, d, z.length, word, _items_at(coeffs, cascade),
-        _items_at(coeffs, plain), _items_at(coeffs, extra), lhs, rhs, lhs <= rhs,
-        exception, VERDICT_ONLY_AUT_X if exception else VERDICT_DENSE_G_ORBIT)
-        for (d, (z, cascade, plain, extra, _, lhs, rhs, exception)), word
-        in zip(case, case_words)])
-text = "".join(render(chunks, "json"))
+written = [_write_rows(p, case, "json")[0] for (p, _), case in zip(cases, words)]
+text = "".join(join_rows(written, "json"))
 t5 = time.perf_counter()
 times = [1e3 * (b - a) for a, b in zip([t0, t1, t2, t3, t4], [t1, t2, t3, t4, t5])]
 print(json.dumps([times, hashlib.sha256(text.encode()).hexdigest()]))

@@ -26,9 +26,7 @@ from .exceptions import (
     RankTooLargeError,
 )
 from .parabolic import Parabolic
-from .report import (
-    case_reports, default_types, emit, predictions_confirmed, render, sweep_cases,
-)
+from .report import case_rows, default_types, join_rows, sweep_rows
 from .root_system import SimpleType, build_root_system
 from .so7 import run_appendix_checks
 from .tangent_directions import quasi_homogeneity_verdict
@@ -131,9 +129,9 @@ def cmd_minimal_degrees(args) -> int:
 
 
 def cmd_key_inequality(args) -> int:
-    rows = case_reports(args.type, _parse_indices(args.delta_p))
-    sys.stdout.write(emit(rows, "json"))
-    return 0 if predictions_confirmed(rows) else 1
+    rows, confirmed = case_rows(args.type, _parse_indices(args.delta_p), "json")
+    sys.stdout.write("".join(join_rows([rows], "json")))
+    return 0 if confirmed else 1
 
 
 def cmd_verdict(args) -> int:
@@ -168,20 +166,20 @@ def cmd_sweep(args) -> int:
         types = tuple(SimpleType.parse(t) for t in args.types.split(","))
     else:
         types = default_types(args.max_rank)
-    cases = sweep_cases(types, args.workers)  # refuses before any output
+    cases = sweep_rows(types, args.format, args.workers)  # refuses before any output
     confirmed = True
 
     def checked():
         nonlocal confirmed
-        for chunk in cases:
-            confirmed = predictions_confirmed(chunk) and confirmed
-            yield chunk
+        for rows, ok in cases:
+            confirmed = ok and confirmed
+            yield rows
 
     # each case's rows are written, in case order, once it has finished; a
     # failed case or a closed stdout closes the stream, which cancels the
     # cases not yet started
     with contextlib.closing(cases):
-        for piece in render(checked(), args.format):
+        for piece in join_rows(checked(), args.format):
             sys.stdout.write(piece)
     return 0 if confirmed else 1
 

@@ -1,14 +1,12 @@
 """Case sweeps over (type, parabolic, minimal degree) and report emission.
 
-One CaseReport per minimal degree of each requested parabolic. Reports are
-plain data (strings, ints, tuples), so they serialize and pickle cleanly;
-sweeps are deterministic regardless of worker count because the cases are
-built in (family, rank, Delta_P) order and the merge keeps that order.
-A sweep is guarded by the rows it will emit, counted before any case runs.
-Each row is one call of the row kernel key_inequality wraps
-(tangent_directions._row). `sweep_cases` yields one case's reports
-at a time, and `render` writes each case's rows as it arrives with the row
-writer `emit` uses, so a sweep is written out as its cases finish.
+A case's rows are those of its minimal degrees, each one call of the row
+kernel key_inequality wraps (tangent_directions._row). Cases run in (family,
+rank, Delta_P) order, whatever the worker count, guarded by the rows they
+will emit. Each format writes a row from one template over its fields'
+texts: case_rows from the kernel's masks and the held root texts, a worker
+returning only the rows and the prediction flag, which join_rows writes as
+each case arrives; emit and render from CaseReports, plain picklable data.
 """
 
 from __future__ import annotations
@@ -26,20 +24,21 @@ from .cascade import _items_at
 from .curve_nbhd import _MAX_BOREL_DEGREES, _sweep_rows, minimal_degrees
 from .exceptions import InvalidConfigError, MindegError, ResourceGuardError
 from .parabolic import Parabolic
-from .root_system import SimpleType, admissible, build_root_system
+from .root_system import SimpleType, admissible, build_root_system, held
 from .tangent_directions import VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, _row
 from .weyl import word_str
 
 __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports",
-           "sweep_cases", "run_sweep", "predictions_confirmed", "render", "emit"]
+           "case_rows", "sweep_cases", "sweep_rows", "run_sweep",
+           "predictions_confirmed", "render", "join_rows", "emit"]
 
 # The most rows a sweep may emit. Every type of rank <= 7 together has
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
 # D9 alone has 210,055. A streamed sweep's memory is the tables its
 # parabolics hold, which the is_minimal_degree memo keeps alive, so that it
 # grows with the rows (E8: 119 MB peak, serially, by
-# scripts/check_sweep_stream.py --types E8); a serial stream's JSON memo
-# holds at most one entry per root and depth. run_sweep holds every report.
+# scripts/check_sweep_stream.py --types E8); the writer keeps only the root
+# texts of each system. run_sweep holds every report.
 _MAX_SWEEP_ROWS = 120_000
 
 
@@ -61,6 +60,8 @@ class CaseReport(NamedTuple):
 
 # The field names in declaration order: the CSV header and the JSON key order.
 CSV_HEADER = CaseReport._fields
+# The verdict of a minimal degree, by whether it is the exceptional triple.
+_VERDICTS = (VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X)
 
 
 def default_types(max_rank: int) -> tuple[SimpleType, ...]:
@@ -79,46 +80,65 @@ def all_parabolic_subsets(rank: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def _case(type_label: str, delta_p: tuple[int, ...]) -> tuple[Parabolic, list]:
+    """The parabolic of a case and (d, the word of z_d, _row(p, d)) for its
+    minimal degrees d, by degree: _row checks d and gives z_d, the masks of
+    the cascade of the lifting and of both direction sets, and the sides."""
+    p = Parabolic(build_root_system(type_label), frozenset(delta_p))
+    rows = [(d, _row(p, d)) for d in minimal_degrees(p)]
+    return p, [(d, word_str(row[0]), row) for d, row in rows]
+
+
+def _fields(p: Parabolic, rows: list, text, roots_at) -> list[tuple]:
+    """The fields of _case's rows in CSV_HEADER order, with delta_p and the
+    degree through text and each root set's mask through roots_at; the
+    verdict, quasi_homogeneity_verdict's, is read off the exception."""
+    type_str, dp = str(p.system.simple_type), text(tuple(sorted(p.delta_p)))
+    return [(type_str, dp, text(d), z.length, word, roots_at(cascade), roots_at(plain),
+             roots_at(extra), lhs, rhs, lhs <= rhs, exception, _VERDICTS[exception])
+            for d, word, (z, cascade, plain, extra, _, lhs, rhs, exception) in rows]
+
+
 def case_reports(type_label: str, delta_p: tuple[int, ...]) -> list[CaseReport]:
-    """All per-minimal-degree reports of one (type, parabolic) case, by degree.
-
-    The degrees are those of minimal_degrees, and each row is one call of
-    the row kernel key_inequality wraps (tangent_directions._row), which
-    validates d and gives z_d and the masks of the cascade of its lifting
-    and of both direction sets; the masks are written as the coefficients
-    of their roots. The verdict is the one quasi_homogeneity_verdict gives
-    a minimal degree, read off the inequality's exception.
-    """
-    rs = build_root_system(type_label)
-    p = Parabolic(rs, frozenset(delta_p))
-    type_str, dp = str(rs.simple_type), tuple(sorted(p.delta_p))
-    coeffs = [r.coeffs for r in rs.roots]  # by root position
-    out = []
-    for d in minimal_degrees(p):
-        z, cascade, plain, extra, _, lhs, rhs, exception = _row(p, d)
-        out.append(CaseReport(
-            type=type_str,
-            delta_p=dp,
-            degree=d,
-            z_length=z.length,
-            z_word=word_str(z),
-            cascade=_items_at(coeffs, cascade),
-            td=_items_at(coeffs, plain),
-            td_tilde=_items_at(coeffs, extra),
-            lhs=lhs,
-            rhs=rhs,
-            holds=lhs <= rhs,
-            exception=exception,
-            verdict=VERDICT_ONLY_AUT_X if exception else VERDICT_DENSE_G_ORBIT,
-        ))
-    return out
+    """All per-minimal-degree reports of one (type, parabolic) case, by
+    degree (_fields), each root set as the coefficients of its roots."""
+    p, rows = _case(type_label, delta_p)
+    coeffs = [r.coeffs for r in p.system.roots]  # by root position
+    return [CaseReport(*f) for f in _fields(p, rows, tuple, lambda m: _items_at(coeffs, m))]
 
 
-def _case_worker(task: tuple[str, tuple[int, ...]]) -> list[CaseReport]:
-    """case_reports of one case; a MindegError is re-raised naming the case."""
-    type_label, delta_p = task
+@held
+def _root_texts(rs) -> tuple[tuple[tuple[str, ...], tuple[str, str, str]], ...]:
+    """The texts of rs's roots by position, with the head, separator and
+    tail of a non-empty root set: as JSON at their depth in a row, and
+    compact ([1, 0]), which CSV and MD both write."""
+    coeffs = [r.coeffs for r in rs.roots]
+    return ((tuple([_json_value(c, 6) for c in coeffs]), ("[\n      ", ",\n      ", "\n    ]")),
+            (tuple([json.dumps(c) for c in coeffs]), ("[", ", ", "]")))
+
+
+def case_rows(type_label: str, delta_p: tuple[int, ...], fmt: str) -> tuple[list[str], bool]:
+    """The rows emit(case_reports(type_label, delta_p), fmt) writes, and
+    whether predictions_confirmed holds of them (_write_rows)."""
+    return _write_rows(*_case(type_label, delta_p), fmt)
+
+
+def _write_rows(p: Parabolic, rows: list, fmt: str) -> tuple[list[str], bool]:
+    """_case's rows written in fmt from the kernel's masks, each root set the
+    texts of its roots (_root_texts) joined, and predictions_confirmed of them."""
+    row, text, compact = _FORMATS[fmt][:3]
+    roots, (head, sep, tail) = _root_texts(p.system)[compact]
+    fields = _fields(p, rows, text,
+                     lambda m: head + sep.join(_items_at(roots, m)) + tail if m else "[]")
+    return [row(f) for f in fields], predictions_confirmed(fields)
+
+
+def _case_worker(task: tuple[str, tuple[int, ...], str | None]):
+    """One case (type, Delta_P, fmt): case_reports if fmt is None, else
+    case_rows in fmt; a MindegError is re-raised naming the case."""
+    type_label, delta_p, fmt = task
     try:
-        return case_reports(type_label, delta_p)
+        return case_reports(type_label, delta_p) if fmt is None else case_rows(*task)
     except MindegError as exc:
         exc.args = (f"case ({type_label}, Delta_P={{{', '.join(map(str, delta_p))}}}): {exc}",)
         raise
@@ -132,6 +152,13 @@ def sweep_cases(types: tuple[SimpleType, ...],
     checked here, before any case runs: ResourceGuardError once the row count
     summed in that order passes _MAX_SWEEP_ROWS. The cases run as the
     iterator is read; closing it cancels those not yet started."""
+    return sweep_rows(types, None, workers)
+
+
+def sweep_rows(types: tuple[SimpleType, ...], fmt: str | None,
+               workers: int = 1) -> Iterator:
+    """case_rows in fmt of each case of sweep_cases(types, workers), in its
+    order and after its checks; the reports of sweep_cases if fmt is None."""
     if workers < 1:
         raise InvalidConfigError(f"the worker count must be at least 1, got {workers}")
     if not types:
@@ -144,18 +171,17 @@ def sweep_cases(types: tuple[SimpleType, ...],
                 f"the sweep through {t} has {rows} rows, more than the "
                 f"{_MAX_SWEEP_ROWS} a sweep may emit")
         for dp in all_parabolic_subsets(t.rank):
-            tasks.append((str(t), dp))
+            tasks.append((str(t), dp, fmt))
     # the pool forks all its processes at the first submit, so bound them here
     return _run_cases(tasks, min(workers, len(tasks), os.cpu_count() or 1))
 
 
-def _run_cases(tasks, workers: int) -> Iterator[list[CaseReport]]:
-    """The reports of each task, yielded in task order; each case returns its
-    rows sorted by degree. map submits every task at once and keeps that
-    order, so under workers > 1 the cases after the one being waited for may
-    finish first, and their reports wait in this process until their turn.
-    The pool takes one case per task, so a failing case costs no other case
-    its rows."""
+def _run_cases(tasks, workers: int) -> Iterator:
+    """_case_worker of each task, yielded in task order. map submits every
+    task at once and keeps that order, so under workers > 1 the cases after
+    the one being waited for may finish first, and what they returned waits
+    in this process until their turn. The pool takes one case per task, so
+    a failing case costs no other case its rows."""
     if workers == 1:
         for task in tasks:
             yield _case_worker(task)
@@ -178,26 +204,16 @@ def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseRepor
 
 def predictions_confirmed(reports) -> bool:
     """lhs == rhs off the exception and lhs == rhs + 1 on it, holds and the
-    verdict agreeing; the equality is an invariant seen through rank 9, not a theorem."""
-    return all(r.lhs - r.rhs == (1 if r.exception else 0) and r.holds != r.exception
-               and (r.verdict == VERDICT_ONLY_AUT_X) == r.exception for r in reports)
+    verdict agreeing, for reports or rows whose last five fields are a
+    CaseReport's; the equality is an invariant seen through rank 9, not a theorem."""
+    return all(lhs - rhs == (1 if exception else 0) and holds != exception
+               and (verdict == VERDICT_ONLY_AUT_X) == exception
+               for *_, lhs, rhs, holds, exception, verdict in reports)
 
 
-# What json.dumps(indent=2) writes before, between and after the items of a
-# list on a line indented by n spaces, by n; filled as each depth is met.
-_JSON_LIST = {}
-
-
-def _json_value(v, indent: int, memo: dict) -> str:
-    """v as json.dumps(v, indent=2) writes it on a line indented by indent spaces.
-
-    A tuple nested in v is written once per object and depth: memo keeps its
-    text under (id, indent), with the tuple itself, so that the id is not
-    reused while memo lives. A tuple and the items it holds cannot change,
-    so the same object always has the same text. In a sweep these are the
-    coefficient tuples of the roots in cascade, td and td_tilde, which each
-    case's rows share; v itself, a new tuple per row, is not kept.
-    """
+def _json_value(v, indent: int) -> str:
+    """v as json.dumps(v, indent=2) writes it on a line indented by indent
+    spaces; a list, a float or another type is refused with TypeError."""
     if not isinstance(v, tuple):
         if isinstance(v, str):
             return encode_basestring_ascii(v)
@@ -208,20 +224,9 @@ def _json_value(v, indent: int, memo: dict) -> str:
         raise TypeError(f"cannot write a {type(v).__name__} as report JSON")
     if not v:
         return "[]"
-    i, texts, get = indent + 2, [], memo.get
-    for x in v:
-        if type(x) is int:  # delta_p and degree, without a call per item
-            texts.append(int.__repr__(x))
-        elif isinstance(x, tuple):
-            entry = get((id(x), i))
-            if entry is None:
-                entry = memo[id(x), i] = (x, _json_value(x, i, memo))
-            texts.append(entry[1])
-        else:
-            texts.append(_json_value(x, i, memo))
-    head, sep, tail = _JSON_LIST.get(indent) or _JSON_LIST.setdefault(
-        indent, ("[\n" + " " * i, ",\n" + " " * i, "\n" + " " * indent + "]"))
-    return head + sep.join(texts) + tail
+    pad = "\n" + " " * (indent + 2)
+    items = [int.__repr__(x) if type(x) is int else _json_value(x, indent + 2) for x in v]
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * indent + "]"
 
 
 # How json.dumps(indent=2) opens the line of each field in a row object.
@@ -232,34 +237,21 @@ _JSON_ROW = "{" + ",".join([k + "%s" for k in _JSON_KEYS]) + "\n  }"
 _JSON_BOOL = {True: "true", False: "false"}
 
 
-def _json_row(r: CaseReport, memo: dict) -> str:
-    """The object json.dumps([the fields of r by name], indent=2) writes for
-    r, from the template _JSON_ROW, field by field as case_reports types it.
-    Strings go through encode_basestring_ascii, which refuses any other type,
-    and tuples through _json_value, which refuses a list; an int or bool
-    field of another type (True is an int, 1 == True) is refused too."""
+def _json_row(f: tuple) -> str:
+    """The object json.dumps writes for a row in the list, from _JSON_ROW: f
+    holds the fields in CSV_HEADER order, the tuple fields as texts. Strings
+    go through encode_basestring_ascii, which refuses any other type, and an
+    int or bool field of another type (True is an int, 1 == True) is refused."""
     (type_, delta_p, degree, z_length, z_word, cascade, td, td_tilde,
-     lhs, rhs, holds, exception, verdict) = r
+     lhs, rhs, holds, exception, verdict) = f
     if not (type(z_length) is type(lhs) is type(rhs) is int
             and type(holds) is type(exception) is bool):
         raise TypeError("report JSON needs int z_length, lhs and rhs, "
                         "and bool holds and exception")
     enc = encode_basestring_ascii
-    return _JSON_ROW % (
-        enc(type_),
-        _json_value(delta_p, 4, memo),
-        _json_value(degree, 4, memo),
-        int.__repr__(z_length),
-        enc(z_word),
-        _json_value(cascade, 4, memo),
-        _json_value(td, 4, memo),
-        _json_value(td_tilde, 4, memo),
-        int.__repr__(lhs),
-        int.__repr__(rhs),
-        _JSON_BOOL[holds],
-        _JSON_BOOL[exception],
-        enc(verdict),
-    )
+    return _JSON_ROW % (enc(type_), delta_p, degree, int.__repr__(z_length), enc(z_word),
+                        cascade, td, td_tilde, int.__repr__(lhs), int.__repr__(rhs),
+                        _JSON_BOOL[holds], _JSON_BOOL[exception], enc(verdict))
 
 
 # writerow returns what its file's write returns: here the line it writes
@@ -269,58 +261,66 @@ _MD_HEAD = ("| type | delta_p | degree | z_length | inequality | holds "
             "| exception | verdict | cascade | td | td_tilde |\n|" + "---|" * 11 + "\n")
 
 
-def _csv_row(r: CaseReport, memo: dict) -> str:
-    """r's line of CSV, its tuples as JSON; memo is unused."""
-    return _CSV.writerow([json.dumps(v) if isinstance(v, tuple) else v
-                          for v in r])
+def _md_row(f: tuple) -> str:
+    """A row's line of the Markdown table, f as _json_row takes it."""
+    (type_, delta_p, degree, z_length, _, cascade, td, td_tilde,
+     lhs, rhs, holds, exception, verdict) = f
+    return (f"| {type_} | {delta_p} | {degree} | {z_length} "
+            f"| {lhs} {'<=' if holds else '>'} {rhs} | {holds} | {exception} "
+            f"| {verdict} | {cascade} | {td} | {td_tilde} |\n")
 
 
-def _md_row(r: CaseReport, memo: dict) -> str:
-    """r's line of the Markdown table; memo is unused."""
-    return (f"| {r.type} | {list(r.delta_p)} | {list(r.degree)} | {r.z_length} "
-            f"| {r.lhs} {'<=' if r.holds else '>'} {r.rhs} | {r.holds} | {r.exception} "
-            f"| {r.verdict} | {[list(c) for c in r.cascade]} | {[list(c) for c in r.td]} "
-            f"| {[list(c) for c in r.td_tilde]} |\n")
-
-
-# Each format's row writer, head, separator, tail and empty document: a
-# document of one or more rows is head + sep.join(rows) + tail.
+# Each format's row template, the text of a CaseReport's tuple field, the
+# root texts of its kernel rows (_root_texts: 0 JSON, 1 compact), and its
+# head, separator, tail and empty document: a document of rows is
+# head + sep.join(rows) + tail.
 _FORMATS = {
-    "json": (_json_row, "[\n  ", ",\n  ", "\n]\n", "[]\n"),
-    "csv": (_csv_row, _CSV_HEAD, "", "", _CSV_HEAD),
-    "md": (_md_row, _MD_HEAD, "", "", _MD_HEAD),
+    "json": (_json_row, lambda v: _json_value(v, 4), 0, "[\n  ", ",\n  ", "\n]\n", "[]\n"),
+    "csv": (_CSV.writerow, json.dumps, 1, _CSV_HEAD, "", "", _CSV_HEAD),
+    "md": (_md_row, lambda v: str([list(c) if type(c) is tuple else c for c in v]), 1,
+           _MD_HEAD, "", "", _MD_HEAD),
 }
+
+
+def _report_rows(reports, fmt: str) -> list[str]:
+    """The reports written by fmt's row template, each tuple field as fmt's text."""
+    row, text = _FORMATS[fmt][:2]
+    return [row((r.type, text(r.delta_p), text(r.degree), r.z_length, r.z_word,
+                 text(r.cascade), text(r.td), text(r.td_tilde), r.lhs, r.rhs, r.holds,
+                 r.exception, r.verdict)) for r in reports]
 
 
 def emit(reports, fmt: str) -> str:
     """Render reports as json, csv, or md with a stable field order: the
     format's head, its rows joined by its separator and its tail, or its
-    empty document if there are no reports. The json rows share one memo,
-    so that each root tuple is encoded once per nesting depth."""
+    empty document if there are no reports."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown output format {fmt!r}")
-    row, head, sep, tail, empty = _FORMATS[fmt]
-    memo = {}
-    rows = [row(r, memo) for r in reports]
+    _, _, _, head, sep, tail, empty = _FORMATS[fmt]
+    rows = _report_rows(reports, fmt)
     return head + sep.join(rows) + tail if rows else empty
 
 
 def render(chunks: Iterable[list[CaseReport]], fmt: str) -> Iterator[str]:
-    """emit(every report of chunks, fmt) in pieces, one per non-empty list as
-    it arrives and one to close. A list's piece is its rows, written by the
-    row writer emit uses, joined by the format's separator and led by its
-    head for the first list and by the separator after that; one memo
-    serves the whole stream. The closing piece is the tail, or emit([], fmt)
-    if no list had a report. An unknown format is refused before any list
-    is read."""
+    """emit(every report of chunks, fmt) in pieces: join_rows of each list's
+    rows as emit writes them."""
+    return join_rows((_report_rows(reports, fmt) for reports in chunks), fmt)
+
+
+def join_rows(cases: Iterable[list[str]], fmt: str) -> Iterator[str]:
+    """The document of the rows of cases, lists of rows written in fmt, in
+    pieces: one per non-empty list as it arrives, its rows joined by the
+    format's separator and led by its head for the first list and by the
+    separator after that; and one to close, the tail, or emit([], fmt) if
+    no list had a row. An unknown format is refused before any list is read."""
     empty = emit([], fmt)
-    row, head, sep, tail, _ = _FORMATS[fmt]
+    _, _, _, head, sep, tail, _ = _FORMATS[fmt]
 
     def pieces():
-        lead, memo = head, {}
-        for reports in chunks:
-            if reports:
-                yield lead + sep.join([row(r, memo) for r in reports])
+        lead = head
+        for rows in cases:
+            if rows:
+                yield lead + sep.join(rows)
                 lead = sep
         yield tail if lead == sep else empty
 

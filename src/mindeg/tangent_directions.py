@@ -36,7 +36,7 @@ degree whose rows have strong pairs runs the degree-wide checks
 kernel returns z_d, the masks of the cascade, td and td~, the strong pairs,
 lhs = (c_1(X), d) - len(z_d) and rhs, the bits of td and td~.
 key_inequality lists the masks' roots (tangent_direction_sets returns its
-sets), and report.case_reports their coefficients, so both read one lhs,
+sets), and report writes their texts or coefficients, so all read one lhs,
 rhs and td. The lemma checks read the pairings: the pair map's domain is
 the negative ones, the bound their absolute values, and the count identity
 weighs them, with its left side chosen by the action of s_alpha on gamma,

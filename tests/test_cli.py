@@ -280,20 +280,20 @@ def test_closed_stdout_exits_without_a_traceback(argv):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_case_error_names_its_case(monkeypatch, capsys, workers):
-    real = report.case_reports
+    real = report.case_rows
 
-    def failing(type_label, delta_p):
+    def failing(type_label, delta_p, fmt):
         if (type_label, delta_p) == ("B2", (1,)):
             raise InvalidDegreeError("injected failure")
-        return real(type_label, delta_p)
+        return real(type_label, delta_p, fmt)
 
     # the rows of the cases before the failing one are already written:
     # every A2 case and B2 {}, as an unterminated JSON array
-    before = run_sweep((SimpleType("A", 2),)) + real("B2", ())
+    before = run_sweep((SimpleType("A", 2),)) + report.case_reports("B2", ())
     whole = emit(before, "json")
     assert whole.endswith("\n]\n")
     # Pool workers are forked after this point, so they see the patch too.
-    monkeypatch.setattr(report, "case_reports", failing)
+    monkeypatch.setattr(report, "case_rows", failing)
     assert main(["sweep", "--types", "A2,B2", "--workers", workers]) == 2
     captured = capsys.readouterr()
     assert captured.out == whole[:-len("\n]\n")]
@@ -309,18 +309,21 @@ def test_sweep_command_exit_code_and_md(capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_a_prediction_failing_in_any_case_exits_1(monkeypatch, capsys, workers):
-    real = report.case_reports
+    real = report._row
 
-    def wrong(type_label, delta_p):
-        rows = real(type_label, delta_p)
-        if (type_label, delta_p) == ("A2", ()):  # the first of eight cases
-            rows[0] = rows[0]._replace(holds=not rows[0].holds)
-        return rows
+    def wrong(p, d):
+        z, cascade, plain, extra, pairs, lhs, rhs, exception = real(p, d)
+        if (str(p.system.simple_type), p.delta_p, d) == ("A2", frozenset(), (0, 0)):
+            lhs += 1  # the first row of the first of eight cases: 1 > 0
+        return z, cascade, plain, extra, pairs, lhs, rhs, exception
 
-    monkeypatch.setattr(report, "case_reports", wrong)
+    # the case worker and case_reports read the row kernel through report
+    monkeypatch.setattr(report, "_row", wrong)
     code, out = run_cli(capsys, "sweep", "--types", "A2,B2", "--workers", workers)
     assert code == 1
-    assert out == emit(run_sweep((SimpleType("A", 2), SimpleType("B", 2))), "json")
+    reports = run_sweep((SimpleType("A", 2), SimpleType("B", 2)))
+    assert not predictions_confirmed(reports[:1]) and predictions_confirmed(reports[1:])
+    assert out == emit(reports, "json")
 
 
 def test_emit_json_empty():
@@ -395,13 +398,13 @@ def test_sweep_command_writes_each_case_as_it_arrives(monkeypatch, fmt):
     for k in range(1, len(cases) + 1):
         assert "".join(pieces[:k]) + pieces[-1] == emit([r for c in cases[:k] for r in c], fmt)
     # the CLI writes each case's piece before the next case runs
-    events, real = [], report.case_reports
+    events, real = [], report.case_rows
 
-    def recording(type_label, delta_p):
+    def recording(type_label, delta_p, fmt):
         events.append(("case", type_label, delta_p))
-        return real(type_label, delta_p)
+        return real(type_label, delta_p, fmt)
 
-    monkeypatch.setattr(report, "case_reports", recording)
+    monkeypatch.setattr(report, "case_rows", recording)
     monkeypatch.setattr(sys, "stdout", _RecordingStdout(events))
     assert main(["sweep", "--types", "A2,B2", "--format", fmt]) == 0
     ran = [("case", c[0].type, c[0].delta_p) for c in cases]
@@ -431,7 +434,7 @@ def test_emit_json_matches_json_dumps_on_hand_built_reports():
                        rhs=0, holds=True, exception=False, verdict='say "\u00e9"\n')
     second = first._replace(degree=(), holds=False, exception=True,
                                  td=((2, 1), (1, 0)), z_length=12, z_word="1 2")
-    # one tuple object at two depths: its text is kept once for each
+    # one tuple object at two depths, written at each
     t = (1, 0)
     third = first._replace(cascade=(t, (t,)), td=(t,))
     for reports in ([], [first], [first, second], [second, first, second],
@@ -456,9 +459,8 @@ def _hand_built_report() -> CaseReport:
 
 def test_emit_json_writes_bools_in_tuples_as_json_dumps_does():
     """(True, 0) == (1, 0), and both hash alike, yet json.dumps writes
-    [true, 0] and [1, 0]. The JSON memo answers neither with the text of the
-    other, in either order and at either depth, and a float equal to a
-    memoized int tuple is refused as it is without the memo."""
+    [true, 0] and [1, 0]. emit writes each as json.dumps does, in either
+    order and at either depth, and a float equal to an int is refused."""
     a = _hand_built_report()
     b = a._replace(degree=(True, 0))
     c = a._replace(td=((False, True), (True, 0)), cascade=((1, False),))
@@ -476,10 +478,9 @@ class _SmallInt(int):
 
 
 def test_emit_json_matches_json_dumps_on_rows_rebuilt_as_new_objects():
-    """A process pool returns each case's reports unpickled, so an equal
-    tuple arrives built from new objects. The memo, keyed by object, writes
-    each as json.dumps does, whatever its leaves' types, an int subclass
-    too."""
+    """Reports unpickled from a process pool are built from new objects;
+    emit writes each as json.dumps does, whatever its leaves' types, an int
+    subclass too."""
     a = _hand_built_report()
     b = a._replace(degree=(True, 0), td=((0, True), (1, 0)))
     c = a._replace(degree=(_SmallInt(1), 0), cascade=((_SmallInt(1), 0),))
@@ -489,21 +490,6 @@ def test_emit_json_matches_json_dumps_on_rows_rebuilt_as_new_objects():
         _check_emit_json_against_json_dumps(reports + copies + reports[::-1])
     assert emit(rows + [pickle.loads(pickle.dumps(r)) for r in rows], "json") == \
         emit(rows + rows, "json")
-
-
-def test_json_memo_keeps_only_the_nested_tuples():
-    """The JSON memo of a stream holds the text of the tuples nested in a
-    field, the roots of cascade, td and td_tilde, once per object and depth;
-    the fields themselves and the degrees are written without it. Over every
-    row of B3 and G2 it ends with no more entries than the two have roots."""
-    memo, bound = {}, 0
-    for label in ("B3", "G2"):
-        rs = root_system.build_root_system(label)
-        bound += len(rs.roots)
-        for dp in report.all_parabolic_subsets(rs.rank):
-            for r in report.case_reports(label, dp):
-                report._json_row(r, memo)
-    assert 0 < len(memo) <= bound
 
 
 # tuples nested up to three deep whose leaves are small ints and bools
@@ -518,7 +504,7 @@ _MIXED_TUPLES = st.lists(
 def test_emit_json_matches_json_dumps_on_mixed_int_and_bool_tuples(fields):
     """Reports whose tuple fields mix ints and bools that compare equal
     (1 == True, 0 == False) are written as json.dumps writes them, by emit
-    and by render, whose one memo serves the whole stream."""
+    and by render."""
     base = _hand_built_report()
     reports = [base._replace(degree=d, cascade=c, td=t) for d, c, t in fields]
     _check_emit_json_against_json_dumps(reports)
@@ -650,6 +636,35 @@ def test_closing_a_sweep_stream_cancels_the_cases_not_started(monkeypatch):
     assert shutdowns == [True]
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_only_written_rows_and_the_prediction_flag_cross_the_pool(monkeypatch, capsys, fmt):
+    """Under --workers 2 each case sends its rows as str, written from the
+    row kernel's masks, and one bool; the parent joins them unchanged."""
+    crossed = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            pass
+
+        def map(self, fn, tasks):
+            for task in tasks:
+                crossed.append(fn(task))
+                yield pickle.loads(pickle.dumps(crossed[-1]))
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    types = (SimpleType("A", 2), SimpleType("G", 2))
+    code, out = run_cli(capsys, "sweep", "--types", "A2,G2", "--format", fmt, "--workers", "2")
+    assert code == 0 and out == emit(run_sweep(types), fmt)
+    assert [type(x) for x in crossed] == [tuple] * 8
+    for (rows, confirmed), reports in zip(crossed, sweep_cases(types)):
+        assert type(rows) is list and {type(r) for r in rows} == {str}
+        assert confirmed is True and len(rows) == len(reports)
+
+
 def test_sweep_runs_its_cases_by_family_rank_and_parabolic(monkeypatch):
     seen = []
     # a zero count keeps A10's full-flag search from running
@@ -657,10 +672,10 @@ def test_sweep_runs_its_cases_by_family_rank_and_parabolic(monkeypatch):
     monkeypatch.setattr(report, "_case_worker", lambda task: seen.append(task) or [])
     types = (SimpleType("B", 2), SimpleType("A", 10), SimpleType("A", 2), SimpleType("B", 2))
     assert run_sweep(types) == []
-    labels = list(dict.fromkeys(label for label, _ in seen))
+    labels = list(dict.fromkeys(label for label, _, _ in seen))
     assert labels == ["A2", "A10", "B2"]
     for label in labels:
-        subsets = [dp for lab, dp in seen if lab == label]
+        subsets = [dp for lab, dp, _ in seen if lab == label]
         assert subsets == sorted(subsets) and len(subsets) == len(set(subsets))
 
 
@@ -712,11 +727,11 @@ def _over_budget(label, rows):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_over_the_row_budget_is_refused_before_any_case(monkeypatch, capsys, workers):
-    def failing(type_label, delta_p):
+    def failing(type_label, delta_p, fmt):
         raise InvalidDegreeError("a case ran")
 
     monkeypatch.setattr(report, "_MAX_SWEEP_ROWS", 100)
-    monkeypatch.setattr(report, "case_reports", failing)
+    monkeypatch.setattr(report, "case_rows", failing)
     for fmt in ("json", "csv", "md"):
         assert main(["sweep", "--types", "A4", "--workers", workers, "--format", fmt]) == 2
         captured = capsys.readouterr()

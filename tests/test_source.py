@@ -190,7 +190,10 @@ NO_PRODUCT_READER = {
         "lemma check of acceptance 6, to run on every sweep row (ROADMAP item 1)",
     "report.run_sweep":
         "the library call that returns a whole sweep as one list; the CLI streams "
-        "sweep_cases instead, and the hash pins and acceptance 2 and 8 read it",
+        "sweep_rows instead, and the hash pins and acceptance 2 and 8 read it",
+    "report.render":
+        "the library's stream of CaseReport lists, join_rows over emit's rows; the "
+        "CLI joins the rows case_rows writes, and the tests hold it to emit",
     "cascade.is_sos":
         "the oracle of the strong-orthogonality check the full-flag search and "
         "the local path make on each cascade; acceptance 5 and test_cascade read it",

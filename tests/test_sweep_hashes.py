@@ -4,9 +4,11 @@ Each hash is the sha256 of `emit(run_sweep(...), "json")` for one type, as
 recorded from the original box-scan implementation (the same per-type values
 are kept in perfbench/reference/sweeps.json). A fast path that changes any
 row, field order or formatting fails here without running the benchmark.
-E6 is also pinned through `mindeg sweep`, which streams the same bytes.
 The csv and md outputs of G2, B3, F4 (whose td_tilde is not empty) and E6
 are pinned as recorded before the sweep rows read their table entries.
+Every pin is read twice: through CaseReport, by emit(run_sweep(...)), and
+through `mindeg sweep`, which writes each row from the row kernel's masks
+(report.case_rows); E6 once more with --workers 2.
 """
 
 import hashlib
@@ -48,10 +50,19 @@ def test_sweep_output_is_byte_identical(label):
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_SHA256[label]
 
 
+def _command_sha256(capsys, *argv) -> str:
+    """The sha256 of what `mindeg sweep argv` writes; it must exit 0."""
+    assert main(["sweep", *argv]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(SWEEP_SHA256))
+def test_sweep_command_output_is_byte_identical(capsys, label):
+    assert _command_sha256(capsys, "--types", label) == SWEEP_SHA256[label]
+
+
 def test_e6_sweep_command_output_is_byte_identical(capsys):
-    assert main(["sweep", "--types", "E6"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_SHA256["E6"]
+    assert _command_sha256(capsys, "--types", "E6", "--workers", "2") == SWEEP_SHA256["E6"]
 
 
 # 16,623 rows, as recorded from the box-scan implementation
@@ -64,6 +75,10 @@ def test_e7_sweep_output_is_byte_identical():
     assert predictions_confirmed(reports)
     text = emit(reports, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == E7_SWEEP_SHA256
+
+
+def test_e7_sweep_command_output_is_byte_identical(capsys):
+    assert _command_sha256(capsys, "--types", "E7") == E7_SWEEP_SHA256
 
 
 # sha256 of emit(run_sweep((T,)), fmt), recorded from the per-degree lookups
@@ -84,3 +99,9 @@ SWEEP_TEXT_SHA256 = {
 def test_sweep_csv_and_md_are_byte_identical(label, fmt):
     text = emit(run_sweep((SimpleType.parse(label),)), fmt)
     assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_TEXT_SHA256[label, fmt]
+
+
+@pytest.mark.parametrize("label, fmt", sorted(SWEEP_TEXT_SHA256))
+def test_sweep_command_csv_and_md_are_byte_identical(capsys, label, fmt):
+    assert _command_sha256(capsys, "--types", label, "--format", fmt) == \
+        SWEEP_TEXT_SHA256[label, fmt]

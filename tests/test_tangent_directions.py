@@ -9,7 +9,7 @@ from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, lifting, minimal_degrees, point_class_degree,
 )
 from mindeg.exceptions import ConsistencyError, ExceptionalCaseError, NotMinimalDegreeError
-from mindeg.parabolic import Parabolic
+from mindeg.parabolic import Parabolic, c1_pairing, dim_x
 from mindeg.report import CaseReport, case_reports, default_types
 from mindeg.root_system import RootSystem, SimpleType, bilinear, build_root_system, coroot_pairing
 from mindeg.tangent_directions import (
@@ -187,6 +187,47 @@ def test_verdicts(g2, g2_exception):
         assert quasi_homogeneity_verdict(q, d2).kind == VERDICT_DENSE_G_ORBIT
     with pytest.raises(NotMinimalDegreeError):
         quasi_homogeneity_verdict(p, (5,))
+
+
+# The rows of every type of rank <= 6 whose dimension witness rules out a
+# dense G-orbit: moduli_dim = dim X + (c_1, d) exceeds group_dim = dim G, as
+# (type, Delta_P, d, moduli_dim, group_dim). quasi_homogeneity_verdict and
+# the sweep's verdict field restate the paper's claim and do not check it:
+# they read OnlyAutX on the G2 triple alone and DenseGOrbit on the others.
+WITNESS_ROWS = [
+    ("B3", (2,), (2, 2), 22, 21),
+    ("B4", (2,), (2, 4, 2), 37, 36),
+    ("B5", (2,), (2, 4, 4, 3), 56, 55),
+    ("B5", (2, 4), (2, 4, 3), 57, 55),
+    ("B5", (4,), (2, 2, 4, 3), 56, 55),
+    ("B6", (2,), (2, 4, 4, 6, 3), 79, 78),
+    ("B6", (2, 4), (2, 4, 6, 3), 80, 78),
+    ("B6", (2, 4, 6), (2, 4, 6), 79, 78),
+    ("B6", (4,), (2, 2, 4, 6, 3), 79, 78),
+    ("D4", (2,), (2, 2, 2), 29, 28),
+    ("D6", (2,), (2, 4, 4, 3, 3), 67, 66),
+    ("D6", (2, 4), (2, 4, 3, 3), 68, 66),
+    ("D6", (4,), (2, 2, 4, 3, 3), 67, 66),
+    ("F4", (1,), (6, 4, 2), 53, 52),
+    ("G2", (2,), (2,), 15, 14),
+]
+
+
+def test_the_dimension_witness_contradicts_the_verdict_on_these_rows():
+    found = []
+    for p, d in sweep_cases([str(t) for t in default_types(6)]):
+        rs = p.system
+        moduli_dim, group_dim = dim_x(p) + c1_pairing(p, d), len(rs.roots) + rs.rank
+        if moduli_dim > group_dim:
+            found.append((str(rs.simple_type), tuple(sorted(p.delta_p)), d,
+                          moduli_dim, group_dim))
+    assert sorted(found) == WITNESS_ROWS
+    for label, dp, d, moduli_dim, group_dim in WITNESS_ROWS:
+        v = quasi_homogeneity_verdict(Parabolic(build_root_system(label), frozenset(dp)), d)
+        if label == "G2":
+            assert (v.kind, v.moduli_dim, v.group_dim) == (VERDICT_ONLY_AUT_X, 15, 14)
+        else:
+            assert v.kind == VERDICT_DENSE_G_ORBIT
 
 
 def test_exception_detection_agrees_with_inequality_failure():
