@@ -36,7 +36,7 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
 # D9 alone has 210,055. A streamed sweep's memory is the tables its
 # parabolics hold, which the is_minimal_degree memo keeps alive, so that it
-# grows with the rows (E8: 119 MB peak, serially, by
+# grows with the rows (E8: 124 MB peak, serially, by
 # scripts/check_sweep_stream.py --types E8); the writer keeps only the root
 # texts of each system. run_sweep holds every report.
 _MAX_SWEEP_ROWS = 120_000

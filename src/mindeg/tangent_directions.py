@@ -26,21 +26,24 @@ cascade reaches and (P, alpha) rows are held on their parabolic (_held,
 freed with it), both on first read; each row reads the slice offsets and
 the mask of R- \\ R_P- from the parabolic's row context (_row_context).
 
-One kernel (_row) computes the row of a degree d. It reads d's entry
-(z_d, lifting, the lifting's cascade mask) off the table of minimal degrees
-when the parabolic holds it and otherwise decides it locally (curve_nbhd);
-ANDs the cascade mask with the context's outside mask, whose bits are the
-cascade roots in R+ \\ R_P+; and ORs their rows' plain masks into td. A
-degree whose rows have strong pairs runs the degree-wide checks
-(bijectivity, disjointness, associated pairs; _direction_sets) for td~. The
-kernel returns z_d, the masks of the cascade, td and td~, the strong pairs,
-lhs = (c_1(X), d) - len(z_d) and rhs, the bits of td and td~.
-key_inequality lists the masks' roots (tangent_direction_sets returns its
-sets), and report writes their texts or coefficients, so all read one lhs,
-rhs and td. The lemma checks read the pairings: the pair map's domain is
-the negative ones, the bound their absolute values, and the count identity
-weighs them, with its left side chosen by the action of s_alpha on gamma,
-not by their sign.
+One kernel (_row) computes the row of a degree d, and only it walks the
+degree's (P, alpha) rows. It reads d's entry (z_d, lifting, the lifting's
+cascade mask) off the table of minimal degrees when the parabolic holds it
+and otherwise decides it locally (curve_nbhd); ANDs the cascade mask with
+the context's outside mask, whose bits are the cascade roots in
+R+ \\ R_P+; and, reading each of their rows once, ORs the rows' plain
+masks into td and lists the strong pairs by alpha, then by R_P+. A degree
+with strong pairs runs the degree-wide checks (one alpha per gamma,
+associated pairs, bijectivity, disjointness; _extra_directions) on what the
+walk collected, for td~. The kernel returns z_d, the masks of the cascade,
+td and td~, the strong pairs, lhs = (c_1(X), d) - len(z_d) and rhs, the
+bits of td and td~. key_inequality lists the masks' roots
+(tangent_direction_sets returns its sets), report writes their texts or
+coefficients, and associated_pair and pair_map_is_injective read its td, so
+all read one lhs, rhs and td. The lemma checks read the pairings: the pair
+map's domain is the negative ones, the bound their absolute values, and the
+count identity weighs them, with its left side chosen by the action of
+s_alpha on gamma, not by their sign.
 """
 
 from __future__ import annotations
@@ -109,14 +112,10 @@ def _row_context(p: Parabolic) -> tuple[int, tuple[int, ...], bool, tuple[int, .
             tuple([j - half for j in levi[len(levi) // 2:]]), (1 << half) - 1 & ~p.levi_mask)
 
 
-def _positions(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, ascending."""
-    return _items_at(range(mask.bit_length()), mask)
-
-
 def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[int, ...]:
     """The positions of the cascade roots of d's lifting in R+ \\ R_P+."""
-    return _positions(_z_and_lifting(p, d)[2] & p.outside_mask)
+    mask = _z_and_lifting(p, d)[2] & p.outside_mask
+    return _items_at(range(mask.bit_length()), mask)
 
 
 @_held
@@ -148,15 +147,6 @@ def _root_directions(p: Parabolic, k: int) -> tuple[int, tuple[Root, ...], tuple
     return mask, strong, pairings
 
 
-def _plain_directions(p: Parabolic, casc: tuple[int, ...]) -> int:
-    """The union of the plain directions of the cascade roots at the
-    positions casc, as a mask."""
-    mask = 0
-    for k in casc:
-        mask |= _root_directions(p, k)[0]
-    return mask
-
-
 def _in_levi_positive(p: Parabolic, r: Root) -> bool:
     """True when r is a root of p's system in R_P+."""
     return r.system is p.system and r.is_positive and not p.outside_levi(r)
@@ -169,11 +159,10 @@ def associated_pair(p: Parabolic, d: Degree, alpha: Root, gamma: Root) -> tuple[
     gamma; gamma' is -z_e(gamma). The defining properties are re-verified on
     every call and any failure is fatal.
     """
-    _, e, cascade = _z_and_lifting(p, d)
-    casc = _positions(cascade & p.outside_mask)
+    _, cascade, plain = _row(p, d)[:3]
     rs = p.system
-    return _associated_pair(p, tuple([rs.roots[k] for k in casc]),
-                            _plain_directions(p, casc), _z_pair(borel(rs), e)[0], alpha, gamma)
+    return _associated_pair(p, _items_at(rs.roots, cascade & p.outside_mask), plain,
+                            _z_pair(borel(rs), _z_and_lifting(p, d)[1])[0], alpha, gamma)
 
 
 def _associated_pair(p: Parabolic, casc: tuple[Root, ...], plain: int, z_e: WeylElement,
@@ -223,41 +212,33 @@ def tangent_direction_sets(p: Parabolic, d: Degree) -> TangentDirectionSets:
     return key_inequality(p, d).sets
 
 
-def _direction_sets(p: Parabolic, e: Degree, casc: int) -> tuple[int, int, tuple]:
-    """The direction sets of the minimal degree of p with lifting e, casc
-    the mask of the cascade of e outside the Levi, with every check: the
-    masks of td and td~ and the strong pairs. td is the union of the rows'
-    masks, and each extra direction one bit of another mask."""
+def _extra_directions(p: Parabolic, e: Degree, casc: int, plain: int,
+                      strong: tuple[tuple[Root, Root], ...]) -> int:
+    """The mask of td~ of the minimal degree of p with lifting e, from what
+    its row (_row) collected: casc, the mask of the cascade of e outside
+    the Levi, plain, the mask of td, and the strong pairs. Each strong pair
+    gives one extra direction, gamma' - alpha' of its associated pair;
+    checked: one cascade root per gamma, a bijection onto the extra
+    directions, which avoid td and lie in R- \\ R_P-."""
     rs = p.system
-    roots = rs.roots
-    strong, plain = [], 0
-    positions = _positions(casc)
-    for k in positions:
-        mask, gammas, _ = _root_directions(p, k)
-        plain |= mask
-        strong += [(roots[k], g) for g in gammas]
-    extra = 0
-    if strong:
-        z_e = _z_pair(borel(rs), e)[0]  # in the z table on either path
-        alphas = tuple([roots[k] for k in positions])
-        seen_gamma = {}
-        for a, g in strong:
-            if seen_gamma.setdefault(g, a) != a:
-                raise ConsistencyError(
-                    f"two orthogonal cascade roots pair below -1 with {g}")
-            ap, gp = _associated_pair(p, alphas, plain, z_e, a, g)
-            bit = 1 << rs.root_positions[tuple(y - x for x, y in zip(ap.coeffs, gp.coeffs))]
-            if extra & bit:
-                raise ConsistencyError(
-                    "the strong pairs do not biject onto the extra directions")
-            extra |= bit
+    z_e = _z_pair(borel(rs), e)[0]  # in the z table on either path
+    alphas = _items_at(rs.roots, casc)
+    seen_gamma, extra = {}, 0
+    for a, g in strong:
+        if seen_gamma.setdefault(g, a) != a:
+            raise ConsistencyError(f"two orthogonal cascade roots pair below -1 with {g}")
+        ap, gp = _associated_pair(p, alphas, plain, z_e, a, g)
+        bit = 1 << rs.root_positions[tuple(y - x for x, y in zip(ap.coeffs, gp.coeffs))]
+        if extra & bit:
+            raise ConsistencyError("the strong pairs do not biject onto the extra directions")
+        extra |= bit
     if extra & plain:
         raise ConsistencyError("extra tangent directions must avoid the plain ones")
     bad = extra & ~_row_context(p)[4]  # below
     if bad:
-        raise ConsistencyError(f"extra tangent direction {_items_at(roots, bad)[0]} "
+        raise ConsistencyError(f"extra tangent direction {_items_at(rs.roots, bad)[0]} "
                                f"not in R- \\ R_P-")
-    return plain, extra, tuple(strong)
+    return extra
 
 
 def _row(p: Parabolic, d: Degree) -> tuple[WeylElement, int, int, int, tuple, int, int, bool]:
@@ -268,19 +249,19 @@ def _row(p: Parabolic, d: Degree) -> tuple[WeylElement, int, int, int, tuple, in
     z, e, cascade = _z_and_lifting(p, d)  # checks d, once
     outside, weights, g2, _, _ = _row_context(p)
     casc = todo = cascade & outside
-    plain, strong = 0, False
+    plain, strong = 0, ()
     while todo:
         low = todo & -todo
         todo ^= low
-        mask, gammas, _ = _root_directions(p, low.bit_length() - 1)
+        k = low.bit_length() - 1
+        mask, gammas, _ = _root_directions(p, k)
         plain |= mask
         if gammas:
-            strong = True
-    extra, pairs = 0, ()
-    if strong:
-        plain, extra, pairs = _direction_sets(p, e, casc)
+            alpha = p.system.roots[k]
+            strong += tuple([(alpha, g) for g in gammas])
+    extra = _extra_directions(p, e, casc, plain, strong) if strong else 0
     lhs = sum(map(mul, d, weights)) - z.length  # c1_pairing, d already checked
-    return (z, cascade, plain, extra, pairs, lhs, plain.bit_count() + extra.bit_count(),
+    return (z, cascade, plain, extra, strong, lhs, plain.bit_count() + extra.bit_count(),
             g2 and is_exceptional_triple(p, d))
 
 
@@ -295,7 +276,7 @@ def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
     domain = [(rs.roots[k], g) for k in casc  # (gamma, alpha^vee) has the sign of (alpha, gamma)
               for g, v in zip(p.levi_positive, _root_directions(p, k)[2]) if v < 0]
     negated = {-rs.roots[k] for k in casc}
-    plain = _plain_directions(p, casc)
+    plain = _row(p, d)[2]
     images = set()
     for a, g in domain:
         s = tuple(x + y for x, y in zip(a.coeffs, g.coeffs))

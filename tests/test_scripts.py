@@ -72,3 +72,26 @@ def test_time_sweep_reports_each_part():
         # each part's best is at most its share of the best total; each
         # printed time is rounded to 0.01 ms
         assert times[-1] >= sum(times[:-1]) - 0.03
+
+
+def test_run_headline_sweep_confirms_every_prediction(tmp_path):
+    """The rank-5 headline sweep writes its 3,490 rows as a markdown table
+    to --out, finds one inequality failure, the G2 triple with its
+    dimension witness 15 > 14, and confirms every prediction."""
+    out = tmp_path / "sweep.md"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_headline_sweep.py"), "--out", str(out)],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == f"wrote 3490 rows to {out}"
+    header, _, *rows = out.read_text().splitlines()
+    assert len(rows) == 3490
+    holds = [c.strip() for c in header.split("|")].index("holds")
+    failing = [row for row in rows if row.split("|")[holds].strip() == "False"]
+    assert len(failing) == 1 and failing[0].startswith("| G2 | [2] | [2] |")
+    assert any(line.endswith("; 1 inequality failure(s).") for line in lines)
+    [failure] = [line for line in lines if line.startswith("  ")]
+    assert failure.startswith("  G2, delta_p=[2], degree=[2]: 5 > 4; verdict OnlyAutX "
+                              "(moduli dim 15 > group dim 14)")
+    assert lines[-1] == "all predictions confirmed"

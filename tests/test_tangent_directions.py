@@ -3,7 +3,7 @@ import pickle
 
 import pytest
 
-from mindeg import curve_nbhd
+from mindeg import curve_nbhd, tangent_directions
 from mindeg.cascade import cascade_roots
 from mindeg.curve_nbhd import (
     borel, curve_neighborhood_element, lifting, minimal_degrees, point_class_degree,
@@ -189,11 +189,12 @@ def test_verdicts(g2, g2_exception):
         quasi_homogeneity_verdict(p, (5,))
 
 
-# The rows of every type of rank <= 6 whose dimension witness rules out a
-# dense G-orbit: moduli_dim = dim X + (c_1, d) exceeds group_dim = dim G, as
-# (type, Delta_P, d, moduli_dim, group_dim). quasi_homogeneity_verdict and
-# the sweep's verdict field restate the paper's claim and do not check it:
-# they read OnlyAutX on the G2 triple alone and DenseGOrbit on the others.
+# The rows of every type of rank <= 6 and of E7 whose dimension witness
+# rules out a dense G-orbit: moduli_dim = dim X + (c_1, d) exceeds
+# group_dim = dim G, as (type, Delta_P, d, moduli_dim, group_dim).
+# quasi_homogeneity_verdict and the sweep's verdict field restate the
+# paper's claim and do not check it: they read OnlyAutX on the G2 triple
+# alone and DenseGOrbit on the others.
 WITNESS_ROWS = [
     ("B3", (2,), (2, 2), 22, 21),
     ("B4", (2,), (2, 4, 2), 37, 36),
@@ -208,6 +209,13 @@ WITNESS_ROWS = [
     ("D6", (2,), (2, 4, 4, 3, 3), 67, 66),
     ("D6", (2, 4), (2, 4, 3, 3), 68, 66),
     ("D6", (4,), (2, 2, 4, 3, 3), 67, 66),
+    ("E7", (1,), (5, 6, 8, 7, 4, 3), 134, 133),
+    ("E7", (1, 4), (5, 6, 7, 4, 3), 135, 133),
+    ("E7", (1, 4, 6), (5, 6, 7, 3), 136, 133),
+    ("E7", (1, 6), (5, 6, 8, 7, 3), 135, 133),
+    ("E7", (4,), (2, 5, 6, 7, 4, 3), 134, 133),
+    ("E7", (4, 6), (2, 5, 6, 7, 3), 135, 133),
+    ("E7", (6,), (2, 5, 6, 8, 7, 3), 134, 133),
     ("F4", (1,), (6, 4, 2), 53, 52),
     ("G2", (2,), (2,), 15, 14),
 ]
@@ -215,7 +223,7 @@ WITNESS_ROWS = [
 
 def test_the_dimension_witness_contradicts_the_verdict_on_these_rows():
     found = []
-    for p, d in sweep_cases([str(t) for t in default_types(6)]):
+    for p, d in sweep_cases([str(t) for t in default_types(6)] + ["E7"]):
         rs = p.system
         moduli_dim, group_dim = dim_x(p) + c1_pairing(p, d), len(rs.roots) + rs.rank
         if moduli_dim > group_dim:
@@ -428,6 +436,27 @@ def test_rows_are_built_lazily_and_shared_by_the_parabolics():
             assert set(casc) <= _held_keys(p, _root_directions), (p, d)
         assert _held_keys(rs, RootSystem.pairing_row) == built
     assert len(built) < len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "C3", "F4"])
+def test_a_row_reads_each_cascade_root_outside_the_levi_once(label, monkeypatch):
+    """The row kernel is the one walk of a degree's (P, alpha) rows: it reads
+    the row of each cascade root outside the Levi once, in position order,
+    on the rows with strong pairs too, where td~ is checked from what that
+    walk collected."""
+    reads = []
+    read = tangent_directions._root_directions
+    monkeypatch.setattr(tangent_directions, "_root_directions",
+                        lambda p, k: reads.append(k) or read(p, k))
+    with_strong_pairs = 0
+    for p, d in sweep_cases([label]):
+        reads.clear()
+        _, cascade, _, _, strong, *_ = tangent_directions._row(p, d)
+        casc = cascade & p.outside_mask
+        assert len(reads) == casc.bit_count(), (p, d)
+        assert reads == [k for k in range(casc.bit_length()) if casc >> k & 1], (p, d)
+        with_strong_pairs += bool(strong)
+    assert with_strong_pairs == {"G2": 1, "B3": 3, "C3": 0, "F4": 7}[label]
 
 
 # Each per-row object's fields, in declaration order.
