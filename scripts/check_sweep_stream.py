@@ -4,16 +4,19 @@
 Runs `python -m mindeg sweep --types T` in a subprocess for each listed type
 T on its own, once serially and once with --workers 2, and hashes stdout as
 it arrives, so that the output is never held whole. Each run's peak RSS is
-read with os.wait4 and must stay under MAX_RSS_MB; under --workers 2 that
-is the parent process's, which receives each case's rows already written
-and only joins them. Both runs must exit 0 and give the same
-sha256, which for a type of PINNED_SHA256 must equal the pinned one; a
-type without a pin is reported as such. The E6 and
-E7 sweeps are pinned in tests/test_sweep_hashes.py, which Tier-1 runs; this
-table holds only what Tier-1 does not check: the rank-8 types A8, B8, C8, D8
-and E8, each recorded before the sweep rows read their table entries. E8
-writes 113,807 rows (143 MB of JSON) and takes 7 to 13 s per run on a shared
-2-vCPU host, by its load.
+read with os.wait4 and must stay under MAX_RSS_MB. Under --workers 2 that is
+the largest peak of the parent and of the workers it reaped (Linux's wait4
+reports both); the parent receives each case's rows already written and
+only joins them. A case's parabolic and the tables it holds are freed once
+its rows are written, so a serial run holds its type's G/B tables and the
+case at hand, not every case it has run. Both runs must exit 0 and give the
+same sha256, which for a type of PINNED_SHA256 must equal the pinned one; a
+type without a pin is reported as such. The E6 and E7 sweeps are pinned in
+tests/test_sweep_hashes.py, which Tier-1 runs; this table holds only what
+Tier-1 does not check: the rank-8 types A8, B8, C8, D8 and E8, each recorded
+before the sweep rows read their table entries. E8 writes 113,807 rows
+(143 MB of JSON) and takes 5.5 to 9 s per serial run on a shared 2-vCPU
+host, by its load.
 
 Usage: python scripts/check_sweep_stream.py [--types E8 | --types A8,B8,C8,D8,E8]
 """
@@ -31,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # the peak RSS of the serial run and of the --workers 2 parent must stay below this
-MAX_RSS_MB = 300
+MAX_RSS_MB = 100
 
 # sha256 of the whole `mindeg sweep --types T` JSON output
 PINNED_SHA256 = {
@@ -58,7 +61,8 @@ def run_sweep(types: str, workers: int) -> tuple[int, str, int, float, float]:
     proc.stdout.close()
     _, status, usage = os.wait4(proc.pid, 0)
     proc.returncode = os.waitstatus_to_exitcode(status)
-    # ru_maxrss is in KiB on Linux; under --workers it is the parent's alone
+    # ru_maxrss is in KiB on Linux; under --workers it is the largest peak of
+    # the parent and of the workers it reaped
     return (proc.returncode, digest.hexdigest(), size, usage.ru_maxrss / 1024,
             time.monotonic() - start)
 
@@ -70,7 +74,7 @@ def check_type(label: str) -> list[str]:
         code, sha, size, rss, secs = run_sweep(label, workers)
         print(f"--types {label} --workers {workers}: exit {code}, {size} bytes, "
               f"sha256 {sha}, {secs:.1f} s, peak RSS {rss:.0f} MB"
-              + (" (parent process only)" if workers > 1 else ""), flush=True)
+              + (" (parent and workers, the largest)" if workers > 1 else ""), flush=True)
         hashes.add(sha)
         if code != 0:
             problems.append(f"{label}: --workers {workers} exited {code}")

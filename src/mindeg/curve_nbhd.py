@@ -227,8 +227,15 @@ def _root_table(p: Parabolic):
             tuple(tuple([c[i] for i in q]) for c in coroots))
 
 
+# The functools memos keyed by a Parabolic (these four and
+# parabolic.project_coroot) store nothing: lru_cache(maxsize=0) counts every
+# call as a miss and keeps cache_info() and __wrapped__. An entry would keep
+# its parabolic, and every table the parabolic holds, alive to the end of the
+# process, and each answer is held on the parabolic already or is cheap to
+# recompute. The decorators stay only because perfbench reads their
+# counters; ROADMAP item 3 moves those counters, and item 4 then drops them.
 @checks_degree(Parabolic.check_degree)
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Maximal elements (root order) among roots whose coroot class is <= d.
 
@@ -264,7 +271,7 @@ def _greedy_step(p: Parabolic, d: Degree) -> tuple[int, Degree]:
 
 
 @checks_degree(Parabolic.check_degree)
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def greedy_decomposition(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Peel maximal roots off d until nothing is left."""
     roots = _root_table(p)[0]
@@ -315,7 +322,7 @@ def _z_pair(p: Parabolic, d: Degree) -> tuple[WeylElement, WeylElement]:
 
 
 @checks_degree(Parabolic.check_degree)
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     """The Weyl element attached to the degree-d curve neighborhood of 1P.
 
@@ -547,9 +554,14 @@ def _longest_coset(p: Parabolic) -> WeylElement:
 
 
 @checks_degree(Parabolic.check_degree)
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)
 def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
-    """No strictly smaller effective degree reaches a Bruhat-larger element."""
+    """No strictly smaller effective degree reaches a Bruhat-larger element.
+
+    Read off p's table of minimal degrees (_minimal), which p holds; the
+    memo stores no entry, so a call keeps neither p nor its tables alive.
+    _entry calls it once per table row, and each call counts one miss.
+    """
     return d in _minimal(p)[0]
 
 
@@ -597,7 +609,9 @@ def _entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree, int] | None:
     degree d of p, None for a checked degree that is not minimal: off the
     table when p (on G/B, borel) holds it, as every sweep case does, and
     otherwise decided locally (see the module docstring). The one place
-    that chooses between the two."""
+    that chooses between the two. The table path validates d through
+    is_minimal_degree, whose memo stores nothing, so a case's parabolic and
+    its tables go once its rows are written."""
     if _minimal.holds(p):
         return _minimal(p)[0][d] if is_minimal_degree(p, d) else None
     p.check_degree(d)

@@ -172,7 +172,7 @@ def checks_degree(check):
     return decorate
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)  # stores nothing: see curve_nbhd.maximal_roots
 def project_coroot(p: Parabolic, alpha: Root) -> Degree:
     """alpha^vee as a degree: expand over simple coroots, drop Delta_P slots."""
     full = coroot_coefficients(alpha)

@@ -34,11 +34,12 @@ __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports
 
 # The most rows a sweep may emit. Every type of rank <= 7 together has
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
-# D9 alone has 210,055. A streamed sweep's memory is the tables its
-# parabolics hold, which the is_minimal_degree memo keeps alive, so that it
-# grows with the rows (E8: 124 MB peak, serially, by
-# scripts/check_sweep_stream.py --types E8); the writer keeps only the root
-# texts of each system. run_sweep holds every report.
+# D9 alone has 210,055. A streamed sweep holds each type's G/B tables and
+# the case at hand: a case's parabolic and its tables go once its rows are
+# written, and the writer keeps only the root texts of each system (E8: 58 MB
+# peak, serially, by scripts/check_sweep_stream.py --types E8), so the
+# budget bounds a sweep's time and output (ROADMAP item 5) more than its
+# memory. run_sweep holds every report.
 _MAX_SWEEP_ROWS = 120_000
 
 

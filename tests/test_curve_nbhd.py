@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mindeg import curve_nbhd, root_system, weyl
+from mindeg import curve_nbhd, report, root_system, weyl
 from mindeg.cascade import cascade_roots, minimal_degree_records
 from mindeg.cli import main
 from mindeg.curve_nbhd import (
@@ -729,8 +729,7 @@ def test_sweep_rows_count_every_minimal_degree_of_every_parabolic(label):
 
 def test_a_parabolic_frees_the_tables_it_holds():
     """The tables p holds keep no reference to p: with nothing else holding
-    it, p is freed with its root-table slice, z table and G/P table. (In a
-    sweep, the is_minimal_degree memo, keyed by the case's p, still holds it.)"""
+    it, p is freed with its root-table slice, z table and G/P table."""
     rs = build_root_system("E6")
     p = Parabolic(rs, frozenset({2, 4}))
     assert minimal_degrees(p)
@@ -741,6 +740,27 @@ def test_a_parabolic_frees_the_tables_it_holds():
     del p
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("write", [lambda: report.case_rows("E6", (2, 4), "json")[0],
+                                   lambda: report.case_reports("E6", (2, 4))],
+                         ids=["case_rows", "case_reports"])
+def test_a_sweep_case_frees_its_parabolic_and_tables(write):
+    """Once a case's rows are written, nothing keeps its Parabolic: the
+    memos keyed by a parabolic store no entry, and is_minimal_degree still
+    counts one miss per row, as perfbench's minimal_yield reads it."""
+    memos = [is_minimal_degree, curve_neighborhood_element, maximal_roots,
+             greedy_decomposition, project_coroot]
+    misses = is_minimal_degree.cache_info().misses
+    rows = write()
+    assert rows
+    gc.collect()
+    assert [x for x in gc.get_objects() if isinstance(x, Parabolic)
+            and str(x.system.simple_type) == "E6" and x.delta_p == {2, 4}] == []
+    for memo in memos:
+        info = memo.cache_info()
+        assert (info.currsize, info.maxsize) == (0, 0), memo.__name__
+    assert is_minimal_degree.cache_info().misses == misses + len(rows)
 
 
 def test_a_root_system_frees_the_tables_it_holds():

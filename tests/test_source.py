@@ -148,7 +148,9 @@ def test_only_entry_reads_whether_a_table_is_held():
 # measured reuse on the sweeps and queries.
 MEMOS = {
     # perfbench/spans.py reads their hit and miss counters (its CACHES), so
-    # they stay memos until ROADMAP items 3 and 4 unbind and drop them
+    # they stay memos until ROADMAP items 3 and 4 unbind and drop them; the
+    # five keyed by a Parabolic are lru_cache(maxsize=0) and store nothing,
+    # so no entry keeps a case's parabolic and its tables alive
     "cascade.cascade_roots", "curve_nbhd.maximal_roots", "curve_nbhd.greedy_decomposition",
     "curve_nbhd.curve_neighborhood_element", "curve_nbhd.is_minimal_degree",
     "parabolic.project_coroot", "weyl.reduced_word",
