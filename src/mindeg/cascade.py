@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .exceptions import NotApplicableError, NotMinimalDegreeError, RankTooLargeError
 from .curve_nbhd import _entry, _minimal, borel, minimal_degrees, point_class_degree
-from .parabolic import Degree, Parabolic, checks_degree
+from .parabolic import Degree, Parabolic
 from .root_system import Root, RootSystem, held, strongly_orthogonal
 from .weyl import WeylElement, all_elements, center_elements, longest_element
 
@@ -38,10 +38,6 @@ def is_sos(roots) -> bool:
                for i, a in enumerate(roots) for b in roots[i + 1:])
 
 
-def _check_full_flag_degree(rs: RootSystem, e: Degree) -> None:
-    borel(rs).check_degree(e)
-
-
 def _items_at(items, mask: int) -> tuple:
     """The items at the set bits of a mask, from the lowest bit up. Over
     rs.roots and a mask over root positions, the roots in the order of
@@ -54,13 +50,12 @@ def _items_at(items, mask: int) -> tuple:
     return tuple(out)
 
 
-@checks_degree(_check_full_flag_degree)
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)  # stores nothing: see curve_nbhd.maximal_roots
 def cascade_roots(rs: RootSystem, e: Degree) -> tuple[Root, ...]:
     """The greedy roots of the full-flag minimal degree e, by coefficients:
     the cascade mask of e's entry, read off the G/B table when borel(rs)
     holds it, and otherwise built by the local test (curve_nbhd), checked
-    strongly orthogonal either way."""
+    strongly orthogonal either way. _entry checks e first."""
     entry = _entry(borel(rs), e)
     if entry is None:
         raise NotMinimalDegreeError(f"{e} is not a full-flag minimal degree")

@@ -173,7 +173,7 @@ from operator import add, gt, itemgetter, mul
 from .exceptions import (
     ConsistencyError, LiftingNotUniqueError, NotMinimalDegreeError, ResourceGuardError,
 )
-from .parabolic import Degree, Parabolic, checks_degree, project_coroot
+from .parabolic import Degree, Parabolic, project_coroot
 from .root_system import Root, RootSystem, held, strongly_orthogonal
 from .weyl import (
     WeylElement, bruhat_leq, compose, descent_mask, descents_at, first_not_below,
@@ -227,14 +227,15 @@ def _root_table(p: Parabolic):
             tuple(tuple([c[i] for i in q]) for c in coroots))
 
 
-# The functools memos keyed by a Parabolic (these four and
-# parabolic.project_coroot) store nothing: lru_cache(maxsize=0) counts every
-# call as a miss and keeps cache_info() and __wrapped__. An entry would keep
-# its parabolic, and every table the parabolic holds, alive to the end of the
-# process, and each answer is held on the parabolic already or is cheap to
-# recompute. The decorators stay only because perfbench reads their
-# counters; ROADMAP item 3 moves those counters, and item 4 then drops them.
-@checks_degree(Parabolic.check_degree)
+# The functools memos perfbench counts (these four, parabolic.project_coroot,
+# cascade.cascade_roots and weyl.reduced_word) store nothing:
+# lru_cache(maxsize=0) counts every call as a miss and keeps cache_info() and
+# __wrapped__. An entry would keep its key alive to the end of the process (a
+# parabolic with every table it holds), and would answer a degree equal to
+# its key, such as (1.0,) for (1,), before the body's first line checks it;
+# each answer is held on its key already or is cheap to recompute. The
+# decorators stay only because perfbench reads their counters; ROADMAP item
+# 3 moves those counters, and item 4 then drops them.
 @lru_cache(maxsize=0)
 def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Maximal elements (root order) among roots whose coroot class is <= d.
@@ -242,6 +243,7 @@ def maximal_roots(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     Sorted with the lexicographically largest coefficient vector first, which
     is the deterministic greedy tie-break.
     """
+    p.check_degree(d)
     roots, fits, above, outside, _ = _root_table(p)
     cands = _fitting(fits, d, outside)
     return tuple(a for j, a in enumerate(roots)
@@ -270,10 +272,10 @@ def _greedy_step(p: Parabolic, d: Degree) -> tuple[int, Degree]:
     return j, rest
 
 
-@checks_degree(Parabolic.check_degree)
 @lru_cache(maxsize=0)
 def greedy_decomposition(p: Parabolic, d: Degree) -> tuple[Root, ...]:
     """Peel maximal roots off d until nothing is left."""
+    p.check_degree(d)
     roots = _root_table(p)[0]
     out = []
     while any(d):
@@ -321,7 +323,6 @@ def _z_pair(p: Parabolic, d: Degree) -> tuple[WeylElement, WeylElement]:
     return pair
 
 
-@checks_degree(Parabolic.check_degree)
 @lru_cache(maxsize=0)
 def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     """The Weyl element attached to the degree-d curve neighborhood of 1P.
@@ -329,6 +330,7 @@ def curve_neighborhood_element(p: Parabolic, d: Degree) -> WeylElement:
     The minimal representative of the coset of s_{a_1} * ... * s_{a_k} * w_P,
     a Hecke product over the greedy decomposition (a_1, ..., a_k) of d.
     """
+    p.check_degree(d)
     return _z_pair(p, d)[0]
 
 
@@ -553,15 +555,16 @@ def _longest_coset(p: Parabolic) -> WeylElement:
     return compose(longest_element(p.system), p.w_p)
 
 
-@checks_degree(Parabolic.check_degree)
 @lru_cache(maxsize=0)
 def is_minimal_degree(p: Parabolic, d: Degree) -> bool:
     """No strictly smaller effective degree reaches a Bruhat-larger element.
 
-    Read off p's table of minimal degrees (_minimal), which p holds; the
-    memo stores no entry, so a call keeps neither p nor its tables alive.
-    _entry calls it once per table row, and each call counts one miss.
+    Checks d, then reads p's table of minimal degrees (_minimal), which p
+    holds; the memo stores no entry, so a call keeps neither p nor its
+    tables alive. _entry calls it once per table row, and each call counts
+    one miss.
     """
+    p.check_degree(d)
     return d in _minimal(p)[0]
 
 
@@ -609,9 +612,9 @@ def _entry(p: Parabolic, d: Degree) -> tuple[WeylElement, Degree, int] | None:
     degree d of p, None for a checked degree that is not minimal: off the
     table when p (on G/B, borel) holds it, as every sweep case does, and
     otherwise decided locally (see the module docstring). The one place
-    that chooses between the two. The table path validates d through
-    is_minimal_degree, whose memo stores nothing, so a case's parabolic and
-    its tables go once its rows are written."""
+    that chooses between the two. Either path checks d first: the table
+    path in is_minimal_degree, whose memo stores nothing, so a case's
+    parabolic and its tables go once its rows are written."""
     if _minimal.holds(p):
         return _minimal(p)[0][d] if is_minimal_degree(p, d) else None
     p.check_degree(d)

@@ -8,14 +8,14 @@ nonnegative (Parabolic.check_degree).
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .exceptions import InvalidDegreeError, InvalidParabolicError
 from .root_system import Root, RootSystem, _Frozen, coroot_coefficients
 from .weyl import WeylElement, longest_element
 
-__all__ = ["Degree", "Parabolic", "project_coroot", "c1_pairing", "dim_x", "checks_degree"]
+__all__ = ["Degree", "Parabolic", "project_coroot", "c1_pairing", "dim_x"]
 
 Degree = tuple  # integer coordinates over Delta \ Delta_P
 
@@ -125,7 +125,7 @@ class Parabolic(_Frozen):
 
         An effective degree is a tuple of one nonnegative integer coordinate
         per simple root outside Delta_P. A coordinate must be an int: True
-        would equal 1 and key the memos and held tables as 1 does.
+        would equal 1 and key the held tables as 1 does.
         """
         if not isinstance(d, tuple):
             raise InvalidDegreeError(f"degree {d!r} is a {type(d).__name__}, not a tuple")
@@ -150,26 +150,6 @@ class Parabolic(_Frozen):
 
     def __repr__(self) -> str:
         return f"Parabolic({self.system.simple_type}, {sorted(self.delta_p)})"
-
-
-def checks_degree(check):
-    """Decorator for a memo f(x, d) keyed by a degree d: the function it
-    returns calls check(x, d) before the memo lookup.
-
-    lru_cache keys by equality, so without the check an entry for (1,)
-    would answer (1.0,) or (Fraction(1),), which a fresh process refuses,
-    and a list would raise TypeError rather than InvalidDegreeError. The
-    function keeps f's name and the memo's counters, and its __wrapped__ is
-    the memo.
-    """
-    def decorate(memo):
-        @wraps(memo)
-        def checked(x, d):
-            check(x, d)
-            return memo(x, d)
-        checked.cache_info, checked.cache_clear = memo.cache_info, memo.cache_clear
-        return checked
-    return decorate
 
 
 @lru_cache(maxsize=0)  # stores nothing: see curve_nbhd.maximal_roots

@@ -291,13 +291,14 @@ def pair_map_is_injective(p: Parabolic, d: Degree) -> bool:
 
 def is_exceptional_triple(p: Parabolic, d: Degree) -> bool:
     """Type G2, Delta_P the long simple root, d the point-class degree."""
+    p.check_degree(d)
     rs = p.system
     if (rs.simple_type.family, rs.simple_type.rank) != ("G", 2):
         return False
     long_simple = {i + 1 for i, b in enumerate(rs.simple_roots) if is_long(b)}
     if p.delta_p != frozenset(long_simple):
         return False
-    return tuple(d) == point_class_degree(p)
+    return d == point_class_degree(p)
 
 
 def coroot_pairing_bound_holds(p: Parabolic, d: Degree) -> bool:

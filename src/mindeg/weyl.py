@@ -245,18 +245,16 @@ def _stripped_word(w: WeylElement, letters) -> list:
             images[j] -= c * b
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=0)  # stores nothing: see curve_nbhd.maximal_roots
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Reduced word (0-based indices) by stripping the smallest right
-    descent (_stripped_word), memoized: hecke_product reads its right
-    factor's."""
+    descent (_stripped_word); hecke_product reads its right factor's."""
     return tuple(reversed(_stripped_word(w, range(w.system.rank))))
 
 
 def word_str(w: WeylElement) -> str:
     """Serialized reduced word in 1-based Bourbaki generator indices, the
-    letters of reduced_word. It strips w afresh, past the memo, which would
-    hold one entry for each distinct z of a sweep."""
+    letters of reduced_word, stripped with those letters directly."""
     word = _stripped_word(w, _steps(w.system).letters)
     word.reverse()
     return " ".join(word)

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -22,7 +23,7 @@ from mindeg.parabolic import Parabolic, project_coroot
 from mindeg.report import all_parabolic_subsets, default_types
 from mindeg.root_system import RootSystem, SimpleType, build_root_system
 from mindeg.tangent_directions import (
-    coroot_pairing_bound_holds, key_inequality, pair_map_is_injective,
+    coroot_pairing_bound_holds, is_exceptional_triple, key_inequality, pair_map_is_injective,
     quasi_homogeneity_verdict, weighted_pair_count_identity_holds,
 )
 from mindeg.weyl import bruhat_leq, compose, identity, longest_element, simple_reflection
@@ -244,7 +245,7 @@ def test_records_tie_degree_z_lifting_together(label):
 @pytest.mark.parametrize("d", [(1,), (1, 1, 1), (1, -1), (1, 0.5), (1, "1")])
 @pytest.mark.parametrize("entry", [maximal_roots, greedy_decomposition,
                                    curve_neighborhood_element, is_minimal_degree,
-                                   lifting])
+                                   lifting, is_exceptional_triple])
 def test_entry_points_reject_malformed_degrees(g2, entry, d):
     with pytest.raises(InvalidDegreeError):
         entry(borel(g2), d)
@@ -253,7 +254,7 @@ def test_entry_points_reject_malformed_degrees(g2, entry, d):
 @pytest.mark.parametrize("bad", [(1.0,), (Fraction(1),), [1]], ids=["float", "fraction", "list"])
 @pytest.mark.parametrize("entry", [lifting, curve_neighborhood_element, is_minimal_degree,
                                    quasi_homogeneity_verdict, key_inequality, maximal_roots,
-                                   greedy_decomposition])
+                                   greedy_decomposition, is_exceptional_triple])
 def test_a_degree_equal_to_a_cached_one_is_still_refused(entry, bad):
     """After the int query (1,), a degree equal to it but not a tuple of
     ints is refused as in a fresh process, not answered from the memo."""
@@ -267,7 +268,7 @@ def test_a_degree_equal_to_a_cached_one_is_still_refused(entry, bad):
                                         ((), (1, True)), ((2,), (False,))])
 @pytest.mark.parametrize("entry", [lifting, curve_neighborhood_element, is_minimal_degree,
                                    quasi_homogeneity_verdict, key_inequality, maximal_roots,
-                                   greedy_decomposition])
+                                   greedy_decomposition, is_exceptional_triple])
 def test_bool_degree_coordinates_are_refused(entry, delta_p, d):
     """A bool coordinate equals 0 or 1 but is not an int: every entry point
     refuses it in a fresh system, before any memo or held table is keyed by
@@ -293,14 +294,34 @@ def test_cascade_roots_refuses_a_degree_equal_to_a_cached_one(bad):
         cascade_roots(rs, bad)
 
 
-def test_degree_memos_keep_their_counters_and_memo():
-    """Each entry point that checks its degree reports its memo's counters,
-    and __wrapped__ is that memo, under the entry point's own name."""
-    for entry in (maximal_roots, greedy_decomposition, curve_neighborhood_element,
-                  is_minimal_degree, cascade_roots):
-        memo = entry.__wrapped__
-        assert entry.cache_info() == memo.cache_info()
-        assert memo.__wrapped__.__name__ == entry.__name__
+DEGREE_MEMOS = [maximal_roots, greedy_decomposition, curve_neighborhood_element,
+                is_minimal_degree, cascade_roots]
+
+
+def test_degree_memos_are_their_entry_points():
+    """Each memo keyed by a degree is the entry point itself: it stores
+    nothing, and its __wrapped__ is the entry point's own body, which checks
+    the degree, not a second memo."""
+    for entry in DEGREE_MEMOS:
+        assert entry.cache_parameters()["maxsize"] == 0, entry.__name__
+        assert entry.__wrapped__.__name__ == entry.__name__
+        assert not hasattr(entry.__wrapped__, "cache_info"), entry.__name__
+
+
+@pytest.mark.parametrize("bad", [(1.0,), [1], (True,)], ids=["float", "list", "bool"])
+@pytest.mark.parametrize("entry", DEGREE_MEMOS, ids=lambda f: f.__name__)
+def test_a_rebound_memo_still_refuses_a_malformed_degree(entry, bad):
+    """A fresh memo around __wrapped__, the way perfbench's tracer rebinds a
+    memoized function, still refuses, after the int query (1,), a degree
+    equal to it but not a tuple of ints: the check is in the body it wraps.
+    Over a wrapper that checked before the memo, the rebound is_minimal_degree,
+    curve_neighborhood_element and cascade_roots answered (1.0,)."""
+    rebound = functools.lru_cache(**entry.cache_parameters())(entry.__wrapped__)
+    rs = build_root_system("A1")
+    x = rs if entry is cascade_roots else borel(rs)
+    rebound(x, (1,))
+    with pytest.raises(InvalidDegreeError):
+        rebound(x, bad)
 
 
 @pytest.mark.parametrize("label", ORACLE_TYPES)
