@@ -65,7 +65,8 @@ def check_type(label: str) -> list[str]:
                 problems.append(f"{p}: minimal degrees differ")
             if point_class_degree(p) != box_scan_point_class_degree(p):
                 problems.append(f"{p}: point-class degrees differ")
-            table = curve_nbhd._minimal(p)[0]
+            # each entry is (z, lifting, mask); the oracle gives (z, lifting)
+            table = {d: entry[:2] for d, entry in curve_nbhd._minimal(p)[0].items()}
             if table != unit_edge_minimal_degrees(p):
                 problems.append(f"{p}: the table differs from the unit-edge oracle")
             for d, (z, _) in table.items():

@@ -3,7 +3,11 @@
 parabolic and every minimal degree for all simple types of rank <= 5
 (plus F4 and G2), and the analysis of the unique failing case.
 
-Usage: python scripts/run_headline_sweep.py [--workers N] [--out sweep.md]
+The sweep runs serially in this process, through the library's run_sweep;
+`mindeg sweep --max-rank 5 --workers N` streams the same rows in up to N
+processes.
+
+Usage: python scripts/run_headline_sweep.py [--out sweep.md]
 """
 
 from __future__ import annotations
@@ -24,13 +28,12 @@ from mindeg.tangent_directions import quasi_homogeneity_verdict
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=Path, default=None,
                     help="write the markdown table here instead of stdout")
     args = ap.parse_args()
 
     start = time.monotonic()
-    reports = run_sweep(default_types(5), args.workers)
+    reports = run_sweep(default_types(5))
     elapsed = time.monotonic() - start
 
     table = emit(reports, "md")

@@ -14,8 +14,8 @@ builds the root system untimed and then does the work of
 
 A part reads what the parts before it left on the parabolics, as the sweep
 does. The child hashes the JSON it renders, and this script checks that
-hash against the output of an in-process `report.sweep_cases`, written
-through CaseReport, so the parts add up to one sweep. It reports the best
+hash against the output of an in-process `report.run_sweep`, written
+through CaseReport by `report.emit`, so the parts add up to one sweep. It reports the best
 of the RUNS timings of each part in milliseconds, each part's minimum
 taken on its own, and the best total.
 
@@ -34,7 +34,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
-from mindeg.report import render, sweep_cases  # noqa: E402
+from mindeg.report import emit, run_sweep  # noqa: E402
 from mindeg.root_system import SimpleType  # noqa: E402
 
 PARTS = ("search", "tables", "rows", "words", "render")
@@ -73,7 +73,7 @@ print(json.dumps([times, hashlib.sha256(text.encode()).hexdigest()]))
 
 def sweep_sha256(label: str) -> str:
     """The sha256 of `mindeg sweep --types label`'s JSON, computed in this process."""
-    text = "".join(render(sweep_cases((SimpleType.parse(label),)), "json"))
+    text = emit(run_sweep((SimpleType.parse(label),)), "json")
     return hashlib.sha256(text.encode()).hexdigest()
 
 

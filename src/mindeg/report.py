@@ -6,7 +6,8 @@ rank, Delta_P) order, whatever the worker count, guarded by the rows they
 will emit. Each format writes a row from one template over its fields'
 texts: case_rows from the kernel's masks and the held root texts, a worker
 returning only the rows and the prediction flag, which join_rows writes as
-each case arrives; emit and render from CaseReports, plain picklable data.
+each case arrives; emit from CaseReports, plain picklable data, which
+run_sweep lists serially for the library.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .tangent_directions import VERDICT_DENSE_G_ORBIT, VERDICT_ONLY_AUT_X, _row
 from .weyl import word_str
 
 __all__ = ["CaseReport", "default_types", "all_parabolic_subsets", "case_reports",
-           "case_rows", "sweep_cases", "sweep_rows", "run_sweep",
-           "predictions_confirmed", "render", "join_rows", "emit"]
+           "case_rows", "sweep_rows", "run_sweep", "predictions_confirmed",
+           "join_rows", "emit"]
 
 # The most rows a sweep may emit. Every type of rank <= 7 together has
 # 77,198 and E8 alone 113,807; --max-rank 8 passes it at C7 (128,791), and
@@ -134,50 +135,52 @@ def _write_rows(p: Parabolic, rows: list, fmt: str) -> tuple[list[str], bool]:
     return [row(f) for f in fields], predictions_confirmed(fields)
 
 
-def _case_worker(task: tuple[str, tuple[int, ...], str | None]):
-    """One case (type, Delta_P, fmt): case_reports if fmt is None, else
-    case_rows in fmt; a MindegError is re-raised naming the case."""
-    type_label, delta_p, fmt = task
-    try:
-        return case_reports(type_label, delta_p) if fmt is None else case_rows(*task)
-    except MindegError as exc:
-        exc.args = (f"case ({type_label}, Delta_P={{{', '.join(map(str, delta_p))}}}): {exc}",)
-        raise
-
-
-def sweep_cases(types: tuple[SimpleType, ...],
-                workers: int = 1) -> Iterator[list[CaseReport]]:
-    """The reports of every parabolic of the types, one list per case, by
-    (family, rank, Delta_P), in up to workers processes, and no more than the
-    cases or the CPUs. The worker count, the type list and the row budget are
+def _cases(types: tuple[SimpleType, ...]) -> list[tuple[str, tuple[int, ...]]]:
+    """(type, Delta_P) of every parabolic of the types, by (family, rank,
+    Delta_P), a repeated type once. The type list and the row budget are
     checked here, before any case runs: ResourceGuardError once the row count
-    summed in that order passes _MAX_SWEEP_ROWS. The cases run as the
-    iterator is read; closing it cancels those not yet started."""
-    return sweep_rows(types, None, workers)
-
-
-def sweep_rows(types: tuple[SimpleType, ...], fmt: str | None,
-               workers: int = 1) -> Iterator:
-    """case_rows in fmt of each case of sweep_cases(types, workers), in its
-    order and after its checks; the reports of sweep_cases if fmt is None."""
-    if workers < 1:
-        raise InvalidConfigError(f"the worker count must be at least 1, got {workers}")
+    summed in that order passes _MAX_SWEEP_ROWS."""
     if not types:
         raise InvalidConfigError("no types to sweep")
-    tasks, rows = [], 0
+    cases, rows = [], 0
     for t in sorted(set(types), key=lambda s: (s.family, s.rank)):
         rows += _sweep_rows(build_root_system(t))
         if rows > _MAX_SWEEP_ROWS:
             raise ResourceGuardError(
                 f"the sweep through {t} has {rows} rows, more than the "
                 f"{_MAX_SWEEP_ROWS} a sweep may emit")
-        for dp in all_parabolic_subsets(t.rank):
-            tasks.append((str(t), dp, fmt))
+        cases.extend((str(t), dp) for dp in all_parabolic_subsets(t.rank))
+    return cases
+
+
+def _named(run, type_label: str, delta_p: tuple[int, ...], *args):
+    """run(type_label, delta_p, *args), a MindegError re-raised naming the case."""
+    try:
+        return run(type_label, delta_p, *args)
+    except MindegError as exc:
+        exc.args = (f"case ({type_label}, Delta_P={{{', '.join(map(str, delta_p))}}}): {exc}",)
+        raise
+
+
+def _case_worker(task: tuple[str, tuple[int, ...], str]) -> tuple[list[str], bool]:
+    """case_rows of one case (type, Delta_P, fmt), naming the case if it fails."""
+    return _named(case_rows, *task)
+
+
+def sweep_rows(types: tuple[SimpleType, ...], fmt: str,
+               workers: int = 1) -> Iterator[tuple[list[str], bool]]:
+    """case_rows in fmt of each case of _cases(types), in its order, in up to
+    workers processes, and no more than the cases or the CPUs. The worker
+    count and _cases' checks are made here, before any case runs. The cases
+    run as the iterator is read; closing it cancels those not yet started."""
+    if workers < 1:
+        raise InvalidConfigError(f"the worker count must be at least 1, got {workers}")
+    tasks = [(*case, fmt) for case in _cases(types)]
     # the pool forks all its processes at the first submit, so bound them here
     return _run_cases(tasks, min(workers, len(tasks), os.cpu_count() or 1))
 
 
-def _run_cases(tasks, workers: int) -> Iterator:
+def _run_cases(tasks, workers: int) -> Iterator[tuple[list[str], bool]]:
     """_case_worker of each task, yielded in task order. map submits every
     task at once and keeps that order, so under workers > 1 the cases after
     the one being waited for may finish first, and what they returned waits
@@ -198,9 +201,9 @@ def _run_cases(tasks, workers: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def run_sweep(types: tuple[SimpleType, ...], workers: int = 1) -> list[CaseReport]:
-    """Every report of sweep_cases(types, workers) in one list."""
-    return [r for chunk in sweep_cases(types, workers) for r in chunk]
+def run_sweep(types: tuple[SimpleType, ...]) -> list[CaseReport]:
+    """Every report of every case of _cases(types), serially, in one list."""
+    return [r for case in _cases(types) for r in _named(case_reports, *case)]
 
 
 def predictions_confirmed(reports) -> bool:
@@ -300,12 +303,6 @@ def emit(reports, fmt: str) -> str:
     _, _, _, head, sep, tail, empty = _FORMATS[fmt]
     rows = _report_rows(reports, fmt)
     return head + sep.join(rows) + tail if rows else empty
-
-
-def render(chunks: Iterable[list[CaseReport]], fmt: str) -> Iterator[str]:
-    """emit(every report of chunks, fmt) in pieces: join_rows of each list's
-    rows as emit writes them."""
-    return join_rows((_report_rows(reports, fmt) for reports in chunks), fmt)
 
 
 def join_rows(cases: Iterable[list[str]], fmt: str) -> Iterator[str]:

@@ -341,14 +341,16 @@ class RootSystem:
         coeffs = [*self.root_data, *(tuple([-c for c in y]) for y in self.root_data)]
         roots = tuple(Root(self, c) for c in sorted(coeffs))
         self.roots = roots
-        self._index = {r.coeffs: r for r in roots}
-        # every negative root sorts before every positive one, and there are
-        # as many of each
+        # Coefficients of each root -> its position in roots. roots is sorted
+        # by coefficients, so a bitmask over these positions lists its roots
+        # in that order from the lowest bit up. The coefficients of a root
+        # share one sign, so every negative root comes before every positive
+        # one, as many of each, and negation reverses the order: -roots[k] is
+        # roots[N-1-k], N = len(roots).
+        self.root_positions = {r.coeffs: k for k, r in enumerate(roots)}
         self.positive_roots = roots[len(roots) // 2:]
         self.simple_roots = tuple(
-            self._index[tuple(1 if k == i else 0 for k in range(self.rank))]
-            for i in range(self.rank)
-        )
+            self.root(1 if k == i else 0 for k in range(self.rank)) for i in range(self.rank))
         lengths = {data.norm for data in self.root_data.values()}
         self._min_norm = min(lengths)
         self._max_norm = max(lengths)
@@ -356,10 +358,10 @@ class RootSystem:
             raise ConsistencyError(f"{simple_type}: short roots must have squared length 2")
 
     def root(self, coeffs) -> Root:
-        return self._index[tuple(coeffs)]
+        return self.roots[self.root_positions[tuple(coeffs)]]
 
     def is_root(self, coeffs) -> bool:
-        return tuple(coeffs) in self._index
+        return tuple(coeffs) in self.root_positions
 
     @cached_property
     def root_table(self) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...],
@@ -402,15 +404,6 @@ class RootSystem:
                     mask |= 1 << k | above[k]
             above.append(mask)
         return roots, tuple(fits), tuple(above), coroots
-
-    @cached_property
-    def root_positions(self) -> dict[tuple[int, ...], int]:
-        """Coefficients of each root -> its position in roots. roots is sorted
-        by coefficients, so a bitmask over these positions lists its roots in
-        that order from the lowest bit up. The coefficients of a root share
-        one sign, so every negative root comes before every positive one, and
-        negation reverses the order: -roots[k] is roots[N-1-k], N = len(roots)."""
-        return {r.coeffs: k for k, r in enumerate(self.roots)}
 
     @held
     def pairing_row(self, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -565,7 +558,7 @@ def root_leq(a: Root, b: Root) -> bool:
 
 def strongly_orthogonal(alpha: Root, gamma: Root) -> bool:
     """Neither the sum nor the difference is a root or zero."""
-    index = alpha.system._index
+    index = alpha.system.root_positions
     for v in (tuple(map(operator.add, alpha.coeffs, gamma.coeffs)),
               tuple(map(operator.sub, alpha.coeffs, gamma.coeffs))):
         if not any(v) or v in index:

@@ -16,7 +16,9 @@ from mindeg.curve_nbhd import (
 from mindeg.exceptions import ExceptionalCaseError
 from mindeg.parabolic import Parabolic, c1_pairing, dim_x
 from mindeg.root_system import bilinear, build_root_system, coroot_pairing
-from mindeg.report import default_types, emit, predictions_confirmed, run_sweep
+from mindeg.report import (
+    default_types, emit, join_rows, predictions_confirmed, run_sweep, sweep_rows,
+)
 from mindeg.tangent_directions import (
     VERDICT_ONLY_AUT_X, coroot_pairing_bound_holds, key_inequality,
     pair_map_is_injective, quasi_homogeneity_verdict, tangent_direction_sets,
@@ -198,15 +200,17 @@ def test_criterion_7_so7_model_suite():
             f"{len(results)} checks, failures={bad}, {elapsed:.2f}s")
 
 
+def _swept(types, fmt: str, workers: int) -> tuple[str, bool]:
+    """The document `mindeg sweep` writes of types in fmt under workers, and
+    whether every case confirmed its predictions."""
+    cases = list(sweep_rows(types, fmt, workers))
+    return "".join(join_rows([rows for rows, _ in cases], fmt)), all(ok for _, ok in cases)
+
+
 def test_criterion_8_sweep_determinism():
     types = default_types(3)
-    base = emit(run_sweep(types, workers=1), "json")
-    ok = True
-    for workers in (2, 4):
-        other = emit(run_sweep(types, workers=workers), "json")
-        ok = ok and other == base
-    full = run_sweep(RANK5_TYPES, workers=2)
-    full_serial = run_sweep(RANK5_TYPES, workers=1)
-    ok = ok and emit(full, "csv") == emit(full_serial, "csv")
-    ok = ok and predictions_confirmed(full)
+    base = emit(run_sweep(types), "json")
+    ok = all(_swept(types, "json", workers) == (base, True) for workers in (1, 2, 4))
+    full, confirmed = _swept(RANK5_TYPES, "csv", 2)
+    ok = ok and confirmed and full == emit(run_sweep(RANK5_TYPES), "csv")
     _report(8, "sweep-determinism", ok, "1 vs 2 vs 4 workers byte-identical")

@@ -18,7 +18,8 @@ from mindeg.cli import main
 from mindeg.curve_nbhd import borel
 from mindeg.exceptions import InvalidConfigError, InvalidDegreeError, ResourceGuardError
 from mindeg.report import (
-    CaseReport, default_types, emit, predictions_confirmed, render, run_sweep, sweep_cases,
+    CaseReport, all_parabolic_subsets, default_types, emit, join_rows, predictions_confirmed,
+    run_sweep, sweep_rows,
 )
 from mindeg.root_system import RootSystem, SimpleType
 from oracles import APPENDIX_WITNESSES
@@ -300,6 +301,20 @@ def test_sweep_case_error_names_its_case(monkeypatch, capsys, workers):
     assert captured.err == "error: case (B2, Delta_P={1}): injected failure\n"
 
 
+def test_run_sweep_names_a_failing_case(monkeypatch):
+    real = report._row
+
+    def failing(p, d):
+        if (str(p.system.simple_type), p.delta_p) == ("B2", frozenset({1})):
+            raise InvalidDegreeError("injected failure")
+        return real(p, d)
+
+    monkeypatch.setattr(report, "_row", failing)
+    with pytest.raises(InvalidDegreeError) as info:
+        run_sweep((SimpleType("B", 2), SimpleType("A", 2)))
+    assert str(info.value) == "case (B2, Delta_P={1}): injected failure"
+
+
 def test_sweep_command_exit_code_and_md(capsys):
     code, out = run_cli(capsys, "sweep", "--types", "G2", "--format", "md")
     assert code == 0
@@ -338,13 +353,19 @@ def test_emit_json_empty():
 ])
 def test_an_empty_stream_renders_as_no_reports(fmt, text):
     assert emit([], fmt) == text
-    assert "".join(render([], fmt)) == text
-    assert "".join(render([[], []], fmt)) == text
+    assert "".join(join_rows([], fmt)) == text
+    assert "".join(join_rows([[], []], fmt)) == text
 
 
-def test_render_refuses_an_unknown_format():
+def test_join_rows_refuses_an_unknown_format():
     with pytest.raises(ValueError, match="unknown output format 'xml'"):
-        render([], "xml")
+        join_rows([], "xml")
+
+
+def _joined(chunks, fmt: str) -> str:
+    """The document join_rows writes of lists of reports, each list's rows
+    written as emit writes them."""
+    return "".join(join_rows([report._report_rows(c, fmt) for c in chunks], fmt))
 
 
 # every type of rank <= 3, with F4 and G2 (named twice)
@@ -367,11 +388,11 @@ def test_sweep_command_streams_the_bytes_of_emit(capsys, stream_reports, fmt, wo
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
-def test_render_joins_to_emit_however_the_reports_are_split(stream_reports, fmt):
+def test_join_rows_joins_to_emit_however_the_reports_are_split(stream_reports, fmt):
     whole = emit(stream_reports, fmt)
     cases = [stream_reports[i:i + 7] for i in range(0, len(stream_reports), 7)]
-    assert "".join(render(cases, fmt)) == whole
-    assert "".join(render([[], *cases, []], fmt)) == whole
+    assert _joined(cases, fmt) == whole
+    assert _joined([[], *cases, []], fmt) == whole
 
 
 class _RecordingStdout:
@@ -389,14 +410,16 @@ class _RecordingStdout:
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
 def test_sweep_command_writes_each_case_as_it_arrives(monkeypatch, fmt):
-    cases = list(sweep_cases((SimpleType("A", 2), SimpleType("B", 2))))
+    keys = [(label, dp) for label in ("A2", "B2") for dp in all_parabolic_subsets(2)]
+    cases = [report.case_rows(*key, fmt)[0] for key in keys]
+    reports = [report.case_reports(*key) for key in keys]
     assert len(cases) == 8 and all(cases)
     # one piece per non-empty case, in case order, and one to close: the
     # pieces of the first k cases and the closing one make their document
-    pieces = list(render([[], *cases[:4], [], *cases[4:]], fmt))
+    pieces = list(join_rows([[], *cases[:4], [], *cases[4:]], fmt))
     assert len(pieces) == len(cases) + 1
     for k in range(1, len(cases) + 1):
-        assert "".join(pieces[:k]) + pieces[-1] == emit([r for c in cases[:k] for r in c], fmt)
+        assert "".join(pieces[:k]) + pieces[-1] == emit([r for c in reports[:k] for r in c], fmt)
     # the CLI writes each case's piece before the next case runs
     events, real = [], report.case_rows
 
@@ -407,7 +430,7 @@ def test_sweep_command_writes_each_case_as_it_arrives(monkeypatch, fmt):
     monkeypatch.setattr(report, "case_rows", recording)
     monkeypatch.setattr(sys, "stdout", _RecordingStdout(events))
     assert main(["sweep", "--types", "A2,B2", "--format", fmt]) == 0
-    ran = [("case", c[0].type, c[0].delta_p) for c in cases]
+    ran = [("case", *key) for key in keys]
     assert events == [x for pair in zip(ran, pieces) for x in pair] + [pieces[-1]]
 
 
@@ -466,8 +489,7 @@ def test_emit_json_writes_bools_in_tuples_as_json_dumps_does():
     c = a._replace(td=((False, True), (True, 0)), cascade=((1, False),))
     for reports in ([a, b], [b, a], [a, b, a, b], [a, c, b], [c, a, c]):
         _check_emit_json_against_json_dumps(reports)
-        chunks = [[r] for r in reports]
-        assert "".join(render(chunks, "json")) == emit(reports, "json")
+        assert _joined([[r] for r in reports], "json") == emit(reports, "json")
     for change in ({"degree": (1.0, 0)}, {"td": ((0, 1), (1.0, 0))}):
         with pytest.raises(TypeError):
             emit([a, a._replace(**change)], "json")
@@ -504,11 +526,11 @@ _MIXED_TUPLES = st.lists(
 def test_emit_json_matches_json_dumps_on_mixed_int_and_bool_tuples(fields):
     """Reports whose tuple fields mix ints and bools that compare equal
     (1 == True, 0 == False) are written as json.dumps writes them, by emit
-    and by render."""
+    and by join_rows."""
     base = _hand_built_report()
     reports = [base._replace(degree=d, cascade=c, td=t) for d, c, t in fields]
     _check_emit_json_against_json_dumps(reports)
-    assert "".join(render([reports[:1], reports[1:]], "json")) == emit(reports, "json")
+    assert _joined([reports[:1], reports[1:]], "json") == emit(reports, "json")
 
 
 def test_emit_round_trips_reports():
@@ -524,9 +546,12 @@ def test_emit_round_trips_reports():
 
 
 def test_sweep_is_deterministic_across_worker_counts():
-    out1 = emit(run_sweep(default_types(3), workers=1), "json")
-    out2 = emit(run_sweep(default_types(3), workers=3), "json")
-    assert out1 == out2
+    types = default_types(3)
+    out1 = list(sweep_rows(types, "json", workers=1))
+    out3 = list(sweep_rows(types, "json", workers=3))
+    assert out1 == out3
+    assert "".join(join_rows([rows for rows, _ in out3], "json")) == \
+        emit(run_sweep(types), "json")
 
 
 def test_sweep_confirms_predictions_up_to_rank_three():
@@ -584,7 +609,7 @@ class _RecordingPool:
 
 
 def _record_pools(monkeypatch, cpus):
-    """The max_workers of every pool run_sweep opens on a host with cpus CPUs."""
+    """The max_workers of every pool sweep_rows opens on a host with cpus CPUs."""
     started = []
     monkeypatch.setattr(report.os, "cpu_count", lambda: cpus)
     # report imports the pool from concurrent.futures when a sweep opens one
@@ -596,12 +621,12 @@ def _record_pools(monkeypatch, cpus):
 def test_sweep_starts_no_more_workers_than_cases(monkeypatch):
     started = _record_pools(monkeypatch, 1024)
     a1 = (SimpleType("A", 1),)  # two cases
-    serial = run_sweep(a1)
+    serial = list(sweep_rows(a1, "json"))
     assert started == []
     for workers in (2, 4, 64):
-        assert run_sweep(a1, workers=workers) == serial
+        assert list(sweep_rows(a1, "json", workers)) == serial
     assert started == [2, 2, 2]
-    run_sweep((SimpleType("A", 2),), workers=3)  # four cases
+    list(sweep_rows((SimpleType("A", 2),), "json", workers=3))  # four cases
     assert started == [2, 2, 2, 3]
 
 
@@ -611,7 +636,7 @@ def test_sweep_starts_no_more_workers_than_cpus(monkeypatch, cpus, pools):
     # a pool forks all its processes at once, so a huge --workers must not reach it
     started = _record_pools(monkeypatch, cpus)
     a2 = (SimpleType("A", 2),)  # four cases
-    assert run_sweep(a2, workers=2000) == run_sweep(a2)
+    assert list(sweep_rows(a2, "csv", workers=2000)) == list(sweep_rows(a2, "csv"))
     assert started == pools
 
 
@@ -630,8 +655,8 @@ def test_closing_a_sweep_stream_cancels_the_cases_not_started(monkeypatch):
 
     monkeypatch.setattr(report.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-    cases = sweep_cases((SimpleType("A", 2),), workers=2)  # four cases
-    assert shutdowns == [] and next(cases)[0].delta_p == ()
+    cases = sweep_rows((SimpleType("A", 2),), "json", workers=2)  # four cases
+    assert shutdowns == [] and next(cases) == report.case_rows("A2", (), "json")
     cases.close()
     assert shutdowns == [True]
 
@@ -660,22 +685,29 @@ def test_only_written_rows_and_the_prediction_flag_cross_the_pool(monkeypatch, c
     code, out = run_cli(capsys, "sweep", "--types", "A2,G2", "--format", fmt, "--workers", "2")
     assert code == 0 and out == emit(run_sweep(types), fmt)
     assert [type(x) for x in crossed] == [tuple] * 8
-    for (rows, confirmed), reports in zip(crossed, sweep_cases(types)):
+    keys = [(str(t), dp) for t in types for dp in all_parabolic_subsets(t.rank)]
+    for (rows, confirmed), key in zip(crossed, keys, strict=True):
         assert type(rows) is list and {type(r) for r in rows} == {str}
-        assert confirmed is True and len(rows) == len(reports)
+        assert confirmed is True and len(rows) == len(report.case_reports(*key))
 
 
 def test_sweep_runs_its_cases_by_family_rank_and_parabolic(monkeypatch):
     seen = []
     # a zero count keeps A10's full-flag search from running
     monkeypatch.setattr(report, "_sweep_rows", lambda rs: 0)
-    monkeypatch.setattr(report, "_case_worker", lambda task: seen.append(task) or [])
+    monkeypatch.setattr(report, "case_reports", lambda t, dp: seen.append((t, dp)) or [])
+    monkeypatch.setattr(report, "case_rows",
+                        lambda t, dp, fmt: seen.append((t, dp)) or ([], True))
     types = (SimpleType("B", 2), SimpleType("A", 10), SimpleType("A", 2), SimpleType("B", 2))
     assert run_sweep(types) == []
-    labels = list(dict.fromkeys(label for label, _, _ in seen))
+    serial, seen[:] = seen[:], []
+    # the library list and the stream run the same cases in the same order
+    assert list(sweep_rows(types, "md")) == [([], True)] * len(serial)
+    assert seen == serial
+    labels = list(dict.fromkeys(label for label, _ in seen))
     assert labels == ["A2", "A10", "B2"]
     for label in labels:
-        subsets = [dp for lab, dp, _ in seen if lab == label]
+        subsets = [dp for lab, dp in seen if lab == label]
         assert subsets == sorted(subsets) and len(subsets) == len(set(subsets))
 
 

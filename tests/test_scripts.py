@@ -1,8 +1,12 @@
 """Smoke tests of the scripts under scripts/."""
 
+import hashlib
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from mindeg.cli import main
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -95,3 +99,37 @@ def test_run_headline_sweep_confirms_every_prediction(tmp_path):
     assert failure.startswith("  G2, delta_p=[2], degree=[2]: 5 > 4; verdict OnlyAutX "
                               "(moduli dim 15 > group dim 14)")
     assert lines[-1] == "all predictions confirmed"
+
+
+def test_check_generative_e7_accepts_small_types():
+    """The generative enumeration equals the box scan and the unit-edge
+    oracle on every parabolic of A2, G2 and B3: one line with 0 differences
+    per type, and the closing verdict."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "check_generative_e7.py"), "--types", "A2,G2,B3"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    for label in ("A2", "G2", "B3"):
+        assert [line for line in lines if line.startswith(f"{label}: ")
+                and ", 0 differences, " in line], label
+    assert lines[-1] == "generative sets equal the box scan and the unit-edge oracle"
+
+
+def test_check_sweep_stream_accepts_small_types(capsys):
+    """The serial and --workers 2 sweeps of A2 and of G2 each hash alike,
+    neither type has a pin, and the A2 hash is that of `mindeg sweep --types A2`."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "check_sweep_stream.py"), "--types", "A2,G2"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    hashes = {}
+    for label, workers, sha in re.findall(
+            r"^--types (\w+) --workers (\d): exit 0, \d+ bytes, sha256 ([0-9a-f]{64}),",
+            proc.stdout, re.M):
+        hashes.setdefault(label, {})[workers] = sha
+    assert {label: len(set(by.values())) for label, by in hashes.items()} == {"A2": 1, "G2": 1}
+    assert all(set(by) == {"1", "2"} for by in hashes.values())
+    assert "A2: no pin" in proc.stdout and "G2: no pin" in proc.stdout
+    assert main(["sweep", "--types", "A2"]) == 0
+    assert hashes["A2"]["1"] == hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()

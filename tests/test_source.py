@@ -196,11 +196,9 @@ NO_PRODUCT_READER = {
     "tangent_directions.weighted_pair_count_identity_holds":
         "lemma check of acceptance 6, to run on every sweep row (ROADMAP item 1)",
     "report.run_sweep":
-        "the library call that returns a whole sweep as one list; the CLI streams "
-        "sweep_rows instead, and the hash pins and acceptance 2 and 8 read it",
-    "report.render":
-        "the library's stream of CaseReport lists, join_rows over emit's rows; the "
-        "CLI joins the rows case_rows writes, and the tests hold it to emit",
+        "the library's serial sweep as one list of CaseReports, the data that emit "
+        "writes; the CLI streams sweep_rows, and the hash pins and acceptance 2 "
+        "hold the stream's bytes to it",
     "cascade.is_sos":
         "the oracle of the strong-orthogonality check the full-flag search and "
         "the local path make on each cascade; acceptance 5 and test_cascade read it",
