@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .exceptions import NotApplicableError, NotMinimalDegreeError, RankTooLargeError
-from .curve_nbhd import _entry, _minimal, borel, minimal_degrees, point_class_degree
+from .curve_nbhd import _entry, _minimal, borel, point_class_degree
 from .parabolic import Degree, Parabolic
 from .root_system import Root, RootSystem, held, strongly_orthogonal
 from .weyl import WeylElement, all_elements, center_elements, longest_element
@@ -151,18 +151,16 @@ def mmsos_unique_up_to_weyl(rs: RootSystem) -> bool:
 
 
 def cascade_size_bound_holds(rs: RootSystem) -> bool:
-    """No cascade is larger than the top cascade."""
-    bound = len(full_cascade(rs))
-    return all(len(cascade_roots(rs, e)) <= bound
-               for e in minimal_degrees(borel(rs)))
+    """No cascade is larger than the top one, each counted off its mask in the G/B table."""
+    table = _minimal(borel(rs))[0]
+    bound = table[point_class_degree(borel(rs))][2].bit_count()
+    return all(cascade.bit_count() <= bound for _, _, cascade in table.values())
 
 
 def max_cascade_forces_point_degree(rs: RootSystem) -> bool:
     """When w_o is central, only the point-class degree has a full-size cascade."""
     if longest_element(rs) not in center_elements(rs):
         raise NotApplicableError("the longest element is not central")
-    top = point_class_degree(borel(rs))
-    bound = len(full_cascade(rs))
-    return all(e == top
-               for e in minimal_degrees(borel(rs))
-               if len(cascade_roots(rs, e)) == bound)
+    top, table = point_class_degree(borel(rs)), _minimal(borel(rs))[0]
+    bound = table[top][2].bit_count()
+    return all(e == top for e, (_, _, cascade) in table.items() if cascade.bit_count() == bound)

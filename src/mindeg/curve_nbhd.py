@@ -211,20 +211,16 @@ def _root_table(p: Parabolic):
 
     Returns (roots, fits, above, outside, coroots): fits keeps the
     coordinates of Delta \\ Delta_P, outside masks the roots of R+ \\ R_P+
-    (Parabolic.outside_mask; greedy index j is system position N-1-j, N the
-    number of roots), and coroots[j] is project_coroot(p, roots[j]), read
-    off the system's integer coroot table. A Levi root projects to the zero
-    degree, so it fits below every degree; starting from the outside mask
-    drops it and changes nothing else. G/B keeps the system's table whole.
+    in greedy order, which is Parabolic.negative_outside_mask (see
+    RootSystem.root_table), and coroots[j] is project_coroot(p, roots[j]),
+    read off the system's integer coroot table. A Levi root projects to the
+    zero degree, so it fits below every degree; starting from the outside
+    mask drops it and changes nothing else.
     """
-    n, mask = len(p.system.roots), p.outside_mask
     roots, fits, above, coroots = p.system.root_table
-    if not p.positions:  # every positive root is outside the Levi
-        return roots, fits, above, (1 << n // 2) - 1, coroots
     q = p.quotient_positions
-    outside = sum([1 << j for j in range(n // 2) if mask >> n - 1 - j & 1])
-    return (roots, tuple(fits[i] for i in q), above, outside,
-            tuple(tuple([c[i] for i in q]) for c in coroots))
+    return (roots, tuple([fits[i] for i in q]), above, p.negative_outside_mask,
+            tuple([tuple([c[i] for i in q]) for c in coroots]))
 
 
 # The functools memos perfbench counts (these four, parabolic.project_coroot,

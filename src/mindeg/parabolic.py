@@ -72,17 +72,10 @@ class Parabolic(_Frozen):
                       if not support & outside])
 
     @cached_property
-    def levi_roots(self) -> tuple[Root, ...]:
-        """R_P, in the order of system.roots."""
-        roots = self.system.roots
-        return tuple([roots[k] for k in self.levi_positions])
-
-    @cached_property
     def levi_positive(self) -> tuple[Root, ...]:
-        """R_P+: the upper half of levi_roots, since R_P = -R_P and
-        -roots[k] is roots[N-1-k], N = len(roots) (see levi_positions)."""
-        levi = self.levi_roots
-        return levi[len(levi) // 2:]
+        """R_P+: the roots at the upper half of levi_positions (see there)."""
+        roots, levi = self.system.roots, self.levi_positions
+        return tuple([roots[k] for k in levi[len(levi) // 2:]])
 
     @cached_property
     def levi_mask(self) -> int:
@@ -97,6 +90,12 @@ class Parabolic(_Frozen):
         positions of R_P (levi_mask, symmetric as R_P = -R_P)."""
         n = len(self.system.roots)
         return ((1 << n) - (1 << n // 2)) & ~self.levi_mask
+
+    @cached_property
+    def negative_outside_mask(self) -> int:
+        """R- \\ R_P- as a bitmask over the positions of system.roots, the lower
+        half less R_P; also R+ \\ R_P+ in greedy order (RootSystem.root_table)."""
+        return (1 << len(self.system.roots) // 2) - 1 & ~self.levi_mask
 
     @cached_property
     def w_p(self) -> WeylElement:

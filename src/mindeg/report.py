@@ -121,7 +121,9 @@ def _root_texts(rs) -> tuple[tuple[tuple[str, ...], tuple[str, str, str]], ...]:
 
 def case_rows(type_label: str, delta_p: tuple[int, ...], fmt: str) -> tuple[list[str], bool]:
     """The rows emit(case_reports(type_label, delta_p), fmt) writes, and
-    whether predictions_confirmed holds of them (_write_rows)."""
+    whether predictions_confirmed holds of them (_write_rows); fmt is
+    checked before the case runs."""
+    _format(fmt)
     return _write_rows(*_case(type_label, delta_p), fmt)
 
 
@@ -171,8 +173,9 @@ def sweep_rows(types: tuple[SimpleType, ...], fmt: str,
                workers: int = 1) -> Iterator[tuple[list[str], bool]]:
     """case_rows in fmt of each case of _cases(types), in its order, in up to
     workers processes, and no more than the cases or the CPUs. The worker
-    count and _cases' checks are made here, before any case runs. The cases
-    run as the iterator is read; closing it cancels those not yet started."""
+    count, fmt and _cases' checks are made here, before any case runs. The
+    cases run as the iterator is read; closing it cancels those not yet started."""
+    _format(fmt)
     if workers < 1:
         raise InvalidConfigError(f"the worker count must be at least 1, got {workers}")
     tasks = [(*case, fmt) for case in _cases(types)]
@@ -286,6 +289,13 @@ _FORMATS = {
 }
 
 
+def _format(fmt: str) -> tuple:
+    """fmt's entry of _FORMATS; an unknown format is refused with ValueError."""
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown output format {fmt!r}")
+    return _FORMATS[fmt]
+
+
 def _report_rows(reports, fmt: str) -> list[str]:
     """The reports written by fmt's row template, each tuple field as fmt's text."""
     row, text = _FORMATS[fmt][:2]
@@ -298,9 +308,7 @@ def emit(reports, fmt: str) -> str:
     """Render reports as json, csv, or md with a stable field order: the
     format's head, its rows joined by its separator and its tail, or its
     empty document if there are no reports."""
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown output format {fmt!r}")
-    _, _, _, head, sep, tail, empty = _FORMATS[fmt]
+    _, _, _, head, sep, tail, empty = _format(fmt)
     rows = _report_rows(reports, fmt)
     return head + sep.join(rows) + tail if rows else empty
 

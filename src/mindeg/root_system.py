@@ -148,8 +148,8 @@ class SimpleType(_Frozen):
         try:
             rank = int(digits)
         except ValueError:  # more digits than int() converts from a string
-            raise InadmissibleRankError(
-                f"cannot parse simple type {text[:12]}...: its rank has "
+            raise InadmissibleRankError(  # no whitespace of the label, so one line
+                f"cannot parse simple type {letter}{digits[:11]}...: its rank has "
                 f"{len(digits)} digits") from None
         return cls(letter.upper(), rank)
 
@@ -320,7 +320,8 @@ class RootSystem:
     memoized instance, so copies of roots and Weyl elements stay comparable.
     The positive roots come from one pass by simple reflections
     (_positive_roots), and every per-root table reads what it recorded:
-    root_data maps the coefficients of each positive root to its RootData.
+    root_data maps the coefficients of each positive root to its RootData,
+    the one store of those facts; a negative root -y reads the entry of y.
     """
 
     def __init__(self, simple_type: SimpleType):
@@ -376,6 +377,11 @@ class RootSystem:
         all), above[j] masks the roots strictly above roots[j] in the root
         order, and coroots[j] is the coroot of roots[j] over the simple
         coroots, read off root_data.
+
+        roots is the upper half of self.roots reversed, so -roots[j] is
+        self.roots[j]: a mask over greedy indices is, bit for bit, the mask
+        over positions of the negatives of its roots. So R+ \\ R_P+ in greedy
+        order is the position mask of R- \\ R_P- (Parabolic.negative_outside_mask).
 
         If a < b are positive roots, some a + alpha_i is a root <= b: b - a is
         a nonzero sum of simple roots with (b - a, b - a) > 0, so
@@ -455,16 +461,6 @@ class RootSystem:
                       for y in (r.coeffs for r in self.roots)])
 
     @cached_property
-    def coroot_functionals(self) -> dict[tuple[int, ...], tuple[int, ...]]:
-        """Coefficients of each root y -> its integer functional ((alpha_i, y^vee))_i,
-        read off root_data; (-y)^vee = -y^vee."""
-        out = {}
-        for y, data in self.root_data.items():
-            out[y] = data.functional
-            out[tuple([-c for c in y])] = tuple([-c for c in data.functional])
-        return out
-
-    @cached_property
     def highest_root(self) -> Root:
         roots, _, above, _ = self.root_table
         top = [a for a, mask in zip(roots, above) if not mask]
@@ -534,11 +530,14 @@ def bilinear(x, y) -> int:
 def coroot_pairing(x, y: Root) -> int:
     """The pairing (x, y^vee) = 2 (x, y) / (y, y); an integer on the root lattice.
 
-    Read as the dot product of x with y's integer functional (see
-    RootSystem.coroot_functionals).
+    Read as x dotted with y's integer functional in RootSystem.root_data,
+    or with -y's, negated, for a negative y: (-y)^vee = -y^vee.
     """
     rs = _system_of(x, y)
-    return sum(a * b for a, b in zip(_vector(rs, x), rs.coroot_functionals[y.coeffs]))
+    xv, data, c = _vector(rs, x), rs.root_data, y.coeffs
+    if c in data:
+        return sum(map(operator.mul, xv, data[c].functional))
+    return -sum(map(operator.mul, xv, data[tuple([-a for a in c])].functional))
 
 
 def reflect(alpha: Root, lam):

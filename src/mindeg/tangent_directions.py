@@ -103,13 +103,13 @@ def _row_context(p: Parabolic) -> tuple[int, tuple[int, ...], bool, tuple[int, .
     is G2, the only one with an exceptional triple. levi holds the indices
     of R_P+ in a pairing row, which indexes the positive roots with
     gamma = roots[N/2 + j] at index j, so the upper half of the Levi
-    positions less N/2; below masks R- \\ R_P-, the lower half of the
-    positions less R_P. A plain tuple: a NamedTuple class would add its
-    build to the import of every cold query."""
+    positions less N/2; below masks R- \\ R_P-
+    (Parabolic.negative_outside_mask). A plain tuple: a NamedTuple class
+    would add its build to the import of every cold query."""
     rs = p.system
     half, levi = len(rs.roots) // 2, p.levi_positions
     return (p.outside_mask, p.c1_weights, (rs.simple_type.family, rs.rank) == ("G", 2),
-            tuple([j - half for j in levi[len(levi) // 2:]]), (1 << half) - 1 & ~p.levi_mask)
+            tuple([j - half for j in levi[len(levi) // 2:]]), p.negative_outside_mask)
 
 
 def _cascade_outside_levi(p: Parabolic, d: Degree) -> tuple[int, ...]:

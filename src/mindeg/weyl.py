@@ -8,9 +8,9 @@ roots; roots are sign-homogeneous, so the integer has the sign of the root;
 and it is linear, so a Weyl group action on roots is an action on the packed
 integers. One table per root system (_steps) maps each packed root to its
 coefficients and its integer coroot functional, so the hot loops below never
-unpack a root; it also holds the sparse Cartan rows and a reduced word of
-each reflection s_alpha, the palindrome the root system's pass by simple
-reflections recorded (RootSystem.root_data).
+unpack a root; it also holds the sparse Cartan rows. The Hecke steps read the
+reduced word of each reflection s_alpha where the root system's pass by
+simple reflections recorded it (RootSystem.root_data).
 The packed format never leaves this module.
 
 mul_gen carries the length along (w * s_i is one longer iff w(alpha_i) > 0);
@@ -59,11 +59,11 @@ class _Steps:
     of rows[i], and the entries (j, c) of rows[i] with j != i, i's neighbours
     in the Dynkin diagram; stripping s_i negates w(alpha_i), since c = 2 at
     j = i. letters[i] is the 1-based Bourbaki label of s_i as a string.
-    words maps the coefficients of a root alpha, of either sign, to the
-    reduced word of s_alpha = s_{-alpha} that RootSystem.root_data holds.
+    The Hecke steps read the reduced word of s_alpha = s_{-alpha} off
+    RootSystem.root_data, under whichever of alpha and -alpha is positive.
     """
 
-    __slots__ = ("table", "simple", "rows", "strips", "letters", "words")
+    __slots__ = ("table", "simple", "rows", "strips", "letters")
 
     def __init__(self, rs: RootSystem):
         # _pack is linear, so -y packs to -x: one pass over the positive roots
@@ -77,9 +77,6 @@ class _Steps:
         self.strips = tuple((row[0][0], tuple([(j, c) for j, c in row if j != i]))
                             for i, row in enumerate(self.rows))
         self.letters = tuple(str(i + 1) for i in range(rs.rank))
-        self.words = {}
-        for y, data in rs.root_data.items():
-            self.words[y] = self.words[tuple([-c for c in y])] = data.word
 
 
 class WeylElement(_Frozen):
@@ -299,8 +296,8 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
 
     z must be the minimal representative of its coset z W_P, with W_P the
     parabolic subgroup of the 0-based simple positions; so is y. The letters
-    s_i of a reduced word of s_alpha act from the right end: the word is the
-    palindrome of RootSystem.root_data. The 0-Hecke (Demazure) product does
+    s_i of a reduced word of s_alpha act from the right end: the palindrome
+    of RootSystem.root_data (see _Steps). The 0-Hecke (Demazure) product does
     not depend on which reduced word is used, so neither does y. With
     beta = z^-1(alpha_i), s_i lengthens z w_P iff beta > 0 and beta is not a
     simple root of W_P (if it is, s_i z = z s_beta lies in the same coset).
@@ -316,7 +313,8 @@ def hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
     levi = {simple[j] for j in positions}
     images, inv = list(z.images), list(z_inv.images)
     length = z.length
-    for i in steps.words[alpha.coeffs]:
+    data, c = rs.root_data, alpha.coeffs  # s_alpha = s_{-alpha}
+    for i in (data.get(c) or data[tuple([-x for x in c])]).word:
         beta = inv[i]
         if beta < 0 or beta in levi:
             continue
@@ -347,7 +345,8 @@ def reduced_left_reflection(z: WeylElement, z_inv: WeylElement,
         raise MixedRootSystemError("element and root live in different systems")
     steps = _steps(rs)
     table, simple, rows = steps.table, steps.simple, steps.rows
-    word = steps.words[alpha.coeffs]
+    data, c = rs.root_data, alpha.coeffs  # s_alpha = s_{-alpha}
+    word = (data.get(c) or data[tuple([-x for x in c])]).word
     images, inv = list(z.images), list(z_inv.images)
     for i in word:
         beta = inv[i]

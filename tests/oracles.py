@@ -162,7 +162,7 @@ def degree_leq(d: Degree, e: Degree) -> bool:
 
 def roots_of_p(p: Parabolic) -> frozenset[Root]:
     """R(P) = R+ union R_P, the roots whose root group lies in P."""
-    return frozenset(p.system.positive_roots) | frozenset(p.levi_roots)
+    return frozenset(p.system.positive_roots) | frozenset(support_scan_levi_roots(p))
 
 
 def levi_intersection_check(p: Parabolic) -> bool:
@@ -172,7 +172,7 @@ def levi_intersection_check(p: Parabolic) -> bool:
     otherwise.
     """
     w0 = longest_element(p.system)
-    levi = set(p.levi_roots)
+    levi = set(support_scan_levi_roots(p))
     if {w0.apply(r) for r in levi} != levi:
         raise NotApplicableError("w_o does not stabilize R_P")
     rp = roots_of_p(p)
@@ -643,8 +643,8 @@ def unpacked_compose(u: WeylElement, v: WeylElement) -> WeylElement:
 def mul_gen_hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha: Root,
                                       positions) -> tuple[WeylElement, WeylElement]:
     """(y, y^-1) with y W_P = s_alpha * z W_P, letter by letter: z^-1 becomes
-    mul_gen(z^-1, i) and beta's functional is looked up by its unpacked
-    coefficients, each time s_i acts."""
+    mul_gen(z^-1, i) and beta's functional is computed from its unpacked
+    coefficients (bilinear_functional), each time s_i acts."""
     rs = z.system
     simple = identity(rs).images
     levi = {simple[j] for j in positions}
@@ -655,7 +655,7 @@ def mul_gen_hecke_reflection_on_coset(z: WeylElement, z_inv: WeylElement, alpha:
         if beta < 0 or beta in levi:
             continue
         z_inv = mul_gen(z_inv, i)
-        pairings = rs.coroot_functionals[_unpack(beta, rs.rank)]
+        pairings = bilinear_functional(rs.root(_unpack(beta, rs.rank)))
         images = tuple([x - c * simple[i] for x, c in zip(images, pairings)])
         length += 1
     return WeylElement(rs, images, length), z_inv

@@ -1,8 +1,11 @@
 import concurrent.futures
+import contextlib
 import hashlib
+import io
 import json
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -188,6 +191,66 @@ def test_an_empty_comma_list_is_the_empty_tuple(capsys):
     assert json.loads(out)["degree"] == []
 
 
+# Draws for the fuzz of the argument grammar: labels of rank <= 4, also in
+# other spellings, and malformed ones; comma lists with blanks, negatives,
+# floats, non-ASCII digits and values too large. --workers and --max-rank
+# are left out: a draw must not start processes or a large sweep.
+_FUZZ_LABELS = st.one_of(
+    st.sampled_from([str(t) for t in default_types(4)]),
+    st.sampled_from(["g2", " B3 ", "f 4", "A\u0663", "E9", "Z3", "A-1", "A0", "D2", "G3", "",
+                     " ", "A1.5", "A\u00b2", "\u0663A", "A1000000", "B" + "9" * 5000,
+                     "C\n" + "9" * 5000]),
+)
+_FUZZ_LISTS = st.lists(st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["", " ", "1.5", "-0", "1e3", "x", "\u0662", "\u00b2", "9" * 30, "9" * 5000]),
+), max_size=5).map(",".join)
+
+
+@st.composite
+def _fuzz_argv(draw) -> list[str]:
+    def option(name: str) -> list[str]:  # left out, --name=value or --name value
+        form = draw(st.sampled_from(["", "=", " "]))
+        if not form:
+            return []
+        value = draw(_FUZZ_LISTS)
+        return [f"{name}={value}"] if form == "=" else [name, value]
+
+    command = draw(st.sampled_from(["roots", "cascade", "msos", "minimal-degrees",
+                                    "key-inequality", "verdict", "sweep"]))
+    if command == "sweep":
+        types = ",".join(draw(st.lists(_FUZZ_LABELS, min_size=1, max_size=3)))
+        return [command, "--types", types,
+                *draw(st.sampled_from([[], ["--format", "csv"], ["--format", "md"]]))]
+    argv = [command, draw(_FUZZ_LABELS)]
+    if command == "cascade":
+        argv += option("--e")
+    elif command in ("minimal-degrees", "key-inequality", "verdict"):
+        argv += option("--delta-p")
+    if command == "verdict":
+        argv += option("--degree")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fuzz_argv())
+def test_the_argument_grammar_answers_or_refuses_in_one_line(argv):
+    """Every argv returns 0, 1 or 2 or is refused by argparse, and never
+    raises; a MindegError is one error line and nothing else on stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert re.fullmatch("error: [^\n]*\n", err.getvalue()), (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", argv
+
+
 def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -360,6 +423,19 @@ def test_an_empty_stream_renders_as_no_reports(fmt, text):
 def test_join_rows_refuses_an_unknown_format():
     with pytest.raises(ValueError, match="unknown output format 'xml'"):
         join_rows([], "xml")
+
+
+def test_sweep_rows_and_case_rows_refuse_an_unknown_format_when_called(monkeypatch):
+    """As emit and join_rows do, and before _cases or a case runs."""
+    def refused(*args):
+        raise AssertionError("a case ran before the format was checked")
+    monkeypatch.setattr(report, "_cases", refused)
+    monkeypatch.setattr(report, "_case", refused)
+    for call in (lambda: sweep_rows((SimpleType("A", 1),), "xml"),
+                 lambda: sweep_rows((SimpleType("A", 1),), "xml", 2),
+                 lambda: report.case_rows("A1", (), "xml")):
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            call()
 
 
 def _joined(chunks, fmt: str) -> str:

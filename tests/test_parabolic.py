@@ -1,7 +1,7 @@
 import pytest
 
 from mindeg.cascade import full_cascade
-from mindeg.curve_nbhd import minimal_degrees
+from mindeg.curve_nbhd import _root_table, minimal_degrees
 from mindeg.exceptions import InvalidDegreeError, InvalidParabolicError, NotApplicableError
 from mindeg.parabolic import Parabolic, c1_pairing, dim_x, project_coroot
 from mindeg.report import case_reports, default_types
@@ -97,7 +97,7 @@ def test_levi_roots_and_c1_weights_match_the_old_paths(label):
     parabolic."""
     rs = build_root_system(label)
     for p in all_parabolics(rs):
-        assert p.levi_roots == support_scan_levi_roots(p), p
+        assert tuple(rs.roots[k] for k in p.levi_positions) == support_scan_levi_roots(p), p
         assert p.c1_weights == c1_vector_weights(p), p
 
 
@@ -116,6 +116,21 @@ def test_levi_masks_match_the_root_sets(label):
         assert p.levi_positive == tuple(r for r in levi if r.is_positive), p
         assert [p.outside_levi(r) for r in rs.roots] == [r in outside for r in rs.roots], p
         assert dim_x(p) == len(outside), p
+
+
+@pytest.mark.parametrize("label", [str(t) for t in default_types(6)] + ["E7"])
+def test_negative_outside_mask_is_the_greedy_mask_of_r_plus_outside_the_levi(label):
+    """Bit j of the one mask of R- \\ R_P- is set exactly when the root at
+    greedy index j of the root table lies in R+ \\ R_P+, by outside_levi and
+    by the coefficient scan; the greedy search reads that mask."""
+    rs = build_root_system(label)
+    greedy = rs.root_table[0]
+    for p in all_parabolics(rs):
+        mask, outside = p.negative_outside_mask, outside_levi_roots(p)
+        assert [mask >> j & 1 for j in range(len(greedy))] == \
+            [int(p.outside_levi(a)) for a in greedy] == [int(a in outside) for a in greedy], p
+        assert mask >> len(greedy) == 0, p
+        assert _root_table(p)[3] == mask, p
 
 
 def test_outside_levi_refuses_a_root_of_another_system(a2):
@@ -142,7 +157,7 @@ def test_levi_positive_and_root_counts(label):
     rs = build_root_system(label)
     pos = set(rs.positive_roots)
     for p in all_parabolics(rs):
-        assert set(p.levi_positive) == set(p.levi_roots) & pos
+        assert set(p.levi_positive) == set(support_scan_levi_roots(p)) & pos
         assert len(roots_of_p(p)) == len(rs.positive_roots) + len(p.levi_positive)
 
 
@@ -155,7 +170,7 @@ def test_cascade_support_parabolics_are_stable_under_longest_element(label):
     w0 = longest_element(rs)
     for alpha in full_cascade(rs):
         p = Parabolic(rs, frozenset(i + 1 for i, c in enumerate(alpha.coeffs) if c))
-        levi = set(p.levi_roots)
+        levi = set(support_scan_levi_roots(p))
         assert {w0.apply(r) for r in levi} == levi
         assert levi_intersection_check(p)
 

@@ -193,7 +193,7 @@ def test_tables_read_off_the_one_pass_match_the_direct_formulas(label):
     of every root for every bound."""
     rs = build_root_system(label)
     for a in rs.roots:
-        assert rs.coroot_functionals[a.coeffs] == bilinear_functional(a), a
+        assert tuple(coroot_pairing(s, a) for s in rs.simple_roots) == bilinear_functional(a), a
     assert rs.root_supports == tuple(sum(1 << k for k, c in enumerate(r.coeffs) if c)
                                      for r in rs.roots)
     _, fits, _, coroots = rs.root_table
@@ -201,6 +201,15 @@ def test_tables_read_off_the_one_pass_match_the_direct_formulas(label):
         assert len(fit) == max(c[i] for c in coroots) + 1
         for v, mask in enumerate(fit):
             assert mask == sum(1 << j for j, c in enumerate(coroots) if c[i] <= v), (i, v)
+
+
+@pytest.mark.parametrize("label", ["G2", "B3", "F4"])
+def test_coroot_pairing_with_a_negative_root_is_negated(label):
+    """(x, (-y)^vee) = -(x, y^vee) for all roots x and y, y of either sign."""
+    rs = build_root_system(label)
+    for y in rs.roots:
+        for x in rs.roots:
+            assert coroot_pairing(x, -y) == -coroot_pairing(x, y), (x, y)
 
 
 @pytest.mark.parametrize("label", ALL_TYPES_RANK_LE_8)
@@ -245,7 +254,7 @@ def test_the_build_path_takes_no_per_root_formula(monkeypatch, label):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refused)
     rs = RootSystem(SimpleType.parse(label))
-    rs.root_table, rs.coroot_functionals, rs.root_supports
+    rs.root_table, rs.root_supports
     weyl._Steps(rs)
     found = curve_nbhd._borel_minimal(Parabolic(rs, frozenset()))
     monkeypatch.undo()

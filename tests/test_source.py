@@ -186,6 +186,70 @@ def test_memo_inventory():
     assert set(found) == MEMOS
 
 
+# Every cached_property of RootSystem and Parabolic, each with readers in
+# src/ ("module.function" or "module.Class.method"). Each is a fact about a
+# type or a parabolic, kept once on its owner. A property that copied
+# another store, such as the functionals or the reflection words of
+# RootSystem.root_data or the Levi roots of Parabolic.levi_positions, would
+# be a second place to keep in step; a new property joins this list only
+# with its reader.
+CACHED_PROPERTIES = {
+    "RootSystem.root_table": ("curve_nbhd._root_table", "root_system.RootSystem.pairing_row"),
+    "RootSystem.positive_columns": ("root_system.RootSystem.pairing_row",),
+    "RootSystem.root_supports": ("parabolic.Parabolic.levi_positions",),
+    "RootSystem.highest_root": ("cli.cmd_roots",),
+    "Parabolic.positions": ("parabolic.Parabolic.w_p", "curve_nbhd._minimal"),
+    "Parabolic.quotient_positions": ("parabolic.Parabolic.check_degree", "curve_nbhd._root_table"),
+    "Parabolic.levi_positions": ("parabolic.Parabolic.levi_mask", "tangent_directions._row_context"),
+    "Parabolic.levi_positive": ("parabolic.Parabolic.c1_weights",
+                                "tangent_directions._root_directions"),
+    "Parabolic.levi_mask": ("parabolic.Parabolic.outside_mask",),
+    "Parabolic.outside_mask": ("parabolic.Parabolic.outside_levi", "tangent_directions._row_context"),
+    "Parabolic.negative_outside_mask": ("curve_nbhd._root_table", "tangent_directions._row_context"),
+    "Parabolic.w_p": ("curve_nbhd._minimal",),
+    "Parabolic.c1_weights": ("parabolic.c1_pairing", "tangent_directions._row_context"),
+}
+
+
+def _attribute_reads() -> dict[str, set[str]]:
+    """attribute name -> the functions and methods of src/ that read it, as
+    "module.function" or "module.Class.method"."""
+    reads = {}
+
+    def visit(node, stem: str, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{owner}.{child.name}"
+            elif isinstance(child, ast.Attribute):
+                reads.setdefault(child.attr, set()).add(owner)
+            visit(child, stem, name)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, path.stem)
+    return reads
+
+
+def test_cached_property_inventory():
+    """The cached_propertys of RootSystem and Parabolic are exactly
+    CACHED_PROPERTIES, and each listed reader reads its property."""
+    found = []
+    for stem, cls in (("root_system", "RootSystem"), ("parabolic", "Parabolic")):
+        path = PACKAGE / f"{stem}.py"
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef) and node.name == cls:
+                found += [f"{cls}.{f.name}" for f in node.body
+                          if isinstance(f, ast.FunctionDef)
+                          and any(getattr(d, "id", None) == "cached_property"
+                                  for d in f.decorator_list)]
+    assert len(found) == len(set(found))
+    assert set(found) == set(CACHED_PROPERTIES)
+    reads = _attribute_reads()
+    unread = [f"{prop}: {reader}" for prop, readers in CACHED_PROPERTIES.items()
+              for reader in readers if reader not in reads.get(prop.split(".")[1], ())]
+    assert unread == []
+
+
 # Public names that nothing in src/ reads and perfbench does not bind, each
 # with the reason it stays in the package rather than in tests/oracles.py.
 NO_PRODUCT_READER = {

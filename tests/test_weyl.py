@@ -397,6 +397,27 @@ def test_reduced_left_reflection_matches_the_hecke_step(label):
             _check_reduced_left_reflection(z, z_inv, alpha)
 
 
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_hecke_steps_take_alpha_and_minus_alpha_alike(label):
+    """s_alpha = s_{-alpha}: both Hecke steps return the same pair, with the
+    same lengths, or both None, for alpha and -alpha, over the whole group,
+    on G/B and on the parabolic of the first simple root."""
+    rs = build_root_system(label)
+    for z in all_elements(rs):
+        z_inv = _inverse(z)
+        for alpha in rs.positive_roots:
+            pairs = [reduced_left_reflection(z, z_inv, r) for r in (alpha, -alpha)]
+            assert pairs[0] == pairs[1], (z, alpha)
+            if pairs[0] is not None:
+                assert [w._length for w in pairs[0]] == [w._length for w in pairs[1]]
+            for positions in ((), (0,)):
+                if any(z.images[i] < 0 for i in positions):
+                    continue  # z is not the minimal representative of z W_P
+                pairs = [hecke_reflection_on_coset(z, z_inv, r, positions) for r in (alpha, -alpha)]
+                assert pairs[0] == pairs[1], (z, alpha, positions)
+                assert [w._length for w in pairs[0]] == [w._length for w in pairs[1]]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_reduced_left_reflection_matches_the_hecke_step_sampled_f4(data):
