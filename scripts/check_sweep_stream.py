@@ -8,15 +8,16 @@ read with os.wait4 and must stay under MAX_RSS_MB. Under --workers 2 that is
 the largest peak of the parent and of the workers it reaped (Linux's wait4
 reports both); the parent receives each case's rows already written and
 only joins them. A case's parabolic and the tables it holds are freed once
-its rows are written, so a serial run holds its type's G/B tables and the
-case at hand, not every case it has run. Both runs must exit 0 and give the
+its rows are written, so a serial run holds its type's G/B tables, the
+case at hand and one word text per distinct z it has written (the system
+holds them), not every case it has run. Both runs must exit 0 and give the
 same sha256, which for a type of PINNED_SHA256 must equal the pinned one; a
 type without a pin is reported as such. The E6 and E7 sweeps are pinned in
 tests/test_sweep_hashes.py, which Tier-1 runs; this table holds only what
 Tier-1 does not check: the rank-8 types A8, B8, C8, D8 and E8, each recorded
 before the sweep rows read their table entries. E8 writes 113,807 rows
-(143 MB of JSON) and takes 5.5 to 9 s per serial run on a shared 2-vCPU
-host, by its load.
+(143 MB of JSON) and takes 5.5 to 6.5 s per serial run at a peak RSS of
+87 MB on a shared 2-vCPU host, by its load.
 
 Usage: python scripts/check_sweep_stream.py [--types E8 | --types A8,B8,C8,D8,E8]
 """

@@ -16,7 +16,12 @@ The packed format never leaves this module.
 mul_gen carries the length along (w * s_i is one longer iff w(alpha_i) > 0);
 elements built otherwise count inversions on first use. Reduced words come
 from descent stripping (smallest Bourbaki index first, so all derived
-products are reproducible).
+products are reproducible). Each system holds the written words (word_str)
+in one table, a text per element asked about and none for the elements a
+strip passes (_word_texts). The word of w is the word of w s_i followed by
+i, for the smallest right descent s_i of w, so a strip stops at the first
+element already in the table, and no text depends on what was written
+before it.
 """
 
 from __future__ import annotations
@@ -214,9 +219,9 @@ def right_multiplier(v: WeylElement):
     return times_v
 
 
-def _stripped_word(w: WeylElement, letters) -> list:
-    """The letters letters[i] of the reduced word of w by stripping the
-    smallest right descent s_i, last letter first.
+def _stripped_word(w: WeylElement) -> list[int]:
+    """The reduced word of w by stripping the smallest right descent s_i,
+    last letter first.
 
     Only the identity has no right descent, so the stripping ends there: at
     the sentinel descent past the last position. No position before the
@@ -234,7 +239,7 @@ def _stripped_word(w: WeylElement, letters) -> list:
             i += 1
         if i == rank:
             return word
-        word.append(letters[i])
+        word.append(i)
         b = images[i]
         images[i] = -b
         i, neighbours = strips[i]
@@ -246,15 +251,54 @@ def _stripped_word(w: WeylElement, letters) -> list:
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """Reduced word (0-based indices) by stripping the smallest right
     descent (_stripped_word); hecke_product reads its right factor's."""
-    return tuple(reversed(_stripped_word(w, range(w.system.rank))))
+    return tuple(reversed(_stripped_word(w)))
+
+
+@held
+def _word_texts(rs: RootSystem) -> dict[tuple[int, ...], str]:
+    """word_str's table: the text of each element of rs it was asked about,
+    by images; the identity's is ""."""
+    return {}
 
 
 def word_str(w: WeylElement) -> str:
-    """Serialized reduced word in 1-based Bourbaki generator indices, the
-    letters of reduced_word, stripped with those letters directly."""
-    word = _stripped_word(w, _steps(w.system).letters)
+    """Serialized reduced word in 1-based Bourbaki generator indices: the
+    letters of reduced_word, read from or written to w.system's table
+    (_word_texts).
+
+    A miss strips the smallest right descent as _stripped_word does, and
+    after each letter looks the stripped element up: the word of w is the
+    word of w s_i followed by i, so at the first element with a text, w's
+    text is that text followed by the stripped letters, reversed. Texts do
+    not depend on what the table held before, and only w's is stored.
+    """
+    texts = _word_texts(w.system)
+    text = texts.get(w.images)
+    if text is not None:
+        return text
+    steps = _steps(w.system)
+    strips, letters = steps.strips, steps.letters
+    images = list(w.images)
+    word = []
+    i = 0
+    while text is None:
+        try:
+            while images[i] >= 0:
+                i += 1
+        except IndexError:  # no right descent: the identity
+            text = ""
+            break
+        word.append(letters[i])
+        b = images[i]
+        images[i] = -b
+        i, neighbours = strips[i]
+        for j, c in neighbours:
+            images[j] -= c * b
+        text = texts.get(tuple(images))
     word.reverse()
-    return " ".join(word)
+    tail = " ".join(word)
+    text = texts[w.images] = f"{text} {tail}" if text else tail
+    return text
 
 
 @held

@@ -787,15 +787,15 @@ def test_a_sweep_case_frees_its_parabolic_and_tables(write):
 def test_a_root_system_frees_the_tables_it_holds():
     """The tables a system holds keep no reference to it that outlives it:
     with nothing else holding rs, it is freed with its Weyl tables, its
-    Borel and G/B table, its reflections and its longest elements. (A system
-    build_root_system interns lives as long as the process.)"""
+    Borel and G/B table, its reflections, its longest elements and its word
+    texts. (A system build_root_system interns lives as long as the process.)"""
     rs = RootSystem(SimpleType("E", 6))
     assert minimal_degrees(borel(rs)) and minimal_degrees(Parabolic(rs, frozenset({2, 4})))
     assert weyl.word_str(longest_element(rs)) and weyl.word_str(longest_element(rs, {0, 2}))
     assert weyl.reflection(rs, rs.highest_root).length == len(rs.root_data[
         rs.highest_root.coeffs].word)
     held = {f"mindeg.{f}" for f in ("weyl.identity", "weyl._steps", "weyl._longest",
-                                    "weyl.reflection", "curve_nbhd.borel")}
+                                    "weyl.reflection", "weyl._word_texts", "curve_nbhd.borel")}
     assert held <= set(vars(rs))
     ref = weakref.ref(rs)
     del rs

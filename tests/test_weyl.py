@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mindeg.curve_nbhd import minimal_degrees
 from mindeg.exceptions import InvalidVectorError, MixedRootSystemError
-from mindeg.report import default_types
+from mindeg.parabolic import Parabolic
+from mindeg.report import all_parabolic_subsets, default_types
 from mindeg.root_system import RootSystem, SimpleType, build_root_system
+from mindeg.tangent_directions import _row
 from mindeg.weyl import (
     all_elements, bruhat_leq, center_elements, compose, descent_mask, descents_at,
     first_not_below, hecke_product, hecke_reflection_on_coset, identity, inversion_set,
     longest_element, mul_gen, reduced_left_reflection, reduced_word, reflection,
-    right_multiplier, simple_reflection, word_str,
+    right_multiplier, simple_reflection, word_str, _word_texts,
 )
 
 from oracles import (
@@ -150,15 +153,63 @@ def test_word_serialization(a2):
     assert word_str(identity(a2)) == ""
 
 
+def _written(w) -> str:
+    """The text word_str must give w: the letters of reduced_word, 1-based."""
+    return " ".join(str(i + 1) for i in reduced_word(w))
+
+
+def _row_zs(rs) -> list:
+    """z_d of every row of every case of rs, in case order, as the sweep reads them."""
+    return [_row(p, d)[0]
+            for p in (Parabolic(rs, frozenset(dp)) for dp in all_parabolic_subsets(rs.rank))
+            for d in minimal_degrees(p)]
+
+
 def test_word_str_strips_past_the_memo():
     """word_str writes the letters of reduced_word, 1-based, and adds no
-    entry to its memo."""
+    entry to its memo. Its table on the system holds the text of each
+    element it was asked about and of nothing else: no stripped prefix."""
     rs = RootSystem(SimpleType.parse("B3"))  # a fresh system, no word memoized
     elements = all_elements(rs)
     before = reduced_word.cache_info().currsize
     texts = [word_str(w) for w in elements]
     assert reduced_word.cache_info().currsize == before
-    assert texts == [" ".join(str(i + 1) for i in reduced_word(w)) for w in elements]
+    assert texts == [_written(w) for w in elements]
+    assert _word_texts(rs) == {w.images: text for w, text in zip(elements, texts)}
+
+    rs = RootSystem(SimpleType.parse("B4"))
+    zs = _row_zs(rs)
+    assert "mindeg.weyl._word_texts" not in vars(rs)
+    words = [word_str(z) for z in zs]
+    assert reduced_word.cache_info().currsize == before
+    table = _word_texts(rs)
+    assert (len(zs), len(table)) == (179, 114)  # 114 distinct z's in B4's 179 rows
+    assert table == {z.images: word for z, word in zip(zs, words)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(label=st.sampled_from(["B3", "G2"]), identity_first=st.booleans(), data=st.data())
+def test_word_str_does_not_depend_on_the_call_order(label, identity_first, data):
+    """Each text is the same whatever the system's table held before it was
+    written: all_elements of a fresh system in any order. With the identity
+    written first, a strip may stop at its text "", which must not add a
+    leading space."""
+    rs = RootSystem(SimpleType.parse(label))
+    e = identity(rs)
+    order = data.draw(st.permutations(all_elements(rs)))
+    if identity_first:
+        order = [e] + [w for w in order if w != e]
+    assert [word_str(w) for w in order] == [_written(w) for w in order]
+    assert _word_texts(rs)[e.images] == ""
+
+
+@pytest.mark.parametrize("label", ["A4", "B4"])
+def test_row_words_in_reverse_case_order(label):
+    """The row z's of every case, the last case first, get the words they
+    get in case order."""
+    rs = RootSystem(SimpleType.parse(label))
+    zs = _row_zs(rs)[::-1]
+    assert [word_str(z) for z in zs] == [_written(z) for z in zs]
 
 
 def test_center_examples(g2, a2):
